@@ -569,7 +569,8 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	computeSum, memSum, busySum := 0.0, 0.0, 0.0
 	coldStarts, reconfigs, aborts := 0, 0, 0
 	dropped := c.dropped
-	for _, n := range c.nodes {
+	nodeRecs := make([]*metrics.Recorder, len(c.nodes))
+	for i, n := range c.nodes {
 		cu, mu := n.gpu.Utilization()
 		computeSum += cu
 		memSum += mu
@@ -577,12 +578,18 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 		coldStarts += n.scaler.ColdStarts()
 		reconfigs += n.gpu.ReconfigCount()
 		aborts += n.gpu.ReconfigAborts()
-		// Merge the lane-local accumulators in node order — a fixed
-		// order, so the report does not depend on the shard count.
-		c.recorder.Merge(&n.recorder)
+		nodeRecs[i] = &n.recorder
 		c.timeline = append(c.timeline, n.timeline...)
 		c.completed += n.completed
 		dropped += n.dropped
+	}
+	// Merge the lane-local accumulators in node order — a fixed order, so
+	// the report does not depend on the shard count — in one call that
+	// sizes the merged buffer once. Nothing records after the drain, so
+	// the node buffers are dropped rather than held through the report.
+	c.recorder.Merge(nodeRecs...)
+	for _, n := range c.nodes {
+		n.recorder = metrics.Recorder{}
 	}
 	sortTimeline(c.timeline)
 	var chaosStats *chaos.Stats

@@ -55,11 +55,22 @@ type DropRecord struct {
 // any), the chaos schedule, and the dispatch/monitor tickers start, and
 // nodes begin buffering completion and drop records. The caller then
 // drives virtual time with AdvanceTo and ends the session with Drain.
+//
+// A live cluster's recorders run in sketch mode: the serving layer
+// keeps its own exact per-tenant samples from the completion records,
+// so the cluster-side copies would only grow with every request served.
+// Drain's Result.Recorder therefore carries exact counts and SLO
+// compliance but sketch-estimated quantiles.
 func (c *Cluster) StartLive() error {
 	if c.live {
 		return errors.New("cluster: StartLive called twice")
 	}
 	c.live = true
+	// Still empty: nothing completes before the session starts.
+	c.recorder = metrics.NewSketchRecorder()
+	for _, n := range c.nodes {
+		n.recorder = *metrics.NewSketchRecorder()
+	}
 	if c.fleet != nil {
 		if err := c.fleet.Start(); err != nil {
 			return err

@@ -14,9 +14,12 @@
 package metrics
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"protean/internal/gpu"
@@ -46,6 +49,28 @@ type Sample struct {
 	Weight int
 }
 
+// row is one exact-mode sample: Sample's fields with Model and Tenant
+// interned to ids in the recorder's name table. It holds no pointers,
+// so the garbage collector never scans a sample buffer.
+type row struct {
+	model, tenant uint32
+	Strict        bool
+	Latency       float64
+	SLO           float64
+	Breakdown     gpu.Breakdown
+	Completed     float64
+	Weight        int
+}
+
+// latKey is one entry of the quantile index: a row's latency, position
+// and weight, so sorting and summing never load the row itself. w is 0
+// for a weight too large for it; the row is read instead.
+type latKey struct {
+	lat float64
+	pos uint32
+	w   uint32
+}
+
 // Recorder accumulates samples. The zero value is an exact-mode
 // recorder, ready to use.
 //
@@ -56,20 +81,27 @@ type Sample struct {
 // and mutating a view (Add/Merge) first materialises a private copy so
 // the parent is never perturbed.
 type Recorder struct {
-	samples []Sample
+	rows []row
+	// names holds the model and tenant names rows refer to by id, in
+	// first-seen order; ids maps each name back. Views share both with
+	// the parent's backing, copy-on-write like rows.
+	names []string
+	ids   map[string]uint32
 	// view, when non-nil, restricts the recorder to these positions of
-	// samples (a filtered view over a parent's backing).
+	// rows (a filtered view over a parent's backing).
 	view []int
-	// shared marks the samples backing as shared with another recorder
+	// shared marks the rows backing as shared with another recorder
 	// (a parent or its views); mutation must copy first.
 	shared bool
-	// weightSum caches the total weighted request count.
+	// weightSum is the total weighted request count of the visible rows.
 	weightSum int
 
-	// byLat caches the latency-sorted sample positions for the quantile
-	// path; valid only while sortedOK. Add/Merge invalidate it, so
-	// report generation re-sorts once instead of once per quantile.
-	byLat    []int
+	// byLat (sorted by latency, then position) and cum (cumulative
+	// weights in that order) are the quantile index, valid only while
+	// sortedOK. Add/Merge invalidate it, so report generation sorts once
+	// instead of once per quantile.
+	byLat    []latKey
+	cum      []float64
 	sortedOK bool
 
 	// sk switches the recorder into sketch mode (non-nil). skSel, when
@@ -165,17 +197,49 @@ func (r *Recorder) materialize() {
 	if !r.shared && r.view == nil {
 		return
 	}
-	own := make([]Sample, 0, r.exactLen())
-	r.weightSum = 0
-	r.eachExact(func(s *Sample) {
-		own = append(own, *s)
-		r.weightSum += s.Weight
-	})
-	r.samples = own
+	own := make([]row, 0, r.exactLen())
+	if r.view != nil {
+		for _, i := range r.view {
+			own = append(own, r.rows[i])
+		}
+	} else {
+		own = append(own, r.rows...)
+	}
+	r.rows = own
+	r.names = slices.Clone(r.names)
+	r.ids = maps.Clone(r.ids)
 	r.view = nil
 	r.shared = false
 	r.sortedOK = false
-	r.byLat = nil
+	r.byLat, r.cum = nil, nil
+}
+
+// intern returns name's id in the name table, adding it if new.
+func (r *Recorder) intern(name string) uint32 {
+	if id, ok := r.ids[name]; ok {
+		return id
+	}
+	if r.ids == nil {
+		r.ids = make(map[string]uint32)
+	}
+	id := uint32(len(r.names))
+	r.names = append(r.names, name)
+	r.ids[name] = id
+	return id
+}
+
+// sample rebuilds the public form of a row.
+func (r *Recorder) sample(s *row) Sample {
+	return Sample{
+		Model:     r.names[s.model],
+		Tenant:    r.names[s.tenant],
+		Strict:    s.Strict,
+		Latency:   s.Latency,
+		SLO:       s.SLO,
+		Breakdown: s.Breakdown,
+		Completed: s.Completed,
+		Weight:    s.Weight,
+	}
 }
 
 // Add records a sample. Zero weights are normalized to 1.
@@ -191,7 +255,16 @@ func (r *Recorder) Add(s Sample) {
 		return
 	}
 	r.materialize()
-	r.samples = append(r.samples, s)
+	r.rows = append(r.rows, row{
+		model:     r.intern(s.Model),
+		tenant:    r.intern(s.Tenant),
+		Strict:    s.Strict,
+		Latency:   s.Latency,
+		SLO:       s.SLO,
+		Breakdown: s.Breakdown,
+		Completed: s.Completed,
+		Weight:    s.Weight,
+	})
 	r.weightSum += s.Weight
 	r.sortedOK = false
 }
@@ -217,49 +290,91 @@ func (r *Recorder) addSketch(s Sample) {
 	r.weightSum += s.Weight
 }
 
-// Merge folds another recorder's samples into r. Merging a sketch-mode
-// recorder into an exact one (or vice versa) converts sample-by-sample
-// where possible; sketch→exact is impossible (the samples are gone) and
-// panics.
-func (r *Recorder) Merge(other *Recorder) {
-	if other == nil {
-		return
-	}
+// Merge folds other recorders' samples into r, in argument order; nil
+// recorders are skipped. Merging several at once sizes r's buffer once.
+// Merging a sketch-mode recorder into an exact one (or vice versa)
+// converts sample-by-sample where possible; sketch→exact is impossible
+// (the samples are gone) and panics.
+func (r *Recorder) Merge(others ...*Recorder) {
 	if r.sk != nil {
 		if r.skSel != nil {
 			panic("metrics: Merge on a sketch-mode view recorder")
 		}
-		if other.sk == nil {
-			other.eachExact(func(s *Sample) { r.addSketch(*s) })
-			return
-		}
-		for _, k := range other.sk.sortedKeys() {
-			if !other.selected(k) {
-				continue
+		for _, o := range others {
+			if o != nil {
+				r.mergeSketch(o)
 			}
-			oa := other.sk.aggs[k]
-			a := r.sk.agg(k)
-			a.sk.Merge(&oa.sk)
-			a.n += oa.n
-			a.weight += oa.weight
-			a.latSum += oa.latSum
-			a.attTotal += oa.attTotal
-			a.attMet += oa.attMet
-			a.strictW += oa.strictW
-			a.strictMet += oa.strictMet
-			r.weightSum += oa.weight
 		}
 		return
 	}
-	if other.sk != nil {
-		panic("metrics: cannot merge a sketch-mode recorder into an exact recorder")
+	n := 0
+	for _, o := range others {
+		if o == nil {
+			continue
+		}
+		if o.sk != nil {
+			panic("metrics: cannot merge a sketch-mode recorder into an exact recorder")
+		}
+		n += o.exactLen()
 	}
 	r.materialize()
-	other.eachExact(func(s *Sample) {
-		r.samples = append(r.samples, *s)
-		r.weightSum += s.Weight
-	})
+	r.rows = slices.Grow(r.rows, n)
+	for _, o := range others {
+		if o != nil {
+			r.appendRows(o)
+		}
+	}
 	r.sortedOK = false
+}
+
+// appendRows copies o's visible rows onto r, remapping o's name ids to
+// r's. Names are interned as rows reach them, so r's table stays in
+// first-seen order.
+func (r *Recorder) appendRows(o *Recorder) {
+	// remap[id] is r's id for o's id, plus one; 0 means not seen yet.
+	remap := make([]uint32, len(o.names))
+	to := func(id uint32) uint32 {
+		if remap[id] == 0 {
+			remap[id] = r.intern(o.names[id]) + 1
+		}
+		return remap[id] - 1
+	}
+	src, view := o.rows, o.view
+	n := o.exactLen()
+	for k := 0; k < n; k++ {
+		i := k
+		if view != nil {
+			i = view[k]
+		}
+		s := src[i]
+		s.model, s.tenant = to(s.model), to(s.tenant)
+		r.rows = append(r.rows, s)
+		r.weightSum += s.Weight
+	}
+}
+
+// mergeSketch folds one recorder into sketch-mode r.
+func (r *Recorder) mergeSketch(other *Recorder) {
+	if other.sk == nil {
+		other.eachExact(func(s *row) { r.addSketch(other.sample(s)) })
+		return
+	}
+	for _, k := range other.sk.sortedKeys() {
+		if !other.selected(k) {
+			continue
+		}
+		oa := other.sk.aggs[k]
+		a := r.sk.agg(k)
+		a.sk.Merge(&oa.sk)
+		a.n += oa.n
+		a.weight += oa.weight
+		a.latSum += oa.latSum
+		a.attTotal += oa.attTotal
+		a.attMet += oa.attMet
+		a.strictW += oa.strictW
+		a.strictMet += oa.strictMet
+		r.weightSum += oa.weight
+	}
 }
 
 // exactLen is the number of samples visible through this recorder.
@@ -267,19 +382,19 @@ func (r *Recorder) exactLen() int {
 	if r.view != nil {
 		return len(r.view)
 	}
-	return len(r.samples)
+	return len(r.rows)
 }
 
-// eachExact visits the recorder's samples in order (exact mode).
-func (r *Recorder) eachExact(fn func(*Sample)) {
+// eachExact visits the recorder's rows in order (exact mode).
+func (r *Recorder) eachExact(fn func(*row)) {
 	if r.view != nil {
 		for _, i := range r.view {
-			fn(&r.samples[i])
+			fn(&r.rows[i])
 		}
 		return
 	}
-	for i := range r.samples {
-		fn(&r.samples[i])
+	for i := range r.rows {
+		fn(&r.rows[i])
 	}
 }
 
@@ -326,12 +441,7 @@ func (r *Recorder) Requests() int {
 		}
 		return n
 	}
-	if r.view == nil {
-		return r.weightSum
-	}
-	n := 0
-	r.eachExact(func(s *Sample) { n += s.Weight })
-	return n
+	return r.weightSum
 }
 
 // representative builds the stand-in sample sketch-mode Filter
@@ -359,20 +469,23 @@ func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
 		}
 		return &Recorder{sk: r.sk, skSel: sel}
 	}
-	out := &Recorder{samples: r.samples, shared: true, view: []int{}}
+	// A subset never outgrows r, so its positions are sized up front.
+	out := &Recorder{rows: r.rows, names: r.names, ids: r.ids, shared: true, view: make([]int, 0, r.exactLen())}
 	r.shared = true
+	keep := func(i int) {
+		if s := &r.rows[i]; pred(r.sample(s)) {
+			out.view = append(out.view, i)
+			out.weightSum += s.Weight
+		}
+	}
 	if r.view != nil {
 		for _, i := range r.view {
-			if pred(r.samples[i]) {
-				out.view = append(out.view, i)
-			}
+			keep(i)
 		}
 		return out
 	}
-	for i := range r.samples {
-		if pred(r.samples[i]) {
-			out.view = append(out.view, i)
-		}
+	for i := range r.rows {
+		keep(i)
 	}
 	return out
 }
@@ -412,7 +525,7 @@ func (r *Recorder) Attainment() float64 {
 			met += a.attMet
 		}
 	} else {
-		r.eachExact(func(s *Sample) {
+		r.eachExact(func(s *row) {
 			if s.SLO <= 0 {
 				return
 			}
@@ -439,7 +552,7 @@ func (r *Recorder) SLOCompliance() float64 {
 			met += a.strictMet
 		}
 	} else {
-		r.eachExact(func(s *Sample) {
+		r.eachExact(func(s *row) {
 			if !s.Strict {
 				return
 			}
@@ -467,7 +580,7 @@ func (r *Recorder) Mean() float64 {
 			n += a.weight
 		}
 	} else {
-		r.eachExact(func(s *Sample) {
+		r.eachExact(func(s *row) {
 			sum += s.Latency * float64(s.Weight)
 			n += s.Weight
 		})
@@ -478,26 +591,61 @@ func (r *Recorder) Mean() float64 {
 	return sum / float64(n)
 }
 
-// sortedByLatency returns sample positions ordered by latency, cached
-// behind a dirty flag: report generation asks for many quantiles over
-// the same frozen recorder, and re-sorting per quantile made the
-// report path O(n log n) per call.
-func (r *Recorder) sortedByLatency() []int {
+// quantileIndex returns the visible rows' keys sorted by (latency,
+// position) and their cumulative weights in that order, cached behind a
+// dirty flag: report generation asks for many quantiles over the same
+// frozen recorder.
+//
+// Positions are unique, so (latency, position) is a total order and any
+// sort reproduces exactly the order a stable sort by latency alone
+// gives (visible positions ascend). Latencies compare with < and >, so
+// -0.0 and 0.0 tie and fall back to position, as they do in a stable
+// sort. cum is summed in sorted order, one float64 weight at a time,
+// as a linear scan would sum it.
+func (r *Recorder) quantileIndex() ([]latKey, []float64) {
 	if r.sortedOK {
-		return r.byLat
+		return r.byLat, r.cum
 	}
-	idx := make([]int, 0, r.exactLen())
+	keys := make([]latKey, 0, r.exactLen())
+	key := func(i int) latKey {
+		s := &r.rows[i]
+		k := latKey{lat: s.Latency, pos: uint32(i)}
+		if uint64(s.Weight) <= math.MaxUint32 {
+			k.w = uint32(s.Weight)
+		}
+		return k
+	}
 	if r.view != nil {
-		idx = append(idx, r.view...)
+		for _, i := range r.view {
+			keys = append(keys, key(i))
+		}
 	} else {
-		for i := range r.samples {
-			idx = append(idx, i)
+		for i := range r.rows {
+			keys = append(keys, key(i))
 		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return r.samples[idx[a]].Latency < r.samples[idx[b]].Latency })
-	r.byLat = idx
+	slices.SortFunc(keys, func(a, b latKey) int {
+		switch {
+		case a.lat < b.lat:
+			return -1
+		case a.lat > b.lat:
+			return 1
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	cum := make([]float64, len(keys))
+	c := 0.0
+	for i, k := range keys {
+		w := int(k.w)
+		if w == 0 {
+			w = r.rows[k.pos].Weight
+		}
+		c += float64(w)
+		cum[i] = c
+	}
+	r.byLat, r.cum = keys, cum
 	r.sortedOK = true
-	return idx
+	return keys, cum
 }
 
 // mergedSketch folds the visible aggregates' sketches into one (sketch
@@ -516,21 +664,16 @@ func (r *Recorder) mergedSketch() *Sketch {
 
 // sampleAtPercentile returns the weighted p-th percentile sample
 // (0 < p <= 100), or nil when the recorder is empty.
-func (r *Recorder) sampleAtPercentile(p float64) *Sample {
+func (r *Recorder) sampleAtPercentile(p float64) *row {
 	if r.exactLen() == 0 {
 		return nil
 	}
-	idx := r.sortedByLatency()
-	total := r.Requests()
-	target := p / 100 * float64(total)
-	cum := 0.0
-	for _, i := range idx {
-		cum += float64(r.samples[i].Weight)
-		if cum >= target {
-			return &r.samples[i]
-		}
-	}
-	return &r.samples[idx[len(idx)-1]]
+	keys, cum := r.quantileIndex()
+	target := p / 100 * float64(r.Requests())
+	// cum never decreases, so the first entry reaching target is the one
+	// a linear scan stops at; none reaching it means the last.
+	i := min(sort.SearchFloat64s(cum, target), len(cum)-1)
+	return &r.rows[keys[i].pos]
 }
 
 // Percentile returns the weighted p-th percentile latency (NaN when
@@ -593,7 +736,7 @@ func (r *Recorder) Latencies() []float64 {
 		return nil
 	}
 	out := make([]float64, 0, r.exactLen())
-	r.eachExact(func(s *Sample) { out = append(out, s.Latency) })
+	r.eachExact(func(s *row) { out = append(out, s.Latency) })
 	return out
 }
 
@@ -688,7 +831,7 @@ func (r *Recorder) Snapshot() []ModelStats {
 			names[k.model] = true
 		}
 	} else {
-		r.eachExact(func(s *Sample) { names[s.Model] = true })
+		r.eachExact(func(s *row) { names[r.names[s.model]] = true })
 	}
 	sorted := make([]string, 0, len(names))
 	for name := range names {

@@ -144,7 +144,7 @@ func TestExactViewsShareBacking(t *testing.T) {
 	if v.Len() != 50 {
 		t.Fatalf("strict view has %d samples, want 50", v.Len())
 	}
-	if &v.samples[0] != &r.samples[0] {
+	if &v.rows[0] != &r.rows[0] {
 		t.Fatalf("view copied the sample backing")
 	}
 	sub := v.Filter(func(s Sample) bool { return s.Latency < 10 })
