@@ -585,8 +585,8 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	}
 	// Merge the lane-local accumulators in node order — a fixed order, so
 	// the report does not depend on the shard count — in one call that
-	// sizes the merged buffer once. Nothing records after the drain, so
-	// the node buffers are dropped rather than held through the report.
+	// takes the node recorders' row chunks without copying them. Nothing
+	// records after the drain, so the node recorders are reset.
 	c.recorder.Merge(nodeRecs...)
 	for _, n := range c.nodes {
 		n.recorder = metrics.Recorder{}

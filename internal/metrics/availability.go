@@ -57,7 +57,7 @@ func Goodput(r *Recorder, duration float64) float64 {
 			good += a.weight - (a.strictW - a.strictMet)
 		}
 	} else {
-		r.eachExact(func(s *row) {
+		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
 			if s.Strict && s.Latency > s.SLO {
 				return
 			}

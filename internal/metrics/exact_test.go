@@ -5,41 +5,56 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"protean/internal/gpu"
 )
 
-// refSampleAt is the reference model of the exact quantile path: a
-// stable sort of the visible positions by latency, then a linear scan
-// of cumulative float64 weights.
-func refSampleAt(r *Recorder, p float64) *row {
-	idx := make([]int, 0, r.exactLen())
+// visibleHandles lists a recorder's visible handles in storage order,
+// read straight off its view or its chunk layout.
+func visibleHandles(r *Recorder) []uint32 {
 	if r.view != nil {
-		idx = append(idx, r.view...)
-	} else {
-		for i := range r.rows {
-			idx = append(idx, i)
+		return slices.Clone(r.view)
+	}
+	var hs []uint32
+	for ci, c := range r.chunks {
+		for off := range c.rows {
+			hs = append(hs, uint32(ci<<chunkShift|off))
 		}
 	}
+	return hs
+}
+
+// refOrder is the reference model's order: the visible handles, stably
+// sorted by latency.
+func refOrder(r *Recorder) []uint32 {
+	idx := visibleHandles(r)
+	sort.SliceStable(idx, func(a, b int) bool { return r.rowAt(idx[a]).Latency < r.rowAt(idx[b]).Latency })
+	return idx
+}
+
+// refSampleAt is the reference model of the exact quantile path: a
+// linear scan of cumulative float64 weights over refOrder.
+func refSampleAt(r *Recorder, idx []uint32, p float64) *row {
 	if len(idx) == 0 {
 		return nil
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return r.rows[idx[a]].Latency < r.rows[idx[b]].Latency })
 	total := 0
-	for _, i := range idx {
-		total += r.rows[i].Weight
+	for _, h := range idx {
+		total += r.rowAt(h).Weight
 	}
 	target := p / 100 * float64(total)
 	cum := 0.0
-	for _, i := range idx {
-		cum += float64(r.rows[i].Weight)
+	for _, h := range idx {
+		cum += float64(r.rowAt(h).Weight)
 		if cum >= target {
-			return &r.rows[i]
+			return r.rowAt(h)
 		}
 	}
-	return &r.rows[idx[len(idx)-1]]
+	return r.rowAt(idx[len(idx)-1])
 }
 
 func breakdownBits(b gpu.Breakdown) [5]uint64 {
@@ -53,8 +68,9 @@ func breakdownBits(b gpu.Breakdown) [5]uint64 {
 // CDF(100) pick bitwise the sample the reference model picks.
 func checkAgainstReference(t *testing.T, what string, r *Recorder) {
 	t.Helper()
+	idx := refOrder(r)
 	for _, p := range []float64{0.1, 1, 50, 90, 99, 99.9, 100} {
-		want := refSampleAt(r, p)
+		want := refSampleAt(r, idx, p)
 		if got := r.sampleAtPercentile(p); got != want {
 			t.Fatalf("%s: P%v picked row %p, reference %p", what, p, got, want)
 		}
@@ -70,7 +86,7 @@ func checkAgainstReference(t *testing.T, what string, r *Recorder) {
 	}
 	for i, pt := range r.CDF(100) {
 		q := float64(i+1) / 100 * 100
-		if want := refSampleAt(r, q); math.Float64bits(pt.Latency) != math.Float64bits(want.Latency) {
+		if want := refSampleAt(r, idx, q); math.Float64bits(pt.Latency) != math.Float64bits(want.Latency) {
 			t.Fatalf("%s: CDF point %d = %v, reference %v", what, i, pt.Latency, want.Latency)
 		}
 	}
@@ -97,11 +113,85 @@ func randomSample(rng *rand.Rand, id int) Sample {
 	}
 }
 
+// randomRecorder adds n random samples to a fresh recorder and, when
+// also is non-nil, to also.
+func randomRecorder(rng *rand.Rand, id *int, n int, also *Recorder) *Recorder {
+	r := &Recorder{}
+	for i := 0; i < n; i++ {
+		*id++
+		s := randomSample(rng, *id)
+		r.Add(s)
+		if also != nil {
+			also.Add(s)
+		}
+	}
+	return r
+}
+
+// samplesOf returns a recorder's visible samples in order, names
+// included.
+func samplesOf(r *Recorder) []Sample {
+	var out []Sample
+	r.Filter(func(s Sample) bool { out = append(out, s); return false })
+	return out
+}
+
+// sameAnswers asserts two exact recorders hold the same samples in the
+// same order and give bitwise the same report answers.
+func sameAnswers(t *testing.T, what string, got, want *Recorder) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Requests() != want.Requests() {
+		t.Fatalf("%s: %d requests in %d samples, want %d in %d",
+			what, got.Requests(), got.Len(), want.Requests(), want.Len())
+	}
+	if !reflect.DeepEqual(samplesOf(got), samplesOf(want)) {
+		t.Fatalf("%s: samples differ", what)
+	}
+	for _, p := range []float64{1, 50, 99, 100} {
+		if g, w := got.Percentile(p), want.Percentile(p); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: P%v = %v, want %v", what, p, g, w)
+		}
+		if g, w := got.BreakdownAtPercentile(p), want.BreakdownAtPercentile(p); breakdownBits(g) != breakdownBits(w) {
+			t.Fatalf("%s: P%v breakdown %+v, want %+v", what, p, g, w)
+		}
+	}
+	for _, f := range []func(*Recorder) float64{(*Recorder).SLOCompliance, (*Recorder).Attainment, (*Recorder).Mean} {
+		if g, w := f(got), f(want); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: aggregate %v, want %v", what, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+		t.Fatalf("%s: snapshot %+v, want %+v", what, got.Snapshot(), want.Snapshot())
+	}
+}
+
 // TestQuantileIndexMatchesReference pins the sorted quantile index to
 // the stable-sort-and-scan reference, bitwise, on random recorders with
-// forced ties, on chained views, and on views taken before and after
-// Add and Merge.
+// forced ties, on chained views, on views taken before and after Add
+// and Merge, and on recorders and merges sized around chunk boundaries.
 func TestQuantileIndexMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	id := 0
+	for _, n := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 3*chunkRows + 7} {
+		name := func(s string) string { return fmt.Sprintf("size %d %s", n, s) }
+		r := randomRecorder(rng, &id, n, nil)
+		if got := r.Len(); got != n {
+			t.Fatalf("%s: Len %d", name("all"), got)
+		}
+		checkAgainstReference(t, name("all"), r)
+		checkAgainstReference(t, name("strict"), r.Strict())
+		checkAgainstReference(t, name("chained"), r.BestEffort().ForModel("a"))
+		// Both sources end in partial chunks unless n is a multiple of
+		// the chunk size; the destination has a partial chunk of its own.
+		dst := randomRecorder(rng, &id, 3, nil)
+		dst.Merge(r, randomRecorder(rng, &id, n+5, nil))
+		checkAgainstReference(t, name("merged"), dst)
+		checkAgainstReference(t, name("merged strict"), dst.Strict())
+		id++
+		dst.Add(randomSample(rng, id))
+		checkAgainstReference(t, name("merged then added"), dst)
+	}
+
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		id := 0
@@ -253,6 +343,179 @@ func TestMergeRemapsNameTables(t *testing.T) {
 	want := []string{"A/x", "B/y", "A/y", "y/B", "B/x", "A/"}
 	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("filter saw %v, want %v", seen, want)
+	}
+}
+
+// TestMergePartialChunks merges sources that end in partial chunks into
+// a destination with rows of its own, then adds more, and checks the
+// result against one recorder that saw every sample directly.
+func TestMergePartialChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	id := 0
+	direct := &Recorder{}
+	dst := randomRecorder(rng, &id, 5, direct)
+	dst.Merge(
+		randomRecorder(rng, &id, chunkRows+1, direct),
+		randomRecorder(rng, &id, 7, direct),
+		randomRecorder(rng, &id, chunkRows-1, direct),
+		randomRecorder(rng, &id, 2*chunkRows, direct),
+	)
+	for i := 0; i < 10; i++ {
+		id++
+		s := randomSample(rng, id)
+		dst.Add(s)
+		direct.Add(s)
+	}
+	sameAnswers(t, "merged", dst, direct)
+	sameAnswers(t, "merged strict", dst.Strict(), direct.Strict())
+	checkAgainstReference(t, "merged", dst)
+}
+
+// TestMergeSharesChunksWithoutAliasing asserts a merge takes the
+// source's rows without copying them, and that neither side's later
+// Adds are visible through the other, even once merged back.
+func TestMergeSharesChunksWithoutAliasing(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	id := 0
+	// The source's last chunk is partial, so its next Add lands in the
+	// same backing array the destination now references.
+	src := randomRecorder(rng, &id, chunkRows+3, nil)
+	dst := randomRecorder(rng, &id, 3, nil)
+	dst.Merge(src)
+	if dst.rowAt(1<<chunkShift) != src.rowAt(0) {
+		t.Fatalf("merge copied the source's rows")
+	}
+	srcBefore, dstBefore := samplesOf(src), samplesOf(dst)
+
+	id++
+	x := randomSample(rng, id)
+	src.Add(x)
+	if !reflect.DeepEqual(samplesOf(dst), dstBefore) {
+		t.Fatalf("the source's Add after the merge is visible through the destination")
+	}
+	id++
+	y := randomSample(rng, id)
+	dst.Add(y)
+	if !reflect.DeepEqual(samplesOf(src), append(srcBefore, x)) {
+		t.Fatalf("the destination's Add is visible through the source")
+	}
+	if !reflect.DeepEqual(samplesOf(dst), append(dstBefore, y)) {
+		t.Fatalf("the destination lost or gained samples")
+	}
+	checkAgainstReference(t, "source", src)
+	checkAgainstReference(t, "destination", dst)
+
+	// A chunk merged back into its owner ends at the length it had when
+	// taken; the owner's next Add must not overwrite the rows it wrote
+	// to that chunk in between.
+	next := func() Sample { id++; return randomSample(rng, id) }
+	a, b := &Recorder{}, &Recorder{}
+	s1, s2, s3 := next(), next(), next()
+	a.Add(s1)
+	b.Merge(a)
+	a.Add(s2)
+	a.Merge(b)
+	a.Add(s3)
+	if got, want := samplesOf(a), []Sample{s1, s2, s1, s3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged-back chunk: samples %+v, want %+v", got, want)
+	}
+}
+
+// TestMergeSelf asserts r.Merge(r) doubles r's samples in order and
+// that r keeps recording afterwards.
+func TestMergeSelf(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	id := 0
+	r := randomRecorder(rng, &id, chunkRows+5, nil)
+	before, requests := samplesOf(r), r.Requests()
+	r.Merge(r)
+	want := append(slices.Clone(before), before...)
+	if !reflect.DeepEqual(samplesOf(r), want) || r.Requests() != 2*requests {
+		t.Fatalf("self-merge holds %d samples (%d requests), want %d (%d)",
+			r.Len(), r.Requests(), len(want), 2*requests)
+	}
+	checkAgainstReference(t, "self-merged", r)
+	id++
+	s := randomSample(rng, id)
+	r.Add(s)
+	if !reflect.DeepEqual(samplesOf(r), append(want, s)) {
+		t.Fatalf("Add after a self-merge recorded the wrong samples")
+	}
+	checkAgainstReference(t, "self-merged then added", r)
+}
+
+// TestMergeViewSourceMatchesPlain asserts that merging a view, whose
+// rows are copied and re-interned, answers exactly as merging a plain
+// recorder holding the same samples, whose chunks are taken.
+func TestMergeViewSourceMatchesPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	id := 0
+	view := randomRecorder(rng, &id, 2*chunkRows+9, nil).Strict().ForTenant("t1")
+	plain := &Recorder{}
+	for _, s := range samplesOf(view) {
+		plain.Add(s)
+	}
+	prefix := randomRecorder(rng, &id, 20, nil)
+	a, b := &Recorder{}, &Recorder{}
+	a.Merge(prefix, view)
+	b.Merge(prefix, plain)
+	sameAnswers(t, "view source", a, b)
+	sameAnswers(t, "view source, model b", a.ForModel("b"), b.ForModel("b"))
+	checkAgainstReference(t, "view source", a)
+}
+
+// TestViewAndParentAddsIsolated asserts a parent's Add is invisible
+// through an existing view and a view's Add is invisible through its
+// parent.
+func TestViewAndParentAddsIsolated(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	id := 0
+	r := randomRecorder(rng, &id, chunkRows+1, nil)
+	v := r.Strict()
+	rBefore, vBefore := samplesOf(r), samplesOf(v)
+	id++
+	x := randomSample(rng, id)
+	x.Strict = true
+	r.Add(x)
+	if !reflect.DeepEqual(samplesOf(v), vBefore) {
+		t.Fatalf("the parent's Add is visible through its view")
+	}
+	id++
+	y := randomSample(rng, id)
+	y.Strict = true
+	v.Add(y)
+	if !reflect.DeepEqual(samplesOf(r), append(rBefore, x)) {
+		t.Fatalf("the view's Add is visible through its parent")
+	}
+	if !reflect.DeepEqual(samplesOf(v), append(vBefore, y)) {
+		t.Fatalf("the view lost or gained samples")
+	}
+	checkAgainstReference(t, "parent", r)
+	checkAgainstReference(t, "view", v)
+}
+
+// TestParentAddAfterViewDoesNotCopy asserts that taking a view costs the
+// parent nothing later: its next Add allocates nothing while its tail
+// chunk has room.
+func TestParentAddAfterViewDoesNotCopy(t *testing.T) {
+	r := &Recorder{}
+	s := Sample{Model: "m", Tenant: "t", Strict: true, Latency: 0.1, SLO: 0.2, Weight: 1}
+	for i := 0; i < chunkRows+1; i++ {
+		r.Add(s)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		v := r.Strict()
+		runtime.ReadMemStats(&before)
+		r.Add(s)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("Add after taking a view made %d allocations, want 0", n)
+		}
+		if v.Len() != chunkRows+1+i {
+			t.Fatalf("view holds %d samples, want %d", v.Len(), chunkRows+1+i)
+		}
 	}
 }
 

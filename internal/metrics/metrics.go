@@ -17,7 +17,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -50,8 +49,8 @@ type Sample struct {
 }
 
 // row is one exact-mode sample: Sample's fields with Model and Tenant
-// interned to ids in the recorder's name table. It holds no pointers,
-// so the garbage collector never scans a sample buffer.
+// interned to ids in a name table. It holds no pointers, so the garbage
+// collector never scans a sample buffer.
 type row struct {
 	model, tenant uint32
 	Strict        bool
@@ -62,7 +61,75 @@ type row struct {
 	Weight        int
 }
 
-// latKey is one entry of the quantile index: a row's latency, position
+// Exact-mode rows live in append-only chunks. A row's handle is
+// chunkIndex<<chunkShift | offset, so handles ascend in storage order.
+const (
+	chunkShift = 12
+	chunkRows  = 1 << chunkShift // 352 KiB of rows
+	chunkMask  = chunkRows - 1
+	// firstChunkRows is the capacity a store's first chunk starts at; it
+	// doubles up to chunkRows, so small recorders stay small.
+	firstChunkRows = 16
+	// maxChunks keeps every handle inside latKey's uint32 position.
+	maxChunks = 1 << (32 - chunkShift)
+)
+
+// nameTable holds the model and tenant names rows refer to by id, in
+// first-seen order; ids maps each name back. It is append-only, so an
+// id, once handed out, names the same string forever.
+type nameTable struct {
+	names []string
+	ids   map[string]uint32
+}
+
+// intern returns name's id, adding it if new.
+func (t *nameTable) intern(name string) uint32 {
+	if id, ok := t.ids[name]; ok {
+		return id
+	}
+	id := uint32(len(t.names))
+	t.names = append(t.names, name)
+	t.ids[name] = id
+	return id
+}
+
+// sample rebuilds the public form of a row whose ids index t.
+func (t *nameTable) sample(s *row) Sample {
+	return Sample{
+		Model:     t.names[s.model],
+		Tenant:    t.names[s.tenant],
+		Strict:    s.Strict,
+		Latency:   s.Latency,
+		SLO:       s.SLO,
+		Breakdown: s.Breakdown,
+		Completed: s.Completed,
+		Weight:    s.Weight,
+	}
+}
+
+// chunk is a run of at most chunkRows rows and the name table their ids
+// index. Rows are never modified once written.
+type chunk struct {
+	rows  []row
+	names *nameTable
+}
+
+// clip limits c to its current length, so an append through either copy
+// can never reach a row the other one sees.
+func (c chunk) clip() chunk {
+	c.rows = c.rows[:len(c.rows):len(c.rows)]
+	return c
+}
+
+// appendChunk appends c to cs, refusing to outgrow the handle space.
+func appendChunk(cs []chunk, c chunk) []chunk {
+	if len(cs) >= maxChunks {
+		panic("metrics: exact recorder exceeds its chunk limit")
+	}
+	return append(cs, c)
+}
+
+// latKey is one entry of the quantile index: a row's latency, handle
 // and weight, so sorting and summing never load the row itself. w is 0
 // for a weight too large for it; the row is read instead.
 type latKey struct {
@@ -72,31 +139,33 @@ type latKey struct {
 }
 
 // Recorder accumulates samples. The zero value is an exact-mode
-// recorder, ready to use.
+// recorder, ready to use. A Recorder is not safe for concurrent use,
+// and recorders that share chunks (a parent and its views, a merge
+// source and its destination) must not be used concurrently either.
 //
 // Filter and its derivatives (Strict, BestEffort, ForModel, ForTenant)
-// return view recorders sharing the parent's backing: a view costs one
-// index slice, never a sample copy. Views are snapshots — samples added
-// to the parent afterwards are not visible through an existing view —
-// and mutating a view (Add/Merge) first materialises a private copy so
-// the parent is never perturbed.
+// return view recorders: clipped references to the parent's chunks plus
+// one handle slice, never a sample copy. Views are snapshots. Rows are
+// never modified once written, and a view cannot reach past the lengths
+// its chunks had when it was taken, so samples the parent adds or merges
+// later stay invisible to it and cost the parent no copy. Adding to or
+// merging into a view first copies its visible rows into a store of its
+// own, so the parent is never perturbed.
 type Recorder struct {
-	rows []row
-	// names holds the model and tenant names rows refer to by id, in
-	// first-seen order; ids maps each name back. Views share both with
-	// the parent's backing, copy-on-write like rows.
-	names []string
-	ids   map[string]uint32
-	// view, when non-nil, restricts the recorder to these positions of
-	// rows (a filtered view over a parent's backing).
-	view []int
-	// shared marks the rows backing as shared with another recorder
-	// (a parent or its views); mutation must copy first.
-	shared bool
+	// chunks holds the rows in storage order. The recorder appends only
+	// to a tail chunk indexing its own name table; chunks taken from
+	// other recorders by Merge are clipped and read-only.
+	chunks []chunk
+	// names is the table this recorder interns into (nil until it
+	// records a row of its own).
+	names *nameTable
+	// view, when non-nil, restricts the recorder to these handles (a
+	// filtered view over a parent's chunks).
+	view []uint32
 	// weightSum is the total weighted request count of the visible rows.
 	weightSum int
 
-	// byLat (sorted by latency, then position) and cum (cumulative
+	// byLat (sorted by latency, then handle) and cum (cumulative
 	// weights in that order) are the quantile index, valid only while
 	// sortedOK. Add/Merge invalidate it, so report generation sorts once
 	// instead of once per quantile.
@@ -191,55 +260,57 @@ func NewSketchRecorder() *Recorder {
 // Sketching reports whether the recorder is in sketch mode.
 func (r *Recorder) Sketching() bool { return r.sk != nil }
 
-// materialize gives a view or shared recorder its own private backing
-// (exact mode only), so a mutation never touches a parent's samples.
+// materialize gives a view a store of its own (exact mode only),
+// copying and re-interning its visible rows, so a mutation never
+// touches the chunks it shares.
 func (r *Recorder) materialize() {
-	if !r.shared && r.view == nil {
+	if r.view == nil {
 		return
 	}
-	own := make([]row, 0, r.exactLen())
-	if r.view != nil {
-		for _, i := range r.view {
-			own = append(own, r.rows[i])
-		}
-	} else {
-		own = append(own, r.rows...)
+	v := *r
+	*r = Recorder{}
+	r.appendRows(&v)
+}
+
+// push appends one row to r's own tail chunk, interning its names into
+// r's table.
+func (r *Recorder) push(s row, model, tenant string) {
+	if r.names == nil {
+		r.names = &nameTable{ids: make(map[string]uint32)}
 	}
-	r.rows = own
-	r.names = slices.Clone(r.names)
-	r.ids = maps.Clone(r.ids)
-	r.view = nil
-	r.shared = false
+	s.model, s.tenant = r.names.intern(model), r.names.intern(tenant)
+	c := r.tail()
+	c.rows = append(c.rows, s)
+	r.weightSum += s.Weight
 	r.sortedOK = false
-	r.byLat, r.cum = nil, nil
 }
 
-// intern returns name's id in the name table, adding it if new.
-func (r *Recorder) intern(name string) uint32 {
-	if id, ok := r.ids[name]; ok {
-		return id
+// tail returns the chunk push appends to: the last chunk while it
+// indexes r's own table and has room, else a new one. A full-capacity
+// tail below chunkRows rows (the small first chunk, or a clipped chunk
+// of r's own merged back into r) grows by copying to twice its size;
+// every other row stays where it was written.
+func (r *Recorder) tail() *chunk {
+	if n := len(r.chunks); n > 0 {
+		c := &r.chunks[n-1]
+		if c.names == r.names && len(c.rows) < chunkRows {
+			if len(c.rows) == cap(c.rows) {
+				c.rows = append(make([]row, 0, min(2*len(c.rows), chunkRows)), c.rows...)
+			}
+			return c
+		}
 	}
-	if r.ids == nil {
-		r.ids = make(map[string]uint32)
+	size := chunkRows
+	if len(r.chunks) == 0 {
+		size = firstChunkRows
 	}
-	id := uint32(len(r.names))
-	r.names = append(r.names, name)
-	r.ids[name] = id
-	return id
+	r.chunks = appendChunk(r.chunks, chunk{rows: make([]row, 0, size), names: r.names})
+	return &r.chunks[len(r.chunks)-1]
 }
 
-// sample rebuilds the public form of a row.
-func (r *Recorder) sample(s *row) Sample {
-	return Sample{
-		Model:     r.names[s.model],
-		Tenant:    r.names[s.tenant],
-		Strict:    s.Strict,
-		Latency:   s.Latency,
-		SLO:       s.SLO,
-		Breakdown: s.Breakdown,
-		Completed: s.Completed,
-		Weight:    s.Weight,
-	}
+// rowAt returns the row a handle addresses.
+func (r *Recorder) rowAt(h uint32) *row {
+	return &r.chunks[h>>chunkShift].rows[h&chunkMask]
 }
 
 // Add records a sample. Zero weights are normalized to 1.
@@ -255,18 +326,14 @@ func (r *Recorder) Add(s Sample) {
 		return
 	}
 	r.materialize()
-	r.rows = append(r.rows, row{
-		model:     r.intern(s.Model),
-		tenant:    r.intern(s.Tenant),
+	r.push(row{
 		Strict:    s.Strict,
 		Latency:   s.Latency,
 		SLO:       s.SLO,
 		Breakdown: s.Breakdown,
 		Completed: s.Completed,
 		Weight:    s.Weight,
-	})
-	r.weightSum += s.Weight
-	r.sortedOK = false
+	}, s.Model, s.Tenant)
 }
 
 func (r *Recorder) addSketch(s Sample) {
@@ -291,10 +358,12 @@ func (r *Recorder) addSketch(s Sample) {
 }
 
 // Merge folds other recorders' samples into r, in argument order; nil
-// recorders are skipped. Merging several at once sizes r's buffer once.
-// Merging a sketch-mode recorder into an exact one (or vice versa)
-// converts sample-by-sample where possible; sketch→exact is impossible
-// (the samples are gone) and panics.
+// recorders are skipped. An exact recorder that is not a view is merged
+// by taking clipped references to its chunks, with no row copy, so
+// merging whole recorders costs O(chunks); a view's visible rows are
+// copied. Merging a sketch-mode recorder into an exact one (or vice
+// versa) converts sample-by-sample where possible; sketch→exact is
+// impossible (the samples are gone) and panics.
 func (r *Recorder) Merge(others ...*Recorder) {
 	if r.sk != nil {
 		if r.skSel != nil {
@@ -307,56 +376,42 @@ func (r *Recorder) Merge(others ...*Recorder) {
 		}
 		return
 	}
-	n := 0
 	for _, o := range others {
-		if o == nil {
-			continue
-		}
-		if o.sk != nil {
+		if o != nil && o.sk != nil {
 			panic("metrics: cannot merge a sketch-mode recorder into an exact recorder")
 		}
-		n += o.exactLen()
 	}
 	r.materialize()
-	r.rows = slices.Grow(r.rows, n)
 	for _, o := range others {
-		if o != nil {
+		switch {
+		case o == nil:
+		case o.view != nil:
 			r.appendRows(o)
+		default:
+			// The range reads o.chunks once, so r.Merge(r) takes r's
+			// chunks as they were before the call.
+			for _, c := range o.chunks {
+				r.chunks = appendChunk(r.chunks, c.clip())
+			}
+			r.weightSum += o.weightSum
 		}
 	}
 	r.sortedOK = false
 }
 
-// appendRows copies o's visible rows onto r, remapping o's name ids to
-// r's. Names are interned as rows reach them, so r's table stays in
-// first-seen order.
+// appendRows copies o's visible rows onto r's own chunks. Names are
+// re-interned as rows reach them, so r's table stays in first-seen
+// order.
 func (r *Recorder) appendRows(o *Recorder) {
-	// remap[id] is r's id for o's id, plus one; 0 means not seen yet.
-	remap := make([]uint32, len(o.names))
-	to := func(id uint32) uint32 {
-		if remap[id] == 0 {
-			remap[id] = r.intern(o.names[id]) + 1
-		}
-		return remap[id] - 1
-	}
-	src, view := o.rows, o.view
-	n := o.exactLen()
-	for k := 0; k < n; k++ {
-		i := k
-		if view != nil {
-			i = view[k]
-		}
-		s := src[i]
-		s.model, s.tenant = to(s.model), to(s.tenant)
-		r.rows = append(r.rows, s)
-		r.weightSum += s.Weight
-	}
+	o.eachExact(func(_ uint32, s *row, t *nameTable) {
+		r.push(*s, t.names[s.model], t.names[s.tenant])
+	})
 }
 
 // mergeSketch folds one recorder into sketch-mode r.
 func (r *Recorder) mergeSketch(other *Recorder) {
 	if other.sk == nil {
-		other.eachExact(func(s *row) { r.addSketch(other.sample(s)) })
+		other.eachExact(func(_ uint32, s *row, t *nameTable) { r.addSketch(t.sample(s)) })
 		return
 	}
 	for _, k := range other.sk.sortedKeys() {
@@ -382,19 +437,28 @@ func (r *Recorder) exactLen() int {
 	if r.view != nil {
 		return len(r.view)
 	}
-	return len(r.rows)
+	n := 0
+	for _, c := range r.chunks {
+		n += len(c.rows)
+	}
+	return n
 }
 
-// eachExact visits the recorder's rows in order (exact mode).
-func (r *Recorder) eachExact(fn func(*row)) {
+// eachExact visits the recorder's visible rows in storage order (exact
+// mode), with each row's handle and the name table its ids index.
+func (r *Recorder) eachExact(fn func(h uint32, s *row, t *nameTable)) {
 	if r.view != nil {
-		for _, i := range r.view {
-			fn(&r.rows[i])
+		for _, h := range r.view {
+			c := &r.chunks[h>>chunkShift]
+			fn(h, &c.rows[h&chunkMask], c.names)
 		}
 		return
 	}
-	for i := range r.rows {
-		fn(&r.rows[i])
+	for ci := range r.chunks {
+		c := &r.chunks[ci]
+		for off := range c.rows {
+			fn(uint32(ci<<chunkShift|off), &c.rows[off], c.names)
+		}
 	}
 }
 
@@ -456,9 +520,9 @@ func representative(k sketchKey, a *sketchAgg) Sample {
 }
 
 // Filter returns a recorder holding samples matching pred. In exact
-// mode this is a view over the same backing (no sample copies); in
-// sketch mode the predicate selects whole aggregates via one
-// representative sample each.
+// mode this is a view over clipped references to r's chunks (no sample
+// copies); in sketch mode the predicate selects whole aggregates via
+// one representative sample each.
 func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
 	if r.sk != nil {
 		sel := make([]sketchKey, 0, len(r.skKeys()))
@@ -469,24 +533,17 @@ func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
 		}
 		return &Recorder{sk: r.sk, skSel: sel}
 	}
-	// A subset never outgrows r, so its positions are sized up front.
-	out := &Recorder{rows: r.rows, names: r.names, ids: r.ids, shared: true, view: make([]int, 0, r.exactLen())}
-	r.shared = true
-	keep := func(i int) {
-		if s := &r.rows[i]; pred(r.sample(s)) {
-			out.view = append(out.view, i)
+	// A subset never outgrows r, so its handles are sized up front.
+	out := &Recorder{chunks: make([]chunk, len(r.chunks)), view: make([]uint32, 0, r.exactLen())}
+	for i, c := range r.chunks {
+		out.chunks[i] = c.clip()
+	}
+	r.eachExact(func(h uint32, s *row, t *nameTable) {
+		if pred(t.sample(s)) {
+			out.view = append(out.view, h)
 			out.weightSum += s.Weight
 		}
-	}
-	if r.view != nil {
-		for _, i := range r.view {
-			keep(i)
-		}
-		return out
-	}
-	for i := range r.rows {
-		keep(i)
-	}
+	})
 	return out
 }
 
@@ -525,7 +582,7 @@ func (r *Recorder) Attainment() float64 {
 			met += a.attMet
 		}
 	} else {
-		r.eachExact(func(s *row) {
+		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
 			if s.SLO <= 0 {
 				return
 			}
@@ -552,7 +609,7 @@ func (r *Recorder) SLOCompliance() float64 {
 			met += a.strictMet
 		}
 	} else {
-		r.eachExact(func(s *row) {
+		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
 			if !s.Strict {
 				return
 			}
@@ -580,7 +637,7 @@ func (r *Recorder) Mean() float64 {
 			n += a.weight
 		}
 	} else {
-		r.eachExact(func(s *row) {
+		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
 			sum += s.Latency * float64(s.Weight)
 			n += s.Weight
 		})
@@ -592,38 +649,28 @@ func (r *Recorder) Mean() float64 {
 }
 
 // quantileIndex returns the visible rows' keys sorted by (latency,
-// position) and their cumulative weights in that order, cached behind a
+// handle) and their cumulative weights in that order, cached behind a
 // dirty flag: report generation asks for many quantiles over the same
 // frozen recorder.
 //
-// Positions are unique, so (latency, position) is a total order and any
+// Handles are unique, so (latency, handle) is a total order and any
 // sort reproduces exactly the order a stable sort by latency alone
-// gives (visible positions ascend). Latencies compare with < and >, so
-// -0.0 and 0.0 tie and fall back to position, as they do in a stable
-// sort. cum is summed in sorted order, one float64 weight at a time,
-// as a linear scan would sum it.
+// gives (visible handles ascend in storage order). Latencies compare
+// with < and >, so -0.0 and 0.0 tie and fall back to the handle, as
+// they do in a stable sort. cum is summed in sorted order, one float64
+// weight at a time, as a linear scan would sum it.
 func (r *Recorder) quantileIndex() ([]latKey, []float64) {
 	if r.sortedOK {
 		return r.byLat, r.cum
 	}
 	keys := make([]latKey, 0, r.exactLen())
-	key := func(i int) latKey {
-		s := &r.rows[i]
-		k := latKey{lat: s.Latency, pos: uint32(i)}
+	r.eachExact(func(h uint32, s *row, _ *nameTable) {
+		k := latKey{lat: s.Latency, pos: h}
 		if uint64(s.Weight) <= math.MaxUint32 {
 			k.w = uint32(s.Weight)
 		}
-		return k
-	}
-	if r.view != nil {
-		for _, i := range r.view {
-			keys = append(keys, key(i))
-		}
-	} else {
-		for i := range r.rows {
-			keys = append(keys, key(i))
-		}
-	}
+		keys = append(keys, k)
+	})
 	slices.SortFunc(keys, func(a, b latKey) int {
 		switch {
 		case a.lat < b.lat:
@@ -638,7 +685,7 @@ func (r *Recorder) quantileIndex() ([]latKey, []float64) {
 	for i, k := range keys {
 		w := int(k.w)
 		if w == 0 {
-			w = r.rows[k.pos].Weight
+			w = r.rowAt(k.pos).Weight
 		}
 		c += float64(w)
 		cum[i] = c
@@ -673,7 +720,7 @@ func (r *Recorder) sampleAtPercentile(p float64) *row {
 	// cum never decreases, so the first entry reaching target is the one
 	// a linear scan stops at; none reaching it means the last.
 	i := min(sort.SearchFloat64s(cum, target), len(cum)-1)
-	return &r.rows[keys[i].pos]
+	return r.rowAt(keys[i].pos)
 }
 
 // Percentile returns the weighted p-th percentile latency (NaN when
@@ -736,7 +783,7 @@ func (r *Recorder) Latencies() []float64 {
 		return nil
 	}
 	out := make([]float64, 0, r.exactLen())
-	r.eachExact(func(s *row) { out = append(out, s.Latency) })
+	r.eachExact(func(_ uint32, s *row, _ *nameTable) { out = append(out, s.Latency) })
 	return out
 }
 
@@ -831,7 +878,7 @@ func (r *Recorder) Snapshot() []ModelStats {
 			names[k.model] = true
 		}
 	} else {
-		r.eachExact(func(s *row) { names[r.names[s.model]] = true })
+		r.eachExact(func(_ uint32, s *row, t *nameTable) { names[t.names[s.model]] = true })
 	}
 	sorted := make([]string, 0, len(names))
 	for name := range names {

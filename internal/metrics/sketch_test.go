@@ -144,7 +144,7 @@ func TestExactViewsShareBacking(t *testing.T) {
 	if v.Len() != 50 {
 		t.Fatalf("strict view has %d samples, want 50", v.Len())
 	}
-	if &v.rows[0] != &r.rows[0] {
+	if v.rowAt(v.view[0]) != r.rowAt(0) {
 		t.Fatalf("view copied the sample backing")
 	}
 	sub := v.Filter(func(s Sample) bool { return s.Latency < 10 })
@@ -253,8 +253,13 @@ func BenchmarkReportPath(b *testing.B) {
 }
 
 // BenchmarkSketchAdd measures the O(1)-memory ingest path.
-func BenchmarkSketchAdd(b *testing.B) {
-	r := NewSketchRecorder()
+func BenchmarkSketchAdd(b *testing.B) { benchmarkAdd(b, NewSketchRecorder()) }
+
+// BenchmarkRecorderAdd measures the exact-mode ingest path.
+func BenchmarkRecorderAdd(b *testing.B) { benchmarkAdd(b, &Recorder{}) }
+
+// benchmarkAdd records one strict BERT sample per iteration into r.
+func benchmarkAdd(b *testing.B, r *Recorder) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]float64, 4096)
 	for i := range vals {

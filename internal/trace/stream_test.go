@@ -153,3 +153,70 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateAllocatesOnce asserts Generate reserves its slice up
+// front: it makes exactly one allocation more than NewStream, and no
+// reservation is attempted for a non-finite or implausibly large
+// expected request count.
+func TestGenerateAllocatesOnce(t *testing.T) {
+	for _, cfg := range []Config{
+		{Rate: Constant(500), Mix: baseMix(), Duration: 20, Seed: 1},
+		{Rate: Diurnal(800, 1.3, 60), Mix: baseMix(), Duration: 60, Seed: 2},
+	} {
+		stream := testing.AllocsPerRun(3, func() {
+			if _, err := NewStream(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		generate := testing.AllocsPerRun(3, func() {
+			if _, err := Generate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if generate != stream+1 {
+			t.Fatalf("Generate made %v allocations, NewStream %v; want exactly one more", generate, stream)
+		}
+	}
+	for _, cfg := range []Config{
+		{Rate: Constant(math.Inf(1)), Duration: 10},
+		{Rate: Constant(math.NaN()), Duration: 10},
+		{Rate: Constant(-5), Duration: 10},
+		{Rate: Constant(1e9), Duration: 1e6},
+	} {
+		if got := expectedCap(cfg); got != 0 {
+			t.Fatalf("rate %v over %v s reserves %d requests, want 0", cfg.Rate(0), cfg.Duration, got)
+		}
+	}
+}
+
+// visionConfig is perfbench's vision-gateway trace: a constant 9000 rps
+// for 60 s.
+func visionConfig() Config {
+	return Config{Rate: Constant(9000), Mix: baseMix(), Duration: 60, Seed: 1}
+}
+
+// BenchmarkGenerate measures materialising the vision-gateway trace.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(visionConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStreamNext measures one pull from the vision-gateway stream,
+// starting a fresh stream whenever one runs out.
+func BenchmarkStreamNext(b *testing.B) {
+	st, err := NewStream(visionConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.Next(); !ok {
+			st, _ = NewStream(visionConfig())
+		}
+	}
+}

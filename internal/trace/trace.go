@@ -193,12 +193,16 @@ type Config struct {
 // arrival time. It is a thin collect-all wrapper over Stream: draining
 // a fresh NewStream(cfg) yields the identical sequence one request at
 // a time without materialising the slice.
+//
+// The slice is allocated once, sized to the expected request count Λ
+// (the mean rate times the duration) plus six Poisson standard
+// deviations, so a trace almost never outgrows it.
 func Generate(cfg Config) ([]Request, error) {
 	st, err := NewStream(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var out []Request
+	out := make([]Request, 0, expectedCap(cfg))
 	for {
 		req, ok := st.Next()
 		if !ok {
@@ -206,6 +210,22 @@ func Generate(cfg Config) ([]Request, error) {
 		}
 		out = append(out, req)
 	}
+}
+
+// maxReserve caps Generate's up-front reservation, in requests (3 GiB of
+// Request values); a larger expected count is implausible for a
+// materialised trace and gets no reservation.
+const maxReserve = 1 << 26
+
+// expectedCap returns Λ + 6√Λ + 16 requests for Λ = MeanRate · Duration,
+// or 0 when that is not finite or exceeds maxReserve.
+func expectedCap(cfg Config) int {
+	lambda := MeanRate(cfg.Rate, cfg.Duration) * cfg.Duration
+	n := lambda + 6*math.Sqrt(lambda) + 16
+	if !(n >= 0 && n <= maxReserve) {
+		return 0
+	}
+	return int(n)
 }
 
 // peakRate estimates the maximum of fn over [0, duration] on a fine grid.
