@@ -34,34 +34,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Run the hot-path benchmarks and regenerate BENCH_PR4.json, joining the
-# fresh numbers against the recorded pre-optimization run in
-# bench/baseline.txt (speedup = baseline ns/op ÷ current ns/op), then
-# the sharded event-loop benchmark into BENCH_PR7.json (events/sec per
-# -shards level; the shards=4 / shards=1 ratio is the sharding speedup,
-# ~1.0 on a single-CPU runner), then the million-user scale cells into
-# BENCH_PR9.json (events/sec and peak-heap-MB per scale; the 100x cell
-# fails outright above the pinned heap ceiling), then the marketplace
-# price-tick hot path into BENCH_PR10.json (ns per tick across the
-# 3-provider catalog with bound leases; the tick must stay
-# allocation-free).
+# Run perfbench, the repository's benchmark (see BENCHMARK.json), over
+# every workload at seed 1 and append one JSON record per workload,
+# stamped with the git sha, host and Go version, to bench-results.jsonl:
+# an append-only ledger across commits. Compare two ledgers with
+# `bash perfbench/run.sh --compare base.jsonl head.jsonl`.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -skip 'BenchmarkShardedScenario|BenchmarkScaleCell' \
-		./internal/gpu ./internal/sim ./internal/experiments \
-		| $(GO) run ./cmd/protean-benchjson -baseline bench/baseline.txt -o BENCH_PR4.json
-	@echo wrote BENCH_PR4.json
-	$(GO) test -run '^$$' -bench BenchmarkShardedScenario -benchtime 2x \
-		./internal/experiments \
-		| $(GO) run ./cmd/protean-benchjson -o BENCH_PR7.json
-	@echo wrote BENCH_PR7.json
-	$(GO) test -run '^$$' -bench BenchmarkScaleCell -benchtime 1x \
-		./internal/experiments \
-		| $(GO) run ./cmd/protean-benchjson -o BENCH_PR9.json
-	@echo wrote BENCH_PR9.json
-	$(GO) test -run '^$$' -bench BenchmarkMarketTick -benchmem \
-		./internal/market \
-		| $(GO) run ./cmd/protean-benchjson -o BENCH_PR10.json
-	@echo wrote BENCH_PR10.json
+	bash perfbench/run.sh --seed 1 --out bench-results.jsonl
 
 # Smoke-run a pair of cheap experiments through the parallel scenario
 # runner; CI uses this to catch runner regressions end to end.

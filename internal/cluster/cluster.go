@@ -433,10 +433,8 @@ func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 
 // RunStream replays a pull-based arrival stream without ever
 // materialising it: peak memory is independent of the request count.
-// Arrivals at or past the horizon end the pump. Policies needing the
-// Oracle's ground-truth window loads must call PrecomputeOracle with an
-// independent same-config stream first; all other policies ignore the
-// window arrays, so skipping it changes nothing.
+// Arrivals at or past the horizon end the pump. A streamed run gives
+// the Oracle no window view; every other policy ignores it.
 func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("cluster: duration %v must be positive", duration)
@@ -629,49 +627,22 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 }
 
 // precomputeWindows derives per-monitor-window upcoming BE load for the
-// Oracle's perfect predictions from a materialised trace.
+// Oracle's perfect predictions from a materialised trace: BE arrivals
+// are binned into monitor windows, then each window's request count
+// becomes a per-node batch count.
 func (c *Cluster) precomputeWindows(reqs []trace.Request, duration float64) {
-	add, finish := c.windowAccumulator(duration)
-	for _, r := range reqs {
-		add(r)
-	}
-	finish()
-}
-
-// PrecomputeOracle derives the Oracle's per-window BE load by draining
-// an independent arrival stream — one with the identical trace config
-// as the stream later passed to RunStream — in O(windows) memory.
-// Only policies consuming the Oracle's ground-truth window view need
-// this; every other policy ignores the window arrays.
-func (c *Cluster) PrecomputeOracle(st *trace.Stream, duration float64) {
-	add, finish := c.windowAccumulator(duration)
-	for {
-		r, ok := st.Next()
-		if !ok {
-			break
-		}
-		add(r)
-	}
-	finish()
-}
-
-// windowAccumulator returns the per-request fold and the finalizer
-// behind both oracle precompute paths: add bins BE arrivals into
-// monitor windows, finish converts per-window request counts into
-// per-node batch counts.
-func (c *Cluster) windowAccumulator(duration float64) (add func(trace.Request), finish func()) {
 	w := c.cfg.MonitorInterval
 	n := int(duration/w) + 2
 	c.windowBEBatches = make([]int, n)
 	c.windowBEMem = make([]float64, n)
 	beReqs := make([]int, n)
-	add = func(r trace.Request) {
+	for _, r := range reqs {
 		if r.Strict || r.Arrival >= duration {
-			return
+			continue
 		}
 		idx := int(r.Arrival / w)
 		if idx >= n {
-			return
+			continue
 		}
 		beReqs[idx]++
 		c.windowBEMem[idx] = r.Model.MemGB(gpu.Profile3g)
@@ -679,16 +650,13 @@ func (c *Cluster) windowAccumulator(duration float64) (add func(trace.Request), 
 			c.windowBEBatches[idx] = r.Model.BatchSize()
 		}
 	}
-	finish = func() {
-		for i := range beReqs {
-			if c.windowBEBatches[i] > 0 {
-				batchSize := c.windowBEBatches[i]
-				perNode := int(math.Ceil(float64(beReqs[i]) / float64(batchSize) / float64(c.cfg.Nodes)))
-				c.windowBEBatches[i] = perNode
-			}
+	for i := range beReqs {
+		if c.windowBEBatches[i] > 0 {
+			batchSize := c.windowBEBatches[i]
+			perNode := int(math.Ceil(float64(beReqs[i]) / float64(batchSize) / float64(c.cfg.Nodes)))
+			c.windowBEBatches[i] = perNode
 		}
 	}
-	return add, finish
 }
 
 // enqueueSealed is the batcher's emit hook: it appends the sealed

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"protean/internal/autoscale"
-	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/model"
 	"protean/internal/reconfig"
-	"protean/internal/sim"
-	"protean/internal/trace"
 )
 
 // AblationResult summarizes a with/without comparison of one PROTEAN
@@ -45,59 +42,30 @@ const (
 	ablationShifting
 )
 
-// ablationScenario runs one design-choice workload; label names its
-// trace when the run is traced.
-func ablationScenario(p Params, label string, kind ablationKind, factory core.Factory, scaler autoscale.Config) (*cluster.Result, error) {
+// runAblation runs the with/without pair on the workload that exposes
+// kind; with and without carry only the policy and scaler under test.
+func runAblation(p Params, kind ablationKind, name string, with, without Scenario) (AblationResult, error) {
 	p = p.withDefaults()
-	strict := model.MustByName("VGG 19")
-	pool := model.OppositeClassPool(strict)
-	rate := wikiRate(p.Duration)
-	rotate := 0.0
-	switch kind {
-	case ablationBursty:
-		rate = twitterRate(p.Duration, p.Seed)
-	case ablationShifting:
-		strict = model.MustByName("ShuffleNet V2")
-		pool = model.VisionHI()
-		rotate = 10
+	scs := []Scenario{with, without}
+	for i, side := range []string{"with", "without"} {
+		sc := &scs[i]
+		sc.Label = "ablation " + name + " " + side
+		sc.Strict = model.MustByName("VGG 19")
+		sc.Rate = wikiRate(p.Duration)
+		switch kind {
+		case ablationBursty:
+			sc.Rate = twitterRate(p.Duration, p.Seed)
+		case ablationShifting:
+			sc.Strict = model.MustByName("ShuffleNet V2")
+			sc.BEPool = model.VisionHI()
+			sc.RotatePeriod = 10
+		}
 	}
-	reqs, err := trace.Generate(trace.Config{
-		Rate:     rate,
-		Mix:      trace.Mix{StrictFrac: 0.5, Strict: strict, BEPool: pool, RotatePeriod: rotate},
-		Duration: p.Duration,
-		Seed:     p.Seed,
-	})
+	results, err := RunScenarios(p, scs)
 	if err != nil {
-		return nil, err
+		return AblationResult{}, err
 	}
-	s := sim.New(p.Seed)
-	if tr := p.tracer(label); tr != nil {
-		s.SetTracer(tr)
-	}
-	c, err := cluster.New(s, cluster.Config{
-		Nodes:        p.Nodes,
-		Policy:       factory,
-		Warmup:       p.Warmup,
-		PreWarm:      append(pool, strict),
-		PreWarmCount: 4,
-		Scaler:       scaler,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(reqs, p.Duration)
-}
-
-// runAblation executes the with/without pair.
-func runAblation(p Params, kind ablationKind, name string, with, without core.Factory, scalerWith, scalerWithout autoscale.Config) (AblationResult, error) {
-	resWith, err := ablationScenario(p, "ablation "+name+" with", kind, with, scalerWith)
-	if err != nil {
-		return AblationResult{}, fmt.Errorf("ablation %s (with): %w", name, err)
-	}
-	resWithout, err := ablationScenario(p, "ablation "+name+" without", kind, without, scalerWithout)
-	if err != nil {
-		return AblationResult{}, fmt.Errorf("ablation %s (without): %w", name, err)
-	}
+	resWith, resWithout := results[0], results[1]
 	return AblationResult{
 		Name:       name,
 		With:       resWith.Recorder.SLOCompliance(),
@@ -111,43 +79,38 @@ func runAblation(p Params, kind ablationKind, name string, with, without core.Fa
 // request reordering (§4.1).
 func AblationReordering(p Params) (AblationResult, error) {
 	return runAblation(p, ablationBursty, "request reordering",
-		core.NewProtean(core.ProteanConfig{}),
-		core.NewProtean(core.ProteanConfig{DisableReorder: true}),
-		autoscale.Config{}, autoscale.Config{})
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{DisableReorder: true})})
 }
 
 // AblationReconfig compares dynamic Algorithm 2 reconfiguration against
 // a pinned (4g, 3g) geometry.
 func AblationReconfig(p Params) (AblationResult, error) {
 	return runAblation(p, ablationShifting, "dynamic reconfiguration",
-		core.NewProtean(core.ProteanConfig{}),
-		core.NewProtean(core.ProteanConfig{DisableDynamicReconfig: true}),
-		autoscale.Config{}, autoscale.Config{})
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{DisableDynamicReconfig: true})})
 }
 
 // AblationPlacement compares slowdown-factor (η) strict placement
 // against always-largest-slice placement.
 func AblationPlacement(p Params) (AblationResult, error) {
 	return runAblation(p, ablationSteady, "slowdown-aware placement",
-		core.NewProtean(core.ProteanConfig{}),
-		core.NewProtean(core.ProteanConfig{NaiveStrictPlacement: true}),
-		autoscale.Config{}, autoscale.Config{})
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{NaiveStrictPlacement: true})})
 }
 
 // AblationKeepAlive compares delayed container termination (§4.2)
 // against immediate scale-down.
 func AblationKeepAlive(p Params) (AblationResult, error) {
 	return runAblation(p, ablationSteady, "delayed termination",
-		core.NewProtean(core.ProteanConfig{}),
-		core.NewProtean(core.ProteanConfig{}),
-		autoscale.Config{}, autoscale.Config{Immediate: true})
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{}), Scaler: autoscale.Config{Immediate: true}})
 }
 
 // AblationPredictor compares the EWMA BE-load predictor against a
 // last-value predictor (alpha = 1).
 func AblationPredictor(p Params) (AblationResult, error) {
 	return runAblation(p, ablationShifting, "EWMA prediction",
-		core.NewProtean(core.ProteanConfig{}),
-		core.NewProtean(core.ProteanConfig{Reconfig: reconfig.Config{Alpha: 1}}),
-		autoscale.Config{}, autoscale.Config{})
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
+		Scenario{Policy: core.NewProtean(core.ProteanConfig{Reconfig: reconfig.Config{Alpha: 1}})})
 }

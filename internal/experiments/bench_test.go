@@ -11,8 +11,7 @@ import (
 
 // BenchmarkQuickScenario is the end-to-end engine benchmark: one full
 // cluster run (trace generation, batching, placement, MPS execution,
-// reconfiguration) of a quick PROTEAN scenario. BENCH_PR4.json tracks
-// its ns/op and allocs/op across engine changes; the report content is
+// reconfiguration) of a quick PROTEAN scenario. The report content is
 // pinned separately by the golden-hash determinism test.
 func BenchmarkQuickScenario(b *testing.B) {
 	p := Params{Quick: true, Duration: 10, Warmup: 3, Nodes: 2, Seed: 1}
@@ -36,10 +35,10 @@ func BenchmarkQuickScenario(b *testing.B) {
 
 // BenchmarkShardedScenario pins the throughput of the sharded event
 // loop: full 60 s runs on 8 nodes at -shards 1, 2 and 4, reporting
-// simulation events per wall-clock second. BENCH_PR7.json tracks the
-// events/sec column; the shards=4/shards=1 ratio is the speedup the
-// within-scenario sharding buys, with identical output bytes (pinned
-// by the shard-identity tests). Two workloads bound the spectrum:
+// simulation events per wall-clock second. The shards=4/shards=1
+// events/sec ratio is the speedup the within-scenario sharding buys,
+// with identical output bytes (pinned by the shard-identity tests).
+// Two workloads bound the spectrum:
 // "vision" is the largest single scenario protean-bench runs (ResNet 50
 // at the 9000 rps vision mean — arrival-dominated, so most events land
 // on the gateway lane), while "language" (BERT at 2000 rps, batch
@@ -66,7 +65,11 @@ func BenchmarkShardedScenario(b *testing.B) {
 				var events uint64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					reqs, s, c, err := buildScenario(p, sc, nil)
+					tc, s, c, err := buildScenario(p, sc, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					reqs, err := trace.Generate(tc)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"protean/internal/autoscale"
 	"protean/internal/chaos"
 	"protean/internal/cluster"
 	"protean/internal/core"
@@ -205,6 +206,13 @@ type Scenario struct {
 	// procures through the catalog's spot-price processes instead of
 	// the fixed Table 3 tariff. nil keeps the legacy path byte-for-bit.
 	Market *MarketSpec
+	// Trace, when non-nil, is replayed instead of a trace generated from
+	// Rate and the model mix; Strict and BEPool then only name the
+	// pre-warmed models. Runs only read it, so scenarios may share one.
+	Trace []trace.Request
+	// Scaler tunes container autoscaling (zero value: delayed
+	// termination, §4.2).
+	Scaler autoscale.Config
 }
 
 // MarketSpec configures a scenario's marketplace attachment.
@@ -221,52 +229,30 @@ type MarketSpec struct {
 	MigrateInterval float64
 }
 
-// runScenario generates the trace and executes one cluster run. tr, when
-// non-nil, receives the run's lifecycle events.
+// runScenario materialises the scenario's arrivals (sc.Trace, or a
+// generated trace) and executes one cluster run. tr, when non-nil,
+// receives the run's lifecycle events.
 func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
-	reqs, _, c, err := buildScenario(p, sc, tr)
+	p = p.withDefaults()
+	tc, _, c, err := buildScenario(p, sc, tr)
 	if err != nil {
 		return nil, err
+	}
+	reqs := sc.Trace
+	if reqs == nil {
+		if reqs, err = trace.Generate(tc); err != nil {
+			return nil, fmt.Errorf("experiments: generate trace: %w", err)
+		}
 	}
 	return c.Run(reqs, p.Duration)
 }
 
-// buildScenario constructs but does not run one scenario: the generated
-// request trace, the simulator (exposed so the events/sec benchmark can
-// read Executed()), and the cluster wired onto it.
-func buildScenario(p Params, sc Scenario, tr obs.Tracer) ([]trace.Request, *sim.Sim, *cluster.Cluster, error) {
-	tc, s, c, err := buildScenarioCommon(p, sc, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	reqs, err := trace.Generate(tc)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: generate trace: %w", err)
-	}
-	return reqs, s, c, nil
-}
-
-// buildScenarioStream is buildScenario without the materialised trace:
-// the arrival stream is pulled by the cluster's pump one request at a
-// time, so scenario memory is independent of the request count. The
-// stream path skips the Oracle's window precompute (no scale scenario
-// uses the Oracle; callers that need it can run cluster.PrecomputeOracle
-// with a second stream).
-func buildScenarioStream(p Params, sc Scenario, tr obs.Tracer) (*trace.Stream, *sim.Sim, *cluster.Cluster, error) {
-	tc, s, c, err := buildScenarioCommon(p, sc, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := trace.NewStream(tc)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: open trace stream: %w", err)
-	}
-	return st, s, c, nil
-}
-
-// buildScenarioCommon assembles the trace config, simulator, and
-// cluster shared by the materialised and streaming builders.
-func buildScenarioCommon(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
+// buildScenario is the one place experiments construct a cluster: it
+// returns the scenario's trace config, the simulator (exposed so the
+// events/sec counters can read Executed()), and the cluster wired onto
+// it. Callers choose how arrivals reach the cluster: runScenario
+// materialises them, ScaleCell streams them from trace.NewStream.
+func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
 	p = p.withDefaults()
 	if sc.Policy == nil {
 		return trace.Config{}, nil, nil, errors.New("experiments: scenario without policy")
@@ -348,6 +334,7 @@ func buildScenarioCommon(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *s
 		Warmup:          p.Warmup,
 		PreWarm:         prewarm,
 		PreWarmCount:    4,
+		Scaler:          sc.Scaler,
 		VM:              vmCfg,
 		Arch:            sc.Arch,
 		Chaos:           chaosCfg,

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"protean/internal/autoscale"
-	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/gpu"
 	"protean/internal/model"
-	"protean/internal/sim"
 	"protean/internal/trace"
 )
 
@@ -17,44 +15,23 @@ import (
 // versus scaling containers down immediately.
 func ColdStarts(p Params) (*Report, error) {
 	p = p.withDefaults()
-	strict := model.MustByName("ResNet 50")
-	pool := model.OppositeClassPool(strict)
-	reqs, err := trace.Generate(trace.Config{
-		Rate:     wikiRate(p.Duration),
-		Mix:      trace.Mix{StrictFrac: 0.5, Strict: strict, BEPool: pool},
-		Duration: p.Duration,
-		Seed:     p.Seed,
-	})
+	scs := make([]Scenario, 2)
+	for i, label := range []string{"coldstarts delayed", "coldstarts immediate"} {
+		// No pre-warming: the point is to observe the scaling policies.
+		scs[i] = Scenario{
+			Label:     label,
+			Strict:    model.MustByName("ResNet 50"),
+			Rate:      wikiRate(p.Duration),
+			Policy:    core.NewProtean(core.ProteanConfig{}),
+			NoPrewarm: true,
+		}
+	}
+	scs[1].Scaler = autoscale.Config{Immediate: true}
+	results, err := RunScenarios(p, scs)
 	if err != nil {
 		return nil, err
 	}
-
-	runWith := func(label string, scaler autoscale.Config) (*cluster.Result, error) {
-		s := sim.New(p.Seed)
-		if tr := p.tracer(label); tr != nil {
-			s.SetTracer(tr)
-		}
-		// No pre-warming: the point is to observe the scaling policies.
-		c, err := cluster.New(s, cluster.Config{
-			Nodes:  p.Nodes,
-			Policy: core.NewProtean(core.ProteanConfig{}),
-			Warmup: p.Warmup,
-			Scaler: scaler,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.Run(reqs, p.Duration)
-	}
-
-	delayed, err := runWith("coldstarts delayed", autoscale.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("coldstarts (delayed): %w", err)
-	}
-	immediate, err := runWith("coldstarts immediate", autoscale.Config{Immediate: true})
-	if err != nil {
-		return nil, fmt.Errorf("coldstarts (immediate): %w", err)
-	}
+	delayed, immediate := results[0], results[1]
 
 	reduction := 0.0
 	if immediate.ColdStarts > 0 {

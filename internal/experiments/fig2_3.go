@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/gpu"
 	"protean/internal/model"
-	"protean/internal/sim"
 	"protean/internal/trace"
 )
 
@@ -71,32 +69,24 @@ func Fig2Motivation(p Params) (*Report, error) {
 	reqs := mergeTraces(dlaReqs, albertReqs)
 
 	workloads := []*model.Model{dla, albert}
+	schemes := fig2Schemes()
+	scs := make([]Scenario, len(schemes))
+	for i, sch := range schemes {
+		scs[i] = Scenario{Label: "fig2 " + sch.Name, Trace: reqs, BEPool: workloads, Policy: sch.Factory}
+	}
+	p.Nodes = 1 // §2.2 shares one A100 between both workloads
+	results, err := RunScenarios(p, scs)
+	if err != nil {
+		return nil, err
+	}
 	tables := make([]*Table, 0, len(workloads))
 	for _, w := range workloads {
 		t := &Table{
 			Title:   fmt.Sprintf("Figure 2: %s — P99 breakdown and SLO compliance (single GPU)", w.Name()),
 			Headers: []string{"scheme", "SLO", "P99", "min", "deficiency", "interference", "queue"},
 		}
-		for _, sch := range fig2Schemes() {
-			s := sim.New(p.Seed)
-			if tr := p.tracer(fmt.Sprintf("fig2 %s/%s", w.Name(), sch.Name)); tr != nil {
-				s.SetTracer(tr)
-			}
-			c, err := cluster.New(s, cluster.Config{
-				Nodes:        1,
-				Policy:       sch.Factory,
-				Warmup:       p.Warmup,
-				PreWarm:      workloads,
-				PreWarmCount: 4,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := c.Run(reqs, p.Duration)
-			if err != nil {
-				return nil, fmt.Errorf("fig2 %s: %w", sch.Name, err)
-			}
-			rec := res.Recorder.ForModel(w.Name())
+		for i, sch := range schemes {
+			rec := results[i].Recorder.ForModel(w.Name())
 			sum := rec.Summarize()
 			b := sum.P99Breakdown
 			t.Rows = append(t.Rows, []string{

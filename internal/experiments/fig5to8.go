@@ -106,16 +106,18 @@ func Fig6TailBreakdown(p Params) (*Report, error) {
 // DPN 92 that forces the (4g, 3g) switch).
 func Fig7ReconfigTimeline(p Params) (*Report, error) {
 	p = p.withDefaults()
-	res, err := runScenario(p, Scenario{
+	results, err := RunScenarios(p, []Scenario{{
+		Label:        "fig7 timeline",
 		Strict:       model.MustByName("ShuffleNet V2"),
 		BEPool:       model.VisionHI(),
 		RotatePeriod: 15,
 		Rate:         wikiRate(p.Duration),
 		Policy:       core.NewProtean(core.ProteanConfig{}),
-	}, p.tracer("fig7 timeline"))
+	}})
 	if err != nil {
 		return nil, err
 	}
+	res := results[0]
 	timeline := &Table{
 		Title:   "Figure 7: PROTEAN geometry timeline (ShuffleNet V2 strict, rotating HI BE models)",
 		Headers: []string{"time (s)", "node", "geometry"},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -105,65 +106,110 @@ func TestFig2ShardIdentityFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig2 fifteen times; skipped in -short")
 	}
-	e, ok := ByID("fig2")
-	if !ok {
-		t.Fatal("fig2 experiment not registered")
-	}
-	run := func(seed int64, shards int) (report string, chrome, jsonl []byte) {
-		t.Helper()
-		p := Params{Quick: true, Seed: seed, Parallel: 1, Shards: shards, Trace: obs.NewTraceSet()}
-		rep, err := RunReplicated(e, p, 1)
-		if err != nil {
-			t.Fatalf("seed %d shards %d: %v", seed, shards, err)
-		}
-		var sb strings.Builder
-		if err := rep.RenderAs(&sb, FormatText); err != nil {
-			t.Fatalf("render: %v", err)
-		}
-		if p.Trace.Events() == 0 {
-			t.Fatalf("seed %d shards %d: no trace events collected", seed, shards)
-		}
-		var cb, jb bytes.Buffer
-		if err := obs.WriteChrome(&cb, p.Trace.Traces()); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteJSONL(&jb, p.Trace.Traces()); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String(), cb.Bytes(), jb.Bytes()
-	}
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		wantReport, wantChrome, wantJSONL := run(seed, 1)
+		want := renderTraced(t, "fig2", Params{Quick: true, Seed: seed, Parallel: 1, Shards: 1})
 		for _, shards := range []int{2, 4} {
-			report, chrome, jsonl := run(seed, shards)
-			if report != wantReport {
-				t.Errorf("seed %d: report differs between -shards 1 and -shards %d", seed, shards)
-			}
-			if !bytes.Equal(chrome, wantChrome) {
-				t.Errorf("seed %d: chrome trace differs between -shards 1 and -shards %d", seed, shards)
-			}
-			if !bytes.Equal(jsonl, wantJSONL) {
-				t.Errorf("seed %d: jsonl trace differs between -shards 1 and -shards %d", seed, shards)
-			}
+			got := renderTraced(t, "fig2", Params{Quick: true, Seed: seed, Parallel: 1, Shards: shards})
+			want.diff(t, got, fmt.Sprintf("seed %d: -shards 1 vs -shards %d", seed, shards))
 		}
 	}
 }
 
-// fig2QuickHash runs fig2 under p and hashes the rendered text report.
-func fig2QuickHash(t *testing.T, p Params) string {
+// TestFig2ColdStartsParallelShardIdentity extends the determinism
+// contract to the scheme and scaling-policy runs that fig2 and
+// coldstarts fan out through RunScenarios (fig2's five runs share one
+// read-only trace): reports and traces are byte-identical at -shards 1
+// vs 4 and at -parallel 1 vs 4.
+func TestFig2ColdStartsParallelShardIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig2 and coldstarts four times each; skipped in -short")
+	}
+	for _, id := range []string{"fig2", "coldstarts"} {
+		want := renderTraced(t, id, Params{Quick: true, Seed: 1, Parallel: 1, Shards: 1})
+		for _, v := range []struct{ shards, parallel int }{{4, 1}, {1, 4}, {4, 4}} {
+			got := renderTraced(t, id, Params{Quick: true, Seed: 1, Parallel: v.parallel, Shards: v.shards})
+			want.diff(t, got, fmt.Sprintf("%s: -shards 1 -parallel 1 vs -shards %d -parallel %d", id, v.shards, v.parallel))
+		}
+	}
+}
+
+// TestChaosReachesFig2AndColdStarts: Params.Chaos must reach every run
+// of fig2 and coldstarts, so enabling the reference fault mix changes
+// their reports.
+func TestChaosReachesFig2AndColdStarts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig2 and coldstarts twice each; skipped in -short")
+	}
+	for _, id := range []string{"fig2", "coldstarts"} {
+		off := renderText(t, id, Params{Quick: true, Seed: 1, Parallel: 1})
+		on := renderText(t, id, Params{Quick: true, Seed: 1, Parallel: 1, Chaos: chaos.DefaultConfig()})
+		if on == off {
+			t.Errorf("%s: report with chaos enabled is identical to chaos off; Params.Chaos never reached its runs", id)
+		}
+	}
+}
+
+// tracedRender is one experiment's text report plus its merged traces.
+type tracedRender struct {
+	report        string
+	chrome, jsonl []byte
+}
+
+// diff reports every part of got that differs from r.
+func (r tracedRender) diff(t *testing.T, got tracedRender, what string) {
 	t.Helper()
-	e, ok := ByID("fig2")
+	if got.report != r.report {
+		t.Errorf("%s: report differs", what)
+	}
+	if !bytes.Equal(got.chrome, r.chrome) {
+		t.Errorf("%s: chrome trace differs", what)
+	}
+	if !bytes.Equal(got.jsonl, r.jsonl) {
+		t.Errorf("%s: jsonl trace differs", what)
+	}
+}
+
+// renderTraced runs experiment id under p with a fresh TraceSet and
+// returns the text report and both trace exports.
+func renderTraced(t *testing.T, id string, p Params) tracedRender {
+	t.Helper()
+	p.Trace = obs.NewTraceSet()
+	out := tracedRender{report: renderText(t, id, p)}
+	if p.Trace.Events() == 0 {
+		t.Fatalf("%s seed %d shards %d: no trace events collected", id, p.Seed, p.Shards)
+	}
+	var cb, jb bytes.Buffer
+	if err := obs.WriteChrome(&cb, p.Trace.Traces()); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSONL(&jb, p.Trace.Traces()); err != nil {
+		t.Fatal(err)
+	}
+	out.chrome, out.jsonl = cb.Bytes(), jb.Bytes()
+	return out
+}
+
+// renderText runs experiment id under p and renders its text report.
+func renderText(t *testing.T, id string, p Params) string {
+	t.Helper()
+	e, ok := ByID(id)
 	if !ok {
-		t.Fatal("fig2 experiment not registered")
+		t.Fatalf("%s experiment not registered", id)
 	}
 	report, err := RunReplicated(e, p, 1)
 	if err != nil {
-		t.Fatalf("run fig2: %v", err)
+		t.Fatalf("run %s: %v", id, err)
 	}
 	var sb strings.Builder
 	if err := report.RenderAs(&sb, FormatText); err != nil {
 		t.Fatalf("render: %v", err)
 	}
-	sum := sha256.Sum256([]byte(sb.String()))
+	return sb.String()
+}
+
+// fig2QuickHash runs fig2 under p and hashes the rendered text report.
+func fig2QuickHash(t *testing.T, p Params) string {
+	t.Helper()
+	sum := sha256.Sum256([]byte(renderText(t, "fig2", p)))
 	return hex.EncodeToString(sum[:])
 }

@@ -72,9 +72,14 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 		Rate:   scaleRate(scale, p.Duration),
 		Policy: core.NewProtean(core.ProteanConfig{}),
 	}
-	st, s, c, err := buildScenarioStream(p, sc, p.tracer(label))
+	tc, s, c, err := buildScenario(p, sc, p.tracer(label))
 	if err != nil {
 		return nil, err
+	}
+	// Streamed runs give the Oracle no window view; no scale cell uses it.
+	st, err := trace.NewStream(tc)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: open trace stream: %w", err)
 	}
 	res, err := c.RunStream(st, p.Duration)
 	if err != nil {
@@ -88,8 +93,8 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 // cell streamed and sketched. The table reports only deterministic
 // quantities — request volumes, SLO attainment, sketch percentiles,
 // executed events — so the report is byte-identical across repeats and
-// shard counts; events/sec and peak heap are wall-clock measurements
-// and live in BENCH_PR9.json (make bench).
+// shard counts; events/sec and peak heap are wall-clock measurements,
+// taken by BenchmarkScaleCell and perfbench's scale-diurnal workload.
 func ScaleSweep(p Params) (*Report, error) {
 	p = p.withDefaults()
 	if p.Duration <= 60 {
@@ -126,6 +131,6 @@ func ScaleSweep(p Params) (*Report, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("arrivals are pulled from trace.Stream (never materialised) and recorded into %.0f%%-accuracy quantile sketches; peak heap stays flat in the request count", metrics.SketchAlpha*100),
 		fmt.Sprintf("offered load stays below the cluster's saturation knee by design: the sweep measures the simulator, not queue backlog (horizon %.0fs)", p.Duration),
-		"events/sec and peak heap are wall-clock measurements: see BENCH_PR9.json (make bench)")
+		"events/sec and peak heap are wall-clock measurements: see perfbench's scale-diurnal workload (make bench)")
 	return &Report{ID: "scale", Tables: []*Table{t}}, nil
 }

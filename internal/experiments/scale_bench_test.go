@@ -44,9 +44,9 @@ func peakHeap() (stop func() uint64) {
 
 // benchScaleCell runs one scale-sweep cell per iteration over the full
 // two-day horizon, reporting simulation events per wall-clock second
-// and the peak heap the cell touched. BENCH_PR9.json tracks both per
-// scale; heapCeilingMB, when positive, fails the benchmark if the peak
-// ever exceeds it (the 100× acceptance gate).
+// and the peak heap the cell touched per scale; heapCeilingMB, when
+// positive, fails the benchmark if the peak ever exceeds it (the 100×
+// acceptance gate).
 func benchScaleCell(b *testing.B, scale float64, heapCeilingMB int) {
 	p := Params{Duration: ScaleHorizon, Nodes: 8, Seed: 1}
 	var events uint64

@@ -8,40 +8,6 @@ import (
 	"protean/internal/sim"
 )
 
-// TestRepriceCostIsPiecewiseExact is the regression test for the cost
-// meter: a mid-interval tariff change must bill each lease exactly
-// old-rate × time-before + new-rate × time-after, not either flat rate.
-func TestRepriceCostIsPiecewiseExact(t *testing.T) {
-	s := sim.New(1)
-	f, err := NewFleet(s, Config{Nodes: 3, Mode: ModeOnDemandOnly, Pricing: PricingAWS})
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	// 400 s on AWS, then swap to GCP mid-lease, 800 s more.
-	s.MustAfter(400, func() { f.Reprice(PricingGCP) })
-	if err := s.RunUntil(1200); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	got := f.Cost(0).Dollars
-	want := 3 * (400.0/3600*PricingAWS.OnDemandHourly + 800.0/3600*PricingGCP.OnDemandHourly)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("dollars = %.9f, want %.9f (piecewise across the reprice)", got, want)
-	}
-	// The flat-rate answers the old bug would give, for contrast.
-	flatOld := 3 * 1200.0 / 3600 * PricingAWS.OnDemandHourly
-	flatNew := 3 * 1200.0 / 3600 * PricingGCP.OnDemandHourly
-	if math.Abs(got-flatOld) < 1e-6 || math.Abs(got-flatNew) < 1e-6 {
-		t.Errorf("dollars = %.9f matches a flat-rate integral (old %.9f / new %.9f)", got, flatOld, flatNew)
-	}
-	f.Stop()
-	if after := f.Cost(0).Dollars; math.Abs(after-want) > 1e-9 {
-		t.Errorf("dollars after Stop = %.9f, want %.9f", after, want)
-	}
-}
-
 // marketCatalog is a two-provider catalog with frozen prices (zero
 // volatility) so cost assertions are exact. Provider B never receives
 // revocations and is decoupled from provider A's storms.

@@ -220,15 +220,11 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// lease is one VM attached to a node slot. Billing is piecewise: the
-// open segment starts at since (= acquired until a Reprice checkpoints
-// it) and closed segments are settled into accrued, so the meter
-// integrates exactly across mid-lease price changes.
+// lease is one VM attached to a node slot, billed from acquired at the
+// fleet's tariff.
 type lease struct {
 	kind     Kind
 	acquired float64
-	since    float64 // open billing segment start
-	accrued  float64 // dollars settled across closed segments
 }
 
 type nodeState int
@@ -391,8 +387,7 @@ func (f *Fleet) startMarket() error {
 
 func (f *Fleet) attach(node int, kind Kind) {
 	f.release(node)
-	now := f.sim.Now()
-	f.leases[node] = &lease{kind: kind, acquired: now, since: now}
+	f.leases[node] = &lease{kind: kind, acquired: f.sim.Now()}
 	f.states[node] = nodeUp
 	if tr := f.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(f.sim.Now(), obs.KindVMLease)
@@ -410,7 +405,7 @@ func (f *Fleet) release(node int) {
 	if l == nil {
 		return
 	}
-	f.accrued += l.accrued + (f.sim.Now()-l.since)/3600*f.cfg.Pricing.Hourly(l.kind)
+	f.accrued += (f.sim.Now() - l.acquired) / 3600 * f.cfg.Pricing.Hourly(l.kind)
 	f.leases[node] = nil
 }
 
@@ -425,22 +420,6 @@ func (f *Fleet) releaseNode(node int) {
 		return
 	}
 	f.release(node)
-}
-
-// Reprice swaps the tariff mid-run, checkpointing every active lease's
-// open billing segment at the outgoing price, so Cost integrates each
-// lease piecewise-exactly across the change. The on-demand baseline
-// uses the tariff in force when Cost is called.
-func (f *Fleet) Reprice(p Pricing) {
-	now := f.sim.Now()
-	for _, l := range f.leases {
-		if l == nil {
-			continue
-		}
-		l.accrued += (now - l.since) / 3600 * f.cfg.Pricing.Hourly(l.kind)
-		l.since = now
-	}
-	f.cfg.Pricing = p
 }
 
 // spotAvailable samples whether a spot request succeeds right now.
@@ -686,36 +665,6 @@ func (f *Fleet) Migrations() int { return f.migrations }
 // single-provider mode).
 func (f *Fleet) Market() *market.Market { return f.cfg.Market }
 
-// Storm injects a correlated spot-preemption storm (chaos subsystem):
-// ceil(frac × live spot nodes) nodes — lowest indices first, for
-// determinism — receive a revocation notice at once, exactly as if the
-// provider reclaimed a capacity block. Returns the notice count.
-func (f *Fleet) Storm(frac float64) int {
-	if f.stopped || !f.started || frac <= 0 {
-		return 0
-	}
-	if f.marketMode() {
-		return f.StormDomain(0, frac)
-	}
-	var eligible []int
-	for i, l := range f.leases {
-		if l != nil && l.kind == KindSpot && f.states[i] == nodeUp {
-			eligible = append(eligible, i)
-		}
-	}
-	if len(eligible) == 0 {
-		return 0
-	}
-	k := int(math.Ceil(frac * float64(len(eligible))))
-	if k > len(eligible) {
-		k = len(eligible)
-	}
-	for _, i := range eligible[:k] {
-		f.notice(i)
-	}
-	return k
-}
-
 // StormDomains returns the number of distinct storm domains the fleet
 // exposes to the chaos injector: one per marketplace provider, or a
 // single domain in legacy single-provider mode.
@@ -726,18 +675,24 @@ func (f *Fleet) StormDomains() int {
 	return 1
 }
 
-// StormDomain injects a preemption storm centred on one storm domain.
-// In market mode the domain is a provider: its spot leases see the full
-// fraction, and every other provider sees frac × its StormCoupling (a
-// capacity crunch at one provider tightens the others' spot pools too).
-// Providers are swept in catalog order, eligible nodes lowest index
-// first. Legacy fleets have a single domain and delegate to Storm.
+// StormDomain injects a correlated spot-preemption storm (chaos
+// subsystem) centred on one storm domain: live spot nodes receive a
+// revocation notice at once, exactly as if the provider reclaimed a
+// capacity block, and the notice count is returned. A legacy fleet is
+// one domain that sees the full fraction. In market mode the domain is
+// a provider: its spot leases see the full fraction, and every other
+// provider sees frac × its StormCoupling (a capacity crunch at one
+// provider tightens the others' spot pools too), swept in catalog
+// order.
 func (f *Fleet) StormDomain(domain int, frac float64) int {
 	if f.stopped || !f.started || frac <= 0 {
 		return 0
 	}
 	if !f.marketMode() {
-		return f.Storm(frac)
+		return f.storm(frac, func(i int) bool {
+			l := f.leases[i]
+			return l != nil && l.kind == KindSpot
+		}, f.notice)
 	}
 	total := 0
 	for p := 0; p < f.cfg.Market.Providers(); p++ {
@@ -745,32 +700,29 @@ func (f *Fleet) StormDomain(domain int, frac float64) int {
 		if p != domain {
 			eff = frac * f.cfg.Market.ProviderConfig(p).StormCoupling
 		}
-		total += f.stormProvider(p, eff)
+		total += f.storm(eff, func(i int) bool {
+			l := f.mleases[i]
+			return l != nil && l.Provider == p && l.Kind == market.KindSpot
+		}, f.noticeMarket)
 	}
 	return total
 }
 
-// stormProvider notices ceil(frac × eligible) of provider p's live spot
-// leases, lowest node indices first.
-func (f *Fleet) stormProvider(p int, frac float64) int {
+// storm sends notice to ceil(frac × eligible) of the up nodes whose
+// lease spot accepts, lowest node index first, for determinism.
+func (f *Fleet) storm(frac float64, spot func(node int) bool, notice func(node int)) int {
 	if frac <= 0 {
 		return 0
 	}
 	var eligible []int
-	for i, l := range f.mleases {
-		if l != nil && l.Provider == p && l.Kind == market.KindSpot && f.states[i] == nodeUp {
+	for i, st := range f.states {
+		if st == nodeUp && spot(i) {
 			eligible = append(eligible, i)
 		}
 	}
-	if len(eligible) == 0 {
-		return 0
-	}
-	k := int(math.Ceil(frac * float64(len(eligible))))
-	if k > len(eligible) {
-		k = len(eligible)
-	}
+	k := min(int(math.Ceil(frac*float64(len(eligible)))), len(eligible))
 	for _, i := range eligible[:k] {
-		f.noticeMarket(i)
+		notice(i)
 	}
 	return k
 }
@@ -878,11 +830,7 @@ func (f *Fleet) Cost(since float64) CostReport {
 	total := f.accrued
 	for _, l := range f.leases {
 		if l != nil {
-			// Settled segments plus the open one at the current tariff —
-			// exact across Reprice; when no reprice happened accrued is
-			// +0 and since == acquired, so this is bitwise the old
-			// (now-acquired) integral.
-			total += l.accrued + (now-l.since)/3600*f.cfg.Pricing.Hourly(l.kind)
+			total += (now - l.acquired) / 3600 * f.cfg.Pricing.Hourly(l.kind)
 		}
 	}
 	baseline := float64(f.cfg.Nodes) * (now - since) / 3600 * f.cfg.Pricing.OnDemandHourly

@@ -342,14 +342,14 @@ func TestCostExactAcrossStormRevocation(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	var notices int
-	if _, err := s.At(100, func() { notices = f.Storm(1) }); err != nil {
+	if _, err := s.At(100, func() { notices = f.StormDomain(0, 1) }); err != nil {
 		t.Fatalf("At: %v", err)
 	}
 	if err := s.RunUntil(200); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
 	if notices != nodes {
-		t.Fatalf("Storm(1) issued %d notices, want %d", notices, nodes)
+		t.Fatalf("StormDomain(0, 1) issued %d notices, want %d", notices, nodes)
 	}
 	if f.Notices() != nodes {
 		t.Errorf("Notices() = %d, want %d", f.Notices(), nodes)
@@ -379,20 +379,20 @@ func TestStormEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
 	}
-	if got := f.Storm(0.5); got != 0 {
-		t.Errorf("Storm before Start = %d, want 0", got)
+	if got := f.StormDomain(0, 0.5); got != 0 {
+		t.Errorf("StormDomain before Start = %d, want 0", got)
 	}
 	if err := f.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if got := f.Storm(0.5); got != 0 {
-		t.Errorf("Storm on all-on-demand fleet = %d, want 0", got)
+	if got := f.StormDomain(0, 0.5); got != 0 {
+		t.Errorf("StormDomain on all-on-demand fleet = %d, want 0", got)
 	}
-	if got := f.Storm(0); got != 0 {
-		t.Errorf("Storm(0) = %d, want 0", got)
+	if got := f.StormDomain(0, 0); got != 0 {
+		t.Errorf("StormDomain(0, 0) = %d, want 0", got)
 	}
 	f.Stop()
-	if got := f.Storm(0.5); got != 0 {
-		t.Errorf("Storm after Stop = %d, want 0", got)
+	if got := f.StormDomain(0, 0.5); got != 0 {
+		t.Errorf("StormDomain after Stop = %d, want 0", got)
 	}
 }
