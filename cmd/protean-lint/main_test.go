@@ -12,7 +12,8 @@ import (
 )
 
 // writeModule lays out a small module with one walltime and one
-// globalrand violation under internal/ and a clean cmd/ package.
+// globalrand violation under internal/ and a clean cmd/ package whose
+// main reaches them, so the module holds no dead code.
 func writeModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -35,10 +36,12 @@ func Jitter() time.Time {
 import (
 	"fmt"
 	"time"
+
+	"example.com/tmp/internal/clocky"
 )
 
 func main() {
-	fmt.Println(time.Now())
+	fmt.Println(time.Now(), clocky.Jitter())
 }
 `,
 	}
@@ -103,6 +106,23 @@ func TestDisableRules(t *testing.T) {
 	code, out, _ := runLint(t, "-C", root, "-disable", "walltime,globalrand", "./...")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; output:\n%s", code, out)
+	}
+}
+
+// TestDeadPackageFails: deadcode runs in the default suite, so a
+// package nothing imports fails the lint.
+func TestDeadPackageFails(t *testing.T) {
+	root := writeModule(t)
+	orphan := filepath.Join(root, "internal", "orphan", "orphan.go")
+	if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(orphan, []byte("package orphan\n\nfunc Unused() {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, _ := runLint(t, "-C", root, "-disable", "walltime,globalrand", "./...")
+	if code != 1 || !strings.Contains(out, "deadcode: package example.com/tmp/internal/orphan") {
+		t.Fatalf("exit = %d, want 1 with a deadcode finding for the orphan package; output:\n%s", code, out)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunAgainstTestServer(t *testing.T) {
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(api.NewServer().Handler())
 	defer srv.Close()
 	var out bytes.Buffer
 	err := run([]string{
@@ -34,7 +34,7 @@ func TestRunAgainstTestServer(t *testing.T) {
 }
 
 func TestRunWithCostLayer(t *testing.T) {
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(api.NewServer().Handler())
 	defer srv.Close()
 	var out bytes.Buffer
 	err := run([]string{
@@ -57,7 +57,7 @@ func TestRunWithCostLayer(t *testing.T) {
 }
 
 func TestRunJSONOutput(t *testing.T) {
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(api.NewServer().Handler())
 	defer srv.Close()
 	var out bytes.Buffer
 	err := run([]string{
@@ -86,7 +86,7 @@ func TestRunJSONOutput(t *testing.T) {
 }
 
 func TestRunServerError(t *testing.T) {
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(api.NewServer().Handler())
 	defer srv.Close()
 	var out bytes.Buffer
 	err := run([]string{"-server", srv.URL, "-model", "NoSuchNet", "-rps", "10", "-duration", "5"}, &out)

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -186,10 +187,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Handler returns a control plane with a fresh Server — the one-call
-// construction used by tests and simple embeddings.
-func Handler() http.Handler { return NewServer().Handler() }
-
 // statusWriter captures the response status for request metrics.
 type statusWriter struct {
 	http.ResponseWriter
@@ -247,6 +244,34 @@ type errorBody struct {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
+}
+
+// maxBodyBytes caps every request body the API decodes: /simulate and
+// the /v1 writes. An NDJSON ingest stream is one body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields.
+// An empty body leaves v as it is when emptyOK. On failure it writes a
+// 400, or a 413 for a body over maxBodyBytes, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil || (emptyOK && errors.Is(err, io.EOF)) {
+		return true
+	}
+	writeError(w, decodeStatus(err), fmt.Errorf("decode request: %w", err))
+	return false
+}
+
+// decodeStatus is the status for a body that failed to decode: 413 once
+// it ran past maxBodyBytes, 400 otherwise.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -366,10 +391,7 @@ func (s *Server) touchTrace(id string) {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	resp, err := s.simulate(req)

@@ -14,7 +14,7 @@ import (
 
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(NewServer().Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -48,7 +48,7 @@ func (n *ndjsonWriter) Encode(v any) error {
 	}
 	data, err := json.Marshal(v)
 	if err != nil {
-		n.fail("encode: " + err.Error())
+		n.fail(http.StatusInternalServerError, "encode: "+err.Error())
 		return err
 	}
 	n.start()
@@ -64,15 +64,15 @@ func (n *ndjsonWriter) Encode(v any) error {
 	return nil
 }
 
-// fail emits the well-formed error trailer line.
-func (n *ndjsonWriter) fail(msg string) {
+// fail emits the well-formed error trailer line, or, when nothing has
+// streamed yet, a plain error response with the given status.
+func (n *ndjsonWriter) fail(status int, msg string) {
 	if n.failed {
 		return
 	}
 	n.failed = true
 	if !n.started {
-		// Nothing streamed yet: a plain error response is still possible.
-		writeJSON(n.w, http.StatusInternalServerError, errorBody{Error: msg})
+		writeJSON(n.w, status, errorBody{Error: msg})
 		return
 	}
 	line := `{"error":` + strconv.Quote(msg) + "}\n"

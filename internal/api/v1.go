@@ -51,8 +51,8 @@ type PlaneInfo struct {
 	VirtualTime float64 `json:"virtualTime"`
 	Tenants     int     `json:"tenants"`
 	// Backlog is total queued-but-unfinished requests.
-	Backlog   int    `json:"backlog"`
-	Decisions int    `json:"decisions"`
+	Backlog   int `json:"backlog"`
+	Decisions int `json:"decisions"`
 	// Fingerprint hashes every admission decision; two planes that served
 	// identical logs show identical fingerprints.
 	Fingerprint string `json:"fingerprint"`
@@ -80,10 +80,7 @@ func (s *Server) getPlane() (*controlplane.Plane, error) {
 
 func (s *Server) handlePlaneConfig(w http.ResponseWriter, r *http.Request) {
 	var cfg PlaneConfig
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &cfg, true) {
 		return
 	}
 	p, err := controlplane.New(controlplane.Options{
@@ -206,10 +203,7 @@ func (s *Server) handleMarketPrices(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg controlplane.TenantConfig
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &cfg, false) {
 		return
 	}
 	p, err := s.getPlane()
@@ -293,6 +287,27 @@ func decisionStatus(d controlplane.Decision) int {
 	}
 }
 
+// Bounds on one ingest body. The plane admits every request and
+// simulates every virtual second it advances under its lock, so an
+// unbounded body would stall all other clients.
+const (
+	// maxIngestN caps the requests one body may carry: the sum of n
+	// over its lines.
+	maxIngestN = 100_000
+	// maxIngestSpan caps, in virtual seconds, how far a body's vt
+	// values may move the clock past where the body found it.
+	maxIngestSpan = 3600.0
+)
+
+// ingestStatus is the status for a failed ingest: 404 for an unknown
+// tenant, 400 otherwise.
+func ingestStatus(err error) int {
+	if strings.Contains(err.Error(), "unknown tenant") {
+		return http.StatusNotFound
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	p, err := s.getPlane()
@@ -300,29 +315,36 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	budget, horizon := maxIngestN, p.Now()+maxIngestSpan
 	ingest := func(line IngestLine) (controlplane.Decision, error) {
-		if line.VT != nil {
-			return p.IngestAt(*line.VT, id, line.N)
+		if budget -= max(line.N, 1); budget < 0 {
+			return controlplane.Decision{}, fmt.Errorf("body carries more than %d requests", maxIngestN)
 		}
-		return p.Ingest(id, line.N)
+		if line.VT == nil {
+			return p.Ingest(id, line.N)
+		}
+		if vt := *line.VT; vt < 0 || vt > horizon {
+			return controlplane.Decision{}, fmt.Errorf("vt %v outside [0, %v]: must be non-negative and at most %v s past the plane's clock", vt, horizon, maxIngestSpan)
+		}
+		return p.IngestAt(*line.VT, id, line.N)
 	}
 
 	if isNDJSON(r.Header.Get("Content-Type")) {
 		// Chunked NDJSON stream: one decision line per ingest line,
 		// flushed as they happen.
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		out := newNDJSONWriter(w)
 		for {
 			var line IngestLine
 			if err := dec.Decode(&line); err == io.EOF {
 				break
 			} else if err != nil {
-				out.fail("decode ingest line: " + err.Error())
+				out.fail(decodeStatus(err), "decode ingest line: "+err.Error())
 				return
 			}
 			d, err := ingest(line)
 			if err != nil {
-				out.fail(err.Error())
+				out.fail(ingestStatus(err), err.Error())
 				return
 			}
 			if err := out.Encode(d); err != nil {
@@ -334,19 +356,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var line IngestLine
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&line); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, r, &line, true) {
 		return
 	}
 	d, err := ingest(line)
 	if err != nil {
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "unknown tenant") {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+		writeError(w, ingestStatus(err), err)
 		return
 	}
 	if d.Outcome == controlplane.OutcomeReject {

@@ -42,12 +42,6 @@ type pool struct {
 	// (ascending).
 	idleSince []float64
 	busy      int
-	// busyStart holds the acquire time of each in-flight container
-	// (LIFO, matching Release order for same-batch symmetry).
-	busyStart []float64
-	// busySeconds accumulates completed busy intervals — the metered
-	// GPU-seconds this model has actually consumed on the node.
-	busySeconds float64
 }
 
 // Scaler manages per-model container pools for one worker node.
@@ -102,13 +96,11 @@ func (s *Scaler) Acquire(modelName string) (float64, error) {
 		// ones age out.
 		p.idleSince = p.idleSince[:n-1]
 		p.busy++
-		p.busyStart = append(p.busyStart, s.sim.Now())
 		return 0, nil
 	}
 	s.coldStarts++
 	s.spawned++
 	p.busy++
-	p.busyStart = append(p.busyStart, s.sim.Now())
 	return s.cfg.ColdStart, nil
 }
 
@@ -119,22 +111,12 @@ func (s *Scaler) Release(modelName string) error {
 		return fmt.Errorf("autoscale: release without acquire for %q", modelName)
 	}
 	p.busy--
-	p.settleBusy(s.sim.Now())
 	if s.cfg.Immediate {
 		s.spawned--
 		return nil
 	}
 	p.idleSince = append(p.idleSince, s.sim.Now())
 	return nil
-}
-
-// settleBusy closes the most recent busy interval, folding it into the
-// pool's metered busy-seconds.
-func (p *pool) settleBusy(now float64) {
-	if n := len(p.busyStart); n > 0 {
-		p.busySeconds += now - p.busyStart[n-1]
-		p.busyStart = p.busyStart[:n-1]
-	}
 }
 
 // Abort cancels an Acquire whose container load failed before serving
@@ -148,7 +130,6 @@ func (s *Scaler) Abort(modelName string) error {
 		return fmt.Errorf("autoscale: abort without acquire for %q", modelName)
 	}
 	p.busy--
-	p.settleBusy(s.sim.Now())
 	s.spawned--
 	return nil
 }
@@ -213,41 +194,6 @@ func (s *Scaler) Sweep() {
 // marketplace budget alarm trips.
 func (s *Scaler) SetCostPressure(on bool) { s.costPressure = on }
 
-// CostPressure reports whether budget-exhaustion mode is active.
-func (s *Scaler) CostPressure() bool { return s.costPressure }
-
-// ModelUsage is one model's metered consumption on a node.
-type ModelUsage struct {
-	// Model is the model name.
-	Model string
-	// BusySeconds is the cumulative container-busy time: the seconds
-	// containers of this model spent executing batches (in-flight work
-	// is counted up to the read time).
-	BusySeconds float64
-}
-
-// Usage reports metered busy-seconds per model, sorted by model name.
-// It is a read-only snapshot: in-flight busy intervals are valued at
-// the current clock without being settled.
-func (s *Scaler) Usage() []ModelUsage {
-	now := s.sim.Now()
-	names := make([]string, 0, len(s.pools))
-	for name := range s.pools {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]ModelUsage, 0, len(names))
-	for _, name := range names {
-		p := s.pools[name]
-		busy := p.busySeconds
-		for _, start := range p.busyStart {
-			busy += now - start
-		}
-		out = append(out, ModelUsage{Model: name, BusySeconds: busy})
-	}
-	return out
-}
-
 // Prewarm provisions n idle warm containers for a model up front
 // (PROTEAN's conservative container provisioning).
 func (s *Scaler) Prewarm(modelName string, n int) {
@@ -298,6 +244,8 @@ func (s *Scaler) Warm(modelName string) int {
 }
 
 // Live returns the total number of live containers on the node.
+//
+//lint:ignore deadcode TestLiveCountsAcrossModels and TestImmediateModeAlwaysColdStarts count containers with it
 func (s *Scaler) Live() int {
 	s.Sweep()
 	return s.spawned

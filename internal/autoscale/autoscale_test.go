@@ -193,67 +193,6 @@ func TestLiveCountsAcrossModels(t *testing.T) {
 	}
 }
 
-func TestUsageMetersBusySeconds(t *testing.T) {
-	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4, KeepAlive: 600})
-	if _, err := sc.Acquire("resnet"); err != nil {
-		t.Fatal(err)
-	}
-	s.MustAfter(30, func() {
-		_ = sc.Release("resnet")
-	})
-	s.MustAfter(50, func() {
-		if _, err := sc.Acquire("bert"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	s.MustAfter(60, func() {
-		// resnet settled at 30 busy-seconds; bert in flight for 10 so far.
-		u := sc.Usage()
-		if len(u) != 2 {
-			t.Fatalf("Usage len = %d, want 2", len(u))
-		}
-		if u[0].Model != "bert" || u[1].Model != "resnet" {
-			t.Fatalf("Usage order = %q,%q, want bert,resnet", u[0].Model, u[1].Model)
-		}
-		if got := u[0].BusySeconds; got != 10 {
-			t.Errorf("bert busy = %v, want 10 (in-flight accrual)", got)
-		}
-		if got := u[1].BusySeconds; got != 30 {
-			t.Errorf("resnet busy = %v, want 30", got)
-		}
-	})
-	s.MustAfter(70, func() {
-		_ = sc.Release("bert")
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	u := sc.Usage()
-	if got := u[0].BusySeconds; got != 20 {
-		t.Errorf("bert busy = %v, want 20 after release", got)
-	}
-}
-
-func TestAbortSettlesBusySeconds(t *testing.T) {
-	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4})
-	if _, err := sc.Acquire("m"); err != nil {
-		t.Fatal(err)
-	}
-	s.MustAfter(15, func() {
-		if err := sc.Abort("m"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sc.Usage()[0].BusySeconds; got != 15 {
-		t.Errorf("busy = %v, want 15 (abort settles the interval)", got)
-	}
-}
-
 func TestCostPressureSweepReclaimsIdleImmediately(t *testing.T) {
 	s := sim.New(1)
 	sc := newScaler(t, s, Config{ColdStart: 4, KeepAlive: 600})
@@ -269,8 +208,8 @@ func TestCostPressureSweepReclaimsIdleImmediately(t *testing.T) {
 		t.Fatalf("Warm = %d, want 1 after normal sweep", sc.Warm("m"))
 	}
 	sc.SetCostPressure(true)
-	if !sc.CostPressure() {
-		t.Fatal("CostPressure not set")
+	if !sc.costPressure {
+		t.Fatal("cost pressure not set")
 	}
 	sc.Sweep()
 	if sc.Warm("m") != 0 {

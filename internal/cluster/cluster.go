@@ -341,9 +341,6 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Recorder exposes the metrics recorder.
-func (c *Cluster) Recorder() *metrics.Recorder { return c.recorder }
-
 // PoolStats aggregates freelist hit/miss counters across the batcher
 // (batch and partial-batch shells) and every node's job list. The
 // counts are deterministic for a seed at any shard count. Call from
@@ -355,9 +352,6 @@ func (c *Cluster) PoolStats() pool.Stats {
 	}
 	return st
 }
-
-// Submit feeds one request into the gateway.
-func (c *Cluster) Submit(req trace.Request) error { return c.batcher.Add(req) }
 
 // Result summarizes a completed run.
 type Result struct {

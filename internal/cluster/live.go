@@ -105,9 +105,6 @@ func (c *Cluster) AdvanceTo(t float64) error {
 	return c.sim.RunUntil(t)
 }
 
-// Now returns the cluster's current virtual time.
-func (c *Cluster) Now() float64 { return c.sim.Now() }
-
 // Drain freezes a live cluster — no more ingest — drains all in-flight
 // work, and returns the final Result. The session cannot be restarted.
 func (c *Cluster) Drain() (*Result, error) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"protean/internal/core"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/sim"
 	"protean/internal/trace"
@@ -42,7 +43,7 @@ func TestLiveDrainRecorderSketches(t *testing.T) {
 	if got, want := res.Recorder.Requests(), res.Availability.Completed; got != want || got == 0 {
 		t.Fatalf("recorder holds %d requests, %d completed", got, want)
 	}
-	if got := res.Recorder.ForTenant("acme").Requests(); got != res.Availability.Completed {
+	if got := res.Recorder.Filter(func(s metrics.Sample) bool { return s.Tenant == "acme" }).Requests(); got != res.Availability.Completed {
 		t.Fatalf("tenant view holds %d requests, want %d", got, res.Availability.Completed)
 	}
 }

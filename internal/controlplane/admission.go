@@ -45,13 +45,6 @@ var builtinClasses = []SLOClass{
 	{Name: "bronze", Strict: false, TargetMultiplier: 10, RatePerSec: 100, Burst: 200},
 }
 
-// Classes returns the built-in SLO classes.
-func Classes() []SLOClass {
-	out := make([]SLOClass, len(builtinClasses))
-	copy(out, builtinClasses)
-	return out
-}
-
 // ClassByName looks up a built-in class.
 func ClassByName(name string) (SLOClass, bool) {
 	for _, c := range builtinClasses {
@@ -274,7 +267,12 @@ type Decision struct {
 //  2. Backlog: predicted queueing delay (EWMA of observed delays plus
 //     backlog drain time by Little's law) above the tenant's latency
 //     target → strict classes are rejected ("backlog"), best-effort
-//     classes shed.
+//     classes shed. Tokens are consumed anyway: the bucket meters
+//     attempts that got past the rate limit, not admissions, so a
+//     tenant retrying into a saturated cluster is throttled by its own
+//     allowance instead of re-probing admission at full rate.
+//     TestBacklogRejectionSpendsTokens pins this, and the live decision
+//     fingerprint depends on it.
 //  3. Otherwise admit and consume tokens.
 func (p *Plane) decide(t *tenant, n int, vt float64) Decision {
 	dec := Decision{Tenant: t.cfg.ID, Requests: n, VirtualTime: vt}
@@ -293,6 +291,7 @@ func (p *Plane) decide(t *tenant, n int, vt float64) Decision {
 			dec.Outcome = OutcomeShed
 		}
 		dec.Reason = ReasonBacklog
+		// Spend the tokens even though nothing is admitted (step 2).
 		t.consumedTick += float64(n)
 		if t.class.RatePerSec > 0 {
 			t.tokens -= float64(n)

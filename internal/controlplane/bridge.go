@@ -6,14 +6,13 @@
 // {tenant registration, ingest attempt, final snapshot} with their
 // quantized virtual timestamps — admission decisions are deliberately
 // NOT recorded, because replay recomputes them and must arrive at the
-// same answers. Intermediate AdvanceTo calls (usage reads, Sync) are
+// same answers. Intermediate advances (usage reads, Sync) are
 // also not recorded: the simulation's event sequence is a pure function
 // of event timestamps, not of how RunUntil partitioned them, so they
 // are invisible to replay.
 package controlplane
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -50,19 +49,6 @@ func (p *Plane) Log() []LogEntry {
 	out := make([]LogEntry, len(p.log))
 	copy(out, p.log)
 	return out
-}
-
-// WriteLog renders the ingest log as JSON lines.
-func (p *Plane) WriteLog(w io.Writer) error {
-	entries := p.Log()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // ReadLog parses a JSON-lines ingest log.

@@ -62,7 +62,7 @@ type Options struct {
 	// WallNow supplies the wall clock in seconds for the paced bridge
 	// (injected by cmd/proteand; internal packages never read the wall
 	// clock themselves). nil runs the plane in manual mode: callers
-	// drive virtual time explicitly via IngestAt/AdvanceTo — the mode
+	// drive virtual time explicitly via IngestAt — the mode
 	// used by replay and deterministic tests.
 	WallNow func() float64
 	// Market enables the multi-provider GPU spot marketplace under the
@@ -320,16 +320,6 @@ func (p *Plane) Sync() error {
 		return nil
 	}
 	return p.advanceLocked(p.wallVT())
-}
-
-// AdvanceTo advances virtual time to vt (manual mode and tests).
-func (p *Plane) AdvanceTo(vt float64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.drained {
-		return errDrained
-	}
-	return p.advanceLocked(p.quantize(vt))
 }
 
 // ingestLocked runs the admission state machine at virtual time vt:

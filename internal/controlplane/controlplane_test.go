@@ -2,6 +2,10 @@ package controlplane
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,9 +42,7 @@ func TestPlaneServesAndMeters(t *testing.T) {
 			t.Fatalf("IngestAt: %v", err)
 		}
 	}
-	if err := p.AdvanceTo(10); err != nil {
-		t.Fatalf("AdvanceTo: %v", err)
-	}
+	advanceTo(t, p, 10)
 	u, err := p.Usage("acme")
 	if err != nil {
 		t.Fatalf("Usage: %v", err)
@@ -96,6 +98,37 @@ func TestRateLimitRejects(t *testing.T) {
 	}
 }
 
+// TestBacklogRejectionSpendsTokens pins that a backlog rejection spends
+// the tenant's rate-limit tokens just as an admission does (see decide):
+// after two backlog rejections drain a burst of 4, the third attempt is
+// refused by the rate limit although nothing was admitted.
+func TestBacklogRejectionSpendsTokens(t *testing.T) {
+	p := mustPlane(t, testOpts(1))
+	register(t, p, TenantConfig{ID: "load", Model: "ResNet 50", Class: "bronze"})
+	register(t, p, TenantConfig{ID: "tight", Model: "ResNet 50", Class: "gold",
+		TargetSeconds: 1e-6, RatePerSec: 0.001, Burst: 4})
+	// Build a backlog whose completions teach the predictor a queueing
+	// delay far above tight's target.
+	for i := 1; i <= 20; i++ {
+		if _, err := p.IngestAt(float64(i)*0.05, "load", 50); err != nil {
+			t.Fatalf("load ingest: %v", err)
+		}
+	}
+	var got []Decision
+	for i := 0; i < 3; i++ {
+		d, err := p.IngestAt(1.5, "tight", 2)
+		if err != nil {
+			t.Fatalf("tight ingest: %v", err)
+		}
+		got = append(got, d)
+	}
+	for i, want := range []string{ReasonBacklog, ReasonBacklog, ReasonRateLimit} {
+		if got[i].Outcome != OutcomeReject || got[i].Reason != want {
+			t.Fatalf("attempt %d: %+v, want a %s rejection", i+1, got[i], want)
+		}
+	}
+}
+
 func TestScaleToZeroAndWake(t *testing.T) {
 	p := mustPlane(t, testOpts(1))
 	register(t, p, TenantConfig{ID: "idler", Model: "BERT", Class: "silver", KeepWarmSeconds: 2})
@@ -104,9 +137,7 @@ func TestScaleToZeroAndWake(t *testing.T) {
 		t.Fatalf("ingest: %v", err)
 	}
 	// Idle far past the keep-warm window.
-	if err := p.AdvanceTo(20); err != nil {
-		t.Fatalf("AdvanceTo: %v", err)
-	}
+	advanceTo(t, p, 20)
 	u, err := p.Usage("idler")
 	if err != nil {
 		t.Fatalf("Usage: %v", err)
@@ -178,19 +209,50 @@ func scriptedRun(t *testing.T, opts Options, withSyncs bool) *Plane {
 			}
 		}
 	}
-	if err := p.AdvanceTo(16); err != nil {
-		t.Fatalf("AdvanceTo: %v", err)
-	}
+	advanceTo(t, p, 16)
 	return p
 }
 
+// rollups renders a fixed-format, byte-stable usage rollup for every
+// tenant plus the plane-wide decision fingerprint: the artifact the
+// determinism tests compare across shard counts and replays.
 func rollups(t *testing.T, p *Plane) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := p.RenderRollups(&buf); err != nil {
-		t.Fatalf("RenderRollups: %v", err)
+	usages, err := p.UsageAll()
+	if err != nil {
+		t.Fatalf("UsageAll: %v", err)
 	}
-	return buf.String()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	count, hash := p.DecisionFingerprint()
+	var b strings.Builder
+	fmt.Fprintf(&b, "decisions=%d fingerprint=%016x\n", count, hash)
+	for _, u := range usages {
+		fmt.Fprintf(&b, "tenant=%s class=%s model=%s admitted=%d shed=%d rejected=%d completed=%d dropped=%d violations=%d suspends=%d resumes=%d",
+			u.Tenant, u.Class, u.Model, u.Admitted, u.Shed, u.Rejected, u.Completed, u.Dropped, u.SLOViolations, u.Suspends, u.Resumes)
+		fmt.Fprintf(&b, " attainment=%s p50=%s p99=%s gpuSeconds=%s cost=%s",
+			g(u.SLOAttainment), g(u.P50Millis), g(u.P99Millis), g(u.GPUSeconds), g(u.CostDollars))
+		profs := make([]string, 0, len(u.SliceSecondsByProfile))
+		for prof := range u.SliceSecondsByProfile {
+			profs = append(profs, prof)
+		}
+		sort.Strings(profs)
+		for _, prof := range profs {
+			fmt.Fprintf(&b, " slice[%s]=%s", prof, g(u.SliceSecondsByProfile[prof]))
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// advanceTo moves the plane's virtual clock to vt, as a manual-mode
+// client would between ingests.
+func advanceTo(t *testing.T, p *Plane, vt float64) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.advanceLocked(p.quantize(vt)); err != nil {
+		t.Fatalf("advance to %v: %v", vt, err)
+	}
 }
 
 // TestReplayDeterminismAcrossShards is the control plane's determinism
@@ -233,9 +295,7 @@ func TestRegistryWiring(t *testing.T) {
 	if _, err := p.IngestAt(0.1, "m", 4); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
-	if err := p.AdvanceTo(5); err != nil {
-		t.Fatalf("AdvanceTo: %v", err)
-	}
+	advanceTo(t, p, 5)
 	if _, err := p.Usage("m"); err != nil {
 		t.Fatalf("Usage: %v", err)
 	}
@@ -262,8 +322,11 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("ingest: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := p.WriteLog(&buf); err != nil {
-		t.Fatalf("WriteLog: %v", err)
+	enc := json.NewEncoder(&buf)
+	for _, e := range p.Log() {
+		if err := enc.Encode(e); err != nil {
+			t.Fatalf("encode log: %v", err)
+		}
 	}
 	entries, err := ReadLog(&buf)
 	if err != nil {
@@ -298,9 +361,7 @@ func TestMarketPlaneServesAndRollsUp(t *testing.T) {
 			t.Fatalf("IngestAt: %v", err)
 		}
 	}
-	if err := p.AdvanceTo(60); err != nil {
-		t.Fatalf("AdvanceTo: %v", err)
-	}
+	advanceTo(t, p, 60)
 	sum, err := p.Drain()
 	if err != nil {
 		t.Fatalf("Drain: %v", err)

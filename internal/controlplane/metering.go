@@ -4,12 +4,7 @@
 package controlplane
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"math"
-	"sort"
-	"strconv"
 
 	"protean/internal/gpu"
 	"protean/internal/obs"
@@ -171,43 +166,6 @@ func (p *Plane) usageLocked(t *tenant) Usage {
 	}
 	u.RecentWindows = append(u.RecentWindows, t.windows[lo:n]...)
 	return u
-}
-
-// RenderRollups writes a fixed-format, byte-stable usage rollup for
-// every tenant plus the plane-wide decision fingerprint — the artifact
-// the determinism tests compare across shard counts and replays.
-func (p *Plane) RenderRollups(w io.Writer) error {
-	usages, err := p.UsageAll()
-	if err != nil {
-		return err
-	}
-	count, hash := p.DecisionFingerprint()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "decisions=%d fingerprint=%016x\n", count, hash)
-	for _, u := range usages {
-		fmt.Fprintf(bw, "tenant=%s class=%s model=%s admitted=%d shed=%d rejected=%d completed=%d dropped=%d violations=%d suspends=%d resumes=%d",
-			u.Tenant, u.Class, u.Model, u.Admitted, u.Shed, u.Rejected, u.Completed, u.Dropped, u.SLOViolations, u.Suspends, u.Resumes)
-		fmt.Fprintf(bw, " attainment=%s p50=%s p99=%s gpuSeconds=%s cost=%s",
-			g(u.SLOAttainment), g(u.P50Millis), g(u.P99Millis), g(u.GPUSeconds), g(u.CostDollars))
-		profs := make([]string, 0, len(u.SliceSecondsByProfile))
-		for prof := range u.SliceSecondsByProfile {
-			profs = append(profs, prof)
-		}
-		sort.Strings(profs)
-		for _, prof := range profs {
-			fmt.Fprintf(bw, " slice[%s]=%s", prof, g(u.SliceSecondsByProfile[prof]))
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
-}
-
-// g formats a float with shortest round-trip precision.
-func g(v float64) string {
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // meter owns the plane's Prometheus series (nil registry: all no-ops).

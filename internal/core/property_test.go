@@ -141,7 +141,7 @@ func TestPropertyBEPackingFewestSmallest(t *testing.T) {
 				break
 			}
 			sl := slices[int(raw)%len(slices)]
-			if sl.UsedMemGB()+m.MemGB(sl.Prof) > sl.Prof.MemGB {
+			if m.MemGB(sl.Prof) > sl.AvailableMemGB() {
 				continue
 			}
 			if err := sl.Submit(&gpu.Job{W: m}); err != nil {

@@ -11,6 +11,8 @@ import (
 
 // AblationResult summarizes a with/without comparison of one PROTEAN
 // design choice.
+//
+//lint:ignore deadcode the result of the Ablation* entry points, which TestAblationsRun and the root bench_test.go benchmarks run
 type AblationResult struct {
 	// Name labels the design choice.
 	Name string
@@ -44,6 +46,8 @@ const (
 
 // runAblation runs the with/without pair on the workload that exposes
 // kind; with and without carry only the policy and scaler under test.
+//
+//lint:ignore deadcode the shared body of the Ablation* entry points, which TestAblationsRun and the root bench_test.go benchmarks run
 func runAblation(p Params, kind ablationKind, name string, with, without Scenario) (AblationResult, error) {
 	p = p.withDefaults()
 	scs := []Scenario{with, without}
@@ -77,6 +81,8 @@ func runAblation(p Params, kind ablationKind, name string, with, without Scenari
 
 // AblationReordering compares PROTEAN with and without strict-first
 // request reordering (§4.1).
+//
+//lint:ignore deadcode reached from TestAblationsRun and BenchmarkAblationReordering in bench_test.go
 func AblationReordering(p Params) (AblationResult, error) {
 	return runAblation(p, ablationBursty, "request reordering",
 		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
@@ -85,6 +91,8 @@ func AblationReordering(p Params) (AblationResult, error) {
 
 // AblationReconfig compares dynamic Algorithm 2 reconfiguration against
 // a pinned (4g, 3g) geometry.
+//
+//lint:ignore deadcode reached from TestAblationsRun and BenchmarkAblationReconfig in bench_test.go
 func AblationReconfig(p Params) (AblationResult, error) {
 	return runAblation(p, ablationShifting, "dynamic reconfiguration",
 		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
@@ -93,6 +101,8 @@ func AblationReconfig(p Params) (AblationResult, error) {
 
 // AblationPlacement compares slowdown-factor (η) strict placement
 // against always-largest-slice placement.
+//
+//lint:ignore deadcode reached from TestAblationPlacementHelps and BenchmarkAblationPlacement in bench_test.go
 func AblationPlacement(p Params) (AblationResult, error) {
 	return runAblation(p, ablationSteady, "slowdown-aware placement",
 		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
@@ -101,6 +111,8 @@ func AblationPlacement(p Params) (AblationResult, error) {
 
 // AblationKeepAlive compares delayed container termination (§4.2)
 // against immediate scale-down.
+//
+//lint:ignore deadcode reached from TestAblationKeepAliveHelps and BenchmarkAblationKeepAlive in bench_test.go
 func AblationKeepAlive(p Params) (AblationResult, error) {
 	return runAblation(p, ablationSteady, "delayed termination",
 		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
@@ -109,6 +121,8 @@ func AblationKeepAlive(p Params) (AblationResult, error) {
 
 // AblationPredictor compares the EWMA BE-load predictor against a
 // last-value predictor (alpha = 1).
+//
+//lint:ignore deadcode reached from TestAblationsRun and BenchmarkAblationPredictor in bench_test.go
 func AblationPredictor(p Params) (AblationResult, error) {
 	return runAblation(p, ablationShifting, "EWMA prediction",
 		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -471,16 +470,6 @@ func ByID(id string) (Experiment, bool) {
 func pct(x float64) string { return fmt.Sprintf("%.2f%%", x*100) }
 
 func ms(x float64) string { return fmt.Sprintf("%.1fms", x*1000) }
-
-// sortedKeys returns map keys in sorted order for deterministic tables.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // wikiRate is the diurnal Wiki-like trace scaled to the vision mean.
 func wikiRate(duration float64) trace.RateFn {

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
 
 	"protean/internal/sim"
 )
@@ -49,13 +48,6 @@ func ArchH100() Arch {
 			{Name: "1g.10gb", Slots: 1, ComputeFrac: 1.0 / 7, MemGB: 10, CacheFrac: 1.0 / 8, MaxCount: 7},
 		},
 	}
-}
-
-// Profiles returns the architecture's MIG profiles, largest first.
-func (a Arch) Profiles() []Profile {
-	out := make([]Profile, len(a.profiles))
-	copy(out, a.profiles)
-	return out
 }
 
 // ProfileByName finds one of the architecture's profiles by exact name
@@ -110,57 +102,6 @@ func (a Arch) ValidateGeometry(g Geometry) error {
 		return fmt.Errorf("%w: %d slots exceed %d on %s", ErrInvalidGeometry, slots, a.TotalSlots, a.Name)
 	}
 	return nil
-}
-
-// Geometries enumerates every valid geometry of the architecture,
-// deduplicated by profile multiset and sorted largest-first.
-func (a Arch) Geometries() []Geometry {
-	var small []Profile
-	var full *Profile
-	for i, p := range a.profiles {
-		if p.Slots == a.TotalSlots {
-			full = &a.profiles[i]
-			continue
-		}
-		small = append(small, p)
-	}
-	seen := make(map[string]Geometry)
-	var rec func(start int, cur []Profile)
-	rec = func(start int, cur []Profile) {
-		if len(cur) > 0 {
-			g := Geometry(append([]Profile(nil), cur...))
-			g.normalize()
-			if a.ValidateGeometry(g) == nil {
-				seen[g.String()] = g
-			}
-		}
-		for i := start; i < len(small); i++ {
-			next := append(cur[:len(cur):len(cur)], small[i])
-			if Geometry(next).Slots() <= a.TotalSlots {
-				rec(i, next)
-			}
-		}
-	}
-	rec(0, nil)
-	if full != nil {
-		g := Geometry{*full}
-		seen[g.String()] = g
-	}
-	out := make([]Geometry, 0, len(seen))
-	for _, g := range seen {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Slots() != out[j].Slots() {
-			return out[i].Slots() > out[j].Slots()
-		}
-		//lint:ignore floateq MemGB values are exact Table 2 constants; the tie-break needs exact comparison
-		if out[i].MemGB() != out[j].MemGB() {
-			return out[i].MemGB() > out[j].MemGB()
-		}
-		return out[i].String() < out[j].String()
-	})
-	return out
 }
 
 // Translate maps a geometry expressed in another generation's profiles

@@ -11,8 +11,8 @@ func TestArchA100MatchesGlobals(t *testing.T) {
 	if a.TotalSlots != TotalSlots || a.TotalMemGB != TotalMemGB {
 		t.Errorf("A100 totals = %d/%v", a.TotalSlots, a.TotalMemGB)
 	}
-	if len(a.Profiles()) != 5 {
-		t.Errorf("A100 profiles = %d, want 5", len(a.Profiles()))
+	if len(a.profiles) != 5 {
+		t.Errorf("A100 profiles = %d, want 5", len(a.profiles))
 	}
 }
 
@@ -73,24 +73,6 @@ func TestArchValidateGeometry(t *testing.T) {
 	}
 }
 
-func TestArchGeometriesEnumeration(t *testing.T) {
-	for _, arch := range []Arch{ArchA100(), ArchH100()} {
-		gs := arch.Geometries()
-		if len(gs) == 0 {
-			t.Fatalf("%s: no geometries", arch.Name)
-		}
-		for _, g := range gs {
-			if err := arch.ValidateGeometry(g); err != nil {
-				t.Errorf("%s: enumerated geometry %s invalid: %v", arch.Name, g, err)
-			}
-		}
-		// Both generations share the 7-slot layout, so the counts match.
-		if got, want := len(gs), len(ValidGeometries()); got != want {
-			t.Errorf("%s: %d geometries, want %d", arch.Name, got, want)
-		}
-	}
-}
-
 func TestNewGPUWithArchH100(t *testing.T) {
 	s := sim.New(1)
 	h := ArchH100()
@@ -117,7 +99,7 @@ func TestNewGPUWithArchH100(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	if got := len(sl3.Running()); got != 2 {
+	if got := len(sl3.running); got != 2 {
 		t.Errorf("running = %d, want 2 (80 GB generation)", got)
 	}
 	if err := s.Run(); err != nil {

@@ -99,7 +99,7 @@ func BenchmarkSubmitCompleteCycle(b *testing.B) {
 		if err := s.RunUntil(j.timer.At()); err != nil {
 			b.Fatal(err)
 		}
-		if !j.Done() {
+		if !j.done {
 			b.Fatal("short job did not complete")
 		}
 	}

@@ -76,6 +76,8 @@ type Breakdown struct {
 }
 
 // Total is the end-to-end latency represented by the breakdown.
+//
+//lint:ignore deadcode the latency identity TestMPSConservationManyJobs and cluster's TestBreakdownConsistency check
 func (b Breakdown) Total() float64 {
 	return b.Queue + b.ColdStart + b.MinPossible + b.Deficiency + b.Interference
 }
@@ -204,9 +206,6 @@ func (j *Job) effComputeDemand(p Profile) float64 {
 	return math.Min(math.Min(d, j.smFrac()), 1)
 }
 
-// Done reports whether the job has completed.
-func (j *Job) Done() bool { return j.done }
-
 // Started returns the virtual time execution began (valid once running or
 // done).
 func (j *Job) Started() float64 { return j.started }
@@ -231,14 +230,6 @@ func (j *Job) Breakdown() Breakdown {
 		Deficiency:   math.Max(0, soloOnSlice-minPossible),
 		Interference: math.Max(0, (j.finished-j.started)-soloOnSlice),
 	}
-}
-
-// Latency is the end-to-end latency including cold start and queueing.
-func (j *Job) Latency() float64 {
-	if !j.done {
-		return math.NaN()
-	}
-	return j.ColdStart + (j.finished - j.Enqueued)
 }
 
 // Engine errors.
@@ -276,31 +267,11 @@ type Slice struct {
 	memIntegral  float64
 }
 
-// Index is the slice's position within its GPU's current geometry.
-func (sl *Slice) Index() int { return sl.index }
-
 // GPU returns the owning GPU.
 func (sl *Slice) GPU() *GPU { return sl.gpu }
 
-// UsedMemGB is the memory currently occupied by running jobs.
-func (sl *Slice) UsedMemGB() float64 { return sl.usedMem }
-
 // AvailableMemGB is the memory left for additional jobs.
 func (sl *Slice) AvailableMemGB() float64 { return sl.Prof.MemGB - sl.usedMem }
-
-// Running returns the jobs currently executing on the slice.
-func (sl *Slice) Running() []*Job {
-	out := make([]*Job, len(sl.running))
-	copy(out, sl.running)
-	return out
-}
-
-// Pending returns jobs admitted to the slice but not yet executing.
-func (sl *Slice) Pending() []*Job {
-	out := make([]*Job, len(sl.pending))
-	copy(out, sl.pending)
-	return out
-}
 
 // Load returns the number of running plus pending jobs.
 func (sl *Slice) Load() int { return len(sl.running) + len(sl.pending) }
@@ -309,32 +280,6 @@ func (sl *Slice) Load() int { return len(sl.running) + len(sl.pending) }
 // Placement policies skip failed slices (graceful degradation); the
 // slice reopens automatically once its repair window elapses.
 func (sl *Slice) Failed() bool { return sl.failed }
-
-// TotalFBR is the summed effective FBR of the jobs currently running on
-// the slice — the contention term of Eq. (1). Running jobs always carry
-// their cached invariants, and the sum runs left to right in start
-// order, so the result is bitwise identical to re-deriving each term.
-//
-//protean:hotpath
-func (sl *Slice) TotalFBR() float64 {
-	total := 0.0
-	for _, j := range sl.running {
-		total += j.invFBR
-	}
-	return total
-}
-
-// TotalComputeDemand is the summed SM demand (as a fraction of the
-// slice's SMs) of the jobs currently running on the slice.
-//
-//protean:hotpath
-func (sl *Slice) TotalComputeDemand() float64 {
-	total := 0.0
-	for _, j := range sl.running {
-		total += j.invDemand
-	}
-	return total
-}
 
 // EachRunning calls fn for every running job in start order, without the
 // defensive copy Running() makes. Intended for hot paths (placement
@@ -366,6 +311,7 @@ func (sl *Slice) EachPending(fn func(*Job)) {
 // slices report 1.
 //
 //protean:hotpath
+//lint:ignore deadcode TestSlowdownReportsFullPerJobMultiplier and TestHotpathAnnotationsPinned in lint/flow pin it
 func (sl *Slice) Slowdown() float64 {
 	worst := 1.0
 	for _, j := range sl.running {
@@ -375,13 +321,6 @@ func (sl *Slice) Slowdown() float64 {
 	}
 	return worst
 }
-
-// SlowdownFor is the full interference multiplier the engine applies to
-// job j while the slice occupancy stays as it is now — the per-job term
-// Slowdown takes the max of.
-//
-//protean:hotpath
-func (sl *Slice) SlowdownFor(j *Job) float64 { return sl.slowdownFor(j) }
 
 // DefaultInterferenceAmp is the cache-interference amplification factor
 // γ: a co-runner's effective bandwidth demand on a victim is
@@ -813,16 +752,6 @@ func (g *GPU) ReconfigCount() int { return g.reconfigCount }
 // and rolled back (injected reconfiguration aborts).
 func (g *GPU) ReconfigAborts() int { return g.reconfigAborts }
 
-// Busy reports whether any slice has running or pending jobs.
-func (g *GPU) Busy() bool {
-	for _, sl := range g.slices {
-		if sl.Load() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Arch returns the GPU's architecture (A100 when constructed via
 // NewGPU).
 func (g *GPU) Arch() Arch {
@@ -954,10 +883,3 @@ func (g *GPU) Utilization() (compute, mem float64) {
 	}
 	return busy / (totalSlots * elapsed), memInt / (totalMem * elapsed)
 }
-
-// DowntimeTotal is the cumulative reconfiguration downtime in seconds.
-func (g *GPU) DowntimeTotal() float64 { return g.downtimeTotal }
-
-// Tracer returns the simulation's tracer, for callers (like the core
-// placement policies) that hold a GPU but not the sim.
-func (g *GPU) Tracer() obs.Tracer { return g.sim.Tracer() }

@@ -59,7 +59,7 @@ func TestSoloJobRunsAtSoloTime(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !j.Done() {
+	if !j.done {
 		t.Fatal("job not done")
 	}
 	if !almostEqual(j.Finished(), 0.1) {
@@ -199,10 +199,10 @@ func TestMPSMemoryAdmissionQueues(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	if got := len(sl.Running()); got != 2 {
+	if got := len(sl.running); got != 2 {
 		t.Fatalf("running = %d, want 2", got)
 	}
-	if got := len(sl.Pending()); got != 1 {
+	if got := len(sl.pending); got != 1 {
 		t.Fatalf("pending = %d, want 1", got)
 	}
 	if err := s.Run(); err != nil {
@@ -308,7 +308,7 @@ func TestSMFracCapAddsDeficiencyButKeepsFBR(t *testing.T) {
 	}
 	// Capping SMs does not cap bandwidth demand (§2.2: cache and
 	// bandwidth stay shared under strategic MPS).
-	if got, want := sl.TotalFBR(), 0.8; !almostEqual(got, want) {
+	if got, want := totalFBR(sl), 0.8; !almostEqual(got, want) {
 		t.Errorf("TotalFBR = %v, want %v", got, want)
 	}
 	if err := s.Run(); err != nil {
@@ -369,8 +369,8 @@ func TestReconfigureWaitsForDrainAndDisplacesPending(t *testing.T) {
 	if g.ReconfigCount() != 1 {
 		t.Errorf("ReconfigCount = %d, want 1", g.ReconfigCount())
 	}
-	if !almostEqual(g.DowntimeTotal(), 2.0) {
-		t.Errorf("DowntimeTotal = %v, want 2.0", g.DowntimeTotal())
+	if !almostEqual(g.downtimeTotal, 2.0) {
+		t.Errorf("DowntimeTotal = %v, want 2.0", g.downtimeTotal)
 	}
 }
 
@@ -467,8 +467,8 @@ func TestLatencyIncludesColdStartAndQueue(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !almostEqual(j.Latency(), 5.0) {
-		t.Errorf("latency = %v, want 5.0 (4 cold + 1 exec)", j.Latency())
+	if !almostEqual(latency(j), 5.0) {
+		t.Errorf("latency = %v, want 5.0 (4 cold + 1 exec)", latency(j))
 	}
 	if b := j.Breakdown(); !almostEqual(b.Total(), 5.0) {
 		t.Errorf("breakdown total = %v, want 5.0", b.Total())
@@ -521,7 +521,7 @@ func TestMPSConservationManyJobs(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	for i, j := range jobs {
-		if !j.Done() {
+		if !j.done {
 			t.Fatalf("job %d never completed", i)
 		}
 		solo := j.W.SoloTime(Profile7g)
@@ -537,8 +537,8 @@ func TestMPSConservationManyJobs(t *testing.T) {
 				t.Errorf("job %d: negative %s component %v", i, name, v)
 			}
 		}
-		if math.Abs(b.Total()-j.Latency()) > 1e-6 {
-			t.Errorf("job %d: breakdown total %v != latency %v", i, b.Total(), j.Latency())
+		if math.Abs(b.Total()-latency(j)) > 1e-6 {
+			t.Errorf("job %d: breakdown total %v != latency %v", i, b.Total(), latency(j))
 		}
 	}
 }
@@ -624,13 +624,13 @@ func TestSlowdownReportsFullPerJobMultiplier(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	want := math.Max(sl.SlowdownFor(j1), sl.SlowdownFor(j2))
+	want := math.Max(sl.slowdownFor(j1), sl.slowdownFor(j2))
 	if got := sl.Slowdown(); !almostEqual(got, want) {
 		t.Errorf("Slowdown = %v, want max per-job multiplier %v", got, want)
 	}
 	// The victim sees amplified demand: 0.6 + 0.8×(1 + 4×0.9×0.8) /
 	// normalized by its own 0.6... strictly above the naive ΣFBR figure.
-	naive := math.Max(sl.TotalFBR(), 1)
+	naive := math.Max(totalFBR(sl), 1)
 	if got := sl.Slowdown(); got <= naive {
 		t.Errorf("Slowdown = %v, want > naive ΣFBR multiplier %v (amplification ignored)", got, naive)
 	}
@@ -680,7 +680,7 @@ func TestMPSAdmissionSkipsBlockedHead(t *testing.T) {
 		}
 	}
 	// ...but the two 4 GB BE jobs behind it must be running already.
-	if got := len(sl.Running()); got != 3 {
+	if got := len(sl.running); got != 3 {
 		t.Fatalf("running = %d, want 3 (occupant + both BE jobs)", got)
 	}
 	if bigStrict.running {
@@ -698,7 +698,7 @@ func TestMPSAdmissionSkipsBlockedHead(t *testing.T) {
 		t.Errorf("strict head started at %v, want 10 (right after the occupant drains)", bigStrict.Started())
 	}
 	for i, j := range []*Job{occupant, bigStrict, beA, beB} {
-		if !j.Done() {
+		if !j.done {
 			t.Errorf("job %d never completed", i)
 		}
 	}
@@ -728,13 +728,13 @@ func TestMPSAdmissionLookaheadBounded(t *testing.T) {
 	if small.running {
 		t.Fatalf("small job started past %d blocked jobs; lookahead not bounded", AdmitLookahead+1)
 	}
-	if got := len(sl.Running()); got != 1 {
+	if got := len(sl.running); got != 1 {
 		t.Fatalf("running = %d, want only the occupant", got)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !small.Done() {
+	if !small.done {
 		t.Error("small job never completed")
 	}
 }
@@ -767,4 +767,17 @@ func TestBusyFractionNonIdleTime(t *testing.T) {
 	if !almostEqual(compute, 0.25) {
 		t.Errorf("slot-weighted utilization = %v, want 0.25", compute)
 	}
+}
+
+// latency is a completed job's end-to-end latency: cold start plus the
+// time from enqueue to finish.
+func latency(j *Job) float64 { return j.ColdStart + (j.finished - j.Enqueued) }
+
+// totalFBR is the summed bandwidth demand of the jobs running on sl.
+func totalFBR(sl *Slice) float64 {
+	total := 0.0
+	for _, j := range sl.running {
+		total += j.invFBR
+	}
+	return total
 }

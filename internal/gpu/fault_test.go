@@ -56,8 +56,8 @@ func TestFailSliceKillsRunningAndDisplacesPending(t *testing.T) {
 	if !sl.Failed() {
 		t.Error("slice not marked failed")
 	}
-	if sl.UsedMemGB() != 0 || sl.Load() != 0 {
-		t.Errorf("failed slice not emptied: mem %v, load %d", sl.UsedMemGB(), sl.Load())
+	if sl.usedMem != 0 || sl.Load() != 0 {
+		t.Errorf("failed slice not emptied: mem %v, load %d", sl.usedMem, sl.Load())
 	}
 	if err := sl.Submit(&Job{W: w}); err == nil {
 		t.Error("Submit on a failed slice must be rejected")
@@ -117,7 +117,7 @@ func TestRepairSkipsSliceRetiredByReconfig(t *testing.T) {
 	// slices were born healthy and must stay untouched.
 	for _, sl := range g.Slices() {
 		if sl.Failed() {
-			t.Errorf("post-reconfig slice %d marked failed", sl.Index())
+			t.Errorf("post-reconfig slice %d marked failed", sl.index)
 		}
 	}
 	if g.ReconfigCount() != 1 {
@@ -140,8 +140,8 @@ func TestStuckReconfigStretchesDowntime(t *testing.T) {
 		t.Errorf("SampleReconfig consulted %d times, want exactly 1", faults.calls)
 	}
 	want := g.ReconfigDowntime * 5
-	if !almostEqual(g.DowntimeTotal(), want) {
-		t.Errorf("downtime = %v, want stretched %v", g.DowntimeTotal(), want)
+	if !almostEqual(g.downtimeTotal, want) {
+		t.Errorf("downtime = %v, want stretched %v", g.downtimeTotal, want)
 	}
 	if g.ReconfigCount() != 1 || g.ReconfigAborts() != 0 {
 		t.Errorf("counts = (%d, %d), want (1, 0)", g.ReconfigCount(), g.ReconfigAborts())

@@ -90,13 +90,13 @@ func TestSlowdownForMatchesReference(t *testing.T) {
 	}
 	for _, j := range sl.running {
 		//lint:ignore floateq the cached path must reproduce the reference bitwise, or seeds diverge
-		if got, want := sl.SlowdownFor(j), referenceSlowdownFor(sl, j); got != want {
+		if got, want := sl.slowdownFor(j), referenceSlowdownFor(sl, j); got != want {
 			t.Errorf("resident %s: SlowdownFor = %v, reference = %v", j.W.Name(), got, want)
 		}
 	}
 	foreign := &Job{W: &stubWorkload{name: "foreign", solo7g: 1, fbr: 0.9, mem: 1, sm: 0.6, poll: 0.5, csens: 0.5}}
 	//lint:ignore floateq same bitwise requirement for the uncached what-if path
-	if got, want := sl.SlowdownFor(foreign), referenceSlowdownFor(sl, foreign); got != want {
+	if got, want := sl.slowdownFor(foreign), referenceSlowdownFor(sl, foreign); got != want {
 		t.Errorf("foreign job: SlowdownFor = %v, reference = %v", got, want)
 	}
 }
@@ -116,8 +116,8 @@ func TestCachedMemoryBalancesToZero(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if sl.UsedMemGB() != 0 {
-		t.Errorf("UsedMemGB = %v after all jobs completed, want 0", sl.UsedMemGB())
+	if sl.usedMem != 0 {
+		t.Errorf("used memory = %v GB after all jobs completed, want 0", sl.usedMem)
 	}
 	if got := s.Pending(); got != 0 {
 		t.Errorf("Pending = %d after drain, want 0 (no stranded completion timers)", got)

@@ -128,6 +128,8 @@ func MustGeometry(profiles ...Profile) Geometry {
 
 // ParseGeometry parses a comma-separated geometry spec such as "4g,3g" or
 // "(4g, 2g, 1g)".
+//
+//lint:ignore deadcode reconfig_test.go builds its geometries with it; TestParseGeometry and TestPropertyGeometryStringRoundTrip cover it
 func ParseGeometry(spec string) (Geometry, error) {
 	spec = strings.TrimSpace(spec)
 	spec = strings.TrimPrefix(spec, "(")
@@ -188,6 +190,8 @@ func (g Geometry) Validate() error {
 }
 
 // Slots returns the total compute slots used by the geometry.
+//
+//lint:ignore deadcode reached from ValidGeometries; TestGeometryAggregates and TestPropertyEnumeratedGeometryLimits use it
 func (g Geometry) Slots() int {
 	n := 0
 	for _, p := range g {
@@ -197,6 +201,8 @@ func (g Geometry) Slots() int {
 }
 
 // MemGB returns the total memory capacity across the geometry's slices.
+//
+//lint:ignore deadcode reached from ValidGeometries; TestGeometryAggregates and core's TestPropertyTagSlicesConservesMemory use it
 func (g Geometry) MemGB() float64 {
 	m := 0.0
 	for _, p := range g {
@@ -249,8 +255,10 @@ func (g Geometry) Clone() Geometry {
 
 // ValidGeometries enumerates every valid A100 geometry (deduplicated by
 // profile multiset), sorted by descending total slots, then descending
-// total memory, then by name. Used by the Oracle scheme's exhaustive
-// search.
+// total memory, then by name. It is the Table 2 oracle that tests check
+// geometries against.
+//
+//lint:ignore deadcode Table 2 oracle for TestValidGeometriesAreAllValid and TestPropertyEnumeratedGeometryLimits in profile_test.go
 func ValidGeometries() []Geometry {
 	small := []Profile{Profile4g, Profile3g, Profile2g, Profile1g}
 	seen := make(map[string]Geometry)

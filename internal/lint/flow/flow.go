@@ -6,7 +6,7 @@
 // mutable write may cross a future shard boundary unordered.
 //
 // The suite builds one type-directed callgraph over every loaded
-// package (BuildProgram), then runs five analyzers on it:
+// package (BuildProgram), then runs six analyzers on it:
 //
 //   - rngflow: seeded *rand.Rand streams drawn from goroutine-reachable
 //     code, drawn in map-iteration order, or aliased across packages
@@ -20,6 +20,8 @@
 //     without synchronization.
 //   - poolflow: pool.Free objects used after Put or still retained in
 //     longer-lived state when Put runs.
+//   - deadcode: functions, methods, types and whole packages that no
+//     main, init or exported API of the root package reaches.
 //
 // The callgraph is CHA-lite: static call edges resolve through the type
 // checker, interface calls fan out to every module type implementing
@@ -136,11 +138,8 @@ type Program struct {
 // FuncNode returns the node for a declared function or method, or nil.
 func (p *Program) FuncNode(obj *types.Func) *Node { return p.funcs[obj] }
 
-// LitNode returns the node for a function literal, or nil.
-func (p *Program) LitNode(lit *ast.FuncLit) *Node { return p.lits[lit] }
-
 // BuildProgram constructs the callgraph over the loaded packages. It is
-// built once per lint run and shared by all four flow analyzers.
+// built once per lint run and shared by all six flow analyzers.
 func BuildProgram(pkgs []*lint.Package) *Program {
 	p := &Program{
 		Pkgs:          pkgs,
@@ -472,7 +471,7 @@ func hasHotpathDirective(doc *ast.CommentGroup) bool {
 }
 
 // Analyzers returns the flow suite as lint.ProgramAnalyzers. The
-// callgraph is built once on first use and shared by all four — the
+// callgraph is built once on first use and shared by all six — the
 // returned analyzers are therefore for a single RunProgram call, which
 // is how cmd/protean-lint uses them. The analyzer names must match
 // lint.FlowRules(); a test pins the two lists together.
@@ -485,6 +484,7 @@ func Analyzers() []*lint.ProgramAnalyzer {
 		return prog
 	}
 	return []*lint.ProgramAnalyzer{
+		deadcodeAnalyzer(get),
 		floatsumAnalyzer(get),
 		hotallocAnalyzer(get),
 		poolflowAnalyzer(get),

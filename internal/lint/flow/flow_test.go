@@ -133,8 +133,23 @@ func TestFlowRuleNamesMatch(t *testing.T) {
 // -update to regenerate after an intentional change to positions or
 // message wording.
 func TestGolden(t *testing.T) {
-	pkgs := loadFixture(t, "golden")
-	findings := lint.RunProgram(pkgs, nil, flow.Analyzers())
+	checkGolden(t, "golden", flow.Analyzers())
+}
+
+// TestDeadcodeGolden pins deadcode's full output over its fixture: the
+// seeded unreachable function, method, type and package, and nothing
+// reached through a method value, callback, library interface or
+// interface assertion.
+func TestDeadcodeGolden(t *testing.T) {
+	checkGolden(t, "deadcode", []*lint.ProgramAnalyzer{analyzerNamed(t, "deadcode")})
+}
+
+// checkGolden compares the rendered findings of analyzers over
+// testdata/<fixture> with testdata/<fixture>/golden.txt.
+func checkGolden(t *testing.T, fixture string, analyzers []*lint.ProgramAnalyzer) {
+	t.Helper()
+	pkgs := loadFixture(t, fixture)
+	findings := lint.RunProgram(pkgs, nil, analyzers)
 	var b strings.Builder
 	for _, f := range findings {
 		f.File = filepath.ToSlash(f.File)
@@ -142,7 +157,7 @@ func TestGolden(t *testing.T) {
 	}
 	got := b.String()
 
-	goldenPath := filepath.Join("testdata", "golden", "golden.txt")
+	goldenPath := filepath.Join("testdata", fixture, "golden.txt")
 	if *update {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -153,7 +168,7 @@ func TestGolden(t *testing.T) {
 		t.Fatalf("read golden file (regenerate with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("golden output drifted.\n--- got ---\n%s--- want ---\n%s(run `go test ./internal/lint/flow -run TestGolden -update` if the change is intentional)", got, want)
+		t.Errorf("golden output drifted.\n--- got ---\n%s--- want ---\n%s(run `go test ./internal/lint/flow -run %s -update` if the change is intentional)", got, want, t.Name())
 	}
 }
 
@@ -176,7 +191,7 @@ func loadRepo(t *testing.T) []*lint.Package {
 }
 
 // TestRepoIsFlowClean is the acceptance gate for this suite: the whole
-// module, under all per-package rules plus all four callgraph analyzers,
+// module, under all per-package rules plus all six callgraph analyzers,
 // reports nothing — every live finding is either fixed or carries a
 // reasoned suppression, and no suppression is stale.
 func TestRepoIsFlowClean(t *testing.T) {

@@ -8,10 +8,11 @@
 // Two analyzer shapes exist. Per-package Analyzers walk one type-checked
 // package at a time (the PR 1 rules: walltime, globalrand, maporder,
 // floateq, errignore, hotcopy). ProgramAnalyzers see every package of
-// the module at once and reason over the callgraph — RNG dataflow,
-// float-reduction ordering, hot-path allocations, shared mutable state;
-// they live in the lint/flow subpackage and are wired in by
-// cmd/protean-lint via RunProgram.
+// the module at once and reason over the callgraph — the six flow rules
+// cover RNG dataflow, float-reduction ordering, hot-path allocations,
+// shared mutable state, freelist ownership and dead code; they live in
+// the lint/flow subpackage and are wired in by cmd/protean-lint via
+// RunProgram.
 //
 // The framework is stdlib-only (go/ast, go/parser, go/types, go/token):
 // packages are parsed and type-checked from source, analyzers walk the
@@ -58,10 +59,13 @@ type Package struct {
 	// Internal reports whether the package sits under internal/ and is
 	// therefore subject to the simulation-only rules (walltime, floateq).
 	Internal bool
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Info     *types.Info
-	Types    *types.Package
+	// Root reports whether this is the module's root package, whose
+	// import path is the module path itself.
+	Root  bool
+	Fset  *token.FileSet
+	Files []*ast.File
+	Info  *types.Info
+	Types *types.Package
 	// TypeErrors holds the type-checker diagnostics collected while
 	// loading the package. The linter keeps analyzing a package that
 	// fails to type-check (go build is the compile gate), but the errors
@@ -88,6 +92,11 @@ type ProgramAnalyzer struct {
 	Name string
 	Doc  string
 	Run  func(pkgs []*Package, report func(pos token.Pos, format string, args ...any))
+	// Applies, when set, reports whether the analyzer can judge this
+	// package set at all (deadcode needs its reachability roots). An
+	// analyzer that does not apply is skipped like a disabled one, so
+	// its suppressions are not reported as stale.
+	Applies func(pkgs []*Package) bool
 }
 
 // Analyzers returns the full ordered per-package rule set.
@@ -108,19 +117,12 @@ func Analyzers() []*Analyzer {
 // that load only the per-package analyzers (lint cannot import flow:
 // flow imports lint). flow's tests assert the two lists stay in sync.
 func FlowRules() []string {
-	return []string{"floatsum", "hotalloc", "poolflow", "rngflow", "sharedstate"}
+	return []string{"deadcode", "floatsum", "hotalloc", "poolflow", "rngflow", "sharedstate"}
 }
 
 // pseudoRules are rule names the framework itself reports under; they
 // are legal in //lint:ignore directives like any analyzer name.
 var pseudoRules = []string{"directive", "typecheck"}
-
-// Run executes the given per-package analyzers over the packages and
-// returns the surviving (unsuppressed) findings. It is RunProgram with
-// no program analyzers.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return RunProgram(pkgs, analyzers, nil)
-}
 
 // RunProgram executes the per-package analyzers and the whole-program
 // analyzers over the packages and returns the surviving (unsuppressed)
@@ -185,6 +187,9 @@ func RunProgram(pkgs []*Package, analyzers []*Analyzer, programs []*ProgramAnaly
 	}
 	if len(pkgs) > 0 {
 		for _, pa := range programs {
+			if pa.Applies != nil && !pa.Applies(pkgs) {
+				continue
+			}
 			enabled[pa.Name] = true
 			// Program analyzers report positions from the shared FileSet;
 			// attribute through the first package for position resolution.

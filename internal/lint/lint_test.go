@@ -51,7 +51,7 @@ func runFixture(t *testing.T, rule, ipath string, analyzer *Analyzer) []Finding 
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}
-	return Run([]*Package{pkg}, []*Analyzer{analyzer})
+	return RunProgram([]*Package{pkg}, []*Analyzer{analyzer}, nil)
 }
 
 func checkFixture(t *testing.T, rule, ipath string, analyzer *Analyzer) {
@@ -118,7 +118,7 @@ func TestFloateqProbabilityOutsideInternal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{FloateqAnalyzer()})
+	findings := RunProgram([]*Package{pkg}, []*Analyzer{FloateqAnalyzer()}, nil)
 	got := map[string]bool{}
 	for _, f := range findings {
 		if f.Rule != "floateq" {
@@ -193,7 +193,7 @@ func TestFindingOrder(t *testing.T) {
 			report(p.Files[0].Pos(), "from %s", name)
 		}}
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{mk("zzz"), mk("aaa")})
+	findings := RunProgram([]*Package{pkg}, []*Analyzer{mk("zzz"), mk("aaa")}, nil)
 	var rules []string
 	for _, f := range findings {
 		if f.Rule == "aaa" || f.Rule == "zzz" {
@@ -220,7 +220,7 @@ func TestUnknownRuleDirective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, []*Analyzer{MaporderAnalyzer()})
+	findings := RunProgram([]*Package{pkg}, []*Analyzer{MaporderAnalyzer()}, nil)
 	var unknown, stale int
 	for _, f := range findings {
 		if f.Rule != "directive" {
@@ -254,10 +254,38 @@ func TestStaleCheckRespectsEnabledSet(t *testing.T) {
 	}
 	// walltime is a real analyzer but not enabled here: its (unused)
 	// suppression in the fixture must not be reported.
-	findings := Run([]*Package{pkg}, []*Analyzer{FloateqAnalyzer()})
+	findings := RunProgram([]*Package{pkg}, []*Analyzer{FloateqAnalyzer()}, nil)
 	for _, f := range findings {
 		if strings.Contains(f.Msg, "walltime") {
 			t.Errorf("suppression for disabled rule reported: %s", f)
+		}
+	}
+}
+
+// TestStaleCheckSkipsInapplicableProgramAnalyzer: a program analyzer
+// whose Applies rejects the package set does not run, so its
+// suppressions are not stale; once it applies, an unused one is.
+func TestStaleCheckSkipsInapplicableProgramAnalyzer(t *testing.T) {
+	dir := filepath.Join("testdata", "staledir")
+	l := fixtureLoader(dir)
+	pkg, err := l.LoadDir(dir, "fixturemod/staledir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, applies := range []bool{false, true} {
+		pa := &ProgramAnalyzer{
+			Name:    "walltime",
+			Run:     func([]*Package, func(token.Pos, string, ...any)) {},
+			Applies: func([]*Package) bool { return applies },
+		}
+		stale := 0
+		for _, f := range RunProgram([]*Package{pkg}, nil, []*ProgramAnalyzer{pa}) {
+			if strings.Contains(f.Msg, "stale") && strings.Contains(f.Msg, "walltime") {
+				stale++
+			}
+		}
+		if want := map[bool]int{false: 0, true: 1}[applies]; stale != want {
+			t.Errorf("applies=%v: %d stale walltime suppressions, want %d", applies, stale, want)
 		}
 	}
 }
@@ -316,7 +344,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if !sort.StringsAreSorted(paths) {
 		t.Errorf("packages not sorted: %v", paths)
 	}
-	findings := Run(pkgs, Analyzers())
+	findings := RunProgram(pkgs, Analyzers(), nil)
 	for _, f := range findings {
 		t.Errorf("repo not lint-clean: %s", f)
 	}

@@ -57,6 +57,8 @@ func NewLoader(root string) (*Loader, error) {
 // "fixturemod". Fixtures may only import the standard library and each
 // other. Analyzer tests — including the callgraph fixtures in
 // lint/flow — load their testdata trees through this.
+//
+//lint:ignore deadcode the fixture loader of the lint and lint/flow tests (TestFixtures, TestGolden)
 func NewFixtureLoader(dir string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
@@ -227,6 +229,7 @@ func (l *Loader) LoadDir(dir, ipath string) (*Package, error) {
 	return &Package{
 		Path:       ipath,
 		Internal:   isInternalPath(ipath),
+		Root:       ipath == l.module,
 		Fset:       l.Fset,
 		Files:      files,
 		Info:       info,

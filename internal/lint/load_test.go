@@ -72,7 +72,7 @@ func TestLoaderSurfacesTypeErrors(t *testing.T) {
 	if len(pkg.TypeErrors) == 0 {
 		t.Fatal("expected TypeErrors for the broken package")
 	}
-	findings := Run([]*Package{pkg}, nil)
+	findings := RunProgram([]*Package{pkg}, nil, nil)
 	got := 0
 	for _, f := range findings {
 		if f.Rule == "typecheck" {

@@ -78,10 +78,6 @@ func (l *Lease) billing() bool {
 	return l.State == StateReady || l.State == StateBound
 }
 
-// Dollars returns the lease's settled spending (call after Release or
-// orphaning for the exact total).
-func (l *Lease) Dollars() float64 { return l.accrued }
-
 // ErrNoCapacity is returned when a provider's spot inventory is
 // exhausted.
 var ErrNoCapacity = errors.New("market: no spot capacity")
@@ -237,17 +233,6 @@ func (m *Market) sweepOrphans() {
 			m.orphan(l, "heartbeat-lost")
 		}
 	}
-}
-
-// LiveLeases returns every pending/ready/bound lease in ID order.
-func (m *Market) LiveLeases() []*Lease {
-	var out []*Lease
-	for _, l := range m.leases {
-		if l.State == StatePending || l.billing() {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // SpendRate returns the current $/hour commitment across all leases

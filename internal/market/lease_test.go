@@ -77,8 +77,8 @@ func TestBindTimeoutOrphansAndBillsReadyToReclaim(t *testing.T) {
 	}
 	// Billed exactly ready → reclaim: 30 s of alpha on-demand.
 	want := 30.0 / 3600 * 32
-	if math.Abs(l.Dollars()-want) > 1e-12 {
-		t.Errorf("orphan dollars = %v, want %v", l.Dollars(), want)
+	if math.Abs(l.accrued-want) > 1e-12 {
+		t.Errorf("orphan dollars = %v, want %v", l.accrued, want)
 	}
 	if m.Stats().Orphans != 1 {
 		t.Errorf("orphans = %d, want 1", m.Stats().Orphans)
@@ -164,8 +164,8 @@ func TestReleaseWhilePendingCancelsUnbilled(t *testing.T) {
 	if bound {
 		t.Error("onReady ran for a cancelled lease")
 	}
-	if l.State != StateReleased || l.Dollars() != 0 {
-		t.Errorf("cancelled lease: state %s, dollars %v", l.State, l.Dollars())
+	if l.State != StateReleased || l.accrued != 0 {
+		t.Errorf("cancelled lease: state %s, dollars %v", l.State, l.accrued)
 	}
 	if m.providers[0].free != 4 {
 		t.Errorf("inventory = %d, want 4", m.providers[0].free)

@@ -334,9 +334,6 @@ func (m *Market) Providers() int { return len(m.providers) }
 // ProviderConfig returns provider i's configuration.
 func (m *Market) ProviderConfig(i int) ProviderConfig { return m.providers[i].cfg }
 
-// SpotPrice returns provider i's current spot $/hour.
-func (m *Market) SpotPrice(i int) float64 { return m.providers[i].spot }
-
 // tick advances every provider's spot price process by one interval,
 // in catalog order. Active leases of a provider are checkpointed at
 // the old price before the new one takes effect, so the cost meter is
@@ -445,16 +442,6 @@ func (m *Market) charge(consumer string, dollars float64) {
 	m.checkBudget(consumer)
 }
 
-// Spend records externally metered spending for a consumer (e.g. the
-// control plane billing tenants at market rates), feeding the same
-// ledger and budget alerts as lease billing.
-func (m *Market) Spend(consumer string, dollars float64) {
-	if dollars <= 0 {
-		return
-	}
-	m.charge(consumer, dollars)
-}
-
 // budgetStages are the alert thresholds as fractions of Config.Budget.
 var budgetStages = [...]float64{0.5, 0.9, 1.0}
 
@@ -510,17 +497,6 @@ func (m *Market) CheapestOnDemandHourly() float64 {
 	return best
 }
 
-// CheapestSpotHourly returns the lowest current spot price.
-func (m *Market) CheapestSpotHourly() float64 {
-	best := m.providers[0].spot
-	for _, p := range m.providers[1:] {
-		if p.spot < best {
-			best = p.spot
-		}
-	}
-	return best
-}
-
 // ConsumerCost is one consumer's settled spending.
 type ConsumerCost struct {
 	Consumer string  `json:"consumer"`
@@ -539,6 +515,8 @@ func (m *Market) ConsumerCosts() []ConsumerCost {
 }
 
 // Stats returns marketplace activity counters.
+//
+//lint:ignore deadcode lease counters that TestTwoPhaseLifecycle and vm's TestMarketFleetRevokesAndReplaces check
 func (m *Market) Stats() Stats { return m.stats }
 
 // PriceStats is a provider's deterministic price-path summary.

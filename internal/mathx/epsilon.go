@@ -13,6 +13,8 @@ const DefaultTolerance = 1e-9
 // at: exact float equality in scheduling or SLO accounting is a latent
 // nondeterminism once values come out of arithmetic rather than
 // literals.
+//
+//lint:ignore deadcode the helper the floateq analyzer recommends; TestAlmostEqual covers it
 func AlmostEqual(a, b float64) bool {
 	return AlmostEqualTol(a, b, DefaultTolerance)
 }
@@ -21,6 +23,8 @@ func AlmostEqual(a, b float64) bool {
 // absolute comparison near zero sliding into a relative one for large
 // magnitudes. NaN compares unequal to everything; infinities are equal
 // only to themselves.
+//
+//lint:ignore deadcode the helper the floateq analyzer recommends; TestAlmostEqualTolWidens covers it
 func AlmostEqualTol(a, b, tol float64) bool {
 	//lint:ignore floateq the exact fast path makes infinities and literal copies compare equal before any arithmetic
 	if a == b {

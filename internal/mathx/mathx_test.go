@@ -215,20 +215,6 @@ func TestStudentTSF(t *testing.T) {
 	}
 }
 
-func TestNormCDF(t *testing.T) {
-	tests := []struct{ z, want float64 }{
-		{0, 0.5},
-		{1.959964, 0.975},
-		{-1.959964, 0.025},
-		{3, 0.99865},
-	}
-	for _, tt := range tests {
-		if got := NormCDF(tt.z); math.Abs(got-tt.want) > 1e-4 {
-			t.Errorf("NormCDF(%v) = %v, want %v", tt.z, got, tt.want)
-		}
-	}
-}
-
 // Property: RegIncBeta is a CDF — monotone in x and bounded to [0,1].
 func TestPropertyRegIncBetaMonotone(t *testing.T) {
 	f := func(aRaw, bRaw uint8) bool {

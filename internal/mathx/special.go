@@ -79,6 +79,8 @@ func betaCF(a, b, x float64) float64 {
 
 // StudentTCDF returns P(T <= t) for Student's t distribution with nu
 // degrees of freedom.
+//
+//lint:ignore deadcode reference for the Welch p-value in metrics' TestWelchTSmallPValuesResolvable
 func StudentTCDF(t, nu float64) float64 {
 	if nu <= 0 {
 		return math.NaN()
@@ -109,9 +111,4 @@ func StudentTSF(t, nu float64) float64 {
 		return tail
 	}
 	return 1 - tail
-}
-
-// NormCDF is the standard normal CDF.
-func NormCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }

@@ -1,6 +1,6 @@
 // Package metrics collects per-request latency observations and computes
 // everything the paper's evaluation reports: SLO compliance, weighted
-// latency percentiles and CDFs, tail-latency breakdowns (Figures 2, 6,
+// latency percentiles, tail-latency breakdowns (Figures 2, 6,
 // 11), throughput, and the statistical significance measures of §7
 // (Welch's t-test, Cohen's d, confidence intervals).
 //
@@ -143,7 +143,7 @@ type latKey struct {
 // and recorders that share chunks (a parent and its views, a merge
 // source and its destination) must not be used concurrently either.
 //
-// Filter and its derivatives (Strict, BestEffort, ForModel, ForTenant)
+// Filter and its derivatives (Strict, BestEffort, ForModel)
 // return view recorders: clipped references to the parent's chunks plus
 // one handle slice, never a sample copy. Views are snapshots. Rows are
 // never modified once written, and a view cannot reach past the lengths
@@ -258,6 +258,8 @@ func NewSketchRecorder() *Recorder {
 }
 
 // Sketching reports whether the recorder is in sketch mode.
+//
+//lint:ignore deadcode cluster's TestLiveDrainRecorderSketches checks a live drain returns a sketch
 func (r *Recorder) Sketching() bool { return r.sk != nil }
 
 // materialize gives a view a store of its own (exact mode only),
@@ -562,42 +564,6 @@ func (r *Recorder) ForModel(name string) *Recorder {
 	return r.Filter(func(s Sample) bool { return s.Model == name })
 }
 
-// ForTenant returns samples belonging to one tenant (live control-plane
-// traffic tags every sample with its tenant id).
-func (r *Recorder) ForTenant(id string) *Recorder {
-	return r.Filter(func(s Sample) bool { return s.Tenant == id })
-}
-
-// Attainment returns the weighted fraction of samples with a latency
-// target (SLO > 0) that met it, across both request classes — the
-// per-tenant serving metric of the live control plane, where best-effort
-// tenants carry soft targets too. It returns NaN when no sample has a
-// target.
-func (r *Recorder) Attainment() float64 {
-	total, met := 0, 0
-	if r.sk != nil {
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			total += a.attTotal
-			met += a.attMet
-		}
-	} else {
-		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
-			if s.SLO <= 0 {
-				return
-			}
-			total += s.Weight
-			if s.Latency <= s.SLO {
-				met += s.Weight
-			}
-		})
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(met) / float64(total)
-}
-
 // SLOCompliance returns the weighted fraction of strict samples meeting
 // their SLO. It returns NaN when there are no strict samples.
 func (r *Recorder) SLOCompliance() float64 {
@@ -751,28 +717,6 @@ func (r *Recorder) BreakdownAtPercentile(p float64) gpu.Breakdown {
 		return gpu.Breakdown{}
 	}
 	return s.Breakdown
-}
-
-// CDFPoint is one point of an empirical latency CDF.
-type CDFPoint struct {
-	// Latency in seconds.
-	Latency float64
-	// Fraction of requests with latency <= Latency.
-	Fraction float64
-}
-
-// CDF returns the empirical weighted CDF sampled at up to points evenly
-// spaced quantiles.
-func (r *Recorder) CDF(points int) []CDFPoint {
-	if points <= 0 || r.Len() == 0 {
-		return nil
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		q := float64(i) / float64(points) * 100
-		out = append(out, CDFPoint{Latency: r.Percentile(q), Fraction: q / 100})
-	}
-	return out
 }
 
 // Latencies returns the raw latency list, one value per sample. Used by

@@ -98,32 +98,6 @@ func TestFiltersAndMerge(t *testing.T) {
 	}
 }
 
-func TestCDFMonotone(t *testing.T) {
-	var r Recorder
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		add(&r, true, rng.ExpFloat64(), 1, 1+rng.Intn(5))
-	}
-	cdf := r.CDF(100)
-	if len(cdf) != 100 {
-		t.Fatalf("CDF points = %d, want 100", len(cdf))
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Latency < cdf[i-1].Latency {
-			t.Fatal("CDF latencies not monotone")
-		}
-		if cdf[i].Fraction <= cdf[i-1].Fraction {
-			t.Fatal("CDF fractions not monotone")
-		}
-	}
-	if cdf[len(cdf)-1].Fraction != 1.0 {
-		t.Errorf("CDF ends at fraction %v, want 1.0", cdf[len(cdf)-1].Fraction)
-	}
-	if r.CDF(0) != nil {
-		t.Error("CDF(0) should be nil")
-	}
-}
-
 func TestBreakdownAtPercentile(t *testing.T) {
 	var r Recorder
 	r.Add(Sample{Strict: true, Latency: 1, Weight: 1, Breakdown: gpu.Breakdown{MinPossible: 1}})

@@ -43,15 +43,6 @@ func (p *DelayPredictor) Observe(queueDelay, execSeconds float64) {
 	p.exec.Observe(execSeconds)
 }
 
-// Observed reports whether at least one completion has been folded in.
-// Before any observation Predict returns only the backlog-free floor
-// (zero), so admission controllers typically admit optimistically until
-// the first completions arrive.
-func (p *DelayPredictor) Observed() bool {
-	_, err := p.queue.Predict()
-	return err == nil
-}
-
 // Predict estimates the queueing delay of the next admitted request:
 // the EWMA of recently observed queueing delay plus the backlog drained
 // at the observed per-request service rate across servers (Little's

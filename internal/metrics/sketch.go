@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/binary"
 	"math"
 	"sort"
 )
@@ -24,9 +23,8 @@ var (
 // Sketch is a deterministic O(1)-memory quantile sketch over positive
 // values (a DDSketch-style fixed-compression log-bucket histogram).
 // Weighted values land in integer-count buckets, so Add order never
-// matters, Merge is commutative and associative, and the binary
-// serialisation of equal sketches is byte-identical however they were
-// assembled. Latencies span microseconds to hours in ~2300 buckets at
+// matters and Merge is commutative and associative: equal inputs give
+// equal sketches however they were assembled. Latencies span microseconds to hours in ~2300 buckets at
 // 1% relative accuracy, so memory is effectively constant while the
 // exact path's sample buffer grows with the request count.
 //
@@ -65,9 +63,6 @@ func (sk *Sketch) Add(v float64, weight int) {
 	}
 	sk.counts[bucketOf(v)] += int64(weight)
 }
-
-// Count returns the total weight added.
-func (sk *Sketch) Count() int64 { return sk.total }
 
 // Merge folds other into sk bucket-wise. Because buckets are fixed at
 // construction, the result is identical whichever order sketches are
@@ -123,19 +118,4 @@ func (sk *Sketch) Quantile(p float64) float64 {
 		return 0
 	}
 	return bucketValue(idx[len(idx)-1])
-}
-
-// AppendBinary serialises the sketch deterministically: equal sketches
-// produce identical bytes regardless of insertion or merge order
-// (buckets are emitted in ascending index order).
-func (sk *Sketch) AppendBinary(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(sk.total))
-	b = binary.BigEndian.AppendUint64(b, uint64(sk.zeros))
-	idx := sk.sortedBuckets()
-	b = binary.BigEndian.AppendUint32(b, uint32(len(idx)))
-	for _, i := range idx {
-		b = binary.BigEndian.AppendUint32(b, uint32(i))
-		b = binary.BigEndian.AppendUint64(b, uint64(sk.counts[i]))
-	}
-	return b
 }

@@ -181,9 +181,6 @@ func (m *Model) ComputeDemand() float64 { return m.compute }
 // coefficients, the drivers of heterogeneous MPS interference.
 func (m *Model) Cache() (pollution, sensitivity float64) { return m.pollution, m.sensitivity }
 
-// RDFSensitivity returns the model's sensitivity to resource deficiency.
-func (m *Model) RDFSensitivity() float64 { return m.rdfSens }
-
 // RDF is the Resource Deficiency Factor for profile p: the ratio of solo
 // execution time on p to solo execution time on 7g (§3). The compute
 // term only applies to the extent the model demands more SMs than the

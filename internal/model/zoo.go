@@ -69,9 +69,6 @@ func Generative() []*Model {
 	return filter(func(m *Model) bool { return m.name == "GPT-1" || m.name == "GPT-2" })
 }
 
-// ByClass returns zoo models of the given class.
-func ByClass(c Class) []*Model { return filter(func(m *Model) bool { return m.class == c }) }
-
 // ByName looks a zoo model up by name.
 func ByName(name string) (*Model, bool) {
 	for _, m := range zoo {

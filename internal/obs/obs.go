@@ -292,9 +292,6 @@ func (c *Collector) Emit(ev Event) { c.events = append(c.events, ev) }
 // Len returns the number of recorded events.
 func (c *Collector) Len() int { return len(c.events) }
 
-// Label returns the collector's run label.
-func (c *Collector) Label() string { return c.label }
-
 // Trace returns the recorded stream. The events slice is shared, not
 // copied; callers export after the run has finished.
 func (c *Collector) Trace() Trace { return Trace{Label: c.label, Events: c.events} }
@@ -339,6 +336,8 @@ func (ts *TraceSet) Traces() []Trace {
 }
 
 // Events returns the total event count across runs.
+//
+//lint:ignore deadcode TestTraceSetOrderAndLabels and experiments' TestRunScenariosTraceByteIdentical count traced events with it
 func (ts *TraceSet) Events() int {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()

@@ -189,13 +189,6 @@ func (g *Gauge) Set(v float64) {
 	g.reg.mu.Unlock()
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	g.reg.mu.Lock()
-	g.ser.value += delta
-	g.reg.mu.Unlock()
-}
-
 // Histogram is a metric series of bucketed observations.
 type Histogram struct {
 	reg *Registry

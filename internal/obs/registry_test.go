@@ -18,8 +18,7 @@ func TestRegistryExposition(t *testing.T) {
 	v.With("simulate", "400").Add(3)
 	v.With("healthz", "200").Inc()
 	g := r.Gauge("active", "Active runs.")
-	g.Set(2)
-	g.Add(-0.5)
+	g.Set(1.5)
 	h := r.Histogram("latency_seconds", "Run latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)

@@ -67,8 +67,5 @@ func (f *Free[T]) Put(x *T) {
 	f.items = append(f.items, x)
 }
 
-// Len returns the number of idle objects in the list.
-func (f *Free[T]) Len() int { return len(f.items) }
-
 // Stats returns the hit/miss counters.
 func (f *Free[T]) Stats() Stats { return f.stats }

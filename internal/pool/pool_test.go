@@ -19,8 +19,8 @@ func TestFreeLIFOAndStats(t *testing.T) {
 	}
 	f.Put(a)
 	f.Put(b)
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", f.Len())
+	if len(f.items) != 2 {
+		t.Fatalf("Len = %d, want 2", len(f.items))
 	}
 	// LIFO: the most recently Put object comes back first.
 	if got := f.Get(); got != b {
@@ -32,8 +32,8 @@ func TestFreeLIFOAndStats(t *testing.T) {
 	if got := f.Stats(); got.Hits != 2 || got.Misses != 2 {
 		t.Fatalf("stats after reuse = %+v, want 2 hits / 2 misses", got)
 	}
-	if f.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", f.Len())
+	if len(f.items) != 0 {
+		t.Fatalf("Len = %d, want 0", len(f.items))
 	}
 }
 
@@ -57,8 +57,8 @@ func TestFreeResetRunsAtPut(t *testing.T) {
 func TestFreePutNilNoop(t *testing.T) {
 	var f Free[obj]
 	f.Put(nil)
-	if f.Len() != 0 {
-		t.Fatalf("Len after Put(nil) = %d, want 0", f.Len())
+	if len(f.items) != 0 {
+		t.Fatalf("Len after Put(nil) = %d, want 0", len(f.items))
 	}
 	if got := f.Get(); got == nil {
 		t.Fatal("Get returned nil")

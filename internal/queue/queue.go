@@ -1,7 +1,8 @@
 // Package queue implements PROTEAN's request batching and reordering
 // (§4.1): incoming requests are grouped into per-model batches
-// (strict and best-effort requests batch separately), and sealed batches
-// wait in a two-class queue where strict batches are served first.
+// (strict and best-effort requests batch separately). Strict-first
+// ordering of sealed batches happens in each GPU's pending queues
+// (gpu.GPU.ReorderPending).
 package queue
 
 import (
@@ -30,8 +31,6 @@ type Batch struct {
 	Requests []trace.Request
 	// Sealed is the virtual time the batch stopped accepting requests.
 	Sealed float64
-
-	seq uint64
 }
 
 // Size returns the number of requests in the batch.
@@ -234,78 +233,3 @@ func (b *Batcher) seal(key batchKey) {
 	}
 	b.emit(batch)
 }
-
-// ReorderQueue is the dispatch queue of §4.1. With reordering enabled,
-// strict batches are always dequeued before best-effort batches; within
-// a class, batches leave in FIFO order. With reordering disabled it is a
-// plain FIFO.
-type ReorderQueue struct {
-	prioritize bool
-	nextSeq    uint64
-	strict     []*Batch
-	be         []*Batch
-}
-
-// NewReorderQueue returns a queue; prioritize enables strict-first
-// reordering.
-func NewReorderQueue(prioritize bool) *ReorderQueue {
-	return &ReorderQueue{prioritize: prioritize}
-}
-
-// Push enqueues a batch.
-func (q *ReorderQueue) Push(b *Batch) {
-	b.seq = q.nextSeq
-	q.nextSeq++
-	if b.Strict {
-		q.strict = append(q.strict, b)
-	} else {
-		q.be = append(q.be, b)
-	}
-}
-
-// Pop dequeues the next batch, honouring the reordering policy.
-func (q *ReorderQueue) Pop() (*Batch, bool) {
-	pick := func(fromStrict bool) *Batch {
-		if fromStrict {
-			b := q.strict[0]
-			q.strict = q.strict[1:]
-			return b
-		}
-		b := q.be[0]
-		q.be = q.be[1:]
-		return b
-	}
-	switch {
-	case len(q.strict) == 0 && len(q.be) == 0:
-		return nil, false
-	case len(q.strict) == 0:
-		return pick(false), true
-	case len(q.be) == 0:
-		return pick(true), true
-	case q.prioritize:
-		return pick(true), true
-	default:
-		// FIFO across classes by global sequence.
-		return pick(q.strict[0].seq < q.be[0].seq), true
-	}
-}
-
-// Len returns the number of queued batches.
-func (q *ReorderQueue) Len() int { return len(q.strict) + len(q.be) }
-
-// StrictLen returns the number of queued strict batches.
-func (q *ReorderQueue) StrictLen() int { return len(q.strict) }
-
-// BEMemGB returns the total memory footprint of queued best-effort
-// batches for the given per-batch memory function — the BE_mem input of
-// Algorithm 1.
-func (q *ReorderQueue) BEMemGB(memOf func(*model.Model) float64) float64 {
-	total := 0.0
-	for _, b := range q.be {
-		total += memOf(b.Model)
-	}
-	return total
-}
-
-// BECount returns the number of queued best-effort batches.
-func (q *ReorderQueue) BECount() int { return len(q.be) }

@@ -149,75 +149,6 @@ func TestBatcherValidation(t *testing.T) {
 	}
 }
 
-func TestReorderQueueStrictFirst(t *testing.T) {
-	q := NewReorderQueue(true)
-	m := model.MustByName("ResNet 50")
-	be := &Batch{Model: m, Strict: false}
-	st := &Batch{Model: m, Strict: true}
-	q.Push(be)
-	q.Push(st)
-	got, ok := q.Pop()
-	if !ok || got != st {
-		t.Errorf("Pop = %v, want the strict batch first", got)
-	}
-	got, ok = q.Pop()
-	if !ok || got != be {
-		t.Errorf("second Pop = %v, want the BE batch", got)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("Pop on empty queue returned ok")
-	}
-}
-
-func TestReorderQueueFIFOWithinClass(t *testing.T) {
-	q := NewReorderQueue(true)
-	m := model.MustByName("ResNet 50")
-	first := &Batch{Model: m, Strict: true}
-	second := &Batch{Model: m, Strict: true}
-	q.Push(first)
-	q.Push(second)
-	if got, _ := q.Pop(); got != first {
-		t.Error("strict batches not FIFO")
-	}
-}
-
-func TestReorderQueueDisabledIsGlobalFIFO(t *testing.T) {
-	q := NewReorderQueue(false)
-	m := model.MustByName("ResNet 50")
-	be := &Batch{Model: m, Strict: false}
-	st := &Batch{Model: m, Strict: true}
-	q.Push(be)
-	q.Push(st)
-	if got, _ := q.Pop(); got != be {
-		t.Error("FIFO queue reordered across classes")
-	}
-	if got, _ := q.Pop(); got != st {
-		t.Error("FIFO queue lost the strict batch")
-	}
-}
-
-func TestReorderQueueBEAccounting(t *testing.T) {
-	q := NewReorderQueue(true)
-	r50 := model.MustByName("ResNet 50")
-	dpn := model.MustByName("DPN 92")
-	q.Push(&Batch{Model: r50, Strict: false})
-	q.Push(&Batch{Model: dpn, Strict: false})
-	q.Push(&Batch{Model: r50, Strict: true})
-	if got := q.BECount(); got != 2 {
-		t.Errorf("BECount = %d, want 2", got)
-	}
-	memOf := func(m *model.Model) float64 { return 1 }
-	if got := q.BEMemGB(memOf); got != 2 {
-		t.Errorf("BEMemGB = %v, want 2", got)
-	}
-	if got := q.Len(); got != 3 {
-		t.Errorf("Len = %d, want 3", got)
-	}
-	if got := q.StrictLen(); got != 1 {
-		t.Errorf("StrictLen = %d, want 1", got)
-	}
-}
-
 func TestBatchFirstArrival(t *testing.T) {
 	m := model.MustByName("ResNet 50")
 	b := &Batch{Model: m, Requests: []trace.Request{{Arrival: 1.5}, {Arrival: 2.0}}, Sealed: 2.5}

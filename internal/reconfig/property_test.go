@@ -101,7 +101,7 @@ func TestPropertyBudgetInvariant(t *testing.T) {
 				b.Release()
 				held--
 			}
-			if b.InFlight() != held || held > limit {
+			if int(b.inFlight.Load()) != held || held > limit {
 				return false
 			}
 		}

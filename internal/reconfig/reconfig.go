@@ -84,9 +84,6 @@ func (p *Planner) ObserveBEBatches(n int) {
 	p.pred.Observe(float64(n))
 }
 
-// PredictedBEBatches exposes the EWMA forecast (0 before observations).
-func (p *Planner) PredictedBEBatches() float64 { return p.pred.PredictOr(0) }
-
 // Decision is the outcome of one planning window.
 type Decision struct {
 	// Desired is the geometry Algorithm 2 computed for the predicted
@@ -252,6 +249,3 @@ func (b *Budget) Release() {
 		b.inFlight.Add(1)
 	}
 }
-
-// InFlight reports current concurrent reconfigurations.
-func (b *Budget) InFlight() int { return int(b.inFlight.Load()) }

@@ -95,7 +95,7 @@ func TestHysteresisResetsOnMatch(t *testing.T) {
 func TestEWMAPredictionPath(t *testing.T) {
 	p := New(Config{WaitLimit: -1, Alpha: 1}) // alpha 1 = last value
 	p.ObserveBEBatches(2)
-	if got := p.PredictedBEBatches(); got != 2 {
+	if got := p.pred.PredictOr(0); got != 2 {
 		t.Errorf("prediction = %v, want 2", got)
 	}
 	// predBEBatches = -1 → use EWMA.
@@ -130,8 +130,8 @@ func TestBudgetCapsConcurrentReconfigs(t *testing.T) {
 	if b.TryAcquire() {
 		t.Fatal("third acquisition should be rejected")
 	}
-	if b.InFlight() != 2 {
-		t.Errorf("InFlight = %d, want 2", b.InFlight())
+	if int(b.inFlight.Load()) != 2 {
+		t.Errorf("InFlight = %d, want 2", int(b.inFlight.Load()))
 	}
 	b.Release()
 	if !b.TryAcquire() {
@@ -152,8 +152,8 @@ func TestBudgetAlwaysAllowsAtLeastOne(t *testing.T) {
 	}
 	b.Release()
 	b.Release() // extra release is a no-op
-	if b.InFlight() != 0 {
-		t.Errorf("InFlight = %d, want 0", b.InFlight())
+	if int(b.inFlight.Load()) != 0 {
+		t.Errorf("InFlight = %d, want 0", int(b.inFlight.Load()))
 	}
 }
 

@@ -224,7 +224,7 @@ func TestChildStreamsStableAndIndependent(t *testing.T) {
 	if draw(New(8).Rand().Child("vm/fleet")) == pristine {
 		t.Fatal("distinct parent seeds produced identical child streams")
 	}
-	if got := New(7).Rand().Child("vm/fleet").Seed(); got != New(7).Rand().Child("vm/fleet").Seed() {
+	if got := New(7).Rand().Child("vm/fleet").seed; got != New(7).Rand().Child("vm/fleet").seed {
 		t.Fatalf("child seed not stable: %d", got)
 	}
 }
@@ -322,13 +322,5 @@ func TestLaneMisuseIsRejected(t *testing.T) {
 	}()
 	if err := ln.RunUntil(1); err == nil {
 		t.Error("RunUntil on a lane did not error")
-	}
-	// Stopping a lane stops the root.
-	if _, err := s.At(1, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	ln.Stop()
-	if err := s.Run(); err != ErrStopped {
-		t.Errorf("root Run after lane Stop = %v, want ErrStopped", err)
 	}
 }

@@ -31,10 +31,6 @@ import (
 	"protean/internal/obs"
 )
 
-// ErrStopped is returned by Run variants when the simulation was halted
-// explicitly via Stop before the requested horizon was reached.
-var ErrStopped = errors.New("simulation stopped")
-
 // Stream is the simulation's deterministic random source: a seeded
 // *rand.Rand that remembers the seed it was built from, which is what
 // makes stable child-stream derivation possible. Draw methods
@@ -47,9 +43,6 @@ type Stream struct {
 func newStream(seed uint64) *Stream {
 	return &Stream{Rand: rand.New(rand.NewSource(int64(seed))), seed: seed}
 }
-
-// Seed returns the seed this stream was derived from.
-func (st *Stream) Seed() uint64 { return st.seed }
 
 // Child derives the independent stream identified by label. The child
 // seed is a splitmix64 finalizer over the parent seed XOR an FNV-1a
@@ -97,12 +90,15 @@ type Timer struct {
 }
 
 // At reports the virtual time the timer is scheduled to fire at.
+//
+//lint:ignore deadcode gpu's BenchmarkSubmitCompleteCycle runs to it; TestRescheduleEarlierAndLater reads it
 func (t *Timer) At() float64 { return t.at }
 
 // Active reports whether the timer is still pending (not fired, not
 // cancelled).
 //
 //protean:hotpath
+//lint:ignore deadcode TestRescheduleRearmsFiredTimer and TestRescheduleCancelledThenCompactedTimer observe timer state with it
 func (t *Timer) Active() bool { return t != nil && !t.cancelled && t.index >= 0 }
 
 // Cancel prevents the timer from firing. It reports whether the timer was
@@ -166,7 +162,6 @@ type Sim struct {
 	queue    timerHeap
 	active   int // queued timers that are not cancelled; keeps Pending O(1)
 	rng      *Stream
-	stopped  bool
 	tracer   obs.Tracer
 	executed uint64 // events run by this sim's own loop (excludes lanes)
 
@@ -261,9 +256,6 @@ func (s *Sim) Lane(label string) *Sim {
 	return ln
 }
 
-// Lanes returns the root's lanes in creation order.
-func (s *Sim) Lanes() []*Sim { return s.lanes }
-
 // SetWorkers sets how many OS goroutines execute lane phases: 1 runs
 // every phase inline on the caller's goroutine, n > 1 fans independent
 // lanes across n workers. The schedule, the per-lane event order, and
@@ -274,9 +266,6 @@ func (s *Sim) SetWorkers(n int) {
 	}
 	s.workers = n
 }
-
-// Workers returns the lane-phase worker count.
-func (s *Sim) Workers() int { return s.workers }
 
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error; scheduling exactly at Now is allowed and fires before time
@@ -319,24 +308,12 @@ func (s *Sim) MustAfter(d float64, fn func()) *Timer {
 	return tm
 }
 
-// Stop halts the simulation after the currently executing event returns.
-// Calling Stop while no run is in progress arms the next Run/RunUntil to
-// return ErrStopped before executing any event; the stop is consumed
-// either way, so a subsequent run resumes normally. Stopping a lane
-// stops its root.
-func (s *Sim) Stop() {
-	if s.parent != nil {
-		s.parent.Stop()
-		return
-	}
-	s.stopped = true
-}
-
 // Pending returns the number of queued (uncancelled) events. The count
 // is maintained incrementally on every push, pop and cancel, so this is
 // O(1) — it also drives the opportunistic heap compaction below.
 //
 //protean:hotpath
+//lint:ignore deadcode TestPendingCountsLiveTimers, BenchmarkPending and gpu's TestCachedMemoryBalancesToZero read it
 func (s *Sim) Pending() int { return s.active }
 
 // compactMinLen is the heap size below which compaction never triggers:
@@ -375,17 +352,13 @@ func (s *Sim) maybeCompact() {
 	heap.Init(&s.queue)
 }
 
-// Run executes events until the queue is empty or Stop is called. It
-// returns ErrStopped in the latter case.
+// Run executes events until the queue is empty.
 func (s *Sim) Run() error { return s.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with timestamps <= horizon, advancing the clock
 // as it goes. When it returns the clock is at min(horizon, last event time)
 // unless the queue drained earlier; the clock never moves backwards, so a
-// horizon already in the past leaves it untouched. It returns ErrStopped
-// if Stop was called, including a Stop issued before the run started (in
-// which case no event executes); the stop is consumed, so a later run
-// proceeds.
+// horizon already in the past leaves it untouched.
 //
 // With lanes present, RunUntil alternates lane phases and root events:
 // before each root event at time t, every lane executes all of its
@@ -398,10 +371,6 @@ func (s *Sim) RunUntil(horizon float64) error {
 	if s.parent != nil {
 		return errors.New("sim: lanes are driven by their root simulation")
 	}
-	if s.stopped {
-		s.stopped = false
-		return ErrStopped
-	}
 	if len(s.lanes) == 0 {
 		return s.runLocal(horizon)
 	}
@@ -411,10 +380,6 @@ func (s *Sim) RunUntil(horizon float64) error {
 // runLocal is the classic single-heap event loop.
 func (s *Sim) runLocal(horizon float64) error {
 	for len(s.queue) > 0 {
-		if s.stopped {
-			s.stopped = false
-			return ErrStopped
-		}
 		next := s.queue[0]
 		if next.cancelled {
 			heap.Pop(&s.queue)
@@ -451,10 +416,6 @@ func (s *Sim) runSharded(horizon float64) error {
 		}()
 	}
 	for {
-		if s.stopped {
-			s.stopped = false
-			return ErrStopped
-		}
 		rootNext := s.peekTime()
 		s.runLanePhase(math.Min(rootNext, horizon))
 		if rootNext > horizon {

@@ -124,62 +124,6 @@ func TestRunUntilAdvancesClockToHorizon(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
-	n := 0
-	s.MustAfter(1, func() { n++; s.Stop() })
-	s.MustAfter(2, func() { n++ })
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run err = %v, want ErrStopped", err)
-	}
-	if n != 1 {
-		t.Errorf("executed %d events, want 1", n)
-	}
-}
-
-func TestStopBeforeRunReturnsErrStopped(t *testing.T) {
-	// Regression: a Stop issued before Run/RunUntil used to be silently
-	// discarded by the run-entry reset. It must make the next run return
-	// ErrStopped before any event executes, and be consumed so the run
-	// after that proceeds normally.
-	s := New(1)
-	n := 0
-	s.MustAfter(1, func() { n++ })
-	s.Stop()
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run after pre-run Stop err = %v, want ErrStopped", err)
-	}
-	if n != 0 {
-		t.Fatalf("pre-run Stop executed %d events, want 0", n)
-	}
-	if s.Now() != 0 {
-		t.Errorf("Now = %v after stopped run, want 0", s.Now())
-	}
-	// The stop was consumed: the next run executes the queued event.
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run after consumed stop: %v", err)
-	}
-	if n != 1 {
-		t.Errorf("executed %d events after resume, want 1", n)
-	}
-}
-
-func TestStopBeforeRunEmptyQueue(t *testing.T) {
-	// A pre-run Stop is honoured even with nothing queued, and does not
-	// leak into later runs.
-	s := New(1)
-	s.Stop()
-	if err := s.RunUntil(5); err != ErrStopped {
-		t.Fatalf("RunUntil err = %v, want ErrStopped", err)
-	}
-	if err := s.RunUntil(5); err != nil {
-		t.Fatalf("second RunUntil err = %v, want nil", err)
-	}
-	if s.Now() != 5 {
-		t.Errorf("Now = %v, want 5", s.Now())
-	}
-}
-
 func TestEventsCanScheduleMoreEvents(t *testing.T) {
 	s := New(1)
 	depth := 0

@@ -106,6 +106,3 @@ func (s *Stream) Next() (Request, bool) {
 		return req, true
 	}
 }
-
-// Emitted returns how many requests the stream has produced so far.
-func (s *Stream) Emitted() uint64 { return s.id }

@@ -126,8 +126,8 @@ func TestStreamMatchesGenerate(t *testing.T) {
 				t.Fatalf("seed %d: stream request %d = %+v, Generate %+v", seed, i, got, reqs[i])
 			}
 		}
-		if got := st.Emitted(); got != uint64(half) {
-			t.Fatalf("seed %d: Emitted() = %d after %d pulls", seed, got, half)
+		if got := st.id; got != uint64(half) {
+			t.Fatalf("seed %d: emitted %d after %d pulls", seed, got, half)
 		}
 		other, err := NewStream(Config{Rate: Constant(100), Mix: cfg.Mix, Duration: 10, Seed: seed + 1})
 		if err != nil {

@@ -63,7 +63,7 @@ func TestMarketFleetRevokesAndReplaces(t *testing.T) {
 	if err := s.RunUntil(1800); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if f.Notices() == 0 {
+	if f.notices == 0 {
 		t.Fatal("no revocation notices in 30 min at P_rev 0.3")
 	}
 	// Replacements provision inside the notice window (25 s < 30 s), so

@@ -779,12 +779,9 @@ func (f *Fleet) scheduleSpotRetry(node int) {
 	})
 }
 
-// NodeUp reports whether the node currently accepts new work.
-func (f *Fleet) NodeUp(node int) bool {
-	return node >= 0 && node < len(f.states) && f.states[node] == nodeUp
-}
-
 // UpCount returns the number of schedulable nodes.
+//
+//lint:ignore deadcode capacity check of TestOnDemandOnlyNeverEvicts, TestPropertyFleetCostAndCapacityBounds and the other fleet tests
 func (f *Fleet) UpCount() int {
 	n := 0
 	for _, st := range f.states {
@@ -794,12 +791,6 @@ func (f *Fleet) UpCount() int {
 	}
 	return n
 }
-
-// Notices returns the number of revocation notices issued so far.
-func (f *Fleet) Notices() int { return f.notices }
-
-// SpotFailures returns the number of failed spot acquisition attempts.
-func (f *Fleet) SpotFailures() int { return f.failures }
 
 // CostReport summarizes metered spending.
 type CostReport struct {

@@ -104,8 +104,8 @@ func TestSpotPreferredHighAvailabilityCost(t *testing.T) {
 	if math.Abs(report.Normalized-want) > 0.01 {
 		t.Errorf("normalized cost = %v, want ≈%v", report.Normalized, want)
 	}
-	if f.Notices() != 0 {
-		t.Errorf("notices = %d, want 0 at P_rev=0", f.Notices())
+	if f.notices != 0 {
+		t.Errorf("notices = %d, want 0 at P_rev=0", f.notices)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestSpotPreferredSurvivesRevocations(t *testing.T) {
 	if err := s.RunUntil(1800); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if f.Notices() == 0 {
+	if f.notices == 0 {
 		t.Fatal("no revocation notices at moderate availability")
 	}
 	// Spot-preferred always has a replacement provisioned inside the
@@ -225,7 +225,7 @@ func TestSpotOnlyRecoversWhenSpotReturns(t *testing.T) {
 	if frac := float64(withCapacity) / float64(samples); frac < 0.5 {
 		t.Errorf("fleet had capacity only %.0f%% of the time", frac*100)
 	}
-	if f.SpotFailures() == 0 {
+	if f.failures == 0 {
 		t.Error("expected some failed spot requests at P_rev=0.5")
 	}
 }
@@ -351,8 +351,8 @@ func TestCostExactAcrossStormRevocation(t *testing.T) {
 	if notices != nodes {
 		t.Fatalf("StormDomain(0, 1) issued %d notices, want %d", notices, nodes)
 	}
-	if f.Notices() != nodes {
-		t.Errorf("Notices() = %d, want %d", f.Notices(), nodes)
+	if f.notices != nodes {
+		t.Errorf("Notices() = %d, want %d", f.notices, nodes)
 	}
 	if f.UpCount() != nodes {
 		t.Errorf("UpCount() = %d after replacement, want %d", f.UpCount(), nodes)
