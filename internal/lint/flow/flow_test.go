@@ -225,7 +225,6 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 		"protean/internal/gpu.(*Slice).Slowdown",
 		"protean/internal/sim.(*Timer).Reschedule",
 		"protean/internal/sim.(*Timer).Cancel",
-		"protean/internal/sim.(*Sim).maybeCompact",
 		"protean/internal/cluster.(*node).serviceJitter",
 	} {
 		if !hot[name] {

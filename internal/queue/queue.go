@@ -82,6 +82,9 @@ type batchKey struct {
 	strict bool
 }
 
+// partialBatch is an unsealed batch. Its seal timer outlives the batch:
+// the shell keeps it through pbFree, and the next batch to use the shell
+// re-arms it in place.
 type partialBatch struct {
 	id       uint64
 	model    *model.Model
@@ -112,7 +115,7 @@ func NewBatcher(s *sim.Sim, window float64, emit func(*Batch)) (*Batcher, error)
 		pending: make(map[batchKey]*partialBatch),
 	}
 	b.batchFree.Reset = func(x *Batch) { *x = Batch{} }
-	b.pbFree.Reset = func(x *partialBatch) { *x = partialBatch{} }
+	b.pbFree.Reset = func(x *partialBatch) { *x = partialBatch{timer: x.timer} }
 	return b, nil
 }
 
@@ -158,8 +161,14 @@ func (b *Batcher) Add(req trace.Request) error {
 			b.reqFree = b.reqFree[:n-1]
 		}
 		b.pending[key] = pb
-		key := key
-		pb.timer = b.sim.MustAfter(b.window, func() { b.seal(key) })
+		if pb.timer == nil {
+			// The one closure per shell reads the shell's current batch.
+			pb.timer = b.sim.MustAfter(b.window, func() {
+				b.seal(batchKey{model: pb.model.Name(), strict: pb.strict})
+			})
+		} else if err := pb.timer.Reschedule(b.sim.Now() + b.window); err != nil {
+			panic(err) // as MustAfter would: now+window is finite and not in the past
+		}
 	}
 	pb.requests = append(pb.requests, req)
 	if tr := b.sim.Tracer(); tr.Enabled() {

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"testing"
 
 	"protean/internal/model"
@@ -158,5 +159,59 @@ func TestBatchFirstArrival(t *testing.T) {
 	empty := &Batch{Model: m, Sealed: 3}
 	if got := empty.FirstArrival(); got != 3 {
 		t.Errorf("empty FirstArrival = %v, want sealed time", got)
+	}
+}
+
+// TestSealTimerFollowsReusedShell: a partial-batch shell keeps its seal
+// timer through the freelist, so the timer must seal whichever batch
+// the shell holds now, not the one it was created for.
+func TestSealTimerFollowsReusedShell(t *testing.T) {
+	s := sim.New(1)
+	albert, bert := model.MustByName("ALBERT"), model.MustByName("BERT")
+	var got []string
+	var b *Batcher
+	b, _ = NewBatcher(s, 0.05, func(batch *Batch) {
+		got = append(got, fmt.Sprintf("%s@%g", batch, batch.Sealed))
+		b.Release(batch)
+	})
+	if err := b.Add(req(albert, true, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(req(bert, false, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.PoolStats(); st.Hits == 0 {
+		t.Fatalf("pool stats %+v: the second batch did not reuse a shell", st)
+	}
+	want := "[batch(ALBERT, strict, 1 reqs)@0.05 batch(BERT, be, 1 reqs)@1.05]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("sealed %v, want %s", got, want)
+	}
+}
+
+// TestSealTimerRearmAllocatesNothing: once the freelists are warm, a
+// batch that opens, waits out its window and is released allocates
+// nothing — the reused shell re-arms its own seal timer.
+func TestSealTimerRearmAllocatesNothing(t *testing.T) {
+	s := sim.New(1)
+	m := model.MustByName("ResNet 50")
+	var b *Batcher
+	b, _ = NewBatcher(s, 0.05, func(batch *Batch) { b.Release(batch) })
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := b.Add(req(m, true, s.Now(), 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(s.Now() + 0.1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a windowed batch allocates %v times, want 0", allocs)
 	}
 }

@@ -19,21 +19,16 @@ func benchSim(n int) (*Sim, []*Timer) {
 	return s, timers
 }
 
-// BenchmarkTimerCancelPush measures the pre-optimization rebalance
-// pattern: cancel a live timer and push a freshly allocated replacement.
-// The cancelled timer lingers in the heap until lazy deletion (or, after
-// this PR, opportunistic compaction) removes it; the fixture is rebuilt
-// every 1024 iterations to keep the lazy-deletion variant at a bounded
-// steady-state heap size.
+// BenchmarkTimerCancelPush measures the cancel-and-reallocate pattern
+// that Reschedule replaces: cancel a live timer and push a freshly
+// allocated replacement. Cancel removes the heap entry at once, so the
+// heap stays at the live count.
 func BenchmarkTimerCancelPush(b *testing.B) {
 	const live = 64
 	s, timers := benchSim(live)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%1024 == 1023 {
-			s, timers = benchSim(live)
-		}
 		k := i % live
 		timers[k].Cancel()
 		timers[k] = s.MustAfter(1+float64(k), nop)
@@ -41,9 +36,8 @@ func BenchmarkTimerCancelPush(b *testing.B) {
 }
 
 // BenchmarkTimerReschedule measures the in-place replacement for the
-// cancel+push pattern: the same Timer allocation is moved to a new
-// instant via heap.Fix, so the heap never accumulates dead entries and
-// no allocation happens per move.
+// cancel+push pattern: the same Timer is moved to a new instant within
+// the heap, so no allocation happens per move.
 func BenchmarkTimerReschedule(b *testing.B) {
 	const live = 64
 	s, timers := benchSim(live)
@@ -59,7 +53,7 @@ func BenchmarkTimerReschedule(b *testing.B) {
 }
 
 // BenchmarkPending measures Sim.Pending at a large outstanding-timer
-// count (O(n) scan before this PR, O(1) counter after).
+// count; it is the queue's length, so the cost does not grow with it.
 func BenchmarkPending(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("timers=%d", n), func(b *testing.B) {
@@ -72,5 +66,26 @@ func BenchmarkPending(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIdleBarrier measures one root dispatch quantum (a 5 ms
+// ticker) over 9 lanes that each have an event only every second or
+// so: almost every barrier finds no lane work and must cost almost
+// nothing. One op is one quantum.
+func BenchmarkIdleBarrier(b *testing.B) {
+	s := New(1)
+	for i := 0; i < 9; i++ {
+		if _, err := s.Lane(fmt.Sprintf("node/%d", i)).Every(1+0.1*float64(i), nop); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := s.Every(0.005, nop); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.RunUntil(0.005 * float64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }

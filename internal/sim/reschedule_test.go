@@ -183,14 +183,16 @@ func TestPendingCountsLiveTimers(t *testing.T) {
 	}
 }
 
-// TestCompactionShrinksHeap cancels far more timers than it keeps and
-// checks the heap physically shrank while the survivors fire in order.
-func TestCompactionShrinksHeap(t *testing.T) {
+// TestCancelRemovesHeapEntry cancels far more timers than it keeps and
+// checks that the heap holds exactly the survivors, each at the slot it
+// records, and that they fire in order.
+func TestCancelRemovesHeapEntry(t *testing.T) {
 	s := New(1)
 	const total = 1024
 	timers := make([]*Timer, total)
+	var fired []float64
 	for i := range timers {
-		timers[i] = s.MustAfter(float64(i+1), nop)
+		timers[i] = s.MustAfter(float64(i+1), func() { fired = append(fired, s.Now()) })
 	}
 	for i, tm := range timers {
 		if i%8 != 0 {
@@ -198,115 +200,234 @@ func TestCompactionShrinksHeap(t *testing.T) {
 		}
 	}
 	live := total / 8
-	if got := s.Pending(); got != live {
-		t.Fatalf("Pending = %d, want %d", got, live)
+	if got := len(s.queue); got != live {
+		t.Fatalf("heap holds %d entries for %d live timers", got, live)
 	}
-	if got := len(s.queue); got > 2*live {
-		t.Errorf("heap holds %d entries for %d live timers; compaction did not run", got, live)
-	}
-	// Compaction triggers whenever cancelled entries outnumber live
-	// ones, so at rest the heap never carries more dead than live.
-	dead := 0
-	for _, tm := range s.queue {
-		if tm.cancelled {
-			dead++
+	for i, tm := range s.queue {
+		if tm.index != i {
+			t.Fatalf("heap slot %d holds a timer recording index %d", i, tm.index)
 		}
-	}
-	if dead > live {
-		t.Errorf("heap carries %d cancelled entries for %d live timers", dead, live)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := s.Pending(); got != 0 {
-		t.Errorf("Pending after run = %d, want 0", got)
+	if len(fired) != live || !sort.Float64sAreSorted(fired) {
+		t.Fatalf("fired %d survivors (sorted %v), want %d in order", len(fired), sort.Float64sAreSorted(fired), live)
 	}
 }
 
-// TestCompactionRandomized drives a randomized schedule/cancel/reschedule
-// workload and checks, against a naive reference, that exactly the right
-// callbacks fire, in exactly (time, reschedule-order) sequence, with
-// Pending correct throughout.
-func TestCompactionRandomized(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+// refTimer is one arming of a timer in the reference model: the (at,
+// seq) key the queue must order it by, and how many root events had
+// fired when it was armed and when it fired.
+type refTimer struct {
+	at         float64
+	seq        uint64
+	armedAfter int
+	firedAfter int
+	live       bool // armed and not cancelled or moved since
+	fired      bool
+}
+
+// refSim mirrors one simulation (the root or a lane) for
+// TestTimerQueueMatchesReference: its handles, the arming records each
+// handle currently owns, and the order records fired in.
+type refSim struct {
+	sim     *Sim
+	rng     *rand.Rand
+	seq     uint64 // mirrors the sim's sequence counter
+	recs    []refTimer
+	timers  []*Timer
+	cur     []int // timers[i]'s pending record, or -1
+	tickers []*Ticker
+	tickCur []int // tickers[i]'s pending record, or -1 once stopped
+	fired   []int
+	pending int
+}
+
+// arm records a new arming at time at and returns its record index.
+func (m *refSim) arm(at float64, rootFired int) int {
+	m.recs = append(m.recs, refTimer{at: at, seq: m.seq, armedAfter: rootFired, live: true})
+	m.seq++
+	m.pending++
+	return len(m.recs) - 1
+}
+
+// kill marks record r cancelled or moved.
+func (m *refSim) kill(r int) {
+	m.recs[r].live = false
+	m.pending--
+}
+
+// TestTimerQueueMatchesReference is a differential property test of the
+// timer core. Random At, Cancel, Reschedule, Every and Stop calls are
+// made across a root and three lanes, from root events, from lane
+// events and from before the run. Each sim's fire sequence must be its
+// live armings sorted by (at, seq); each lane event must fire before the
+// first root event at or after its time that was not yet run when it
+// was armed; Pending must match throughout; and the result must not
+// depend on the worker count.
+func TestTimerQueueMatchesReference(t *testing.T) {
+	const horizon, armUntil = 60.0, 50.0
+	run := func(seed int64, workers int) ([][]refTimer, uint64) {
 		s := New(seed)
-		const total = 512
-		type ref struct {
-			id    int
-			at    float64
-			seq   int // order of the last (re)schedule, the tie-break
-			alive bool
+		s.SetWorkers(workers)
+		models := []*refSim{{sim: s}}
+		for i := 0; i < 3; i++ {
+			models = append(models, &refSim{sim: s.Lane(fmt.Sprintf("node/%d", i))})
 		}
-		refs := make([]*ref, total)
-		timers := make([]*Timer, total)
-		seq := 0
-		var fired []int
-		for i := 0; i < total; i++ {
-			at := math.Trunc(rng.Float64()*100) / 2 // coarse grid: plenty of ties
-			id := i
-			timers[i] = s.MustAfter(at, func() { fired = append(fired, id) })
-			refs[i] = &ref{id: id, at: timers[i].At(), seq: seq, alive: true}
-			seq++
+		for i, m := range models {
+			m.rng = rand.New(rand.NewSource(seed*10 + int64(i)))
 		}
-		for step := 0; step < 4*total; step++ {
-			k := rng.Intn(total)
-			switch rng.Intn(3) {
-			case 0:
-				if timers[k].Cancel() {
-					refs[k].alive = false
-				}
-			case 1:
-				at := math.Trunc(rng.Float64()*100) / 2
-				if err := timers[k].Reschedule(at); err != nil {
-					t.Fatalf("seed %d: Reschedule: %v", seed, err)
-				}
-				refs[k].at = at
-				refs[k].seq = seq
-				refs[k].alive = true
-				seq++
-			case 2:
-				// Churn: cancel immediately after rescheduling, the
-				// pattern that used to strand dead timers in the heap.
-				if err := timers[k].Reschedule(math.Trunc(rng.Float64()*100) / 2); err != nil {
-					t.Fatalf("seed %d: Reschedule: %v", seed, err)
-				}
-				seq++
-				timers[k].Cancel()
-				refs[k].alive = false
+		root := models[0]
+		var ops func(m, target *refSim)
+		// Lane callbacks may run on pool workers, so they report with
+		// Errorf rather than Fatalf.
+		fire := func(m *refSim, r int) {
+			rec := &m.recs[r]
+			if !rec.live || rec.fired || m.sim.Now() != rec.at {
+				t.Errorf("seed %d: arming for %v (live %v, fired %v) fired at %v", seed, rec.at, rec.live, rec.fired, m.sim.Now())
 			}
-			want := 0
-			for _, r := range refs {
-				if r.alive {
-					want++
+			rec.fired = true
+			rec.firedAfter = len(root.fired)
+			m.fired = append(m.fired, r)
+			m.pending--
+			if m != root {
+				ops(m, m)
+				return
+			}
+			for _, other := range models {
+				if other.sim.Now() != s.Now() || other.sim.Pending() != other.pending {
+					t.Fatalf("seed %d: in root context at %v a sim reads Now %v, Pending %d (reference %d)",
+						seed, s.Now(), other.sim.Now(), other.sim.Pending(), other.pending)
 				}
 			}
-			if got := s.Pending(); got != want {
-				t.Fatalf("seed %d step %d: Pending = %d, want %d", seed, step, got, want)
+			for n := m.rng.Intn(3); n > 0; n-- {
+				ops(m, models[m.rng.Intn(len(models))])
 			}
 		}
-		var expect []*ref
-		for _, r := range refs {
-			if r.alive {
-				expect = append(expect, r)
+		// ops makes one random call on target's timers, drawing from m's
+		// stream: the root may touch any sim, a lane only itself.
+		ops = func(m, target *refSim) {
+			now := target.sim.Now()
+			at := now + float64(m.rng.Intn(5))/2 // a coarse grid: plenty of ties
+			rootFired := len(root.fired)
+			switch op := m.rng.Intn(20); {
+			case op < 6 && now < armUntil:
+				i := len(target.timers)
+				target.cur = append(target.cur, target.arm(at, rootFired))
+				tm, err := target.sim.At(at, func() {
+					r := target.cur[i]
+					target.cur[i] = -1
+					fire(target, r)
+				})
+				if err != nil {
+					t.Errorf("seed %d: At: %v", seed, err)
+					return
+				}
+				target.timers = append(target.timers, tm)
+			case op < 10 && len(target.timers) > 0:
+				i := m.rng.Intn(len(target.timers))
+				if got, want := target.timers[i].Cancel(), target.cur[i] >= 0; got != want {
+					t.Errorf("seed %d: Cancel = %v, reference %v", seed, got, want)
+				}
+				if target.cur[i] >= 0 {
+					target.kill(target.cur[i])
+					target.cur[i] = -1
+				}
+			case op < 15 && len(target.timers) > 0 && now < armUntil:
+				i := m.rng.Intn(len(target.timers))
+				if target.cur[i] >= 0 {
+					target.kill(target.cur[i])
+				}
+				if err := target.timers[i].Reschedule(at); err != nil {
+					t.Errorf("seed %d: Reschedule: %v", seed, err)
+					return
+				}
+				target.cur[i] = target.arm(at, rootFired)
+			case op < 19 && len(target.tickers) < 3 && now < armUntil:
+				k := len(target.tickers)
+				period := float64(1+m.rng.Intn(3)) / 2
+				target.tickCur = append(target.tickCur, target.arm(now+period, rootFired))
+				tk, err := target.sim.Every(period, func() {
+					fire(target, target.tickCur[k])
+					if target.tickCur[k] >= 0 {
+						// The ticker re-arms itself after this callback.
+						target.tickCur[k] = target.arm(target.sim.Now()+period, len(root.fired))
+					}
+				})
+				if err != nil {
+					t.Errorf("seed %d: Every: %v", seed, err)
+					return
+				}
+				target.tickers = append(target.tickers, tk)
+			case op == 19 && len(target.tickers) > 0:
+				k := m.rng.Intn(len(target.tickers))
+				target.tickers[k].Stop()
+				if r := target.tickCur[k]; r >= 0 {
+					if !target.recs[r].fired {
+						target.kill(r)
+					}
+					target.tickCur[k] = -1
+				}
 			}
 		}
-		sort.Slice(expect, func(i, j int) bool {
-			if expect[i].at != expect[j].at {
-				return expect[i].at < expect[j].at
-			}
-			return expect[i].seq < expect[j].seq
-		})
-		if err := s.Run(); err != nil {
-			t.Fatalf("seed %d: Run: %v", seed, err)
+		for i := 0; i < 40; i++ {
+			ops(root, models[i%len(models)])
 		}
-		if len(fired) != len(expect) {
-			t.Fatalf("seed %d: fired %d callbacks, want %d", seed, len(fired), len(expect))
+		if err := s.RunUntil(horizon); err != nil {
+			t.Fatal(err)
 		}
-		for i, r := range expect {
-			if fired[i] != r.id {
-				t.Fatalf("seed %d: firing[%d] = timer %d, want %d", seed, i, fired[i], r.id)
+		var total uint64
+		logs := make([][]refTimer, len(models))
+		for i, m := range models {
+			var want []int
+			for r, rec := range m.recs {
+				if rec.live && rec.at <= horizon {
+					want = append(want, r)
+				}
 			}
+			sort.Slice(want, func(a, b int) bool {
+				x, y := m.recs[want[a]], m.recs[want[b]]
+				if x.at != y.at {
+					return x.at < y.at
+				}
+				return x.seq < y.seq
+			})
+			if fmt.Sprint(m.fired) != fmt.Sprint(want) {
+				t.Fatalf("seed %d workers %d sim %d: fired %v, reference %v", seed, workers, i, m.fired, want)
+			}
+			for _, r := range m.fired {
+				logs[i] = append(logs[i], m.recs[r])
+			}
+			total += uint64(len(m.fired))
+		}
+		for i, m := range models[1:] {
+			for _, r := range m.fired {
+				rec := m.recs[r]
+				// The phase before each root event runs the lane events at
+				// or before its time, so a lane event fires just before the
+				// first root event at or after its time that had not run
+				// when the lane event was armed.
+				want := sort.Search(len(root.fired), func(k int) bool { return root.recs[root.fired[k]].at >= rec.at })
+				if rec.armedAfter > want {
+					want = rec.armedAfter
+				}
+				if rec.firedAfter != want {
+					t.Fatalf("seed %d workers %d lane %d: event at %v fired after %d root events, want %d",
+						seed, workers, i, rec.at, rec.firedAfter, want)
+				}
+			}
+		}
+		return logs, total
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		want, wantTotal := run(seed, 1)
+		if wantTotal < 100 {
+			t.Fatalf("seed %d: only %d events fired; the workload is too thin", seed, wantTotal)
+		}
+		got, gotTotal := run(seed, 4)
+		if fmt.Sprint(got) != fmt.Sprint(want) || gotTotal != wantTotal {
+			t.Fatalf("seed %d: workers=4 fired %d events, differently from workers=1 (%d)", seed, gotTotal, wantTotal)
 		}
 	}
 }

@@ -1,13 +1,12 @@
 package sim
 
 // Regression tests for the sharded event loop and the bugfixes that
-// shipped with it: the RunUntil clock clamp, the timerHeap.Push type
-// panic, Reschedule of a compacted-away timer, Ticker.Stop teardown,
+// shipped with it: the RunUntil clock clamp, Reschedule of a cancelled
+// timer, Ticker.Stop teardown, the lane barrier's skip of idle phases,
 // and the Child stream-derivation contract the lanes are built on.
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"protean/internal/obs"
@@ -56,66 +55,42 @@ func TestRunUntilNeverRewindsClock(t *testing.T) {
 	}
 }
 
-// TestTimerHeapPushRejectsForeignType pins that pushing anything but a
-// *Timer panics instead of silently dropping the value (a silent drop
-// would desynchronise the active counter from the heap).
-func TestTimerHeapPushRejectsForeignType(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("timerHeap.Push accepted a non-*Timer value")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "want *Timer") {
-			t.Fatalf("panic message %q does not name the expected type", msg)
-		}
-	}()
-	var h timerHeap
-	h.Push("not a timer")
-}
-
-// TestRescheduleCancelledThenCompactedTimer exercises the index == -1
-// branch of Reschedule after maybeCompact has evicted the cancelled
-// timer from the heap entirely: re-arming must re-increment the active
-// count exactly once and the timer must fire exactly once.
-func TestRescheduleCancelledThenCompactedTimer(t *testing.T) {
+// TestRescheduleCancelledTimerCountsOnce: Cancel takes the timer out of
+// the heap at once, and re-arming it through the index == -1 branch of
+// Reschedule adds it back exactly once; moving it again while queued
+// must not add it twice. The timer then fires exactly once.
+func TestRescheduleCancelledTimerCountsOnce(t *testing.T) {
 	s := New(1)
-	// Fill past compactMinLen so compaction can trigger, then cancel a
-	// majority so cancelled entries outnumber live ones.
-	timers := make([]*Timer, 0, 2*compactMinLen)
-	for i := 0; i < 2*compactMinLen; i++ {
-		tm, err := s.At(float64(i+1), func() {})
-		if err != nil {
+	for i := 0; i < 64; i++ {
+		if _, err := s.At(float64(i+1), func() {}); err != nil {
 			t.Fatal(err)
 		}
-		timers = append(timers, tm)
-	}
-	victim := timers[0]
-	for _, tm := range timers[:len(timers)/2+1] {
-		tm.Cancel()
-	}
-	if victim.index != -1 {
-		t.Fatalf("victim timer still in the heap (index %d); compaction did not run", victim.index)
 	}
 	fired := 0
-	victim.fn = func() { fired++ }
-
-	before := s.Pending()
+	victim := s.MustAfter(100, func() { fired++ })
+	if !victim.Cancel() {
+		t.Fatal("Cancel of a pending timer reported false")
+	}
+	if victim.index != -1 || s.Pending() != 64 {
+		t.Fatalf("cancelled timer left in the heap: index %d, Pending %d", victim.index, s.Pending())
+	}
+	if victim.Cancel() {
+		t.Fatal("second Cancel reported true")
+	}
 	if err := victim.Reschedule(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Pending(); got != before+1 {
-		t.Fatalf("Pending went %d -> %d across Reschedule of a compacted timer, want +1", before, got)
+	if got := s.Pending(); got != 65 {
+		t.Fatalf("Pending = %d after re-arming a cancelled timer, want 65", got)
 	}
 	if !victim.Active() {
 		t.Fatal("rescheduled timer is not active")
 	}
-	// Re-arming an already-pending timer must NOT bump the count again.
 	if err := victim.Reschedule(0.6); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Pending(); got != before+1 {
-		t.Fatalf("Pending = %d after second Reschedule, want %d (no double count)", got, before+1)
+	if got := s.Pending(); got != 65 {
+		t.Fatalf("Pending = %d after a second Reschedule, want 65 (no double count)", got)
 	}
 	if err := s.RunUntil(0.6); err != nil {
 		t.Fatal(err)
@@ -157,7 +132,7 @@ func TestTickerStopReleasesReferences(t *testing.T) {
 // TestTickerStopRacesPendingFireAtSameInstant: a Stop that runs at the
 // exact virtual instant a tick is already pending (the stopping event
 // was scheduled first, so it wins the tie-break) must keep that tick
-// from firing — the cancelled timer is skipped, not executed.
+// from firing — Cancel takes the pending tick out of the queue.
 func TestTickerStopRacesPendingFireAtSameInstant(t *testing.T) {
 	s := New(1)
 	ticks := 0
@@ -322,5 +297,58 @@ func TestLaneMisuseIsRejected(t *testing.T) {
 	}()
 	if err := ln.RunUntil(1); err == nil {
 		t.Error("RunUntil on a lane did not error")
+	}
+}
+
+// TestRootArmsLaneTimerAtNow: a root event that arms a lane timer at
+// root.Now() must see it fire before the next root event, even when
+// every earlier barrier skipped the lanes as idle.
+func TestRootArmsLaneTimerAtNow(t *testing.T) {
+	s := New(1)
+	ln := s.Lane("node/0")
+	var order []string
+	s.MustAfter(1, func() {
+		order = append(order, "root@1")
+		ln.MustAfter(0, func() { order = append(order, fmt.Sprintf("lane@%g", ln.Now())) })
+	})
+	s.MustAfter(1, func() { order = append(order, "root@1b") })
+	s.MustAfter(2, func() { order = append(order, "root@2") })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[root@1 lane@1 root@1b root@2]" {
+		t.Fatalf("order = %s, want [root@1 lane@1 root@1b root@2]", got)
+	}
+}
+
+// TestLaneClockFollowsRootAfterSkippedPhase: lane clocks are lazy, so
+// after barriers that skipped an idle lane, the lane still reads the
+// root's time in root context, and a lane timer armed there is relative
+// to it.
+func TestLaneClockFollowsRootAfterSkippedPhase(t *testing.T) {
+	s := New(1)
+	ln := s.Lane("node/0")
+	ln.MustAfter(10, func() {})
+	var laneAt float64
+	for _, at := range []float64{1, 2} {
+		s.MustAfter(at, func() {})
+	}
+	s.MustAfter(3, func() {
+		if ln.now == s.now {
+			t.Error("the lane's own clock moved: its phases were not skipped")
+		}
+		if ln.Now() != s.Now() {
+			t.Errorf("lane.Now() = %v in root context, want root.Now() = %v", ln.Now(), s.Now())
+		}
+		ln.MustAfter(1, func() { laneAt = ln.Now() })
+	})
+	if err := s.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if laneAt != 4 {
+		t.Fatalf("lane timer armed at root time 3 with delay 1 fired at %v, want 4", laneAt)
+	}
+	if ln.Now() != 5 {
+		t.Fatalf("lane.Now() = %v after RunUntil(5), want 5", ln.Now())
 	}
 }

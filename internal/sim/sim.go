@@ -21,7 +21,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -81,12 +80,11 @@ func fnv64(s string) uint64 {
 // fires, and rescheduled in place (see Reschedule) without allocating a
 // replacement.
 type Timer struct {
-	at        float64
-	seq       uint64
-	fn        func()
-	index     int // heap index; -1 when not queued
-	cancelled bool
-	sim       *Sim
+	at    float64
+	seq   uint64
+	fn    func()
+	index int // heap index; -1 when not queued (fired or cancelled)
+	sim   *Sim
 }
 
 // At reports the virtual time the timer is scheduled to fire at.
@@ -94,27 +92,16 @@ type Timer struct {
 //lint:ignore deadcode gpu's BenchmarkSubmitCompleteCycle runs to it; TestRescheduleEarlierAndLater reads it
 func (t *Timer) At() float64 { return t.at }
 
-// Active reports whether the timer is still pending (not fired, not
-// cancelled).
-//
-//protean:hotpath
-//lint:ignore deadcode TestRescheduleRearmsFiredTimer and TestRescheduleCancelledThenCompactedTimer observe timer state with it
-func (t *Timer) Active() bool { return t != nil && !t.cancelled && t.index >= 0 }
-
-// Cancel prevents the timer from firing. It reports whether the timer was
-// still pending. Cancelling an already-fired or already-cancelled timer is
-// a no-op.
+// Cancel prevents the timer from firing and removes it from the queue
+// at once. It reports whether the timer was still pending. Cancelling an
+// already-fired or already-cancelled timer is a no-op.
 //
 //protean:hotpath
 func (t *Timer) Cancel() bool {
-	if t == nil || t.cancelled || t.index < 0 {
+	if t == nil || t.sim == nil || t.index < 0 {
 		return false
 	}
-	t.cancelled = true
-	if t.sim != nil {
-		t.sim.active--
-		t.sim.maybeCompact()
-	}
+	t.sim.queue.remove(t.index)
 	return true
 }
 
@@ -123,9 +110,9 @@ func (t *Timer) Cancel() bool {
 // behaviour at an already-populated instant is identical to cancelling it
 // and scheduling a new timer there: it fires after every event already
 // scheduled for the same time. A fired or cancelled timer is re-armed.
-// Unlike the cancel-and-reallocate pattern, the heap entry is updated in
-// place (container/heap.Fix), so the hot rebalance path allocates
-// nothing and leaves no dead timers behind.
+// Unlike the cancel-and-reallocate pattern, the heap entry is moved in
+// place, so the hot rebalance path and every ticker tick allocate
+// nothing.
 //
 //protean:hotpath
 func (t *Timer) Reschedule(at float64) error {
@@ -136,22 +123,18 @@ func (t *Timer) Reschedule(at float64) error {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		return fmt.Errorf("sim: reschedule at non-finite time %v", at)
 	}
-	if at < s.now {
-		return fmt.Errorf("sim: reschedule at %.9f before now %.9f", at, s.now)
+	if now := s.Now(); at < now {
+		return fmt.Errorf("sim: reschedule at %.9f before now %.9f", at, now)
 	}
-	wasPending := !t.cancelled && t.index >= 0
 	t.at = at
 	t.seq = s.seq
 	s.seq++
-	t.cancelled = false
 	if t.index >= 0 {
-		heap.Fix(&s.queue, t.index)
+		s.queue.fix(t.index)
 	} else {
-		heap.Push(&s.queue, t)
+		s.queue.push(t)
 	}
-	if !wasPending {
-		s.active++
-	}
+	s.armed(at)
 	return nil
 }
 
@@ -160,7 +143,6 @@ type Sim struct {
 	now      float64
 	seq      uint64
 	queue    timerHeap
-	active   int // queued timers that are not cancelled; keeps Pending O(1)
 	rng      *Stream
 	tracer   obs.Tracer
 	executed uint64 // events run by this sim's own loop (excludes lanes)
@@ -172,8 +154,10 @@ type Sim struct {
 	lanes   []*Sim
 	workers int
 
-	// Root-only phase machinery.
+	// Root-only phase machinery. laneNext is a lower bound on every
+	// lane's next event time: a barrier below it has no lane work.
 	inPhase     bool // a lane phase is executing; lane tracers buffer
+	laneNext    float64
 	pool        *workerPool
 	phaseActive []*Sim
 	evScratch   []obs.Event
@@ -214,8 +198,17 @@ func (s *Sim) Tracer() obs.Tracer {
 	return s.tracer
 }
 
-// Now returns the current virtual time in seconds.
-func (s *Sim) Now() float64 { return s.now }
+// Now returns the current virtual time in seconds. A lane's own clock
+// only moves when it runs an event, so a lane whose phases were skipped
+// reads the root's clock: its time is max(lane clock, root clock).
+// During a phase every running lane event is at or after the root clock,
+// so the rule holds there too.
+func (s *Sim) Now() float64 {
+	if s.parent != nil && s.parent.now > s.now {
+		return s.parent.now
+	}
+	return s.now
+}
 
 // Rand returns the simulation's deterministic random stream. Subsystems
 // must not draw from it directly once the run starts — derive a child
@@ -246,7 +239,6 @@ func (s *Sim) Lane(label string) *Sim {
 	}
 	ln := &Sim{
 		rng:     s.rng.Child("lane/" + label),
-		now:     s.now,
 		parent:  s,
 		label:   label,
 		workers: 1,
@@ -274,8 +266,8 @@ func (s *Sim) At(t float64, fn func()) (*Timer, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("sim: schedule at non-finite time %v", t)
 	}
-	if t < s.now {
-		return nil, fmt.Errorf("sim: schedule at %.9f before now %.9f", t, s.now)
+	if now := s.Now(); t < now {
+		return nil, fmt.Errorf("sim: schedule at %.9f before now %.9f", t, now)
 	}
 	if fn == nil {
 		return nil, errors.New("sim: schedule nil func")
@@ -283,9 +275,18 @@ func (s *Sim) At(t float64, fn func()) (*Timer, error) {
 	//lint:ignore hotalloc the Timer is the event being created; hot callers (gpu rebalance) reuse timers via Reschedule and only reach this for newly started jobs
 	tm := &Timer{at: t, seq: s.seq, fn: fn, index: -1, sim: s}
 	s.seq++
-	heap.Push(&s.queue, tm)
-	s.active++
+	s.queue.push(tm)
+	s.armed(t)
 	return tm, nil
+}
+
+// armed keeps the root's laneNext bound valid when root context arms a
+// lane timer for time t. Timers a lane arms for itself during a phase
+// need nothing here: the bound is recomputed after every phase that ran.
+func (s *Sim) armed(t float64) {
+	if p := s.parent; p != nil && !p.inPhase && t < p.laneNext {
+		p.laneNext = t
+	}
 }
 
 // After schedules fn to run d seconds from now. Negative delays are
@@ -294,7 +295,7 @@ func (s *Sim) After(d float64, fn func()) (*Timer, error) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	return s.At(s.Now()+d, fn)
 }
 
 // MustAfter is After for callers that schedule with non-negative, finite
@@ -308,49 +309,12 @@ func (s *Sim) MustAfter(d float64, fn func()) *Timer {
 	return tm
 }
 
-// Pending returns the number of queued (uncancelled) events. The count
-// is maintained incrementally on every push, pop and cancel, so this is
-// O(1) — it also drives the opportunistic heap compaction below.
+// Pending returns the number of queued events. Cancel removes its timer
+// from the queue at once, so this is the queue's length.
 //
 //protean:hotpath
 //lint:ignore deadcode TestPendingCountsLiveTimers, BenchmarkPending and gpu's TestCachedMemoryBalancesToZero read it
-func (s *Sim) Pending() int { return s.active }
-
-// compactMinLen is the heap size below which compaction never triggers:
-// lazy deletion on a tiny heap is already cheap, and rebuilding it would
-// cost more than it saves.
-const compactMinLen = 32
-
-// maybeCompact rebuilds the timer heap without its cancelled entries
-// once they outnumber the live ones — the Go runtime's timer-heap
-// cleanup strategy. Sustained cancel/reschedule load therefore keeps
-// the heap within 2× the live timer count instead of growing without
-// bound until lazy deletion catches up. Rebuilding via heap.Init is
-// safe for determinism: the (time, sequence) order is total, so the
-// pop sequence is independent of the heap's internal layout.
-//
-//protean:hotpath
-func (s *Sim) maybeCompact() {
-	n := len(s.queue)
-	if n < compactMinLen || n-s.active <= s.active {
-		return
-	}
-	live := s.queue[:0]
-	for _, tm := range s.queue {
-		if tm.cancelled {
-			tm.index = -1
-			continue
-		}
-		tm.index = len(live)
-		//lint:ignore hotalloc refills s.queue[:0] in place; live never exceeds len(s.queue), so the append cannot grow the backing array
-		live = append(live, tm)
-	}
-	for i := len(live); i < n; i++ {
-		s.queue[i] = nil
-	}
-	s.queue = live
-	heap.Init(&s.queue)
-}
+func (s *Sim) Pending() int { return len(s.queue) }
 
 // Run executes events until the queue is empty.
 func (s *Sim) Run() error { return s.RunUntil(math.Inf(1)) }
@@ -363,10 +327,10 @@ func (s *Sim) Run() error { return s.RunUntil(math.Inf(1)) }
 // With lanes present, RunUntil alternates lane phases and root events:
 // before each root event at time t, every lane executes all of its
 // events with timestamps <= t (lanes are mutually independent, so
-// phases may fan out across SetWorkers goroutines), lane clocks are
-// synchronised to t, and then the root event runs exclusively. Lane
-// events at exactly the root's timestamp therefore run before the root
-// event — a fixed, documented tie rule.
+// phases may fan out across SetWorkers goroutines), and then the root
+// event runs exclusively; every lane then reads t as its time (see Now).
+// Lane events at exactly the root's timestamp therefore run before the
+// root event — a fixed, documented tie rule.
 func (s *Sim) RunUntil(horizon float64) error {
 	if s.parent != nil {
 		return errors.New("sim: lanes are driven by their root simulation")
@@ -381,18 +345,13 @@ func (s *Sim) RunUntil(horizon float64) error {
 func (s *Sim) runLocal(horizon float64) error {
 	for len(s.queue) > 0 {
 		next := s.queue[0]
-		if next.cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
 		if next.at > horizon {
 			if horizon > s.now {
 				s.now = horizon
 			}
 			return nil
 		}
-		heap.Pop(&s.queue)
-		s.active--
+		s.queue.remove(0)
 		s.now = next.at
 		s.executed++
 		next.fn()
@@ -417,7 +376,9 @@ func (s *Sim) runSharded(horizon float64) error {
 	}
 	for {
 		rootNext := s.peekTime()
-		s.runLanePhase(math.Min(rootNext, horizon))
+		if bound := math.Min(rootNext, horizon); bound >= s.laneNext {
+			s.runLanePhase(bound)
+		}
 		if rootNext > horizon {
 			if !math.IsInf(horizon, 1) && horizon > s.now {
 				s.now = horizon
@@ -429,38 +390,39 @@ func (s *Sim) runSharded(horizon float64) error {
 			// lane phase above drained every lane completely.
 			return nil
 		}
-		next := heap.Pop(&s.queue).(*Timer)
-		s.active--
+		next := s.queue.remove(0)
 		s.now = next.at
 		s.executed++
 		next.fn()
 	}
 }
 
-// peekTime returns the timestamp of the next live event, discarding
-// cancelled heap heads, or +Inf when none remain.
+// peekTime returns the timestamp of the next event, or +Inf when none
+// remain.
 func (s *Sim) peekTime() float64 {
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return next.at
+	if len(s.queue) == 0 {
+		return math.Inf(1)
 	}
-	return math.Inf(1)
+	return s.queue[0].at
 }
 
 // runLanePhase executes every lane event with timestamp <= bound and
-// then synchronises lane clocks to bound. Lanes are independent, so
-// when a pool exists the phase fans out; results are identical either
-// way because each lane's events run sequentially on exactly one
-// goroutine and lanes share no state until the next barrier.
+// recomputes laneNext. The root loop skips it for a barrier below
+// laneNext; that is most barriers, since the root's dispatch quantum
+// ticks far more often than lanes have work. Lane clocks are not
+// synchronised here: Now reads a lane as at least the root's clock.
+// Lanes are independent, so when a pool exists the phase fans out;
+// results are identical either way because each lane's events run
+// sequentially on exactly one goroutine and lanes share no state until
+// the next barrier.
 func (s *Sim) runLanePhase(bound float64) {
 	active := s.phaseActive[:0]
+	next := math.Inf(1)
 	for _, ln := range s.lanes {
-		if ln.peekTime() <= bound {
+		if t := ln.peekTime(); t <= bound {
 			active = append(active, ln)
+		} else if t < next {
+			next = t
 		}
 	}
 	s.phaseActive = active[:0]
@@ -482,13 +444,13 @@ func (s *Sim) runLanePhase(bound float64) {
 		s.inPhase = false
 		s.flushLaneEvents()
 	}
-	if !math.IsInf(bound, 1) {
-		for _, ln := range s.lanes {
-			if ln.now < bound {
-				ln.now = bound
-			}
+	// Only the lanes that ran have new heads.
+	for _, ln := range active {
+		if t := ln.peekTime(); t < next {
+			next = t
 		}
 	}
+	s.laneNext = next
 }
 
 // runTo executes the lane's events with timestamps <= bound. No stop
@@ -496,15 +458,10 @@ func (s *Sim) runLanePhase(bound float64) {
 func (ln *Sim) runTo(bound float64) {
 	for len(ln.queue) > 0 {
 		next := ln.queue[0]
-		if next.cancelled {
-			heap.Pop(&ln.queue)
-			continue
-		}
 		if next.at > bound {
 			return
 		}
-		heap.Pop(&ln.queue)
-		ln.active--
+		ln.queue.remove(0)
 		ln.now = next.at
 		ln.executed++
 		next.fn()
@@ -628,7 +585,11 @@ func (s *Sim) Every(period float64, fn func()) (*Ticker, error) {
 		if tk.stopped {
 			return
 		}
-		tk.timer = s.MustAfter(tk.period, tk.fireNext)
+		// Re-arming the timer that just fired takes a fresh sequence
+		// number, as a new timer would, and allocates nothing.
+		if err := tk.timer.Reschedule(s.Now() + tk.period); err != nil {
+			panic(err)
+		}
 	}
 	tk.timer = s.MustAfter(period, tk.fireNext)
 	return tk, nil
@@ -636,8 +597,8 @@ func (s *Sim) Every(period float64, fn func()) (*Ticker, error) {
 
 // Stop cancels future ticks and drops the ticker's self-referential
 // closure and timer so a stopped ticker holds no references — even
-// when Stop races a tick pending at the same instant, the cancelled
-// timer keeps that tick from firing.
+// when Stop races a tick pending at the same instant, Cancel takes that
+// tick out of the queue.
 func (t *Ticker) Stop() {
 	if t == nil || t.stopped {
 		return
@@ -648,14 +609,13 @@ func (t *Ticker) Stop() {
 	t.fireNext = nil
 }
 
-// timerHeap orders timers by (time, sequence).
+// timerHeap is a binary min-heap of timers ordered by (time, sequence).
+// Each timer records its slot, so Cancel and Reschedule reach it
+// directly. The order is total, so the pop sequence does not depend on
+// the heap's layout.
 type timerHeap []*Timer
 
-var _ heap.Interface = (*timerHeap)(nil)
-
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	//lint:ignore floateq exact tie-break: an epsilon would merge distinct event times and reorder the queue
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
@@ -663,29 +623,71 @@ func (h timerHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h timerHeap) Swap(i, j int) {
+func (h timerHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
 
-func (h *timerHeap) Push(x any) {
-	tm, ok := x.(*Timer)
-	if !ok {
-		// Silently dropping would desynchronise the active counter from
-		// the heap; only *Timer values are ever legal here.
-		panic(fmt.Sprintf("sim: timerHeap.Push of %T, want *Timer", x))
-	}
+func (h *timerHeap) push(tm *Timer) {
 	tm.index = len(*h)
+	//lint:ignore hotalloc the queue's backing array grows to the peak number of pending timers and is then reused; steady state appends into spare capacity
 	*h = append(*h, tm)
+	h.up(tm.index)
 }
 
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	tm := old[n-1]
-	old[n-1] = nil
+// remove takes the timer at slot i out of the heap and returns it.
+func (h *timerHeap) remove(i int) *Timer {
+	q := *h
+	n := len(q) - 1
+	tm := q[i]
+	if i != n {
+		q[i] = q[n]
+		q[i].index = i
+	}
+	q[n] = nil
+	*h = q[:n]
+	if i != n {
+		h.fix(i)
+	}
 	tm.index = -1
-	*h = old[:n-1]
 	return tm
+}
+
+// fix restores the heap order after the timer at slot i changed key.
+func (h timerHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h timerHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts slot i0 towards the leaves and reports whether it moved.
+func (h timerHeap) down(i0 int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

@@ -192,6 +192,27 @@ func TestTickerStopFromWithinCallback(t *testing.T) {
 	}
 }
 
+// TestTickerTickAllocatesNothing: a ticker re-arms the timer that just
+// fired in place, so a steady tick allocates nothing.
+func TestTickerTickAllocatesNothing(t *testing.T) {
+	s := New(1)
+	ticks := 0
+	if _, err := s.Every(1, func() { ticks++ }); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.RunUntil(s.Now() + 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a tick allocates %v times, want 0", allocs)
+	}
+	if ticks != 101 {
+		t.Fatalf("ticks = %d, want 101 (one warm-up run and 100 measured)", ticks)
+	}
+}
+
 func TestEveryRejectsBadPeriod(t *testing.T) {
 	s := New(1)
 	for _, period := range []float64{0, -1, math.NaN(), math.Inf(1)} {
