@@ -250,6 +250,59 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // the /v1 writes. An NDJSON ingest stream is one body.
 const maxBodyBytes = 1 << 20
 
+// Caps on the sizes a request body may ask for. Each bounds the work a
+// handler starts before it can answer: lanes built, fault timers armed,
+// arrivals generated. A value past one is a 400.
+const (
+	maxNodes      = 256
+	maxShards     = 64
+	maxChaosScale = 100.0
+	// A nonzero quantum must lie in [minQuantumMillis, maxQuantumMillis].
+	minQuantumMillis = 0.1
+	maxQuantumMillis = 1000.0
+	// maxDurationSeconds bounds a /simulate trace, and maxArrivals its
+	// expected request count, meanRPS × durationSeconds.
+	maxDurationSeconds = 3600.0
+	maxArrivals        = 1e7
+)
+
+// checkScale rejects a node count or chaos scale past its cap; both the
+// /simulate and the /v1/plane body carry them.
+func checkScale(nodes int, chaosScale float64) error {
+	if nodes > maxNodes {
+		return fmt.Errorf("nodes %d over the cap of %d", nodes, maxNodes)
+	}
+	if chaosScale > maxChaosScale {
+		return fmt.Errorf("chaosScale %v over the cap of %v", chaosScale, maxChaosScale)
+	}
+	return nil
+}
+
+// validate rejects a /simulate body whose trace would be unbounded.
+func (req SimulateRequest) validate() error {
+	if err := checkScale(req.Nodes, req.ChaosScale); err != nil {
+		return err
+	}
+	if d := req.DurationSeconds; d < 0 || d > maxDurationSeconds {
+		return fmt.Errorf("durationSeconds %v outside [0, %v]", d, maxDurationSeconds)
+	}
+	// Cap the trace the run will generate: a duration that truncates to
+	// 0 ns runs the default length.
+	d := req.duration()
+	if d <= 0 {
+		d = protean.DefaultDuration
+	}
+	if n := req.MeanRPS * d.Seconds(); n > maxArrivals {
+		return fmt.Errorf("meanRPS × durationSeconds = %v over the cap of %v requests", n, maxArrivals)
+	}
+	return nil
+}
+
+// duration is the trace length req asks protean.Workload for.
+func (req SimulateRequest) duration() time.Duration {
+	return time.Duration(req.DurationSeconds * float64(time.Second))
+}
+
 // decodeBody decodes r's JSON body into v, rejecting unknown fields.
 // An empty body leaves v as it is when emptyOK. On failure it writes a
 // 400, or a 413 for a body over maxBodyBytes, and returns false.
@@ -394,6 +447,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req, false) {
 		return
 	}
+	if err := req.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	resp, err := s.simulate(req)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -454,7 +511,7 @@ func (s *Server) simulate(req SimulateRequest) (*SimulateResponse, error) {
 		StrictFraction: req.StrictFraction,
 		Shape:          protean.TraceShape(req.Shape),
 		MeanRPS:        req.MeanRPS,
-		Duration:       time.Duration(req.DurationSeconds * float64(time.Second)),
+		Duration:       req.duration(),
 	})
 	if err != nil {
 		return nil, err

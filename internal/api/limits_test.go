@@ -114,6 +114,52 @@ func TestIngestRejectsHostileLines(t *testing.T) {
 	}
 }
 
+// TestSizeCapsRejectHostileBodies: a /simulate or /v1/plane body that
+// asks for more lanes, shards, faults, virtual time or arrivals than
+// the caps allow is a 400 before anything is built, and a rejected
+// /v1/plane body leaves the running plane in place. Without the caps
+// chaosScale 1e300 re-arms the slice-fault timer at the same instant
+// forever.
+func TestSizeCapsRejectHostileBodies(t *testing.T) {
+	const sim = `"strictModel": "ResNet 50", "meanRPS": 100`
+	for _, tc := range []struct{ name, path, body string }{
+		{"simulate nodes", "/simulate", `{` + sim + `, "nodes": 1000000000}`},
+		{"simulate chaosScale", "/simulate", `{` + sim + `, "chaosScale": 1e300}`},
+		{"simulate duration", "/simulate", `{` + sim + `, "durationSeconds": 1e300}`},
+		{"simulate negative duration", "/simulate", `{` + sim + `, "durationSeconds": -1e300}`},
+		{"simulate arrivals", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 1e300, "durationSeconds": 10}`},
+		{"simulate arrivals default duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 200000}`},
+		{"simulate arrivals truncated duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 1e16, "durationSeconds": 1e-10}`},
+		{"plane nodes", "/v1/plane", `{"nodes": 1000000000}`},
+		{"plane shards", "/v1/plane", `{"shards": 65}`},
+		{"plane chaosScale", "/v1/plane", `{"chaosScale": 1e300}`},
+		{"plane huge quantum", "/v1/plane", `{"quantumMillis": 1e300}`},
+		{"plane denormal quantum", "/v1/plane", `{"quantumMillis": 5e-324}`},
+		{"plane negative quantum", "/v1/plane", `{"quantumMillis": -10}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := limitsServer(t)
+			if rec := do(h, tc.path, "application/json", tc.body); rec.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400: %s", rec.Code, rec.Body)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/plane", nil))
+			var info PlaneInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || info.Seed != 3 || info.Tenants != 1 {
+				t.Fatalf("plane after a rejected body = %s (%v), want the seed-3 plane with its tenant", rec.Body, err)
+			}
+		})
+	}
+	// The caps themselves are allowed.
+	h := limitsServer(t)
+	if rec := do(h, "/v1/plane", "application/json", `{"nodes": 1, "shards": 64, "chaosScale": 100, "quantumMillis": 0.1}`); rec.Code != http.StatusOK {
+		t.Fatalf("plane at the caps = %d, want 200: %s", rec.Code, rec.Body)
+	}
+	if rec := do(h, "/v1/plane", "application/json", `{"nodes": 1, "quantumMillis": 1000}`); rec.Code != http.StatusOK {
+		t.Fatalf("plane at the quantum cap = %d, want 200: %s", rec.Code, rec.Body)
+	}
+}
+
 // TestIngestCapsRequestsPerBody: the n budget spans a whole NDJSON body,
 // so many modest lines cannot add up past maxIngestN.
 func TestIngestCapsRequestsPerBody(t *testing.T) {

@@ -46,6 +46,20 @@ type PlaneConfig struct {
 	Market bool `json:"market,omitempty"`
 }
 
+// validate rejects a /v1/plane body past the size caps.
+func (c PlaneConfig) validate() error {
+	if err := checkScale(c.Nodes, c.ChaosScale); err != nil {
+		return err
+	}
+	if c.Shards > maxShards {
+		return fmt.Errorf("shards %d over the cap of %d", c.Shards, maxShards)
+	}
+	if q := c.QuantumMillis; q != 0 && (q < minQuantumMillis || q > maxQuantumMillis) {
+		return fmt.Errorf("quantumMillis %v is neither 0 nor in [%v, %v]", q, minQuantumMillis, maxQuantumMillis)
+	}
+	return nil
+}
+
 // PlaneInfo is the GET /v1/plane response.
 type PlaneInfo struct {
 	VirtualTime float64 `json:"virtualTime"`
@@ -81,6 +95,10 @@ func (s *Server) getPlane() (*controlplane.Plane, error) {
 func (s *Server) handlePlaneConfig(w http.ResponseWriter, r *http.Request) {
 	var cfg PlaneConfig
 	if !decodeBody(w, r, &cfg, true) {
+		return
+	}
+	if err := cfg.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	p, err := controlplane.New(controlplane.Options{

@@ -15,10 +15,11 @@ import (
 	"protean/internal/sim"
 )
 
+// coldStart is the container boot latency in seconds.
+const coldStart float64 = 4
+
 // Config tunes the scaler.
 type Config struct {
-	// ColdStart is the container boot latency in seconds (default 4 s).
-	ColdStart float64
 	// KeepAlive is the delayed-termination window in seconds
 	// (default 600 s).
 	KeepAlive float64
@@ -28,9 +29,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.ColdStart <= 0 {
-		c.ColdStart = 4
-	}
 	if c.KeepAlive <= 0 {
 		c.KeepAlive = 600
 	}
@@ -56,13 +54,6 @@ type Scaler struct {
 	pools      map[string]*pool
 	coldStarts int
 	spawned    int
-
-	// costPressure, when set, makes Sweep reclaim every idle container
-	// immediately instead of waiting out the keep-alive window — the
-	// budget-exhaustion response. It changes only Sweep (a monitor-tick,
-	// root-context call), never the lazy per-Acquire expiry, so lane
-	// timer affinity is untouched.
-	costPressure bool
 }
 
 // NewScaler returns a scaler bound to the node's virtual clock. Under
@@ -101,7 +92,7 @@ func (s *Scaler) Acquire(modelName string) (float64, error) {
 	s.coldStarts++
 	s.spawned++
 	p.busy++
-	return s.cfg.ColdStart, nil
+	return coldStart, nil
 }
 
 // Release returns a container to the pool after its batch completes.
@@ -165,8 +156,6 @@ func (s *Scaler) emit(verb, modelName string, containers int) {
 
 // Sweep expires idle containers across all pools (called on monitor
 // ticks), visiting pools in sorted name order for reproducibility.
-// Under cost pressure it reclaims every idle container regardless of
-// keep-alive, shedding warm capacity the moment the budget runs dry.
 func (s *Scaler) Sweep() {
 	names := make([]string, 0, len(s.pools))
 	for name := range s.pools {
@@ -174,25 +163,9 @@ func (s *Scaler) Sweep() {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		p := s.pools[name]
-		if s.costPressure {
-			if n := len(p.idleSince); n > 0 {
-				p.idleSince = p.idleSince[:0]
-				s.spawned -= n
-				s.emit("pressure", name, n)
-			}
-			continue
-		}
-		s.expire(name, p)
+		s.expire(name, s.pools[name])
 	}
 }
-
-// SetCostPressure toggles budget-exhaustion mode: while on, Sweep
-// reclaims all idle warm containers instead of honoring the keep-alive
-// window, trading future cold starts for an immediate stop to idle
-// spend. Called from the cluster monitor (root context) when the
-// marketplace budget alarm trips.
-func (s *Scaler) SetCostPressure(on bool) { s.costPressure = on }
 
 // Prewarm provisions n idle warm containers for a model up front
 // (PROTEAN's conservative container provisioning).
@@ -241,12 +214,4 @@ func (s *Scaler) Warm(modelName string) int {
 	}
 	s.expire(modelName, p)
 	return p.busy + len(p.idleSince)
-}
-
-// Live returns the total number of live containers on the node.
-//
-//lint:ignore deadcode TestLiveCountsAcrossModels and TestImmediateModeAlwaysColdStarts count containers with it
-func (s *Scaler) Live() int {
-	s.Sweep()
-	return s.spawned
 }

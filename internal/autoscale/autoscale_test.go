@@ -17,7 +17,7 @@ func newScaler(t *testing.T, s *sim.Sim, cfg Config) *Scaler {
 
 func TestFirstAcquireIsColdStart(t *testing.T) {
 	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4})
+	sc := newScaler(t, s, Config{})
 	delay, err := sc.Acquire("resnet")
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -32,7 +32,7 @@ func TestFirstAcquireIsColdStart(t *testing.T) {
 
 func TestWarmReuseAvoidsColdStart(t *testing.T) {
 	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4, KeepAlive: 600})
+	sc := newScaler(t, s, Config{KeepAlive: 600})
 	if _, err := sc.Acquire("resnet"); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestPoolsArePerModel(t *testing.T) {
 
 func TestDelayedTerminationExpiresIdleContainers(t *testing.T) {
 	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4, KeepAlive: 100})
+	sc := newScaler(t, s, Config{KeepAlive: 100})
 	if _, err := sc.Acquire("m"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDelayedTerminationExpiresIdleContainers(t *testing.T) {
 
 func TestImmediateModeAlwaysColdStarts(t *testing.T) {
 	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4, Immediate: true})
+	sc := newScaler(t, s, Config{Immediate: true})
 	for i := 0; i < 3; i++ {
 		delay, err := sc.Acquire("m")
 		if err != nil {
@@ -127,7 +127,7 @@ func TestImmediateModeAlwaysColdStarts(t *testing.T) {
 
 func TestLIFOReuseAgesOutOldest(t *testing.T) {
 	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4, KeepAlive: 50})
+	sc := newScaler(t, s, Config{KeepAlive: 50})
 	// Two containers idle at t=0.
 	for i := 0; i < 2; i++ {
 		if _, err := sc.Acquire("m"); err != nil {
@@ -190,60 +190,5 @@ func TestLiveCountsAcrossModels(t *testing.T) {
 	}
 	if got := sc.Live(); got != 3 {
 		t.Errorf("Live = %d, want 3 (2 busy + 1 idle)", got)
-	}
-}
-
-func TestCostPressureSweepReclaimsIdleImmediately(t *testing.T) {
-	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4, KeepAlive: 600})
-	if _, err := sc.Acquire("m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Release("m"); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh idle container, far inside keep-alive: a plain sweep keeps it.
-	sc.Sweep()
-	if sc.Warm("m") != 1 {
-		t.Fatalf("Warm = %d, want 1 after normal sweep", sc.Warm("m"))
-	}
-	sc.SetCostPressure(true)
-	if !sc.costPressure {
-		t.Fatal("cost pressure not set")
-	}
-	sc.Sweep()
-	if sc.Warm("m") != 0 {
-		t.Errorf("Warm = %d, want 0 after pressure sweep", sc.Warm("m"))
-	}
-	if sc.Live() != 0 {
-		t.Errorf("Live = %d, want 0", sc.Live())
-	}
-	// Pressure lifted: pools behave normally again.
-	sc.SetCostPressure(false)
-	if _, err := sc.Acquire("m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Release("m"); err != nil {
-		t.Fatal(err)
-	}
-	sc.Sweep()
-	if sc.Warm("m") != 1 {
-		t.Errorf("Warm = %d, want 1 once pressure lifted", sc.Warm("m"))
-	}
-}
-
-func TestCostPressureLeavesBusyContainersAlone(t *testing.T) {
-	s := sim.New(1)
-	sc := newScaler(t, s, Config{ColdStart: 4, KeepAlive: 600})
-	if _, err := sc.Acquire("m"); err != nil {
-		t.Fatal(err)
-	}
-	sc.SetCostPressure(true)
-	sc.Sweep()
-	if sc.Warm("m") != 1 {
-		t.Errorf("Warm = %d, want 1 (busy container must survive pressure)", sc.Warm("m"))
-	}
-	if err := sc.Release("m"); err != nil {
-		t.Fatal(err)
 	}
 }

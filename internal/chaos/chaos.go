@@ -42,42 +42,30 @@ import (
 	"protean/internal/sim"
 )
 
-// RetryPolicy bounds the deterministic exponential backoff applied to
-// retryable failures (cold-start/dispatch failures).
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts allowed, including
-	// the first (default 5). The work is dropped once exhausted.
-	MaxAttempts int
-	// Base is the backoff before the first retry in seconds
-	// (default 0.5).
-	Base float64
-	// Factor multiplies the backoff per attempt (default 2).
-	Factor float64
-	// Cap bounds a single backoff in seconds (default 8).
-	Cap float64
-	// JitterFrac spreads each backoff uniformly within ±JitterFrac of
-	// its nominal value, drawn from the injector's seeded RNG
-	// (default 0.2; set negative for none).
-	JitterFrac float64
-}
+// Fixed fault severities and the retry schedule. Config only sets how
+// often faults strike; these set how hard.
+const (
+	// sliceRepair is the slice repair window in seconds.
+	sliceRepair float64 = 15
+	// reconfigStuckFactor is the downtime stretch of a stuck
+	// reconfiguration.
+	reconfigStuckFactor float64 = 5
+	// stragglerFactor multiplies a straggler batch's execution time.
+	stragglerFactor float64 = 4
+	// stormFraction is the fraction of live spot nodes that receive a
+	// revocation notice in one storm.
+	stormFraction float64 = 0.5
 
-func (p *RetryPolicy) applyDefaults() {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 5
-	}
-	if p.Base <= 0 {
-		p.Base = 0.5
-	}
-	if p.Factor < 1 {
-		p.Factor = 2
-	}
-	if p.Cap <= 0 {
-		p.Cap = 8
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.2
-	}
-}
+	// Retryable failures (cold-start/dispatch) back off exponentially:
+	// retryMaxAttempts attempts in all, including the first, waiting
+	// retryBase seconds before the first retry and doubling after each,
+	// every wait spread uniformly within ±retryJitter of its nominal
+	// value by the node's seeded stream. The work is dropped once the
+	// attempts are exhausted; the longest wait is 4 s.
+	retryMaxAttempts         = 5
+	retryBase        float64 = 0.5
+	retryJitter      float64 = 0.2
+)
 
 // Config selects which faults to inject and how often. The zero value
 // is fully disabled; DefaultConfig returns the reference fault mix the
@@ -90,15 +78,10 @@ type Config struct {
 	// SliceFailRate is the per-node Poisson rate (faults/second) of
 	// Xid-style slice failures.
 	SliceFailRate float64
-	// SliceRepair is the slice repair window in seconds (default 15).
-	SliceRepair float64
 
 	// ReconfigStuckProb is the probability a MIG reconfiguration gets
-	// stuck and takes ReconfigStuckFactor times the normal downtime.
+	// stuck and takes reconfigStuckFactor times the normal downtime.
 	ReconfigStuckProb float64
-	// ReconfigStuckFactor is the downtime stretch of a stuck
-	// reconfiguration (default 5).
-	ReconfigStuckFactor float64
 	// ReconfigAbortProb is the probability a reconfiguration fails
 	// outright: the downtime is still paid but the old geometry rolls
 	// back.
@@ -107,9 +90,6 @@ type Config struct {
 	// StragglerProb is the per-batch probability of a service-time
 	// spike.
 	StragglerProb float64
-	// StragglerFactor multiplies a straggler batch's execution time
-	// (default 4).
-	StragglerFactor float64
 
 	// ColdStartFailProb is the probability a container load fails
 	// after paying its boot delay and must be retried.
@@ -118,12 +98,6 @@ type Config struct {
 	// StormRate is the Poisson rate (storms/second) of correlated
 	// spot-preemption storms.
 	StormRate float64
-	// StormFraction is the fraction of live spot nodes that receive a
-	// revocation notice in one storm (default 0.5, capped at 1).
-	StormFraction float64
-
-	// Retry is the backoff policy for retryable failures.
-	Retry RetryPolicy
 }
 
 // DefaultConfig is the reference fault mix of the chaos experiment:
@@ -131,24 +105,19 @@ type Config struct {
 // without collapsing it.
 func DefaultConfig() Config {
 	return Config{
-		Enabled:             true,
-		SliceFailRate:       0.01,
-		SliceRepair:         15,
-		ReconfigStuckProb:   0.3,
-		ReconfigStuckFactor: 5,
-		ReconfigAbortProb:   0.15,
-		StragglerProb:       0.02,
-		StragglerFactor:     4,
-		ColdStartFailProb:   0.2,
-		StormRate:           0.03,
-		StormFraction:       0.5,
+		Enabled:           true,
+		SliceFailRate:     0.01,
+		ReconfigStuckProb: 0.3,
+		ReconfigAbortProb: 0.15,
+		StragglerProb:     0.02,
+		ColdStartFailProb: 0.2,
+		StormRate:         0.03,
 	}
 }
 
 // Scaled multiplies every fault rate and probability by f, capping
-// probabilities at 1. Severity knobs (repair window, stretch and
-// straggler factors, retry policy) are left alone, so a sweep over f
-// varies how often faults strike, not how hard. f = 0 keeps chaos
+// probabilities at 1. Severities are fixed, so a sweep over f varies
+// how often faults strike, not how hard. f = 0 keeps chaos
 // enabled but fault-free — the control row of a sweep.
 func (c Config) Scaled(f float64) Config {
 	if f < 0 {
@@ -186,29 +155,12 @@ func (c Config) Validate() error {
 		{"ReconfigAbortProb", c.ReconfigAbortProb},
 		{"StragglerProb", c.StragglerProb},
 		{"ColdStartFailProb", c.ColdStartFailProb},
-		{"StormFraction", c.StormFraction},
 	} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("chaos: %s %v out of [0, 1]", p.name, p.v)
 		}
 	}
 	return nil
-}
-
-func (c *Config) applyDefaults() {
-	if c.SliceRepair <= 0 {
-		c.SliceRepair = 15
-	}
-	if c.ReconfigStuckFactor < 1 {
-		c.ReconfigStuckFactor = 5
-	}
-	if c.StragglerFactor < 1 {
-		c.StragglerFactor = 4
-	}
-	if c.StormFraction <= 0 {
-		c.StormFraction = 0.5
-	}
-	c.Retry.applyDefaults()
 }
 
 // Stats counts the faults and resilience actions of one run.
@@ -300,7 +252,6 @@ func New(s *sim.Sim, cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.applyDefaults()
 	rng := s.Rand().Child("chaos")
 	return &Injector{
 		cfg:      cfg,
@@ -412,7 +363,7 @@ func (inj *Injector) armSliceFault() {
 		node := inj.rng.Intn(inj.nodes)
 		pick := inj.rng.Float64()
 		inj.stats.SliceFaults++
-		inj.targets.InjectSliceFault(node, pick, inj.cfg.SliceRepair)
+		inj.targets.InjectSliceFault(node, pick, sliceRepair)
 		inj.armSliceFault()
 	})
 }
@@ -428,7 +379,7 @@ func (inj *Injector) armStorm() {
 		if nd := inj.targets.StormDomains(); nd > 1 {
 			domain = inj.rng.Intn(nd)
 		}
-		n := inj.targets.InjectStorm(domain, inj.cfg.StormFraction)
+		n := inj.targets.InjectStorm(domain, stormFraction)
 		inj.stats.Storms++
 		inj.stats.StormNotices += n
 		inj.emit(obs.KindFaultInject, -1, 0, "preemption-storm", float64(n))
@@ -449,7 +400,7 @@ func (inj *Injector) SampleReconfig(node int) (stretch float64, abort bool) {
 	ns := inj.state(node)
 	stretch = 1
 	if ns.rng.Float64() < inj.cfg.ReconfigStuckProb {
-		stretch = inj.cfg.ReconfigStuckFactor
+		stretch = reconfigStuckFactor
 		ns.stats.StuckReconfigs++
 		inj.emitOn(ns.sim, obs.KindFaultInject, node, 0, "reconfig-stuck", stretch)
 	}
@@ -462,7 +413,7 @@ func (inj *Injector) SampleReconfig(node int) (stretch float64, abort bool) {
 }
 
 // Straggler samples the service-time multiplier for one batch: 1 for a
-// healthy batch, StragglerFactor for a spike. Runs in the node's
+// healthy batch, stragglerFactor for a spike. Runs in the node's
 // context (dispatch at the root or a held-batch placement on the
 // node's lane), hence the per-node stream. Safe on nil.
 func (inj *Injector) Straggler(node int, batch uint64) float64 {
@@ -474,8 +425,8 @@ func (inj *Injector) Straggler(node int, batch uint64) float64 {
 		return 1
 	}
 	ns.stats.Stragglers++
-	inj.emitOn(ns.sim, obs.KindFaultInject, node, batch, "straggler", inj.cfg.StragglerFactor)
-	return inj.cfg.StragglerFactor
+	inj.emitOn(ns.sim, obs.KindFaultInject, node, batch, "straggler", stragglerFactor)
+	return stragglerFactor
 }
 
 // ColdStartFailure samples whether a container load fails after its
@@ -495,24 +446,18 @@ func (inj *Injector) ColdStartFailure(node int, batch uint64) bool {
 
 // RetryDelay grants (or denies) retry number attempt on node —
 // attempt counts failures so far, starting at 1 — returning the
-// backoff to wait. The delay grows exponentially from Retry.Base, is
-// capped at Retry.Cap, and carries deterministic uniform jitter drawn
-// from the node's stream (retry scheduling runs on the node's lane).
+// backoff to wait. The delay doubles per attempt from retryBase and
+// carries deterministic uniform jitter drawn from the node's stream
+// (retry scheduling runs on the node's lane).
 // Safe on nil: a disabled injector denies every retry, but callers
 // only reach here after a failure the same injector produced.
 func (inj *Injector) RetryDelay(node, attempt int) (delay float64, ok bool) {
-	if inj == nil || attempt >= inj.cfg.Retry.MaxAttempts {
+	if inj == nil || attempt >= retryMaxAttempts {
 		return 0, false
 	}
 	ns := inj.state(node)
-	pol := inj.cfg.Retry
-	d := pol.Base * math.Pow(pol.Factor, float64(attempt-1))
-	if d > pol.Cap {
-		d = pol.Cap
-	}
-	if pol.JitterFrac > 0 {
-		d *= 1 + pol.JitterFrac*(2*ns.rng.Float64()-1)
-	}
+	d := retryBase * math.Pow(2, float64(attempt-1))
+	d *= 1 + retryJitter*(2*ns.rng.Float64()-1)
 	ns.stats.Retries++
 	return d, true
 }

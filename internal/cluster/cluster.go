@@ -37,22 +37,6 @@ type Config struct {
 	// SLOMultiplier sets strict latency targets as a multiple of
 	// solo-on-7g execution time (default 3; the tight-SLO study uses 2).
 	SLOMultiplier float64
-	// BatchWindow bounds how long a partial batch waits (default 50 ms).
-	BatchWindow float64
-	// MonitorInterval is the reconfiguration monitor window W
-	// (default 2 s).
-	MonitorInterval float64
-	// DispatchQuantum is the period of the dispatch barrier (default
-	// 5 ms): batches the gateway seals are routed to nodes at the next
-	// quantum boundary. A shorter quantum tightens dispatch latency; a
-	// longer one lets the per-node shards run further between
-	// synchronisation barriers. The schedule is part of the model, so
-	// results depend on the quantum — but not on the shard worker
-	// count.
-	DispatchQuantum float64
-	// ReconfigFrac caps the fraction of GPUs reconfiguring
-	// simultaneously (default 0.3 per §4.4).
-	ReconfigFrac float64
 	// Warmup excludes requests arriving before this time from the
 	// metrics, letting container pools ramp up (0 records everything).
 	Warmup float64
@@ -62,10 +46,6 @@ type Config struct {
 	// PreWarmCount is the number of containers pre-warmed per model per
 	// node (default 2).
 	PreWarmCount int
-	// ServiceJitterCV is the coefficient of variation of the lognormal
-	// execution-time jitter applied per batch (data-dependent service
-	// variability; default 0.2, negative disables).
-	ServiceJitterCV float64
 	// Scaler tunes container autoscaling.
 	Scaler autoscale.Config
 	// VM optionally enables the spot/on-demand fleet; its Nodes and
@@ -87,24 +67,28 @@ type Config struct {
 	SketchQuantiles bool
 }
 
+// Fixed model parameters of the platform.
+const (
+	// monitorInterval is the reconfiguration monitor window W in
+	// seconds.
+	monitorInterval float64 = 2
+	// dispatchQuantum is the period of the dispatch barrier in seconds:
+	// batches the gateway seals are routed to nodes at the next quantum
+	// boundary. The schedule is part of the model, so results depend on
+	// the quantum — but not on the shard worker count.
+	dispatchQuantum float64 = 0.005
+	// reconfigFrac caps the fraction of GPUs reconfiguring
+	// simultaneously (§4.4).
+	reconfigFrac float64 = 0.3
+	// serviceJitterCV is the coefficient of variation of the lognormal
+	// execution-time jitter applied per batch (data-dependent service
+	// variability).
+	serviceJitterCV float64 = 0.2
+)
+
 func (c *Config) applyDefaults() {
 	if c.SLOMultiplier <= 0 {
 		c.SLOMultiplier = model.DefaultSLOMultiplier
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = queue.DefaultWindow
-	}
-	if c.MonitorInterval <= 0 {
-		c.MonitorInterval = 2
-	}
-	if c.DispatchQuantum <= 0 {
-		c.DispatchQuantum = 0.005
-	}
-	if c.ReconfigFrac <= 0 {
-		c.ReconfigFrac = 0.3
-	}
-	if c.ServiceJitterCV == 0 {
-		c.ServiceJitterCV = 0.2
 	}
 }
 
@@ -240,7 +224,7 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	// The gateway lane is created first so its trace events sort ahead
 	// of node-lane events at equal timestamps (arrival before service).
 	c.gateway = s.Lane("gateway")
-	budget, err := reconfig.NewBudget(cfg.Nodes, cfg.ReconfigFrac)
+	budget, err := reconfig.NewBudget(cfg.Nodes, reconfigFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +302,7 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 
 	// The batcher lives on the gateway lane; sealed batches land in the
 	// mailbox and cross to the coordinator at the next dispatch quantum.
-	batcher, err := queue.NewBatcher(c.gateway, cfg.BatchWindow, c.enqueueSealed)
+	batcher, err := queue.NewBatcher(c.gateway, queue.DefaultWindow, c.enqueueSealed)
 	if err != nil {
 		return nil, err
 	}
@@ -502,12 +486,12 @@ func (c *Cluster) startControl() error {
 	// both tickers land on the same instant (the monitor interval is a
 	// multiple of the quantum) sealed batches are routed before the
 	// monitor replans.
-	quantum, err := c.sim.Every(c.cfg.DispatchQuantum, c.drainSealed)
+	quantum, err := c.sim.Every(dispatchQuantum, c.drainSealed)
 	if err != nil {
 		return err
 	}
 	c.quantum = quantum
-	monitor, err := c.sim.Every(c.cfg.MonitorInterval, c.monitorTick)
+	monitor, err := c.sim.Every(monitorInterval, c.monitorTick)
 	if err != nil {
 		return err
 	}
@@ -625,7 +609,7 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 // are binned into monitor windows, then each window's request count
 // becomes a per-node batch count.
 func (c *Cluster) precomputeWindows(reqs []trace.Request, duration float64) {
-	w := c.cfg.MonitorInterval
+	w := monitorInterval
 	n := int(duration/w) + 2
 	c.windowBEBatches = make([]int, n)
 	c.windowBEMem = make([]float64, n)
@@ -721,20 +705,13 @@ func (c *Cluster) drainPendingGlobal() {
 
 // monitorTick runs Algorithm 2 on every node and retries stalled work.
 func (c *Cluster) monitorTick() {
-	widx := int(c.sim.Now() / c.cfg.MonitorInterval)
-	pressure := false
-	if c.fleet != nil {
-		if mk := c.fleet.Market(); mk != nil {
-			pressure = mk.BudgetExhausted()
-		}
-	}
+	widx := int(c.sim.Now() / monitorInterval)
 	for _, n := range c.nodes {
-		n.scaler.SetCostPressure(pressure)
 		n.scaler.Sweep()
 		view := core.QueueView{
 			BEBatchesLastWindow: n.beBatchesWindow,
 			BEMemPerBatch:       n.beMemPerBatch(),
-			WindowSeconds:       c.cfg.MonitorInterval,
+			WindowSeconds:       monitorInterval,
 		}
 		if n.lastBEModel != nil {
 			m := n.lastBEModel
@@ -1170,10 +1147,7 @@ func (n *node) resubmit(j *gpu.Job) {
 //
 //protean:hotpath
 func (n *node) serviceJitter() float64 {
-	cv := n.cluster.cfg.ServiceJitterCV
-	if cv <= 0 {
-		return 1
-	}
+	const cv = serviceJitterCV
 	sigma2 := math.Log(1 + cv*cv)
 	sigma := math.Sqrt(sigma2)
 	return math.Exp(n.rng.NormFloat64()*sigma - sigma2/2)

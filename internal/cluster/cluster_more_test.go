@@ -51,7 +51,7 @@ func TestDisplacedJobsSurviveReconfiguration(t *testing.T) {
 
 func TestOracleZeroDowntimeInstalled(t *testing.T) {
 	s := sim.New(1)
-	c, err := New(s, Config{Nodes: 1, Policy: core.NewOracle(core.OracleConfig{})})
+	c, err := New(s, Config{Nodes: 1, Policy: core.NewOracle()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -69,7 +69,7 @@ func TestAllRequestsAccounted(t *testing.T) {
 		"naive":    core.NewNaiveSlicing(nil),
 		"migonly":  core.NewMIGOnly(nil),
 		"gpulet":   core.NewGPUlet(0, 0),
-		"oracle":   core.NewOracle(core.OracleConfig{}),
+		"oracle":   core.NewOracle(),
 	}
 	reqs := genTrace(t, 800, 15, 0.5, "ResNet 50", model.VisionLI(), 2)
 	for name, f := range factories {
@@ -262,7 +262,7 @@ func TestBreakdownConsistency(t *testing.T) {
 func TestOracleAtLeastAsGoodAsProtean(t *testing.T) {
 	reqs := genTrace(t, 1400, 40, 0.5, "ResNet 50", model.VisionLI(), 11)
 	p := runCluster(t, Config{Nodes: 2, Policy: core.NewProtean(core.ProteanConfig{})}, reqs, 40, 11)
-	o := runCluster(t, Config{Nodes: 2, Policy: core.NewOracle(core.OracleConfig{})}, reqs, 40, 11)
+	o := runCluster(t, Config{Nodes: 2, Policy: core.NewOracle()}, reqs, 40, 11)
 	pc, oc := p.Recorder.SLOCompliance(), o.Recorder.SLOCompliance()
 	if oc < pc-0.03 {
 		t.Errorf("Oracle compliance %.4f well below PROTEAN %.4f", oc, pc)

@@ -75,8 +75,6 @@ type Options struct {
 	// Registry optionally receives per-tenant Prometheus series (and,
 	// with Market, the marketplace's price/spend/lease series).
 	Registry *obs.Registry
-	// TraceCap bounds the in-memory lifecycle event ring (default 65536).
-	TraceCap int
 }
 
 func (o *Options) applyDefaults() {
@@ -100,9 +98,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.KeepAlive <= 0 {
 		o.KeepAlive = 60
-	}
-	if o.TraceCap <= 0 {
-		o.TraceCap = 65536
 	}
 }
 
@@ -140,7 +135,7 @@ func New(opts Options) (*Plane, error) {
 	opts.applyDefaults()
 	s := sim.New(opts.Seed)
 	s.SetWorkers(opts.Shards)
-	ring := newRingTracer(opts.TraceCap)
+	ring := &ringTracer{}
 	s.SetTracer(ring)
 	var chaosCfg chaos.Config
 	if opts.ChaosScale > 0 {

@@ -5,19 +5,17 @@ import (
 	"protean/internal/obs"
 )
 
+// traceCap bounds the in-memory lifecycle event ring.
+const traceCap = 65536
+
 // ringTracer is a bounded in-memory event collector: the plane keeps
-// the most recent cap lifecycle events for GET /v1/plane/trace. It is
-// only touched from root simulation context and under the plane mutex,
-// so it needs no locking of its own.
+// the most recent traceCap lifecycle events for GET /v1/plane/trace. It
+// is only touched from root simulation context and under the plane
+// mutex, so it needs no locking of its own.
 type ringTracer struct {
-	cap    int
 	events []obs.Event
 	next   int // write cursor once the ring is full
 	full   bool
-}
-
-func newRingTracer(cap int) *ringTracer {
-	return &ringTracer{cap: cap}
 }
 
 // Enabled implements obs.Tracer.
@@ -27,13 +25,13 @@ func (r *ringTracer) Enabled() bool { return true }
 func (r *ringTracer) Emit(ev obs.Event) {
 	if !r.full {
 		r.events = append(r.events, ev)
-		if len(r.events) == r.cap {
+		if len(r.events) == traceCap {
 			r.full = true
 		}
 		return
 	}
 	r.events[r.next] = ev
-	r.next = (r.next + 1) % r.cap
+	r.next = (r.next + 1) % traceCap
 }
 
 // snapshot returns buffered events oldest-first, optionally filtered to

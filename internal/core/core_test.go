@@ -272,7 +272,7 @@ func TestProteanAblationsDisableFeatures(t *testing.T) {
 }
 
 func TestOracleOverridesAndPredicts(t *testing.T) {
-	f := NewOracle(OracleConfig{})
+	f := NewOracle()
 	p := f()
 	if p.Name() != "Oracle" {
 		t.Errorf("name = %s", p.Name())

@@ -35,13 +35,15 @@ type ProteanConfig struct {
 	// future-work item for the 100%-BE corner case (§6.2), where packing
 	// optimizes neither P50 nor P99.
 	BEFairPlacement bool
-	// InitialGeometry overrides the default (4g, 2g, 1g) start
-	// geometry used in the paper's demonstration (§6.1.1).
-	InitialGeometry gpu.Geometry
-	// BEFBRPerGB approximates the bandwidth pressure of tagged
-	// best-effort memory (default 0.1 per GB).
-	BEFBRPerGB float64
 }
+
+// beFBRPerGB approximates the bandwidth pressure of tagged best-effort
+// memory, per GB.
+const beFBRPerGB float64 = 0.1
+
+// initialGeometry is the (4g, 2g, 1g) start geometry of the paper's
+// demonstration (§6.1.1).
+var initialGeometry = gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g)
 
 type proteanPolicy struct {
 	cfg     ProteanConfig
@@ -56,19 +58,13 @@ var _ Policy = (*proteanPolicy)(nil)
 // sharing, Algorithm 1 job distribution, request reordering, and
 // Algorithm 2 dynamic reconfiguration.
 func NewProtean(cfg ProteanConfig) Factory {
-	if cfg.InitialGeometry == nil {
-		cfg.InitialGeometry = gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g)
-	}
-	if cfg.BEFBRPerGB == 0 {
-		cfg.BEFBRPerGB = 0.1
-	}
 	if cfg.Est == nil {
 		cfg.Est = TrueFBR
 	}
 	return func() Policy {
 		return &proteanPolicy{
 			cfg:     cfg,
-			dist:    Distributor{Est: cfg.Est, BEFBRPerGB: cfg.BEFBRPerGB},
+			dist:    Distributor{Est: cfg.Est, BEFBRPerGB: beFBRPerGB},
 			planner: reconfig.New(cfg.Reconfig),
 			name:    "PROTEAN",
 		}
@@ -77,7 +73,7 @@ func NewProtean(cfg ProteanConfig) Factory {
 
 func (p *proteanPolicy) Name() string                  { return p.name }
 func (p *proteanPolicy) Sharing() gpu.SharingMode      { return gpu.ShareMPS }
-func (p *proteanPolicy) InitialGeometry() gpu.Geometry { return p.cfg.InitialGeometry.Clone() }
+func (p *proteanPolicy) InitialGeometry() gpu.Geometry { return initialGeometry.Clone() }
 func (p *proteanPolicy) ReorderRequests() bool         { return !p.cfg.DisableReorder }
 func (p *proteanPolicy) SMCap(bool) float64            { return 0 }
 
@@ -115,12 +111,6 @@ func (p *proteanPolicy) DesiredGeometry(g *gpu.GPU, view QueueView) (gpu.Geometr
 	return d.Desired, d.Reconfigure
 }
 
-// OracleConfig tunes the Oracle comparison scheme of §6.2.
-type OracleConfig struct {
-	// Reconfig tunes Algorithm 2 (hysteresis is disabled regardless).
-	Reconfig reconfig.Config
-}
-
 type oraclePolicy struct {
 	proteanPolicy
 }
@@ -130,10 +120,9 @@ var _ DowntimeOverrider = (*oraclePolicy)(nil)
 // NewOracle returns the Oracle: PROTEAN's policies with ground-truth
 // FBRs, perfect knowledge of upcoming BE load, no reconfiguration
 // hysteresis, and zero reconfiguration downtime (offline sweeps).
-func NewOracle(cfg OracleConfig) Factory {
-	cfg.Reconfig.WaitLimit = -1
+func NewOracle() Factory {
 	return func() Policy {
-		inner := NewProtean(ProteanConfig{Est: TrueFBR, Reconfig: cfg.Reconfig})()
+		inner := NewProtean(ProteanConfig{Est: TrueFBR, Reconfig: reconfig.Config{WaitLimit: -1}})()
 		pp, ok := inner.(*proteanPolicy)
 		if !ok {
 			return inner

@@ -218,14 +218,9 @@ type Scenario struct {
 type MarketSpec struct {
 	// Catalog is the provider catalog.
 	Catalog []market.ProviderConfig
-	// Config tunes ticks, provisioning, and budget.
-	Config market.Config
 	// Policy builds the procurement policy — a factory, so concurrent
 	// runs never share stateful policies.
 	Policy func() market.Policy
-	// MigrateInterval is the rebalance period (0: fleet default,
-	// negative: disabled).
-	MigrateInterval float64
 }
 
 // runScenario materialises the scenario's arrivals (sc.Trace, or a
@@ -310,7 +305,7 @@ func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim
 		if sc.Market.Policy == nil {
 			return trace.Config{}, nil, nil, errors.New("experiments: market scenario without procurement policy")
 		}
-		mk, err := market.New(s, sc.Market.Config, sc.Market.Catalog)
+		mk, err := market.New(s, market.Config{}, sc.Market.Catalog)
 		if err != nil {
 			return trace.Config{}, nil, nil, err
 		}
@@ -322,9 +317,6 @@ func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim
 		}
 		vmCfg.Market = mk
 		vmCfg.Procurement = sc.Market.Policy()
-		if sc.Market.MigrateInterval != 0 {
-			vmCfg.MigrateInterval = sc.Market.MigrateInterval
-		}
 	}
 	c, err := cluster.New(s, cluster.Config{
 		Nodes:           p.Nodes,

@@ -179,7 +179,7 @@ func Fig17Oracle(p Params) (*Report, error) {
 	p = p.withDefaults()
 	schemes := []NamedFactory{
 		{Name: "PROTEAN", Factory: core.NewProtean(core.ProteanConfig{})},
-		{Name: "Oracle", Factory: core.NewOracle(core.OracleConfig{})},
+		{Name: "Oracle", Factory: core.NewOracle()},
 	}
 	t := &Table{
 		Title:   "Figure 17: PROTEAN vs Oracle",

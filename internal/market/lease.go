@@ -127,7 +127,7 @@ func (m *Market) Request(consumer string, providerIdx int, kind Kind, onReady fu
 		m.ready(l, onReady)
 		return l, nil
 	}
-	m.sim.MustAfter(m.cfg.ProvisionTime, func() { m.ready(l, onReady) })
+	m.sim.MustAfter(ProvisionTime, func() { m.ready(l, onReady) })
 	return l, nil
 }
 
@@ -141,7 +141,7 @@ func (m *Market) ready(l *Lease, onReady func(*Lease)) {
 	l.State = StateReady
 	l.ReadyAt = now
 	l.since = now
-	m.sim.MustAfter(m.cfg.BindTimeout, func() {
+	m.sim.MustAfter(bindTimeout, func() {
 		if l.State == StateReady {
 			m.orphan(l, "bind-timeout")
 		}
@@ -227,7 +227,7 @@ func (m *Market) reclaim(l *Lease, terminal LeaseState) {
 // sweepOrphans reclaims bound leases whose heartbeats stopped, in
 // lease-ID order.
 func (m *Market) sweepOrphans() {
-	cutoff := m.sim.Now() - float64(m.cfg.HeartbeatMisses)*m.cfg.HeartbeatInterval
+	cutoff := m.sim.Now() - heartbeatMisses*heartbeatInterval
 	for _, l := range m.leases {
 		if l.State == StateBound && l.beat <= cutoff {
 			m.orphan(l, "heartbeat-lost")

@@ -10,7 +10,7 @@ import (
 
 func TestTwoPhaseLifecycle(t *testing.T) {
 	s := sim.New(1)
-	m := newTestMarket(t, s, Config{ProvisionTime: 25, BindTimeout: 30})
+	m := newTestMarket(t, s, Config{})
 	var l *Lease
 	s.MustAfter(10, func() {
 		var err error
@@ -57,7 +57,7 @@ func TestTwoPhaseLifecycle(t *testing.T) {
 
 func TestBindTimeoutOrphansAndBillsReadyToReclaim(t *testing.T) {
 	s := sim.New(1)
-	m := newTestMarket(t, s, Config{ProvisionTime: 25, BindTimeout: 30})
+	m := newTestMarket(t, s, Config{})
 	var l *Lease
 	s.MustAfter(10, func() {
 		var err error
@@ -87,7 +87,7 @@ func TestBindTimeoutOrphansAndBillsReadyToReclaim(t *testing.T) {
 
 func TestHeartbeatLossOrphansBoundLease(t *testing.T) {
 	s := sim.New(1)
-	m := newTestMarket(t, s, Config{HeartbeatInterval: 60, HeartbeatMisses: 3})
+	m := newTestMarket(t, s, Config{})
 	l, err := m.Request("c", 1, KindSpot, func(lz *Lease) { _ = m.Bind(lz) })
 	if err != nil {
 		t.Fatalf("Request: %v", err)
@@ -147,7 +147,7 @@ func TestSpotInventoryExhaustion(t *testing.T) {
 
 func TestReleaseWhilePendingCancelsUnbilled(t *testing.T) {
 	s := sim.New(1)
-	m := newTestMarket(t, s, Config{ProvisionTime: 25})
+	m := newTestMarket(t, s, Config{})
 	var l *Lease
 	bound := false
 	s.MustAfter(10, func() {

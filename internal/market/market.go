@@ -4,7 +4,7 @@
 // finite spot inventory, seeded mean-reverting spot-price processes
 // with regime shifts, per-provider revocation profiles, two-phase
 // lease provisioning (request → pending → bind) with heartbeat/orphan
-// detection, and per-consumer cost tracking with budget alerts.
+// detection, and per-consumer cost tracking.
 //
 // Determinism contract: every price path is a pure function of the
 // simulation seed. Each provider draws from its own child stream
@@ -68,25 +68,13 @@ type ProviderConfig struct {
 	// Volatility is the relative per-√hour standard deviation of the
 	// spot price walk (0 freezes the price at the anchor).
 	Volatility float64
-	// Reversion is the mean-reversion strength per hour toward the
-	// current regime anchor (default 2).
-	Reversion float64
 	// RegimeProb is the per-tick probability that an expiring regime is
 	// replaced by a shifted one rather than the base anchor.
 	RegimeProb float64
-	// RegimeLow and RegimeHigh bound the shifted regime's anchor as a
-	// multiple of SpotBaseHourly (defaults 0.7 and 1.8).
-	RegimeLow, RegimeHigh float64
-	// RegimeMeanDuration is the mean regime length in seconds
-	// (default 600).
-	RegimeMeanDuration float64
 
 	// PRev is the per-check probability a spot lease receives a
 	// revocation notice (the fleet draws it on its own stream).
 	PRev float64
-	// NoticeMin and NoticeMax bound the revocation notice lead time in
-	// seconds (defaults 30 and 120).
-	NoticeMin, NoticeMax float64
 	// StormCoupling is the fraction of another provider's preemption
 	// storm that spills onto this provider's spot leases (0: storms on
 	// other providers never touch this one).
@@ -99,24 +87,6 @@ func (c *ProviderConfig) applyDefaults() {
 	}
 	if c.SpotBaseHourly <= 0 {
 		c.SpotBaseHourly = c.OnDemandHourly
-	}
-	if c.Reversion <= 0 {
-		c.Reversion = 2
-	}
-	if c.RegimeLow <= 0 {
-		c.RegimeLow = 0.7
-	}
-	if c.RegimeHigh < c.RegimeLow {
-		c.RegimeHigh = 1.8
-	}
-	if c.RegimeMeanDuration <= 0 {
-		c.RegimeMeanDuration = 600
-	}
-	if c.NoticeMin <= 0 {
-		c.NoticeMin = 30
-	}
-	if c.NoticeMax < c.NoticeMin {
-		c.NoticeMax = 120
 	}
 }
 
@@ -137,55 +107,45 @@ func (c *ProviderConfig) validate() error {
 	return nil
 }
 
+// Spot price process parameters, shared by every provider.
+const (
+	// reversion is the mean-reversion strength per hour toward the
+	// current regime anchor.
+	reversion float64 = 2
+	// regimeLow and regimeHigh bound a shifted regime's anchor as a
+	// multiple of SpotBaseHourly.
+	regimeLow, regimeHigh float64 = 0.7, 1.8
+	// regimeMeanDuration is the mean regime length in seconds.
+	regimeMeanDuration float64 = 600
+	// ewmaAlpha is the smoothing factor of the per-provider spot price
+	// forecast exposed to policies.
+	ewmaAlpha float64 = 0.2
+)
+
+// Marketplace timing, in virtual seconds.
+const (
+	// tickInterval is the spot-price evaluation period.
+	tickInterval float64 = 15
+	// ProvisionTime is the request → ready lead time. Requests issued at
+	// virtual time 0 provision synchronously: the bootstrap fleet exists
+	// before the run clock starts, exactly like the single-provider
+	// fleet attaching its initial leases at t=0.
+	ProvisionTime float64 = 25
+	// bindTimeout is how long a ready lease waits for its consumer's
+	// Bind before it is reclaimed as an orphan.
+	bindTimeout float64 = 30
+	// heartbeatInterval is the orphan sweeper period.
+	heartbeatInterval float64 = 60
+	// heartbeatMisses is how many missed intervals orphan a bound lease.
+	heartbeatMisses float64 = 3
+)
+
 // Config tunes the marketplace.
 type Config struct {
-	// TickInterval is the spot-price evaluation period in virtual
-	// seconds (default 15).
-	TickInterval float64
-	// ProvisionTime is the request → ready lead time (default 25 s).
-	// Requests issued at virtual time 0 provision synchronously: the
-	// bootstrap fleet exists before the run clock starts, exactly like
-	// the single-provider fleet attaching its initial leases at t=0.
-	ProvisionTime float64
-	// BindTimeout is how long a ready lease waits for its consumer's
-	// Bind before it is reclaimed as an orphan (default 30 s).
-	BindTimeout float64
-	// HeartbeatInterval is the orphan sweeper period (default 60 s).
-	HeartbeatInterval float64
-	// HeartbeatMisses is how many missed intervals orphan a bound lease
-	// (default 3).
-	HeartbeatMisses int
-	// EWMAAlpha is the smoothing factor of the per-provider spot price
-	// forecast exposed to policies (default 0.2).
-	EWMAAlpha float64
-	// Budget is the total spend ceiling in dollars; crossing 50%, 90%
-	// and 100% of it emits budget alerts. 0 disables alerts.
-	Budget float64
 	// Metrics optionally receives the market's Prometheus series:
-	// market_spot_price_hourly{provider}, market_spend_dollars,
-	// market_leases_live and market_budget_alerts_total.
+	// market_spot_price_hourly{provider}, market_spend_dollars and
+	// market_leases_live.
 	Metrics *obs.Registry
-}
-
-func (c *Config) applyDefaults() {
-	if c.TickInterval <= 0 {
-		c.TickInterval = 15
-	}
-	if c.ProvisionTime <= 0 {
-		c.ProvisionTime = 25
-	}
-	if c.BindTimeout <= 0 {
-		c.BindTimeout = 30
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 60
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 3
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
-	}
 }
 
 // provider is one catalog entry's live state.
@@ -209,13 +169,11 @@ type provider struct {
 // root-simulation context (never from a node lane).
 type Market struct {
 	sim       *sim.Sim
-	cfg       Config
 	providers []*provider
 
 	leases []*Lease // index = ID-1; entries are never removed
 
-	spend      float64 // settled dollars across all closed billing segments
-	alertStage int     // budget thresholds already crossed
+	spend float64 // settled dollars across all closed billing segments
 
 	consumers    map[string]int // name → index into consumer slices
 	consumerName []string       // first-charge order
@@ -227,10 +185,9 @@ type Market struct {
 	sweeper *sim.Ticker
 	started bool
 
-	priceG  *obs.GaugeVec
-	spendG  *obs.Gauge
-	liveG   *obs.Gauge
-	alertsC *obs.Counter
+	priceG *obs.GaugeVec
+	spendG *obs.Gauge
+	liveG  *obs.Gauge
 }
 
 // Stats counts marketplace activity.
@@ -246,8 +203,6 @@ type Stats struct {
 	Orphans int `json:"orphans"`
 	// Releases counts clean lease returns.
 	Releases int `json:"releases"`
-	// BudgetAlerts counts budget threshold crossings (≤ 3).
-	BudgetAlerts int `json:"budgetAlerts"`
 }
 
 // New builds a marketplace over the catalog on the simulator's clock.
@@ -259,10 +214,8 @@ func New(s *sim.Sim, cfg Config, catalog []ProviderConfig) (*Market, error) {
 	if len(catalog) == 0 {
 		return nil, errors.New("market: empty provider catalog")
 	}
-	cfg.applyDefaults()
 	m := &Market{
 		sim:       s,
-		cfg:       cfg,
 		consumers: make(map[string]int),
 	}
 	for i := range catalog {
@@ -290,8 +243,6 @@ func New(s *sim.Sim, cfg Config, catalog []ProviderConfig) (*Market, error) {
 			"Total dollars settled across all lease billing segments.")
 		m.liveG = reg.Gauge("market_leases_live",
 			"Leases currently pending, ready or bound.")
-		m.alertsC = reg.Counter("market_budget_alerts_total",
-			"Budget threshold crossings (50%/90%/100%).")
 		for _, p := range m.providers {
 			m.priceG.With(p.cfg.Name).Set(p.spot)
 		}
@@ -305,12 +256,12 @@ func (m *Market) Start() error {
 		return errors.New("market: already started")
 	}
 	m.started = true
-	tk, err := m.sim.Every(m.cfg.TickInterval, m.tick)
+	tk, err := m.sim.Every(tickInterval, m.tick)
 	if err != nil {
 		return fmt.Errorf("market: start price ticker: %w", err)
 	}
 	m.ticker = tk
-	sw, err := m.sim.Every(m.cfg.HeartbeatInterval, m.sweepOrphans)
+	sw, err := m.sim.Every(heartbeatInterval, m.sweepOrphans)
 	if err != nil {
 		return fmt.Errorf("market: start orphan sweeper: %w", err)
 	}
@@ -340,23 +291,23 @@ func (m *Market) ProviderConfig(i int) ProviderConfig { return m.providers[i].cf
 // an exact piecewise integral across price changes.
 func (m *Market) tick() {
 	now := m.sim.Now()
-	dt := m.cfg.TickInterval / 3600 // hours
+	dt := tickInterval / 3600 // hours
 	for i, p := range m.providers {
 		c := &p.cfg
 		// Regime shifts: when the current regime expires, either revert
 		// to the base anchor or (with RegimeProb) shift to a scaled one.
-		p.regimeLeft -= m.cfg.TickInterval
+		p.regimeLeft -= tickInterval
 		if p.regimeLeft <= 0 {
 			if p.rng.Float64() < c.RegimeProb {
-				p.anchor = c.SpotBaseHourly * (c.RegimeLow + p.rng.Float64()*(c.RegimeHigh-c.RegimeLow))
+				p.anchor = c.SpotBaseHourly * (regimeLow + p.rng.Float64()*(regimeHigh-regimeLow))
 			} else {
 				p.anchor = c.SpotBaseHourly
 			}
-			p.regimeLeft = c.RegimeMeanDuration * (0.5 + p.rng.Float64())
+			p.regimeLeft = regimeMeanDuration * (0.5 + p.rng.Float64())
 		}
 		// Mean-reverting multiplicative walk around the regime anchor.
 		next := p.spot +
-			c.Reversion*(p.anchor-p.spot)*dt +
+			reversion*(p.anchor-p.spot)*dt +
 			c.Volatility*p.spot*math.Sqrt(dt)*p.rng.NormFloat64()
 		// Spot never exceeds on-demand (nobody would buy) and never
 		// collapses below 5% of base (providers floor their auctions).
@@ -369,7 +320,7 @@ func (m *Market) tick() {
 		// Settle every active lease segment at the outgoing price.
 		m.checkpointProvider(i, now)
 		p.spot = next
-		p.ewma += m.cfg.EWMAAlpha * (p.spot - p.ewma)
+		p.ewma += ewmaAlpha * (p.spot - p.ewma)
 		p.ticks++
 		p.sumSpot += p.spot
 		if p.spot < p.minSpot {
@@ -412,8 +363,7 @@ func (m *Market) rate(l *Lease) float64 {
 }
 
 // settle closes the lease's open billing segment: dollars accrue to
-// the lease, the consumer's ledger, and the market total, and budget
-// alerts fire on threshold crossings.
+// the lease, the consumer's ledger, and the market total.
 func (m *Market) settle(l *Lease, now float64) {
 	d := (now - l.since) / 3600 * m.rate(l)
 	l.since = now
@@ -425,7 +375,7 @@ func (m *Market) settle(l *Lease, now float64) {
 }
 
 // charge records dollars against a consumer's ledger and the market
-// total, firing budget alerts as thresholds are crossed.
+// total.
 func (m *Market) charge(consumer string, dollars float64) {
 	idx, ok := m.consumers[consumer]
 	if !ok {
@@ -439,36 +389,6 @@ func (m *Market) charge(consumer string, dollars float64) {
 	if m.spendG != nil {
 		m.spendG.Set(m.spend)
 	}
-	m.checkBudget(consumer)
-}
-
-// budgetStages are the alert thresholds as fractions of Config.Budget.
-var budgetStages = [...]float64{0.5, 0.9, 1.0}
-
-func (m *Market) checkBudget(consumer string) {
-	if m.cfg.Budget <= 0 {
-		return
-	}
-	for m.alertStage < len(budgetStages) && m.spend >= budgetStages[m.alertStage]*m.cfg.Budget {
-		stage := budgetStages[m.alertStage]
-		m.alertStage++
-		m.stats.BudgetAlerts++
-		if m.alertsC != nil {
-			m.alertsC.Inc()
-		}
-		if tr := m.sim.Tracer(); tr.Enabled() {
-			ev := obs.At(m.sim.Now(), obs.KindBudgetAlert)
-			ev.Detail = fmt.Sprintf("%.0f%%", stage*100)
-			ev.Model = consumer
-			ev.Value = m.spend
-			tr.Emit(ev)
-		}
-	}
-}
-
-// BudgetExhausted reports whether the spend ceiling has been crossed.
-func (m *Market) BudgetExhausted() bool {
-	return m.cfg.Budget > 0 && m.spend >= m.cfg.Budget
 }
 
 // TotalDollars returns all settled spending plus the open segment of

@@ -103,7 +103,7 @@ func TestLeaseBillingIsExactPiecewiseIntegral(t *testing.T) {
 	s := sim.New(5)
 	col := obs.NewCollector("market")
 	s.SetTracer(col)
-	m := newTestMarket(t, s, Config{TickInterval: 15})
+	m := newTestMarket(t, s, Config{})
 
 	var l *Lease
 	var readyAt float64
@@ -164,42 +164,6 @@ func TestLeaseBillingIsExactPiecewiseIntegral(t *testing.T) {
 	}
 	if tot := m.TotalDollars(); math.Abs(tot-want) > 1e-9 {
 		t.Errorf("TotalDollars = %.12f, want %.12f", tot, want)
-	}
-}
-
-func TestBudgetAlertsFireOnceEach(t *testing.T) {
-	s := sim.New(2)
-	// On-demand at $32/hour: one lease crosses a $8 budget in 15 min.
-	m, err := New(s, Config{Budget: 8, TickInterval: 15}, testCatalog())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	l, err := m.Request("tenant/a", 0, KindOnDemand, func(lz *Lease) {
-		if err := m.Bind(lz); err != nil {
-			t.Errorf("Bind: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Request: %v", err)
-	}
-	keepAlive, err := s.Every(30, func() { m.Heartbeat(l) })
-	if err != nil {
-		t.Fatalf("Every: %v", err)
-	}
-	defer keepAlive.Stop()
-	if err := s.RunUntil(3600); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	m.Release(l)
-	st := m.Stats()
-	if st.BudgetAlerts != 3 {
-		t.Errorf("BudgetAlerts = %d, want 3 (50%%, 90%%, 100%%)", st.BudgetAlerts)
-	}
-	if !m.BudgetExhausted() {
-		t.Error("BudgetExhausted = false after spending 4× the budget")
 	}
 }
 

@@ -32,8 +32,6 @@ type View struct {
 	SpendRate float64
 	// Spent is the settled spending so far in dollars.
 	Spent float64
-	// Budget is the total-dollar ceiling (0: unlimited).
-	Budget float64
 }
 
 // View captures the current market snapshot.
@@ -43,7 +41,6 @@ func (m *Market) View() View {
 		Providers: make([]ProviderView, len(m.providers)),
 		SpendRate: m.SpendRate(),
 		Spent:     m.spend,
-		Budget:    m.cfg.Budget,
 	}
 	for i, p := range m.providers {
 		v.Providers[i] = ProviderView{

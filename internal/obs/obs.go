@@ -129,9 +129,6 @@ const (
 	// missed heartbeats (Node = provider index, Batch = lease id,
 	// Detail = reason, Model = consumer).
 	KindLeaseOrphan
-	// KindBudgetAlert is market spending crossing a budget threshold
-	// (Detail = threshold percentage, Value = dollars spent).
-	KindBudgetAlert
 )
 
 // kindNames indexes Kind.String; order must match the constants.
@@ -165,7 +162,6 @@ var kindNames = [...]string{
 	KindLeaseRequest:  "lease-request",
 	KindLeaseBind:     "lease-bind",
 	KindLeaseOrphan:   "lease-orphan",
-	KindBudgetAlert:   "budget-alert",
 }
 
 // String implements fmt.Stringer.

@@ -22,16 +22,17 @@ type Config struct {
 	// a reconfiguration is issued (3 in §4.4). Zero keeps the default;
 	// negative disables hysteresis (the Oracle).
 	WaitLimit int
-	// TLow and THigh are the BE occupancy thresholds of Algorithm 2
-	// steps d/e, as fractions of the chosen small-slice-set memory
-	// (defaults 0.1 and 0.9).
-	TLow, THigh float64
-	// RhoHigh is the maximum BE time-occupancy (service demand over
-	// capacity) allowed on a small slice set before escalating —
-	// Algorithm 2's T_high expressed over slowdown rather than memory
-	// (default 0.75).
-	RhoHigh float64
 }
+
+const (
+	// tLow and tHigh are the BE occupancy thresholds of Algorithm 2
+	// steps d/e, as fractions of the chosen small-slice-set memory.
+	tLow, tHigh float64 = 0.1, 0.9
+	// rhoHigh is the maximum BE time-occupancy (service demand over
+	// capacity) allowed on a small slice set before escalating —
+	// Algorithm 2's T_high expressed over slowdown rather than memory.
+	rhoHigh float64 = 0.75
+)
 
 func (c *Config) applyDefaults() {
 	if c.Alpha <= 0 || c.Alpha > 1 {
@@ -42,15 +43,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.WaitLimit < 0 {
 		c.WaitLimit = 1
-	}
-	if c.TLow <= 0 {
-		c.TLow = 0.1
-	}
-	if c.THigh <= 0 || c.THigh > 1 {
-		c.THigh = 0.9
-	}
-	if c.RhoHigh <= 0 || c.RhoHigh > 1 {
-		c.RhoHigh = 0.75
 	}
 }
 
@@ -160,7 +152,7 @@ func (p *Planner) Plan(in PlanInput) Decision {
 					capacity += 1 / solo
 				}
 			}
-			if capacity <= 0 || rate/capacity > p.cfg.RhoHigh {
+			if capacity <= 0 || rate/capacity > rhoHigh {
 				continue
 			}
 		}
@@ -168,10 +160,10 @@ func (p *Planner) Plan(in PlanInput) Decision {
 		if sum > 0 {
 			occupancy = predBEMem / sum
 		}
-		if occupancy > p.cfg.THigh {
+		if occupancy > tHigh {
 			continue // too tight: try the next (larger) slice set
 		}
-		if occupancy < p.cfg.TLow {
+		if occupancy < tLow {
 			break // very few BE requests: consolidation on (4g, 3g) wins
 		}
 		final = append(gpu.Geometry{}, set...)

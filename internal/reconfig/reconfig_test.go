@@ -110,9 +110,6 @@ func TestDefaultsApplied(t *testing.T) {
 	if p.cfg.WaitLimit != 3 {
 		t.Errorf("WaitLimit = %d, want 3", p.cfg.WaitLimit)
 	}
-	if p.cfg.TLow != 0.1 || p.cfg.THigh != 0.9 {
-		t.Errorf("thresholds = %v/%v, want 0.1/0.9", p.cfg.TLow, p.cfg.THigh)
-	}
 	if p.cfg.Alpha != 0.35 {
 		t.Errorf("alpha = %v, want 0.35", p.cfg.Alpha)
 	}

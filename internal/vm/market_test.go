@@ -221,10 +221,9 @@ func TestMarketFleetMigratesTowardCheaperCapacity(t *testing.T) {
 		t.Fatalf("market.Start: %v", err)
 	}
 	f, err := NewFleet(s, Config{
-		Nodes:           2,
-		Market:          m,
-		Procurement:     market.ForecastMigrate(0.15),
-		MigrateInterval: 60,
+		Nodes:       2,
+		Market:      m,
+		Procurement: market.ForecastMigrate(0.15),
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)

@@ -23,7 +23,6 @@ func TestPropertyFleetCostAndCapacityBounds(t *testing.T) {
 			Mode:          mode,
 			Availability:  Availability{Name: "fuzz", PRev: prev},
 			CheckInterval: 15,
-			RetryInterval: 10,
 		})
 		if err != nil {
 			return false

@@ -168,16 +168,6 @@ type Config struct {
 	Availability Availability
 	// CheckInterval is the revocation check period (default 60 s).
 	CheckInterval float64
-	// NoticeMin and NoticeMax bound the eviction notice lead time
-	// (defaults 30 s and 120 s per §2.3).
-	NoticeMin, NoticeMax float64
-	// ProvisionTime is the lead time to bring up a replacement VM
-	// (default 25 s — inside the minimum notice window, which is what
-	// makes the drain-and-replace trick work).
-	ProvisionTime float64
-	// RetryInterval is how often a failed spot request is retried in
-	// ModeSpotOnly (default 30 s).
-	RetryInterval float64
 	// Listener receives node lifecycle events (optional).
 	Listener Listener
 
@@ -191,10 +181,27 @@ type Config struct {
 	// Procurement is the policy consulted for every acquire and
 	// replacement decision (required with Market).
 	Procurement market.Policy
-	// MigrateInterval is the period of Procurement.Rebalance passes in
-	// market mode (default 120 s; negative disables).
-	MigrateInterval float64
 }
+
+// Fixed lease-lifecycle parameters, in seconds.
+const (
+	// noticeMin and noticeMax bound the eviction notice lead time
+	// (§2.3), on the legacy path and for every market provider alike.
+	noticeMin float64 = 30
+	noticeMax float64 = 120
+	// retryInterval is how long a node left without capacity waits
+	// before procurement asks again (ModeSpotOnly, or the market).
+	retryInterval float64 = 30
+	// migrateInterval is the period of Procurement.Rebalance passes in
+	// market mode.
+	migrateInterval float64 = 120
+)
+
+// Drain-and-replace works only because a replacement VM (provisioned
+// in market.ProvisionTime on either path) is up before the shortest
+// notice expires. The map literal repeats the key false, and so fails
+// to compile, if that ever stops holding.
+var _ = map[bool]struct{}{false: {}, market.ProvisionTime < noticeMin: {}}
 
 func (c *Config) applyDefaults() {
 	if c.Pricing == (Pricing{}) {
@@ -202,21 +209,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = 60
-	}
-	if c.NoticeMin <= 0 {
-		c.NoticeMin = 30
-	}
-	if c.NoticeMax < c.NoticeMin {
-		c.NoticeMax = 120
-	}
-	if c.ProvisionTime <= 0 {
-		c.ProvisionTime = 25
-	}
-	if c.RetryInterval <= 0 {
-		c.RetryInterval = 30
-	}
-	if c.Market != nil && c.MigrateInterval == 0 {
-		c.MigrateInterval = 120
 	}
 }
 
@@ -375,13 +367,11 @@ func (f *Fleet) startMarket() error {
 		return fmt.Errorf("vm: start revocation checks: %w", err)
 	}
 	f.ticker = tk
-	if f.cfg.MigrateInterval > 0 {
-		mt, err := f.sim.Every(f.cfg.MigrateInterval, f.rebalance)
-		if err != nil {
-			return fmt.Errorf("vm: start migration ticker: %w", err)
-		}
-		f.migTicker = mt
+	mt, err := f.sim.Every(migrateInterval, f.rebalance)
+	if err != nil {
+		return fmt.Errorf("vm: start migration ticker: %w", err)
 	}
+	f.migTicker = mt
 	return nil
 }
 
@@ -472,7 +462,7 @@ func (f *Fleet) notice(i int) {
 	f.notices++
 	f.noticeGen[i]++
 	gen := f.noticeGen[i]
-	notice := f.cfg.NoticeMin + f.rng.Float64()*(f.cfg.NoticeMax-f.cfg.NoticeMin)
+	notice := noticeMin + f.rng.Float64()*(noticeMax-noticeMin)
 	deadline := f.sim.Now() + notice
 	f.states[i] = nodeDraining
 	if tr := f.sim.Tracer(); tr.Enabled() {
@@ -488,11 +478,11 @@ func (f *Fleet) notice(i int) {
 	// spot, fall back to on-demand unless spot-only.
 	replacementReady := false
 	if f.spotAvailable() {
-		f.sim.MustAfter(f.cfg.ProvisionTime, func() { f.replace(i, KindSpot) })
+		f.sim.MustAfter(market.ProvisionTime, func() { f.replace(i, KindSpot) })
 		replacementReady = true
 	} else if f.cfg.Mode == ModeSpotPreferred {
 		f.failures++
-		f.sim.MustAfter(f.cfg.ProvisionTime, func() { f.replace(i, KindOnDemand) })
+		f.sim.MustAfter(market.ProvisionTime, func() { f.replace(i, KindOnDemand) })
 		replacementReady = true
 	} else {
 		f.failures++
@@ -504,16 +494,15 @@ func (f *Fleet) notice(i int) {
 }
 
 // noticeMarket delivers a revocation notice to a market-backed node:
-// the notice window comes from the lease's provider profile, and the
-// replacement is whatever the procurement policy picks from the
-// current market view.
+// the notice window is the legacy path's, and the replacement is
+// whatever the procurement policy picks from the current market view.
 func (f *Fleet) noticeMarket(i int) {
 	l := f.mleases[i]
 	pc := f.cfg.Market.ProviderConfig(l.Provider)
 	f.notices++
 	f.noticeGen[i]++
 	gen := f.noticeGen[i]
-	notice := pc.NoticeMin + f.rng.Float64()*(pc.NoticeMax-pc.NoticeMin)
+	notice := noticeMin + f.rng.Float64()*(noticeMax-noticeMin)
 	deadline := f.sim.Now() + notice
 	f.states[i] = nodeDraining
 	if tr := f.sim.Tracer(); tr.Enabled() {
@@ -562,7 +551,7 @@ func (f *Fleet) procureMarket(node int) {
 // retryMarket re-runs procurement for a node still down after the
 // retry interval.
 func (f *Fleet) retryMarket(node int) {
-	f.sim.MustAfter(f.cfg.RetryInterval, func() {
+	f.sim.MustAfter(retryInterval, func() {
 		if f.stopped || f.states[node] != nodeDown {
 			return
 		}
@@ -766,7 +755,7 @@ func (f *Fleet) evict(node, gen int, needRetry bool) {
 // scheduleSpotRetry keeps requesting spot capacity for a down node
 // (spot-only mode).
 func (f *Fleet) scheduleSpotRetry(node int) {
-	f.sim.MustAfter(f.cfg.RetryInterval, func() {
+	f.sim.MustAfter(retryInterval, func() {
 		if f.stopped || f.states[node] != nodeDown {
 			return
 		}
@@ -777,19 +766,6 @@ func (f *Fleet) scheduleSpotRetry(node int) {
 		f.failures++
 		f.scheduleSpotRetry(node)
 	})
-}
-
-// UpCount returns the number of schedulable nodes.
-//
-//lint:ignore deadcode capacity check of TestOnDemandOnlyNeverEvicts, TestPropertyFleetCostAndCapacityBounds and the other fleet tests
-func (f *Fleet) UpCount() int {
-	n := 0
-	for _, st := range f.states {
-		if st == nodeUp {
-			n++
-		}
-	}
-	return n
 }
 
 // CostReport summarizes metered spending.

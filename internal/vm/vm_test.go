@@ -198,7 +198,6 @@ func TestSpotOnlyRecoversWhenSpotReturns(t *testing.T) {
 		Mode:          ModeSpotOnly,
 		Availability:  Availability{Name: "med", PRev: 0.5},
 		CheckInterval: 20,
-		RetryInterval: 10,
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
@@ -220,7 +219,7 @@ func TestSpotOnlyRecoversWhenSpotReturns(t *testing.T) {
 		t.Fatalf("RunUntil: %v", err)
 	}
 	tick.Stop()
-	// With 50% retry success every 10 s, outages are short: capacity
+	// With 50% retry success every 30 s, outages are short: capacity
 	// should exist most of the time.
 	if frac := float64(withCapacity) / float64(samples); frac < 0.5 {
 		t.Errorf("fleet had capacity only %.0f%% of the time", frac*100)

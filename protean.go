@@ -68,7 +68,7 @@ func (s Scheme) factory() (core.Factory, error) {
 	case SchemePROTEAN:
 		return core.NewProtean(core.ProteanConfig{}), nil
 	case SchemeOracle:
-		return core.NewOracle(core.OracleConfig{}), nil
+		return core.NewOracle(), nil
 	case SchemeMoleculeBeta:
 		return core.NewMoleculeBeta(), nil
 	case SchemeINFlessLlama:
@@ -251,6 +251,10 @@ const (
 	TraceTwitter TraceShape = "twitter"
 )
 
+// DefaultDuration is the trace length Run uses for a Workload whose
+// Duration is not positive.
+const DefaultDuration = 60 * time.Second
+
 // Workload describes one serving scenario.
 type Workload struct {
 	// StrictModel names the strict-SLO model (see Models()).
@@ -264,7 +268,7 @@ type Workload struct {
 	Shape TraceShape
 	// MeanRPS is the mean arrival rate (peak for TraceTwitter).
 	MeanRPS float64
-	// Duration is the trace length (default 60 s).
+	// Duration is the trace length (default DefaultDuration).
 	Duration time.Duration
 	// RotateEvery changes the active BE model (default ~20 s).
 	RotateEvery time.Duration
@@ -334,7 +338,7 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 	}
 	duration := w.Duration.Seconds()
 	if duration <= 0 {
-		duration = 60
+		duration = DefaultDuration.Seconds()
 	}
 	if w.MeanRPS <= 0 {
 		return nil, errors.New("protean: workload needs a positive MeanRPS")
