@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"protean/internal/controlplane"
 )
 
 // limitsServer returns a server whose plane is small and has one gold
@@ -114,12 +116,13 @@ func TestIngestRejectsHostileLines(t *testing.T) {
 	}
 }
 
-// TestSizeCapsRejectHostileBodies: a /simulate or /v1/plane body that
-// asks for more lanes, shards, faults, virtual time or arrivals than
-// the caps allow is a 400 before anything is built, and a rejected
-// /v1/plane body leaves the running plane in place. Without the caps
-// chaosScale 1e300 re-arms the slice-fault timer at the same instant
-// forever.
+// TestSizeCapsRejectHostileBodies: a /simulate, /v1/plane or
+// /v1/tenants body that asks for more lanes, shards, faults, virtual
+// time, arrivals or pre-warmed containers than the caps allow is a 400
+// before anything is built, and a rejected body leaves the running plane
+// in place. Without the caps chaosScale 1e300 re-arms the slice-fault
+// timer at the same instant forever, and a huge prewarmCount allocates
+// one idle-container record per count on every node.
 func TestSizeCapsRejectHostileBodies(t *testing.T) {
 	const sim = `"strictModel": "ResNet 50", "meanRPS": 100`
 	for _, tc := range []struct{ name, path, body string }{
@@ -136,6 +139,7 @@ func TestSizeCapsRejectHostileBodies(t *testing.T) {
 		{"plane huge quantum", "/v1/plane", `{"quantumMillis": 1e300}`},
 		{"plane denormal quantum", "/v1/plane", `{"quantumMillis": 5e-324}`},
 		{"plane negative quantum", "/v1/plane", `{"quantumMillis": -10}`},
+		{"tenant prewarm", "/v1/tenants", `{"id": "big", "model": "ResNet 18", "prewarmCount": 1000000000}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := limitsServer(t)
@@ -158,13 +162,16 @@ func TestSizeCapsRejectHostileBodies(t *testing.T) {
 	if rec := do(h, "/v1/plane", "application/json", `{"nodes": 1, "quantumMillis": 1000}`); rec.Code != http.StatusOK {
 		t.Fatalf("plane at the quantum cap = %d, want 200: %s", rec.Code, rec.Body)
 	}
+	if rec := do(h, "/v1/tenants", "application/json", `{"id": "warm", "model": "ResNet 18", "prewarmCount": 1024}`); rec.Code != http.StatusCreated {
+		t.Fatalf("tenant at the prewarm cap = %d, want 201: %s", rec.Code, rec.Body)
+	}
 }
 
 // TestIngestCapsRequestsPerBody: the n budget spans a whole NDJSON body,
-// so many modest lines cannot add up past maxIngestN.
+// so many modest lines cannot add up past controlplane.MaxIngestN.
 func TestIngestCapsRequestsPerBody(t *testing.T) {
 	h := limitsServer(t)
-	line, _ := json.Marshal(IngestLine{N: maxIngestN / 2})
+	line, _ := json.Marshal(IngestLine{N: controlplane.MaxIngestN / 2})
 	body := strings.Repeat(string(line)+"\n", 3)
 	rec := do(h, "/v1/tenants/acme/requests", "application/x-ndjson", body)
 	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")

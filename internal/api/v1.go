@@ -101,6 +101,10 @@ func (s *Server) handlePlaneConfig(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Build and swap under planeMu: a new plane replaces the /metrics
+	// series of the one before it, so the plane that registers last must
+	// also be the one that serves.
+	s.planeMu.Lock()
 	p, err := controlplane.New(controlplane.Options{
 		Seed:            cfg.Seed,
 		Nodes:           cfg.Nodes,
@@ -112,15 +116,16 @@ func (s *Server) handlePlaneConfig(w http.ResponseWriter, r *http.Request) {
 		WallNow:         s.wallNow,
 		Registry:        s.reg,
 	})
+	if err == nil {
+		// Replace any previous plane; its virtual cluster is garbage once
+		// unreferenced — no teardown needed.
+		s.plane = p
+	}
+	s.planeMu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Replace any previous plane; its virtual cluster is garbage once
-	// unreferenced — no teardown needed.
-	s.planeMu.Lock()
-	s.plane = p
-	s.planeMu.Unlock()
 	writeJSON(w, http.StatusOK, planeInfo(p))
 }
 
@@ -305,18 +310,6 @@ func decisionStatus(d controlplane.Decision) int {
 	}
 }
 
-// Bounds on one ingest body. The plane admits every request and
-// simulates every virtual second it advances under its lock, so an
-// unbounded body would stall all other clients.
-const (
-	// maxIngestN caps the requests one body may carry: the sum of n
-	// over its lines.
-	maxIngestN = 100_000
-	// maxIngestSpan caps, in virtual seconds, how far a body's vt
-	// values may move the clock past where the body found it.
-	maxIngestSpan = 3600.0
-)
-
 // ingestStatus is the status for a failed ingest: 404 for an unknown
 // tenant, 400 otherwise.
 func ingestStatus(err error) int {
@@ -333,16 +326,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	budget, horizon := maxIngestN, p.Now()+maxIngestSpan
+	// One body carries at most MaxIngestN requests (the sum of n over its
+	// lines) and moves the clock at most MaxIngestSpan past where it
+	// found it.
+	budget, horizon := controlplane.MaxIngestN, p.Now()+controlplane.MaxIngestSpan
 	ingest := func(line IngestLine) (controlplane.Decision, error) {
 		if budget -= max(line.N, 1); budget < 0 {
-			return controlplane.Decision{}, fmt.Errorf("body carries more than %d requests", maxIngestN)
+			return controlplane.Decision{}, fmt.Errorf("body carries more than %d requests", controlplane.MaxIngestN)
 		}
 		if line.VT == nil {
 			return p.Ingest(id, line.N)
 		}
 		if vt := *line.VT; vt < 0 || vt > horizon {
-			return controlplane.Decision{}, fmt.Errorf("vt %v outside [0, %v]: must be non-negative and at most %v s past the plane's clock", vt, horizon, maxIngestSpan)
+			return controlplane.Decision{}, fmt.Errorf("vt %v outside [0, %v]: must be non-negative and at most %v s past the plane's clock", vt, horizon, controlplane.MaxIngestSpan)
 		}
 		return p.IngestAt(*line.VT, id, line.N)
 	}

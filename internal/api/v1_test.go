@@ -211,7 +211,7 @@ func TestConcurrentSimulateAndIngest(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2; i++ {
@@ -238,6 +238,18 @@ func TestConcurrentSimulateAndIngest(t *testing.T) {
 					r.Body.Close()
 				}
 			}
+		}
+	}()
+	go func() {
+		// Scrapes read the plane's accounts while ingest updates them.
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			r, err := http.Get(srv.URL + "/metrics")
+			if err != nil {
+				errs <- fmt.Errorf("GET /metrics: %v", err)
+				return
+			}
+			r.Body.Close()
 		}
 	}()
 	wg.Wait()

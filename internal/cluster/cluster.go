@@ -252,7 +252,7 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 		// draws — lives on the node's lane so it advances independently
 		// of the other shards between barriers.
 		ns := s.Lane(fmt.Sprintf("node/%d", i))
-		g, err := gpu.NewGPUWithArch(ns, i, arch, geom, pol.Sharing())
+		g, err := gpu.NewGPU(ns, i, arch, geom, pol.Sharing())
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d GPU: %w", i, err)
 		}
@@ -804,10 +804,7 @@ func (n *node) acquire(b *queue.Batch, attempt int) {
 	cold, err := n.scaler.Acquire(b.Model.Name())
 	if err != nil {
 		// Defensive: Acquire only fails on empty names.
-		n.outstanding--
-		n.outstandingReqs -= b.Size()
-		n.drop(b.ID, b.Size())
-		n.bufferDrop(b.Requests)
+		n.abandon(b, false)
 		return
 	}
 	if cold > 0 {
@@ -841,10 +838,7 @@ func (n *node) coldStartFailed(b *queue.Batch, attempt int) {
 	}
 	delay, ok := n.cluster.chaos.RetryDelay(n.id, attempt)
 	if !ok {
-		n.outstanding--
-		n.outstandingReqs -= b.Size()
-		n.drop(b.ID, b.Size())
-		n.bufferDrop(b.Requests)
+		n.abandon(b, false)
 		return
 	}
 	if tr := n.sim.Tracer(); tr.Enabled() {
@@ -860,8 +854,34 @@ func (n *node) coldStartFailed(b *queue.Batch, attempt int) {
 	n.sim.MustAfter(delay, func() { n.acquire(b, attempt+1) })
 }
 
-// drop abandons work on this node, counting its requests and tracing
-// the loss. Runs in the node's context (lane or root barrier).
+// leave takes a batch the node accepted off its outstanding work and
+// releases the batch's container when it holds one (a failed Acquire or
+// an aborted cold start holds none). Every way a batch leaves the node —
+// completed, requeued, evacuated or abandoned — goes through here.
+func (n *node) leave(b *queue.Batch, holdsContainer bool) {
+	n.outstanding--
+	n.outstandingReqs -= b.Size()
+	if holdsContainer {
+		if err := n.scaler.Release(b.Model.Name()); err != nil {
+			// Defensive: indicates an accounting bug.
+			_ = err
+		}
+	}
+}
+
+// abandon drops a batch the node accepted and no slice holds: it leaves
+// the node, is counted and traced as a drop, reaches the live plane as
+// drop records, and returns to the batcher's freelist with the
+// completed batches.
+func (n *node) abandon(b *queue.Batch, holdsContainer bool) {
+	n.leave(b, holdsContainer)
+	n.drop(b.ID, b.Size())
+	n.bufferDrop(b.Requests)
+	n.spent = append(n.spent, b)
+}
+
+// drop counts and traces lost requests on this node. Runs in the node's
+// context (lane or root barrier).
 func (n *node) drop(batchID uint64, requests int) {
 	n.dropped += requests
 	if tr := n.sim.Tracer(); tr.Enabled() {
@@ -918,14 +938,8 @@ func (n *node) place(b *queue.Batch, cold float64) error {
 // complete records metrics for every request in the batch and frees the
 // container.
 func (n *node) complete(b *queue.Batch, j *gpu.Job) {
-	n.outstanding--
-	n.outstandingReqs -= b.Size()
+	n.leave(b, true)
 	n.completed += b.Size()
-	if err := n.scaler.Release(b.Model.Name()); err != nil {
-		// Defensive: indicates an accounting bug; drop silently in
-		// production runs.
-		_ = err
-	}
 	base := j.Breakdown()
 	slo := b.Model.SLO(n.cluster.cfg.SLOMultiplier)
 	var liveSamples []metrics.Sample
@@ -983,17 +997,11 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 // only while no work is already waiting for a node, so under fault
 // pressure BE is shed to protect strict deadlines.
 func (n *node) jobFailed(b *queue.Batch, j *gpu.Job) {
-	n.outstanding--
-	n.outstandingReqs -= b.Size()
-	if err := n.scaler.Release(b.Model.Name()); err != nil {
-		// Defensive: indicates an accounting bug.
-		_ = err
-	}
 	if !b.Strict && len(n.cluster.pendingGlobal) > 0 {
-		n.drop(b.ID, b.Size())
-		n.bufferDrop(b.Requests)
+		n.abandon(b, true)
 		return
 	}
+	n.leave(b, true)
 	n.cluster.requeued += b.Size()
 	if tr := n.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(n.sim.Now(), obs.KindOrphanRequeue)
@@ -1079,14 +1087,12 @@ func (n *node) evacuate() {
 	held := n.held
 	n.held = nil
 	for _, h := range held {
-		n.outstanding--
-		n.outstandingReqs -= h.batch.Size()
-		// Cold-start time already paid stays paid; the batch re-enters
-		// dispatch and may pay another one elsewhere.
+		// The node is down, so dispatch never picks it and its
+		// container can go first. Cold-start time already paid stays
+		// paid; the batch re-enters dispatch and may pay another one
+		// elsewhere.
+		n.leave(h.batch, true)
 		n.cluster.dispatch(h.batch)
-		if err := n.scaler.Release(h.batch.Model.Name()); err != nil {
-			_ = err
-		}
 	}
 }
 
@@ -1113,6 +1119,7 @@ func (n *node) reconfigure(desired gpu.Geometry) {
 }
 
 // resubmit places a displaced (never-started) job onto the new geometry.
+// A job that fits no slice is abandoned with its batch.
 func (n *node) resubmit(j *gpu.Job) {
 	m, ok := j.W.(*model.Model)
 	if !ok {
@@ -1129,13 +1136,10 @@ func (n *node) resubmit(j *gpu.Job) {
 				break
 			}
 		}
-		if sl == nil {
-			n.dropped += j.Requests
-			return
-		}
 	}
-	if err := sl.Submit(j); err != nil {
-		n.drop(j.TraceID, j.Requests)
+	if sl == nil || sl.Submit(j) != nil {
+		n.abandon(j.Ctx.(*queue.Batch), true)
+		n.jobFree.Put(j)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Log operations.
@@ -24,7 +25,8 @@ const (
 	OpTenant = "tenant"
 	// OpIngest is one ingest attempt (Tenant, N set).
 	OpIngest = "ingest"
-	// OpSnapshot marks the drain point.
+	// OpSnapshot marks an advance point: the drain, or a bridge over a
+	// long idle stretch (see record).
 	OpSnapshot = "snapshot"
 )
 
@@ -51,6 +53,38 @@ func (p *Plane) Log() []LogEntry {
 	return out
 }
 
+// Bounds on recorded work. The plane admits every request and simulates
+// every virtual second it advances under its lock, so an unbounded
+// ingest would stall all other clients. The /v1 ingest API applies them
+// to one request body; the plane applies them to each log entry, so
+// Replay can refuse a log that breaks them without ever refusing one a
+// plane wrote.
+const (
+	// MaxIngestN caps the requests one ingest body (or log entry) may
+	// carry.
+	MaxIngestN = 100_000
+	// MaxIngestSpan caps, in virtual seconds, how far one ingest body
+	// may move the clock past where it found it, and how far one log
+	// entry's VT may lie past the entry before it.
+	MaxIngestSpan = 3600.0
+)
+
+// record appends e to the log. A live plane's clock also moves through
+// unlogged advances (Sync, usage and quote reads) and plain idle time,
+// so e may lie more than MaxIngestSpan past the last entry: the gap is
+// first bridged with snapshot entries at most half that span apart.
+// Advance partitioning is invisible to replay, so a bridge changes no
+// decision.
+func (p *Plane) record(e LogEntry) {
+	for e.VT > p.logVT+MaxIngestSpan {
+		q := p.opts.Quantum
+		p.logVT = math.Ceil((p.logVT+MaxIngestSpan/2)/q) * q
+		p.log = append(p.log, LogEntry{Op: OpSnapshot, VT: p.logVT})
+	}
+	p.log = append(p.log, e)
+	p.logVT = e.VT
+}
+
 // ReadLog parses a JSON-lines ingest log.
 func ReadLog(r io.Reader) ([]LogEntry, error) {
 	var out []LogEntry
@@ -71,7 +105,9 @@ func ReadLog(r io.Reader) ([]LogEntry, error) {
 // by definition). With the same Seed the replayed plane makes the same
 // admission decisions and accrues the same usage as the live plane that
 // recorded the log — byte-identical, at any Shards value. The returned
-// plane is drained and its summary final.
+// plane is drained and its summary final. An entry past MaxIngestN
+// requests or with a VT more than MaxIngestSpan past the entry before
+// it is an error, so a hostile log cannot stall the replay.
 func Replay(opts Options, entries []LogEntry) (*Plane, *Summary, error) {
 	opts.WallNow = nil
 	p, err := New(opts)
@@ -79,7 +115,15 @@ func Replay(opts Options, entries []LogEntry) (*Plane, *Summary, error) {
 		return nil, nil, err
 	}
 	p.mu.Lock()
+	last := 0.0 // the latest VT so far; a NaN VT quantizes to the clock
 	for i, e := range entries {
+		if e.VT > last+MaxIngestSpan {
+			p.mu.Unlock()
+			return nil, nil, fmt.Errorf("controlplane: log entry %d: vt %v is more than %v s past the entry before it", i, e.VT, MaxIngestSpan)
+		}
+		if e.VT > last {
+			last = e.VT
+		}
 		switch e.Op {
 		case OpTenant:
 			if e.Config == nil {

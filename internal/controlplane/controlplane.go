@@ -72,8 +72,10 @@ type Options struct {
 	// Off by default — market-off planes are byte-identical to planes
 	// built before the marketplace existed.
 	Market bool
-	// Registry optionally receives per-tenant Prometheus series (and,
-	// with Market, the marketplace's price/spend/lease series).
+	// Registry optionally serves the plane's per-tenant and pool
+	// Prometheus series (and, with Market, the marketplace's
+	// price/spend/lease series), read from the plane at scrape time.
+	// Each New replaces the series of the plane registered before it.
 	Registry *obs.Registry
 }
 
@@ -104,6 +106,11 @@ func (o *Options) applyDefaults() {
 // usagePeriod is the metering rollup period in virtual seconds.
 const usagePeriod = 1.0
 
+// maxPrewarmCount caps TenantConfig.PrewarmCount: pre-warming holds one
+// idle container record per count on every node, so an unbounded count
+// would exhaust memory at registration.
+const maxPrewarmCount = 1024
+
 // Plane is the live control plane: one virtual-time cluster serving
 // many tenants. All exported methods are safe for concurrent use.
 type Plane struct {
@@ -112,7 +119,6 @@ type Plane struct {
 	sim     *sim.Sim
 	cluster *cluster.Cluster
 	ring    *ringTracer
-	meter   *meter
 	market  *market.Market
 
 	tenants map[string]*tenant
@@ -120,6 +126,7 @@ type Plane struct {
 
 	predictor *metrics.DelayPredictor
 	log       []LogEntry
+	logVT     float64 // VT of the latest log entry
 	vnow      float64 // quantized virtual high-water mark
 	epoch     float64 // wall time of plane creation (WallNow mode)
 	epochSet  bool
@@ -149,7 +156,7 @@ func New(opts Options) (*Plane, error) {
 	var vmCfg *vm.Config
 	if opts.Market {
 		var err error
-		mk, err = market.New(s, market.Config{Metrics: opts.Registry}, vm.DefaultMarketCatalog())
+		mk, err = market.New(s, market.Config{}, vm.DefaultMarketCatalog())
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +181,6 @@ func New(opts Options) (*Plane, error) {
 		sim:       s,
 		cluster:   c,
 		ring:      ring,
-		meter:     newMeter(opts.Registry),
 		market:    mk,
 		tenants:   make(map[string]*tenant),
 		predictor: metrics.NewDelayPredictor(),
@@ -188,6 +194,9 @@ func New(opts Options) (*Plane, error) {
 		return nil, err
 	}
 	p.usage = tick
+	if opts.Registry != nil {
+		p.register(opts.Registry)
+	}
 	return p, nil
 }
 
@@ -217,6 +226,9 @@ func (p *Plane) registerLocked(cfg TenantConfig, vt float64, logIt bool) error {
 	if !ok {
 		return fmt.Errorf("controlplane: unknown model %q", cfg.Model)
 	}
+	if cfg.PrewarmCount > maxPrewarmCount {
+		return fmt.Errorf("controlplane: prewarmCount %d exceeds %d", cfg.PrewarmCount, maxPrewarmCount)
+	}
 	class, err := resolveClass(cfg)
 	if err != nil {
 		return err
@@ -227,7 +239,6 @@ func (p *Plane) registerLocked(cfg TenantConfig, vt float64, logIt bool) error {
 	t := newTenant(cfg, class, m, p.opts, vt)
 	p.tenants[cfg.ID] = t
 	p.order = append(p.order, cfg.ID)
-	p.meter.registerTenant(cfg.ID)
 	// Conservative provisioning: give the new tenant warm capacity so
 	// its first requests skip the cold start, exactly like the batch
 	// path's pre-warmed pools.
@@ -236,7 +247,7 @@ func (p *Plane) registerLocked(cfg TenantConfig, vt float64, logIt bool) error {
 	}
 	if logIt {
 		c := cfg
-		p.log = append(p.log, LogEntry{Op: OpTenant, VT: vt, Config: &c})
+		p.record(LogEntry{Op: OpTenant, VT: vt, Config: &c})
 	}
 	return nil
 }
@@ -330,11 +341,14 @@ func (p *Plane) ingestLocked(tenantID string, n int, vt float64, logIt bool) (De
 	if n <= 0 {
 		n = 1
 	}
+	if n > MaxIngestN {
+		return Decision{}, fmt.Errorf("controlplane: %d requests exceed %d", n, MaxIngestN)
+	}
 	if err := p.advanceLocked(vt); err != nil {
 		return Decision{}, err
 	}
 	if logIt {
-		p.log = append(p.log, LogEntry{Op: OpIngest, VT: vt, Tenant: tenantID, N: n})
+		p.record(LogEntry{Op: OpIngest, VT: vt, Tenant: tenantID, N: n})
 	}
 	dec := p.decide(t, n, vt)
 	p.recordDecision(dec)
@@ -344,7 +358,6 @@ func (p *Plane) ingestLocked(tenantID string, n int, vt float64, logIt bool) (De
 		t.lastActive = vt
 		t.admitted += n
 		t.arrivalsTick += n
-		p.meter.decision(tenantID, OutcomeAdmit, n)
 		for i := 0; i < n; i++ {
 			p.reqSeq++
 			req := trace.Request{
@@ -356,15 +369,12 @@ func (p *Plane) ingestLocked(tenantID string, n int, vt float64, logIt bool) (De
 			}
 			if err := p.cluster.Ingest(req); err != nil {
 				t.dropped++
-				p.meter.dropped(tenantID, 1)
 			}
 		}
 	case OutcomeShed:
 		t.shed += n
-		p.meter.decision(tenantID, OutcomeShed, n)
 	case OutcomeReject:
 		t.rejected += n
-		p.meter.decision(tenantID, OutcomeReject, n)
 	}
 	p.emitDecision(dec)
 	return dec, nil
@@ -398,10 +408,8 @@ func (p *Plane) collect() {
 		if t, ok := p.tenants[d.Tenant]; ok {
 			t.dropped += d.Requests
 			t.windowAt(d.Time).Dropped += d.Requests
-			p.meter.dropped(d.Tenant, d.Requests)
 		}
 	}
-	p.meter.poolStats(p.cluster.PoolStats())
 }
 
 // applyCompletion attributes one finished batch: slice-seconds split
@@ -428,8 +436,6 @@ func (p *Plane) applyCompletion(c *cluster.Completion) {
 		w.Completed += s.Weight
 		w.SliceSeconds += share
 		t.addSliceSeconds(c.Profile, share)
-		p.meter.sliceSeconds(s.Tenant, c.Profile, share)
-		p.meter.completed(s.Tenant, s.Weight)
 		// Per-class target, not the batch-path model SLO: the tenant's
 		// class owns the violation semantics.
 		s.SLO = t.target
@@ -438,7 +444,6 @@ func (p *Plane) applyCompletion(c *cluster.Completion) {
 		if s.Latency > t.target {
 			t.violations += s.Weight
 			w.Violations += s.Weight
-			p.meter.violations(s.Tenant, s.Weight)
 		}
 	}
 }
@@ -477,7 +482,6 @@ func (p *Plane) usageTick() {
 func (p *Plane) suspendTenant(t *tenant, now float64) {
 	t.suspended = true
 	t.suspends++
-	p.meter.suspended(t.cfg.ID, true)
 	reclaimed := 0
 	if !p.modelShared(t) {
 		reclaimed = p.cluster.DrainModel(t.model.Name())
@@ -500,7 +504,6 @@ func (p *Plane) wakeIfSuspended(t *tenant, now float64, reason string) {
 	}
 	t.suspended = false
 	t.resumes++
-	p.meter.suspended(t.cfg.ID, false)
 	if tr := p.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(now, obs.KindTenantResume)
 		ev.Detail = t.cfg.ID
@@ -578,7 +581,7 @@ func (p *Plane) Drain() (*Summary, error) {
 	if p.drained {
 		return nil, errDrained
 	}
-	p.log = append(p.log, LogEntry{Op: OpSnapshot, VT: p.vnow})
+	p.record(LogEntry{Op: OpSnapshot, VT: p.vnow})
 	p.drained = true
 	p.usage.Stop()
 	res, err := p.cluster.Drain()

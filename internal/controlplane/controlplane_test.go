@@ -286,6 +286,89 @@ func TestReplayDeterminismAcrossShards(t *testing.T) {
 	}
 }
 
+// TestReplayWallClockLongIdle replays wall-clock logs whose logged
+// operations lie hours apart: the clock moves by unlogged Syncs, by
+// plain idle time before an ingest, and before the drain. Replay bounds
+// each entry to MaxIngestSpan past the one before it, so the plane must
+// bridge such gaps in its own log.
+func TestReplayWallClockLongIdle(t *testing.T) {
+	for name, script := range map[string]func(p *Plane, wall *float64) error{
+		"sync then ingest": func(p *Plane, wall *float64) error {
+			for _, w := range []float64{1000, 4000, 7200} {
+				*wall = w
+				if err := p.Sync(); err != nil {
+					return err
+				}
+			}
+			_, err := p.Ingest("idle", 3)
+			return err
+		},
+		"idle then ingest": func(p *Plane, wall *float64) error {
+			*wall = 7200.5
+			if _, err := p.Ingest("idle", 2); err != nil {
+				return err
+			}
+			*wall = 7201
+			_, err := p.Ingest("idle", 1)
+			return err
+		},
+		"idle then drain": func(p *Plane, wall *float64) error {
+			if _, err := p.Ingest("idle", 2); err != nil {
+				return err
+			}
+			*wall = 9000
+			return p.Sync()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			wall := 0.0
+			opts := testOpts(1)
+			opts.WallNow = func() float64 { return wall }
+			live := mustPlane(t, opts)
+			register(t, live, TenantConfig{ID: "idle", Model: "ResNet 18", Class: "gold"})
+			if err := script(live, &wall); err != nil {
+				t.Fatalf("script: %v", err)
+			}
+			if _, err := live.Drain(); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			log := live.Log()
+			prev := 0.0
+			for i, e := range log {
+				if e.VT > prev+MaxIngestSpan {
+					t.Fatalf("log entry %d at vt %v is more than %v s past %v:\n%+v", i, e.VT, MaxIngestSpan, prev, log)
+				}
+				prev = e.VT
+			}
+			rp, _, err := Replay(testOpts(1), log)
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			wantN, wantHash := live.DecisionFingerprint()
+			gotN, gotHash := rp.DecisionFingerprint()
+			if wantN == 0 || gotN != wantN || gotHash != wantHash {
+				t.Errorf("replay fingerprint (%d, %x), live (%d, %x)", gotN, gotHash, wantN, wantHash)
+			}
+			if got, want := rollups(t, rp), rollups(t, live); got != want {
+				t.Errorf("replay rollups differ:\n--- live ---\n%s--- replay ---\n%s", want, got)
+			}
+		})
+	}
+}
+
+// TestIngestOverCapIsRefused: the plane refuses an ingest Replay would
+// refuse, so every log it writes replays.
+func TestIngestOverCapIsRefused(t *testing.T) {
+	p := mustPlane(t, testOpts(1))
+	register(t, p, TenantConfig{ID: "big", Model: "ResNet 18", Class: "gold"})
+	if _, err := p.IngestAt(0.1, "big", MaxIngestN+1); err == nil {
+		t.Fatal("ingest over MaxIngestN accepted")
+	}
+	if log := p.Log(); len(log) != 1 || log[0].Op != OpTenant {
+		t.Fatalf("refused ingest was logged: %+v", log)
+	}
+}
+
 func TestRegistryWiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := testOpts(1)

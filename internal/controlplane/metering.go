@@ -1,6 +1,7 @@
 // Usage metering and billing: per-second rollups, GPU-slice-second
-// accounting by MIG profile, slot-weighted billing, Prometheus series,
-// and the deterministic rollup rendering the replay test byte-compares.
+// accounting by MIG profile, slot-weighted billing, the Prometheus
+// families read from those accounts at scrape time, and the
+// deterministic rollup rendering the replay test byte-compares.
 package controlplane
 
 import (
@@ -8,7 +9,6 @@ import (
 
 	"protean/internal/gpu"
 	"protean/internal/obs"
-	"protean/internal/pool"
 )
 
 // Billing rates. GPUSecondRate approximates an on-demand A100 at
@@ -168,107 +168,60 @@ func (p *Plane) usageLocked(t *tenant) Usage {
 	return u
 }
 
-// meter owns the plane's Prometheus series (nil registry: all no-ops).
-type meter struct {
-	requests     *obs.CounterVec // tenant, decision
-	completedVec *obs.CounterVec // tenant
-	droppedVec   *obs.CounterVec // tenant
-	violationsV  *obs.CounterVec // tenant
-	sliceSecsVec *obs.CounterVec // tenant, profile
-	suspendedVec *obs.GaugeVec   // tenant
-	poolHitsG    *obs.Gauge
-	poolMissesG  *obs.Gauge
-}
-
-func newMeter(reg *obs.Registry) *meter {
-	if reg == nil {
-		return &meter{}
-	}
-	return &meter{
-		requests: reg.CounterVec("proteand_tenant_requests_total",
-			"Ingest attempts by admission decision.", "tenant", "decision"),
-		completedVec: reg.CounterVec("proteand_tenant_completed_total",
-			"Requests completed per tenant.", "tenant"),
-		droppedVec: reg.CounterVec("proteand_tenant_dropped_total",
-			"Admitted requests lost in the cluster per tenant.", "tenant"),
-		violationsV: reg.CounterVec("proteand_tenant_slo_violations_total",
-			"Completions over the tenant latency target.", "tenant"),
-		sliceSecsVec: reg.CounterVec("proteand_tenant_slice_seconds_total",
-			"GPU slice occupancy by MIG profile per tenant.", "tenant", "profile"),
-		suspendedVec: reg.GaugeVec("proteand_tenant_suspended",
-			"1 while the tenant is scaled to zero.", "tenant"),
-		poolHitsG: reg.Gauge("proteand_pool_hits",
-			"Cumulative freelist reuses across the cluster's object pools."),
-		poolMissesG: reg.Gauge("proteand_pool_misses",
-			"Cumulative fresh allocations across the cluster's object pools."),
-	}
-}
-
-// poolStats publishes the cluster's freelist counters. The values are
-// cumulative, but arrive as absolute snapshots, so they are gauges.
-func (m *meter) poolStats(st pool.Stats) {
-	if m.poolHitsG == nil {
-		return
-	}
-	m.poolHitsG.Set(float64(st.Hits))
-	m.poolMissesG.Set(float64(st.Misses))
-}
-
-func (m *meter) registerTenant(id string) {
-	if m.requests == nil {
-		return
-	}
-	// Materialize the series so /metrics shows the tenant immediately.
-	m.requests.With(id, OutcomeAdmit).Add(0)
-	m.completedVec.With(id).Add(0)
-	m.suspendedVec.With(id).Set(0)
-}
-
-func (m *meter) decision(id, outcome string, n int) {
-	if m.requests == nil {
-		return
-	}
-	m.requests.With(id, outcome).Add(float64(n))
-}
-
-func (m *meter) completed(id string, n int) {
-	if m.completedVec == nil {
-		return
-	}
-	m.completedVec.With(id).Add(float64(n))
-}
-
-func (m *meter) dropped(id string, n int) {
-	if m.droppedVec == nil {
-		return
-	}
-	m.droppedVec.With(id).Add(float64(n))
-}
-
-func (m *meter) violations(id string, n int) {
-	if m.violationsV == nil {
-		return
-	}
-	m.violationsV.With(id).Add(float64(n))
-}
-
-func (m *meter) sliceSeconds(id, profile string, s float64) {
-	if m.sliceSecsVec == nil {
-		return
-	}
-	if profile == "" {
-		profile = "unknown"
-	}
-	m.sliceSecsVec.With(id, profile).Add(s)
-}
-
-func (m *meter) suspended(id string, v bool) {
-	if m.suspendedVec == nil {
-		return
-	}
-	g := 0.0
-	if v {
-		g = 1
-	}
-	m.suspendedVec.With(id).Set(g)
+// register publishes the plane's Prometheus series on reg: the tenant
+// and pool families, and the market families on a market plane. One
+// collector reads them all from the plane's own accounts under one
+// p.mu acquisition per scrape, so /metrics keeps no second copy of
+// them, and a plane that registers later replaces all of this one's
+// series (a market-off plane leaves no market_* family behind).
+func (p *Plane) register(reg *obs.Registry) {
+	reg.Collect("controlplane", func(c *obs.Collection) {
+		requests := c.Counter("proteand_tenant_requests_total", "Ingest attempts by admission decision.", "tenant", "decision")
+		completed := c.Counter("proteand_tenant_completed_total", "Requests completed per tenant.", "tenant")
+		dropped := c.Counter("proteand_tenant_dropped_total", "Admitted requests lost in the cluster per tenant.", "tenant")
+		violations := c.Counter("proteand_tenant_slo_violations_total", "Completions over the tenant latency target.", "tenant")
+		sliceSecs := c.Counter("proteand_tenant_slice_seconds_total", "GPU slice occupancy by MIG profile per tenant.", "tenant", "profile")
+		suspended := c.Gauge("proteand_tenant_suspended", "1 while the tenant is scaled to zero.", "tenant")
+		// The pool counters are cumulative but read as absolute
+		// snapshots, so they are gauges.
+		poolHits := c.Gauge("proteand_pool_hits", "Cumulative freelist reuses across the cluster's object pools.")
+		poolMisses := c.Gauge("proteand_pool_misses", "Cumulative fresh allocations across the cluster's object pools.")
+		// nonzero leaves a series out until its count first moves.
+		nonzero := func(emit obs.Emit, n int, labels ...string) {
+			if n > 0 {
+				emit(float64(n), labels...)
+			}
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, id := range p.order {
+			t := p.tenants[id]
+			requests(float64(t.admitted), id, OutcomeAdmit)
+			nonzero(requests, t.shed, id, OutcomeShed)
+			nonzero(requests, t.rejected, id, OutcomeReject)
+			completed(float64(t.completed), id)
+			nonzero(dropped, t.dropped, id)
+			nonzero(violations, t.violations, id)
+			for _, prof := range t.slicePros {
+				sliceSecs(t.sliceSecs[prof], id, prof)
+			}
+			if t.suspended {
+				suspended(1, id)
+			} else {
+				suspended(0, id)
+			}
+		}
+		pool := p.cluster.PoolStats()
+		poolHits(float64(pool.Hits))
+		poolMisses(float64(pool.Misses))
+		if p.market == nil {
+			return
+		}
+		price := c.Gauge("market_spot_price_hourly", "Current spot price per provider in $/hour.", "provider")
+		for _, q := range p.market.Quotes() {
+			price(q.SpotHourly, q.Provider)
+		}
+		c.Gauge("market_spend_dollars", "Total dollars settled across all lease billing segments.")(p.market.Spent())
+		c.Gauge("market_leases_live", "Leases currently pending, ready or bound.")(float64(p.market.LiveLeases()))
+	})
 }

@@ -13,7 +13,7 @@ import (
 func newGPU(t *testing.T, geom gpu.Geometry, mode gpu.SharingMode) (*sim.Sim, *gpu.GPU) {
 	t.Helper()
 	s := sim.New(1)
-	g, err := gpu.NewGPU(s, 0, geom, mode)
+	g, err := gpu.NewGPU(s, 0, gpu.ArchA100(), geom, mode)
 	if err != nil {
 		t.Fatalf("NewGPU: %v", err)
 	}

@@ -23,7 +23,7 @@ func TestPropertyTagSlicesConservesMemory(t *testing.T) {
 		beMem := float64(memRaw) / 1000 // up to ~65 GB
 		geom := geoms[int(geomIdx)%len(geoms)]
 		s := sim.New(1)
-		g, err := gpu.NewGPU(s, 0, geom, gpu.ShareMPS)
+		g, err := gpu.NewGPU(s, 0, gpu.ArchA100(), geom, gpu.ShareMPS)
 		if err != nil {
 			return false
 		}
@@ -48,7 +48,7 @@ func TestPropertyTagSlicesAscendingOrder(t *testing.T) {
 	f := func(memRaw uint16) bool {
 		beMem := float64(memRaw) / 2000
 		s := sim.New(1)
-		g, err := gpu.NewGPU(s, 0, gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
+		g, err := gpu.NewGPU(s, 0, gpu.ArchA100(), gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
 		if err != nil {
 			return false
 		}
@@ -86,7 +86,7 @@ func TestPropertyChooseStrictSliceMinimizesEta(t *testing.T) {
 	residents := append(model.VisionLI(), model.VisionHI()...)
 	f := func(loadRaw []uint8) bool {
 		s := sim.New(2)
-		g, err := gpu.NewGPU(s, 0, gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
+		g, err := gpu.NewGPU(s, 0, gpu.ArchA100(), gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
 		if err != nil {
 			return false
 		}
@@ -130,7 +130,7 @@ func TestPropertyChooseStrictSliceMinimizesEta(t *testing.T) {
 func TestPropertyBEPackingFewestSmallest(t *testing.T) {
 	f := func(loadRaw []uint8) bool {
 		s := sim.New(3)
-		g, err := gpu.NewGPU(s, 0, gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
+		g, err := gpu.NewGPU(s, 0, gpu.ArchA100(), gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
 		if err != nil {
 			return false
 		}

@@ -175,7 +175,7 @@ func renderTraced(t *testing.T, id string, p Params) tracedRender {
 	t.Helper()
 	p.Trace = obs.NewTraceSet()
 	out := tracedRender{report: renderText(t, id, p)}
-	if p.Trace.Events() == 0 {
+	if traceEvents(p.Trace) == 0 {
 		t.Fatalf("%s seed %d shards %d: no trace events collected", id, p.Seed, p.Shards)
 	}
 	var cb, jb bytes.Buffer

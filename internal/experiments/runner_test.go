@@ -67,6 +67,15 @@ func TestRunScenariosParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// traceEvents counts the events collected across every run of ts.
+func traceEvents(ts *obs.TraceSet) int {
+	n := 0
+	for _, tr := range ts.Traces() {
+		n += len(tr.Events)
+	}
+	return n
+}
+
 // TestRunScenariosTraceByteIdentical is the trace half of the parallel
 // determinism contract: with a TraceSet attached, the merged Chrome and
 // JSONL exports must be byte-identical whether the scenarios ran
@@ -92,7 +101,7 @@ func TestRunScenariosTraceByteIdentical(t *testing.T) {
 		if _, err := RunScenarios(p, mk()); err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
-		if p.Trace.Events() == 0 {
+		if traceEvents(p.Trace) == 0 {
 			t.Fatalf("parallel=%d: no events collected", parallel)
 		}
 		var cb, jb bytes.Buffer

@@ -1,10 +1,6 @@
 package gpu
 
-import (
-	"fmt"
-
-	"protean/internal/sim"
-)
+import "fmt"
 
 // Arch describes one MIG-capable GPU generation. The paper evaluates on
 // Ampere (A100) but argues PROTEAN generalizes to any architecture with
@@ -21,6 +17,10 @@ type Arch struct {
 	// profiles lists the instantiable MIG profiles, largest first.
 	profiles []Profile
 }
+
+// a100 is the architecture the package-level Table 2 helpers
+// (Geometry.Validate, ProfileByName) check against.
+var a100 = ArchA100()
 
 // ArchA100 is the 40 GB Ampere A100 of the paper's testbed (Table 2).
 func ArchA100() Arch {
@@ -122,27 +122,4 @@ func (a Arch) Translate(g Geometry) (Geometry, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// NewGPUWithArch creates a GPU of the given architecture. The geometry
-// is validated against the architecture rather than the A100 defaults,
-// and utilization accounting uses the architecture's totals.
-func NewGPUWithArch(s *sim.Sim, id int, arch Arch, geom Geometry, mode SharingMode) (*GPU, error) {
-	if err := arch.ValidateGeometry(geom); err != nil {
-		return nil, err
-	}
-	if mode != ShareMPS && mode != ShareTimeSlice {
-		return nil, fmt.Errorf("gpu: unknown sharing mode %d", int(mode))
-	}
-	g := &GPU{
-		ID:               id,
-		Mode:             mode,
-		ReconfigDowntime: DefaultReconfigDowntime,
-		InterferenceAmp:  DefaultInterferenceAmp,
-		sim:              s,
-		createdAt:        s.Now(),
-		arch:             &arch,
-	}
-	g.installGeometry(geom)
-	return g, nil
 }

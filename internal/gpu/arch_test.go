@@ -78,9 +78,9 @@ func TestNewGPUWithArchH100(t *testing.T) {
 	h := ArchH100()
 	g4, _ := h.ProfileByName("4g")
 	g3, _ := h.ProfileByName("3g")
-	g, err := NewGPUWithArch(s, 0, h, Geometry{g4, g3}, ShareMPS)
+	g, err := NewGPU(s, 0, h, Geometry{g4, g3}, ShareMPS)
 	if err != nil {
-		t.Fatalf("NewGPUWithArch: %v", err)
+		t.Fatalf("NewGPU: %v", err)
 	}
 	if g.Arch().Name != "H100-80GB" {
 		t.Errorf("arch = %s", g.Arch().Name)
@@ -120,18 +120,18 @@ func TestNewGPUWithArchRejectsOverflow(t *testing.T) {
 	s := sim.New(1)
 	h := ArchH100()
 	g4, _ := h.ProfileByName("4g")
-	if _, err := NewGPUWithArch(s, 0, h, Geometry{g4, g4}, ShareMPS); err == nil {
+	if _, err := NewGPU(s, 0, h, Geometry{g4, g4}, ShareMPS); err == nil {
 		t.Error("invalid H100 geometry accepted")
 	}
 	g3, _ := h.ProfileByName("3g")
-	if _, err := NewGPUWithArch(s, 0, h, Geometry{g4, g3}, SharingMode(9)); err == nil {
+	if _, err := NewGPU(s, 0, h, Geometry{g4, g3}, SharingMode(9)); err == nil {
 		t.Error("bad sharing mode accepted")
 	}
 }
 
 func TestDefaultGPUReportsA100(t *testing.T) {
 	s := sim.New(1)
-	g, err := NewGPU(s, 0, MustGeometry(Profile7g), ShareMPS)
+	g, err := NewGPU(s, 0, ArchA100(), MustGeometry(Profile7g), ShareMPS)
 	if err != nil {
 		t.Fatalf("NewGPU: %v", err)
 	}

@@ -30,7 +30,7 @@ func benchWorkloads(n int) []*stubWorkload {
 // benchSlice returns a 7g MPS slice with n co-resident running jobs.
 func benchSlice(n int) (*sim.Sim, *Slice) {
 	s := sim.New(1)
-	g, err := NewGPU(s, 0, MustGeometry(Profile7g), ShareMPS)
+	g, err := NewGPU(s, 0, ArchA100(), MustGeometry(Profile7g), ShareMPS)
 	if err != nil {
 		panic(err)
 	}

@@ -654,7 +654,7 @@ type GPU struct {
 	Faults ReconfigFaults
 
 	sim      *sim.Sim
-	arch     *Arch
+	arch     Arch
 	geometry Geometry
 	slices   []*Slice
 
@@ -679,7 +679,9 @@ type GPU struct {
 // none is configured (~2 s per §4.4).
 const DefaultReconfigDowntime = 2.0
 
-// NewGPU creates a GPU with the given initial geometry and sharing mode.
+// NewGPU creates a GPU of the given architecture with an initial
+// geometry and sharing mode. The geometry is validated against the
+// architecture, and utilization accounting uses its totals.
 //
 // Timer affinity: every timer the GPU schedules (job completions, the
 // reconfiguration downtime, slice accounting) lives on s. Under the
@@ -687,8 +689,8 @@ const DefaultReconfigDowntime = 2.0
 // node's events on one shard; callbacks therefore run in lane context
 // and must only touch that node's state — cross-node effects go through
 // root-scheduled events.
-func NewGPU(s *sim.Sim, id int, geom Geometry, mode SharingMode) (*GPU, error) {
-	if err := geom.Validate(); err != nil {
+func NewGPU(s *sim.Sim, id int, arch Arch, geom Geometry, mode SharingMode) (*GPU, error) {
+	if err := arch.ValidateGeometry(geom); err != nil {
 		return nil, err
 	}
 	if mode != ShareMPS && mode != ShareTimeSlice {
@@ -701,6 +703,7 @@ func NewGPU(s *sim.Sim, id int, geom Geometry, mode SharingMode) (*GPU, error) {
 		InterferenceAmp:  DefaultInterferenceAmp,
 		sim:              s,
 		createdAt:        s.Now(),
+		arch:             arch,
 	}
 	g.installGeometry(geom)
 	return g, nil
@@ -752,14 +755,8 @@ func (g *GPU) ReconfigCount() int { return g.reconfigCount }
 // and rolled back (injected reconfiguration aborts).
 func (g *GPU) ReconfigAborts() int { return g.reconfigAborts }
 
-// Arch returns the GPU's architecture (A100 when constructed via
-// NewGPU).
-func (g *GPU) Arch() Arch {
-	if g.arch != nil {
-		return *g.arch
-	}
-	return ArchA100()
-}
+// Arch returns the GPU's architecture.
+func (g *GPU) Arch() Arch { return g.arch }
 
 // Reconfigure initiates a MIG geometry change. Slices stop admitting new
 // jobs immediately; already-running jobs drain; pending jobs are
@@ -877,9 +874,5 @@ func (g *GPU) Utilization() (compute, mem float64) {
 		busy += sl.busyIntegral * float64(sl.Prof.Slots)
 		memInt += sl.memIntegral
 	}
-	totalSlots, totalMem := float64(TotalSlots), TotalMemGB
-	if g.arch != nil {
-		totalSlots, totalMem = float64(g.arch.TotalSlots), g.arch.TotalMemGB
-	}
-	return busy / (totalSlots * elapsed), memInt / (totalMem * elapsed)
+	return busy / (float64(g.arch.TotalSlots) * elapsed), memInt / (g.arch.TotalMemGB * elapsed)
 }

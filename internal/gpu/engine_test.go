@@ -39,7 +39,7 @@ var _ Workload = (*stubWorkload)(nil)
 
 func newTestGPU(t *testing.T, s *sim.Sim, geom Geometry, mode SharingMode) *GPU {
 	t.Helper()
-	g, err := NewGPU(s, 0, geom, mode)
+	g, err := NewGPU(s, 0, ArchA100(), geom, mode)
 	if err != nil {
 		t.Fatalf("NewGPU: %v", err)
 	}

@@ -57,20 +57,9 @@ func Profiles() []Profile {
 	return []Profile{Profile7g, Profile4g, Profile3g, Profile2g, Profile1g}
 }
 
-// ProfileByName looks up a profile by its short name ("7g".."1g"). Long
-// names such as "4g.20gb" are also accepted.
-func ProfileByName(name string) (Profile, bool) {
-	short := name
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		short = name[:i]
-	}
-	for _, p := range Profiles() {
-		if p.Name == short {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}
+// ProfileByName looks up an A100 profile by its short name
+// ("7g".."1g"). Long names such as "4g.20gb" are also accepted.
+func ProfileByName(name string) (Profile, bool) { return a100.ProfileByName(name) }
 
 // Scaled returns a virtual profile representing a capped fraction frac
 // (0 < frac <= 1] of p's SMs, as configured by MPS active-thread
@@ -153,41 +142,9 @@ func (g Geometry) normalize() {
 	sort.Slice(g, func(i, j int) bool { return g[i].Slots > g[j].Slots })
 }
 
-// Validate checks the geometry against A100 MIG constraints: total slot
-// usage must not exceed 7, per-profile instance counts must respect
-// Table 2's max counts, and the 7g profile is exclusive.
-func (g Geometry) Validate() error {
-	if len(g) == 0 {
-		return fmt.Errorf("%w: no slices", ErrInvalidGeometry)
-	}
-	slots := 0
-	counts := make(map[string]int, len(g))
-	for _, p := range g {
-		if _, ok := ProfileByName(p.Name); !ok {
-			return fmt.Errorf("%w: unknown profile %q", ErrInvalidGeometry, p.Name)
-		}
-		slots += p.Slots
-		counts[p.Name]++
-	}
-	if slots > TotalSlots {
-		return fmt.Errorf("%w: %d slots exceed %d", ErrInvalidGeometry, slots, TotalSlots)
-	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		p, _ := ProfileByName(name)
-		if counts[name] > p.MaxCount {
-			return fmt.Errorf("%w: %d×%s exceeds max count %d", ErrInvalidGeometry, counts[name], name, p.MaxCount)
-		}
-	}
-	if counts["7g"] > 0 && len(g) > 1 {
-		return fmt.Errorf("%w: 7g must be the only slice", ErrInvalidGeometry)
-	}
-	return nil
-}
+// Validate checks the geometry against A100 MIG constraints (Table 2):
+// see Arch.ValidateGeometry.
+func (g Geometry) Validate() error { return a100.ValidateGeometry(g) }
 
 // Slots returns the total compute slots used by the geometry.
 //

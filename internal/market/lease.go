@@ -114,7 +114,6 @@ func (m *Market) Request(consumer string, providerIdx int, kind Kind, onReady fu
 	}
 	m.leases = append(m.leases, l)
 	m.stats.Requests++
-	m.updateLiveGauge()
 	if tr := m.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(now, obs.KindLeaseRequest)
 		ev.Node = providerIdx
@@ -221,7 +220,6 @@ func (m *Market) reclaim(l *Lease, terminal LeaseState) {
 	if l.Kind == KindSpot {
 		m.providers[l.Provider].free++
 	}
-	m.updateLiveGauge()
 }
 
 // sweepOrphans reclaims bound leases whose heartbeats stopped, in
@@ -247,15 +245,13 @@ func (m *Market) SpendRate() float64 {
 	return rate
 }
 
-func (m *Market) updateLiveGauge() {
-	if m.liveG == nil {
-		return
-	}
+// LiveLeases counts the leases pending, ready or bound.
+func (m *Market) LiveLeases() int {
 	n := 0
 	for _, l := range m.leases {
 		if l.State == StatePending || l.billing() {
 			n++
 		}
 	}
-	m.liveG.Set(float64(n))
+	return n
 }

@@ -140,13 +140,9 @@ const (
 	heartbeatMisses float64 = 3
 )
 
-// Config tunes the marketplace.
-type Config struct {
-	// Metrics optionally receives the market's Prometheus series:
-	// market_spot_price_hourly{provider}, market_spend_dollars and
-	// market_leases_live.
-	Metrics *obs.Registry
-}
+// Config tunes the marketplace. It has no settable field left: every
+// tuning value is a constant above.
+type Config struct{}
 
 // provider is one catalog entry's live state.
 type provider struct {
@@ -184,10 +180,6 @@ type Market struct {
 	ticker  *sim.Ticker
 	sweeper *sim.Ticker
 	started bool
-
-	priceG *obs.GaugeVec
-	spendG *obs.Gauge
-	liveG  *obs.Gauge
 }
 
 // Stats counts marketplace activity.
@@ -207,7 +199,7 @@ type Stats struct {
 
 // New builds a marketplace over the catalog on the simulator's clock.
 // Call Start to arm the price ticker and orphan sweeper.
-func New(s *sim.Sim, cfg Config, catalog []ProviderConfig) (*Market, error) {
+func New(s *sim.Sim, _ Config, catalog []ProviderConfig) (*Market, error) {
 	if s == nil {
 		return nil, errors.New("market: nil sim")
 	}
@@ -235,17 +227,6 @@ func New(s *sim.Sim, cfg Config, catalog []ProviderConfig) (*Market, error) {
 			maxSpot: pc.SpotBaseHourly,
 		}
 		m.providers = append(m.providers, p)
-	}
-	if reg := cfg.Metrics; reg != nil {
-		m.priceG = reg.GaugeVec("market_spot_price_hourly",
-			"Current spot price per provider in $/hour.", "provider")
-		m.spendG = reg.Gauge("market_spend_dollars",
-			"Total dollars settled across all lease billing segments.")
-		m.liveG = reg.Gauge("market_leases_live",
-			"Leases currently pending, ready or bound.")
-		for _, p := range m.providers {
-			m.priceG.With(p.cfg.Name).Set(p.spot)
-		}
 	}
 	return m, nil
 }
@@ -329,9 +310,6 @@ func (m *Market) tick() {
 		if p.spot > p.maxSpot {
 			p.maxSpot = p.spot
 		}
-		if m.priceG != nil {
-			m.priceG.With(c.Name).Set(p.spot)
-		}
 		if tr := m.sim.Tracer(); tr.Enabled() {
 			ev := obs.At(now, obs.KindPriceTick)
 			ev.Node = i
@@ -386,10 +364,11 @@ func (m *Market) charge(consumer string, dollars float64) {
 	}
 	m.consumerCost[idx] += dollars
 	m.spend += dollars
-	if m.spendG != nil {
-		m.spendG.Set(m.spend)
-	}
 }
+
+// Spent returns the dollars settled across all closed billing segments
+// (TotalDollars adds the open ones).
+func (m *Market) Spent() float64 { return m.spend }
 
 // TotalDollars returns all settled spending plus the open segment of
 // every active lease, valued at current prices.

@@ -342,7 +342,7 @@ type profJob struct {
 // runMix executes a co-location mix on a fresh 7g MPS instance.
 func (p *Profiler) runMix(mix map[*Model]int) ([]profJob, error) {
 	s := sim.New(p.Seed + 1)
-	g, err := gpu.NewGPU(s, 0, gpu.MustGeometry(gpu.Profile7g), gpu.ShareMPS)
+	g, err := gpu.NewGPU(s, 0, gpu.ArchA100(), gpu.MustGeometry(gpu.Profile7g), gpu.ShareMPS)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// Events returns the total event count across runs.
+func (ts *TraceSet) Events() int {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	n := 0
+	for _, c := range ts.cols {
+		n += c.Len()
+	}
+	return n
+}
+
 // fixtureTrace is a hand-built event stream exercising every Chrome
 // render path: a completed strict batch (with cold start and engine
 // phases), a dropped BE batch, a paired and an orphaned MIG

@@ -331,19 +331,6 @@ func (ts *TraceSet) Traces() []Trace {
 	return out
 }
 
-// Events returns the total event count across runs.
-//
-//lint:ignore deadcode TestTraceSetOrderAndLabels and experiments' TestRunScenariosTraceByteIdentical count traced events with it
-func (ts *TraceSet) Events() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	n := 0
-	for _, c := range ts.cols {
-		n += c.Len()
-	}
-	return n
-}
-
 // KindCounts tallies events by kind name — a quick trace fingerprint
 // used by tests and the bench CLI's stderr summary.
 func KindCounts(events []Event) map[string]int {

@@ -17,11 +17,17 @@ import (
 // families and label sets are emitted in sorted order, values with
 // fixed formatting — so tests can compare exposition output bytewise.
 //
+// A family is either pushed (Counter, Gauge, Histogram and their
+// labeled forms hold the value and callers update it) or collected
+// (Collect: the registry holds only a function that declares the
+// families and reads their values from their owner at every render).
+//
 // All methods are safe for concurrent use; the HTTP server observes
 // from many goroutines.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu         sync.Mutex
+	families   map[string]*family
+	collectors map[string]func(*Collection)
 }
 
 // metric family types, as emitted in the # TYPE comment.
@@ -50,7 +56,7 @@ type series struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[string]*family), collectors: make(map[string]func(*Collection))}
 }
 
 func (r *Registry) family(name, help, typ string, keys []string, buckets []float64) *family {
@@ -163,25 +169,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return &Gauge{reg: r, ser: f.get(nil)}
 }
 
-// GaugeVec registers (or finds) a gauge family with label keys.
-type GaugeVec struct {
-	reg *Registry
-	fam *family
-}
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, keys ...string) *GaugeVec {
-	return &GaugeVec{reg: r, fam: r.family(name, help, typeGauge, keys, nil)}
-}
-
-// With returns the series for the given label values (created on first
-// use).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	v.reg.mu.Lock()
-	defer v.reg.mu.Unlock()
-	return &Gauge{reg: v.reg, ser: v.fam.get(values)}
-}
-
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {
 	g.reg.mu.Lock()
@@ -218,20 +205,90 @@ func (h *Histogram) Observe(v float64) {
 	h.ser.count++
 }
 
+// Collect registers the collector key: at every render, collect runs
+// once, declares its families on the Collection and emits their series;
+// the registry keeps no value of its own. Registering key again
+// replaces the collector, and a nil collect removes it.
+func (r *Registry) Collect(key string, collect func(*Collection)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if collect == nil {
+		delete(r.collectors, key)
+		return
+	}
+	r.collectors[key] = collect
+}
+
+// Collection receives the families the collectors declare in one render.
+type Collection struct{ fams map[string]*family }
+
+// Emit reports one series of a collected family: its value and its
+// label values, in the order of the family's label keys.
+type Emit func(value float64, labels ...string)
+
+// Counter declares a collected counter family and returns its emitter.
+func (c *Collection) Counter(name, help string, keys ...string) Emit {
+	return c.declare(name, help, typeCounter, keys)
+}
+
+// Gauge declares a collected gauge family and returns its emitter.
+func (c *Collection) Gauge(name, help string, keys ...string) Emit {
+	return c.declare(name, help, typeGauge, keys)
+}
+
+func (c *Collection) declare(name, help, typ string, keys []string) Emit {
+	if _, dup := c.fams[name]; dup {
+		panic(fmt.Sprintf("obs: metric %q is collected twice", name))
+	}
+	f := &family{name: name, help: help, typ: typ, keys: keys, series: make(map[string]*series)}
+	c.fams[name] = f
+	return func(v float64, labels ...string) { f.get(labels).value = v }
+}
+
+// collectAll runs every collector. It runs without r.mu held: a
+// collector takes its owner's lock, and a render must never hold the
+// registry while it waits for that.
+func (r *Registry) collectAll() map[string]*family {
+	r.mu.Lock()
+	keys := make([]string, 0, len(r.collectors))
+	for key := range r.collectors {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	cs := make([]func(*Collection), len(keys))
+	for i, key := range keys {
+		cs[i] = r.collectors[key]
+	}
+	r.mu.Unlock()
+	c := &Collection{fams: make(map[string]*family)}
+	for _, collect := range cs {
+		collect(c)
+	}
+	return c.fams
+}
+
 // WritePrometheus renders the registry in Prometheus text exposition
 // format. Families are sorted by name and series by rendered label set,
 // so the output for a given registry state is byte-stable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	fams := r.collectAll()
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
+	for name, f := range r.families {
+		if _, dup := fams[name]; dup {
+			r.mu.Unlock()
+			panic(fmt.Sprintf("obs: metric %q is both pushed and collected", name))
+		}
+		fams[name] = f
+	}
+	names := make([]string, 0, len(fams))
+	for name := range fams {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
 	var buf bytes.Buffer
 	for _, name := range names {
-		f := r.families[name]
+		f := fams[name]
 		fmt.Fprintf(&buf, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(&buf, "# TYPE %s %s\n", f.name, f.typ)
 		keys := make([]string, 0, len(f.series))

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -109,6 +110,18 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	v := r.CounterVec("ops_total", "Ops.", "worker")
 	h := r.Histogram("dur_seconds", "Durations.", []float64{1})
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		// Re-register a collected family while other goroutines render.
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			v := float64(i)
+			r.Collect("owner", func(c *Collection) { c.Gauge("live", "Live.")(v) })
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -127,5 +140,91 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "dur_seconds_count 800\n") {
 		t.Errorf("exposition:\n%s", buf.String())
+	}
+}
+
+func TestCollectedFamilies(t *testing.T) {
+	r := NewRegistry()
+	renders := r.Counter("renders_total", "Renders.")
+	r.Collect("plane", func(c *Collection) {
+		requests := c.Counter("tenant_requests_total", "Requests by tenant.", "tenant", "decision")
+		c.Gauge("empty", "No series yet.")
+		requests(3, "b", "admit")
+		requests(1.5, "a", "shed")
+		requests(2, "a", "admit")
+	})
+	r.Collect("market", func(c *Collection) {
+		// A collector runs without the registry lock held, so it may
+		// touch the registry itself.
+		renders.Inc()
+		c.Gauge("price", "Spot price.")(0.25)
+	})
+	r.Collect("gone", func(c *Collection) { c.Gauge("gone", "Removed below.")(1) })
+	r.Collect("gone", nil)
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP empty No series yet.
+# TYPE empty gauge
+# HELP price Spot price.
+# TYPE price gauge
+price 0.25
+# HELP renders_total Renders.
+# TYPE renders_total counter
+renders_total 1
+# HELP tenant_requests_total Requests by tenant.
+# TYPE tenant_requests_total counter
+tenant_requests_total{tenant="a",decision="admit"} 2
+tenant_requests_total{tenant="a",decision="shed"} 1.5
+tenant_requests_total{tenant="b",decision="admit"} 3
+`
+	if buf.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+
+	// Registering a key again replaces the collector and all its
+	// families: "empty" goes with it.
+	r.Collect("plane", func(c *Collection) {
+		c.Counter("tenant_requests_total", "Requests by tenant.", "tenant", "decision")(7, "c", "admit")
+	})
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if text := buf.String(); strings.Contains(text, `tenant="a"`) || strings.Contains(text, "empty") ||
+		!strings.Contains(text, `tenant_requests_total{tenant="c",decision="admit"} 7`+"\n") {
+		t.Errorf("replaced collector still renders the old series:\n%s", text)
+	}
+}
+
+func TestCollectedNameConflictsPanic(t *testing.T) {
+	for name, setup := range map[string]func(r *Registry){
+		"collected and pushed": func(r *Registry) {
+			r.Counter("x_total", "X.")
+			r.Collect("a", func(c *Collection) { c.Counter("x_total", "X.") })
+		},
+		"collected twice": func(r *Registry) {
+			r.Collect("a", func(c *Collection) { c.Gauge("y", "Y.") })
+			r.Collect("b", func(c *Collection) { c.Gauge("y", "Y.") })
+		},
+	} {
+		r := NewRegistry()
+		setup(r)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: render did not panic", name)
+				}
+			}()
+			_ = r.WritePrometheus(io.Discard)
+		}()
+		// The panic left the registry usable.
+		r.Collect("a", nil)
+		r.Collect("b", nil)
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Errorf("%s: render after panic: %v", name, err)
+		}
 	}
 }
