@@ -7,7 +7,6 @@ import (
 	"protean/internal/core"
 	"protean/internal/gpu"
 	"protean/internal/model"
-	"protean/internal/trace"
 )
 
 // ColdStarts reproduces the §4.2 claim: delayed termination combined
@@ -51,52 +50,6 @@ func ColdStarts(p Params) (*Report, error) {
 		},
 	}
 	return &Report{ID: "coldstarts", Tables: []*Table{t}}, nil
-}
-
-// KneeSweep is a calibration-transparency extra: SLO compliance for each
-// scheme across a request-rate sweep, exposing the per-scheme saturation
-// knees that anchor the load calibration of EXPERIMENTS.md.
-func KneeSweep(p Params) (*Report, error) {
-	p = p.withDefaults()
-	rates := []float64{5000, 7000, 9000, 11000}
-	if p.Quick {
-		rates = []float64{7000, 9000}
-	}
-	strict := model.MustByName("ResNet 50")
-	schemes := PrimarySchemes()
-
-	t := &Table{
-		Title:   "Knee sweep: SLO compliance vs request rate (ResNet 50 strict)",
-		Headers: []string{"rate (rps)"},
-	}
-	for _, s := range schemes {
-		t.Headers = append(t.Headers, s.Name)
-	}
-	var scs []Scenario
-	for _, rate := range rates {
-		for _, sch := range schemes {
-			scs = append(scs, Scenario{
-				Label:  fmt.Sprintf("knee %s@%.0f", sch.Name, rate),
-				Strict: strict,
-				Rate:   trace.Constant(rate),
-				Policy: sch.Factory,
-			})
-		}
-	}
-	results, err := RunScenarios(p, scs)
-	if err != nil {
-		return nil, err
-	}
-	for ri, rate := range rates {
-		row := []string{fmt.Sprintf("%.0f", rate)}
-		for j := range schemes {
-			row = append(row, pct(results[ri*len(schemes)+j].Recorder.SLOCompliance()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		"whole-GPU schemes collapse past their knee; PROTEAN's sliced isolation holds furthest")
-	return &Report{ID: "knee", Tables: []*Table{t}}, nil
 }
 
 // Hopper demonstrates the §7 generalizability claim: the same PROTEAN
