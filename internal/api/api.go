@@ -64,6 +64,8 @@ type SimulateRequest struct {
 
 // SimulateResponse is the POST /simulate result.
 type SimulateResponse struct {
+	// SLOCompliance is 0 when no strict request was measured, as in
+	// metrics.ModelStats: a NaN would fail the JSON encoding.
 	SLOCompliance     float64                  `json:"sloCompliance"`
 	StrictP50Millis   float64                  `json:"strictP50Millis"`
 	StrictP99Millis   float64                  `json:"strictP99Millis"`
@@ -453,17 +455,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.simulate(req)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, errInternal) {
-			status = http.StatusInternalServerError
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
-
-var errInternal = errors.New("internal")
 
 // simulate runs one scenario via the public API and folds the outcome
 // into the server's metrics registry.
@@ -517,7 +513,6 @@ func (s *Server) simulate(req SimulateRequest) (*SimulateResponse, error) {
 		return nil, err
 	}
 	out := &SimulateResponse{
-		SLOCompliance:     res.SLOCompliance,
 		StrictP50Millis:   float64(res.StrictP50) / float64(time.Millisecond),
 		StrictP99Millis:   float64(res.StrictP99) / float64(time.Millisecond),
 		BEP99Millis:       float64(res.BEP99) / float64(time.Millisecond),
@@ -534,9 +529,10 @@ func (s *Server) simulate(req SimulateRequest) (*SimulateResponse, error) {
 		Models:            res.Models,
 	}
 	s.sims.Inc()
-	// A run whose warmup swallowed every sample reports NaN percentiles;
-	// keep those out of the registry so /metrics stays parseable.
+	// A run with no strict sample past warmup reports NaN compliance;
+	// keep it out of the response and the registry.
 	if !math.IsNaN(res.SLOCompliance) {
+		out.SLOCompliance = res.SLOCompliance
 		s.lastSLO.Set(res.SLOCompliance)
 	}
 	if sec := res.StrictP99.Seconds(); !math.IsNaN(sec) {

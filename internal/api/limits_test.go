@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"protean"
 	"protean/internal/controlplane"
 )
 
@@ -116,6 +117,28 @@ func TestIngestRejectsHostileLines(t *testing.T) {
 	}
 }
 
+// simBody is a small valid /simulate body, without its braces.
+const simBody = `"strictModel": "ResNet 50", "meanRPS": 100`
+
+// hostileBodies are bodies past one of the size caps; FuzzSimulate
+// seeds its corpus with them.
+var hostileBodies = []struct{ name, path, body string }{
+	{"simulate nodes", "/simulate", `{` + simBody + `, "nodes": 1000000000}`},
+	{"simulate chaosScale", "/simulate", `{` + simBody + `, "chaosScale": 1e300}`},
+	{"simulate duration", "/simulate", `{` + simBody + `, "durationSeconds": 1e300}`},
+	{"simulate negative duration", "/simulate", `{` + simBody + `, "durationSeconds": -1e300}`},
+	{"simulate arrivals", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 1e300, "durationSeconds": 10}`},
+	{"simulate arrivals default duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 200000}`},
+	{"simulate arrivals truncated duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 1e16, "durationSeconds": 1e-10}`},
+	{"plane nodes", "/v1/plane", `{"nodes": 1000000000}`},
+	{"plane shards", "/v1/plane", `{"shards": 65}`},
+	{"plane chaosScale", "/v1/plane", `{"chaosScale": 1e300}`},
+	{"plane huge quantum", "/v1/plane", `{"quantumMillis": 1e300}`},
+	{"plane denormal quantum", "/v1/plane", `{"quantumMillis": 5e-324}`},
+	{"plane negative quantum", "/v1/plane", `{"quantumMillis": -10}`},
+	{"tenant prewarm", "/v1/tenants", `{"id": "big", "model": "ResNet 18", "prewarmCount": 1000000000}`},
+}
+
 // TestSizeCapsRejectHostileBodies: a /simulate, /v1/plane or
 // /v1/tenants body that asks for more lanes, shards, faults, virtual
 // time, arrivals or pre-warmed containers than the caps allow is a 400
@@ -124,23 +147,7 @@ func TestIngestRejectsHostileLines(t *testing.T) {
 // timer at the same instant forever, and a huge prewarmCount allocates
 // one idle-container record per count on every node.
 func TestSizeCapsRejectHostileBodies(t *testing.T) {
-	const sim = `"strictModel": "ResNet 50", "meanRPS": 100`
-	for _, tc := range []struct{ name, path, body string }{
-		{"simulate nodes", "/simulate", `{` + sim + `, "nodes": 1000000000}`},
-		{"simulate chaosScale", "/simulate", `{` + sim + `, "chaosScale": 1e300}`},
-		{"simulate duration", "/simulate", `{` + sim + `, "durationSeconds": 1e300}`},
-		{"simulate negative duration", "/simulate", `{` + sim + `, "durationSeconds": -1e300}`},
-		{"simulate arrivals", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 1e300, "durationSeconds": 10}`},
-		{"simulate arrivals default duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 200000}`},
-		{"simulate arrivals truncated duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 1e16, "durationSeconds": 1e-10}`},
-		{"plane nodes", "/v1/plane", `{"nodes": 1000000000}`},
-		{"plane shards", "/v1/plane", `{"shards": 65}`},
-		{"plane chaosScale", "/v1/plane", `{"chaosScale": 1e300}`},
-		{"plane huge quantum", "/v1/plane", `{"quantumMillis": 1e300}`},
-		{"plane denormal quantum", "/v1/plane", `{"quantumMillis": 5e-324}`},
-		{"plane negative quantum", "/v1/plane", `{"quantumMillis": -10}`},
-		{"tenant prewarm", "/v1/tenants", `{"id": "big", "model": "ResNet 18", "prewarmCount": 1000000000}`},
-	} {
+	for _, tc := range hostileBodies {
 		t.Run(tc.name, func(t *testing.T) {
 			h := limitsServer(t)
 			if rec := do(h, tc.path, "application/json", tc.body); rec.Code != http.StatusBadRequest {
@@ -222,4 +229,56 @@ func FuzzIngestNDJSON(f *testing.F) {
 			t.Fatalf("%d-byte body over the %d-byte cap succeeded", len(body), maxBodyBytes)
 		}
 	})
+}
+
+// FuzzSimulate posts arbitrary bytes to /simulate. Whatever arrives, the
+// handler must not panic and must answer 200, 400 or 413, never a 5xx.
+// A body that passes validate but asks for more work than one fuzz input
+// should spend (overBudget) is only validated, so the run stays bounded;
+// the corpus starts from the size-cap rows and the rejected bodies of
+// TestSimulateRejectsBadRequests. testdata/fuzz/FuzzSimulate holds the
+// regression seeds: runs with no strict sample past warmup, whose NaN
+// compliance used to fail the response encoding with a 500.
+func FuzzSimulate(f *testing.F) {
+	for _, tc := range hostileBodies {
+		f.Add([]byte(tc.body))
+	}
+	for _, body := range []string{
+		`{` + simBody + `, "durationSeconds": 5, "nodes": 2}`,
+		`{` + simBody + `, "durationSeconds": 5, "shape": "wiki", "procurement": "hybrid", "spotAvailability": "low"}`,
+		`{` + simBody + `, "durationSeconds": 5, "shape": "twitter", "chaosScale": 2, "trace": true}`,
+		`{`,
+		`{"unknownField": 1}`,
+		`{"strictModel": "ResNet 50"}`,
+		`{"strictModel": "Nope", "meanRPS": 10}`,
+		`{"strictModel": "ResNet 50", "meanRPS": 10, "scheme": "bogus"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The handler's own decoder settings; its body cap only adds
+		// failures, so every body it would simulate decodes here too.
+		var req SimulateRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) == nil && req.validate() == nil && overBudget(req) {
+			return
+		}
+		rec := do(NewServer().Handler(), "/simulate", "application/json", string(body))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}
+
+// overBudget reports whether a valid /simulate body asks for more
+// simulated work than one fuzz input should spend.
+func overBudget(req SimulateRequest) bool {
+	d := req.duration().Seconds()
+	if d <= 0 {
+		d = protean.DefaultDuration.Seconds()
+	}
+	return req.MeanRPS*d > 2000 || d > 60 || req.Nodes > 4 || req.ChaosScale > 2
 }

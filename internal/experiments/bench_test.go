@@ -23,7 +23,7 @@ func BenchmarkQuickScenario(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := runScenario(p, sc, nil)
+		res, err := RunScenario(p, sc, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

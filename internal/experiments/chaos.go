@@ -46,7 +46,7 @@ func ChaosSweep(p Params) (*Report, error) {
 	scales := chaosScales(p.Quick)
 	schemes := chaosSchemes()
 	strict := model.MustByName("ResNet 50")
-	// One shared template: runScenario clones it per run, and the chaos
+	// One shared template: buildScenario clones it per run, and the chaos
 	// storms need spot leases to revoke.
 	vmTpl := &vm.Config{
 		Mode:          vm.ModeSpotPreferred,

@@ -223,11 +223,13 @@ type MarketSpec struct {
 	Policy func() market.Policy
 }
 
-// runScenario materialises the scenario's arrivals (sc.Trace, or a
+// RunScenario materialises the scenario's arrivals (sc.Trace, or a
 // generated trace) and executes one cluster run. tr, when non-nil,
-// receives the run's lifecycle events.
-func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
-	p = p.withDefaults()
+// receives the run's lifecycle events. p is used as given: an entry
+// point resolves its defaults once (the harnesses call withDefaults,
+// and protean.Platform.Run fills every field it needs itself, so its
+// zero warmup stays zero).
+func RunScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
 	tc, _, c, err := buildScenario(p, sc, tr)
 	if err != nil {
 		return nil, err
@@ -241,13 +243,14 @@ func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) 
 	return c.Run(reqs, p.Duration)
 }
 
-// buildScenario is the one place experiments construct a cluster: it
-// returns the scenario's trace config, the simulator (exposed so the
-// events/sec counters can read Executed()), and the cluster wired onto
-// it. Callers choose how arrivals reach the cluster: runScenario
-// materialises them, ScaleCell streams them from trace.NewStream.
+// buildScenario is the one place a one-shot run's cluster is
+// constructed, for the experiments and the public API alike: it returns
+// the scenario's trace config, the simulator (exposed so the events/sec
+// counters can read Executed()), and the cluster wired onto it. p must
+// be resolved. Callers choose how arrivals reach the cluster:
+// RunScenario materialises them, ScaleCell streams them from
+// trace.NewStream.
 func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
-	p = p.withDefaults()
 	if sc.Policy == nil {
 		return trace.Config{}, nil, nil, errors.New("experiments: scenario without policy")
 	}

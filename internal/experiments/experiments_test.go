@@ -110,22 +110,22 @@ func TestFig13QuickShape(t *testing.T) {
 
 func TestRunScenarioValidation(t *testing.T) {
 	p := quickParams()
-	if _, err := runScenario(p, Scenario{}, nil); err == nil {
+	if _, err := RunScenario(p, Scenario{}, nil); err == nil {
 		t.Error("scenario without policy accepted")
 	}
-	if _, err := runScenario(p, Scenario{Policy: core.NewMoleculeBeta(), StrictFrac: 0.5}, nil); err == nil {
+	if _, err := RunScenario(p, Scenario{Policy: core.NewMoleculeBeta(), StrictFrac: 0.5}, nil); err == nil {
 		t.Error("scenario without strict model accepted")
 	}
 }
 
 func TestRunScenarioDefaultsPoolAndRate(t *testing.T) {
 	p := quickParams()
-	res, err := runScenario(p, Scenario{
+	res, err := RunScenario(p, Scenario{
 		Strict: model.MustByName("ShuffleNet V2"),
 		Policy: core.NewProtean(core.ProteanConfig{}),
 	}, nil)
 	if err != nil {
-		t.Fatalf("runScenario: %v", err)
+		t.Fatalf("RunScenario: %v", err)
 	}
 	if res.Recorder.Requests() == 0 {
 		t.Error("no requests recorded")

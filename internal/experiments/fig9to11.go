@@ -127,7 +127,7 @@ func Fig10ThroughputUtilization(p Params) (*Report, error) {
 	eff := model.MustByName("EfficientNet-B0")
 	effective := p.Duration - p.Warmup
 	schemes := PrimarySchemes()
-	results, err := RunScenarios(p, gridScenarios([]*model.Model{dense, eff}, schemes, func(sc *Scenario, _ *model.Model) {
+	results, err := RunScenarios(p, gridScenarios([]*model.Model{dense, eff}, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
 	}))
 	if err != nil {
@@ -162,7 +162,7 @@ func Fig11ErraticTrace(p Params) (*Report, error) {
 		Headers: []string{"scheme", "SLO", "P99", "min", "deficiency", "interference", "queue+cold"},
 	}
 	schemes := PrimarySchemes()
-	results, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario, _ *model.Model) {
+	results, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario) {
 		sc.Rate = twitterRate(p.Duration, p.Seed)
 	}))
 	if err != nil {

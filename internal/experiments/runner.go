@@ -32,9 +32,9 @@ func (p Params) workers() int {
 // goroutines; results are collected by index and the first error (in
 // index order, not completion order) wins, which makes the outcome
 // byte-identical to a sequential run regardless of scheduling. Every
-// experiment harness that sweeps a scheme×model grid goes through here.
+// experiment harness that sweeps a scheme×model grid goes through here,
+// with p already resolved by withDefaults.
 func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
-	p = p.withDefaults()
 	results := make([]*cluster.Result, len(scs))
 	errs := make([]error, len(scs))
 	// Register trace collectors sequentially, by scenario index, before
@@ -52,7 +52,7 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 	}
 	if workers <= 1 {
 		for i, sc := range scs {
-			results[i], errs[i] = runScenario(p, sc, tracers[i])
+			results[i], errs[i] = RunScenario(p, sc, tracers[i])
 		}
 	} else {
 		idx := make(chan int)
@@ -63,7 +63,7 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 				defer wg.Done()
 				for i := range idx {
 					//lint:ignore sharedstate workers write disjoint indices handed out by the idx channel, and wg.Wait establishes the happens-before edge for the readers
-					results[i], errs[i] = runScenario(p, scs[i], tracers[i])
+					results[i], errs[i] = RunScenario(p, scs[i], tracers[i])
 				}
 			}()
 		}

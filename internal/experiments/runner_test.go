@@ -133,11 +133,11 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		}
 	}
 	p := quickParams()
-	plain, err := runScenario(p, sc(), nil)
+	plain, err := RunScenario(p, sc(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := runScenario(p, sc(), obs.NewCollector("traced"))
+	traced, err := RunScenario(p, sc(), obs.NewCollector("traced"))
 	if err != nil {
 		t.Fatal(err)
 	}

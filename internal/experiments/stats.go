@@ -6,6 +6,7 @@ import (
 
 	"protean/internal/metrics"
 	"protean/internal/model"
+	"protean/internal/trace"
 )
 
 // StatsSignificance reproduces §7's statistical significance analysis:
@@ -33,7 +34,7 @@ func StatsSignificance(p Params) (*Report, error) {
 			scs = append(scs, Scenario{
 				Label:  fmt.Sprintf("stats %s/%s", tc.label, sch.Name),
 				Strict: tc.strict,
-				Rate:   constantRate(tc.rate),
+				Rate:   trace.Constant(tc.rate),
 				Policy: sch.Factory,
 			})
 		}
@@ -113,9 +114,4 @@ func formatP(p float64) string {
 		return "<1e-300"
 	}
 	return fmt.Sprintf("%.2e", p)
-}
-
-// constantRate avoids importing trace in every experiment file.
-func constantRate(rps float64) func(float64) float64 {
-	return func(float64) float64 { return rps }
 }

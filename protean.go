@@ -24,14 +24,12 @@ import (
 	"time"
 
 	"protean/internal/chaos"
-	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/experiments"
 	"protean/internal/gpu"
 	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/obs"
-	"protean/internal/sim"
 	"protean/internal/trace"
 	"protean/internal/vm"
 )
@@ -319,7 +317,9 @@ type GeometryChange struct {
 	Geometry string
 }
 
-// Run executes the workload and returns its metrics.
+// Run executes the workload and returns its metrics. It builds one
+// experiments.Scenario and runs it through experiments.RunScenario, the
+// path every experiment cell takes.
 func (p *Platform) Run(w Workload) (*Result, error) {
 	strict, ok := model.ByName(w.StrictModel)
 	if !ok && w.StrictFraction != 0 {
@@ -332,9 +332,6 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 			return nil, fmt.Errorf("protean: unknown BE model %q", name)
 		}
 		pool = append(pool, m)
-	}
-	if pool == nil && strict != nil {
-		pool = model.OppositeClassPool(strict)
 	}
 	duration := w.Duration.Seconds()
 	if duration <= 0 {
@@ -354,25 +351,6 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("protean: unknown trace shape %q", w.Shape)
 	}
-	strictFrac := w.StrictFraction
-	if strictFrac == 0 && strict != nil {
-		strictFrac = 0.5
-	}
-	reqs, err := trace.Generate(trace.Config{
-		Rate: rate,
-		Mix: trace.Mix{
-			StrictFrac:   strictFrac,
-			Strict:       strict,
-			BEPool:       pool,
-			RotatePeriod: w.RotateEvery.Seconds(),
-		},
-		Duration: duration,
-		Seed:     p.cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	factory, err := p.cfg.Scheme.factory()
 	if err != nil {
 		return nil, err
@@ -395,41 +373,32 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 		}
 		vmCfg = &vm.Config{Mode: mode, Availability: avail, CheckInterval: 45}
 	}
-
-	prewarm := append([]*model.Model{}, pool...)
-	if strict != nil {
-		prewarm = append(prewarm, strict)
-	}
 	arch, err := resolveArch(p.cfg.GPUArch)
 	if err != nil {
 		return nil, err
-	}
-	s := sim.New(p.cfg.Seed)
-	if p.cfg.Shards > 0 {
-		s.SetWorkers(p.cfg.Shards)
-	}
-	if p.cfg.Tracer != nil {
-		s.SetTracer(p.cfg.Tracer)
 	}
 	var chaosCfg chaos.Config
 	if p.cfg.ChaosScale > 0 {
 		chaosCfg = chaos.DefaultConfig().Scaled(p.cfg.ChaosScale)
 	}
-	c, err := cluster.New(s, cluster.Config{
-		Nodes:         p.cfg.Nodes,
-		Policy:        factory,
+	res, err := experiments.RunScenario(experiments.Params{
+		Nodes:    p.cfg.Nodes,
+		Duration: duration,
+		Warmup:   p.cfg.Warmup.Seconds(),
+		Seed:     p.cfg.Seed,
+		Shards:   p.cfg.Shards,
+		Chaos:    chaosCfg,
+	}, experiments.Scenario{
+		Strict:        strict,
+		BEPool:        pool,
+		StrictFrac:    w.StrictFraction,
+		Rate:          rate,
 		SLOMultiplier: p.cfg.SLOMultiplier,
-		Warmup:        p.cfg.Warmup.Seconds(),
-		PreWarm:       prewarm,
-		PreWarmCount:  4,
+		Policy:        factory,
 		VM:            vmCfg,
+		RotatePeriod:  w.RotateEvery.Seconds(),
 		Arch:          arch,
-		Chaos:         chaosCfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run(reqs, duration)
+	}, p.cfg.Tracer)
 	if err != nil {
 		return nil, err
 	}
