@@ -9,7 +9,8 @@ package autoscale
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"protean/internal/obs"
 	"protean/internal/sim"
@@ -36,6 +37,7 @@ func (c *Config) applyDefaults() {
 
 // pool tracks containers for one model on one node.
 type pool struct {
+	name string
 	// idleSince holds, per idle warm container, the time it went idle
 	// (ascending).
 	idleSince []float64
@@ -51,7 +53,9 @@ type Scaler struct {
 	cfg Config
 	sim *sim.Sim
 
-	pools      map[string]*pool
+	// pools holds one pool per model in ascending name order: lookups
+	// binary-search it and Sweep walks it without sorting.
+	pools      []*pool
 	coldStarts int
 	spawned    int
 }
@@ -66,7 +70,7 @@ func NewScaler(s *sim.Sim, cfg Config) (*Scaler, error) {
 		return nil, errors.New("autoscale: nil sim")
 	}
 	cfg.applyDefaults()
-	return &Scaler{cfg: cfg, sim: s, pools: make(map[string]*pool)}, nil
+	return &Scaler{cfg: cfg, sim: s}, nil
 }
 
 // Acquire reserves one container for a batch of the given model,
@@ -76,12 +80,8 @@ func (s *Scaler) Acquire(modelName string) (float64, error) {
 	if modelName == "" {
 		return 0, fmt.Errorf("autoscale: empty model name")
 	}
-	p := s.pools[modelName]
-	if p == nil {
-		p = &pool{}
-		s.pools[modelName] = p
-	}
-	s.expire(modelName, p)
+	p := s.pool(modelName)
+	s.expire(p)
 	if n := len(p.idleSince); n > 0 {
 		// Reuse the most recently idled container (LIFO) so the oldest
 		// ones age out.
@@ -97,7 +97,7 @@ func (s *Scaler) Acquire(modelName string) (float64, error) {
 
 // Release returns a container to the pool after its batch completes.
 func (s *Scaler) Release(modelName string) error {
-	p := s.pools[modelName]
+	p := s.find(modelName)
 	if p == nil || p.busy <= 0 {
 		return fmt.Errorf("autoscale: release without acquire for %q", modelName)
 	}
@@ -116,7 +116,7 @@ func (s *Scaler) Release(modelName string) error {
 // so the retry pays a fresh cold start unless another warm container
 // freed up meanwhile.
 func (s *Scaler) Abort(modelName string) error {
-	p := s.pools[modelName]
+	p := s.find(modelName)
 	if p == nil || p.busy <= 0 {
 		return fmt.Errorf("autoscale: abort without acquire for %q", modelName)
 	}
@@ -127,7 +127,7 @@ func (s *Scaler) Abort(modelName string) error {
 
 // expire reclaims idle containers past the keep-alive window (delayed
 // termination).
-func (s *Scaler) expire(modelName string, p *pool) {
+func (s *Scaler) expire(p *pool) {
 	cutoff := s.sim.Now() - s.cfg.KeepAlive
 	drop := 0
 	for drop < len(p.idleSince) && p.idleSince[drop] <= cutoff {
@@ -136,7 +136,7 @@ func (s *Scaler) expire(modelName string, p *pool) {
 	if drop > 0 {
 		p.idleSince = p.idleSince[drop:]
 		s.spawned -= drop
-		s.emit("expire", modelName, drop)
+		s.emit("expire", p.name, drop)
 	}
 }
 
@@ -154,16 +154,37 @@ func (s *Scaler) emit(verb, modelName string, containers int) {
 	tr.Emit(ev)
 }
 
+// search returns where the model's pool is, or would be inserted, in
+// the name order, and whether it exists.
+func (s *Scaler) search(modelName string) (int, bool) {
+	return slices.BinarySearchFunc(s.pools, modelName, func(p *pool, name string) int {
+		return strings.Compare(p.name, name)
+	})
+}
+
+// find returns the model's pool, or nil when it has none.
+func (s *Scaler) find(modelName string) *pool {
+	if i, ok := s.search(modelName); ok {
+		return s.pools[i]
+	}
+	return nil
+}
+
+// pool returns the model's pool, creating it in name order on first
+// use.
+func (s *Scaler) pool(modelName string) *pool {
+	i, ok := s.search(modelName)
+	if !ok {
+		s.pools = slices.Insert(s.pools, i, &pool{name: modelName})
+	}
+	return s.pools[i]
+}
+
 // Sweep expires idle containers across all pools (called on monitor
 // ticks), visiting pools in sorted name order for reproducibility.
 func (s *Scaler) Sweep() {
-	names := make([]string, 0, len(s.pools))
-	for name := range s.pools {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.expire(name, s.pools[name])
+	for _, p := range s.pools {
+		s.expire(p)
 	}
 }
 
@@ -173,11 +194,7 @@ func (s *Scaler) Prewarm(modelName string, n int) {
 	if modelName == "" || n <= 0 {
 		return
 	}
-	p := s.pools[modelName]
-	if p == nil {
-		p = &pool{}
-		s.pools[modelName] = p
-	}
+	p := s.pool(modelName)
 	for i := 0; i < n; i++ {
 		p.idleSince = append(p.idleSince, s.sim.Now())
 		s.spawned++
@@ -192,7 +209,7 @@ func (s *Scaler) Prewarm(modelName string, n int) {
 // their batches complete. A drained pool pays a fresh cold start on the
 // next Acquire (wake-up goes through the ordinary cold-start model).
 func (s *Scaler) Drain(modelName string) int {
-	p := s.pools[modelName]
+	p := s.find(modelName)
 	if p == nil || len(p.idleSince) == 0 {
 		return 0
 	}
@@ -208,10 +225,10 @@ func (s *Scaler) ColdStarts() int { return s.coldStarts }
 
 // Warm returns the number of live containers (busy + idle) for a model.
 func (s *Scaler) Warm(modelName string) int {
-	p := s.pools[modelName]
+	p := s.find(modelName)
 	if p == nil {
 		return 0
 	}
-	s.expire(modelName, p)
+	s.expire(p)
 	return p.busy + len(p.idleSince)
 }

@@ -1,8 +1,10 @@
 package autoscale
 
 import (
+	"slices"
 	"testing"
 
+	"protean/internal/obs"
 	"protean/internal/sim"
 )
 
@@ -190,5 +192,59 @@ func TestLiveCountsAcrossModels(t *testing.T) {
 	}
 	if got := sc.Live(); got != 3 {
 		t.Errorf("Live = %d, want 3 (2 busy + 1 idle)", got)
+	}
+}
+
+// TestSweepAllocatesNothing pins that a steady-state Sweep — every pool
+// already created, nothing left to expire — walks the pools without
+// allocating: it runs on every monitor tick of every node.
+func TestSweepAllocatesNothing(t *testing.T) {
+	s := sim.New(1)
+	sc := newScaler(t, s, Config{KeepAlive: 100})
+	for _, name := range []string{"vgg", "bert", "resnet", "dpn"} {
+		sc.Prewarm(name, 2)
+	}
+	if allocs := testing.AllocsPerRun(100, sc.Sweep); allocs != 0 {
+		t.Fatalf("Sweep allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestSweepExpiresInNameOrder: pools created in any order, through
+// Acquire or Prewarm, expire in ascending name order, so the traced
+// expire events do not depend on creation order.
+func TestSweepExpiresInNameOrder(t *testing.T) {
+	s := sim.New(1)
+	col := obs.NewCollector("autoscale")
+	s.SetTracer(col)
+	sc := newScaler(t, s, Config{KeepAlive: 100})
+	for _, name := range []string{"vgg", "bert", "resnet"} {
+		if _, err := sc.Acquire(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Release(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc.Prewarm("dpn", 1)
+	sc.Prewarm("alexnet", 1)
+	if _, err := sc.Acquire("bart"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Release("bart"); err != nil {
+		t.Fatal(err)
+	}
+	s.MustAfter(200, sc.Sweep)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range col.Trace().Events {
+		if ev.Detail == "expire" {
+			got = append(got, ev.Model)
+		}
+	}
+	want := []string{"alexnet", "bart", "bert", "dpn", "resnet", "vgg"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("expire order = %v, want %v", got, want)
 	}
 }

@@ -490,6 +490,7 @@ func (c *Cluster) startControl() error {
 	if err != nil {
 		return err
 	}
+	quantum.SkipWhile(c.mailboxIdle)
 	c.quantum = quantum
 	monitor, err := c.sim.Every(monitorInterval, c.monitorTick)
 	if err != nil {
@@ -664,6 +665,22 @@ func (c *Cluster) drainSealed() {
 	for _, b := range sealed {
 		c.dispatch(b)
 	}
+}
+
+// mailboxIdle reports whether drainSealed would do nothing: the
+// mailbox holds no sealed batch and no node holds a spent one. The
+// root skips dispatch quanta while it holds (see sim.Ticker.SkipWhile);
+// most quanta of a long, lightly loaded horizon are such no-ops.
+func (c *Cluster) mailboxIdle() bool {
+	if len(c.sealed) > 0 {
+		return false
+	}
+	for _, n := range c.nodes {
+		if len(n.spent) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sortTimeline orders geometry events by time, keeping node order for

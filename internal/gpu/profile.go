@@ -177,21 +177,26 @@ func (g Geometry) Equal(other Geometry) bool {
 	if len(g) != len(other) {
 		return false
 	}
-	a, b := g.counts(), other.counts()
-	for name, n := range a {
-		if b[name] != n {
+	// Match each slice of g to an unmatched slice of other with the
+	// same prefix. A valid geometry has at most TotalSlots slices, so
+	// the buffer keeps this allocation-free.
+	var buf [TotalSlots]bool
+	matched := buf[:]
+	if len(other) > len(buf) {
+		matched = make([]bool, len(other))
+	}
+	for _, p := range g {
+		name := prefix(p.Name)
+		j := 0
+		for j < len(other) && (matched[j] || prefix(other[j].Name) != name) {
+			j++
+		}
+		if j == len(other) {
 			return false
 		}
+		matched[j] = true
 	}
 	return true
-}
-
-func (g Geometry) counts() map[string]int {
-	c := make(map[string]int, len(g))
-	for _, p := range g {
-		c[prefix(p.Name)]++
-	}
-	return c
 }
 
 // String renders the geometry as "(4g, 3g)".

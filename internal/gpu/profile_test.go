@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +145,76 @@ func TestGeometryEqualIgnoresOrder(t *testing.T) {
 	c := MustGeometry(Profile4g, Profile2g, Profile1g)
 	if a.Equal(c) {
 		t.Error("different geometries reported equal")
+	}
+}
+
+// mapEqual is the map-based Equal the prefix-count comparison
+// replaced, kept as its reference.
+func mapEqual(g, other Geometry) bool {
+	if len(g) != len(other) {
+		return false
+	}
+	counts := func(g Geometry) map[string]int {
+		c := make(map[string]int, len(g))
+		for _, p := range g {
+			c[prefix(p.Name)]++
+		}
+		return c
+	}
+	a, b := counts(g), counts(other)
+	for name, n := range a {
+		if b[name] != n {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPropertyEqualMatchesMapReference compares Equal with the
+// map-based reference over every pair of valid geometries on the A100
+// and their H100 translations, each also in reversed slice order, plus
+// a few geometries too long to be valid, and checks that Equal
+// allocates nothing.
+func TestPropertyEqualMatchesMapReference(t *testing.T) {
+	h100 := ArchH100()
+	var all []Geometry
+	for _, g := range ValidGeometries() {
+		h, err := h100.Translate(g)
+		if err != nil {
+			t.Fatalf("translate %s to H100: %v", g, err)
+		}
+		for _, x := range []Geometry{g, h} {
+			rev := x.Clone()
+			slices.Reverse(rev)
+			all = append(all, x, rev)
+		}
+	}
+	valid := len(all)
+	// Longer than any valid geometry, so Equal cannot use its buffer.
+	long := Geometry{Profile1g, Profile1g, Profile1g, Profile1g, Profile1g, Profile1g, Profile1g, Profile1g}
+	longer := append(long.Clone(), Profile2g)
+	mixed := append(long[1:].Clone(), Profile2g)
+	all = append(all, long, longer, mixed, append(mixed[1:].Clone(), Profile1g))
+	for _, a := range all {
+		for _, b := range all {
+			if got, want := a.Equal(b), mapEqual(a, b); got != want {
+				t.Fatalf("%s.Equal(%s) = %v, map reference says %v", a, b, got, want)
+			}
+		}
+	}
+	// The longest A100 geometry against its reversed H100 translation
+	// runs Equal's whole loop.
+	var a, b Geometry
+	for i := 0; i < valid; i += 4 {
+		if len(all[i]) > len(a) {
+			a, b = all[i], all[i+3]
+		}
+	}
+	if !a.Equal(b) {
+		t.Fatalf("%s and %s should be equal", a, b)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.Equal(b) }); allocs != 0 {
+		t.Fatalf("Equal allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -51,23 +51,52 @@ type Planner struct {
 	cfg     Config
 	pred    *ewma.EWMA
 	waitCtr int
+}
 
+// sliceSet is one of Algorithm 2's small slice sets with the
+// per-window constants Plan reads: its total and largest slice memory
+// and the geometry it plans (the set plus 4g).
+type sliceSet struct {
+	profiles     []gpu.Profile
+	memGB        float64
+	largestMemGB float64
+	geometry     gpu.Geometry
+}
+
+func newSliceSet(profiles ...gpu.Profile) sliceSet {
+	set := sliceSet{
+		profiles: profiles,
+		geometry: gpu.MustGeometry(append([]gpu.Profile{gpu.Profile4g}, profiles...)...),
+	}
+	for _, prof := range profiles {
+		set.memGB += prof.MemGB
+		if prof.MemGB > set.largestMemGB {
+			set.largestMemGB = prof.MemGB
+		}
+	}
+	return set
+}
+
+// Every geometry a planner can plan, built and validated once for the
+// process; Plan hands out clones, so planners share them read-only.
+var (
 	// smallSliceSets is Algorithm 2's small_slice_set, in preference
 	// order.
-	smallSliceSets [][]gpu.Profile
-}
+	smallSliceSets = []sliceSet{
+		newSliceSet(gpu.Profile1g, gpu.Profile2g),
+		newSliceSet(gpu.Profile3g),
+	}
+	// fallbackGeometry is the (4g, 3g) corner-case geometry of
+	// Algorithm 2 step f — per the paper, the most effective when
+	// thresholds are violated or BE work cannot fit the small slice
+	// sets.
+	fallbackGeometry = gpu.MustGeometry(gpu.Profile4g, gpu.Profile3g)
+)
 
 // New returns a planner.
 func New(cfg Config) *Planner {
 	cfg.applyDefaults()
-	return &Planner{
-		cfg:  cfg,
-		pred: ewma.MustNew(cfg.Alpha),
-		smallSliceSets: [][]gpu.Profile{
-			{gpu.Profile1g, gpu.Profile2g},
-			{gpu.Profile3g},
-		},
-	}
+	return &Planner{cfg: cfg, pred: ewma.MustNew(cfg.Alpha)}
 }
 
 // ObserveBEBatches records how many best-effort batches arrived in the
@@ -88,13 +117,6 @@ type Decision struct {
 	WaitCtr int
 }
 
-// fallbackGeometry is the (4g, 3g) corner-case geometry of Algorithm 2
-// step f — per the paper, the most effective when thresholds are
-// violated or BE work cannot fit the small slice sets.
-func fallbackGeometry() gpu.Geometry {
-	return gpu.MustGeometry(gpu.Profile4g, gpu.Profile3g)
-}
-
 // PlanInput carries one window's Algorithm 2 inputs.
 type PlanInput struct {
 	// Current is the GPU's installed geometry.
@@ -113,31 +135,44 @@ type PlanInput struct {
 	BESolo func(gpu.Profile) float64
 }
 
-// Plan runs Algorithm 2 for one window.
+// Plan runs Algorithm 2 for one window. Decision.Desired is the
+// caller's own copy of one of the planner's fixed geometries.
 func (p *Planner) Plan(in PlanInput) Decision {
+	desired := p.choose(in)
+	d := Decision{Desired: desired.Clone()}
+	if desired.Equal(in.Current) {
+		p.waitCtr = 0
+		return d
+	}
+	p.waitCtr++
+	if p.waitCtr >= p.cfg.WaitLimit {
+		p.waitCtr = 0
+		d.Reconfigure, d.WaitCtr = true, p.cfg.WaitLimit
+		return d
+	}
+	d.WaitCtr = p.waitCtr
+	return d
+}
+
+// choose returns the geometry Algorithm 2 computes for the window's
+// predicted load: the first viable small slice set plus 4g, or the
+// (4g, 3g) fallback. The result is shared; Plan clones it.
+func (p *Planner) choose(in PlanInput) gpu.Geometry {
 	predBEBatches := in.PredBEBatches
 	if predBEBatches < 0 {
 		predBEBatches = p.pred.PredictOr(0)
 	}
 	predBEMem := predBEBatches * in.BEMemPerBatch
 
-	var final gpu.Geometry
-	found := false
-	for _, set := range p.smallSliceSets {
-		sum, largest := 0.0, 0.0
-		for _, prof := range set {
-			sum += prof.MemGB
-			if prof.MemGB > largest {
-				largest = prof.MemGB
-			}
-		}
+	for _, set := range smallSliceSets {
+		sum := set.memGB
 		if sum < predBEMem {
 			continue
 		}
 		// A set is only viable if a single BE batch fits its largest
 		// slice — otherwise every BE batch would spill onto the strict
 		// slices (the DPN 92 scenario of Figure 7).
-		if in.BEMemPerBatch > largest {
+		if in.BEMemPerBatch > set.largestMemGB {
 			continue
 		}
 		// Time occupancy: the predicted BE service demand must fit the
@@ -147,7 +182,7 @@ func (p *Planner) Plan(in PlanInput) Decision {
 		if in.BESolo != nil && in.WindowSeconds > 0 && predBEBatches > 0 {
 			rate := predBEBatches / in.WindowSeconds
 			capacity := 0.0
-			for _, prof := range set {
+			for _, prof := range set.profiles {
 				if solo := in.BESolo(prof); solo > 0 {
 					capacity += 1 / solo
 				}
@@ -166,31 +201,9 @@ func (p *Planner) Plan(in PlanInput) Decision {
 		if occupancy < tLow {
 			break // very few BE requests: consolidation on (4g, 3g) wins
 		}
-		final = append(gpu.Geometry{}, set...)
-		found = true
-		break
+		return set.geometry
 	}
-	if found {
-		final = append(final, gpu.Profile4g)
-	} else {
-		final = fallbackGeometry()
-	}
-	desired, err := gpu.NewGeometry(final...)
-	if err != nil {
-		// Defensive: the hardwired sets always validate.
-		desired = fallbackGeometry()
-	}
-
-	if desired.Equal(in.Current) {
-		p.waitCtr = 0
-		return Decision{Desired: desired, Reconfigure: false, WaitCtr: 0}
-	}
-	p.waitCtr++
-	if p.waitCtr >= p.cfg.WaitLimit {
-		p.waitCtr = 0
-		return Decision{Desired: desired, Reconfigure: true, WaitCtr: p.cfg.WaitLimit}
-	}
-	return Decision{Desired: desired, Reconfigure: false, WaitCtr: p.waitCtr}
+	return fallbackGeometry
 }
 
 // Budget limits how many GPUs may reconfigure simultaneously

@@ -211,3 +211,18 @@ func TestPlanTimeOccupancyEscalates(t *testing.T) {
 		t.Errorf("desired = %s, want (4g, 2g, 1g) at light BE load", light.Desired)
 	}
 }
+
+// TestPlanDesiredIsCallersCopy: Plan hands out a copy of the planner's
+// fixed geometry, so a caller that edits Decision.Desired cannot change
+// what later windows plan.
+func TestPlanDesiredIsCallersCopy(t *testing.T) {
+	p := New(Config{WaitLimit: -1})
+	in := PlanInput{Current: geom("7g"), BEMemPerBatch: 4, PredBEBatches: 2}
+	d := p.Plan(in)
+	for i := range d.Desired {
+		d.Desired[i] = gpu.Profile1g
+	}
+	if again := p.Plan(in); again.Desired.String() != "(4g, 2g, 1g)" {
+		t.Fatalf("second plan = %s after the caller edited the first, want (4g, 2g, 1g)", again.Desired)
+	}
+}

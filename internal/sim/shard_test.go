@@ -101,8 +101,8 @@ func TestRescheduleCancelledTimerCountsOnce(t *testing.T) {
 }
 
 // TestTickerStopReleasesReferences pins that Stop drops the ticker's
-// self-referential closure and timer so a stopped ticker holds nothing
-// alive, and that no further tick runs.
+// self-referential closure, timer and SkipWhile registration so a
+// stopped ticker holds nothing alive, and that no further tick runs.
 func TestTickerStopReleasesReferences(t *testing.T) {
 	s := New(1)
 	ticks := 0
@@ -110,6 +110,7 @@ func TestTickerStopReleasesReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tk.SkipWhile(func() bool { return false })
 	if err := s.RunUntil(2.5); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +118,8 @@ func TestTickerStopReleasesReferences(t *testing.T) {
 		t.Fatalf("ticks = %d before Stop, want 2", ticks)
 	}
 	tk.Stop()
-	if tk.timer != nil || tk.fireNext != nil {
-		t.Fatal("Stop left timer/fireNext references behind")
+	if tk.timer != nil || tk.fireNext != nil || tk.idle != nil || len(s.skippers) != 0 {
+		t.Fatal("Stop left timer/fireNext/idle references or a SkipWhile registration behind")
 	}
 	tk.Stop() // idempotent on a torn-down ticker
 	if err := s.RunUntil(10); err != nil {

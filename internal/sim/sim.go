@@ -18,6 +18,16 @@
 // merged trace are all pure functions of the event timestamps, so the
 // output is byte-identical whether phases run inline (SetWorkers(1))
 // or across a worker pool (SetWorkers(n)).
+//
+// The one exception is a skipped idle tick (see Ticker.SkipWhile): when
+// a root ticker's next ticks have no lane event and no other root event
+// before them, and its idle predicate says they would do nothing, the
+// root advances past them without running them. Such a tick is not a
+// barrier, but nothing could have observed one there: no lane runs and
+// no timer is created inside the skipped span, the ticks still count
+// in Executed, and the ticker is re-armed at the same float sum with a
+// fresh sequence number, so every later event keeps its time and its
+// tie order.
 package sim
 
 import (
@@ -25,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"protean/internal/obs"
@@ -161,6 +172,7 @@ type Sim struct {
 	pool        *workerPool
 	phaseActive []*Sim
 	evScratch   []obs.Event
+	skippers    []*Ticker // live tickers registered with SkipWhile
 
 	// Lane-only phase machinery: buffered trace events and the reusable
 	// phase thunk the worker pool runs (opaque to the pool, so lane
@@ -390,11 +402,70 @@ func (s *Sim) runSharded(horizon float64) error {
 			// lane phase above drained every lane completely.
 			return nil
 		}
+		// Every lane event at or before rootNext has run, so laneNext is
+		// strictly after it: an idle tick here is no barrier.
+		if len(s.skippers) > 0 && s.skipIdleTicks(horizon) {
+			continue
+		}
 		next := s.queue.remove(0)
 		s.now = next.at
 		s.executed++
 		next.fn()
 	}
+}
+
+// skipIdleTicks passes over the idle ticks at the head of the root
+// queue (see Ticker.SkipWhile) and reports whether it skipped any. The
+// head must be at or before horizon and strictly before laneNext.
+// Ticks are skipped while they fall strictly before laneNext and the
+// next other root timer, and at or before horizon: nothing else runs
+// in that span, so the idle predicate, checked once, holds for all of
+// it. Each skipped tick
+// counts in executed and moves the clock, and the timer is re-armed
+// once at the ticker's own float sum with a fresh sequence number,
+// which orders it against every pending timer as the last skipped
+// tick's own re-arm would have.
+func (s *Sim) skipIdleTicks(horizon float64) bool {
+	head := s.queue[0]
+	var tk *Ticker
+	for _, k := range s.skippers {
+		if k.timer == head {
+			tk = k
+			break
+		}
+	}
+	if tk == nil || !tk.idle() {
+		return false
+	}
+	limit := math.Min(s.laneNext, s.nextOtherTime())
+	if head.at >= limit {
+		return false
+	}
+	last, t, n := head.at, head.at, uint64(0)
+	for t < limit && t <= horizon {
+		last = t
+		n++
+		t += tk.period
+	}
+	s.now = last
+	s.executed += n
+	if err := head.Reschedule(t); err != nil {
+		panic(err)
+	}
+	return true
+}
+
+// nextOtherTime returns the timestamp of the earliest timer after the
+// head, or +Inf when the head is alone. In a binary heap it is one of
+// the head's two children.
+func (s *Sim) nextOtherTime() float64 {
+	t := math.Inf(1)
+	for i := 1; i <= 2 && i < len(s.queue); i++ {
+		if s.queue[i].at < t {
+			t = s.queue[i].at
+		}
+	}
+	return t
 }
 
 // peekTime returns the timestamp of the next event, or +Inf when none
@@ -409,7 +480,8 @@ func (s *Sim) peekTime() float64 {
 // runLanePhase executes every lane event with timestamp <= bound and
 // recomputes laneNext. The root loop skips it for a barrier below
 // laneNext; that is most barriers, since the root's dispatch quantum
-// ticks far more often than lanes have work. Lane clocks are not
+// ticks far more often than lanes have work (and an idle quantum is
+// not even a barrier: skipIdleTicks passes over it). Lane clocks are not
 // synchronised here: Now reads a lane as at least the root's clock.
 // Lanes are independent, so when a pool exists the phase fans out;
 // results are identical either way because each lane's events run
@@ -565,6 +637,7 @@ type Ticker struct {
 	timer    *Timer
 	stopped  bool
 	fireNext func()
+	idle     func() bool // SkipWhile's predicate; nil when never skipped
 }
 
 // Every schedules fn to run every period seconds, first firing one period
@@ -595,10 +668,31 @@ func (s *Sim) Every(period float64, fn func()) (*Ticker, error) {
 	return tk, nil
 }
 
+// SkipWhile lets the root loop pass over this ticker's ticks without
+// running them while idle reports true. idle must report true only
+// when a tick's callback would change nothing, and it must read only
+// state that events change, never the clock: the root checks it once
+// for a whole span of ticks that holds no lane event and no other root
+// event, runs none of them, and re-arms the ticker at the end of the
+// span (see the package doc). The output is the same bytes with or
+// without the hook; only the cost of idle ticks changes. Only a root
+// that hosts lanes skips; a root without lanes runs every tick.
+// SkipWhile on a lane ticker panics.
+func (t *Ticker) SkipWhile(idle func() bool) {
+	s := t.sim
+	if s.parent != nil {
+		panic("sim: SkipWhile on a lane ticker")
+	}
+	if t.idle == nil {
+		s.skippers = append(s.skippers, t)
+	}
+	t.idle = idle
+}
+
 // Stop cancels future ticks and drops the ticker's self-referential
-// closure and timer so a stopped ticker holds no references — even
-// when Stop races a tick pending at the same instant, Cancel takes that
-// tick out of the queue.
+// closure, timer and idle predicate so a stopped ticker holds no
+// references — even when Stop races a tick pending at the same instant,
+// Cancel takes that tick out of the queue.
 func (t *Ticker) Stop() {
 	if t == nil || t.stopped {
 		return
@@ -607,6 +701,10 @@ func (t *Ticker) Stop() {
 	t.timer.Cancel()
 	t.timer = nil
 	t.fireNext = nil
+	if i := slices.Index(t.sim.skippers, t); i >= 0 {
+		t.sim.skippers = slices.Delete(t.sim.skippers, i, i+1)
+	}
+	t.idle = nil
 }
 
 // timerHeap is a binary min-heap of timers ordered by (time, sequence).
