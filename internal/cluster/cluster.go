@@ -7,9 +7,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"protean/internal/autoscale"
@@ -384,18 +386,19 @@ type Result struct {
 // Run replays a materialised request trace and drains the system.
 // duration is the trace horizon; requests beyond it are ignored. The
 // slice is adapted into the same pull-based pump RunStream uses, so
-// both paths schedule byte-identically.
+// both paths schedule byte-identically. Run only reads reqs: an
+// unsorted trace is stably sorted in a copy, so one slice may be
+// replayed by many runs, concurrently too.
 func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("cluster: duration %v must be positive", duration)
 	}
 	c.precomputeWindows(reqs, duration)
 
-	if !sort.SliceIsSorted(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival }) {
-		sorted := make([]trace.Request, len(reqs))
-		copy(sorted, reqs)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Arrival < sorted[j].Arrival })
-		reqs = sorted
+	if !slices.IsSortedFunc(reqs, byArrival) {
+		// Sort a copy: the caller's slice may be shared with other runs.
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, byArrival)
 	}
 	n := sort.Search(len(reqs), func(i int) bool { return reqs[i].Arrival >= duration })
 	idx := 0
@@ -408,6 +411,9 @@ func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 		return r, true
 	}, duration)
 }
+
+// byArrival orders requests by arrival time.
+func byArrival(a, b trace.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
 
 // RunStream replays a pull-based arrival stream without ever
 // materialising it: peak memory is independent of the request count.

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"protean/internal/core"
@@ -266,5 +269,36 @@ func TestOracleAtLeastAsGoodAsProtean(t *testing.T) {
 	pc, oc := p.Recorder.SLOCompliance(), o.Recorder.SLOCompliance()
 	if oc < pc-0.03 {
 		t.Errorf("Oracle compliance %.4f well below PROTEAN %.4f", oc, pc)
+	}
+}
+
+// TestRunSortsUnsortedTraceInACopy feeds Run an unsorted trace with
+// tied arrivals. It must give the same Result as the same trace stably
+// sorted beforehand, and leave the caller's slice as it was: runs that
+// replay one shared trace rely on that.
+func TestRunSortsUnsortedTraceInACopy(t *testing.T) {
+	reqs := genTrace(t, 400, 10, 0.5, "ResNet 50", nil, 2)
+	for i := 0; i+1 < len(reqs); i += 3 {
+		reqs[i+1].Arrival = reqs[i].Arrival // a strict/BE or model tie
+	}
+	unsorted := slices.Clone(reqs)
+	slices.Reverse(unsorted)
+	presorted := slices.Clone(unsorted)
+	sort.SliceStable(presorted, func(i, j int) bool { return presorted[i].Arrival < presorted[j].Arrival })
+	if slices.Equal(presorted, reqs) {
+		t.Fatal("no tie separates the stable order from the original one")
+	}
+	before := slices.Clone(unsorted)
+
+	cfg := func() Config {
+		return Config{Nodes: 2, Policy: core.NewProtean(core.ProteanConfig{}), Warmup: 2}
+	}
+	got := runCluster(t, cfg(), unsorted, 10, 1)
+	want := runCluster(t, cfg(), presorted, 10, 1)
+	if !slices.Equal(unsorted, before) {
+		t.Error("Run modified the caller's trace")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unsorted trace: %+v\npresorted trace: %+v", got.Recorder.Summarize(), want.Recorder.Summarize())
 	}
 }

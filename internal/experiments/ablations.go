@@ -50,21 +50,23 @@ const (
 //lint:ignore deadcode the shared body of the Ablation* entry points, which TestAblationsRun and the root bench_test.go benchmarks run
 func runAblation(p Params, kind ablationKind, name string, with, without Scenario) (AblationResult, error) {
 	p = p.withDefaults()
+	rate := wikiRate(p.Duration)
+	if kind == ablationBursty {
+		rate = twitterRate(p.Duration, p.Seed)
+	}
 	scs := []Scenario{with, without}
 	for i, side := range []string{"with", "without"} {
 		sc := &scs[i]
 		sc.Label = "ablation " + name + " " + side
 		sc.Strict = model.MustByName("VGG 19")
-		sc.Rate = wikiRate(p.Duration)
-		switch kind {
-		case ablationBursty:
-			sc.Rate = twitterRate(p.Duration, p.Seed)
-		case ablationShifting:
+		sc.Rate = rate
+		if kind == ablationShifting {
 			sc.Strict = model.MustByName("ShuffleNet V2")
 			sc.BEPool = model.VisionHI()
 			sc.RotatePeriod = 10
 		}
 	}
+	shareTrace(scs) // both sides replay one trace
 	results, err := RunScenarios(p, scs)
 	if err != nil {
 		return AblationResult{}, err

@@ -54,6 +54,9 @@ func ChaosSweep(p Params) (*Report, error) {
 		CheckInterval: 45,
 	}
 
+	// Every run replays one Wiki trace: the faults come from the
+	// simulation's seed, not from the arrivals.
+	rate := wikiRate(p.Duration)
 	var scs []Scenario
 	cfgs := make([]chaos.Config, len(scales))
 	for si, scale := range scales {
@@ -62,7 +65,7 @@ func ChaosSweep(p Params) (*Report, error) {
 			scs = append(scs, Scenario{
 				Label:  fmt.Sprintf("chaos %s@%gx", sch.Name, scale),
 				Strict: strict,
-				Rate:   wikiRate(p.Duration),
+				Rate:   rate,
 				Policy: sch.Factory,
 				VM:     vmTpl,
 				Chaos:  &cfgs[si],
@@ -77,12 +80,13 @@ func ChaosSweep(p Params) (*Report, error) {
 		scs = append(scs, Scenario{
 			Label:     fmt.Sprintf("chaos coldstart %s", sch.Name),
 			Strict:    strict,
-			Rate:      wikiRate(p.Duration),
+			Rate:      rate,
 			Policy:    sch.Factory,
 			Chaos:     &coldCfg,
 			NoPrewarm: true,
 		})
 	}
+	shareTrace(scs)
 	results, err := RunScenarios(p, scs)
 	if err != nil {
 		return nil, err

@@ -9,22 +9,30 @@ import (
 )
 
 // gridScenarios builds the row-major model×scheme scenario grid, each
-// cell labelled "model/scheme"; build customizes each scenario beyond
-// its strict model and policy.
+// cell labelled "model/scheme". build customizes each row's template
+// beyond its strict model; the row's schemes share its trace.
 func gridScenarios(models []*model.Model, schemes []NamedFactory, build func(sc *Scenario)) []Scenario {
 	scs := make([]Scenario, 0, len(models)*len(schemes))
 	for _, m := range models {
-		for _, sch := range schemes {
-			sc := Scenario{
-				Label:  fmt.Sprintf("%s/%s", m.Name(), sch.Name),
-				Strict: m,
-				Policy: sch.Factory,
-			}
-			build(&sc)
-			scs = append(scs, sc)
-		}
+		tpl := Scenario{Strict: m}
+		build(&tpl)
+		scs = append(scs, schemeRow(tpl, schemes, func(scheme string) string { return m.Name() + "/" + scheme })...)
 	}
 	return scs
+}
+
+// schemeRow stamps out one scenario per scheme from tpl, labelled
+// label(scheme name): the schemes compared on one workload, so they
+// share one generated trace.
+func schemeRow(tpl Scenario, schemes []NamedFactory, label func(scheme string) string) []Scenario {
+	row := make([]Scenario, len(schemes))
+	for j, sch := range schemes {
+		row[j] = tpl
+		row[j].Label = label(sch.Name)
+		row[j].Policy = sch.Factory
+	}
+	shareTrace(row)
+	return row
 }
 
 // complianceGrid is one row × scheme table scored by strict SLO
@@ -141,17 +149,11 @@ func Table4AllStrict(p Params) (*Report, error) {
 		Headers: []string{"scheme", "SLO compliance"},
 	}
 	schemes := PrimarySchemes()
-	var scs []Scenario
-	for _, sch := range schemes {
-		scs = append(scs, Scenario{
-			Label:      fmt.Sprintf("table4 %s", sch.Name),
-			Strict:     model.MustByName("ResNet 50"),
-			StrictFrac: 1.0,
-			Rate:       wikiRate(p.Duration),
-			Policy:     sch.Factory,
-		})
-	}
-	results, err := RunScenarios(p, scs)
+	results, err := RunScenarios(p, schemeRow(Scenario{
+		Strict:     model.MustByName("ResNet 50"),
+		StrictFrac: 1.0,
+		Rate:       wikiRate(p.Duration),
+	}, schemes, func(scheme string) string { return "table4 " + scheme }))
 	if err != nil {
 		return nil, err
 	}
@@ -228,15 +230,10 @@ func KneeSweep(p Params) (*Report, error) {
 		notes:   []string{"whole-GPU schemes collapse past their knee; PROTEAN's sliced isolation holds furthest"},
 	}
 	for _, rate := range rates {
-		g.rows = append(g.rows, fmt.Sprintf("%.0f", rate))
-		for _, sch := range g.schemes {
-			g.scs = append(g.scs, Scenario{
-				Label:  fmt.Sprintf("knee %s@%.0f", sch.Name, rate),
-				Strict: strict,
-				Rate:   trace.Constant(rate),
-				Policy: sch.Factory,
-			})
-		}
+		row := fmt.Sprintf("%.0f", rate)
+		g.rows = append(g.rows, row)
+		g.scs = append(g.scs, schemeRow(Scenario{Strict: strict, Rate: trace.Constant(rate)}, g.schemes,
+			func(scheme string) string { return "knee " + scheme + "@" + row })...)
 	}
 	return complianceReport(p, "knee", g)
 }

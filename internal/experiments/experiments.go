@@ -208,10 +208,17 @@ type Scenario struct {
 	// Trace, when non-nil, is replayed instead of a trace generated from
 	// Rate and the model mix; Strict and BEPool then only name the
 	// pre-warmed models. Runs only read it, so scenarios may share one.
+	// The harnesses share generated traces the same way: the scenarios
+	// of one workload, stamped out by schemeRow or shareTrace, replay
+	// one trace that RunScenarios generates once per batch.
 	Trace []trace.Request
 	// Scaler tunes container autoscaling (zero value: delayed
 	// termination, §4.2).
 	Scaler autoscale.Config
+
+	// shared, when non-nil, is the trace group this scenario replays
+	// in a RunScenarios batch (nil: it generates its own trace).
+	shared *arrivals
 }
 
 // MarketSpec configures a scenario's marketplace attachment.
@@ -228,19 +235,67 @@ type MarketSpec struct {
 // receives the run's lifecycle events. p is used as given: an entry
 // point resolves its defaults once (the harnesses call withDefaults,
 // and protean.Platform.Run fills every field it needs itself, so its
-// zero warmup stays zero).
+// zero warmup stays zero). A scenario run on its own generates its own
+// trace; only a RunScenarios batch shares one between scenarios.
 func RunScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
+	sc.shared = nil
+	return runScenario(p, sc, tr)
+}
+
+// runScenario is RunScenario for a member of a batch whose trace groups
+// RunScenarios has armed: a grouped scenario takes its group's trace,
+// generating it if it is the first member to ask, and releases the
+// group when its run ends.
+func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
+	if sc.Trace == nil && sc.shared != nil {
+		defer sc.shared.release()
+	}
 	tc, _, c, err := buildScenario(p, sc, tr)
 	if err != nil {
 		return nil, err
 	}
 	reqs := sc.Trace
 	if reqs == nil {
-		if reqs, err = trace.Generate(tc); err != nil {
+		if sc.shared != nil {
+			reqs, err = sc.shared.get(tc)
+		} else {
+			reqs, err = trace.Generate(tc)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("experiments: generate trace: %w", err)
 		}
 	}
 	return c.Run(reqs, p.Duration)
+}
+
+// traceConfig is the trace a scenario generates when it carries none:
+// Rate (default: constant VisionMeanRPS) over the strict/BE mix, whose
+// BE pool defaults to the strict model's opposite class (§5) and whose
+// strict fraction defaults to 0.5 when there is a strict model.
+func traceConfig(p Params, sc Scenario) trace.Config {
+	pool := sc.BEPool
+	if pool == nil && sc.Strict != nil {
+		pool = model.OppositeClassPool(sc.Strict)
+	}
+	rate := sc.Rate
+	if rate == nil {
+		rate = trace.Constant(VisionMeanRPS)
+	}
+	strictFrac := sc.StrictFrac
+	if strictFrac == 0 && sc.Strict != nil {
+		strictFrac = 0.5
+	}
+	return trace.Config{
+		Rate: rate,
+		Mix: trace.Mix{
+			StrictFrac:   strictFrac,
+			Strict:       sc.Strict,
+			BEPool:       pool,
+			RotatePeriod: sc.RotatePeriod,
+		},
+		Duration: p.Duration,
+		Seed:     p.Seed,
+	}
 }
 
 // buildScenario is the one place a one-shot run's cluster is
@@ -257,33 +312,11 @@ func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim
 	if sc.Strict == nil && sc.StrictFrac != 0 {
 		return trace.Config{}, nil, nil, errors.New("experiments: scenario without strict model")
 	}
-	pool := sc.BEPool
-	if pool == nil && sc.Strict != nil {
-		pool = model.OppositeClassPool(sc.Strict)
-	}
-	rate := sc.Rate
-	if rate == nil {
-		rate = trace.Constant(VisionMeanRPS)
-	}
-	strictFrac := sc.StrictFrac
-	if strictFrac == 0 && sc.Strict != nil {
-		strictFrac = 0.5
-	}
-	tc := trace.Config{
-		Rate: rate,
-		Mix: trace.Mix{
-			StrictFrac:   strictFrac,
-			Strict:       sc.Strict,
-			BEPool:       pool,
-			RotatePeriod: sc.RotatePeriod,
-		},
-		Duration: p.Duration,
-		Seed:     p.Seed,
-	}
+	tc := traceConfig(p, sc)
 
 	var prewarm []*model.Model
 	if !sc.NoPrewarm {
-		prewarm = append(prewarm, pool...)
+		prewarm = append(prewarm, tc.Mix.BEPool...)
 		if sc.Strict != nil {
 			prewarm = append(prewarm, sc.Strict)
 		}

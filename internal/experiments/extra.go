@@ -15,17 +15,19 @@ import (
 func ColdStarts(p Params) (*Report, error) {
 	p = p.withDefaults()
 	scs := make([]Scenario, 2)
+	rate := wikiRate(p.Duration)
 	for i, label := range []string{"coldstarts delayed", "coldstarts immediate"} {
 		// No pre-warming: the point is to observe the scaling policies.
 		scs[i] = Scenario{
 			Label:     label,
 			Strict:    model.MustByName("ResNet 50"),
-			Rate:      wikiRate(p.Duration),
+			Rate:      rate,
 			Policy:    core.NewProtean(core.ProteanConfig{}),
 			NoPrewarm: true,
 		}
 	}
 	scs[1].Scaler = autoscale.Config{Immediate: true}
+	shareTrace(scs) // the scaling policy is the only difference
 	results, err := RunScenarios(p, scs)
 	if err != nil {
 		return nil, err
@@ -78,15 +80,20 @@ func Hopper(p Params) (*Report, error) {
 	}
 	var scs []Scenario
 	for _, m := range models {
-		for _, a := range archs {
-			scs = append(scs, Scenario{
+		// Both architectures replay the model's one Wiki trace.
+		row := make([]Scenario, len(archs))
+		rate := wikiRate(p.Duration)
+		for ai, a := range archs {
+			row[ai] = Scenario{
 				Label:  fmt.Sprintf("hopper %s/%s", m.Name(), a.name),
 				Strict: m,
-				Rate:   wikiRate(p.Duration),
+				Rate:   rate,
 				Policy: core.NewProtean(core.ProteanConfig{}),
 				Arch:   a.arch,
-			})
+			}
 		}
+		shareTrace(row)
+		scs = append(scs, row...)
 	}
 	results, err := RunScenarios(p, scs)
 	if err != nil {

@@ -46,11 +46,12 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 	var tables []*Table
 	for _, m := range models {
 		var scs []Scenario
+		rate := wikiRate(p.Duration)
 		for _, sch := range baselines {
 			scs = append(scs, Scenario{
 				Label:  fmt.Sprintf("fig9 baseline %s", sch.Name),
 				Strict: m,
-				Rate:   wikiRate(p.Duration),
+				Rate:   rate,
 				Policy: sch.Factory,
 				VM:     &vm.Config{Mode: vm.ModeOnDemandOnly},
 			})
@@ -60,7 +61,7 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 				scs = append(scs, Scenario{
 					Label:  fmt.Sprintf("fig9 %s/%s", variant.name, avail.Name),
 					Strict: m,
-					Rate:   wikiRate(p.Duration),
+					Rate:   rate,
 					Policy: core.NewProtean(core.ProteanConfig{}),
 					VM: &vm.Config{
 						Mode:          variant.mode,
@@ -70,6 +71,9 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 				})
 			}
 		}
+		// Every run of a model replays its one Wiki trace: only the
+		// policy and the fleet differ.
+		shareTrace(scs)
 		results, err := RunScenarios(p, scs)
 		if err != nil {
 			return nil, err

@@ -140,17 +140,10 @@ func Table5AllBE(p Params) (*Report, error) {
 		Name:    "PROTEAN (BE-fair)",
 		Factory: core.NewProtean(core.ProteanConfig{BEFairPlacement: true}),
 	})
-	var scs []Scenario
-	for _, sch := range schemes {
-		scs = append(scs, Scenario{
-			Label:      fmt.Sprintf("table5 %s", sch.Name),
-			StrictFrac: 0,
-			BEPool:     model.VisionHI(),
-			Rate:       trace.Constant(AllBEMeanRPS),
-			Policy:     sch.Factory,
-		})
-	}
-	results, err := RunScenarios(p, scs)
+	results, err := RunScenarios(p, schemeRow(Scenario{
+		BEPool: model.VisionHI(),
+		Rate:   trace.Constant(AllBEMeanRPS),
+	}, schemes, func(scheme string) string { return "table5 " + scheme }))
 	if err != nil {
 		return nil, err
 	}

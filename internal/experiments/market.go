@@ -109,13 +109,15 @@ func MarketSweep(p Params) (*Report, error) {
 	vols := marketVolatilities()
 	pols := marketPolicies(p.Nodes)
 
+	// Every cell replays one Wiki trace: only procurement differs.
+	rate := wikiRate(p.Duration)
 	var scs []Scenario
 	for _, vol := range vols {
 		for _, pol := range pols {
 			scs = append(scs, Scenario{
 				Label:  fmt.Sprintf("market %s/%s", vol.Name, pol.Name),
 				Strict: strict,
-				Rate:   wikiRate(p.Duration),
+				Rate:   rate,
 				Policy: core.NewProtean(core.ProteanConfig{}),
 				VM:     &vm.Config{CheckInterval: 45},
 				Market: &MarketSpec{
@@ -125,6 +127,7 @@ func MarketSweep(p Params) (*Report, error) {
 			})
 		}
 	}
+	shareTrace(scs)
 	results, err := RunScenarios(p, scs)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"protean/internal/cluster"
 	"protean/internal/metrics"
 	"protean/internal/obs"
+	"protean/internal/trace"
 )
 
 // workers resolves Params.Parallel to a worker count: 0 means one
@@ -27,14 +29,20 @@ func (p Params) workers() int {
 }
 
 // RunScenarios executes every scenario and returns results indexed like
-// scs. Scenarios are independent — each owns its sim.Sim, trace, and
-// cluster — so they fan out across a pool of Params.Parallel worker
-// goroutines; results are collected by index and the first error (in
-// index order, not completion order) wins, which makes the outcome
-// byte-identical to a sequential run regardless of scheduling. Every
-// experiment harness that sweeps a scheme×model grid goes through here,
-// with p already resolved by withDefaults.
+// scs. Each scenario owns its sim.Sim and cluster, so they fan out
+// across a pool of Params.Parallel worker goroutines; results are
+// collected by index and the first error (in index order, not
+// completion order) wins, which makes the outcome byte-identical to a
+// sequential run regardless of scheduling. Scenarios that compare
+// schemes on one workload (made by schemeRow or shareTrace) share its
+// generated trace: the first member to start generates it, the others
+// replay the same read-only slice, and it is released when the group's
+// last run ends. Every experiment harness that sweeps a scheme×model
+// grid goes through here, with p already resolved by withDefaults.
 func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
+	if err := armShared(p, scs); err != nil {
+		return nil, err
+	}
 	results := make([]*cluster.Result, len(scs))
 	errs := make([]error, len(scs))
 	// Register trace collectors sequentially, by scenario index, before
@@ -52,7 +60,7 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 	}
 	if workers <= 1 {
 		for i, sc := range scs {
-			results[i], errs[i] = RunScenario(p, sc, tracers[i])
+			results[i], errs[i] = runScenario(p, sc, tracers[i])
 		}
 	} else {
 		idx := make(chan int)
@@ -63,7 +71,7 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 				defer wg.Done()
 				for i := range idx {
 					//lint:ignore sharedstate workers write disjoint indices handed out by the idx channel, and wg.Wait establishes the happens-before edge for the readers
-					results[i], errs[i] = RunScenario(p, scs[i], tracers[i])
+					results[i], errs[i] = runScenario(p, scs[i], tracers[i])
 				}
 			}()
 		}
@@ -83,6 +91,95 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 		return nil, fmt.Errorf("scenario %d: %w", i, err)
 	}
 	return results, nil
+}
+
+// arrivals is the generated trace a group of scenarios replays: the
+// schemes compared on one workload. The first member to start generates
+// it through once; the others wait for it and read the same slice. The
+// bytes are those each member would generate alone, because
+// trace.Generate is a pure function of its config, runs only read the
+// slice, and armShared rejects a group whose members' configs differ.
+type arrivals struct {
+	once sync.Once
+	reqs []trace.Request
+	err  error
+
+	mu   sync.Mutex
+	left int // members of the running batch that have not finished
+}
+
+// shareTrace points scs at one new trace group. Their trace fields must
+// agree; RunScenarios checks that before it runs them.
+func shareTrace(scs []Scenario) {
+	a := new(arrivals)
+	for i := range scs {
+		scs[i].shared = a
+	}
+}
+
+// get returns the group's trace, generating it from tc on first use.
+func (a *arrivals) get(tc trace.Config) ([]trace.Request, error) {
+	a.once.Do(func() { a.reqs, a.err = trace.Generate(tc) })
+	return a.reqs, a.err
+}
+
+// release marks one member's run finished and drops the trace after the
+// last, so a sequential batch holds at most one group's trace at once.
+func (a *arrivals) release() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.left--; a.left == 0 {
+		a.reqs = nil
+	}
+}
+
+// armShared readies every trace group in the batch before any run
+// starts: it resets the group (so a batch may be run again), counts its
+// members, and checks that each member would generate the same trace as
+// the group's first by index, naming both when one would not. Rate is a
+// func and cannot be compared; the group constructors give every member
+// the same one.
+func armShared(p Params, scs []Scenario) error {
+	first := make(map[*arrivals]int)
+	for i, sc := range scs {
+		if sc.Trace != nil || sc.shared == nil {
+			continue
+		}
+		j, seen := first[sc.shared]
+		if !seen {
+			first[sc.shared] = i
+			*sc.shared = arrivals{}
+		} else if field := traceDiff(traceConfig(p, scs[j]), traceConfig(p, sc)); field != "" {
+			return fmt.Errorf("experiments: %q and %q share a trace but differ in %s", scs[j].Label, sc.Label, field)
+		}
+		sc.shared.left++
+	}
+	return nil
+}
+
+// traceDiff names the first comparable field in which two trace configs
+// differ, or returns "" when they agree on all of them.
+func traceDiff(a, b trace.Config) string {
+	switch {
+	case a.Mix.Strict != b.Mix.Strict:
+		return "strict model"
+	case !slices.Equal(a.Mix.BEPool, b.Mix.BEPool):
+		return "BE pool"
+	case !sameFloat(a.Mix.StrictFrac, b.Mix.StrictFrac):
+		return "strict fraction"
+	case !sameFloat(a.Mix.RotatePeriod, b.Mix.RotatePeriod):
+		return "rotate period"
+	case !sameFloat(a.Duration, b.Duration):
+		return "duration"
+	case a.Seed != b.Seed:
+		return "seed"
+	}
+	return ""
+}
+
+func sameFloat(a, b float64) bool {
+	//lint:ignore floateq a shared trace needs its members' parameters to be exactly equal, since any difference changes the generated bytes
+	return a == b
 }
 
 // SubSeed derives the simulation seed for replication i of a base seed.

@@ -30,14 +30,8 @@ func StatsSignificance(p Params) (*Report, error) {
 	schemes := PrimarySchemes()
 	var scs []Scenario
 	for _, tc := range cases {
-		for _, sch := range schemes {
-			scs = append(scs, Scenario{
-				Label:  fmt.Sprintf("stats %s/%s", tc.label, sch.Name),
-				Strict: tc.strict,
-				Rate:   trace.Constant(tc.rate),
-				Policy: sch.Factory,
-			})
-		}
+		scs = append(scs, schemeRow(Scenario{Strict: tc.strict, Rate: trace.Constant(tc.rate)}, schemes,
+			func(scheme string) string { return "stats " + tc.label + "/" + scheme })...)
 	}
 	results, err := RunScenarios(p, scs)
 	if err != nil {
