@@ -57,11 +57,11 @@ func Goodput(r *Recorder, duration float64) float64 {
 			good += a.weight - (a.strictW - a.strictMet)
 		}
 	} else {
-		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
-			if s.Strict && s.Latency > s.SLO {
+		r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
+			if g.Strict && s.Latency > g.SLO {
 				return
 			}
-			good += s.Weight
+			good += g.Weight
 		})
 	}
 	return float64(good) / duration

@@ -28,33 +28,39 @@ func visibleHandles(r *Recorder) []uint32 {
 	return hs
 }
 
+// latencyAt and weightAt read one field of the sample a handle
+// addresses.
+func latencyAt(r *Recorder, h uint32) float64 { s, _ := r.at(h); return s.Latency }
+func weightAt(r *Recorder, h uint32) int      { _, g := r.at(h); return g.Weight }
+
 // refOrder is the reference model's order: the visible handles, stably
 // sorted by latency.
 func refOrder(r *Recorder) []uint32 {
 	idx := visibleHandles(r)
-	sort.SliceStable(idx, func(a, b int) bool { return r.rowAt(idx[a]).Latency < r.rowAt(idx[b]).Latency })
+	sort.SliceStable(idx, func(a, b int) bool { return latencyAt(r, idx[a]) < latencyAt(r, idx[b]) })
 	return idx
 }
 
 // refSampleAt is the reference model of the exact quantile path: a
-// linear scan of cumulative float64 weights over refOrder.
-func refSampleAt(r *Recorder, idx []uint32, p float64) *row {
+// linear scan of cumulative float64 weights over refOrder. It returns
+// the chosen sample's handle, or false when idx is empty.
+func refSampleAt(r *Recorder, idx []uint32, p float64) (uint32, bool) {
 	if len(idx) == 0 {
-		return nil
+		return 0, false
 	}
 	total := 0
 	for _, h := range idx {
-		total += r.rowAt(h).Weight
+		total += weightAt(r, h)
 	}
 	target := p / 100 * float64(total)
 	cum := 0.0
 	for _, h := range idx {
-		cum += float64(r.rowAt(h).Weight)
+		cum += float64(weightAt(r, h))
 		if cum >= target {
-			return r.rowAt(h)
+			return h, true
 		}
 	}
-	return r.rowAt(idx[len(idx)-1])
+	return idx[len(idx)-1], true
 }
 
 func breakdownBits(b gpu.Breakdown) [5]uint64 {
@@ -70,24 +76,30 @@ func checkAgainstReference(t *testing.T, what string, r *Recorder) {
 	t.Helper()
 	idx := refOrder(r)
 	for _, p := range []float64{0.1, 1, 50, 90, 99, 99.9, 100} {
-		want := refSampleAt(r, idx, p)
-		if got := r.sampleAtPercentile(p); got != want {
-			t.Fatalf("%s: P%v picked row %p, reference %p", what, p, got, want)
-		}
-		if want == nil {
+		h, ok := refSampleAt(r, idx, p)
+		got, _ := r.sampleAtPercentile(p)
+		if !ok {
+			if got != nil {
+				t.Fatalf("%s: P%v picked row %p from an empty recorder", what, p, got)
+			}
 			continue
+		}
+		want, g := r.at(h)
+		if got != want {
+			t.Fatalf("%s: P%v picked row %p, reference %p", what, p, got, want)
 		}
 		if got := r.Percentile(p); math.Float64bits(got) != math.Float64bits(want.Latency) {
 			t.Fatalf("%s: P%v = %v, reference %v", what, p, got, want.Latency)
 		}
-		if got := r.BreakdownAtPercentile(p); breakdownBits(got) != breakdownBits(want.Breakdown) {
-			t.Fatalf("%s: P%v breakdown %+v, reference %+v", what, p, got, want.Breakdown)
+		if got, want := r.BreakdownAtPercentile(p), g.breakdown(want.Queue); breakdownBits(got) != breakdownBits(want) {
+			t.Fatalf("%s: P%v breakdown %+v, reference %+v", what, p, got, want)
 		}
 	}
 	for i := 1; i <= 100 && r.Len() > 0; i++ {
 		q := float64(i) / 100 * 100
-		if got, want := r.Percentile(q), refSampleAt(r, idx, q); math.Float64bits(got) != math.Float64bits(want.Latency) {
-			t.Fatalf("%s: P%v = %v, reference %v", what, q, got, want.Latency)
+		h, _ := refSampleAt(r, idx, q)
+		if got, want := r.Percentile(q), latencyAt(r, h); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: P%v = %v, reference %v", what, q, got, want)
 		}
 	}
 }
@@ -178,11 +190,19 @@ func sameAnswers(t *testing.T, what string, got, want *Recorder) {
 func TestQuantileIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	id := 0
-	for _, n := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 3*chunkRows + 7} {
+	// A store's doubling chunks fill at firstFull rows; each full-size
+	// chunk after them ends chunkRows later.
+	const firstFull = chunkRows - firstChunkRows
+	for _, n := range []int{0, 1, firstFull - 1, firstFull, firstFull + 1, firstFull + chunkRows, firstFull + 3*chunkRows + 7} {
 		name := func(s string) string { return fmt.Sprintf("size %d %s", n, s) }
 		r := randomRecorder(rng, &id, n, nil)
 		if got := r.Len(); got != n {
 			t.Fatalf("%s: Len %d", name("all"), got)
+		}
+		if n == firstFull+chunkRows {
+			if c := r.chunks[len(r.chunks)-1]; len(c.rows) != chunkRows {
+				t.Fatalf("%s: last chunk holds %d rows, want a full chunk", name("all"), len(c.rows))
+			}
 		}
 		checkAgainstReference(t, name("all"), r)
 		checkAgainstReference(t, name("strict"), r.Strict())
@@ -388,7 +408,7 @@ func TestMergeSharesChunksWithoutAliasing(t *testing.T) {
 	src := randomRecorder(rng, &id, chunkRows+3, nil)
 	dst := randomRecorder(rng, &id, 3, nil)
 	dst.Merge(src)
-	if dst.rowAt(1<<chunkShift) != src.rowAt(0) {
+	if got, _ := dst.at(1 << chunkShift); got != &src.chunks[0].rows[0] {
 		t.Fatalf("merge copied the source's rows")
 	}
 	srcBefore, dstBefore := samplesOf(src), samplesOf(dst)

@@ -6,11 +6,14 @@
 //
 // A Recorder runs in one of two modes. The default exact mode buffers
 // every sample, which keeps goldens, grid cells, and statistical-test
-// inputs byte-identical run to run. Sketch mode (NewSketchRecorder)
-// replaces the sample buffer with O(1)-memory per-(model, tenant,
-// class) aggregates — streaming counters plus a deterministic quantile
-// Sketch — for runs whose request volume would not fit in memory; see
-// DESIGN.md, "Memory model at scale".
+// inputs byte-identical run to run. It stores a 24-byte row per sample
+// and keeps the fields a run of consecutive samples shares (a cluster
+// batch's model, class, SLO, weight, completion time and most of its
+// breakdown) once per run; see DESIGN.md, "Exact-mode layout". Sketch
+// mode (NewSketchRecorder) replaces the sample buffer with O(1)-memory
+// per-(model, tenant, class) aggregates — streaming counters plus a
+// deterministic quantile Sketch — for runs whose request volume would
+// not fit in memory; see DESIGN.md, "Memory model at scale".
 package metrics
 
 import (
@@ -48,76 +51,121 @@ type Sample struct {
 	Weight int
 }
 
-// row is one exact-mode sample: Sample's fields with Model and Tenant
-// interned to ids in a name table. It holds no pointers, so the garbage
+// row is one exact-mode sample's per-request fields: its latency, its
+// queueing delay, and ids for its group and tenant. A sample's other
+// fields live in the group record the row indexes, which a run of
+// consecutive rows shares. A row holds no pointers, so the garbage
 // collector never scans a sample buffer.
 type row struct {
-	model, tenant uint32
-	Strict        bool
 	Latency       float64
-	SLO           float64
-	Breakdown     gpu.Breakdown
-	Completed     float64
-	Weight        int
+	Queue         float64
+	group, tenant uint32
+}
+
+// group holds the fields a run of consecutive rows in one chunk shares:
+// every Sample field but Latency, Tenant and Breakdown.Queue, with Model
+// interned to an id. A cluster node records all the requests of a batch
+// with one group.
+type group struct {
+	SLO, Completed float64
+	// ColdStart, MinPossible, Deficiency and Interference are the
+	// Breakdown terms other than Queue.
+	ColdStart, MinPossible, Deficiency, Interference float64
+	Weight                                           int
+	model                                            uint32
+	Strict                                           bool
+}
+
+// same reports whether g and o hold the same bits. Floats compare by
+// bits, so -0.0 never joins a 0.0 group nor a NaN a number's, and every
+// row reads back exactly the values it was recorded with.
+func (g *group) same(o *group) bool {
+	eq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return g.model == o.model && g.Strict == o.Strict && g.Weight == o.Weight &&
+		eq(g.SLO, o.SLO) && eq(g.Completed, o.Completed) && eq(g.ColdStart, o.ColdStart) &&
+		eq(g.MinPossible, o.MinPossible) && eq(g.Deficiency, o.Deficiency) && eq(g.Interference, o.Interference)
+}
+
+// breakdown rebuilds a row's latency decomposition from its group and
+// its own queueing delay.
+func (g *group) breakdown(queue float64) gpu.Breakdown {
+	return gpu.Breakdown{
+		Queue:        queue,
+		ColdStart:    g.ColdStart,
+		MinPossible:  g.MinPossible,
+		Deficiency:   g.Deficiency,
+		Interference: g.Interference,
+	}
 }
 
 // Exact-mode rows live in append-only chunks. A row's handle is
 // chunkIndex<<chunkShift | offset, so handles ascend in storage order.
 const (
-	chunkShift = 12
-	chunkRows  = 1 << chunkShift // 352 KiB of rows
+	chunkShift = 10
+	chunkRows  = 1 << chunkShift // 24 KiB of rows
 	chunkMask  = chunkRows - 1
-	// firstChunkRows is the capacity a store's first chunk starts at; it
-	// doubles up to chunkRows, so small recorders stay small.
+	// firstChunkRows is the capacity of a store's first chunk; each next
+	// chunk of its own doubles up to chunkRows, so small recorders stay
+	// small.
 	firstChunkRows = 16
 	// maxChunks keeps every handle inside latKey's uint32 position.
 	maxChunks = 1 << (32 - chunkShift)
 )
 
-// nameTable holds the model and tenant names rows refer to by id, in
-// first-seen order; ids maps each name back. It is append-only, so an
-// id, once handed out, names the same string forever.
+// nameTable holds the model and tenant names rows and groups refer to
+// by id, in first-seen order; ids maps each name back. It is
+// append-only, so an id, once handed out, names the same string forever.
 type nameTable struct {
 	names []string
 	ids   map[string]uint32
 }
 
-// intern returns name's id, adding it if new.
-func (t *nameTable) intern(name string) uint32 {
-	if id, ok := t.ids[name]; ok {
-		return id
+// intern returns name's id, adding it if new. *last is the id this
+// field interned last, and is checked before the map: consecutive
+// samples mostly share their names.
+func (t *nameTable) intern(name string, last *uint32) uint32 {
+	if *last < uint32(len(t.names)) && t.names[*last] == name {
+		return *last
 	}
-	id := uint32(len(t.names))
-	t.names = append(t.names, name)
-	t.ids[name] = id
+	id, ok := t.ids[name]
+	if !ok {
+		id = uint32(len(t.names))
+		t.names = append(t.names, name)
+		t.ids[name] = id
+	}
+	*last = id
 	return id
 }
 
-// sample rebuilds the public form of a row whose ids index t.
-func (t *nameTable) sample(s *row) Sample {
+// sample rebuilds the public form of a row and its group, whose ids
+// index t.
+func (t *nameTable) sample(s *row, g *group) Sample {
 	return Sample{
-		Model:     t.names[s.model],
+		Model:     t.names[g.model],
 		Tenant:    t.names[s.tenant],
-		Strict:    s.Strict,
+		Strict:    g.Strict,
 		Latency:   s.Latency,
-		SLO:       s.SLO,
-		Breakdown: s.Breakdown,
-		Completed: s.Completed,
-		Weight:    s.Weight,
+		SLO:       g.SLO,
+		Breakdown: g.breakdown(s.Queue),
+		Completed: g.Completed,
+		Weight:    g.Weight,
 	}
 }
 
-// chunk is a run of at most chunkRows rows and the name table their ids
-// index. Rows are never modified once written.
+// chunk is a run of at most chunkRows rows, the groups they index and
+// the name table their ids index. Rows and groups are never modified
+// once written.
 type chunk struct {
-	rows  []row
-	names *nameTable
+	rows   []row
+	groups []group
+	names  *nameTable
 }
 
 // clip limits c to its current length, so an append through either copy
-// can never reach a row the other one sees.
+// can never reach a row or group the other one sees.
 func (c chunk) clip() chunk {
 	c.rows = c.rows[:len(c.rows):len(c.rows)]
+	c.groups = c.groups[:len(c.groups):len(c.groups)]
 	return c
 }
 
@@ -131,7 +179,7 @@ func appendChunk(cs []chunk, c chunk) []chunk {
 
 // latKey is one entry of the quantile index: a row's latency, handle
 // and weight, so sorting and summing never load the row itself. w is 0
-// for a weight too large for it; the row is read instead.
+// for a weight too large for it; the row's group is read instead.
 type latKey struct {
 	lat float64
 	pos uint32
@@ -157,8 +205,10 @@ type Recorder struct {
 	// other recorders by Merge are clipped and read-only.
 	chunks []chunk
 	// names is the table this recorder interns into (nil until it
-	// records a row of its own).
-	names *nameTable
+	// records a row of its own). lastModel and lastTenant are the ids
+	// push interned last, which it tries before the table's map.
+	names                 *nameTable
+	lastModel, lastTenant uint32
 	// view, when non-nil, restricts the recorder to these handles (a
 	// filtered view over a parent's chunks).
 	view []uint32
@@ -207,15 +257,23 @@ type sketchRec struct {
 	aggs  map[sketchKey]*sketchAgg
 	keys  []sketchKey // sorted key cache
 	dirty bool
+	// last and lastAgg are the key agg looked up last and its aggregate,
+	// tried before the map: consecutive samples mostly share their key.
+	last    sketchKey
+	lastAgg *sketchAgg
 }
 
 func (s *sketchRec) agg(k sketchKey) *sketchAgg {
+	if s.lastAgg != nil && k == s.last {
+		return s.lastAgg
+	}
 	a, ok := s.aggs[k]
 	if !ok {
 		a = &sketchAgg{}
 		s.aggs[k] = a
 		s.dirty = true
 	}
+	s.last, s.lastAgg = k, a
 	return a
 }
 
@@ -274,45 +332,53 @@ func (r *Recorder) materialize() {
 	r.appendRows(&v)
 }
 
-// push appends one row to r's own tail chunk, interning its names into
-// r's table.
-func (r *Recorder) push(s row, model, tenant string) {
+// push appends one sample to r's own tail chunk, interning its names
+// into r's table. The row joins the chunk's last group when g matches it
+// and starts a new group otherwise.
+func (r *Recorder) push(latency, queue float64, g group, model, tenant string) {
 	if r.names == nil {
 		r.names = &nameTable{ids: make(map[string]uint32)}
 	}
-	s.model, s.tenant = r.names.intern(model), r.names.intern(tenant)
+	g.model = r.names.intern(model, &r.lastModel)
+	s := row{Latency: latency, Queue: queue, tenant: r.names.intern(tenant, &r.lastTenant)}
 	c := r.tail()
+	if n := len(c.groups); n == 0 || !c.groups[n-1].same(&g) {
+		c.groups = append(c.groups, g)
+	}
+	s.group = uint32(len(c.groups) - 1)
 	c.rows = append(c.rows, s)
-	r.weightSum += s.Weight
+	r.weightSum += g.Weight
 	r.sortedOK = false
 }
 
 // tail returns the chunk push appends to: the last chunk while it
-// indexes r's own table and has room, else a new one. A full-capacity
-// tail below chunkRows rows (the small first chunk, or a clipped chunk
-// of r's own merged back into r) grows by copying to twice its size;
-// every other row stays where it was written.
+// indexes r's own table and has room, else a new one. A recorder's
+// first chunk holds firstChunkRows rows and each next chunk of its own
+// twice the last, up to chunkRows, so small recorders stay small and no
+// row ever moves. (A clipped chunk of r's own merged back into r is
+// full, so it too is followed by a new chunk.) A new chunk's groups are
+// sized from the last chunk of r's own, scaled to the new size with a
+// quarter to spare.
 func (r *Recorder) tail() *chunk {
-	if n := len(r.chunks); n > 0 {
-		c := &r.chunks[n-1]
-		if c.names == r.names && len(c.rows) < chunkRows {
-			if len(c.rows) == cap(c.rows) {
-				c.rows = append(make([]row, 0, min(2*len(c.rows), chunkRows)), c.rows...)
-			}
+	size, groups := chunkRows, 0
+	if n := len(r.chunks); n == 0 {
+		size = firstChunkRows
+	} else if c := &r.chunks[n-1]; c.names == r.names {
+		if len(c.rows) < cap(c.rows) {
 			return c
 		}
+		size = min(2*len(c.rows), chunkRows)
+		groups = min(len(c.groups)*size/len(c.rows)*5/4, size)
 	}
-	size := chunkRows
-	if len(r.chunks) == 0 {
-		size = firstChunkRows
-	}
-	r.chunks = appendChunk(r.chunks, chunk{rows: make([]row, 0, size), names: r.names})
+	r.chunks = appendChunk(r.chunks, chunk{rows: make([]row, 0, size), groups: make([]group, 0, groups), names: r.names})
 	return &r.chunks[len(r.chunks)-1]
 }
 
-// rowAt returns the row a handle addresses.
-func (r *Recorder) rowAt(h uint32) *row {
-	return &r.chunks[h>>chunkShift].rows[h&chunkMask]
+// at returns the row a handle addresses and its group.
+func (r *Recorder) at(h uint32) (*row, *group) {
+	c := &r.chunks[h>>chunkShift]
+	s := &c.rows[h&chunkMask]
+	return s, &c.groups[s.group]
 }
 
 // Add records a sample. Zero weights are normalized to 1.
@@ -328,13 +394,16 @@ func (r *Recorder) Add(s Sample) {
 		return
 	}
 	r.materialize()
-	r.push(row{
-		Strict:    s.Strict,
-		Latency:   s.Latency,
-		SLO:       s.SLO,
-		Breakdown: s.Breakdown,
-		Completed: s.Completed,
-		Weight:    s.Weight,
+	b := &s.Breakdown
+	r.push(s.Latency, b.Queue, group{
+		SLO:          s.SLO,
+		Completed:    s.Completed,
+		ColdStart:    b.ColdStart,
+		MinPossible:  b.MinPossible,
+		Deficiency:   b.Deficiency,
+		Interference: b.Interference,
+		Weight:       s.Weight,
+		Strict:       s.Strict,
 	}, s.Model, s.Tenant)
 }
 
@@ -401,19 +470,19 @@ func (r *Recorder) Merge(others ...*Recorder) {
 	r.sortedOK = false
 }
 
-// appendRows copies o's visible rows onto r's own chunks. Names are
-// re-interned as rows reach them, so r's table stays in first-seen
-// order.
+// appendRows copies o's visible rows onto r's own chunks, regrouping
+// them as push would have. Names are re-interned as rows reach them, so
+// r's table stays in first-seen order.
 func (r *Recorder) appendRows(o *Recorder) {
-	o.eachExact(func(_ uint32, s *row, t *nameTable) {
-		r.push(*s, t.names[s.model], t.names[s.tenant])
+	o.eachExact(func(_ uint32, s *row, g *group, t *nameTable) {
+		r.push(s.Latency, s.Queue, *g, t.names[g.model], t.names[s.tenant])
 	})
 }
 
 // mergeSketch folds one recorder into sketch-mode r.
 func (r *Recorder) mergeSketch(other *Recorder) {
 	if other.sk == nil {
-		other.eachExact(func(_ uint32, s *row, t *nameTable) { r.addSketch(t.sample(s)) })
+		other.eachExact(func(_ uint32, s *row, g *group, t *nameTable) { r.addSketch(t.sample(s, g)) })
 		return
 	}
 	for _, k := range other.sk.sortedKeys() {
@@ -447,19 +516,22 @@ func (r *Recorder) exactLen() int {
 }
 
 // eachExact visits the recorder's visible rows in storage order (exact
-// mode), with each row's handle and the name table its ids index.
-func (r *Recorder) eachExact(fn func(h uint32, s *row, t *nameTable)) {
+// mode), with each row's handle, its group and the name table their ids
+// index.
+func (r *Recorder) eachExact(fn func(h uint32, s *row, g *group, t *nameTable)) {
 	if r.view != nil {
 		for _, h := range r.view {
 			c := &r.chunks[h>>chunkShift]
-			fn(h, &c.rows[h&chunkMask], c.names)
+			s := &c.rows[h&chunkMask]
+			fn(h, s, &c.groups[s.group], c.names)
 		}
 		return
 	}
 	for ci := range r.chunks {
 		c := &r.chunks[ci]
 		for off := range c.rows {
-			fn(uint32(ci<<chunkShift|off), &c.rows[off], c.names)
+			s := &c.rows[off]
+			fn(uint32(ci<<chunkShift|off), s, &c.groups[s.group], c.names)
 		}
 	}
 }
@@ -540,10 +612,10 @@ func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
 	for i, c := range r.chunks {
 		out.chunks[i] = c.clip()
 	}
-	r.eachExact(func(h uint32, s *row, t *nameTable) {
-		if pred(t.sample(s)) {
+	r.eachExact(func(h uint32, s *row, g *group, t *nameTable) {
+		if pred(t.sample(s, g)) {
 			out.view = append(out.view, h)
-			out.weightSum += s.Weight
+			out.weightSum += g.Weight
 		}
 	})
 	return out
@@ -575,13 +647,13 @@ func (r *Recorder) SLOCompliance() float64 {
 			met += a.strictMet
 		}
 	} else {
-		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
-			if !s.Strict {
+		r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
+			if !g.Strict {
 				return
 			}
-			total += s.Weight
-			if s.Latency <= s.SLO {
-				met += s.Weight
+			total += g.Weight
+			if s.Latency <= g.SLO {
+				met += g.Weight
 			}
 		})
 	}
@@ -603,9 +675,9 @@ func (r *Recorder) Mean() float64 {
 			n += a.weight
 		}
 	} else {
-		r.eachExact(func(_ uint32, s *row, _ *nameTable) {
-			sum += s.Latency * float64(s.Weight)
-			n += s.Weight
+		r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
+			sum += s.Latency * float64(g.Weight)
+			n += g.Weight
 		})
 	}
 	if n == 0 {
@@ -630,10 +702,10 @@ func (r *Recorder) quantileIndex() ([]latKey, []float64) {
 		return r.byLat, r.cum
 	}
 	keys := make([]latKey, 0, r.exactLen())
-	r.eachExact(func(h uint32, s *row, _ *nameTable) {
+	r.eachExact(func(h uint32, s *row, g *group, _ *nameTable) {
 		k := latKey{lat: s.Latency, pos: h}
-		if uint64(s.Weight) <= math.MaxUint32 {
-			k.w = uint32(s.Weight)
+		if uint64(g.Weight) <= math.MaxUint32 {
+			k.w = uint32(g.Weight)
 		}
 		keys = append(keys, k)
 	})
@@ -651,7 +723,8 @@ func (r *Recorder) quantileIndex() ([]latKey, []float64) {
 	for i, k := range keys {
 		w := int(k.w)
 		if w == 0 {
-			w = r.rowAt(k.pos).Weight
+			_, g := r.at(k.pos)
+			w = g.Weight
 		}
 		c += float64(w)
 		cum[i] = c
@@ -675,18 +748,18 @@ func (r *Recorder) mergedSketch() *Sketch {
 	return merged
 }
 
-// sampleAtPercentile returns the weighted p-th percentile sample
-// (0 < p <= 100), or nil when the recorder is empty.
-func (r *Recorder) sampleAtPercentile(p float64) *row {
+// sampleAtPercentile returns the weighted p-th percentile sample's row
+// and group (0 < p <= 100), or nils when the recorder is empty.
+func (r *Recorder) sampleAtPercentile(p float64) (*row, *group) {
 	if r.exactLen() == 0 {
-		return nil
+		return nil, nil
 	}
 	keys, cum := r.quantileIndex()
 	target := p / 100 * float64(r.Requests())
 	// cum never decreases, so the first entry reaching target is the one
 	// a linear scan stops at; none reaching it means the last.
 	i := min(sort.SearchFloat64s(cum, target), len(cum)-1)
-	return r.rowAt(keys[i].pos)
+	return r.at(keys[i].pos)
 }
 
 // Percentile returns the weighted p-th percentile latency (NaN when
@@ -697,7 +770,7 @@ func (r *Recorder) Percentile(p float64) float64 {
 	if r.sk != nil {
 		return r.mergedSketch().Quantile(p)
 	}
-	s := r.sampleAtPercentile(p)
+	s, _ := r.sampleAtPercentile(p)
 	if s == nil {
 		return math.NaN()
 	}
@@ -712,11 +785,11 @@ func (r *Recorder) BreakdownAtPercentile(p float64) gpu.Breakdown {
 	if r.sk != nil {
 		return gpu.Breakdown{}
 	}
-	s := r.sampleAtPercentile(p)
+	s, g := r.sampleAtPercentile(p)
 	if s == nil {
 		return gpu.Breakdown{}
 	}
-	return s.Breakdown
+	return g.breakdown(s.Queue)
 }
 
 // Latencies returns the raw latency list, one value per sample. Used by
@@ -727,7 +800,7 @@ func (r *Recorder) Latencies() []float64 {
 		return nil
 	}
 	out := make([]float64, 0, r.exactLen())
-	r.eachExact(func(_ uint32, s *row, _ *nameTable) { out = append(out, s.Latency) })
+	r.eachExact(func(_ uint32, s *row, _ *group, _ *nameTable) { out = append(out, s.Latency) })
 	return out
 }
 
@@ -822,7 +895,7 @@ func (r *Recorder) Snapshot() []ModelStats {
 			names[k.model] = true
 		}
 	} else {
-		r.eachExact(func(_ uint32, s *row, t *nameTable) { names[t.names[s.model]] = true })
+		r.eachExact(func(_ uint32, _ *row, g *group, t *nameTable) { names[t.names[g.model]] = true })
 	}
 	sorted := make([]string, 0, len(names))
 	for name := range names {

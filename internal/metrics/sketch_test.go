@@ -140,7 +140,7 @@ func TestExactViewsShareBacking(t *testing.T) {
 	if v.Len() != 50 {
 		t.Fatalf("strict view has %d samples, want 50", v.Len())
 	}
-	if v.rowAt(v.view[0]) != r.rowAt(0) {
+	if got, _ := v.at(v.view[0]); got != &r.chunks[0].rows[0] {
 		t.Fatalf("view copied the sample backing")
 	}
 	sub := v.Filter(func(s Sample) bool { return s.Latency < 10 })
