@@ -253,34 +253,54 @@ func clusterSample(n int) Sample {
 	}
 }
 
+// distinctSample is clusterSample with a completion time of its own, so
+// every sample starts a group, as in the control plane's per-tenant
+// recorders: the layout's worst case.
+func distinctSample(n int) Sample {
+	s := clusterSample(n)
+	s.Completed = float64(n)
+	return s
+}
+
 // TestRowLayoutMemory pins the exact-mode row at 24 bytes and bounds
-// what recording cluster-shaped samples allocates per row.
+// what recording cluster-shaped and distinct samples allocates per row.
 func TestRowLayoutMemory(t *testing.T) {
 	if got := unsafe.Sizeof(row{}); got != 24 {
 		t.Fatalf("row is %d bytes, want 24", got)
 	}
-	const n = 100000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r := &Recorder{}
-	for i := 0; i < n; i++ {
-		r.Add(clusterSample(i))
-	}
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(r)
-	// Measured: 26.9 B per row. That is the 24-byte row, plus the unused
-	// end of the last 1024-row chunk, plus each chunk's group slice: 32
-	// batches of 64-byte groups, sized with a quarter to spare. 32 B
-	// leaves room for allocator size classes and still fails if the row
-	// grows by a field or rows stop sharing groups (the former 88-byte
-	// row measured 93.8 B per row here).
-	const bound = 32.0
-	perRow := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%.1f B allocated per row", perRow)
-	if perRow > bound {
-		t.Fatalf("recording %d cluster-shaped samples allocated %.1f B per row, want at most %.0f", n, perRow, bound)
+	for _, tc := range []struct {
+		name   string
+		sample func(int) Sample
+		bound  float64
+	}{
+		// Measured: 26.5 B per row. That is the 24-byte row, plus the
+		// unused end of the last 1024-row chunk, plus each chunk's group
+		// slice: 33 batches of 64-byte groups, reserved at the previous
+		// chunk's rate. 32 B leaves room for allocator size classes and
+		// still fails if the row grows by a field or rows stop sharing
+		// groups (the former 88-byte row measured 93.8 B per row here).
+		{"cluster-shaped", clusterSample, 32},
+		// Measured: 88.5 B per row, a 24-byte row and a 64-byte group.
+		// 96 B still fails if groups grow by append instead of being
+		// reserved (232 B per row) or the group grows by a field.
+		{"distinct", distinctSample, 96},
+	} {
+		const n = 100000
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := &Recorder{}
+		for i := 0; i < n; i++ {
+			r.Add(tc.sample(i))
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(r)
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: %.1f B allocated per row", tc.name, perRow)
+		if perRow > tc.bound {
+			t.Fatalf("recording %d %s samples allocated %.1f B per row, want at most %.0f", n, tc.name, perRow, tc.bound)
+		}
 	}
 }
 
@@ -295,14 +315,11 @@ func BenchmarkRecorderAddBatches(b *testing.B) {
 }
 
 // BenchmarkRecorderAddDistinct measures exact-mode ingest when every
-// sample starts a group of its own, as in the control plane's
-// per-tenant recorders: the layout's worst case.
+// sample starts a group of its own (distinctSample).
 func BenchmarkRecorderAddDistinct(b *testing.B) {
 	r := &Recorder{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := clusterSample(i)
-		s.Completed = float64(i)
-		r.Add(s)
+		r.Add(distinctSample(i))
 	}
 }

@@ -257,23 +257,15 @@ type sketchRec struct {
 	aggs  map[sketchKey]*sketchAgg
 	keys  []sketchKey // sorted key cache
 	dirty bool
-	// last and lastAgg are the key agg looked up last and its aggregate,
-	// tried before the map: consecutive samples mostly share their key.
-	last    sketchKey
-	lastAgg *sketchAgg
 }
 
 func (s *sketchRec) agg(k sketchKey) *sketchAgg {
-	if s.lastAgg != nil && k == s.last {
-		return s.lastAgg
-	}
 	a, ok := s.aggs[k]
 	if !ok {
 		a = &sketchAgg{}
 		s.aggs[k] = a
 		s.dirty = true
 	}
-	s.last, s.lastAgg = k, a
 	return a
 }
 
@@ -356,9 +348,10 @@ func (r *Recorder) push(latency, queue float64, g group, model, tenant string) {
 // first chunk holds firstChunkRows rows and each next chunk of its own
 // twice the last, up to chunkRows, so small recorders stay small and no
 // row ever moves. (A clipped chunk of r's own merged back into r is
-// full, so it too is followed by a new chunk.) A new chunk's groups are
-// sized from the last chunk of r's own, scaled to the new size with a
-// quarter to spare.
+// full, so it too is followed by a new chunk.) A new chunk reserves
+// groups at the last chunk's rate of groups per row: growing them by
+// append would cost a stream of distinct samples 232 bytes per sample
+// instead of 88.
 func (r *Recorder) tail() *chunk {
 	size, groups := chunkRows, 0
 	if n := len(r.chunks); n == 0 {
@@ -368,7 +361,7 @@ func (r *Recorder) tail() *chunk {
 			return c
 		}
 		size = min(2*len(c.rows), chunkRows)
-		groups = min(len(c.groups)*size/len(c.rows)*5/4, size)
+		groups = len(c.groups) * size / len(c.rows)
 	}
 	r.chunks = appendChunk(r.chunks, chunk{rows: make([]row, 0, size), groups: make([]group, 0, groups), names: r.names})
 	return &r.chunks[len(r.chunks)-1]
