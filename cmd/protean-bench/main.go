@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		seeds    = fs.Int("seeds", 1, "replications under derived sub-seeds; >1 reports mean ± 95% CI")
 		parallel = fs.Int("parallel", 0, "scenario worker goroutines (0 = all CPUs, 1 = sequential)")
-		shards   = fs.Int("shards", 1, "within-scenario shard workers; output is byte-identical at every value")
 		quick    = fs.Bool("quick", false, "smaller model sweeps and durations")
 		sketch   = fs.Bool("sketch", false, "O(1)-memory quantile sketches instead of exact sample buffers (1% relative error; -run scale always sketches)")
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text tables")
@@ -62,6 +61,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		memProf  = fs.String("memprofile", "", "write an allocation profile (after the runs) to `file`")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	params := experiments.Params{
+		Nodes:           *nodes,
+		Duration:        *duration,
+		Warmup:          *warmup,
+		Seed:            *seed,
+		Parallel:        *parallel,
+		Quick:           *quick,
+		SketchQuantiles: *sketch,
+	}
+	// Reject bad flags before any experiment runs: a bad format would
+	// only fail at the first render, and an empty metric window would
+	// print a table of NaN cells.
+	if err := experiments.Format(*format).Validate(); err != nil {
+		return err
+	}
+	if err := params.Validate(); err != nil {
 		return err
 	}
 
@@ -126,16 +143,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	params := experiments.Params{
-		Nodes:           *nodes,
-		Duration:        *duration,
-		Warmup:          *warmup,
-		Seed:            *seed,
-		Parallel:        *parallel,
-		Shards:          *shards,
-		Quick:           *quick,
-		SketchQuantiles: *sketch,
-	}
 	if *traceOut != "" {
 		params.Trace = obs.NewTraceSet()
 	}

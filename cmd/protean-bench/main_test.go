@@ -45,6 +45,42 @@ func TestRunQuickExperimentJSON(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlagsBeforeRunning: an unknown -format, or a
+// -warmup at or past the effective -duration, fails (main exits 1)
+// before the first experiment starts, so nothing reaches stdout and no
+// timing line is printed.
+func TestRunRejectsBadFlagsBeforeRunning(t *testing.T) {
+	for _, args := range [][]string{
+		{"-run", "fig5", "-quick", "-format", "xml"},
+		{"-run", "fig5", "-quick", "-format", "xml", "-json"},
+		{"-run", "fig5", "-quick", "-warmup", "100"},
+		{"-run", "fig5", "-quick", "-warmup", "60"},
+		{"-run", "table3", "-quick", "-duration", "10"},
+		{"-run", "table3", "-quick", "-duration", "10", "-warmup", "10"},
+	} {
+		var out, errs bytes.Buffer
+		if err := run(args, &out, &errs); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed to stdout: %q", args, out.String())
+		}
+		if strings.Contains(errs.String(), "completed in") {
+			t.Errorf("%v: ran an experiment before failing: %q", args, errs.String())
+		}
+	}
+	// A warmup just below the duration, or one the defaults derive from
+	// a short duration, is accepted.
+	for _, args := range [][]string{
+		{"-run", "table3", "-quick", "-duration", "10", "-warmup", "9"},
+		{"-run", "table3", "-quick", "-duration", "10", "-warmup", "0"},
+	} {
+		if err := run(args, io.Discard, io.Discard); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-bogus"}, io.Discard, io.Discard); err != nil {
 		// flag.ContinueOnError surfaces the parse error; that is the point.

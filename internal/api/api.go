@@ -257,7 +257,6 @@ const maxBodyBytes = 1 << 20
 // arrivals generated. A value past one is a 400.
 const (
 	maxNodes      = 256
-	maxShards     = 64
 	maxChaosScale = 100.0
 	// A nonzero quantum must lie in [minQuantumMillis, maxQuantumMillis].
 	minQuantumMillis = 0.1

@@ -131,7 +131,8 @@ var hostileBodies = []struct{ name, path, body string }{
 	{"simulate arrivals default duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 200000}`},
 	{"simulate arrivals truncated duration", "/simulate", `{"strictModel": "ResNet 50", "meanRPS": 1e16, "durationSeconds": 1e-10}`},
 	{"plane nodes", "/v1/plane", `{"nodes": 1000000000}`},
-	{"plane shards", "/v1/plane", `{"shards": 65}`},
+	// shards is not a plane field: like any unknown field, a 400.
+	{"plane shards", "/v1/plane", `{"shards": 4}`},
 	{"plane chaosScale", "/v1/plane", `{"chaosScale": 1e300}`},
 	{"plane huge quantum", "/v1/plane", `{"quantumMillis": 1e300}`},
 	{"plane denormal quantum", "/v1/plane", `{"quantumMillis": 5e-324}`},
@@ -140,10 +141,10 @@ var hostileBodies = []struct{ name, path, body string }{
 }
 
 // TestSizeCapsRejectHostileBodies: a /simulate, /v1/plane or
-// /v1/tenants body that asks for more lanes, shards, faults, virtual
-// time, arrivals or pre-warmed containers than the caps allow is a 400
-// before anything is built, and a rejected body leaves the running plane
-// in place. Without the caps chaosScale 1e300 re-arms the slice-fault
+// /v1/tenants body that asks for more lanes, faults, virtual time,
+// arrivals or pre-warmed containers than the caps allow is a 400 before
+// anything is built, and a rejected body leaves the running plane in
+// place. Without the caps chaosScale 1e300 re-arms the slice-fault
 // timer at the same instant forever, and a huge prewarmCount allocates
 // one idle-container record per count on every node.
 func TestSizeCapsRejectHostileBodies(t *testing.T) {
@@ -163,7 +164,7 @@ func TestSizeCapsRejectHostileBodies(t *testing.T) {
 	}
 	// The caps themselves are allowed.
 	h := limitsServer(t)
-	if rec := do(h, "/v1/plane", "application/json", `{"nodes": 1, "shards": 64, "chaosScale": 100, "quantumMillis": 0.1}`); rec.Code != http.StatusOK {
+	if rec := do(h, "/v1/plane", "application/json", `{"nodes": 1, "chaosScale": 100, "quantumMillis": 0.1}`); rec.Code != http.StatusOK {
 		t.Fatalf("plane at the caps = %d, want 200: %s", rec.Code, rec.Body)
 	}
 	if rec := do(h, "/v1/plane", "application/json", `{"nodes": 1, "quantumMillis": 1000}`); rec.Code != http.StatusOK {

@@ -30,9 +30,6 @@ type PlaneConfig struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Nodes is the worker count (default 8).
 	Nodes int `json:"nodes,omitempty"`
-	// Shards is the shard worker count (default 1; behaviour is
-	// byte-identical at every value).
-	Shards int `json:"shards,omitempty"`
 	// ChaosScale enables deterministic fault injection (0 = off).
 	ChaosScale float64 `json:"chaosScale,omitempty"`
 	// QuantumMillis is the wall→virtual quantization step (default 10).
@@ -50,9 +47,6 @@ type PlaneConfig struct {
 func (c PlaneConfig) validate() error {
 	if err := checkScale(c.Nodes, c.ChaosScale); err != nil {
 		return err
-	}
-	if c.Shards > maxShards {
-		return fmt.Errorf("shards %d over the cap of %d", c.Shards, maxShards)
 	}
 	if q := c.QuantumMillis; q != 0 && (q < minQuantumMillis || q > maxQuantumMillis) {
 		return fmt.Errorf("quantumMillis %v is neither 0 nor in [%v, %v]", q, minQuantumMillis, maxQuantumMillis)
@@ -72,7 +66,6 @@ type PlaneInfo struct {
 	Fingerprint string `json:"fingerprint"`
 	Seed        int64  `json:"seed"`
 	Nodes       int    `json:"nodes"`
-	Shards      int    `json:"shards"`
 }
 
 // getPlane returns the live plane, creating a default one on first use.
@@ -108,7 +101,6 @@ func (s *Server) handlePlaneConfig(w http.ResponseWriter, r *http.Request) {
 	p, err := controlplane.New(controlplane.Options{
 		Seed:            cfg.Seed,
 		Nodes:           cfg.Nodes,
-		Shards:          cfg.Shards,
 		ChaosScale:      cfg.ChaosScale,
 		Quantum:         cfg.QuantumMillis / 1000,
 		KeepWarmDefault: cfg.KeepWarmSeconds,
@@ -140,7 +132,6 @@ func planeInfo(p *controlplane.Plane) PlaneInfo {
 		Fingerprint: fmt.Sprintf("%016x", hash),
 		Seed:        opts.Seed,
 		Nodes:       opts.Nodes,
-		Shards:      opts.Shards,
 	}
 }
 

@@ -60,8 +60,8 @@ type Scaler struct {
 	spawned    int
 }
 
-// NewScaler returns a scaler bound to the node's virtual clock. Under
-// the sharded cluster s is the node's lane: the scaler reads Now and
+// NewScaler returns a scaler bound to the node's virtual clock. In the
+// cluster s is the node's lane: the scaler reads Now and
 // emits trace events but schedules no timers of its own (keep-alive
 // expiry is evaluated lazily on access), so it inherits the lane's
 // timer affinity for free.

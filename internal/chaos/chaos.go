@@ -6,8 +6,7 @@
 // Five fault kinds are injected, all drawn from dedicated child
 // streams derived (sim.Stream.Child) from the simulation's seeded
 // stream, so a chaos schedule is a pure function of the run's seed —
-// byte-identical across repeats and across any -parallel or -shards
-// setting. The Poisson fault processes (slice failures, storms) and
+// byte-identical across repeats and across any -parallel setting. The Poisson fault processes (slice failures, storms) and
 // the retry jitter draw from the injector's own schedule stream, which
 // only ever runs in root-simulation context; the per-decision queries
 // that execution can reach from a per-node lane (SampleReconfig,
@@ -263,8 +262,8 @@ func New(s *sim.Sim, cfg Config) (*Injector, error) {
 
 // Start arms the Poisson fault processes against t. nodes is the
 // worker count slice failures are spread across; each node gets its
-// own decision stream, derived by node id so the assignment is stable
-// across shard counts. Safe on nil.
+// own decision stream, derived by node id so the assignment does not
+// depend on construction order. Safe on nil.
 func (inj *Injector) Start(t Targets, nodes int) {
 	if inj == nil || inj.stopped {
 		return
@@ -287,8 +286,8 @@ func (inj *Injector) Start(t Targets, nodes int) {
 }
 
 // BindLane routes node's fault decisions (their trace events and
-// clock reads) through s — the node's lane in a sharded cluster — so
-// a query made while that lane is executing a phase never touches the
+// clock reads) through s — the node's lane in the cluster — so a
+// query made while that lane is executing a phase never touches the
 // root simulation. Must be called after Start. Safe on nil.
 func (inj *Injector) BindLane(node int, s *sim.Sim) {
 	if inj == nil || node < 0 || node >= len(inj.perNode) || s == nil {
@@ -470,7 +469,7 @@ func (inj *Injector) emit(kind obs.Kind, node int, batch uint64, detail string, 
 
 // emitOn traces one chaos event through s — the sim whose context the
 // decision ran in, so lane-phase decisions buffer into the lane's
-// deterministic merge instead of racing on the root tracer.
+// time-ordered merge instead of reaching the root tracer out of order.
 func (inj *Injector) emitOn(s *sim.Sim, kind obs.Kind, node int, batch uint64, detail string, value float64) {
 	tr := s.Tracer()
 	if !tr.Enabled() {

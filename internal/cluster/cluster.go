@@ -77,7 +77,7 @@ const (
 	// dispatchQuantum is the period of the dispatch barrier in seconds:
 	// batches the gateway seals are routed to nodes at the next quantum
 	// boundary. The schedule is part of the model, so results depend on
-	// the quantum — but not on the shard worker count.
+	// the quantum.
 	dispatchQuantum float64 = 0.005
 	// reconfigFrac caps the fraction of GPUs reconfiguring
 	// simultaneously (§4.4).
@@ -101,11 +101,10 @@ type heldBatch struct {
 	cold  float64
 }
 
-// node is one GPU worker. Each node runs on its own simulation lane
-// (shard): its GPU, scaler, jitter stream, and the counters below are
-// only ever touched from that lane's phases or from the root's
-// exclusive barrier events, so no node state needs locking and the
-// node's event order is independent of every other shard.
+// node is one GPU worker. Each node runs on its own simulation lane:
+// its GPU, scaler, jitter stream, and the counters below are only ever
+// touched from that lane's phases or from the root's barrier events,
+// so the node's event order is independent of every other lane.
 type node struct {
 	id      int
 	cluster *Cluster
@@ -141,15 +140,14 @@ type node struct {
 
 	// jobFree recycles gpu.Job objects for this node's placements. The
 	// list is touched from root barrier context (dispatch → place) and
-	// the node's own lane (pumpHeld, completions) — never concurrently,
-	// by the barrier exclusivity contract.
+	// the node's own lane (pumpHeld, completions).
 	jobFree pool.Free[gpu.Job]
 	// onDone/onFail are the hoisted per-node completion callbacks, so a
 	// placement costs no closure allocations.
 	onDone, onFail func(*gpu.Job)
 	// spent buffers completed batches (lane context); the root returns
 	// them to the batcher's freelist at each dispatch barrier, in node
-	// order, so reuse order is shard-count-independent.
+	// order, so reuse order is fixed by the event schedule.
 	spent []*queue.Batch
 }
 
@@ -163,7 +161,7 @@ type GeometryEvent struct {
 // Cluster is the running platform. The root simulation hosts the
 // coordinator (dispatch, monitor, VM market, chaos schedule); the
 // gateway (arrivals and batching) and every node run on lanes of that
-// root. Sealed batches cross from the gateway shard to the
+// root. Sealed batches cross from the gateway lane to the
 // coordinator through the sealed mailbox, drained in seal order at
 // each dispatch-quantum barrier.
 type Cluster struct {
@@ -252,7 +250,7 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 		}
 		// Everything node-local — GPU timers, scaler clock reads, jitter
 		// draws — lives on the node's lane so it advances independently
-		// of the other shards between barriers.
+		// of the other lanes between barriers.
 		ns := s.Lane(fmt.Sprintf("node/%d", i))
 		g, err := gpu.NewGPU(ns, i, arch, geom, pol.Sharing())
 		if err != nil {
@@ -329,8 +327,7 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 
 // PoolStats aggregates freelist hit/miss counters across the batcher
 // (batch and partial-batch shells) and every node's job list. The
-// counts are deterministic for a seed at any shard count. Call from
-// root context only.
+// counts are deterministic for a seed. Call from root context only.
 func (c *Cluster) PoolStats() pool.Stats {
 	st := c.batcher.PoolStats()
 	for _, n := range c.nodes {
@@ -374,7 +371,7 @@ type Result struct {
 	// Chaos reports injected-fault counters (nil when chaos is off).
 	Chaos *chaos.Stats
 	// Pool counts hot-object freelist traffic (job/batch reuse); hits
-	// are deterministic for a seed at any shard count.
+	// are deterministic for a seed.
 	Pool pool.Stats
 	// Market digests marketplace activity (nil unless the fleet is
 	// market-backed).
@@ -566,8 +563,8 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 		c.completed += n.completed
 		dropped += n.dropped
 	}
-	// Merge the lane-local accumulators in node order — a fixed order, so
-	// the report does not depend on the shard count — in one call that
+	// Merge the lane-local accumulators in node order — a fixed order,
+	// so the report is a pure function of the seed — in one call that
 	// takes the node recorders' row chunks without copying them. Nothing
 	// records after the drain, so the node recorders are reset.
 	c.recorder.Merge(nodeRecs...)
@@ -647,8 +644,7 @@ func (c *Cluster) precomputeWindows(reqs []trace.Request, duration float64) {
 // enqueueSealed is the batcher's emit hook: it appends the sealed
 // batch to the gateway→coordinator mailbox. It runs in gateway-lane
 // context (window timers, seal-on-full) or in root context (the
-// teardown Flush) — never concurrently with drainSealed, which only
-// the root calls.
+// teardown Flush); only the root calls drainSealed.
 func (c *Cluster) enqueueSealed(b *queue.Batch) {
 	c.sealed = append(c.sealed, b)
 }
@@ -656,8 +652,8 @@ func (c *Cluster) enqueueSealed(b *queue.Batch) {
 // drainSealed routes every mailbox batch to a node, in seal order —
 // the deterministic barrier drain of the dispatch quantum. It also
 // returns batches the nodes finished since the last barrier to the
-// batcher's freelist, in node order, so reuse order never depends on
-// the shard count.
+// batcher's freelist, in node order, so reuse order is fixed by the
+// event schedule.
 func (c *Cluster) drainSealed() {
 	for _, n := range c.nodes {
 		for i, b := range n.spent {
@@ -1169,8 +1165,7 @@ func (n *node) resubmit(j *gpu.Job) {
 // serviceJitter samples the lognormal execution-time multiplier (unit
 // mean) modelling data-dependent batch variability. Each node draws
 // from its own derived stream, so the draw order is the node's own
-// placement order — independent of every other shard and of the
-// worker count.
+// placement order — independent of every other node.
 //
 //protean:hotpath
 func (n *node) serviceJitter() float64 {

@@ -96,8 +96,8 @@ func (c *Cluster) Ingest(req trace.Request) error {
 }
 
 // AdvanceTo runs the simulation to virtual time t (a no-op when t is
-// not ahead of the clock). Lane clocks are synchronized to t on return,
-// so state read afterwards is independent of the shard worker count.
+// not ahead of the clock). Every lane reads t as its clock on return
+// (see sim.Sim.Now).
 func (c *Cluster) AdvanceTo(t float64) error {
 	if !c.live {
 		return errors.New("cluster: AdvanceTo before StartLive")
@@ -186,8 +186,7 @@ func (c *Cluster) PrewarmModel(modelName string, count int) {
 // merged into one stream ordered by (time, node) — each node's buffer
 // is already time-ordered (lanes execute in time order), so a stable
 // sort over the node-ordered concatenation realizes the merge. The
-// order is a pure function of the event timestamps, independent of the
-// shard worker count. Root context only.
+// order is a pure function of the event timestamps. Root context only.
 func (c *Cluster) CollectLive() ([]Completion, []DropRecord) {
 	var comps []Completion
 	var drops []DropRecord

@@ -310,8 +310,8 @@ func (p *Plane) decide(t *tenant, n int, vt float64) Decision {
 const fnvOffset = 14695981039346656037
 
 // recordDecision folds a decision into the plane's running FNV-1a
-// fingerprint, the cheap proof that two planes (live vs. replay, or
-// different shard counts) made byte-identical admission decisions.
+// fingerprint, the cheap proof that two planes (live vs. replay) made
+// byte-identical admission decisions.
 func (p *Plane) recordDecision(d Decision) {
 	p.decCount++
 	h := fnv.New64a()

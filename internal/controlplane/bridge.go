@@ -104,7 +104,7 @@ func ReadLog(r io.Reader) ([]LogEntry, error) {
 // against the given options (WallNow is ignored; replay is manual-mode
 // by definition). With the same Seed the replayed plane makes the same
 // admission decisions and accrues the same usage as the live plane that
-// recorded the log — byte-identical, at any Shards value. The returned
+// recorded the log — byte-identical. The returned
 // plane is drained and its summary final. An entry past MaxIngestN
 // requests or with a VT more than MaxIngestSpan past the entry before
 // it is an error, so a hostile log cannot stall the replay.

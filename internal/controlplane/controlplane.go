@@ -10,8 +10,8 @@
 // timestamp, and all scheduling state evolves only at virtual-time
 // events or at logged boundaries. Replaying a recorded log against the
 // same seed therefore reproduces every admission decision and usage
-// rollup byte-for-byte, independent of the shard worker count — the
-// live serving path inherits the simulator's determinism contract.
+// rollup byte-for-byte — the live serving path inherits the
+// simulator's determinism contract.
 //
 // The plane is safe for concurrent use: every operation serializes on
 // one mutex, mirroring the single-threaded discrete-event core.
@@ -41,9 +41,6 @@ type Options struct {
 	Seed int64
 	// Nodes is the worker count (default 8).
 	Nodes int
-	// Shards is the within-plane shard worker count (default 1). The
-	// serving behaviour is byte-identical at every value.
-	Shards int
 	// ChaosScale enables deterministic fault injection at a multiple of
 	// the reference mix (0 disables).
 	ChaosScale float64
@@ -85,9 +82,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Nodes <= 0 {
 		o.Nodes = 8
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
 	}
 	if o.Quantum <= 0 {
 		o.Quantum = 0.010
@@ -141,7 +135,6 @@ type Plane struct {
 func New(opts Options) (*Plane, error) {
 	opts.applyDefaults()
 	s := sim.New(opts.Seed)
-	s.SetWorkers(opts.Shards)
 	ring := &ringTracer{}
 	s.SetTracer(ring)
 	var chaosCfg chaos.Config

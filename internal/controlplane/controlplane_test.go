@@ -12,8 +12,8 @@ import (
 	"protean/internal/obs"
 )
 
-func testOpts(shards int) Options {
-	return Options{Seed: 7, Nodes: 4, Shards: shards, KeepWarmDefault: 5}
+func testOpts() Options {
+	return Options{Seed: 7, Nodes: 4, KeepWarmDefault: 5}
 }
 
 func mustPlane(t *testing.T, opts Options) *Plane {
@@ -33,7 +33,7 @@ func register(t *testing.T, p *Plane, cfg TenantConfig) {
 }
 
 func TestPlaneServesAndMeters(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "acme", Model: "ResNet 18", Class: "gold"})
 
 	for i := 0; i < 20; i++ {
@@ -77,7 +77,7 @@ func TestPlaneServesAndMeters(t *testing.T) {
 }
 
 func TestRateLimitRejects(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "tiny", Model: "MobileNet", Class: "bronze", RatePerSec: 1, Burst: 2})
 
 	d1, err := p.IngestAt(0.1, "tiny", 2)
@@ -103,7 +103,7 @@ func TestRateLimitRejects(t *testing.T) {
 // after two backlog rejections drain a burst of 4, the third attempt is
 // refused by the rate limit although nothing was admitted.
 func TestBacklogRejectionSpendsTokens(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "load", Model: "ResNet 50", Class: "bronze"})
 	register(t, p, TenantConfig{ID: "tight", Model: "ResNet 50", Class: "gold",
 		TargetSeconds: 1e-6, RatePerSec: 0.001, Burst: 4})
@@ -130,7 +130,7 @@ func TestBacklogRejectionSpendsTokens(t *testing.T) {
 }
 
 func TestScaleToZeroAndWake(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "idler", Model: "BERT", Class: "silver", KeepWarmSeconds: 2})
 
 	if _, err := p.IngestAt(0.1, "idler", 3); err != nil {
@@ -257,11 +257,11 @@ func advanceTo(t *testing.T, p *Plane, vt float64) {
 
 // TestReplayDeterminismAcrossShards is the control plane's determinism
 // contract: replaying a recorded ingest log reproduces the live run's
-// admission decisions and usage rollups byte-for-byte, at any shard
-// worker count, even though the live run interleaved unlogged advances
-// (usage reads) that the replay never saw.
+// admission decisions and usage rollups byte-for-byte, even though the
+// live run interleaved unlogged advances (usage reads) that the replay
+// never saw.
 func TestReplayDeterminismAcrossShards(t *testing.T) {
-	live := scriptedRun(t, testOpts(1), true)
+	live := scriptedRun(t, testOpts(), true)
 	if _, err := live.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -273,16 +273,12 @@ func TestReplayDeterminismAcrossShards(t *testing.T) {
 		t.Fatalf("scripted run did not exercise suspend:\n%s", want)
 	}
 
-	for _, shards := range []int{1, 4} {
-		rp, _, err := Replay(testOpts(shards), log)
-		if err != nil {
-			t.Fatalf("Replay shards=%d: %v", shards, err)
-		}
-		got := rollups(t, rp)
-		if got != want {
-			t.Errorf("shards=%d replay rollups differ from live run:\n--- live ---\n%s--- replay ---\n%s",
-				shards, want, got)
-		}
+	rp, _, err := Replay(testOpts(), log)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if got := rollups(t, rp); got != want {
+		t.Errorf("replay rollups differ from live run:\n--- live ---\n%s--- replay ---\n%s", want, got)
 	}
 }
 
@@ -322,7 +318,7 @@ func TestReplayWallClockLongIdle(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			wall := 0.0
-			opts := testOpts(1)
+			opts := testOpts()
 			opts.WallNow = func() float64 { return wall }
 			live := mustPlane(t, opts)
 			register(t, live, TenantConfig{ID: "idle", Model: "ResNet 18", Class: "gold"})
@@ -340,7 +336,7 @@ func TestReplayWallClockLongIdle(t *testing.T) {
 				}
 				prev = e.VT
 			}
-			rp, _, err := Replay(testOpts(1), log)
+			rp, _, err := Replay(testOpts(), log)
 			if err != nil {
 				t.Fatalf("Replay: %v", err)
 			}
@@ -359,7 +355,7 @@ func TestReplayWallClockLongIdle(t *testing.T) {
 // TestIngestOverCapIsRefused: the plane refuses an ingest Replay would
 // refuse, so every log it writes replays.
 func TestIngestOverCapIsRefused(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "big", Model: "ResNet 18", Class: "gold"})
 	if _, err := p.IngestAt(0.1, "big", MaxIngestN+1); err == nil {
 		t.Fatal("ingest over MaxIngestN accepted")
@@ -371,7 +367,7 @@ func TestIngestOverCapIsRefused(t *testing.T) {
 
 func TestRegistryWiring(t *testing.T) {
 	reg := obs.NewRegistry()
-	opts := testOpts(1)
+	opts := testOpts()
 	opts.Registry = reg
 	p := mustPlane(t, opts)
 	register(t, p, TenantConfig{ID: "m", Model: "ResNet 18", Class: "gold"})
@@ -399,7 +395,7 @@ func TestRegistryWiring(t *testing.T) {
 }
 
 func TestLogRoundTrip(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	register(t, p, TenantConfig{ID: "rt", Model: "MobileNet"})
 	if _, err := p.IngestAt(0.5, "rt", 3); err != nil {
 		t.Fatalf("ingest: %v", err)
@@ -421,7 +417,7 @@ func TestLogRoundTrip(t *testing.T) {
 }
 
 func TestMarketPlaneServesAndRollsUp(t *testing.T) {
-	opts := testOpts(1)
+	opts := testOpts()
 	opts.Market = true
 	p := mustPlane(t, opts)
 	register(t, p, TenantConfig{ID: "acme", Model: "ResNet 18", Class: "gold"})
@@ -468,7 +464,7 @@ func TestMarketPlaneServesAndRollsUp(t *testing.T) {
 }
 
 func TestMarketOffPlaneHasNoMarketSurface(t *testing.T) {
-	p := mustPlane(t, testOpts(1))
+	p := mustPlane(t, testOpts())
 	quotes, err := p.MarketQuotes()
 	if err != nil {
 		t.Fatalf("MarketQuotes: %v", err)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"protean/internal/core"
@@ -33,18 +32,14 @@ func BenchmarkQuickScenario(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedScenario pins the throughput of the sharded event
-// loop: full 60 s runs on 8 nodes at -shards 1, 2 and 4, reporting
-// simulation events per wall-clock second. The shards=4/shards=1
-// events/sec ratio is the speedup the within-scenario sharding buys,
-// with identical output bytes (pinned by the shard-identity tests).
-// Two workloads bound the spectrum:
-// "vision" is the largest single scenario protean-bench runs (ResNet 50
-// at the 9000 rps vision mean — arrival-dominated, so most events land
-// on the gateway lane), while "language" (BERT at 2000 rps, batch
-// size 4) pushes placement and GPU work onto the eight node lanes,
-// which is where sharding can actually spread load across cores.
-func BenchmarkShardedScenario(b *testing.B) {
+// BenchmarkScenario measures full 60 s runs on 8 nodes, reporting
+// simulation events per wall-clock second. Two workloads bound the
+// spectrum: "vision" is the largest single scenario protean-bench runs
+// (ResNet 50 at the 9000 rps vision mean — arrival-dominated, so most
+// events land on the gateway lane), while "language" (BERT at 2000 rps,
+// batch size 4) saturates its nodes and puts placement and GPU work on
+// the eight node lanes.
+func BenchmarkScenario(b *testing.B) {
 	scenarios := []Scenario{
 		{
 			Label:  "vision",
@@ -58,28 +53,25 @@ func BenchmarkShardedScenario(b *testing.B) {
 			Policy: core.NewProtean(core.ProteanConfig{}),
 		},
 	}
+	p := Params{Duration: 60, Warmup: 15, Nodes: 8, Seed: 1}
 	for _, sc := range scenarios {
-		for _, shards := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/shards=%d", sc.Label, shards), func(b *testing.B) {
-				p := Params{Duration: 60, Warmup: 15, Nodes: 8, Seed: 1, Shards: shards}
-				var events uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tc, s, c, err := buildScenario(p, sc, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					reqs, err := trace.Generate(tc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.Run(reqs, p.Duration); err != nil {
-						b.Fatal(err)
-					}
-					events += s.Executed()
+		b.Run(sc.Label, func(b *testing.B) {
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				tc, s, c, err := buildScenario(p, sc, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			})
-		}
+				reqs, err := trace.Generate(tc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.Run(reqs, p.Duration); err != nil {
+					b.Fatal(err)
+				}
+				events += s.Executed()
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
 }

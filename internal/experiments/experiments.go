@@ -71,11 +71,9 @@ type Params struct {
 	// Results are merged by scenario index, so reports are byte-identical
 	// at every setting.
 	Parallel int
-	// Shards is the within-scenario shard worker count: how many OS
-	// goroutines advance a single scenario's per-node simulation lanes
-	// between barriers (default 1: phases run inline). The event
-	// schedule is shard-count-independent, so reports and traces are
-	// byte-identical at every setting.
+	// Shards does nothing: a scenario's lanes always run on one
+	// goroutine. It stays only because the perfbench module still sets
+	// it; ROADMAP item 9, the benchmark re-baseline, deletes it.
 	Shards int
 	// Trace, when non-nil, collects lifecycle events from every
 	// scenario run. Collectors are registered in scenario order before
@@ -124,10 +122,18 @@ func (p Params) withDefaults() Params {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.Shards <= 0 {
-		p.Shards = 1
-	}
 	return p
+}
+
+// Validate rejects parameters whose metric window is empty once the
+// defaults are applied: a warmup at or past the trace's end leaves no
+// sample to report.
+func (p Params) Validate() error {
+	d := p.withDefaults()
+	if d.Warmup >= d.Duration {
+		return fmt.Errorf("experiments: warmup %gs is not below the duration %gs", d.Warmup, d.Duration)
+	}
+	return nil
 }
 
 // visionModels returns the strict-model sweep for vision experiments.
@@ -333,7 +339,6 @@ func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim
 		chaosCfg = *sc.Chaos
 	}
 	s := sim.New(p.Seed)
-	s.SetWorkers(p.Shards)
 	if tr != nil {
 		s.SetTracer(tr)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -97,39 +96,19 @@ func TestChaosReportParallelIdentity(t *testing.T) {
 	}
 }
 
-// TestFig2ShardIdentityFuzz is the sharded-execution determinism
-// contract: the fig2 quick report AND its merged lifecycle traces are
-// byte-identical at -shards 1, 2 and 4, across several seeds. The
-// shard worker count may only change wall-clock time — never the event
-// schedule, the drawn randomness, or the trace order.
-func TestFig2ShardIdentityFuzz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs fig2 fifteen times; skipped in -short")
-	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		want := renderTraced(t, "fig2", Params{Quick: true, Seed: seed, Parallel: 1, Shards: 1})
-		for _, shards := range []int{2, 4} {
-			got := renderTraced(t, "fig2", Params{Quick: true, Seed: seed, Parallel: 1, Shards: shards})
-			want.diff(t, got, fmt.Sprintf("seed %d: -shards 1 vs -shards %d", seed, shards))
-		}
-	}
-}
-
 // TestFig2ColdStartsParallelShardIdentity extends the determinism
 // contract to the scheme and scaling-policy runs that fig2 and
 // coldstarts fan out through RunScenarios (fig2's five runs share one
-// read-only trace): reports and traces are byte-identical at -shards 1
-// vs 4 and at -parallel 1 vs 4.
+// read-only trace): reports and traces are byte-identical at -parallel
+// 1 vs 4.
 func TestFig2ColdStartsParallelShardIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig2 and coldstarts four times each; skipped in -short")
+		t.Skip("runs fig2 and coldstarts twice each; skipped in -short")
 	}
 	for _, id := range []string{"fig2", "coldstarts"} {
-		want := renderTraced(t, id, Params{Quick: true, Seed: 1, Parallel: 1, Shards: 1})
-		for _, v := range []struct{ shards, parallel int }{{4, 1}, {1, 4}, {4, 4}} {
-			got := renderTraced(t, id, Params{Quick: true, Seed: 1, Parallel: v.parallel, Shards: v.shards})
-			want.diff(t, got, fmt.Sprintf("%s: -shards 1 -parallel 1 vs -shards %d -parallel %d", id, v.shards, v.parallel))
-		}
+		want := renderTraced(t, id, Params{Quick: true, Seed: 1, Parallel: 1})
+		got := renderTraced(t, id, Params{Quick: true, Seed: 1, Parallel: 4})
+		want.diff(t, got, id+": -parallel 1 vs -parallel 4")
 	}
 }
 
@@ -176,7 +155,7 @@ func renderTraced(t *testing.T, id string, p Params) tracedRender {
 	p.Trace = obs.NewTraceSet()
 	out := tracedRender{report: renderText(t, id, p)}
 	if traceEvents(p.Trace) == 0 {
-		t.Fatalf("%s seed %d shards %d: no trace events collected", id, p.Seed, p.Shards)
+		t.Fatalf("%s seed %d: no trace events collected", id, p.Seed)
 	}
 	var cb, jb bytes.Buffer
 	if err := obs.WriteChrome(&cb, p.Trace.Traces()); err != nil {

@@ -73,19 +73,29 @@ const (
 	FormatCSV      Format = "csv"
 )
 
+// Validate rejects a format RenderAs does not know.
+func (f Format) Validate() error {
+	switch f {
+	case FormatText, "", FormatMarkdown, FormatCSV:
+		return nil
+	}
+	return fmt.Errorf("experiments: unknown format %q", f)
+}
+
 // RenderAs writes every table in the requested format.
 func (r *Report) RenderAs(w io.Writer, f Format) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
 	for _, t := range r.Tables {
 		var err error
 		switch f {
-		case FormatText, "":
-			err = t.Render(w)
 		case FormatMarkdown:
 			err = t.RenderMarkdown(w)
 		case FormatCSV:
 			err = t.RenderCSV(w)
 		default:
-			return fmt.Errorf("experiments: unknown format %q", f)
+			err = t.Render(w)
 		}
 		if err != nil {
 			return err

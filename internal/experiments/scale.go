@@ -53,8 +53,8 @@ func scaleRate(scale, duration float64) trace.RateFn {
 // concern).
 type ScaleCellResult struct {
 	Result *cluster.Result
-	// Events is the number of simulation events executed — identical at
-	// every shard count.
+	// Events is the number of simulation events executed — identical
+	// across repeats.
 	Events uint64
 }
 
@@ -93,8 +93,9 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 // cell streamed and sketched. The table reports only deterministic
 // quantities — request volumes, SLO attainment, sketch percentiles,
 // executed events — so the report is byte-identical across repeats and
-// shard counts; events/sec and peak heap are wall-clock measurements,
-// taken by BenchmarkScaleCell and perfbench's scale-diurnal workload.
+// -parallel settings; events/sec and peak heap are wall-clock
+// measurements, taken by BenchmarkScaleCell and perfbench's
+// scale-diurnal workload.
 func ScaleSweep(p Params) (*Report, error) {
 	p = p.withDefaults()
 	if p.Duration <= 60 {

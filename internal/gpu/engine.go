@@ -684,9 +684,9 @@ const DefaultReconfigDowntime = 2.0
 // architecture, and utilization accounting uses its totals.
 //
 // Timer affinity: every timer the GPU schedules (job completions, the
-// reconfiguration downtime, slice accounting) lives on s. Under the
-// sharded cluster, s is the owning node's lane, which keeps all of one
-// node's events on one shard; callbacks therefore run in lane context
+// reconfiguration downtime, slice accounting) lives on s. In the
+// cluster, s is the owning node's lane, which keeps all of one node's
+// events on one lane; callbacks therefore run in lane context
 // and must only touch that node's state — cross-node effects go through
 // root-scheduled events.
 func NewGPU(s *sim.Sim, id int, arch Arch, geom Geometry, mode SharingMode) (*GPU, error) {

@@ -11,8 +11,8 @@
 // (`market/price/<name>`), derived without consuming anything from the
 // parent, and prices advance only on virtual-time ticks executed in
 // root-simulation context — so a market-off run is byte-identical to a
-// build without this package, and a market-on run is byte-identical at
-// every shard count.
+// build without this package, and a market-on run is byte-identical
+// across repeats.
 //
 // The package imports only internal/sim and internal/obs, keeping it
 // usable from every layer (vm, cluster, controlplane) without cycles.

@@ -3,8 +3,8 @@
 //
 // sync.Pool is deliberately not used: its per-P caches and GC-driven
 // eviction make object reuse order depend on scheduler timing, and the
-// simulator's contract is that every run is byte-identical for a seed
-// at any shard count. A Free list is a plain LIFO owned by one lane (or
+// simulator's contract is that every run is byte-identical for a
+// seed. A Free list is a plain LIFO owned by one lane (or
 // by the root between barriers): reuse order is exactly put order,
 // which the deterministic event schedule fixes.
 //

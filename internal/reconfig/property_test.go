@@ -101,7 +101,7 @@ func TestPropertyBudgetInvariant(t *testing.T) {
 				b.Release()
 				held--
 			}
-			if int(b.inFlight.Load()) != held || held > limit {
+			if b.inFlight != held || held > limit {
 				return false
 			}
 		}

@@ -8,7 +8,6 @@ package reconfig
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"protean/internal/ewma"
 	"protean/internal/gpu"
@@ -207,14 +206,13 @@ func (p *Planner) choose(in PlanInput) gpu.Geometry {
 }
 
 // Budget limits how many GPUs may reconfigure simultaneously
-// (~30% per §4.4). Acquisition only happens in root-simulation
-// context (the monitor tick), but completed reconfigurations release
-// their slot from node-lane context — possibly several lanes inside
-// one phase — so the in-flight count is atomic.
+// (~30% per §4.4). Acquisition happens in root-simulation context (the
+// monitor tick) and completed reconfigurations release their slot from
+// node-lane context; both run on the simulation's one goroutine.
 type Budget struct {
 	total    int
 	maxFrac  float64
-	inFlight atomic.Int32
+	inFlight int
 }
 
 // NewBudget returns a budget over total GPUs with the given maximum
@@ -233,24 +231,23 @@ func NewBudget(total int, frac float64) (*Budget, error) {
 }
 
 // TryAcquire reserves a reconfiguration slot, returning false when the
-// simultaneous-reconfiguration cap is reached. Root context only: all
-// acquisitions happen on the monitor tick, never concurrently.
+// simultaneous-reconfiguration cap is reached.
 func (b *Budget) TryAcquire() bool {
 	limit := int(b.maxFrac * float64(b.total))
 	if limit < 1 {
 		limit = 1
 	}
-	if int(b.inFlight.Load()) >= limit {
+	if b.inFlight >= limit {
 		return false
 	}
-	b.inFlight.Add(1)
+	b.inFlight++
 	return true
 }
 
-// Release returns a slot after a reconfiguration completes. Safe from
-// concurrent lane phases.
+// Release returns a slot after a reconfiguration completes. A release
+// with no slot held is a no-op.
 func (b *Budget) Release() {
-	if b.inFlight.Add(-1) < 0 {
-		b.inFlight.Add(1)
+	if b.inFlight > 0 {
+		b.inFlight--
 	}
 }

@@ -127,8 +127,8 @@ func TestBudgetCapsConcurrentReconfigs(t *testing.T) {
 	if b.TryAcquire() {
 		t.Fatal("third acquisition should be rejected")
 	}
-	if int(b.inFlight.Load()) != 2 {
-		t.Errorf("InFlight = %d, want 2", int(b.inFlight.Load()))
+	if b.inFlight != 2 {
+		t.Errorf("InFlight = %d, want 2", b.inFlight)
 	}
 	b.Release()
 	if !b.TryAcquire() {
@@ -149,8 +149,8 @@ func TestBudgetAlwaysAllowsAtLeastOne(t *testing.T) {
 	}
 	b.Release()
 	b.Release() // extra release is a no-op
-	if int(b.inFlight.Load()) != 0 {
-		t.Errorf("InFlight = %d, want 0", int(b.inFlight.Load()))
+	if b.inFlight != 0 {
+		t.Errorf("InFlight = %d, want 0", b.inFlight)
 	}
 }
 

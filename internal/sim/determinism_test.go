@@ -17,13 +17,13 @@ import (
 	"protean/internal/experiments"
 )
 
-func runScenario(t *testing.T, seed int64, opts ...protean.Option) []byte {
+func runScenario(t *testing.T, seed int64) []byte {
 	t.Helper()
-	p, err := protean.New(append([]protean.Option{
+	p, err := protean.New(
 		protean.WithScheme(protean.SchemePROTEAN),
 		protean.WithSeed(seed),
-		protean.WithWarmup(5 * time.Second),
-	}, opts...)...)
+		protean.WithWarmup(5*time.Second),
+	)
 	if err != nil {
 		t.Fatalf("new platform: %v", err)
 	}
@@ -85,22 +85,5 @@ func TestParallelRunScenariosMatchesSequential(t *testing.T) {
 	par := runFig5(8)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("parallel run diverged from sequential:\n sequential: %s\n parallel:   %s", seq, par)
-	}
-}
-
-// TestShardedScenarioMatchesInline is the within-scenario half of that
-// contract: the shard worker count (lanes fanned across goroutines
-// between barriers) must not change a single byte of the result,
-// across several seeds.
-func TestShardedScenarioMatchesInline(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		inline := runScenario(t, seed, protean.WithShards(1))
-		for _, shards := range []int{2, 4} {
-			sharded := runScenario(t, seed, protean.WithShards(shards))
-			if !bytes.Equal(inline, sharded) {
-				t.Fatalf("seed %d: -shards %d diverged from -shards 1:\n inline:  %s\n sharded: %s",
-					seed, shards, inline, sharded)
-			}
-		}
 	}
 }

@@ -264,13 +264,12 @@ func (m *refSim) kill(r int) {
 // events and from before the run. Each sim's fire sequence must be its
 // live armings sorted by (at, seq); each lane event must fire before the
 // first root event at or after its time that was not yet run when it
-// was armed; Pending must match throughout; and the result must not
-// depend on the worker count.
+// was armed; Pending must match throughout; and Executed must count
+// every fire.
 func TestTimerQueueMatchesReference(t *testing.T) {
 	const horizon, armUntil = 60.0, 50.0
-	run := func(seed int64, workers int) ([][]refTimer, uint64) {
+	run := func(seed int64) uint64 {
 		s := New(seed)
-		s.SetWorkers(workers)
 		models := []*refSim{{sim: s}}
 		for i := 0; i < 3; i++ {
 			models = append(models, &refSim{sim: s.Lane(fmt.Sprintf("node/%d", i))})
@@ -280,8 +279,6 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 		}
 		root := models[0]
 		var ops func(m, target *refSim)
-		// Lane callbacks may run on pool workers, so they report with
-		// Errorf rather than Fatalf.
 		fire := func(m *refSim, r int) {
 			rec := &m.recs[r]
 			if !rec.live || rec.fired || m.sim.Now() != rec.at {
@@ -378,7 +375,6 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var total uint64
-		logs := make([][]refTimer, len(models))
 		for i, m := range models {
 			var want []int
 			for r, rec := range m.recs {
@@ -394,10 +390,7 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 				return x.seq < y.seq
 			})
 			if fmt.Sprint(m.fired) != fmt.Sprint(want) {
-				t.Fatalf("seed %d workers %d sim %d: fired %v, reference %v", seed, workers, i, m.fired, want)
-			}
-			for _, r := range m.fired {
-				logs[i] = append(logs[i], m.recs[r])
+				t.Fatalf("seed %d sim %d: fired %v, reference %v", seed, i, m.fired, want)
 			}
 			total += uint64(len(m.fired))
 		}
@@ -413,21 +406,19 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 					want = rec.armedAfter
 				}
 				if rec.firedAfter != want {
-					t.Fatalf("seed %d workers %d lane %d: event at %v fired after %d root events, want %d",
-						seed, workers, i, rec.at, rec.firedAfter, want)
+					t.Fatalf("seed %d lane %d: event at %v fired after %d root events, want %d",
+						seed, i, rec.at, rec.firedAfter, want)
 				}
 			}
 		}
-		return logs, total
+		if got := s.Executed(); got != total {
+			t.Fatalf("seed %d: Executed = %d, %d events fired", seed, got, total)
+		}
+		return total
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		want, wantTotal := run(seed, 1)
-		if wantTotal < 100 {
-			t.Fatalf("seed %d: only %d events fired; the workload is too thin", seed, wantTotal)
-		}
-		got, gotTotal := run(seed, 4)
-		if fmt.Sprint(got) != fmt.Sprint(want) || gotTotal != wantTotal {
-			t.Fatalf("seed %d: workers=4 fired %d events, differently from workers=1 (%d)", seed, gotTotal, wantTotal)
+		if total := run(seed); total < 100 {
+			t.Fatalf("seed %d: only %d events fired; the workload is too thin", seed, total)
 		}
 	}
 }

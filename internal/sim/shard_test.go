@@ -1,6 +1,6 @@
 package sim
 
-// Regression tests for the sharded event loop and the bugfixes that
+// Regression tests for the lane event loop and the bugfixes that
 // shipped with it: the RunUntil clock clamp, Reschedule of a cancelled
 // timer, Ticker.Stop teardown, the lane barrier's skip of idle phases,
 // and the Child stream-derivation contract the lanes are built on.
@@ -183,7 +183,8 @@ func TestChildStreamsStableAndIndependent(t *testing.T) {
 	}
 
 	// Lane creation (itself a Child derivation) must not shift it either
-	// — this is what makes draws identical across shard counts.
+	// — this is what keeps draws independent of how many lanes a run
+	// builds.
 	for _, lanes := range []int{1, 4} {
 		s := New(7)
 		for i := 0; i < lanes; i++ {
@@ -212,14 +213,14 @@ func (c *collectTracer) Enabled() bool     { return true }
 func (c *collectTracer) Emit(ev obs.Event) { c.events = append(c.events, ev) }
 
 // TestLanePhasesDeterministicAcrossWorkerCounts runs the same lane
-// workload inline and across a worker pool and asserts identical
-// merged traces, executed-event counts, and clocks. Lane events emit
+// workload twice and asserts identical merged traces, executed-event
+// counts and clocks, and that the merged trace reads in time order
+// although each phase runs one lane after another. Lane events emit
 // through the lane's Tracer (buffered during phases, merged at the
-// barrier), which is the supported concurrency-safe path.
+// barrier).
 func TestLanePhasesDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) ([]obs.Event, uint64, float64) {
+	run := func() ([]obs.Event, uint64, float64) {
 		s := New(3)
-		s.SetWorkers(workers)
 		tr := &collectTracer{}
 		s.SetTracer(tr)
 		lanes := make([]*Sim, 4)
@@ -257,28 +258,31 @@ func TestLanePhasesDeterministicAcrossWorkerCounts(t *testing.T) {
 		tick.Stop()
 		for _, ln := range lanes {
 			if ln.Now() != 10 {
-				t.Fatalf("workers=%d: lane clock %v not synchronised to horizon", workers, ln.Now())
+				t.Fatalf("lane clock %v not synchronised to horizon", ln.Now())
 			}
 		}
 		return tr.events, s.Executed(), s.Now()
 	}
 
-	wantEvents, wantExec, wantNow := run(1)
+	wantEvents, wantExec, wantNow := run()
 	if len(wantEvents) == 0 || wantExec == 0 {
-		t.Fatal("inline run produced no events; the workload is vacuous")
+		t.Fatal("run produced no events; the workload is vacuous")
 	}
-	for _, workers := range []int{2, 4} {
-		events, exec, now := run(workers)
-		if exec != wantExec || now != wantNow {
-			t.Fatalf("workers=%d: executed=%d now=%v, want %d and %v", workers, exec, now, wantExec, wantNow)
+	for i := 1; i < len(wantEvents); i++ {
+		if wantEvents[i].T < wantEvents[i-1].T {
+			t.Fatalf("trace event %d at %v follows one at %v: the merge is not in time order", i, wantEvents[i].T, wantEvents[i-1].T)
 		}
-		if len(events) != len(wantEvents) {
-			t.Fatalf("workers=%d: %d trace events, want %d", workers, len(events), len(wantEvents))
-		}
-		for i := range events {
-			if events[i] != wantEvents[i] {
-				t.Fatalf("workers=%d: trace event %d = %+v, want %+v", workers, i, events[i], wantEvents[i])
-			}
+	}
+	events, exec, now := run()
+	if exec != wantExec || now != wantNow {
+		t.Fatalf("repeat: executed=%d now=%v, want %d and %v", exec, now, wantExec, wantNow)
+	}
+	if len(events) != len(wantEvents) {
+		t.Fatalf("repeat: %d trace events, want %d", len(events), len(wantEvents))
+	}
+	for i := range events {
+		if events[i] != wantEvents[i] {
+			t.Fatalf("repeat: trace event %d = %+v, want %+v", i, events[i], wantEvents[i])
 		}
 	}
 }

@@ -6,18 +6,19 @@
 // order they were scheduled, which makes every experiment exactly
 // reproducible for a given seed.
 //
-// # Sharded execution
+// # Lanes
 //
-// A root simulation can host lanes (per-shard child simulations, see
-// Lane): each lane owns its own timer heap, clock, and derived random
-// stream, and lane events run independently between the root's events.
-// Every root event is a synchronisation barrier — lanes first execute
-// everything scheduled up to (and including) the root event's
-// timestamp, then the root event runs exclusively and may touch any
-// lane's state. The phase schedule, each lane's event order, and the
-// merged trace are all pure functions of the event timestamps, so the
-// output is byte-identical whether phases run inline (SetWorkers(1))
-// or across a worker pool (SetWorkers(n)).
+// A root simulation can host lanes (per-node child simulations, see
+// Lane): each lane owns its own timer heap, clock, sequence counter
+// and derived random stream. Every root event is a barrier: before it
+// runs, each lane in turn executes everything it has scheduled up to
+// (and including) the root event's timestamp; then the root event runs
+// and may touch any lane's state. Everything runs on the caller's
+// goroutine. Lane trace events are buffered during a phase and merged
+// into the root tracer in (time, lane, emission) order at the barrier,
+// so the trace reads in time order although the phase ran one lane
+// after another. The phase schedule, each lane's event order and the
+// merged trace are pure functions of the event timestamps.
 //
 // The one exception is a skipped idle tick (see Ticker.SkipWhile): when
 // a root ticker's next ticks have no lane event and no other root event
@@ -58,8 +59,8 @@ func newStream(seed uint64) *Stream {
 // seed is a splitmix64 finalizer over the parent seed XOR an FNV-1a
 // hash of the label, so derivation consumes nothing from the parent
 // stream: a child's values depend only on (root seed, derivation
-// labels), never on how many draws the parent made, how many shards
-// the run uses, or in what order sibling subsystems were built. This
+// labels), never on how many draws the parent made or in what order
+// sibling subsystems (lanes included) were built. This
 // is the blessed pattern for giving a subsystem its own stream —
 // derive once at construction, store the child, and never touch the
 // shared parent again.
@@ -158,33 +159,24 @@ type Sim struct {
 	tracer   obs.Tracer
 	executed uint64 // events run by this sim's own loop (excludes lanes)
 
-	// Sharded execution. A root sim owns lanes; a lane points back at
-	// its root through parent and never has lanes of its own.
-	parent  *Sim
-	label   string
-	lanes   []*Sim
-	workers int
+	// Lanes. A root sim owns lanes; a lane points back at its root
+	// through parent and never has lanes of its own.
+	parent *Sim
+	lanes  []*Sim
 
 	// Root-only phase machinery. laneNext is a lower bound on every
 	// lane's next event time: a barrier below it has no lane work.
-	inPhase     bool // a lane phase is executing; lane tracers buffer
-	laneNext    float64
-	pool        *workerPool
-	phaseActive []*Sim
-	evScratch   []obs.Event
-	skippers    []*Ticker // live tickers registered with SkipWhile
+	inPhase   bool // a lane phase is executing; lane tracers buffer
+	laneNext  float64
+	evScratch []obs.Event
+	skippers  []*Ticker // live tickers registered with SkipWhile
 
-	// Lane-only phase machinery: buffered trace events and the reusable
-	// phase thunk the worker pool runs (opaque to the pool, so lane
-	// execution stays off every goroutine's static callgraph).
-	buf   []obs.Event
-	bound float64
-	thunk func()
+	buf []obs.Event // lane only: trace events buffered during a phase
 }
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: newStream(uint64(seed)), workers: 1}
+	return &Sim{rng: newStream(uint64(seed))}
 }
 
 // SetTracer installs the observability tracer every component driven by
@@ -225,7 +217,7 @@ func (s *Sim) Now() float64 {
 // Rand returns the simulation's deterministic random stream. Subsystems
 // must not draw from it directly once the run starts — derive a child
 // with Rand().Child(label) at construction instead, so draw order stays
-// confined to one owner and sharded lanes cannot reorder it.
+// confined to one owner and lanes cannot reorder it.
 func (s *Sim) Rand() *Stream { return s.rng }
 
 // Executed returns the number of events executed so far, including
@@ -239,37 +231,24 @@ func (s *Sim) Executed() uint64 {
 	return n
 }
 
-// Lane creates a child simulation (a shard) on the root s. A lane owns
-// its own clock, timer heap, sequence counter, and a random stream
-// derived as Rand().Child("lane/"+label) — stable across shard counts.
-// Lanes advance between the root's events (see RunUntil); code running
-// on a lane must only touch that lane's state, while root events run
-// exclusively and may touch any lane. Lanes cannot be nested.
+// Lane creates a child simulation on the root s. A lane owns its own
+// clock, timer heap, sequence counter, and a random stream derived as
+// Rand().Child("lane/"+label). Lanes advance between the root's events
+// (see RunUntil); code running on a lane must only touch that lane's
+// state, while root events may touch any lane. Lanes cannot be nested.
 func (s *Sim) Lane(label string) *Sim {
 	if s.parent != nil {
 		panic("sim: lanes cannot be nested")
 	}
-	ln := &Sim{
-		rng:     s.rng.Child("lane/" + label),
-		parent:  s,
-		label:   label,
-		workers: 1,
-	}
-	ln.thunk = func() { ln.runTo(ln.bound) }
+	ln := &Sim{rng: s.rng.Child("lane/" + label), parent: s}
 	s.lanes = append(s.lanes, ln)
 	return ln
 }
 
-// SetWorkers sets how many OS goroutines execute lane phases: 1 runs
-// every phase inline on the caller's goroutine, n > 1 fans independent
-// lanes across n workers. The schedule, the per-lane event order, and
-// the merged trace do not depend on the setting — only wall clock does.
-func (s *Sim) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
+// SetWorkers does nothing: lane phases always run on the caller's
+// goroutine. It stays only because the perfbench module still calls it;
+// ROADMAP item 9, the benchmark re-baseline, deletes it.
+func (s *Sim) SetWorkers(int) {}
 
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error; scheduling exactly at Now is allowed and fires before time
@@ -337,12 +316,11 @@ func (s *Sim) Run() error { return s.RunUntil(math.Inf(1)) }
 // horizon already in the past leaves it untouched.
 //
 // With lanes present, RunUntil alternates lane phases and root events:
-// before each root event at time t, every lane executes all of its
-// events with timestamps <= t (lanes are mutually independent, so
-// phases may fan out across SetWorkers goroutines), and then the root
-// event runs exclusively; every lane then reads t as its time (see Now).
-// Lane events at exactly the root's timestamp therefore run before the
-// root event — a fixed, documented tie rule.
+// before each root event at time t, every lane in turn executes all of
+// its events with timestamps <= t, and then the root event runs; every
+// lane then reads t as its time (see Now). Lane events at exactly the
+// root's timestamp therefore run before the root event — a fixed,
+// documented tie rule.
 func (s *Sim) RunUntil(horizon float64) error {
 	if s.parent != nil {
 		return errors.New("sim: lanes are driven by their root simulation")
@@ -350,7 +328,7 @@ func (s *Sim) RunUntil(horizon float64) error {
 	if len(s.lanes) == 0 {
 		return s.runLocal(horizon)
 	}
-	return s.runSharded(horizon)
+	return s.runWithLanes(horizon)
 }
 
 // runLocal is the classic single-heap event loop.
@@ -374,18 +352,8 @@ func (s *Sim) runLocal(horizon float64) error {
 	return nil
 }
 
-// runSharded is the lane-aware loop documented on RunUntil.
-func (s *Sim) runSharded(horizon float64) error {
-	if s.workers > 1 && s.pool == nil {
-		// The pool is scoped to one run so idle sims hold no goroutines;
-		// channel capacities cover every lane so a phase can enqueue all
-		// of its work without anyone blocking on a full buffer.
-		s.pool = newWorkerPool(s.workers-1, len(s.lanes))
-		defer func() {
-			s.pool.close()
-			s.pool = nil
-		}()
-	}
+// runWithLanes is the barrier loop documented on RunUntil.
+func (s *Sim) runWithLanes(horizon float64) error {
 	for {
 		rootNext := s.peekTime()
 		if bound := math.Min(rootNext, horizon); bound >= s.laneNext {
@@ -477,50 +445,31 @@ func (s *Sim) peekTime() float64 {
 	return s.queue[0].at
 }
 
-// runLanePhase executes every lane event with timestamp <= bound and
-// recomputes laneNext. The root loop skips it for a barrier below
-// laneNext; that is most barriers, since the root's dispatch quantum
-// ticks far more often than lanes have work (and an idle quantum is
-// not even a barrier: skipIdleTicks passes over it). Lane clocks are not
-// synchronised here: Now reads a lane as at least the root's clock.
-// Lanes are independent, so when a pool exists the phase fans out;
-// results are identical either way because each lane's events run
-// sequentially on exactly one goroutine and lanes share no state until
-// the next barrier.
+// runLanePhase runs, lane by lane, every lane event with timestamp
+// <= bound and recomputes laneNext. The root loop skips it for a
+// barrier below laneNext; that is most barriers, since the root's
+// dispatch quantum ticks far more often than lanes have work (and an
+// idle quantum is not even a barrier: skipIdleTicks passes over it).
+// Lane clocks are not synchronised here: Now reads a lane as at least
+// the root's clock.
 func (s *Sim) runLanePhase(bound float64) {
-	active := s.phaseActive[:0]
+	s.inPhase = true
+	ran := false
 	next := math.Inf(1)
 	for _, ln := range s.lanes {
-		if t := ln.peekTime(); t <= bound {
-			active = append(active, ln)
-		} else if t < next {
+		t := ln.peekTime()
+		if t <= bound {
+			ln.runTo(bound)
+			ran = true
+			t = ln.peekTime()
+		}
+		if t < next {
 			next = t
 		}
 	}
-	s.phaseActive = active[:0]
-	if len(active) > 0 {
-		s.inPhase = true
-		if s.pool != nil && len(active) > 1 {
-			for _, ln := range active[1:] {
-				ln.bound = bound
-				s.pool.submit(ln.thunk)
-			}
-			active[0].bound = bound
-			active[0].thunk()
-			s.pool.wait(len(active) - 1)
-		} else {
-			for _, ln := range active {
-				ln.runTo(bound)
-			}
-		}
-		s.inPhase = false
+	s.inPhase = false
+	if ran {
 		s.flushLaneEvents()
-	}
-	// Only the lanes that ran have new heads.
-	for _, ln := range active {
-		if t := ln.peekTime(); t < next {
-			next = t
-		}
 	}
 	s.laneNext = next
 }
@@ -541,11 +490,10 @@ func (ln *Sim) runTo(bound float64) {
 }
 
 // flushLaneEvents merges the trace events lanes buffered during the
-// phase into the root tracer in (time, lane index, emission order) —
-// a total order independent of how the phase was scheduled. Each
-// lane's buffer is already time-sorted (lanes execute in time order),
-// so a stable sort over the index-ordered concatenation realises the
-// merge.
+// phase into the root tracer in (time, lane index, emission order).
+// Each lane's buffer is already time-sorted (a lane executes in time
+// order), so a stable sort over the index-ordered concatenation
+// realises the merge.
 func (s *Sim) flushLaneEvents() {
 	if s.tracer == nil || !s.tracer.Enabled() {
 		return
@@ -570,10 +518,10 @@ func (s *Sim) flushLaneEvents() {
 }
 
 // laneTracer routes a lane's trace events to the root tracer: buffered
-// while a lane phase is executing (many lanes emit concurrently; the
-// root merges deterministically at the barrier), passed straight
-// through in root context where emission order is already the global
-// event order.
+// while a lane phase is executing (the phase runs one lane after
+// another; the root merges them in time order at the barrier), passed
+// straight through in root context, where emission order is already
+// the global event order.
 type laneTracer struct{ ln *Sim }
 
 func (lt laneTracer) Enabled() bool {
@@ -589,45 +537,6 @@ func (lt laneTracer) Emit(ev obs.Event) {
 	}
 	root.Tracer().Emit(ev)
 }
-
-// workerPool runs opaque thunks across a fixed set of goroutines. The
-// thunks a phase submits are closures over disjoint lanes, and the
-// submit/wait channel pair carries the happens-before edges that make
-// each phase a fork-join region.
-type workerPool struct {
-	tasks chan func()
-	done  chan struct{}
-}
-
-// newWorkerPool starts n workers; cap bounds how many tasks can be in
-// flight, sized so submit and done never block each other.
-func newWorkerPool(n, cap int) *workerPool {
-	if cap < n {
-		cap = n
-	}
-	p := &workerPool{tasks: make(chan func(), cap), done: make(chan struct{}, cap)}
-	for i := 0; i < n; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *workerPool) worker() {
-	for f := range p.tasks {
-		f()
-		p.done <- struct{}{}
-	}
-}
-
-func (p *workerPool) submit(f func()) { p.tasks <- f }
-
-func (p *workerPool) wait(n int) {
-	for i := 0; i < n; i++ {
-		<-p.done
-	}
-}
-
-func (p *workerPool) close() { close(p.tasks) }
 
 // Ticker invokes a function on a fixed period until stopped.
 type Ticker struct {

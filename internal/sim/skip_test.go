@@ -3,7 +3,7 @@ package sim
 // Equivalence tests for Ticker.SkipWhile: a root run that skips a
 // ticker's idle ticks must be indistinguishable from one that runs
 // them — the same firing log, the same Executed count and the same
-// final clock, inline and across a worker pool.
+// final clock.
 
 import (
 	"fmt"
@@ -145,10 +145,9 @@ type skipResult struct {
 // callbacks log the executed count so far (lane events included); lane
 // callbacks log how many root callbacks have run, which pins where each
 // lane event falls relative to the barriers.
-func runSkipSchedule(t *testing.T, s skipSchedule, skip bool, workers int) skipResult {
+func runSkipSchedule(t *testing.T, s skipSchedule, skip bool) skipResult {
 	t.Helper()
 	sim := New(1)
-	sim.SetWorkers(workers)
 	n := int(s.lanes)
 	lanes := make([]*Sim, n)
 	for i := range lanes {
@@ -194,7 +193,6 @@ func runSkipSchedule(t *testing.T, s skipSchedule, skip bool, workers int) skipR
 			case 1:
 				mail[l]++
 			case 2:
-				// MustAfter, not mustAt: this runs on a worker goroutine.
 				ln.MustAfter(s.delay(op.arg), func() {
 					res.Lanes[l] = append(res.Lanes[l], skipEntry{T: ln.Now(), ID: -id, Seen: rootFired})
 				})
@@ -262,16 +260,14 @@ func runSkipSchedule(t *testing.T, s skipSchedule, skip bool, workers int) skipR
 	return res
 }
 
-// checkSkipEquivalent runs s without the skip inline, then with and
-// without it at one and four workers, and requires identical results.
+// checkSkipEquivalent runs s without the skip, again without it and
+// then with it, and requires identical results.
 func checkSkipEquivalent(t *testing.T, s skipSchedule) {
 	t.Helper()
-	want := runSkipSchedule(t, s, false, 1)
-	for _, workers := range []int{1, 4} {
-		for _, skip := range []bool{false, true} {
-			if got := runSkipSchedule(t, s, skip, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("skip=%v workers=%d diverges from the unskipped inline run:\n got %+v\nwant %+v", skip, workers, got, want)
-			}
+	want := runSkipSchedule(t, s, false)
+	for _, skip := range []bool{false, true} {
+		if got := runSkipSchedule(t, s, skip); !reflect.DeepEqual(got, want) {
+			t.Fatalf("skip=%v diverges from the unskipped run:\n got %+v\nwant %+v", skip, got, want)
 		}
 	}
 }

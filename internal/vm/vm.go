@@ -415,7 +415,7 @@ func (f *Fleet) releaseNode(node int) {
 // spotAvailable samples whether a spot request succeeds right now.
 // Draws come from the fleet's own child stream: market events only
 // ever run in root-simulation context, so their order is the root
-// event order regardless of the shard count.
+// event order.
 func (f *Fleet) spotAvailable() bool {
 	return f.rng.Float64() >= f.cfg.Availability.PRev
 }

@@ -12,9 +12,9 @@ import (
 // %+v rendering of *Result (not JSON, which rejects the NaN compliance
 // a run without strict samples reports) for each trace shape, for the
 // options that shape how a run is built (procurement, chaos, GPU
-// generation, warmup, seed, shards) and for a best-effort-only and a
+// generation, warmup, seed) and for a best-effort-only and a
 // fast-rotating workload. A refactor of the run path must keep every
-// hash; shards 4 must hash like the inline run.
+// hash.
 func TestPlatformRunPinned(t *testing.T) {
 	const constant = "66955ff3645cd469dbb39fbcb0705c1b82d364f6c4d8fe6787a1b9a355cd1a1f"
 	w := Workload{StrictModel: "ResNet 50", MeanRPS: 600, Duration: 10 * time.Second}
@@ -30,7 +30,6 @@ func TestPlatformRunPinned(t *testing.T) {
 		want string
 	}{
 		{"constant", nil, w, constant},
-		{"shards 4", []Option{WithShards(4)}, w, constant},
 		{"wiki", nil, with(func(v *Workload) { v.Shape = TraceWiki }), "7ee7be82a364e37d64b8e8b1986e3e0f2530707b33bcba68fce788632faf2e86"},
 		{"twitter", nil, with(func(v *Workload) { v.Shape = TraceTwitter }), "d756f85a00733338f1f030b44dfcf4b7aa70fb3614be6d83b9da9d95432ed296"},
 		{"hybrid moderate", []Option{WithProcurement(ProcurementHybrid, SpotModerate)}, w, "6391ddaecbe1f52c6af2d230bcde3d50406c8d1d7d1afb12533361bb908997aa"},

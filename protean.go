@@ -151,10 +151,6 @@ type Config struct {
 	// the reference fault mix (0 disables — the default; 1 is the
 	// reference mix; see internal/chaos).
 	ChaosScale float64
-	// Shards is the within-scenario shard worker count (default 1).
-	// Results are byte-identical at every value; more shards only buy
-	// wall-clock speed on multi-node configurations.
-	Shards int
 }
 
 // Option mutates the configuration.
@@ -199,10 +195,6 @@ func WithTracer(t obs.Tracer) Option { return func(c *Config) { c.Tracer = t } }
 // 0 disables, leaving runs byte-identical to a chaos-free build). The
 // fault schedule is a pure function of the seed.
 func WithChaos(scale float64) Option { return func(c *Config) { c.ChaosScale = scale } }
-
-// WithShards sets how many worker goroutines advance the scenario's
-// per-node simulation lanes; the result does not depend on the value.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 
 // Platform is a configured serverless platform ready to serve workloads.
 type Platform struct {
@@ -386,7 +378,6 @@ func (p *Platform) Run(w Workload) (*Result, error) {
 		Duration: duration,
 		Warmup:   p.cfg.Warmup.Seconds(),
 		Seed:     p.cfg.Seed,
-		Shards:   p.cfg.Shards,
 		Chaos:    chaosCfg,
 	}, experiments.Scenario{
 		Strict:        strict,
