@@ -137,6 +137,9 @@ type node struct {
 	timeline  []GeometryEvent
 	completed int
 	dropped   int
+	// rows is complete's scratch buffer: one completed batch's recorded
+	// requests.
+	rows []metrics.BatchRow
 
 	// jobFree recycles gpu.Job objects for this node's placements. The
 	// list is touched from root barrier context (dispatch → place) and
@@ -194,7 +197,9 @@ type Cluster struct {
 	live bool
 
 	// Oracle support: per-window upcoming BE load, precomputed from the
-	// full trace.
+	// full trace only when lookahead is set, i.e. the node policy reads
+	// the next-window view (core.Lookahead).
+	lookahead       bool
 	windowBEBatches []int
 	windowBEMem     []float64
 }
@@ -261,6 +266,9 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 			if d, set := ov.ReconfigDowntime(); set {
 				g.ReconfigDowntime = d
 			}
+		}
+		if la, ok := pol.(core.Lookahead); ok && la.ReadsNextWindow() {
+			c.lookahead = true
 		}
 		if c.chaos != nil {
 			g.Faults = c.chaos
@@ -387,10 +395,12 @@ type Result struct {
 // unsorted trace is stably sorted in a copy, so one slice may be
 // replayed by many runs, concurrently too.
 func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
-	if duration <= 0 {
-		return nil, fmt.Errorf("cluster: duration %v must be positive", duration)
+	if err := checkHorizon(duration); err != nil {
+		return nil, err
 	}
-	c.precomputeWindows(reqs, duration)
+	if c.lookahead {
+		c.precomputeWindows(reqs, duration)
+	}
 
 	if !slices.IsSortedFunc(reqs, byArrival) {
 		// Sort a copy: the caller's slice may be shared with other runs.
@@ -399,14 +409,22 @@ func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 	}
 	n := sort.Search(len(reqs), func(i int) bool { return reqs[i].Arrival >= duration })
 	idx := 0
-	return c.runPump(func() (trace.Request, bool) {
+	return c.runPump(func() *trace.Request {
 		if idx >= n {
-			return trace.Request{}, false
+			return nil
 		}
-		r := reqs[idx]
 		idx++
-		return r, true
+		return &reqs[idx-1]
 	}, duration)
+}
+
+// checkHorizon rejects a run horizon that is not a positive, finite
+// number of seconds: a NaN or infinite one would never stop the run.
+func checkHorizon(duration float64) error {
+	if duration <= 0 || math.IsNaN(duration) || math.IsInf(duration, 1) {
+		return fmt.Errorf("cluster: duration %v must be positive and finite", duration)
+	}
+	return nil
 }
 
 // byArrival orders requests by arrival time.
@@ -417,18 +435,21 @@ func byArrival(a, b trace.Request) int { return cmp.Compare(a.Arrival, b.Arrival
 // Arrivals at or past the horizon end the pump. A streamed run gives
 // the Oracle no window view; every other policy ignores it.
 func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error) {
-	if duration <= 0 {
-		return nil, fmt.Errorf("cluster: duration %v must be positive", duration)
+	if err := checkHorizon(duration); err != nil {
+		return nil, err
 	}
 	if st == nil {
 		return nil, errors.New("cluster: nil stream")
 	}
-	return c.runPump(func() (trace.Request, bool) {
-		r, ok := st.Next()
-		if !ok || r.Arrival >= duration {
-			return trace.Request{}, false
+	// One buffer holds the current arrival; the batcher copies it before
+	// the pump pulls the next.
+	var cur trace.Request
+	return c.runPump(func() *trace.Request {
+		var ok bool
+		if cur, ok = st.Next(); !ok || cur.Arrival >= duration {
+			return nil
 		}
-		return r, true
+		return &cur
 	}, duration)
 }
 
@@ -438,27 +459,26 @@ func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error)
 // stays shallow and allocation-free no matter how large the trace is,
 // while each arrival still executes as its own event at its own
 // timestamp (batching behaviour is unchanged from the sorted-slice
-// walk).
-func (c *Cluster) runPump(next func() (trace.Request, bool), duration float64) (*Result, error) {
+// walk). next returns the next arrival, or nil at the end; the request
+// it points to must stay unchanged until the following call.
+func (c *Cluster) runPump(next func() *trace.Request, duration float64) (*Result, error) {
 	if c.fleet != nil {
 		if err := c.fleet.Start(); err != nil {
 			return nil, err
 		}
 	}
-	if cur, ok := next(); ok {
+	if cur := next(); cur != nil {
 		var pump *sim.Timer
 		var err error
 		pump, err = c.gateway.At(cur.Arrival, func() {
 			c.offered++
-			if err := c.batcher.Add(cur); err != nil {
+			if err := c.batcher.Add(*cur); err != nil {
 				c.dropped++
 			}
-			nxt, ok := next()
-			if !ok {
+			if cur = next(); cur == nil {
 				return
 			}
-			cur = nxt
-			if err := pump.Reschedule(nxt.Arrival); err != nil {
+			if err := pump.Reschedule(cur.Arrival); err != nil {
 				panic(err) // unreachable: arrivals are sorted, so never in the past
 			}
 		})
@@ -955,38 +975,41 @@ func (n *node) place(b *queue.Batch, cold float64) error {
 }
 
 // complete records metrics for every request in the batch and frees the
-// container.
+// container. The batch's requests share every sample field but their
+// latency, queueing delay and tenant, so they are recorded in one call.
 func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 	n.leave(b, true)
 	n.completed += b.Size()
-	base := j.Breakdown()
-	slo := b.Model.SLO(n.cluster.cfg.SLOMultiplier)
-	var liveSamples []metrics.Sample
-	for _, r := range b.Requests {
-		if r.Arrival < n.cluster.cfg.Warmup {
+	finished, started, warmup := j.Finished(), j.Started(), n.cluster.cfg.Warmup
+	rows := slices.Grow(n.rows[:0], len(b.Requests))
+	for i := range b.Requests {
+		r := &b.Requests[i]
+		if r.Arrival < warmup {
 			continue
 		}
 		// Arrival→finish wall time already spans the cold start (the
 		// container booted between dispatch and execution).
-		lat := j.Finished() - r.Arrival
-		bd := base
-		bd.Queue = math.Max(0, j.Started()-r.Arrival-j.ColdStart)
-		s := metrics.Sample{
-			Model:     b.Model.Name(),
-			Tenant:    r.Tenant,
-			Strict:    r.Strict,
-			Latency:   lat,
-			SLO:       slo,
-			Breakdown: bd,
-			Completed: j.Finished(),
-			Weight:    1,
-		}
-		n.recorder.Add(s)
-		if n.cluster.live {
-			liveSamples = append(liveSamples, s)
-		}
+		rows = append(rows, metrics.BatchRow{
+			Latency: finished - r.Arrival,
+			Queue:   math.Max(0, started-r.Arrival-j.ColdStart),
+			Tenant:  r.Tenant,
+		})
 	}
+	n.rows = rows
+	shared := metrics.Sample{
+		Model:     b.Model.Name(),
+		Strict:    b.Strict,
+		SLO:       b.Model.SLO(n.cluster.cfg.SLOMultiplier),
+		Breakdown: j.Breakdown(),
+		Completed: finished,
+		Weight:    1,
+	}
+	n.recorder.AddBatch(shared, rows)
 	if n.cluster.live {
+		var liveSamples []metrics.Sample
+		for _, rw := range rows {
+			liveSamples = append(liveSamples, rw.Sample(shared))
+		}
 		prof := ""
 		if sl := j.Slice(); sl != nil {
 			prof = sl.Prof.Name

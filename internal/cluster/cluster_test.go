@@ -252,6 +252,75 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadHorizon: a NaN or infinite horizon would never end
+// the run, so both entry points must refuse it, as they refuse a
+// negative one, whether or not the policy reads the window view.
+func TestRunRejectsBadHorizon(t *testing.T) {
+	reqs := genTrace(t, 100, 5, 0.5, "ResNet 50", nil, 3)
+	policies := map[string]core.Factory{"protean": core.NewProtean(core.ProteanConfig{}), "oracle": core.NewOracle()}
+	for _, tc := range []struct {
+		name     string
+		duration float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-1", -1},
+	} {
+		for _, pname := range []string{"protean", "oracle"} {
+			for _, stream := range []bool{false, true} {
+				s := sim.New(1)
+				c, err := New(s, Config{Nodes: 1, Policy: policies[pname]})
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				var res *Result
+				if stream {
+					st, serr := trace.NewStream(trace.Config{
+						Rate:     trace.Constant(100),
+						Mix:      trace.Mix{StrictFrac: 0.5, Strict: model.MustByName("ResNet 50")},
+						Duration: 5,
+						Seed:     3,
+					})
+					if serr != nil {
+						t.Fatalf("NewStream: %v", serr)
+					}
+					res, err = c.RunStream(st, tc.duration)
+				} else {
+					res, err = c.Run(reqs, tc.duration)
+				}
+				if err == nil || res != nil {
+					t.Errorf("%s, %s, stream %v: got (%v, %v), want an error", tc.name, pname, stream, res, err)
+				}
+			}
+		}
+	}
+}
+
+// TestLookaheadOnlyForOracle: the window view is derived from the trace
+// only for a policy that reads it.
+func TestLookaheadOnlyForOracle(t *testing.T) {
+	reqs := genTrace(t, 400, 10, 0.5, "ResNet 50", nil, 4)
+	for _, tc := range []struct {
+		name    string
+		policy  core.Factory
+		windows bool
+	}{
+		{"protean", core.NewProtean(core.ProteanConfig{}), false},
+		{"oracle", core.NewOracle(), true},
+	} {
+		c, err := New(sim.New(1), Config{Nodes: 2, Policy: tc.policy})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := c.Run(reqs, 10); err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		if got := c.windowBEBatches != nil; got != tc.windows {
+			t.Errorf("%s: window view derived = %v, want %v", tc.name, got, tc.windows)
+		}
+	}
+}
+
 func TestBreakdownConsistency(t *testing.T) {
 	reqs := genTrace(t, 900, 20, 0.5, "VGG 19", model.VisionLI(), 10)
 	res := runCluster(t, Config{Nodes: 1, Policy: core.NewINFlessLlama()}, reqs, 20, 10)

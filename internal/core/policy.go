@@ -27,7 +27,7 @@ type QueueView struct {
 	// footprint on a partial slice.
 	BEMemPerBatch float64
 	// NextWindowBEBatches is the true number of BE batches arriving in
-	// the NEXT window — available only to the Oracle.
+	// the NEXT window — available only to the Oracle (see Lookahead).
 	NextWindowBEBatches int
 	// NextWindowBEMemPerBatch is the true upcoming BE model footprint —
 	// available only to the Oracle.

@@ -15,6 +15,16 @@ type DowntimeOverrider interface {
 	ReconfigDowntime() (float64, bool)
 }
 
+// Lookahead is an optional Policy extension: schemes granted perfect
+// knowledge of upcoming load (the Oracle) read QueueView's NextWindowBE*
+// fields. The cluster derives them from the whole trace before a run,
+// and only for a policy that reads them; every other policy sees zeros.
+type Lookahead interface {
+	// ReadsNextWindow reports whether DesiredGeometry reads the
+	// next-window view.
+	ReadsNextWindow() bool
+}
+
 // ProteanConfig tunes the PROTEAN policy.
 type ProteanConfig struct {
 	// Est estimates model FBRs; nil uses ground truth. Production
@@ -115,7 +125,10 @@ type oraclePolicy struct {
 	proteanPolicy
 }
 
-var _ DowntimeOverrider = (*oraclePolicy)(nil)
+var (
+	_ DowntimeOverrider = (*oraclePolicy)(nil)
+	_ Lookahead         = (*oraclePolicy)(nil)
+)
 
 // NewOracle returns the Oracle: PROTEAN's policies with ground-truth
 // FBRs, perfect knowledge of upcoming BE load, no reconfiguration
@@ -133,6 +146,8 @@ func NewOracle() Factory {
 }
 
 func (o *oraclePolicy) ReconfigDowntime() (float64, bool) { return 0, true }
+
+func (o *oraclePolicy) ReadsNextWindow() bool { return true }
 
 func (o *oraclePolicy) DesiredGeometry(g *gpu.GPU, view QueueView) (gpu.Geometry, bool) {
 	o.planner.ObserveBEBatches(view.BEBatchesLastWindow)

@@ -343,8 +343,8 @@ func (r *Recorder) push(latency, queue float64, g group, model, tenant string) {
 	r.sortedOK = false
 }
 
-// tail returns the chunk push appends to: the last chunk while it
-// indexes r's own table and has room, else a new one. A recorder's
+// tail returns the chunk push and AddBatch append to: the last chunk
+// while it indexes r's own table and has room, else a new one. A recorder's
 // first chunk holds firstChunkRows rows and each next chunk of its own
 // twice the last, up to chunkRows, so small recorders stay small and no
 // row ever moves. (A clipped chunk of r's own merged back into r is
@@ -387,8 +387,13 @@ func (r *Recorder) Add(s Sample) {
 		return
 	}
 	r.materialize()
+	r.push(s.Latency, s.Breakdown.Queue, groupOf(&s), s.Model, s.Tenant)
+}
+
+// groupOf returns the group fields of s, all but the model id.
+func groupOf(s *Sample) group {
 	b := &s.Breakdown
-	r.push(s.Latency, b.Queue, group{
+	return group{
 		SLO:          s.SLO,
 		Completed:    s.Completed,
 		ColdStart:    b.ColdStart,
@@ -397,7 +402,71 @@ func (r *Recorder) Add(s Sample) {
 		Interference: b.Interference,
 		Weight:       s.Weight,
 		Strict:       s.Strict,
-	}, s.Model, s.Tenant)
+	}
+}
+
+// BatchRow is one request's own fields in a batch of samples that share
+// every other Sample field (see AddBatch).
+type BatchRow struct {
+	// Latency is the request's end-to-end latency in seconds.
+	Latency float64
+	// Queue is the request's Breakdown.Queue.
+	Queue float64
+	// Tenant is the request's owning tenant id.
+	Tenant string
+}
+
+// Sample returns the sample br stands for in a batch whose other fields
+// are shared's.
+func (br BatchRow) Sample(shared Sample) Sample {
+	shared.Latency = br.Latency
+	shared.Breakdown.Queue = br.Queue
+	shared.Tenant = br.Tenant
+	return shared
+}
+
+// AddBatch records one sample per row, rows[i].Sample(shared), and
+// stores exactly what one Add per sample would: a cluster node records
+// each completed batch with one call. An exact recorder interns the
+// model once and compares the shared fields with the tail group once
+// per chunk the rows reach, not once per row; a sketch-mode one adds
+// row by row.
+func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
+	if len(rows) == 0 {
+		return
+	}
+	if shared.Weight <= 0 {
+		shared.Weight = 1
+	}
+	if r.sk != nil {
+		if r.skSel != nil {
+			panic("metrics: Add on a sketch-mode view recorder")
+		}
+		for _, br := range rows {
+			r.addSketch(br.Sample(shared))
+		}
+		return
+	}
+	r.materialize()
+	if r.names == nil {
+		r.names = &nameTable{ids: make(map[string]uint32)}
+	}
+	g := groupOf(&shared)
+	g.model = r.names.intern(shared.Model, &r.lastModel)
+	r.weightSum += g.Weight * len(rows)
+	r.sortedOK = false
+	for len(rows) > 0 {
+		c := r.tail()
+		if n := len(c.groups); n == 0 || !c.groups[n-1].same(&g) {
+			c.groups = append(c.groups, g)
+		}
+		id := uint32(len(c.groups) - 1)
+		k := min(len(rows), cap(c.rows)-len(c.rows))
+		for _, br := range rows[:k] {
+			c.rows = append(c.rows, row{Latency: br.Latency, Queue: br.Queue, group: id, tenant: r.names.intern(br.Tenant, &r.lastTenant)})
+		}
+		rows = rows[k:]
+	}
 }
 
 func (r *Recorder) addSketch(s Sample) {

@@ -8,6 +8,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"protean/internal/model"
@@ -67,7 +68,10 @@ type Batcher struct {
 	window float64
 	emit   func(*Batch)
 
-	pending map[batchKey]*partialBatch
+	// pending holds the unsealed batches, at most one per (model name,
+	// strictness). It stays short — a gateway sees a handful of models —
+	// so Add finds a request's batch with a linear scan.
+	pending []*partialBatch
 	nextID  uint64
 
 	batchFree pool.Free[Batch]
@@ -75,11 +79,6 @@ type Batcher struct {
 	// reqFree recycles request-buffer capacity from released batches
 	// into new partial batches.
 	reqFree [][]trace.Request
-}
-
-type batchKey struct {
-	model  string
-	strict bool
 }
 
 // partialBatch is an unsealed batch. Its seal timer outlives the batch:
@@ -109,10 +108,9 @@ func NewBatcher(s *sim.Sim, window float64, emit func(*Batch)) (*Batcher, error)
 		return nil, errors.New("queue: nil emit func")
 	}
 	b := &Batcher{
-		sim:     s,
-		window:  window,
-		emit:    emit,
-		pending: make(map[batchKey]*partialBatch),
+		sim:    s,
+		window: window,
+		emit:   emit,
 	}
 	b.batchFree.Reset = func(x *Batch) { *x = Batch{} }
 	b.pbFree.Reset = func(x *partialBatch) { *x = partialBatch{timer: x.timer} }
@@ -147,9 +145,8 @@ func (b *Batcher) Add(req trace.Request) error {
 	if req.Model == nil {
 		return errors.New("queue: request without model")
 	}
-	key := batchKey{model: req.Model.Name(), strict: req.Strict}
-	pb, ok := b.pending[key]
-	if !ok {
+	pb := b.find(req.Model, req.Strict)
+	if pb == nil {
 		b.nextID++
 		pb = b.pbFree.Get()
 		pb.id = b.nextID
@@ -160,12 +157,10 @@ func (b *Batcher) Add(req trace.Request) error {
 			b.reqFree[n-1] = nil
 			b.reqFree = b.reqFree[:n-1]
 		}
-		b.pending[key] = pb
+		b.pending = append(b.pending, pb)
 		if pb.timer == nil {
-			// The one closure per shell reads the shell's current batch.
-			pb.timer = b.sim.MustAfter(b.window, func() {
-				b.seal(batchKey{model: pb.model.Name(), strict: pb.strict})
-			})
+			// The one closure per shell seals the shell's current batch.
+			pb.timer = b.sim.MustAfter(b.window, func() { b.seal(pb) })
 		} else if err := pb.timer.Reschedule(b.sim.Now() + b.window); err != nil {
 			panic(err) // as MustAfter would: now+window is finite and not in the past
 		}
@@ -180,7 +175,19 @@ func (b *Batcher) Add(req trace.Request) error {
 		tr.Emit(ev)
 	}
 	if len(pb.requests) >= req.Model.BatchSize() {
-		b.seal(key)
+		b.seal(pb)
+	}
+	return nil
+}
+
+// find returns the unsealed batch for model m and class strict, or nil.
+// Batches are keyed by model name, not pointer: a model built with
+// model.New may share a zoo model's name.
+func (b *Batcher) find(m *model.Model, strict bool) *partialBatch {
+	for _, pb := range b.pending {
+		if pb.strict == strict && (pb.model == m || pb.model.Name() == m.Name()) {
+			return pb
+		}
 	}
 	return nil
 }
@@ -195,30 +202,29 @@ func (b *Batcher) Pending() int {
 }
 
 // Flush seals every partial batch immediately (end of trace). Batches
-// are sealed in sorted key order so the emitted sequence — and every
-// queueing decision downstream of it — is reproducible.
+// are sealed in (model name, strict first) order so the emitted
+// sequence — and every queueing decision downstream of it — is
+// reproducible.
 func (b *Batcher) Flush() {
-	keys := make([]batchKey, 0, len(b.pending))
-	for key := range b.pending {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].model != keys[j].model {
-			return keys[i].model < keys[j].model
+	order := slices.Clone(b.pending)
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].model.Name() != order[j].model.Name() {
+			return order[i].model.Name() < order[j].model.Name()
 		}
-		return keys[i].strict && !keys[j].strict
+		return order[i].strict && !order[j].strict
 	})
-	for _, key := range keys {
-		b.seal(key)
+	for _, pb := range order {
+		b.seal(pb)
 	}
 }
 
-func (b *Batcher) seal(key batchKey) {
-	pb, ok := b.pending[key]
-	if !ok || len(pb.requests) == 0 {
+// seal emits pb's requests as a batch and takes pb off the pending list.
+func (b *Batcher) seal(pb *partialBatch) {
+	if len(pb.requests) == 0 {
 		return
 	}
-	delete(b.pending, key)
+	i := slices.Index(b.pending, pb)
+	b.pending = slices.Delete(b.pending, i, i+1)
 	pb.timer.Cancel()
 	batch := b.batchFree.Get()
 	batch.ID = pb.id

@@ -215,3 +215,44 @@ func TestSealTimerRearmAllocatesNothing(t *testing.T) {
 		t.Fatalf("a windowed batch allocates %v times, want 0", allocs)
 	}
 }
+
+// TestBatcherKeysBatchesByModelName: a model built with model.New may
+// share a zoo model's name, so one model name can reach the batcher
+// through two pointers; their requests must share one batch. Flush must
+// still seal in (model name, strict first) order whatever order the
+// batches opened in.
+func TestBatcherKeysBatchesByModelName(t *testing.T) {
+	s := sim.New(1)
+	resnet := model.MustByName("ResNet 50")
+	twin, err := model.New(resnet.Name(), resnet.Domain(), resnet.Class(), resnet.BatchSize(),
+		resnet.Solo7g(), resnet.FBR(), resnet.ComputeDemand(), 5.0, 0.25, 0.95, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	albert := model.MustByName("ALBERT")
+	var got []string
+	b, _ := NewBatcher(s, 100, func(batch *Batch) { got = append(got, batch.String()) })
+	for i, r := range []trace.Request{
+		req(resnet, false, 0, 1),
+		req(albert, false, 0, 2),
+		req(twin, true, 0, 3),
+		req(albert, true, 0, 4),
+		req(resnet, true, 0, 5),
+		req(twin, false, 0, 6),
+	} {
+		if err := b.Add(r); err != nil {
+			t.Fatalf("Add %d: %v", i, err)
+		}
+	}
+	if b.Pending() != 6 {
+		t.Fatalf("pending = %d, want 6", b.Pending())
+	}
+	b.Flush()
+	want := "[batch(ALBERT, strict, 1 reqs) batch(ALBERT, be, 1 reqs) batch(ResNet 50, strict, 2 reqs) batch(ResNet 50, be, 2 reqs)]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("flushed %v, want %s", got, want)
+	}
+	if b.Pending() != 0 {
+		t.Fatalf("pending after flush = %d, want 0", b.Pending())
+	}
+}
