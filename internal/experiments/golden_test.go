@@ -42,6 +42,41 @@ func TestFig2QuickGoldenHash(t *testing.T) {
 	}
 }
 
+// traceGoldens pins the SHA-256 of the Chrome and JSONL trace exports
+// of real quick-mode runs at seed 1. Unlike internal/obs's hand-built
+// fixture, these run the simulator, so they pin the engine's event
+// order: which events fire, at what time, and in what order events of
+// one instant reach the tracer. The chaos run adds fault, retry and
+// repair events on node lanes to fig2's arrival, batch and dispatch
+// events.
+var traceGoldens = []struct{ id, chrome, jsonl string }{
+	{"fig2",
+		"15243650ba709d15d0ae47cf67217e3def5665ac679119fd1695ff65b0e19b30",
+		"8611142e22b3ed553f74dd471d6bed71849f920ed202c62a9d8aada7418da632"},
+	{"chaos",
+		"73cffe39060327d68f8ee4b18ea1259364fd4130a345cae80fcc45662db75d49",
+		"d301f2217c85aeda4801484f9e53b9fec48f4c46571ff5b1fefc6077221c4097"},
+}
+
+func TestTraceGoldenHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig2 and the chaos sweep traced; skipped in -short")
+	}
+	hash := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for _, g := range traceGoldens {
+		got := renderTraced(t, g.id, Params{Quick: true, Seed: 1, Parallel: 1})
+		if h := hash(got.chrome); h != g.chrome {
+			t.Errorf("%s chrome trace hash = %s, want %s", g.id, h, g.chrome)
+		}
+		if h := hash(got.jsonl); h != g.jsonl {
+			t.Errorf("%s jsonl trace hash = %s, want %s", g.id, h, g.jsonl)
+		}
+	}
+}
+
 // TestChaosDisabledIsByteIdentical is the chaos-off identity property:
 // a Config with Enabled false — even one carrying non-zero fault rates —
 // must leave the run bit-for-bit identical to a build without the chaos
