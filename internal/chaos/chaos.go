@@ -205,9 +205,9 @@ type Targets interface {
 // node's queries draw from, the simulation those decisions are traced
 // on (the node's lane when the cluster binds one, the root otherwise),
 // and the counters that node accumulated. Each node's queries only
-// ever execute in that node's serialised context — its lane during a
-// phase, or the exclusive root — so no lock is needed and the draw
-// order is the node's own event order.
+// ever run in one of that node's lane events or in a root event, all
+// on one goroutine, so no lock is needed and the draw order is the
+// node's own event order.
 type nodeChaos struct {
 	sim   *sim.Sim
 	rng   *sim.Stream
@@ -287,8 +287,9 @@ func (inj *Injector) Start(t Targets, nodes int) {
 
 // BindLane routes node's fault decisions (their trace events and
 // clock reads) through s — the node's lane in the cluster — so a
-// query made while that lane is executing a phase never touches the
-// root simulation. Must be called after Start. Safe on nil.
+// query made from one of that lane's events is stamped with the
+// lane's clock, not the root's, which lags it. Must be called after
+// Start. Safe on nil.
 func (inj *Injector) BindLane(node int, s *sim.Sim) {
 	if inj == nil || node < 0 || node >= len(inj.perNode) || s == nil {
 		return
@@ -390,8 +391,8 @@ func (inj *Injector) armStorm() {
 // downtime begins: the downtime multiplier (1 when healthy) and
 // whether the geometry change aborts and rolls back. Implements the
 // gpu engine's ReconfigFaults hook; may run on the node's lane (a
-// drain can complete inside a lane phase), so it draws from the
-// node's stream and traces through the node's sim. Safe on nil.
+// drain can complete in a lane event), so it draws from the node's
+// stream and traces through the node's sim. Safe on nil.
 func (inj *Injector) SampleReconfig(node int) (stretch float64, abort bool) {
 	if inj == nil || inj.stopped {
 		return 1, false
@@ -468,8 +469,8 @@ func (inj *Injector) emit(kind obs.Kind, node int, batch uint64, detail string, 
 }
 
 // emitOn traces one chaos event through s — the sim whose context the
-// decision ran in, so lane-phase decisions buffer into the lane's
-// time-ordered merge instead of reaching the root tracer out of order.
+// decision ran in, so a decision made in a lane event is stamped with
+// that lane's clock.
 func (inj *Injector) emitOn(s *sim.Sim, kind obs.Kind, node int, batch uint64, detail string, value float64) {
 	tr := s.Tracer()
 	if !tr.Enabled() {

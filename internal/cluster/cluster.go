@@ -103,8 +103,8 @@ type heldBatch struct {
 
 // node is one GPU worker. Each node runs on its own simulation lane:
 // its GPU, scaler, jitter stream, and the counters below are only ever
-// touched from that lane's phases or from the root's barrier events,
-// so the node's event order is independent of every other lane.
+// touched from that lane's events or from the root's events, so the
+// node's event order is independent of every other lane.
 type node struct {
 	id      int
 	cluster *Cluster
@@ -254,8 +254,8 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: node %d geometry: %w", i, err)
 		}
 		// Everything node-local — GPU timers, scaler clock reads, jitter
-		// draws — lives on the node's lane so it advances independently
-		// of the other lanes between barriers.
+		// draws — lives on the node's lane, with its own clock and its
+		// place in the queue's tie order.
 		ns := s.Lane(fmt.Sprintf("node/%d", i))
 		g, err := gpu.NewGPU(ns, i, arch, geom, pol.Sharing())
 		if err != nil {
@@ -454,13 +454,15 @@ func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error)
 }
 
 // runPump starts the arrival pump over a pull-based request source and
-// runs the simulation to the horizon. One self-rescheduling timer pulls
-// the next arrival after pumping the current one, so the gateway's heap
-// stays shallow and allocation-free no matter how large the trace is,
-// while each arrival still executes as its own event at its own
-// timestamp (batching behaviour is unchanged from the sorted-slice
-// walk). next returns the next arrival, or nil at the end; the request
-// it points to must stay unchanged until the following call.
+// runs the simulation to the horizon. One self-re-arming timer pulls
+// the next arrival after pumping the current one, so the queue holds
+// one arrival timer and allocates nothing per request no matter how
+// large the trace is, while each arrival still executes as its own
+// event at its own timestamp. While the next arrival is also the next
+// event, the callback pumps it in a loop (sim.Timer.Continue) instead
+// of returning to the event loop. next returns the next arrival, or nil
+// at the end; the request it points to must stay unchanged until the
+// following call.
 func (c *Cluster) runPump(next func() *trace.Request, duration float64) (*Result, error) {
 	if c.fleet != nil {
 		if err := c.fleet.Start(); err != nil {
@@ -471,15 +473,21 @@ func (c *Cluster) runPump(next func() *trace.Request, duration float64) (*Result
 		var pump *sim.Timer
 		var err error
 		pump, err = c.gateway.At(cur.Arrival, func() {
-			c.offered++
-			if err := c.batcher.Add(*cur); err != nil {
-				c.dropped++
-			}
-			if cur = next(); cur == nil {
-				return
-			}
-			if err := pump.Reschedule(cur.Arrival); err != nil {
-				panic(err) // unreachable: arrivals are sorted, so never in the past
+			for {
+				c.offered++
+				if err := c.batcher.Add(*cur); err != nil {
+					c.dropped++
+				}
+				if cur = next(); cur == nil {
+					return
+				}
+				more, err := pump.Continue(cur.Arrival)
+				if err != nil {
+					panic(err) // unreachable: arrivals are sorted, so never in the past
+				}
+				if !more {
+					return
+				}
 			}
 		})
 		if err != nil {

@@ -73,7 +73,7 @@ type Params struct {
 	Parallel int
 	// Shards does nothing: a scenario's lanes always run on one
 	// goroutine. It stays only because the perfbench module still sets
-	// it; ROADMAP item 9, the benchmark re-baseline, deletes it.
+	// it; ROADMAP item 11, the benchmark re-baseline, deletes it.
 	Shards int
 	// Trace, when non-nil, collects lifecycle events from every
 	// scenario run. Collectors are registered in scenario order before

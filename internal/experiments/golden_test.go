@@ -25,10 +25,9 @@ import (
 // lane, per-node work moved to node lanes with lane-first tie ordering,
 // and sealed batches now dispatch at the next dispatch-quantum barrier
 // instead of instantly at seal time. Every drawn value and some event
-// interleavings changed, so all experiment numbers shifted; the new
-// contract is that this hash — and every report and trace — is
-// invariant under the -shards worker count (see the shard-identity
-// tests below).
+// interleavings changed, so all experiment numbers shifted. The
+// contract since is that this hash, and every report and trace, is the
+// same at any -parallel (see the parallel-identity tests below).
 const fig2QuickGolden = "f821b5ce18cfe6c782f34e0a16217551c130b5d2a500c6d6428c78de00253b59"
 
 func TestFig2QuickGoldenHash(t *testing.T) {
@@ -131,12 +130,12 @@ func TestChaosReportParallelIdentity(t *testing.T) {
 	}
 }
 
-// TestFig2ColdStartsParallelShardIdentity extends the determinism
+// TestFig2ColdStartsParallelIdentity extends the determinism
 // contract to the scheme and scaling-policy runs that fig2 and
 // coldstarts fan out through RunScenarios (fig2's five runs share one
 // read-only trace): reports and traces are byte-identical at -parallel
 // 1 vs 4.
-func TestFig2ColdStartsParallelShardIdentity(t *testing.T) {
+func TestFig2ColdStartsParallelIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fig2 and coldstarts twice each; skipped in -short")
 	}

@@ -53,7 +53,8 @@ func BenchmarkTimerReschedule(b *testing.B) {
 }
 
 // BenchmarkPending measures Sim.Pending at a large outstanding-timer
-// count; it is the queue's length, so the cost does not grow with it.
+// count; it is a counter the queue keeps, so the cost does not grow
+// with it.
 func BenchmarkPending(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("timers=%d", n), func(b *testing.B) {
@@ -71,8 +72,8 @@ func BenchmarkPending(b *testing.B) {
 
 // BenchmarkIdleBarrier measures one root dispatch quantum (a 5 ms
 // ticker) over 9 lanes that each have an event only every second or
-// so: almost every barrier finds no lane work and must cost almost
-// nothing. One op is one quantum.
+// so: almost every quantum has no lane event beside it and must cost
+// almost nothing. One op is one quantum.
 func BenchmarkIdleBarrier(b *testing.B) {
 	s := New(1)
 	for i := 0; i < 9; i++ {

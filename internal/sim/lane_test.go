@@ -1,9 +1,9 @@
 package sim
 
-// Regression tests for the lane event loop and the bugfixes that
-// shipped with it: the RunUntil clock clamp, Reschedule of a cancelled
-// timer, Ticker.Stop teardown, the lane barrier's skip of idle phases,
-// and the Child stream-derivation contract the lanes are built on.
+// Tests of lanes and the event loop around them: the RunUntil clock
+// clamp, Reschedule of a cancelled timer, Ticker.Stop teardown, lane
+// ordering and lazy lane clocks, and the Child stream-derivation
+// contract lanes are built on.
 
 import (
 	"fmt"
@@ -212,13 +212,11 @@ type collectTracer struct{ events []obs.Event }
 func (c *collectTracer) Enabled() bool     { return true }
 func (c *collectTracer) Emit(ev obs.Event) { c.events = append(c.events, ev) }
 
-// TestLanePhasesDeterministicAcrossWorkerCounts runs the same lane
-// workload twice and asserts identical merged traces, executed-event
-// counts and clocks, and that the merged trace reads in time order
-// although each phase runs one lane after another. Lane events emit
-// through the lane's Tracer (buffered during phases, merged at the
-// barrier).
-func TestLanePhasesDeterministicAcrossWorkerCounts(t *testing.T) {
+// TestLaneTraceRepeatableAndTimeOrdered runs the same lane workload
+// twice and asserts identical traces, executed-event counts and clocks,
+// and that the trace reads in time order. Lane events emit through the
+// lane's Tracer, which is the root's.
+func TestLaneTraceRepeatableAndTimeOrdered(t *testing.T) {
 	run := func() ([]obs.Event, uint64, float64) {
 		s := New(3)
 		tr := &collectTracer{}
@@ -242,7 +240,7 @@ func TestLanePhasesDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 			ln.MustAfter(at, step)
 		}
-		// Root barrier events interleaved with the lane work.
+		// Root events interleaved with the lane work.
 		ticks := 0
 		tick, err := s.Every(1, func() {
 			ticks++
@@ -270,7 +268,7 @@ func TestLanePhasesDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	for i := 1; i < len(wantEvents); i++ {
 		if wantEvents[i].T < wantEvents[i-1].T {
-			t.Fatalf("trace event %d at %v follows one at %v: the merge is not in time order", i, wantEvents[i].T, wantEvents[i-1].T)
+			t.Fatalf("trace event %d at %v follows one at %v: the trace is not in time order", i, wantEvents[i].T, wantEvents[i-1].T)
 		}
 	}
 	events, exec, now := run()
@@ -306,8 +304,8 @@ func TestLaneMisuseIsRejected(t *testing.T) {
 }
 
 // TestRootArmsLaneTimerAtNow: a root event that arms a lane timer at
-// root.Now() must see it fire before the next root event, even when
-// every earlier barrier skipped the lanes as idle.
+// root.Now() must see it fire before the next root event at that
+// instant, even though the lane's own clock never moved.
 func TestRootArmsLaneTimerAtNow(t *testing.T) {
 	s := New(1)
 	ln := s.Lane("node/0")
@@ -327,9 +325,9 @@ func TestRootArmsLaneTimerAtNow(t *testing.T) {
 }
 
 // TestLaneClockFollowsRootAfterSkippedPhase: lane clocks are lazy, so
-// after barriers that skipped an idle lane, the lane still reads the
-// root's time in root context, and a lane timer armed there is relative
-// to it.
+// after root events that an idle lane did not take part in, the lane
+// still reads the root's time in root context, and a lane timer armed
+// there is relative to it.
 func TestLaneClockFollowsRootAfterSkippedPhase(t *testing.T) {
 	s := New(1)
 	ln := s.Lane("node/0")
@@ -340,7 +338,7 @@ func TestLaneClockFollowsRootAfterSkippedPhase(t *testing.T) {
 	}
 	s.MustAfter(3, func() {
 		if ln.now == s.now {
-			t.Error("the lane's own clock moved: its phases were not skipped")
+			t.Error("the lane's own clock moved although none of its events ran")
 		}
 		if ln.Now() != s.Now() {
 			t.Errorf("lane.Now() = %v in root context, want root.Now() = %v", ln.Now(), s.Now())
@@ -355,5 +353,25 @@ func TestLaneClockFollowsRootAfterSkippedPhase(t *testing.T) {
 	}
 	if ln.Now() != 5 {
 		t.Fatalf("lane.Now() = %v after RunUntil(5), want 5", ln.Now())
+	}
+}
+
+// TestLaneClocksAfterDrain: Run with an infinite horizon leaves every
+// clock at its own last event. A root whose last event is at 3 reads 3,
+// and lanes whose last events are at 5 and 9 read 5 and 9, not a
+// shared end time. Figure 10b depends on this: gpu.(*GPU).Utilization
+// reads each node lane's clock after the cluster's final drain, so a
+// single global clock would shift every utilization row.
+func TestLaneClocksAfterDrain(t *testing.T) {
+	s := New(1)
+	a, b := s.Lane("node/0"), s.Lane("node/1")
+	s.MustAfter(3, func() {})
+	a.MustAfter(5, func() {})
+	b.MustAfter(9, func() {})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != 3 || a.Now() != 5 || b.Now() != 9 {
+		t.Fatalf("after drain: root %v, lanes %v and %v; want 3, 5 and 9", s.Now(), a.Now(), b.Now())
 	}
 }

@@ -258,17 +258,55 @@ func (m *refSim) kill(r int) {
 	m.pending--
 }
 
+// continueDelays are the re-arm delays a Continue chain draws from: 0
+// and the grid steps tie with queued timers, and 15 s from late in the
+// run lands past the horizon.
+var continueDelays = []float64{0, 0.5, 1, 15}
+
+// continueCase names the case a Continue call falls in and whether the
+// re-armed firing must run at once: only when the run is inside RunUntil,
+// at is within the horizon, and at sorts before the queue's head by
+// (time, rank).
+func continueCase(s *Sim, tm *Timer, at float64, running bool) (string, bool) {
+	switch {
+	case !running:
+		return "outside RunUntil", false
+	case at > s.horizon:
+		return "past the horizon", false
+	case len(s.queue) == 0:
+		return "empty queue", true
+	}
+	head := s.queue[0]
+	switch {
+	case at < head.at:
+		return "before the head", true
+	case at > head.at:
+		return "after the head", false
+	case tm.rank == head.rank:
+		return "tie, same rank", false
+	case tm.rank < head.rank:
+		return "tie, head of higher rank", true
+	}
+	return "tie, head of lower rank", false
+}
+
 // TestTimerQueueMatchesReference is a differential property test of the
-// timer core. Random At, Cancel, Reschedule, Every and Stop calls are
-// made across a root and three lanes, from root events, from lane
-// events and from before the run. Each sim's fire sequence must be its
-// live armings sorted by (at, seq); each lane event must fire before the
-// first root event at or after its time that was not yet run when it
-// was armed; Pending must match throughout; and Executed must count
-// every fire.
+// timer core. Random At, Cancel, Reschedule, Continue, Every and Stop
+// calls are made across a root and three lanes, from root events, from
+// lane events and from before the run. Continue re-arms self-re-arming
+// timers from their own callbacks, which run each firing it grants in a
+// loop, as the arrival pump does; the reference treats every Continue
+// as a Reschedule. Each sim's fire sequence must be its live armings
+// sorted by (at, seq); each lane event must fire before the first root
+// event at or after its time that was not yet run when it was armed;
+// Pending and Now must match throughout; and Executed must count every
+// fire. Across the seeds, Continue must meet every case continueCase
+// names but the empty queue.
 func TestTimerQueueMatchesReference(t *testing.T) {
 	const horizon, armUntil = 60.0, 50.0
+	cases := map[string]int{}
 	run := func(seed int64) uint64 {
+		running := false
 		s := New(seed)
 		models := []*refSim{{sim: s}}
 		for i := 0; i < 3; i++ {
@@ -308,7 +346,7 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 			now := target.sim.Now()
 			at := now + float64(m.rng.Intn(5))/2 // a coarse grid: plenty of ties
 			rootFired := len(root.fired)
-			switch op := m.rng.Intn(20); {
+			switch op := m.rng.Intn(23); {
 			case op < 6 && now < armUntil:
 				i := len(target.timers)
 				target.cur = append(target.cur, target.arm(at, rootFired))
@@ -335,6 +373,16 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 				i := m.rng.Intn(len(target.timers))
 				if target.cur[i] >= 0 {
 					target.kill(target.cur[i])
+				} else if !running {
+					// Continue on an idle timer outside RunUntil is
+					// Reschedule.
+					target.cur[i] = target.arm(at, rootFired)
+					name, _ := continueCase(s, target.timers[i], at, running)
+					if more, err := target.timers[i].Continue(at); more || err != nil {
+						t.Errorf("seed %d: Continue outside RunUntil = %v, %v", seed, more, err)
+					}
+					cases[name]++
+					return
 				}
 				if err := target.timers[i].Reschedule(at); err != nil {
 					t.Errorf("seed %d: Reschedule: %v", seed, err)
@@ -357,6 +405,41 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 					return
 				}
 				target.tickers = append(target.tickers, tk)
+			case op >= 20 && now < armUntil:
+				// A chain: each firing re-arms the timer with Continue
+				// unless the ops it ran re-armed it already, until a
+				// 1-in-4 draw or armUntil ends the chain.
+				i := len(target.timers)
+				target.cur = append(target.cur, target.arm(at, rootFired))
+				var tm *Timer
+				tm, err := target.sim.At(at, func() {
+					for {
+						r := target.cur[i]
+						target.cur[i] = -1
+						fire(target, r)
+						now := target.sim.Now()
+						if target.cur[i] >= 0 || now >= armUntil || target.rng.Intn(4) == 0 {
+							return
+						}
+						next := now + continueDelays[target.rng.Intn(len(continueDelays))]
+						name, want := continueCase(s, tm, next, running)
+						target.cur[i] = target.arm(next, len(root.fired))
+						more, err := tm.Continue(next)
+						if err != nil || more != want {
+							t.Errorf("seed %d: Continue (%s) = %v, %v; want %v", seed, name, more, err, want)
+							return
+						}
+						cases[name]++
+						if !more {
+							return
+						}
+					}
+				})
+				if err != nil {
+					t.Errorf("seed %d: At: %v", seed, err)
+					return
+				}
+				target.timers = append(target.timers, tm)
 			case op == 19 && len(target.tickers) > 0:
 				k := m.rng.Intn(len(target.tickers))
 				target.tickers[k].Stop()
@@ -371,9 +454,11 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			ops(root, models[i%len(models)])
 		}
+		running = true
 		if err := s.RunUntil(horizon); err != nil {
 			t.Fatal(err)
 		}
+		running = false
 		var total uint64
 		for i, m := range models {
 			var want []int
@@ -397,10 +482,10 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 		for i, m := range models[1:] {
 			for _, r := range m.fired {
 				rec := m.recs[r]
-				// The phase before each root event runs the lane events at
-				// or before its time, so a lane event fires just before the
-				// first root event at or after its time that had not run
-				// when the lane event was armed.
+				// Lane timers sort before root timers of the same instant,
+				// so a lane event fires just before the first root event at
+				// or after its time that had not run when the lane event
+				// was armed.
 				want := sort.Search(len(root.fired), func(k int) bool { return root.recs[root.fired[k]].at >= rec.at })
 				if rec.armedAfter > want {
 					want = rec.armedAfter
@@ -421,4 +506,13 @@ func TestTimerQueueMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: only %d events fired; the workload is too thin", seed, total)
 		}
 	}
+	// An empty queue is not required: with dozens of timers armed it
+	// rarely occurs.
+	for _, name := range []string{"outside RunUntil", "past the horizon", "before the head",
+		"after the head", "tie, same rank", "tie, head of higher rank", "tie, head of lower rank"} {
+		if cases[name] == 0 {
+			t.Errorf("no Continue call hit the case %q: %v", name, cases)
+		}
+	}
+	t.Logf("Continue cases: %v", cases)
 }

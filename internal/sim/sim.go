@@ -2,33 +2,34 @@
 //
 // All of PROTEAN's substrates (the GPU model, the cluster, the spot-VM
 // market) run in virtual time on top of this engine. Time is measured in
-// seconds as float64. Events scheduled for the same instant fire in the
-// order they were scheduled, which makes every experiment exactly
+// seconds as float64. One simulation's events scheduled for the same
+// instant fire in the order they were scheduled (lanes, below, add a
+// rank between simulations), which makes every experiment exactly
 // reproducible for a given seed.
 //
 // # Lanes
 //
 // A root simulation can host lanes (per-node child simulations, see
-// Lane): each lane owns its own timer heap, clock, sequence counter
-// and derived random stream. Every root event is a barrier: before it
-// runs, each lane in turn executes everything it has scheduled up to
-// (and including) the root event's timestamp; then the root event runs
-// and may touch any lane's state. Everything runs on the caller's
-// goroutine. Lane trace events are buffered during a phase and merged
-// into the root tracer in (time, lane, emission) order at the barrier,
-// so the trace reads in time order although the phase ran one lane
-// after another. The phase schedule, each lane's event order and the
-// merged trace are pure functions of the event timestamps.
+// Lane). Every timer, the root's and every lane's, sits in the root's
+// one queue, ordered by (time, rank, sequence). A lane's rank is its
+// creation index and the root's rank is above every lane's, so at one
+// instant lane timers fire before root timers, and lower lanes before
+// higher ones; the sequence number, one counter for the whole queue,
+// orders one owner's timers at an instant by when they were armed.
+// Lanes have their own clocks: running an event moves only its owner's
+// clock, and a lane reads max(own clock, root clock) (see Now). Lane
+// tracers are the root's, so trace events come out in (time, lane,
+// emission) order. The event order, and with it the trace, is a pure
+// function of the event timestamps.
 //
 // The one exception is a skipped idle tick (see Ticker.SkipWhile): when
-// a root ticker's next ticks have no lane event and no other root event
-// before them, and its idle predicate says they would do nothing, the
-// root advances past them without running them. Such a tick is not a
-// barrier, but nothing could have observed one there: no lane runs and
-// no timer is created inside the skipped span, the ticks still count
-// in Executed, and the ticker is re-armed at the same float sum with a
-// fresh sequence number, so every later event keeps its time and its
-// tie order.
+// a root ticker's next ticks have no other event, lane or root, before
+// them, and its idle predicate says they would do nothing, the root
+// advances past them without running them. Nothing could have observed
+// them: no event runs and no timer is created inside the skipped span,
+// the ticks still count in Executed, and the ticker is re-armed at the
+// same float sum with a fresh sequence number, so every later event
+// keeps its time and its tie order.
 package sim
 
 import (
@@ -37,7 +38,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"protean/internal/obs"
 )
@@ -93,6 +93,7 @@ func fnv64(s string) uint64 {
 // replacement.
 type Timer struct {
 	at    float64
+	rank  int // the owner's rank: its lane index, or rootRank
 	seq   uint64
 	fn    func()
 	index int // heap index; -1 when not queued (fired or cancelled)
@@ -113,7 +114,7 @@ func (t *Timer) Cancel() bool {
 	if t == nil || t.sim == nil || t.index < 0 {
 		return false
 	}
-	t.sim.queue.remove(t.index)
+	t.sim.root.queue.remove(t.index)
 	return true
 }
 
@@ -131,53 +132,95 @@ func (t *Timer) Reschedule(at float64) error {
 	if t == nil || t.sim == nil || t.fn == nil {
 		return errors.New("sim: reschedule of a timer not created by this simulation")
 	}
-	s := t.sim
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		return fmt.Errorf("sim: reschedule at non-finite time %v", at)
 	}
-	if now := s.Now(); at < now {
+	if now := t.sim.Now(); at < now {
 		return fmt.Errorf("sim: reschedule at %.9f before now %.9f", at, now)
 	}
+	r := t.sim.root
 	t.at = at
-	t.seq = s.seq
-	s.seq++
+	t.seq = r.seq
+	r.seq++
 	if t.index >= 0 {
-		s.queue.fix(t.index)
+		r.queue.fix(t.index)
 	} else {
-		s.queue.push(t)
+		r.queue.push(t)
 	}
-	s.armed(at)
 	return nil
 }
 
+// Continue re-arms the timer from inside its own callback, as
+// Reschedule does, and reports whether the re-armed firing is the next
+// event to run. That is so while RunUntil runs, at is at or before its
+// horizon, and at sorts before the queue's head by (time, rank); a
+// fresh sequence number would lose a tie of the same rank. Then
+// Continue queues nothing: it moves the owner's clock to at, counts the
+// firing in Executed and returns true, and the callback runs the
+// firing's work itself, in a loop. Otherwise it calls Reschedule and
+// returns false. Either way events run in the order Reschedule alone
+// gives them; a timer that fires in bursts (the arrival pump) just
+// saves a heap round trip per firing.
+//
+//protean:hotpath
+func (t *Timer) Continue(at float64) (bool, error) {
+	if t != nil && t.sim != nil && t.fn != nil && t.index < 0 {
+		s := t.sim
+		r := s.root
+		if at >= s.Now() && at <= r.horizon && at < math.Inf(1) &&
+			(len(r.queue) == 0 || precedes(at, t.rank, r.queue[0])) {
+			t.at = at
+			s.now = at
+			r.executed++
+			return true, nil
+		}
+	}
+	return false, t.Reschedule(at)
+}
+
+// precedes reports whether a timer of the given rank at time at sorts
+// before u whatever their sequence numbers.
+func precedes(at float64, rank int, u *Timer) bool {
+	//lint:ignore floateq exact tie-break: an epsilon would merge distinct event times and reorder the queue
+	if at != u.at {
+		return at < u.at
+	}
+	return rank < u.rank
+}
+
+// rootRank is the root's heap rank: at one instant every lane's timers
+// fire before the root's.
+const rootRank = math.MaxInt
+
 // Sim is a discrete-event simulator. The zero value is not usable; use New.
 type Sim struct {
-	now      float64
+	now     float64
+	rng     *Stream
+	pending int // this sim's timers in the queue
+	rank    int // lane index, or rootRank
+
+	// root is the sim whose queue holds this sim's timers: the sim
+	// itself on a root, the hosting root on a lane. The fields below
+	// are used on a root only.
+	root     *Sim
 	seq      uint64
 	queue    timerHeap
-	rng      *Stream
+	executed uint64 // events run, lanes' included
 	tracer   obs.Tracer
-	executed uint64 // events run by this sim's own loop (excludes lanes)
-
-	// Lanes. A root sim owns lanes; a lane points back at its root
-	// through parent and never has lanes of its own.
-	parent *Sim
-	lanes  []*Sim
-
-	// Root-only phase machinery. laneNext is a lower bound on every
-	// lane's next event time: a barrier below it has no lane work.
-	inPhase   bool // a lane phase is executing; lane tracers buffer
-	laneNext  float64
-	evScratch []obs.Event
-	skippers  []*Ticker // live tickers registered with SkipWhile
-
-	buf []obs.Event // lane only: trace events buffered during a phase
+	lanes    int       // lanes created; the next lane's rank
+	skippers []*Ticker // live tickers registered with SkipWhile
+	horizon  float64   // RunUntil's horizon while it runs, -Inf otherwise
 }
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: newStream(uint64(seed))}
+	s := &Sim{rng: newStream(uint64(seed)), rank: rootRank, horizon: math.Inf(-1)}
+	s.root = s
+	return s
 }
+
+// isLane reports whether s is a lane of some root.
+func (s *Sim) isLane() bool { return s.root != s }
 
 // SetTracer installs the observability tracer every component driven by
 // this simulation emits lifecycle events to. A nil tracer restores the
@@ -188,28 +231,23 @@ func (s *Sim) SetTracer(t obs.Tracer) { s.tracer = t }
 // Tracer returns the installed tracer, or the no-op tracer when none is
 // installed. Components hold a *Sim already, so this is how the tracer
 // threads through gpu, queue, cluster, vm and autoscale without each
-// layer growing a configuration knob. On a lane the returned tracer
-// routes to the root: buffered during a lane phase (merged in
-// deterministic (time, lane, emission) order at the next barrier) and
-// passed straight through when the root is executing exclusively.
+// layer growing a configuration knob. A lane returns its root's tracer:
+// events reach it in the order the root's loop runs them.
 func (s *Sim) Tracer() obs.Tracer {
-	if s.parent != nil {
-		return laneTracer{ln: s}
+	if t := s.root.tracer; t != nil {
+		return t
 	}
-	if s.tracer == nil {
-		return obs.Nop()
-	}
-	return s.tracer
+	return obs.Nop()
 }
 
 // Now returns the current virtual time in seconds. A lane's own clock
-// only moves when it runs an event, so a lane whose phases were skipped
-// reads the root's clock: its time is max(lane clock, root clock).
-// During a phase every running lane event is at or after the root clock,
-// so the rule holds there too.
+// only moves when it runs an event, so a lane that has been idle reads
+// the root's clock: its time is max(lane clock, root clock). While a
+// lane event runs, the lane's clock is at or after the root's, so the
+// rule holds there too.
 func (s *Sim) Now() float64 {
-	if s.parent != nil && s.parent.now > s.now {
-		return s.parent.now
+	if r := s.root.now; r > s.now {
+		return r
 	}
 	return s.now
 }
@@ -220,34 +258,28 @@ func (s *Sim) Now() float64 {
 // confined to one owner and lanes cannot reorder it.
 func (s *Sim) Rand() *Stream { return s.rng }
 
-// Executed returns the number of events executed so far, including
-// every lane's events. This is the numerator of the events/sec
-// benchmark metric.
-func (s *Sim) Executed() uint64 {
-	n := s.executed
-	for _, ln := range s.lanes {
-		n += ln.executed
-	}
-	return n
-}
+// Executed returns the number of events the root's loop has executed
+// so far, including every lane's events; a lane reports its root's
+// count. This is the numerator of the events/sec benchmark metric.
+func (s *Sim) Executed() uint64 { return s.root.executed }
 
-// Lane creates a child simulation on the root s. A lane owns its own
-// clock, timer heap, sequence counter, and a random stream derived as
-// Rand().Child("lane/"+label). Lanes advance between the root's events
-// (see RunUntil); code running on a lane must only touch that lane's
-// state, while root events may touch any lane. Lanes cannot be nested.
+// Lane creates a child simulation on the root s: a label for a group
+// of timers, with its own clock, Pending count and a random stream
+// derived as Rand().Child("lane/"+label). Its timers share the root's
+// queue and rank by the lane's creation index (see the package doc).
+// Lanes cannot be nested.
 func (s *Sim) Lane(label string) *Sim {
-	if s.parent != nil {
+	if s.isLane() {
 		panic("sim: lanes cannot be nested")
 	}
-	ln := &Sim{rng: s.rng.Child("lane/" + label), parent: s}
-	s.lanes = append(s.lanes, ln)
+	ln := &Sim{rng: s.rng.Child("lane/" + label), rank: s.lanes, root: s}
+	s.lanes++
 	return ln
 }
 
-// SetWorkers does nothing: lane phases always run on the caller's
-// goroutine. It stays only because the perfbench module still calls it;
-// ROADMAP item 9, the benchmark re-baseline, deletes it.
+// SetWorkers does nothing: every event runs on the caller's goroutine.
+// It stays only because the perfbench module still calls it; ROADMAP
+// item 11, the benchmark re-baseline, deletes it.
 func (s *Sim) SetWorkers(int) {}
 
 // At schedules fn to run at virtual time t. Scheduling in the past is an
@@ -263,21 +295,12 @@ func (s *Sim) At(t float64, fn func()) (*Timer, error) {
 	if fn == nil {
 		return nil, errors.New("sim: schedule nil func")
 	}
+	r := s.root
 	//lint:ignore hotalloc the Timer is the event being created; hot callers (gpu rebalance) reuse timers via Reschedule and only reach this for newly started jobs
-	tm := &Timer{at: t, seq: s.seq, fn: fn, index: -1, sim: s}
-	s.seq++
-	s.queue.push(tm)
-	s.armed(t)
+	tm := &Timer{at: t, rank: s.rank, seq: r.seq, fn: fn, index: -1, sim: s}
+	r.seq++
+	r.queue.push(tm)
 	return tm, nil
-}
-
-// armed keeps the root's laneNext bound valid when root context arms a
-// lane timer for time t. Timers a lane arms for itself during a phase
-// need nothing here: the bound is recomputed after every phase that ran.
-func (s *Sim) armed(t float64) {
-	if p := s.parent; p != nil && !p.inPhase && t < p.laneNext {
-		p.laneNext = t
-	}
 }
 
 // After schedules fn to run d seconds from now. Negative delays are
@@ -300,99 +323,59 @@ func (s *Sim) MustAfter(d float64, fn func()) *Timer {
 	return tm
 }
 
-// Pending returns the number of queued events. Cancel removes its timer
-// from the queue at once, so this is the queue's length.
+// Pending returns the number of this sim's own timers in the queue (a
+// root's excludes its lanes'). Cancel removes its timer from the queue
+// at once.
 //
 //protean:hotpath
 //lint:ignore deadcode TestPendingCountsLiveTimers, BenchmarkPending and gpu's TestCachedMemoryBalancesToZero read it
-func (s *Sim) Pending() int { return len(s.queue) }
+func (s *Sim) Pending() int { return s.pending }
 
 // Run executes events until the queue is empty.
 func (s *Sim) Run() error { return s.RunUntil(math.Inf(1)) }
 
-// RunUntil executes events with timestamps <= horizon, advancing the clock
-// as it goes. When it returns the clock is at min(horizon, last event time)
-// unless the queue drained earlier; the clock never moves backwards, so a
-// horizon already in the past leaves it untouched.
-//
-// With lanes present, RunUntil alternates lane phases and root events:
-// before each root event at time t, every lane in turn executes all of
-// its events with timestamps <= t, and then the root event runs; every
-// lane then reads t as its time (see Now). Lane events at exactly the
-// root's timestamp therefore run before the root event — a fixed,
-// documented tie rule.
+// RunUntil executes events with timestamps <= horizon in (time, rank,
+// sequence) order, lanes' and root's alike, moving each event's owner's
+// clock to its time as it goes. When it returns the root's clock is at
+// min(horizon, last root event time) unless the queue drained earlier;
+// the clock never moves backwards, so a horizon already in the past
+// leaves it untouched. A lane's clock stays at its own last event and
+// reads the root's when that is later (see Now).
 func (s *Sim) RunUntil(horizon float64) error {
-	if s.parent != nil {
+	if s.isLane() {
 		return errors.New("sim: lanes are driven by their root simulation")
 	}
-	if len(s.lanes) == 0 {
-		return s.runLocal(horizon)
-	}
-	return s.runWithLanes(horizon)
-}
-
-// runLocal is the classic single-heap event loop.
-func (s *Sim) runLocal(horizon float64) error {
+	s.horizon = horizon
 	for len(s.queue) > 0 {
 		next := s.queue[0]
 		if next.at > horizon {
-			if horizon > s.now {
-				s.now = horizon
-			}
-			return nil
+			break
+		}
+		if next.rank == rootRank && len(s.skippers) > 0 && s.skipIdleTicks(horizon) {
+			continue
 		}
 		s.queue.remove(0)
-		s.now = next.at
+		next.sim.now = next.at
 		s.executed++
 		next.fn()
 	}
+	s.horizon = math.Inf(-1)
 	if !math.IsInf(horizon, 1) && horizon > s.now {
 		s.now = horizon
 	}
 	return nil
 }
 
-// runWithLanes is the barrier loop documented on RunUntil.
-func (s *Sim) runWithLanes(horizon float64) error {
-	for {
-		rootNext := s.peekTime()
-		if bound := math.Min(rootNext, horizon); bound >= s.laneNext {
-			s.runLanePhase(bound)
-		}
-		if rootNext > horizon {
-			if !math.IsInf(horizon, 1) && horizon > s.now {
-				s.now = horizon
-			}
-			return nil
-		}
-		if math.IsInf(rootNext, 1) {
-			// horizon and the root queue are both infinite/exhausted: the
-			// lane phase above drained every lane completely.
-			return nil
-		}
-		// Every lane event at or before rootNext has run, so laneNext is
-		// strictly after it: an idle tick here is no barrier.
-		if len(s.skippers) > 0 && s.skipIdleTicks(horizon) {
-			continue
-		}
-		next := s.queue.remove(0)
-		s.now = next.at
-		s.executed++
-		next.fn()
-	}
-}
-
-// skipIdleTicks passes over the idle ticks at the head of the root
-// queue (see Ticker.SkipWhile) and reports whether it skipped any. The
-// head must be at or before horizon and strictly before laneNext.
-// Ticks are skipped while they fall strictly before laneNext and the
-// next other root timer, and at or before horizon: nothing else runs
-// in that span, so the idle predicate, checked once, holds for all of
-// it. Each skipped tick
-// counts in executed and moves the clock, and the timer is re-armed
-// once at the ticker's own float sum with a fresh sequence number,
-// which orders it against every pending timer as the last skipped
-// tick's own re-arm would have.
+// skipIdleTicks passes over the idle ticks at the head of the queue
+// (see Ticker.SkipWhile) and reports whether it skipped any. The head
+// is a root timer at or before horizon, so no lane timer shares its
+// instant. Ticks are skipped while they fall strictly before the next
+// other timer, lane or root, and at or before horizon: nothing else
+// runs in that span, so the idle predicate, checked once, holds for all
+// of it. Each skipped tick counts in executed and moves the clock, and
+// the timer is re-armed once at the ticker's own float sum with a fresh
+// sequence number, which orders it against every pending timer as the
+// last skipped tick's own re-arm would have.
 func (s *Sim) skipIdleTicks(horizon float64) bool {
 	head := s.queue[0]
 	var tk *Ticker
@@ -405,7 +388,13 @@ func (s *Sim) skipIdleTicks(horizon float64) bool {
 	if tk == nil || !tk.idle() {
 		return false
 	}
-	limit := math.Min(s.laneNext, s.nextOtherTime())
+	// The next other timer is one of the head's two children.
+	limit := math.Inf(1)
+	for i := 1; i <= 2 && i < len(s.queue); i++ {
+		if s.queue[i].at < limit {
+			limit = s.queue[i].at
+		}
+	}
 	if head.at >= limit {
 		return false
 	}
@@ -421,121 +410,6 @@ func (s *Sim) skipIdleTicks(horizon float64) bool {
 		panic(err)
 	}
 	return true
-}
-
-// nextOtherTime returns the timestamp of the earliest timer after the
-// head, or +Inf when the head is alone. In a binary heap it is one of
-// the head's two children.
-func (s *Sim) nextOtherTime() float64 {
-	t := math.Inf(1)
-	for i := 1; i <= 2 && i < len(s.queue); i++ {
-		if s.queue[i].at < t {
-			t = s.queue[i].at
-		}
-	}
-	return t
-}
-
-// peekTime returns the timestamp of the next event, or +Inf when none
-// remain.
-func (s *Sim) peekTime() float64 {
-	if len(s.queue) == 0 {
-		return math.Inf(1)
-	}
-	return s.queue[0].at
-}
-
-// runLanePhase runs, lane by lane, every lane event with timestamp
-// <= bound and recomputes laneNext. The root loop skips it for a
-// barrier below laneNext; that is most barriers, since the root's
-// dispatch quantum ticks far more often than lanes have work (and an
-// idle quantum is not even a barrier: skipIdleTicks passes over it).
-// Lane clocks are not synchronised here: Now reads a lane as at least
-// the root's clock.
-func (s *Sim) runLanePhase(bound float64) {
-	s.inPhase = true
-	ran := false
-	next := math.Inf(1)
-	for _, ln := range s.lanes {
-		t := ln.peekTime()
-		if t <= bound {
-			ln.runTo(bound)
-			ran = true
-			t = ln.peekTime()
-		}
-		if t < next {
-			next = t
-		}
-	}
-	s.inPhase = false
-	if ran {
-		s.flushLaneEvents()
-	}
-	s.laneNext = next
-}
-
-// runTo executes the lane's events with timestamps <= bound. No stop
-// check: lanes are halted at the next barrier by the root loop.
-func (ln *Sim) runTo(bound float64) {
-	for len(ln.queue) > 0 {
-		next := ln.queue[0]
-		if next.at > bound {
-			return
-		}
-		ln.queue.remove(0)
-		ln.now = next.at
-		ln.executed++
-		next.fn()
-	}
-}
-
-// flushLaneEvents merges the trace events lanes buffered during the
-// phase into the root tracer in (time, lane index, emission order).
-// Each lane's buffer is already time-sorted (a lane executes in time
-// order), so a stable sort over the index-ordered concatenation
-// realises the merge.
-func (s *Sim) flushLaneEvents() {
-	if s.tracer == nil || !s.tracer.Enabled() {
-		return
-	}
-	total := 0
-	for _, ln := range s.lanes {
-		total += len(ln.buf)
-	}
-	if total == 0 {
-		return
-	}
-	merged := s.evScratch[:0]
-	for _, ln := range s.lanes {
-		merged = append(merged, ln.buf...)
-		ln.buf = ln.buf[:0]
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].T < merged[j].T })
-	for i := range merged {
-		s.tracer.Emit(merged[i])
-	}
-	s.evScratch = merged[:0]
-}
-
-// laneTracer routes a lane's trace events to the root tracer: buffered
-// while a lane phase is executing (the phase runs one lane after
-// another; the root merges them in time order at the barrier), passed
-// straight through in root context, where emission order is already
-// the global event order.
-type laneTracer struct{ ln *Sim }
-
-func (lt laneTracer) Enabled() bool {
-	root := lt.ln.parent
-	return root.tracer != nil && root.tracer.Enabled()
-}
-
-func (lt laneTracer) Emit(ev obs.Event) {
-	root := lt.ln.parent
-	if root.inPhase {
-		lt.ln.buf = append(lt.ln.buf, ev)
-		return
-	}
-	root.Tracer().Emit(ev)
 }
 
 // Ticker invokes a function on a fixed period until stopped.
@@ -581,15 +455,14 @@ func (s *Sim) Every(period float64, fn func()) (*Ticker, error) {
 // running them while idle reports true. idle must report true only
 // when a tick's callback would change nothing, and it must read only
 // state that events change, never the clock: the root checks it once
-// for a whole span of ticks that holds no lane event and no other root
-// event, runs none of them, and re-arms the ticker at the end of the
-// span (see the package doc). The output is the same bytes with or
-// without the hook; only the cost of idle ticks changes. Only a root
-// that hosts lanes skips; a root without lanes runs every tick.
-// SkipWhile on a lane ticker panics.
+// for a whole span of ticks that holds no other event, lane or root,
+// runs none of them, and re-arms the ticker at the end of the span
+// (see the package doc). The output is the same bytes with or without
+// the hook; only the cost of idle ticks changes. SkipWhile on a lane
+// ticker panics.
 func (t *Ticker) SkipWhile(idle func() bool) {
 	s := t.sim
-	if s.parent != nil {
+	if s.isLane() {
 		panic("sim: SkipWhile on a lane ticker")
 	}
 	if t.idle == nil {
@@ -616,18 +489,23 @@ func (t *Ticker) Stop() {
 	t.idle = nil
 }
 
-// timerHeap is a binary min-heap of timers ordered by (time, sequence).
-// Each timer records its slot, so Cancel and Reschedule reach it
-// directly. The order is total, so the pop sequence does not depend on
-// the heap's layout.
+// timerHeap is a binary min-heap of timers ordered by (time, rank,
+// sequence). Each timer records its slot, so Cancel and Reschedule
+// reach it directly, and the heap keeps each owner's Pending count. The
+// order is total, so the pop sequence does not depend on the heap's
+// layout.
 type timerHeap []*Timer
 
 func (h timerHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
 	//lint:ignore floateq exact tie-break: an epsilon would merge distinct event times and reorder the queue
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.seq < b.seq
 }
 
 func (h timerHeap) swap(i, j int) {
@@ -638,6 +516,7 @@ func (h timerHeap) swap(i, j int) {
 
 func (h *timerHeap) push(tm *Timer) {
 	tm.index = len(*h)
+	tm.sim.pending++
 	//lint:ignore hotalloc the queue's backing array grows to the peak number of pending timers and is then reused; steady state appends into spare capacity
 	*h = append(*h, tm)
 	h.up(tm.index)
@@ -658,6 +537,7 @@ func (h *timerHeap) remove(i int) *Timer {
 		h.fix(i)
 	}
 	tm.index = -1
+	tm.sim.pending--
 	return tm
 }
 

@@ -123,7 +123,7 @@ func (s skipSchedule) delay(arg uint8) float64 {
 }
 
 // skipEntry is one logged callback: when it ran, which callback it
-// was, and what it saw of the other side of the barrier.
+// was, and what it saw of the other side, root or lanes.
 type skipEntry struct {
 	T    float64
 	ID   int
@@ -144,7 +144,7 @@ type skipResult struct {
 // they are empty, which is exactly when its idle predicate holds. Root
 // callbacks log the executed count so far (lane events included); lane
 // callbacks log how many root callbacks have run, which pins where each
-// lane event falls relative to the barriers.
+// lane event falls relative to the root's events.
 func runSkipSchedule(t *testing.T, s skipSchedule, skip bool) skipResult {
 	t.Helper()
 	sim := New(1)
