@@ -196,13 +196,11 @@ const rootRank = math.MaxInt
 type Sim struct {
 	now     float64
 	rng     *Stream
-	pending int // this sim's timers in the queue
-	rank    int // lane index, or rootRank
+	pending int  // this sim's timers in the queue
+	rank    int  // lane index, or rootRank
+	root    *Sim // the sim whose queue holds this sim's timers; a root's is itself
 
-	// root is the sim whose queue holds this sim's timers: the sim
-	// itself on a root, the hosting root on a lane. The fields below
-	// are used on a root only.
-	root     *Sim
+	// Used on a root only.
 	seq      uint64
 	queue    timerHeap
 	executed uint64 // events run, lanes' included
