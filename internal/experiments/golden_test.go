@@ -47,7 +47,9 @@ func TestFig2QuickGoldenHash(t *testing.T) {
 // order: which events fire, at what time, and in what order events of
 // one instant reach the tracer. The chaos run adds fault, retry and
 // repair events on node lanes to fig2's arrival, batch and dispatch
-// events.
+// events. fig9 pins the VM lease and notice events of the Table 3
+// tariff fleet, and market those of the marketplace-backed fleet with
+// its lease requests and binds.
 var traceGoldens = []struct{ id, chrome, jsonl string }{
 	{"fig2",
 		"15243650ba709d15d0ae47cf67217e3def5665ac679119fd1695ff65b0e19b30",
@@ -55,11 +57,17 @@ var traceGoldens = []struct{ id, chrome, jsonl string }{
 	{"chaos",
 		"73cffe39060327d68f8ee4b18ea1259364fd4130a345cae80fcc45662db75d49",
 		"d301f2217c85aeda4801484f9e53b9fec48f4c46571ff5b1fefc6077221c4097"},
+	{"fig9",
+		"0c40b215bed3aba4d9f94802ec5555b1d130c828ea4357015ae32dafc9cdeace",
+		"dea3d2c207df2dbc63da4aea98be44aa3803f9f2691b4b9cc386a85b10f1273f"},
+	{"market",
+		"dca115df222e1f262d7d9a6be0b67850179ed607736f8351fa4ab1a02ca45dcd",
+		"8ea71d554d1d964cc863ced670de3d33ffe50d347ffe4a30eb35a0d9b6f04067"},
 }
 
 func TestTraceGoldenHashes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig2 and the chaos sweep traced; skipped in -short")
+		t.Skip("runs fig2, chaos, fig9 and market traced; skipped in -short")
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)
