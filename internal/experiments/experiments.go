@@ -209,7 +209,8 @@ type Scenario struct {
 	NoPrewarm bool
 	// Market attaches the multi-provider GPU marketplace: the fleet
 	// procures through the catalog's spot-price processes instead of
-	// the fixed Table 3 tariff. nil keeps the legacy path byte-for-bit.
+	// the fixed Table 3 tariff, so VM must leave the tariff's Mode,
+	// Pricing and Availability unset. nil keeps the tariff.
 	Market *MarketSpec
 	// Trace, when non-nil, is replayed instead of a trace generated from
 	// Rate and the model mix; Strict and BEPool then only name the

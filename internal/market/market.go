@@ -27,8 +27,8 @@ import (
 	"protean/internal/sim"
 )
 
-// Kind distinguishes VM purchase tiers. The values match internal/vm's
-// Kind so the fleet can convert without a table.
+// Kind distinguishes VM purchase tiers. internal/vm's Kind is an alias
+// of it, so both fleet backings share one tier type.
 type Kind int
 
 const (

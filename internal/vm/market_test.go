@@ -243,10 +243,43 @@ func TestMarketFleetMigratesTowardCheaperCapacity(t *testing.T) {
 		t.Fatalf("Migrations = %d, want the rebalancer to move both nodes back", f.Migrations())
 	}
 	for node := 0; node < 2; node++ {
-		l := f.mleases[node]
+		l := f.leaseOf(node)
 		if l == nil || l.Provider != 1 {
 			t.Errorf("node %d on provider %v, want prov-b after rebalance", node, l)
 		}
 	}
 	f.Stop()
+}
+
+// TestMarketFleetRejectsTariffFields: a market fleet takes its policy,
+// prices and revocation profiles from Procurement and the catalog, so
+// setting the tariff's Mode, Pricing or Availability beside Market is
+// an error rather than a silently ignored field.
+func TestMarketFleetRejectsTariffFields(t *testing.T) {
+	s := sim.New(1)
+	m, err := market.New(s, market.Config{}, marketCatalog())
+	if err != nil {
+		t.Fatalf("market.New: %v", err)
+	}
+	pol := market.CheapestSpot()
+	tests := []struct {
+		name    string
+		cfg     Config
+		wantErr bool
+	}{
+		{"market only", Config{Procurement: pol}, false},
+		{"check interval", Config{Procurement: pol, CheckInterval: 45}, false},
+		{"mode", Config{Procurement: pol, Mode: ModeSpotPreferred}, true},
+		{"pricing", Config{Procurement: pol, Pricing: PricingGCP}, true},
+		{"availability", Config{Procurement: pol, Availability: AvailabilityLow}, true},
+		{"zero-P_rev availability", Config{Procurement: pol, Availability: AvailabilityHigh}, true},
+		{"no procurement", Config{}, true},
+	}
+	for _, tt := range tests {
+		cfg := tt.cfg
+		cfg.Nodes, cfg.Market = 2, m
+		if _, err := NewFleet(s, cfg); (err != nil) != tt.wantErr {
+			t.Errorf("%s: NewFleet error = %v, want error %v", tt.name, err, tt.wantErr)
+		}
+	}
 }

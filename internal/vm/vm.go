@@ -12,33 +12,23 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"protean/internal/market"
 	"protean/internal/obs"
 	"protean/internal/sim"
 )
 
-// Kind distinguishes VM purchase tiers.
-type Kind int
+// Kind distinguishes VM purchase tiers. It is the marketplace's own, so
+// a lease's tier needs no conversion on either backing.
+type Kind = market.Kind
 
 const (
 	// KindOnDemand is a reliable, full-price VM.
-	KindOnDemand Kind = iota + 1
+	KindOnDemand = market.KindOnDemand
 	// KindSpot is a discounted VM revocable at any time.
-	KindSpot
+	KindSpot = market.KindSpot
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindOnDemand:
-		return "on-demand"
-	case KindSpot:
-		return "spot"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
 
 // Pricing is hourly pricing for an 8×A100 instance (Table 3).
 type Pricing struct {
@@ -160,11 +150,11 @@ type Listener interface {
 type Config struct {
 	// Nodes is the number of worker node slots.
 	Nodes int
-	// Mode is the procurement policy.
+	// Mode is the tariff's procurement policy.
 	Mode Mode
 	// Pricing is the tariff (PricingAWS by default).
 	Pricing Pricing
-	// Availability is the spot-market scenario.
+	// Availability is the tariff's spot-market scenario.
 	Availability Availability
 	// CheckInterval is the revocation check period (default 60 s).
 	CheckInterval float64
@@ -176,7 +166,8 @@ type Config struct {
 	// acquired two-phase through the market's catalog, revocation
 	// profiles and prices come per provider, and the cost meter reads
 	// the market's ledger. The fleet assumes exclusive use of the
-	// market for metering. nil keeps the legacy path bit-for-bit.
+	// market for metering, and Mode, Pricing and Availability must
+	// stay unset. nil keeps the Table 3 tariff.
 	Market *market.Market
 	// Procurement is the policy consulted for every acquire and
 	// replacement decision (required with Market).
@@ -186,19 +177,19 @@ type Config struct {
 // Fixed lease-lifecycle parameters, in seconds.
 const (
 	// noticeMin and noticeMax bound the eviction notice lead time
-	// (§2.3), on the legacy path and for every market provider alike.
+	// (§2.3), on the tariff and for every market provider alike.
 	noticeMin float64 = 30
 	noticeMax float64 = 120
 	// retryInterval is how long a node left without capacity waits
 	// before procurement asks again (ModeSpotOnly, or the market).
 	retryInterval float64 = 30
-	// migrateInterval is the period of Procurement.Rebalance passes in
-	// market mode.
+	// migrateInterval is the period of Procurement.Rebalance passes on
+	// a market fleet.
 	migrateInterval float64 = 120
 )
 
 // Drain-and-replace works only because a replacement VM (provisioned
-// in market.ProvisionTime on either path) is up before the shortest
+// in market.ProvisionTime on either backing) is up before the shortest
 // notice expires. The map literal repeats the key false, and so fails
 // to compile, if that ever stops holding.
 var _ = map[bool]struct{}{false: {}, market.ProvisionTime < noticeMin: {}}
@@ -212,43 +203,63 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// lease is one VM attached to a node slot, billed from acquired at the
-// fleet's tariff.
-type lease struct {
-	kind     Kind
-	acquired float64
-}
-
 type nodeState int
 
 const (
-	nodeUp nodeState = iota + 1
+	// nodeNew is a slot whose bootstrap lease is still being arranged.
+	nodeNew nodeState = iota
+	nodeUp
 	nodeDraining
 	nodeDown
 )
 
+// node is one worker slot and the lease backing it.
+type node struct {
+	state nodeState
+	gen   int // increments per revocation notice; stale evictions no-op
+	// kind is the lease's tier, 0 while no lease backs the slot.
+	kind Kind
+	// provider indexes Fleet.providers: the lease's P_rev, provider
+	// name and storm domain.
+	provider int
+	acquired float64       // when the lease attached; the tariff bills from it
+	lease    *market.Lease // the marketplace lease; nil on the tariff
+}
+
+// backing is how a node gets and pays for its lease: the Table 3 tariff
+// or the marketplace. The rest of a lease's life (revocation checks,
+// notices, eviction, retries and storms) is the fleet's and runs the
+// same on either.
+type backing interface {
+	// acquire obtains a lease for node i, to attach through Fleet.attach,
+	// and reports whether one is on its way. It counts failed requests.
+	acquire(f *Fleet, i int) bool
+	// release ends the lease backing n and settles its bill.
+	release(f *Fleet, n *node)
+	// cost returns the dollars spent so far and the on-demand $/hour
+	// the baseline is priced at.
+	cost(f *Fleet) (dollars, onDemandHourly float64)
+}
+
 // Fleet manages the VM leases backing every worker node and meters their
 // cost.
 type Fleet struct {
-	cfg Config
-	sim *sim.Sim
-	rng *sim.Stream // market stream, derived at construction; root context only
+	cfg     Config
+	sim     *sim.Sim
+	rng     *sim.Stream // market stream, derived at construction; root context only
+	backing backing
+	// providers holds each storm domain's revocation profile: the
+	// market's catalog, or for the tariff one unnamed domain with the
+	// scenario's P_rev that every storm hits in full.
+	providers []market.ProviderConfig
 
-	states    []nodeState
-	leases    []*lease
-	noticeGen []int   // increments per revocation notice; stale evictions no-op
-	accrued   float64 // cost of released leases
-	ticker    *sim.Ticker
-	started   bool
-	stopped   bool
-	notices   int
-	failures  int // spot requests that failed
-
-	// Market mode: per-node marketplace leases, consumer labels, and
-	// the migration ticker.
-	mleases    []*market.Lease
-	consumers  []string
-	migTicker  *sim.Ticker
+	nodes      []node
+	ticker     *sim.Ticker
+	migTicker  *sim.Ticker // market only
+	started    bool
+	stopped    bool
+	notices    int
+	failures   int // failed spot draws (tariff) or lease requests (market)
 	migrations int
 }
 
@@ -261,73 +272,65 @@ func NewFleet(s *sim.Sim, cfg Config) (*Fleet, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("vm: %d nodes, want > 0", cfg.Nodes)
 	}
-	if cfg.Market != nil {
-		if cfg.Procurement == nil {
+	f := &Fleet{sim: s, nodes: make([]node, cfg.Nodes)}
+	if cfg.Market == nil {
+		switch {
+		case cfg.Mode < ModeOnDemandOnly || cfg.Mode > ModeSpotOnly:
+			return nil, fmt.Errorf("vm: unknown mode %d", int(cfg.Mode))
+		case cfg.Availability.PRev < 0 || cfg.Availability.PRev > 1:
+			return nil, fmt.Errorf("vm: P_rev %v out of [0, 1]", cfg.Availability.PRev)
+		}
+		f.backing = &tariff{}
+		f.providers = []market.ProviderConfig{{PRev: cfg.Availability.PRev, StormCoupling: 1}}
+	} else {
+		switch {
+		case cfg.Procurement == nil:
 			return nil, errors.New("vm: market without a procurement policy")
+		case cfg.Mode != 0 || cfg.Pricing != (Pricing{}) || cfg.Availability != (Availability{}):
+			return nil, errors.New("vm: Mode, Pricing and Availability do not apply to a market fleet")
 		}
-		if cfg.Mode == 0 {
-			// The procurement policy supersedes Mode in market mode.
-			cfg.Mode = ModeSpotPreferred
+		f.backing = marketplace{}
+		for p := range cfg.Market.Providers() {
+			f.providers = append(f.providers, cfg.Market.ProviderConfig(p))
 		}
-	}
-	switch cfg.Mode {
-	case ModeOnDemandOnly, ModeSpotPreferred, ModeSpotOnly:
-	default:
-		return nil, fmt.Errorf("vm: unknown mode %d", int(cfg.Mode))
-	}
-	if cfg.Availability.PRev < 0 || cfg.Availability.PRev > 1 {
-		return nil, fmt.Errorf("vm: P_rev %v out of [0, 1]", cfg.Availability.PRev)
 	}
 	cfg.applyDefaults()
-	f := &Fleet{
-		cfg:       cfg,
-		sim:       s,
-		rng:       s.Rand().Child("vm/fleet"),
-		states:    make([]nodeState, cfg.Nodes),
-		leases:    make([]*lease, cfg.Nodes),
-		noticeGen: make([]int, cfg.Nodes),
-	}
-	if cfg.Market != nil {
-		f.mleases = make([]*market.Lease, cfg.Nodes)
-		f.consumers = make([]string, cfg.Nodes)
-		for i := range f.consumers {
-			f.consumers[i] = fmt.Sprintf("node/%d", i)
-		}
-	}
+	f.cfg = cfg
+	f.rng = s.Rand().Child("vm/fleet")
 	return f, nil
 }
 
-// marketMode reports whether procurement goes through the marketplace.
-func (f *Fleet) marketMode() bool { return f.cfg.Market != nil }
-
 // Start acquires the initial lease for every node and begins revocation
-// checks.
+// checks. Marketplace requests at virtual time 0 provision
+// synchronously, so either bootstrap fleet is up before the run clock
+// starts.
 func (f *Fleet) Start() error {
 	if f.started {
 		return errors.New("vm: fleet already started")
 	}
 	f.started = true
-	if f.marketMode() {
-		return f.startMarket()
-	}
-	for i := range f.leases {
-		kind := KindOnDemand
-		if f.cfg.Mode != ModeOnDemandOnly && f.spotAvailable() {
-			kind = KindSpot
-		} else if f.cfg.Mode == ModeSpotOnly {
-			// Spot-only keeps waiting for spot capacity.
-			f.states[i] = nodeDown
-			f.scheduleSpotRetry(i)
-			continue
+	for i := range f.nodes {
+		if !f.backing.acquire(f, i) {
+			f.nodes[i].state = nodeDown
+			f.retry(i)
 		}
-		f.attach(i, kind)
 	}
-	if f.cfg.Mode != ModeOnDemandOnly && f.cfg.Availability.PRev > 0 {
+	// A market fleet always checks: besides revocation draws the tick
+	// renews every bound lease's heartbeat, keeping the market's orphan
+	// sweeper off a live fleet's back.
+	if f.cfg.Market != nil || f.cfg.Mode != ModeOnDemandOnly && f.cfg.Availability.PRev > 0 {
 		tk, err := f.sim.Every(f.cfg.CheckInterval, f.checkRevocations)
 		if err != nil {
 			return fmt.Errorf("vm: start revocation checks: %w", err)
 		}
 		f.ticker = tk
+	}
+	if f.cfg.Market != nil {
+		mt, err := f.sim.Every(migrateInterval, f.rebalance)
+		if err != nil {
+			return fmt.Errorf("vm: start migration ticker: %w", err)
+		}
+		f.migTicker = mt
 	}
 	return nil
 }
@@ -345,110 +348,52 @@ func (f *Fleet) Stop() {
 	if f.migTicker != nil {
 		f.migTicker.Stop()
 	}
-	for i := range f.leases {
-		f.releaseNode(i)
+	for i := range f.nodes {
+		f.detach(&f.nodes[i])
 	}
 }
 
-// startMarket bootstraps every node through the procurement policy and
-// arms the revocation/heartbeat and migration tickers. Requests at
-// virtual time 0 provision synchronously, so the bootstrap fleet is up
-// before the run clock starts, like the legacy path's initial attach.
-func (f *Fleet) startMarket() error {
-	for i := range f.leases {
-		f.states[i] = nodeDown
-		f.procureMarket(i)
-	}
-	// The check ticker always runs in market mode: besides revocation
-	// draws it renews every bound lease's heartbeat, keeping the
-	// market's orphan sweeper off a live fleet's back.
-	tk, err := f.sim.Every(f.cfg.CheckInterval, f.checkRevocations)
-	if err != nil {
-		return fmt.Errorf("vm: start revocation checks: %w", err)
-	}
-	f.ticker = tk
-	mt, err := f.sim.Every(migrateInterval, f.rebalance)
-	if err != nil {
-		return fmt.Errorf("vm: start migration ticker: %w", err)
-	}
-	f.migTicker = mt
-	return nil
-}
-
-func (f *Fleet) attach(node int, kind Kind) {
-	f.release(node)
-	f.leases[node] = &lease{kind: kind, acquired: f.sim.Now()}
-	f.states[node] = nodeUp
+// attach backs node i with a lease of the given kind from provider p
+// (l is the marketplace lease, nil on the tariff), releasing the lease
+// it replaces.
+func (f *Fleet) attach(i int, kind Kind, p int, l *market.Lease) {
+	n := &f.nodes[i]
+	f.detach(n)
+	n.state, n.kind, n.provider, n.lease, n.acquired = nodeUp, kind, p, l, f.sim.Now()
 	if tr := f.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(f.sim.Now(), obs.KindVMLease)
-		ev.Node = node
+		ev.Node = i
 		ev.Detail = kind.String()
+		ev.Model = f.providers[p].Name
 		tr.Emit(ev)
 	}
 	if f.cfg.Listener != nil {
-		f.cfg.Listener.NodeUp(node, kind)
+		f.cfg.Listener.NodeUp(i, kind)
 	}
 }
 
-func (f *Fleet) release(node int) {
-	l := f.leases[node]
-	if l == nil {
-		return
+// detach ends whatever lease backs n.
+func (f *Fleet) detach(n *node) {
+	if n.kind != 0 {
+		f.backing.release(f, n)
+		n.kind, n.lease = 0, nil
 	}
-	f.accrued += (f.sim.Now() - l.acquired) / 3600 * f.cfg.Pricing.Hourly(l.kind)
-	f.leases[node] = nil
 }
 
-// releaseNode returns whatever lease backs the node — marketplace or
-// legacy — settling its billing.
-func (f *Fleet) releaseNode(node int) {
-	if f.marketMode() {
-		if l := f.mleases[node]; l != nil {
-			f.cfg.Market.Release(l)
-			f.mleases[node] = nil
-		}
-		return
-	}
-	f.release(node)
-}
-
-// spotAvailable samples whether a spot request succeeds right now.
-// Draws come from the fleet's own child stream: market events only
-// ever run in root-simulation context, so their order is the root
-// event order.
-func (f *Fleet) spotAvailable() bool {
-	return f.rng.Float64() >= f.cfg.Availability.PRev
-}
-
-// checkRevocations is the fixed-interval revocation process of §5. In
-// market mode the probability comes from each lease's provider profile
-// and the same tick renews heartbeats (the check interval is well
-// inside the market's heartbeat-miss window).
+// checkRevocations is the fixed-interval revocation process of §5, each
+// lease drawing against its provider's P_rev. The same tick renews
+// marketplace heartbeats (the check interval is well inside the
+// market's heartbeat-miss window).
 func (f *Fleet) checkRevocations() {
 	if f.stopped {
 		return
 	}
-	if f.marketMode() {
-		for i, l := range f.mleases {
-			if l == nil {
-				continue
-			}
-			f.cfg.Market.Heartbeat(l)
-			if l.Kind != market.KindSpot || f.states[i] != nodeUp {
-				continue
-			}
-			if f.rng.Float64() >= f.cfg.Market.ProviderConfig(l.Provider).PRev {
-				continue
-			}
-			f.noticeMarket(i)
+	for i := range f.nodes {
+		n := &f.nodes[i]
+		if n.lease != nil {
+			f.cfg.Market.Heartbeat(n.lease)
 		}
-		return
-	}
-	for i, l := range f.leases {
-		if l == nil || l.kind != KindSpot || f.states[i] != nodeUp {
-			continue
-		}
-		if f.rng.Float64() >= f.cfg.Availability.PRev {
+		if n.kind != KindSpot || n.state != nodeUp || f.rng.Float64() >= f.providers[n.provider].PRev {
 			continue
 		}
 		f.notice(i)
@@ -457,143 +402,161 @@ func (f *Fleet) checkRevocations() {
 
 // notice delivers one revocation notice to node i: the node drains for
 // a uniformly drawn 30–120 s lead time while procurement arranges a
-// replacement per the mode, then the eviction fires at the deadline.
+// replacement, then the eviction fires at the deadline.
 func (f *Fleet) notice(i int) {
+	n := &f.nodes[i]
 	f.notices++
-	f.noticeGen[i]++
-	gen := f.noticeGen[i]
-	notice := noticeMin + f.rng.Float64()*(noticeMax-noticeMin)
-	deadline := f.sim.Now() + notice
-	f.states[i] = nodeDraining
+	n.gen++
+	gen := n.gen
+	lead := noticeMin + f.rng.Float64()*(noticeMax-noticeMin)
+	deadline := f.sim.Now() + lead
+	n.state = nodeDraining
 	if tr := f.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(f.sim.Now(), obs.KindVMNotice)
 		ev.Node = i
 		ev.Value = deadline
+		ev.Detail = f.providers[n.provider].Name
 		tr.Emit(ev)
 	}
 	if f.cfg.Listener != nil {
 		f.cfg.Listener.NodeDraining(i, deadline)
 	}
-	// Procurement reacts immediately to the notice (§4.5): retry
-	// spot, fall back to on-demand unless spot-only.
-	replacementReady := false
-	if f.spotAvailable() {
-		f.sim.MustAfter(market.ProvisionTime, func() { f.replace(i, KindSpot) })
-		replacementReady = true
-	} else if f.cfg.Mode == ModeSpotPreferred {
-		f.failures++
-		f.sim.MustAfter(market.ProvisionTime, func() { f.replace(i, KindOnDemand) })
-		replacementReady = true
-	} else {
-		f.failures++
-	}
-	// Eviction fires at the deadline; if no replacement was
-	// arranged, the node goes down and spot-only keeps retrying.
-	needRetry := !replacementReady
-	f.sim.MustAfter(notice, func() { f.evict(i, gen, needRetry) })
+	// Procurement reacts immediately to the notice (§4.5). If it found
+	// no replacement, the node goes down at the deadline and retries.
+	replaced := f.backing.acquire(f, i)
+	f.sim.MustAfter(lead, func() { f.evict(i, gen, !replaced) })
 }
 
-// noticeMarket delivers a revocation notice to a market-backed node:
-// the notice window is the legacy path's, and the replacement is
-// whatever the procurement policy picks from the current market view.
-func (f *Fleet) noticeMarket(i int) {
-	l := f.mleases[i]
-	pc := f.cfg.Market.ProviderConfig(l.Provider)
-	f.notices++
-	f.noticeGen[i]++
-	gen := f.noticeGen[i]
-	notice := noticeMin + f.rng.Float64()*(noticeMax-noticeMin)
-	deadline := f.sim.Now() + notice
-	f.states[i] = nodeDraining
+// evict takes a drained node offline at its deadline, unless a
+// replacement attached or a later notice superseded this one.
+func (f *Fleet) evict(i, gen int, retry bool) {
+	n := &f.nodes[i]
+	if f.stopped || n.gen != gen || n.state != nodeDraining {
+		return
+	}
+	f.detach(n)
+	n.state = nodeDown
 	if tr := f.sim.Tracer(); tr.Enabled() {
-		ev := obs.At(f.sim.Now(), obs.KindVMNotice)
+		ev := obs.At(f.sim.Now(), obs.KindVMDown)
 		ev.Node = i
-		ev.Value = deadline
-		ev.Detail = pc.Name
 		tr.Emit(ev)
 	}
 	if f.cfg.Listener != nil {
-		f.cfg.Listener.NodeDraining(i, deadline)
+		f.cfg.Listener.NodeDown(i)
 	}
-	replacementReady := false
-	if dec, ok := f.cfg.Procurement.Choose(f.cfg.Market.View()); ok {
-		if _, err := f.requestMarket(i, dec); err == nil {
-			replacementReady = true
-		} else {
-			f.failures++
-		}
-	} else {
-		f.failures++
-	}
-	needRetry := !replacementReady
-	f.sim.MustAfter(notice, func() { f.evict(i, gen, needRetry) })
-}
-
-// procureMarket asks the procurement policy for a source and opens a
-// two-phase acquisition for a down node, retrying later when nothing
-// is affordable or in stock.
-func (f *Fleet) procureMarket(node int) {
-	if f.stopped {
-		return
-	}
-	dec, ok := f.cfg.Procurement.Choose(f.cfg.Market.View())
-	if !ok {
-		f.failures++
-		f.retryMarket(node)
-		return
-	}
-	if _, err := f.requestMarket(node, dec); err != nil {
-		f.failures++
-		f.retryMarket(node)
+	if retry {
+		f.retry(i)
 	}
 }
 
-// retryMarket re-runs procurement for a node still down after the
-// retry interval.
-func (f *Fleet) retryMarket(node int) {
+// retry asks the backing again for a node left down, every
+// retryInterval until a lease is on its way.
+func (f *Fleet) retry(i int) {
 	f.sim.MustAfter(retryInterval, func() {
-		if f.stopped || f.states[node] != nodeDown {
-			return
+		if !f.stopped && f.nodes[i].state == nodeDown && !f.backing.acquire(f, i) {
+			f.retry(i)
 		}
-		f.procureMarket(node)
 	})
 }
 
-// requestMarket opens the two-phase acquisition: on readiness the
-// lease is bound and attached to the node (the provisioning lead time
-// is inside the minimum notice window, so replacements attach before
-// their predecessor's eviction).
-func (f *Fleet) requestMarket(node int, dec market.Decision) (*market.Lease, error) {
-	return f.cfg.Market.Request(f.consumers[node], dec.Provider, dec.Kind, func(l *market.Lease) {
-		if f.stopped {
+// tariff is the fixed Table 3 tariff of §5: a spot request succeeds
+// with probability 1 − P_rev, drawn on the fleet's stream, and leases
+// bill at the fleet's Pricing.
+type tariff struct {
+	accrued float64 // cost of released leases
+}
+
+// acquire follows the Mode: spot when the draw succeeds, else on-demand
+// unless spot-only. A replacement for a draining node attaches after
+// market.ProvisionTime; any other lease attaches at once.
+func (t *tariff) acquire(f *Fleet, i int) bool {
+	n := &f.nodes[i]
+	kind := KindOnDemand
+	if f.cfg.Mode != ModeOnDemandOnly {
+		if f.rng.Float64() >= f.cfg.Availability.PRev {
+			kind = KindSpot
+		} else {
+			if n.state != nodeNew { // bootstrap draws are not counted
+				f.failures++
+			}
+			if f.cfg.Mode == ModeSpotOnly {
+				return false
+			}
+		}
+	}
+	if n.state != nodeDraining {
+		f.attach(i, kind, 0, nil)
+		return true
+	}
+	f.sim.MustAfter(market.ProvisionTime, func() {
+		if !f.stopped {
+			f.attach(i, kind, 0, nil)
+		}
+	})
+	return true
+}
+
+func (t *tariff) release(f *Fleet, n *node) { t.accrued += t.bill(f, n) }
+
+// bill is the cost of n's lease from its attach to now.
+func (t *tariff) bill(f *Fleet, n *node) float64 {
+	return (f.sim.Now() - n.acquired) / 3600 * f.cfg.Pricing.Hourly(n.kind)
+}
+
+func (t *tariff) cost(f *Fleet) (float64, float64) {
+	total := t.accrued
+	for i := range f.nodes {
+		if n := &f.nodes[i]; n.kind != 0 {
+			total += t.bill(f, n)
+		}
+	}
+	return total, f.cfg.Pricing.OnDemandHourly
+}
+
+// marketplace procures through the multi-provider spot market: the
+// procurement policy picks a source, the lease is requested two-phase
+// and billed on the market's ledger.
+type marketplace struct{}
+
+func (marketplace) acquire(f *Fleet, i int) bool {
+	dec, ok := f.cfg.Procurement.Choose(f.cfg.Market.View())
+	if ok = ok && f.request(i, dec, false) == nil; !ok {
+		f.failures++
+	}
+	return ok
+}
+
+func (marketplace) release(f *Fleet, n *node) { f.cfg.Market.Release(n.lease) }
+
+// cost reads the market ledger (settled plus open segments at current
+// prices) and prices the baseline at the catalog's cheapest on-demand
+// rate.
+func (marketplace) cost(f *Fleet) (float64, float64) {
+	return f.cfg.Market.TotalDollars(), f.cfg.Market.CheapestOnDemandHourly()
+}
+
+// request opens a two-phase acquisition for node i. When the lease is
+// ready it binds and attaches (the provisioning lead time is inside the
+// minimum notice window, so a replacement attaches before its
+// predecessor's eviction). A migration lands only if the node is up and
+// still holds the lease it had when the request opened; otherwise the
+// new lease goes back unused.
+func (f *Fleet) request(i int, dec market.Decision, migrate bool) error {
+	old := f.nodes[i].lease
+	_, err := f.cfg.Market.Request("node/"+strconv.Itoa(i), dec.Provider, dec.Kind, func(l *market.Lease) {
+		if n := &f.nodes[i]; f.stopped || migrate && (n.state != nodeUp || n.lease != old) {
 			f.cfg.Market.Release(l)
 			return
 		}
 		if err := f.cfg.Market.Bind(l); err != nil {
 			return
 		}
-		f.attachMarket(node, l)
+		if migrate {
+			f.migrations++
+		}
+		f.attach(i, l.Kind, l.Provider, l)
 	})
-}
-
-// attachMarket swaps the node onto a bound marketplace lease,
-// releasing (and settling) the previous one.
-func (f *Fleet) attachMarket(node int, l *market.Lease) {
-	if old := f.mleases[node]; old != nil {
-		f.cfg.Market.Release(old)
-	}
-	f.mleases[node] = l
-	f.states[node] = nodeUp
-	if tr := f.sim.Tracer(); tr.Enabled() {
-		ev := obs.At(f.sim.Now(), obs.KindVMLease)
-		ev.Node = node
-		ev.Detail = Kind(int(l.Kind)).String()
-		ev.Model = f.cfg.Market.ProviderConfig(l.Provider).Name
-		tr.Emit(ev)
-	}
-	if f.cfg.Listener != nil {
-		f.cfg.Listener.NodeUp(node, Kind(int(l.Kind)))
-	}
+	return err
 }
 
 // rebalance runs one Procurement.Rebalance pass over the bound fleet
@@ -605,167 +568,80 @@ func (f *Fleet) rebalance() {
 		return
 	}
 	var bound []*market.Lease
-	for i, l := range f.mleases {
-		if l != nil && l.State == market.StateBound && f.states[i] == nodeUp {
-			bound = append(bound, l)
+	for i := range f.nodes {
+		if n := &f.nodes[i]; n.lease != nil && n.lease.State == market.StateBound && n.state == nodeUp {
+			bound = append(bound, n.lease)
 		}
 	}
 	if len(bound) == 0 {
 		return
 	}
 	for _, mg := range f.cfg.Procurement.Rebalance(f.cfg.Market.View(), bound) {
-		node := -1
-		for i, l := range f.mleases {
-			if l == mg.Lease {
-				node = i
+		for i := range f.nodes {
+			if f.nodes[i].lease == mg.Lease {
+				f.migrate(i, mg.To)
 				break
 			}
-		}
-		if node >= 0 {
-			f.migrate(node, mg.To)
 		}
 	}
 }
 
-// migrate opens a replacement lease for an up node; the swap lands
-// only if the node's lease is unchanged when the replacement is ready.
-func (f *Fleet) migrate(node int, dec market.Decision) {
-	old := f.mleases[node]
-	_, err := f.cfg.Market.Request(f.consumers[node], dec.Provider, dec.Kind, func(l *market.Lease) {
-		if f.stopped || f.states[node] != nodeUp || f.mleases[node] != old {
-			// The node was revoked or re-leased while the replacement
-			// provisioned; return it unused.
-			f.cfg.Market.Release(l)
-			return
-		}
-		if err := f.cfg.Market.Bind(l); err != nil {
-			return
-		}
-		f.migrations++
-		f.attachMarket(node, l)
-	})
-	_ = err // a sold-out target just skips this round's migration
-}
+// migrate moves an up node onto a new lease; a sold-out target just
+// skips this round's migration.
+func (f *Fleet) migrate(i int, dec market.Decision) { _ = f.request(i, dec, true) }
 
 // Migrations returns the number of completed procurement migrations.
 func (f *Fleet) Migrations() int { return f.migrations }
 
-// Market returns the marketplace backing the fleet (nil in legacy
-// single-provider mode).
+// Market returns the marketplace backing the fleet (nil on the Table 3
+// tariff).
 func (f *Fleet) Market() *market.Market { return f.cfg.Market }
 
 // StormDomains returns the number of distinct storm domains the fleet
 // exposes to the chaos injector: one per marketplace provider, or a
-// single domain in legacy single-provider mode.
-func (f *Fleet) StormDomains() int {
-	if f.marketMode() {
-		return f.cfg.Market.Providers()
-	}
-	return 1
-}
+// single domain on the tariff.
+func (f *Fleet) StormDomains() int { return len(f.providers) }
 
 // StormDomain injects a correlated spot-preemption storm (chaos
 // subsystem) centred on one storm domain: live spot nodes receive a
 // revocation notice at once, exactly as if the provider reclaimed a
-// capacity block, and the notice count is returned. A legacy fleet is
-// one domain that sees the full fraction. In market mode the domain is
-// a provider: its spot leases see the full fraction, and every other
-// provider sees frac × its StormCoupling (a capacity crunch at one
-// provider tightens the others' spot pools too), swept in catalog
-// order.
+// capacity block, and the notice count is returned. The domain's spot
+// leases see the full fraction, and every other domain sees frac × its
+// StormCoupling (a capacity crunch at one provider tightens the others'
+// spot pools too), swept in catalog order. The tariff's one domain
+// always sees the full fraction.
 func (f *Fleet) StormDomain(domain int, frac float64) int {
 	if f.stopped || !f.started || frac <= 0 {
 		return 0
 	}
-	if !f.marketMode() {
-		return f.storm(frac, func(i int) bool {
-			l := f.leases[i]
-			return l != nil && l.kind == KindSpot
-		}, f.notice)
-	}
 	total := 0
-	for p := 0; p < f.cfg.Market.Providers(); p++ {
+	for p, pc := range f.providers {
 		eff := frac
 		if p != domain {
-			eff = frac * f.cfg.Market.ProviderConfig(p).StormCoupling
+			eff = frac * pc.StormCoupling
 		}
-		total += f.storm(eff, func(i int) bool {
-			l := f.mleases[i]
-			return l != nil && l.Provider == p && l.Kind == market.KindSpot
-		}, f.noticeMarket)
+		total += f.storm(p, eff)
 	}
 	return total
 }
 
-// storm sends notice to ceil(frac × eligible) of the up nodes whose
-// lease spot accepts, lowest node index first, for determinism.
-func (f *Fleet) storm(frac float64, spot func(node int) bool, notice func(node int)) int {
+// storm sends notice to ceil(frac × eligible) of the up spot nodes on
+// provider p, lowest node index first, for determinism.
+func (f *Fleet) storm(p int, frac float64) int {
 	if frac <= 0 {
 		return 0
 	}
 	var eligible []int
-	for i, st := range f.states {
-		if st == nodeUp && spot(i) {
+	for i := range f.nodes {
+		if n := &f.nodes[i]; n.state == nodeUp && n.kind == KindSpot && n.provider == p {
 			eligible = append(eligible, i)
 		}
 	}
 	k := min(int(math.Ceil(frac*float64(len(eligible)))), len(eligible))
 	for _, i := range eligible[:k] {
-		notice(i)
+		f.notice(i)
 	}
 	return k
-}
-
-// replace swaps the node's lease for a fresh one of the given kind. The
-// old VM keeps running (and billing) until its eviction deadline; the
-// paper's drain-and-replace means the swap itself causes no downtime.
-func (f *Fleet) replace(node int, kind Kind) {
-	if f.stopped {
-		return
-	}
-	f.attach(node, kind)
-}
-
-func (f *Fleet) evict(node, gen int, needRetry bool) {
-	if f.stopped {
-		return
-	}
-	if f.noticeGen[node] != gen || f.states[node] != nodeDraining {
-		return // stale eviction, or replacement already attached
-	}
-	f.releaseNode(node)
-	f.states[node] = nodeDown
-	if tr := f.sim.Tracer(); tr.Enabled() {
-		ev := obs.At(f.sim.Now(), obs.KindVMDown)
-		ev.Node = node
-		tr.Emit(ev)
-	}
-	if f.cfg.Listener != nil {
-		f.cfg.Listener.NodeDown(node)
-	}
-	if needRetry {
-		if f.marketMode() {
-			f.retryMarket(node)
-		} else {
-			f.scheduleSpotRetry(node)
-		}
-	}
-}
-
-// scheduleSpotRetry keeps requesting spot capacity for a down node
-// (spot-only mode).
-func (f *Fleet) scheduleSpotRetry(node int) {
-	f.sim.MustAfter(retryInterval, func() {
-		if f.stopped || f.states[node] != nodeDown {
-			return
-		}
-		if f.spotAvailable() {
-			f.attach(node, KindSpot)
-			return
-		}
-		f.failures++
-		f.scheduleSpotRetry(node)
-	})
 }
 
 // CostReport summarizes metered spending.
@@ -780,27 +656,10 @@ type CostReport struct {
 }
 
 // Cost returns spending accrued up to now, measured since the given
-// start time for the baseline. In market mode the total is the
-// marketplace ledger (settled plus open segments at current prices)
-// and the baseline uses the catalog's cheapest on-demand rate.
+// start time for the baseline.
 func (f *Fleet) Cost(since float64) CostReport {
-	now := f.sim.Now()
-	if f.marketMode() {
-		total := f.cfg.Market.TotalDollars()
-		baseline := float64(f.cfg.Nodes) * (now - since) / 3600 * f.cfg.Market.CheapestOnDemandHourly()
-		norm := 0.0
-		if baseline > 0 {
-			norm = total / baseline
-		}
-		return CostReport{Dollars: total, OnDemandBaseline: baseline, Normalized: norm}
-	}
-	total := f.accrued
-	for _, l := range f.leases {
-		if l != nil {
-			total += (now - l.acquired) / 3600 * f.cfg.Pricing.Hourly(l.kind)
-		}
-	}
-	baseline := float64(f.cfg.Nodes) * (now - since) / 3600 * f.cfg.Pricing.OnDemandHourly
+	total, hourly := f.backing.cost(f)
+	baseline := float64(f.cfg.Nodes) * (f.sim.Now() - since) / 3600 * hourly
 	norm := 0.0
 	if baseline > 0 {
 		norm = total / baseline
