@@ -17,6 +17,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"protean/internal/api"
 )
 
 func main() {
@@ -68,22 +70,22 @@ func run(args []string, stdout io.Writer) error {
 		}, stdout)
 	}
 
-	body := map[string]any{
-		"nodes":           *nodes,
-		"scheme":          *scheme,
-		"strictModel":     *modelName,
-		"strictFraction":  *strictFrac,
-		"shape":           *shape,
-		"meanRPS":         *rps,
-		"durationSeconds": *duration,
-		"warmupSeconds":   *warmup,
+	body := api.SimulateRequest{
+		Nodes:           *nodes,
+		Scheme:          *scheme,
+		StrictModel:     *modelName,
+		StrictFraction:  *strictFrac,
+		Shape:           *shape,
+		MeanRPS:         *rps,
+		DurationSeconds: *duration,
+		WarmupSeconds:   *warmup,
 	}
 	if *procurement != "" {
-		body["procurement"] = *procurement
-		body["spotAvailability"] = *spot
+		body.Procurement = *procurement
+		body.SpotAvailability = *spot
 	}
 	if *chaosScale > 0 {
-		body["chaosScale"] = *chaosScale
+		body.ChaosScale = *chaosScale
 	}
 	payload, err := json.Marshal(body)
 	if err != nil {
@@ -116,25 +118,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var out struct {
-		SLOCompliance    float64 `json:"sloCompliance"`
-		StrictP50Millis  float64 `json:"strictP50Millis"`
-		StrictP99Millis  float64 `json:"strictP99Millis"`
-		BEP99Millis      float64 `json:"beP99Millis"`
-		Requests         int     `json:"requests"`
-		GPUUtilization   float64 `json:"gpuUtilization"`
-		ColdStarts       int     `json:"coldStarts"`
-		Reconfigurations int     `json:"reconfigurations"`
-		NormalizedCost   float64 `json:"normalizedCost"`
-		Availability     float64 `json:"availability"`
-		Requeued         int     `json:"requeued"`
-		Retries          int     `json:"retries"`
-		Models           []struct {
-			Model    string `json:"model"`
-			Requests int    `json:"requests"`
-			P99      float64 `json:"p99Seconds"`
-		} `json:"models"`
-	}
+	var out api.SimulateResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		return fmt.Errorf("decode response: %w", err)
 	}
