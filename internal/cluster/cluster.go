@@ -124,8 +124,8 @@ type node struct {
 	held []heldBatch
 
 	// Live-serving buffers (only filled after StartLive): lane-local
-	// completion and drop records, drained in node order at root
-	// barriers by CollectLive.
+	// completion and drop records, drained in node order by
+	// CollectLive in root context.
 	doneBuf []Completion
 	dropBuf []DropRecord
 
@@ -142,8 +142,8 @@ type node struct {
 	rows []metrics.BatchRow
 
 	// jobFree recycles gpu.Job objects for this node's placements. The
-	// list is touched from root barrier context (dispatch → place) and
-	// the node's own lane (pumpHeld, completions).
+	// list is touched from root events (dispatch → place) and the
+	// node's own lane events (pumpHeld, completions).
 	jobFree pool.Free[gpu.Job]
 	// onDone/onFail are the hoisted per-node completion callbacks, so a
 	// placement costs no closure allocations.
@@ -927,8 +927,8 @@ func (n *node) abandon(b *queue.Batch, holdsContainer bool) {
 	n.spent = append(n.spent, b)
 }
 
-// drop counts and traces lost requests on this node. Runs in the node's
-// context (lane or root barrier).
+// drop counts and traces lost requests on this node. Runs in a node
+// lane event or a root event.
 func (n *node) drop(batchID uint64, requests int) {
 	n.dropped += requests
 	if tr := n.sim.Tracer(); tr.Enabled() {
@@ -1095,8 +1095,8 @@ func (c *Cluster) InjectSliceFault(nodeID int, pick, repair float64) {
 }
 
 // StormDomains implements chaos.Targets: one domain per marketplace
-// provider, or a single domain without a fleet or in legacy
-// single-provider mode.
+// provider, or a single domain without a fleet or on the Table 3
+// tariff.
 func (c *Cluster) StormDomains() int {
 	if c.fleet == nil {
 		return 1

@@ -4,16 +4,16 @@
 // sync.Pool is deliberately not used: its per-P caches and GC-driven
 // eviction make object reuse order depend on scheduler timing, and the
 // simulator's contract is that every run is byte-identical for a
-// seed. A Free list is a plain LIFO owned by one lane (or
-// by the root between barriers): reuse order is exactly put order,
-// which the deterministic event schedule fixes.
+// seed. A Free list is a plain LIFO owned by one lane or by the root:
+// reuse order is exactly put order, which the deterministic event
+// schedule fixes.
 //
 // Ownership discipline (enforced by the poolflow lint rule):
 //   - an object obtained from Get is owned until passed to Put;
 //   - after Put the caller must not touch the object again — the next
 //     Get may hand it to unrelated code;
-//   - a Free list must only be accessed from one lane, or from root
-//     barrier context while lanes are paused, never both concurrently.
+//   - a Free list belongs to one simulation: only its events, root or
+//     lane, may touch it, and they run one at a time on one goroutine.
 package pool
 
 // Stats counts freelist traffic: Hits is reuses served from the list,

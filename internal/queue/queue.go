@@ -62,7 +62,7 @@ func (b *Batch) String() string {
 // recycled through deterministic freelists: callers hand finished
 // batches back via Release, and steady-state batching allocates
 // nothing per batch. All Batcher methods — including Release — must run
-// in the batcher's lane (or root barrier) context.
+// in events of the batcher's lane or of the root.
 type Batcher struct {
 	sim    *sim.Sim
 	window float64
@@ -119,8 +119,8 @@ func NewBatcher(s *sim.Sim, window float64, emit func(*Batch)) (*Batcher, error)
 
 // Release returns a finished batch to the freelist. The caller must be
 // completely done with the batch AND its Requests slice: both may be
-// handed to an unrelated batch on the next seal. Call only from the
-// batcher's lane or from root barrier context.
+// handed to an unrelated batch on the next seal. Call only from events
+// of the batcher's lane or of the root.
 func (b *Batcher) Release(batch *Batch) {
 	if batch == nil {
 		return
