@@ -102,9 +102,10 @@ type heldBatch struct {
 }
 
 // node is one GPU worker. Each node runs on its own simulation lane:
-// its GPU, scaler, jitter stream, and the counters below are only ever
-// touched from that lane's events or from the root's events, so the
-// node's event order is independent of every other lane.
+// its GPU, scaler and jitter stream are only ever touched from that
+// lane's events or from the root's events, so the node's event order is
+// independent of every other lane. What a node's work produces goes
+// straight to the Cluster's records, in event order.
 type node struct {
 	id      int
 	cluster *Cluster
@@ -123,35 +124,19 @@ type node struct {
 
 	held []heldBatch
 
-	// Live-serving buffers (only filled after StartLive): lane-local
-	// completion and drop records, drained in node order by
-	// CollectLive in root context.
-	doneBuf []Completion
-	dropBuf []DropRecord
-
 	beBatchesWindow int
 	lastBEModel     *model.Model
 
-	// Lane-local accumulators, merged in node order after the run.
-	recorder  metrics.Recorder
-	timeline  []GeometryEvent
-	completed int
-	dropped   int
-	// rows is complete's scratch buffer: one completed batch's recorded
-	// requests.
-	rows []metrics.BatchRow
+	// recorder stays per node: merging in node order after the run fixes
+	// the sample storage order, which the pinned reports read.
+	recorder metrics.Recorder
 
-	// jobFree recycles gpu.Job objects for this node's placements. The
-	// list is touched from root events (dispatch → place) and the
-	// node's own lane events (pumpHeld, completions).
+	// jobFree recycles gpu.Job objects for this node's placements; its
+	// per-node hit counts are pinned by the scale report and /metrics.
 	jobFree pool.Free[gpu.Job]
 	// onDone/onFail are the hoisted per-node completion callbacks, so a
 	// placement costs no closure allocations.
 	onDone, onFail func(*gpu.Job)
-	// spent buffers completed batches (lane context); the root returns
-	// them to the batcher's freelist at each dispatch barrier, in node
-	// order, so reuse order is fixed by the event schedule.
-	spent []*queue.Batch
 }
 
 // GeometryEvent records one geometry installation (for Figure 7).
@@ -182,19 +167,30 @@ type Cluster struct {
 	pendingGlobal []*queue.Batch
 	monitor       *sim.Ticker
 	stopped       bool
-	timeline      []GeometryEvent
-	dropped       int // gateway-side drops (arrival enqueue failures)
 	notices       int
 
-	chaos     *chaos.Injector
-	offered   int
-	completed int
-	requeued  int
+	chaos    *chaos.Injector
+	offered  int
+	requeued int
 
-	// live marks a cluster armed by StartLive: nodes buffer completion
-	// and drop records for the control plane, and the run is driven by
-	// AdvanceTo/Drain instead of Run.
-	live bool
+	// Outcomes, appended when they happen. One timer heap runs every
+	// lane, so each list is already in (time, node) order.
+	timeline  []GeometryEvent
+	completed int
+	dropped   int // gateway enqueue failures and node drops
+	// spent holds batches finished since the last dispatch barrier,
+	// which returns them to the batcher's freelist.
+	spent []*queue.Batch
+	// rows is complete's scratch buffer: one completed batch's recorded
+	// requests.
+	rows []metrics.BatchRow
+
+	// live marks a cluster armed by StartLive: the run is driven by
+	// AdvanceTo/Drain instead of Run, and completions and drops are
+	// buffered in done and drops for CollectLive.
+	live  bool
+	done  []Completion
+	drops []DropRecord
 
 	// Oracle support: per-window upcoming BE load, precomputed from the
 	// full trace only when lookahead is set, i.e. the node policy reads
@@ -289,8 +285,8 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 			up:      true,
 		}
 		if cfg.SketchQuantiles {
-			// Lane-local accumulators sketch too, or per-node sample
-			// buffers would still grow with the request count.
+			// Node recorders sketch too, or per-node sample buffers would
+			// still grow with the request count.
 			n.recorder = *metrics.NewSketchRecorder()
 		}
 		n.jobFree.Reset = (*gpu.Job).Reset
@@ -576,7 +572,6 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 
 	computeSum, memSum, busySum := 0.0, 0.0, 0.0
 	coldStarts, reconfigs, aborts := 0, 0, 0
-	dropped := c.dropped
 	nodeRecs := make([]*metrics.Recorder, len(c.nodes))
 	for i, n := range c.nodes {
 		cu, mu := n.gpu.Utilization()
@@ -587,11 +582,8 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 		reconfigs += n.gpu.ReconfigCount()
 		aborts += n.gpu.ReconfigAborts()
 		nodeRecs[i] = &n.recorder
-		c.timeline = append(c.timeline, n.timeline...)
-		c.completed += n.completed
-		dropped += n.dropped
 	}
-	// Merge the lane-local accumulators in node order — a fixed order,
+	// Merge the node recorders in node order — a fixed order,
 	// so the report is a pure function of the seed — in one call that
 	// takes the node recorders' row chunks without copying them. Nothing
 	// records after the drain, so the node recorders are reset.
@@ -599,7 +591,6 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	for _, n := range c.nodes {
 		n.recorder = metrics.Recorder{}
 	}
-	sortTimeline(c.timeline)
 	var chaosStats *chaos.Stats
 	if c.chaos != nil {
 		st := c.chaos.Stats()
@@ -608,7 +599,7 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	avail := metrics.Availability{
 		Offered:   c.offered,
 		Completed: c.completed,
-		Dropped:   dropped,
+		Dropped:   c.dropped,
 		Requeued:  c.requeued,
 	}
 	if chaosStats != nil {
@@ -625,7 +616,7 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 		ColdStarts:      coldStarts,
 		Reconfigs:       reconfigs,
 		Timeline:        c.timeline,
-		Dropped:         dropped,
+		Dropped:         c.dropped,
 		EvictionNotices: c.notices,
 		ReconfigAborts:  aborts,
 		Availability:    avail,
@@ -680,16 +671,13 @@ func (c *Cluster) enqueueSealed(b *queue.Batch) {
 // drainSealed routes every mailbox batch to a node, in seal order —
 // the deterministic barrier drain of the dispatch quantum. It also
 // returns batches the nodes finished since the last barrier to the
-// batcher's freelist, in node order, so reuse order is fixed by the
-// event schedule.
+// batcher's freelist, in the order they finished.
 func (c *Cluster) drainSealed() {
-	for _, n := range c.nodes {
-		for i, b := range n.spent {
-			c.batcher.Release(b)
-			n.spent[i] = nil
-		}
-		n.spent = n.spent[:0]
+	for i, b := range c.spent {
+		c.batcher.Release(b)
+		c.spent[i] = nil
 	}
+	c.spent = c.spent[:0]
 	sealed := c.sealed
 	c.sealed = c.sealed[:0]
 	for _, b := range sealed {
@@ -698,25 +686,11 @@ func (c *Cluster) drainSealed() {
 }
 
 // mailboxIdle reports whether drainSealed would do nothing: the
-// mailbox holds no sealed batch and no node holds a spent one. The
-// root skips dispatch quanta while it holds (see sim.Ticker.SkipWhile);
-// most quanta of a long, lightly loaded horizon are such no-ops.
+// mailbox holds no sealed batch and no spent one waits. The root skips
+// dispatch quanta while it holds (see sim.Ticker.SkipWhile); most
+// quanta of a long, lightly loaded horizon are such no-ops.
 func (c *Cluster) mailboxIdle() bool {
-	if len(c.sealed) > 0 {
-		return false
-	}
-	for _, n := range c.nodes {
-		if len(n.spent) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// sortTimeline orders geometry events by time, keeping node order for
-// simultaneous installations (the pre-run entries all share t = 0).
-func sortTimeline(tl []GeometryEvent) {
-	sort.SliceStable(tl, func(i, j int) bool { return tl[i].Time < tl[j].Time })
+	return len(c.sealed) == 0 && len(c.spent) == 0
 }
 
 // dispatch routes one sealed batch to the least-loaded available node.
@@ -924,13 +898,13 @@ func (n *node) abandon(b *queue.Batch, holdsContainer bool) {
 	n.leave(b, holdsContainer)
 	n.drop(b.ID, b.Size())
 	n.bufferDrop(b.Requests)
-	n.spent = append(n.spent, b)
+	n.cluster.spent = append(n.cluster.spent, b)
 }
 
 // drop counts and traces lost requests on this node. Runs in a node
 // lane event or a root event.
 func (n *node) drop(batchID uint64, requests int) {
-	n.dropped += requests
+	n.cluster.dropped += requests
 	if tr := n.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(n.sim.Now(), obs.KindDrop)
 		ev.Node = n.id
@@ -984,12 +958,14 @@ func (n *node) place(b *queue.Batch, cold float64) error {
 
 // complete records metrics for every request in the batch and frees the
 // container. The batch's requests share every sample field but their
-// latency, queueing delay and tenant, so they are recorded in one call.
+// latency, queueing delay and tenant, so they are recorded in one call;
+// a live cluster hands them to the control plane instead.
 func (n *node) complete(b *queue.Batch, j *gpu.Job) {
+	c := n.cluster
 	n.leave(b, true)
-	n.completed += b.Size()
-	finished, started, warmup := j.Finished(), j.Started(), n.cluster.cfg.Warmup
-	rows := slices.Grow(n.rows[:0], len(b.Requests))
+	c.completed += b.Size()
+	finished, started, warmup := j.Finished(), j.Started(), c.cfg.Warmup
+	rows := slices.Grow(c.rows[:0], len(b.Requests))
 	for i := range b.Requests {
 		r := &b.Requests[i]
 		if r.Arrival < warmup {
@@ -1003,40 +979,34 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 			Tenant:  r.Tenant,
 		})
 	}
-	n.rows = rows
-	shared := metrics.Sample{
-		Model:     b.Model.Name(),
-		Strict:    b.Strict,
-		SLO:       b.Model.SLO(n.cluster.cfg.SLOMultiplier),
-		Breakdown: j.Breakdown(),
-		Completed: finished,
-		Weight:    1,
-	}
-	n.recorder.AddBatch(shared, rows)
-	if n.cluster.live {
-		var liveSamples []metrics.Sample
-		for _, rw := range rows {
-			liveSamples = append(liveSamples, rw.Sample(shared))
-		}
+	c.rows = rows
+	if c.live {
 		prof := ""
 		if sl := j.Slice(); sl != nil {
 			prof = sl.Prof.Name
 		}
-		n.doneBuf = append(n.doneBuf, Completion{
-			Time:        j.Finished(),
-			Node:        n.id,
-			Model:       b.Model.Name(),
+		// The completion outlives the scratch buffer, so it keeps a copy.
+		c.done = append(c.done, Completion{
+			Time:        finished,
 			Profile:     prof,
-			ExecSeconds: math.Max(0, j.Finished()-j.Started()),
-			ColdStart:   j.ColdStart,
-			Samples:     liveSamples,
+			ExecSeconds: math.Max(0, finished-started),
+			Rows:        slices.Clone(rows),
 		})
+	} else {
+		n.recorder.AddBatch(metrics.Sample{
+			Model:     b.Model.Name(),
+			Strict:    b.Strict,
+			SLO:       b.Model.SLO(c.cfg.SLOMultiplier),
+			Breakdown: j.Breakdown(),
+			Completed: finished,
+			Weight:    1,
+		}, rows)
 	}
-	// The engine detached the job before OnDone and every sample above
-	// copied what it needed, so both hot objects recycle here: the job
-	// immediately (pumpHeld may place with it), the batch via the spent
-	// buffer the root drains at the next dispatch barrier.
-	n.spent = append(n.spent, b)
+	// The engine detached the job before OnDone and the rows above
+	// copied what they needed, so both hot objects recycle here: the job
+	// immediately (pumpHeld may place with it), the batch at the next
+	// dispatch barrier.
+	c.spent = append(c.spent, b)
 	n.jobFree.Put(j)
 	n.pumpHeld()
 }
@@ -1149,11 +1119,9 @@ func (n *node) evacuate() {
 // reconfigure initiates a MIG geometry change on the node's GPU.
 func (n *node) reconfigure(desired gpu.Geometry) {
 	err := n.gpu.Reconfigure(desired, func(displaced []*gpu.Job) {
-		// Runs when the downtime timer fires — node-lane context, which
-		// is why the budget release is atomic and the timeline entry is
-		// lane-local.
+		// Runs when the downtime timer fires, in node-lane context.
 		n.cluster.budget.Release()
-		n.timeline = append(n.timeline, GeometryEvent{
+		n.cluster.timeline = append(n.cluster.timeline, GeometryEvent{
 			Time:     n.sim.Now(),
 			Node:     n.id,
 			Geometry: desired.String(),
@@ -1171,15 +1139,14 @@ func (n *node) reconfigure(desired gpu.Geometry) {
 // resubmit places a displaced (never-started) job onto the new geometry.
 // A job that fits no slice is abandoned with its batch.
 func (n *node) resubmit(j *gpu.Job) {
-	m, ok := j.W.(*model.Model)
-	if !ok {
-		return
-	}
+	b := j.Ctx.(*queue.Batch)
+	m := b.Model
 	sl, err := n.policy.Place(n.gpu, m, j.Strict)
 	if err != nil {
-		// Hold as a synthetic batch? Displaced jobs keep their original
-		// batch callbacks, so retry on the next completion via held
-		// list is not possible; place on any fitting slice instead.
+		// The job keeps its jitter draw, enqueue time and cold start:
+		// holding the batch would re-place it as a new job, drawing
+		// jitter again and restarting its queueing clock. So it takes
+		// any slice its model fits.
 		for _, cand := range n.gpu.Slices() {
 			if !cand.Failed() && m.MemGB(cand.Prof) <= cand.Prof.MemGB {
 				sl = cand
@@ -1188,7 +1155,7 @@ func (n *node) resubmit(j *gpu.Job) {
 		}
 	}
 	if sl == nil || sl.Submit(j) != nil {
-		n.abandon(j.Ctx.(*queue.Batch), true)
+		n.abandon(b, true)
 		n.jobFree.Put(j)
 	}
 }

@@ -4,12 +4,11 @@
 // clock, advances the simulation with AdvanceTo, and finally freezes
 // and drains it with Drain. Between advances — always root context —
 // it reads Backlog for admission decisions and CollectLive for the
-// completion and drop records nodes buffered on their lanes.
+// completion and drop records buffered since the last read.
 package cluster
 
 import (
 	"errors"
-	"sort"
 
 	"protean/internal/metrics"
 	"protean/internal/trace"
@@ -17,24 +16,17 @@ import (
 
 // Completion is one finished batch as reported to the live serving
 // layer: which slice profile executed it for how long (usage metering)
-// and the per-request latency samples, tagged with their tenants.
+// and each member request's latency, queueing delay and tenant.
 type Completion struct {
 	// Time is the virtual completion time.
 	Time float64
-	// Node is the worker that executed the batch.
-	Node int
-	// Model is the invoked model's name.
-	Model string
 	// Profile is the MIG slice profile that executed the batch ("7g",
 	// "4g", ...), the unit usage is metered in.
 	Profile string
 	// ExecSeconds is the slice occupancy (execution start to finish).
 	ExecSeconds float64
-	// ColdStart is the container boot time the batch paid (0 when warm).
-	ColdStart float64
-	// Samples are the per-request latency observations, one per member
-	// request, each carrying its tenant tag.
-	Samples []metrics.Sample
+	// Rows holds one row per member request.
+	Rows []metrics.BatchRow
 }
 
 // DropRecord is live work abandoned by a node (no capacity, fault
@@ -53,24 +45,18 @@ type DropRecord struct {
 
 // StartLive arms the cluster for incremental serving: the VM fleet (if
 // any), the chaos schedule, and the dispatch/monitor tickers start, and
-// nodes begin buffering completion and drop records. The caller then
-// drives virtual time with AdvanceTo and ends the session with Drain.
+// completion and drop records are buffered for CollectLive. The caller
+// then drives virtual time with AdvanceTo and ends the session with
+// Drain.
 //
-// A live cluster's recorders run in sketch mode: the serving layer
-// keeps its own exact per-tenant samples from the completion records,
-// so the cluster-side copies would only grow with every request served.
-// Drain's Result.Recorder therefore carries exact counts and SLO
-// compliance but sketch-estimated quantiles.
+// The serving layer keeps its own per-tenant samples from the
+// completion records, so a live cluster records none: Drain's
+// Result.Recorder is empty, and its Availability counts the work.
 func (c *Cluster) StartLive() error {
 	if c.live {
 		return errors.New("cluster: StartLive called twice")
 	}
 	c.live = true
-	// Still empty: nothing completes before the session starts.
-	c.recorder = metrics.NewSketchRecorder()
-	for _, n := range c.nodes {
-		n.recorder = *metrics.NewSketchRecorder()
-	}
 	if c.fleet != nil {
 		if err := c.fleet.Start(); err != nil {
 			return err
@@ -182,39 +168,33 @@ func (c *Cluster) PrewarmModel(modelName string, count int) {
 	}
 }
 
-// CollectLive drains every node's buffered completion and drop records,
-// merged into one stream ordered by (time, node) — each node's buffer
-// is already time-ordered (lanes execute in time order), so a stable
-// sort over the node-ordered concatenation realizes the merge. The
-// order is a pure function of the event timestamps. Root context only.
+// CollectLive hands over the completion and drop records buffered
+// since the last call. Each list is in event order, so completions are
+// ordered by (time, node): one timer heap runs every lane, and node
+// lanes rank in node order at one instant. The order is a pure function
+// of the event timestamps. The returned slices are the caller's. Root
+// context only.
 func (c *Cluster) CollectLive() ([]Completion, []DropRecord) {
-	var comps []Completion
-	var drops []DropRecord
-	for _, n := range c.nodes {
-		comps = append(comps, n.doneBuf...)
-		n.doneBuf = n.doneBuf[:0]
-		drops = append(drops, n.dropBuf...)
-		n.dropBuf = n.dropBuf[:0]
-	}
-	sort.SliceStable(comps, func(i, j int) bool { return comps[i].Time < comps[j].Time })
-	sort.SliceStable(drops, func(i, j int) bool { return drops[i].Time < drops[j].Time })
+	comps, drops := c.done, c.drops
+	c.done, c.drops = nil, nil
 	return comps, drops
 }
 
 // bufferDrop records a dropped batch against its member tenants, one
 // DropRecord per tenant run in arrival order (batches are single-model
-// but may mix tenants). Lane context of the owning node.
+// but may mix tenants).
 func (n *node) bufferDrop(reqs []trace.Request) {
-	if !n.cluster.live || len(reqs) == 0 {
+	c := n.cluster
+	if !c.live || len(reqs) == 0 {
 		return
 	}
 	cur := DropRecord{Time: n.sim.Now(), Node: n.id, Tenant: reqs[0].Tenant}
 	for _, r := range reqs {
 		if r.Tenant != cur.Tenant {
-			n.dropBuf = append(n.dropBuf, cur)
+			c.drops = append(c.drops, cur)
 			cur = DropRecord{Time: cur.Time, Node: n.id, Tenant: r.Tenant}
 		}
 		cur.Requests++
 	}
-	n.dropBuf = append(n.dropBuf, cur)
+	c.drops = append(c.drops, cur)
 }

@@ -5,16 +5,16 @@ import (
 
 	"protean/internal/core"
 	"protean/internal/gpu"
-	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/sim"
 	"protean/internal/trace"
 )
 
-// TestLiveDrainRecorderSketches asserts a live session keeps no exact
-// sample buffer on the cluster side: Drain's recorder is a sketch whose
-// exact counters still account for every completed request.
-func TestLiveDrainRecorderSketches(t *testing.T) {
+// TestLiveDrainRecordsNoSamples asserts a live session keeps no
+// samples on the cluster side: Drain's recorder is empty, and the
+// completion rows CollectLive hands out account for every completed
+// request, in time order.
+func TestLiveDrainRecordsNoSamples(t *testing.T) {
 	s := sim.New(1)
 	c, err := New(s, Config{Nodes: 2, Policy: core.NewProtean(core.ProteanConfig{})})
 	if err != nil {
@@ -23,12 +23,15 @@ func TestLiveDrainRecorderSketches(t *testing.T) {
 	if err := c.StartLive(); err != nil {
 		t.Fatalf("StartLive: %v", err)
 	}
+	var comps []Completion
 	m := model.MustByName("ResNet 18")
 	for i := 0; i < 200; i++ {
 		vt := float64(i) * 0.01
 		if err := c.AdvanceTo(vt); err != nil {
 			t.Fatalf("AdvanceTo: %v", err)
 		}
+		done, _ := c.CollectLive()
+		comps = append(comps, done...)
 		req := trace.Request{ID: uint64(i), Tenant: "acme", Model: m, Strict: i%2 == 0, Arrival: vt}
 		if err := c.Ingest(req); err != nil {
 			t.Fatalf("Ingest: %v", err)
@@ -38,14 +41,25 @@ func TestLiveDrainRecorderSketches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if !res.Recorder.Sketching() {
-		t.Fatal("live Drain returned an exact recorder")
+	done, _ := c.CollectLive()
+	comps = append(comps, done...)
+	if got := res.Recorder.Len(); got != 0 {
+		t.Fatalf("live Drain returned a recorder with %d samples", got)
 	}
-	if got, want := res.Recorder.Requests(), res.Availability.Completed; got != want || got == 0 {
-		t.Fatalf("recorder holds %d requests, %d completed", got, want)
+	rows := 0
+	for i, cp := range comps {
+		if i > 0 && cp.Time < comps[i-1].Time {
+			t.Fatalf("completion %d at %v follows one at %v", i, cp.Time, comps[i-1].Time)
+		}
+		for _, r := range cp.Rows {
+			if r.Tenant != "acme" {
+				t.Fatalf("row tenant %q, want acme", r.Tenant)
+			}
+		}
+		rows += len(cp.Rows)
 	}
-	if got := res.Recorder.Filter(func(s metrics.Sample) bool { return s.Tenant == "acme" }).Requests(); got != res.Availability.Completed {
-		t.Fatalf("tenant view holds %d requests, want %d", got, res.Availability.Completed)
+	if a := res.Availability; rows != a.Completed || rows == 0 {
+		t.Fatalf("CollectLive handed out %d rows, %d completed", rows, a.Completed)
 	}
 }
 

@@ -130,12 +130,12 @@ func Replay(opts Options, entries []LogEntry) (*Plane, *Summary, error) {
 				p.mu.Unlock()
 				return nil, nil, fmt.Errorf("controlplane: log entry %d: tenant op without config", i)
 			}
-			if err := p.registerLocked(*e.Config, p.quantize(e.VT), true); err != nil {
+			if err := p.registerLocked(*e.Config, p.quantize(e.VT)); err != nil {
 				p.mu.Unlock()
 				return nil, nil, fmt.Errorf("controlplane: log entry %d: %w", i, err)
 			}
 		case OpIngest:
-			if _, err := p.ingestLocked(e.Tenant, e.N, p.quantize(e.VT), true); err != nil {
+			if _, err := p.ingestLocked(e.Tenant, e.N, p.quantize(e.VT)); err != nil {
 				p.mu.Unlock()
 				return nil, nil, fmt.Errorf("controlplane: log entry %d: %w", i, err)
 			}

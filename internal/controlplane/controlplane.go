@@ -205,10 +205,10 @@ func (p *Plane) RegisterTenant(cfg TenantConfig) error {
 		return errDrained
 	}
 	vt := p.wallVT()
-	return p.registerLocked(cfg, vt, true)
+	return p.registerLocked(cfg, vt)
 }
 
-func (p *Plane) registerLocked(cfg TenantConfig, vt float64, logIt bool) error {
+func (p *Plane) registerLocked(cfg TenantConfig, vt float64) error {
 	if cfg.ID == "" {
 		return errors.New("controlplane: tenant id required")
 	}
@@ -238,10 +238,8 @@ func (p *Plane) registerLocked(cfg TenantConfig, vt float64, logIt bool) error {
 	if t.prewarm > 0 {
 		p.cluster.PrewarmModel(m.Name(), t.prewarm)
 	}
-	if logIt {
-		c := cfg
-		p.record(LogEntry{Op: OpTenant, VT: vt, Config: &c})
-	}
+	c := cfg
+	p.record(LogEntry{Op: OpTenant, VT: vt, Config: &c})
 	return nil
 }
 
@@ -293,7 +291,7 @@ func (p *Plane) Ingest(tenantID string, n int) (Decision, error) {
 	if p.drained {
 		return Decision{}, errDrained
 	}
-	return p.ingestLocked(tenantID, n, p.wallVT(), true)
+	return p.ingestLocked(tenantID, n, p.wallVT())
 }
 
 // IngestAt admits a batch at an explicit virtual time (quantized, and
@@ -304,7 +302,7 @@ func (p *Plane) IngestAt(vt float64, tenantID string, n int) (Decision, error) {
 	if p.drained {
 		return Decision{}, errDrained
 	}
-	return p.ingestLocked(tenantID, n, p.quantize(vt), true)
+	return p.ingestLocked(tenantID, n, p.quantize(vt))
 }
 
 // Sync advances virtual time to the current wall-derived instant
@@ -326,7 +324,7 @@ func (p *Plane) Sync() error {
 // bucket and the predicted queueing delay, and submit admitted requests
 // to the gateway. Every attempt is logged; decisions are recomputed on
 // replay and fingerprinted so replays can prove byte-identity.
-func (p *Plane) ingestLocked(tenantID string, n int, vt float64, logIt bool) (Decision, error) {
+func (p *Plane) ingestLocked(tenantID string, n int, vt float64) (Decision, error) {
 	t, ok := p.tenants[tenantID]
 	if !ok {
 		return Decision{}, fmt.Errorf("controlplane: unknown tenant %q", tenantID)
@@ -340,9 +338,7 @@ func (p *Plane) ingestLocked(tenantID string, n int, vt float64, logIt bool) (De
 	if err := p.advanceLocked(vt); err != nil {
 		return Decision{}, err
 	}
-	if logIt {
-		p.record(LogEntry{Op: OpIngest, VT: vt, Tenant: tenantID, N: n})
-	}
+	p.record(LogEntry{Op: OpIngest, VT: vt, Tenant: tenantID, N: n})
 	dec := p.decide(t, n, vt)
 	p.recordDecision(dec)
 	switch dec.Outcome {
@@ -410,33 +406,31 @@ func (p *Plane) collect() {
 // recorders, SLO-violation counts against per-class targets, and
 // queueing observations into the delay predictor.
 func (p *Plane) applyCompletion(c *cluster.Completion) {
-	if len(c.Samples) == 0 {
-		return
-	}
-	share := c.ExecSeconds / float64(len(c.Samples))
-	for i := range c.Samples {
-		s := &c.Samples[i]
-		t, ok := p.tenants[s.Tenant]
+	share := c.ExecSeconds / float64(len(c.Rows))
+	for _, r := range c.Rows {
+		t, ok := p.tenants[r.Tenant]
 		if !ok {
 			continue
 		}
 		// Queueing delay and execution time feed the global predictor in
 		// completion order.
-		exec := math.Max(0, s.Latency-s.Breakdown.Queue)
-		p.predictor.Observe(s.Breakdown.Queue, exec)
-		t.completed += s.Weight
-		w := t.windowAt(s.Completed)
-		w.Completed += s.Weight
+		p.predictor.Observe(r.Queue, math.Max(0, r.Latency-r.Queue))
+		t.completed++
+		w := t.windowAt(c.Time)
+		w.Completed++
 		w.SliceSeconds += share
 		t.addSliceSeconds(c.Profile, share)
 		// Per-class target, not the batch-path model SLO: the tenant's
 		// class owns the violation semantics.
-		s.SLO = t.target
-		s.Strict = t.class.Strict
-		t.recorder.Add(*s)
-		if s.Latency > t.target {
-			t.violations += s.Weight
-			w.Violations += s.Weight
+		t.recorder.Add(r.Sample(metrics.Sample{
+			Strict:    t.class.Strict,
+			SLO:       t.target,
+			Completed: c.Time,
+			Weight:    1,
+		}))
+		if r.Latency > t.target {
+			t.violations++
+			w.Violations++
 		}
 	}
 }

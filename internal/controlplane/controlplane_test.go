@@ -215,7 +215,7 @@ func scriptedRun(t *testing.T, opts Options, withSyncs bool) *Plane {
 
 // rollups renders a fixed-format, byte-stable usage rollup for every
 // tenant plus the plane-wide decision fingerprint: the artifact the
-// determinism tests compare across shard counts and replays.
+// determinism tests compare across replays and with a golden file.
 func rollups(t *testing.T, p *Plane) string {
 	t.Helper()
 	usages, err := p.UsageAll()
@@ -255,12 +255,12 @@ func advanceTo(t *testing.T, p *Plane, vt float64) {
 	}
 }
 
-// TestReplayDeterminismAcrossShards is the control plane's determinism
+// TestReplayReproducesLiveRollups is the control plane's determinism
 // contract: replaying a recorded ingest log reproduces the live run's
 // admission decisions and usage rollups byte-for-byte, even though the
 // live run interleaved unlogged advances (usage reads) that the replay
 // never saw.
-func TestReplayDeterminismAcrossShards(t *testing.T) {
+func TestReplayReproducesLiveRollups(t *testing.T) {
 	live := scriptedRun(t, testOpts(), true)
 	if _, err := live.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)

@@ -1,9 +1,10 @@
 // Package flow implements PROTEAN's callgraph-aware determinism
 // analyzers. Where the per-package rules in internal/lint catch
 // syntactic nondeterminism (a literal time.Now, a raw map range), the
-// flow suite proves semantic properties the sharded event loop of
-// ROADMAP item 1 depends on: no RNG draw, float reduction, or shared
-// mutable write may cross a future shard boundary unordered.
+// flow suite proves semantic properties that byte-identical output
+// across repeats and -parallel depends on: no RNG draw, float
+// reduction, or shared mutable write may cross a goroutine boundary
+// unordered.
 //
 // The suite builds one type-directed callgraph over every loaded
 // package (BuildProgram), then runs six analyzers on it:
@@ -360,7 +361,7 @@ func (p *Program) SpawnReach() map[*Node][]*Spawn {
 	return reach
 }
 
-// SpawnWeight is the shard-hazard weight of a spawn set: each site
+// SpawnWeight is the concurrency-hazard weight of a spawn set: each site
 // counts once, a looped site twice (it stands for N goroutines).
 func SpawnWeight(spawns []*Spawn) int {
 	w := 0

@@ -11,7 +11,8 @@ import (
 
 // rngflowAnalyzer tracks seeded *math/rand.Rand streams through the
 // callgraph. A deterministic run consumes every stream in one total
-// order; three patterns break that once the event loop shards:
+// order; three patterns break that once code runs on more than one
+// goroutine:
 //
 //  1. A draw lexically inside a goroutine body (or a function spawned
 //     as one) on a stream the goroutine did not create: the draw
@@ -20,12 +21,12 @@ import (
 //     randomized bucket order, so the values land on different
 //     consumers run to run even though the sequence is fixed.
 //  3. One stream aliased into code reachable from two or more spawn
-//     sites (a looped spawn counts twice): today the sites may run
-//     sequentially, but ROADMAP item 1 will overlap them, and the
-//     shared cursor becomes a race on the draw order. Draws on such a
-//     stream outside its owning package are flagged so each alias is
-//     either given a derived per-shard stream or explicitly suppressed
-//     with the reason it is safe.
+//     sites (a looped spawn counts twice): the sites may run one after
+//     the other today, but nothing keeps them from overlapping, and
+//     then the shared cursor is a race on the draw order. Draws on
+//     such a stream outside its owning package are flagged so each
+//     alias is either given a derived per-goroutine stream or
+//     explicitly suppressed with the reason it is safe.
 func rngflowAnalyzer(get func([]*lint.Package) *Program) *lint.ProgramAnalyzer {
 	return &lint.ProgramAnalyzer{
 		Name: "rngflow",
@@ -78,7 +79,7 @@ func runRngflow(p *Program, report func(pos token.Pos, format string, args ...an
 	// Rule 3: one stream aliased into code reachable from two or more
 	// spawn sites. Group draws by stream source; when the drawing
 	// functions' combined spawn weight reaches 2, every draw outside the
-	// stream's owning package is a shard hazard.
+	// stream's owning package is a hazard.
 	bySource := map[types.Object][]rngDraw{}
 	for _, d := range draws {
 		if d.source != nil {

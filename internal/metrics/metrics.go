@@ -307,11 +307,6 @@ func NewSketchRecorder() *Recorder {
 	return &Recorder{sk: &sketchRec{aggs: make(map[sketchKey]*sketchAgg)}}
 }
 
-// Sketching reports whether the recorder is in sketch mode.
-//
-//lint:ignore deadcode cluster's TestLiveDrainRecorderSketches checks a live drain returns a sketch
-func (r *Recorder) Sketching() bool { return r.sk != nil }
-
 // materialize gives a view a store of its own (exact mode only),
 // copying and re-interning its visible rows, so a mutation never
 // touches the chunks it shares.
