@@ -23,6 +23,7 @@ import (
 	"math"
 	"sync"
 
+	"protean/internal/autoscale"
 	"protean/internal/chaos"
 	"protean/internal/cluster"
 	"protean/internal/core"
@@ -163,7 +164,7 @@ func New(opts Options) (*Plane, error) {
 		Policy:        core.NewProtean(core.ProteanConfig{}),
 		SLOMultiplier: opts.SLOMultiplier,
 		Chaos:         chaosCfg,
-		Scaler:        scalerConfig(opts.KeepAlive),
+		Scaler:        autoscale.Config{KeepAlive: opts.KeepAlive},
 		VM:            vmCfg,
 	})
 	if err != nil {

@@ -1,9 +1,6 @@
 package controlplane
 
-import (
-	"protean/internal/autoscale"
-	"protean/internal/obs"
-)
+import "protean/internal/obs"
 
 // traceCap bounds the in-memory lifecycle event ring.
 const traceCap = 65536
@@ -58,11 +55,4 @@ func (r *ringTracer) snapshot(kinds []string) []obs.Event {
 		}
 	}
 	return out
-}
-
-// scalerConfig tunes container autoscaling for live serving: a much
-// shorter keep-alive than the batch default, because the tenant
-// keep-warm layer above it owns long-horizon warmth.
-func scalerConfig(keepAlive float64) autoscale.Config {
-	return autoscale.Config{KeepAlive: keepAlive}
 }

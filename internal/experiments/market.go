@@ -137,7 +137,7 @@ func MarketSweep(p Params) (*Report, error) {
 		Title: "Market: procurement cost frontier (policies × spot volatility)",
 		Headers: []string{
 			"volatility", "policy", "$/1k req", "dollars", "SLO compliance",
-			"notices", "binds", "orphans", "migrations",
+			"notices", "binds", "migrations",
 		},
 	}
 	k := 0
@@ -164,7 +164,6 @@ func MarketSweep(p Params) (*Report, error) {
 				pct(slo),
 				fmt.Sprintf("%d", res.EvictionNotices),
 				fmt.Sprintf("%d", res.Market.Stats.Binds),
-				fmt.Sprintf("%d", res.Market.Stats.Orphans),
 				fmt.Sprintf("%d", res.Migrations),
 			})
 		}

@@ -1,9 +1,7 @@
 // Two-phase lease provisioning in the style of cloud-gpu-shopper:
-// request → pending → ready → bind, with provisioning lead times, bind
-// timeouts, heartbeat-based orphan detection, and orphan reclamation
-// that bills correctly (a reclaimed lease pays for ready → reclaim —
-// the provider ran the instance the whole time, whether or not the
-// consumer ever showed up).
+// request → pending → ready → bind, with a provisioning lead time. A
+// lease bills from ready until its consumer releases it, bound or not:
+// the provider runs the instance either way.
 package market
 
 import (
@@ -20,13 +18,10 @@ const (
 	// StatePending: requested, inventory held, instance provisioning.
 	StatePending LeaseState = iota + 1
 	// StateReady: provisioned and billing, waiting for the consumer's
-	// Bind; reclaimed as an orphan after the bind timeout.
+	// Bind or Release.
 	StateReady
-	// StateBound: owned by the consumer and heartbeating.
+	// StateBound: owned by the consumer.
 	StateBound
-	// StateOrphaned: reclaimed after a bind timeout or missed
-	// heartbeats; billed up to the reclamation instant.
-	StateOrphaned
 	// StateReleased: returned cleanly by the consumer.
 	StateReleased
 )
@@ -40,8 +35,6 @@ func (s LeaseState) String() string {
 		return "ready"
 	case StateBound:
 		return "bound"
-	case StateOrphaned:
-		return "orphaned"
 	case StateReleased:
 		return "released"
 	default:
@@ -68,12 +61,11 @@ type Lease struct {
 
 	accrued float64 // settled dollars
 	since   float64 // open billing segment start
-	beat    float64 // last heartbeat
 }
 
 // billing reports whether the lease has an open billing segment:
 // provisioned and not yet ended. Pending leases don't bill (the
-// instance isn't up), and orphaned/released ones settled at the end.
+// instance isn't up), and released ones settled at the end.
 func (l *Lease) billing() bool {
 	return l.State == StateReady || l.State == StateBound
 }
@@ -85,8 +77,7 @@ var ErrNoCapacity = errors.New("market: no spot capacity")
 // Request opens a two-phase acquisition: spot inventory is held
 // immediately, the instance becomes ready after the provisioning lead
 // time, and onReady runs (in root context) so the consumer can Bind.
-// A ready lease not bound within the bind timeout is reclaimed as an
-// orphan. Requests at virtual time 0 provision synchronously (the
+// Requests at virtual time 0 provision synchronously (the
 // bootstrap fleet predates the run clock).
 func (m *Market) Request(consumer string, providerIdx int, kind Kind, onReady func(*Lease)) (*Lease, error) {
 	if providerIdx < 0 || providerIdx >= len(m.providers) {
@@ -130,8 +121,8 @@ func (m *Market) Request(consumer string, providerIdx int, kind Kind, onReady fu
 	return l, nil
 }
 
-// ready moves a pending lease to the billing Ready state, arms its
-// bind timeout, and hands it to the consumer.
+// ready moves a pending lease to the billing Ready state and hands it
+// to the consumer.
 func (m *Market) ready(l *Lease, onReady func(*Lease)) {
 	if l.State != StatePending {
 		return // released while provisioning
@@ -140,17 +131,12 @@ func (m *Market) ready(l *Lease, onReady func(*Lease)) {
 	l.State = StateReady
 	l.ReadyAt = now
 	l.since = now
-	m.sim.MustAfter(bindTimeout, func() {
-		if l.State == StateReady {
-			m.orphan(l, "bind-timeout")
-		}
-	})
 	if onReady != nil {
 		onReady(l)
 	}
 }
 
-// Bind takes ownership of a ready lease and starts its heartbeats.
+// Bind takes ownership of a ready lease.
 func (m *Market) Bind(l *Lease) error {
 	if l.State != StateReady {
 		return fmt.Errorf("market: bind lease %d in state %s", l.ID, l.State)
@@ -158,7 +144,6 @@ func (m *Market) Bind(l *Lease) error {
 	now := m.sim.Now()
 	l.State = StateBound
 	l.BoundAt = now
-	l.beat = now
 	m.stats.Binds++
 	if tr := m.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(now, obs.KindLeaseBind)
@@ -169,14 +154,6 @@ func (m *Market) Bind(l *Lease) error {
 		tr.Emit(ev)
 	}
 	return nil
-}
-
-// Heartbeat renews a bound lease's liveness; the orphan sweeper
-// reclaims leases whose consumer has gone quiet.
-func (m *Market) Heartbeat(l *Lease) {
-	if l.State == StateBound {
-		l.beat = m.sim.Now()
-	}
 }
 
 // Release returns a lease cleanly, settling its final billing segment
@@ -192,24 +169,7 @@ func (m *Market) Release(l *Lease) {
 		m.reclaim(l, StateReleased)
 		m.stats.Releases++
 	default:
-		// Already orphaned or released: nothing to do.
-	}
-}
-
-// orphan reclaims a lease whose consumer failed to bind or heartbeat,
-// billing exactly ready → reclaim.
-func (m *Market) orphan(l *Lease, reason string) {
-	now := m.sim.Now()
-	m.settle(l, now)
-	m.reclaim(l, StateOrphaned)
-	m.stats.Orphans++
-	if tr := m.sim.Tracer(); tr.Enabled() {
-		ev := obs.At(now, obs.KindLeaseOrphan)
-		ev.Node = l.Provider
-		ev.Batch = uint64(l.ID)
-		ev.Detail = reason
-		ev.Model = l.Consumer
-		tr.Emit(ev)
+		// Already released: nothing to do.
 	}
 }
 
@@ -219,17 +179,6 @@ func (m *Market) reclaim(l *Lease, terminal LeaseState) {
 	l.EndedAt = m.sim.Now()
 	if l.Kind == KindSpot {
 		m.providers[l.Provider].free++
-	}
-}
-
-// sweepOrphans reclaims bound leases whose heartbeats stopped, in
-// lease-ID order.
-func (m *Market) sweepOrphans() {
-	cutoff := m.sim.Now() - heartbeatMisses*heartbeatInterval
-	for _, l := range m.leases {
-		if l.State == StateBound && l.beat <= cutoff {
-			m.orphan(l, "heartbeat-lost")
-		}
 	}
 }
 

@@ -32,7 +32,6 @@ func TestTwoPhaseLifecycle(t *testing.T) {
 			t.Errorf("spot inventory = %d, want 3 (held while pending)", m.providers[0].free)
 		}
 	})
-	// Stay short of the heartbeat-miss window: this test never beats.
 	if err := s.RunUntil(100); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -49,72 +48,55 @@ func TestTwoPhaseLifecycle(t *testing.T) {
 	if m.providers[0].free != 4 {
 		t.Errorf("spot inventory = %d after release, want 4", m.providers[0].free)
 	}
-	st := m.Stats()
-	if st.Requests != 1 || st.Binds != 1 || st.Releases != 1 || st.Orphans != 0 {
+	st := m.Summary().Stats
+	if st.Requests != 1 || st.Binds != 1 || st.Releases != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
-func TestBindTimeoutOrphansAndBillsReadyToReclaim(t *testing.T) {
+func TestUnboundReadyLeaseHoldsInventoryAndBillsUntilRelease(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMarket(t, s, Config{})
 	var l *Lease
 	s.MustAfter(10, func() {
 		var err error
-		l, err = m.Request("c", 0, KindOnDemand, nil) // consumer never binds
+		l, err = m.Request("c", 0, KindSpot, nil) // consumer never binds
 		if err != nil {
 			t.Errorf("Request: %v", err)
 		}
 	})
-	if err := s.RunUntil(300); err != nil {
+	s.MustAfter(3000, func() { m.Release(l) })
+	if err := s.RunUntil(2900); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if l.State != StateOrphaned {
-		t.Fatalf("state = %s, want orphaned", l.State)
+	// Long after provisioning the lease is still ready, holding its spot
+	// instance and billing.
+	if l.State != StateReady {
+		t.Fatalf("state = %s, want ready", l.State)
 	}
-	if l.EndedAt != 65 { // ready at 35 + bind timeout 30
-		t.Errorf("EndedAt = %v, want 65", l.EndedAt)
+	if m.providers[0].free != 3 {
+		t.Errorf("spot inventory = %d, want 3 (held while ready)", m.providers[0].free)
 	}
-	// Billed exactly ready → reclaim: 30 s of alpha on-demand.
-	want := 30.0 / 3600 * 32
-	if math.Abs(l.accrued-want) > 1e-12 {
-		t.Errorf("orphan dollars = %v, want %v", l.accrued, want)
+	if m.LiveLeases() != 1 || m.SpendRate() <= 0 {
+		t.Errorf("live leases = %d, spend rate = %v, want 1 billing lease", m.LiveLeases(), m.SpendRate())
 	}
-	if m.Stats().Orphans != 1 {
-		t.Errorf("orphans = %d, want 1", m.Stats().Orphans)
-	}
-}
-
-func TestHeartbeatLossOrphansBoundLease(t *testing.T) {
-	s := sim.New(1)
-	m := newTestMarket(t, s, Config{})
-	l, err := m.Request("c", 1, KindSpot, func(lz *Lease) { _ = m.Bind(lz) })
-	if err != nil {
-		t.Fatalf("Request: %v", err)
-	}
-	// Heartbeat until t=120, then go silent: the sweeper reclaims once
-	// the last beat is 3 intervals stale.
-	hb, err := s.Every(30, func() {
-		if s.Now() <= 120 {
-			m.Heartbeat(l)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Every: %v", err)
-	}
-	defer hb.Stop()
+	billed := m.TotalDollars()
 	if err := s.RunUntil(3600); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if l.State != StateOrphaned {
-		t.Fatalf("state = %s, want orphaned", l.State)
+	if l.State != StateReleased || l.EndedAt != 3000 {
+		t.Fatalf("state = %s ended at %v, want released at 3000", l.State, l.EndedAt)
 	}
-	// Last beat at 120; first sweep with 120 ≤ now−180 is t=300.
-	if l.EndedAt != 300 {
-		t.Errorf("EndedAt = %v, want 300", l.EndedAt)
+	if m.providers[0].free != 4 {
+		t.Errorf("spot inventory = %d after release, want 4", m.providers[0].free)
 	}
-	if m.providers[1].free != 4 {
-		t.Errorf("inventory not reclaimed: free = %d", m.providers[1].free)
+	// Billed on up to the release and nothing after it.
+	if l.accrued <= billed || math.Abs(m.TotalDollars()-l.accrued) > 1e-12 {
+		t.Errorf("lease dollars = %v (%v at t=2900), market total = %v, want equal and growing", l.accrued, billed, m.TotalDollars())
+	}
+	st := m.Summary().Stats
+	if st.Requests != 1 || st.Binds != 0 || st.Releases != 1 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -132,8 +114,8 @@ func TestSpotInventoryExhaustion(t *testing.T) {
 	if _, err := m.Request("c", 2, KindSpot, nil); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("third spot request: err = %v, want ErrNoCapacity", err)
 	}
-	if m.Stats().Rejected != 1 {
-		t.Errorf("rejected = %d, want 1", m.Stats().Rejected)
+	if st := m.Summary().Stats; st.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1", st.Rejected)
 	}
 	// On-demand supply is unbounded even when spot is sold out.
 	if _, err := m.Request("c", 2, KindOnDemand, func(lz *Lease) { _ = m.Bind(lz) }); err != nil {

@@ -1,10 +1,10 @@
 // Package market is the multi-provider GPU spot marketplace behind
-// PROTEAN's procurement layer (ROADMAP item 4). It generalises the
+// PROTEAN's procurement layer. It generalises the
 // paper's frozen Table 3 two-row market into a provider catalog with
 // finite spot inventory, seeded mean-reverting spot-price processes
 // with regime shifts, per-provider revocation profiles, two-phase
-// lease provisioning (request → pending → bind) with heartbeat/orphan
-// detection, and per-consumer cost tracking.
+// lease provisioning (request → pending → ready → bind), and
+// per-consumer cost tracking.
 //
 // Determinism contract: every price path is a pure function of the
 // simulation seed. Each provider draws from its own child stream
@@ -131,13 +131,6 @@ const (
 	// before the run clock starts, exactly like the single-provider
 	// fleet attaching its initial leases at t=0.
 	ProvisionTime float64 = 25
-	// bindTimeout is how long a ready lease waits for its consumer's
-	// Bind before it is reclaimed as an orphan.
-	bindTimeout float64 = 30
-	// heartbeatInterval is the orphan sweeper period.
-	heartbeatInterval float64 = 60
-	// heartbeatMisses is how many missed intervals orphan a bound lease.
-	heartbeatMisses float64 = 3
 )
 
 // Config tunes the marketplace. It has no settable field left: every
@@ -178,7 +171,6 @@ type Market struct {
 	stats Stats
 
 	ticker  *sim.Ticker
-	sweeper *sim.Ticker
 	started bool
 }
 
@@ -190,15 +182,12 @@ type Stats struct {
 	Rejected int `json:"rejected"`
 	// Binds counts leases bound by their consumer.
 	Binds int `json:"binds"`
-	// Orphans counts leases reclaimed after a bind timeout or missed
-	// heartbeats.
-	Orphans int `json:"orphans"`
 	// Releases counts clean lease returns.
 	Releases int `json:"releases"`
 }
 
 // New builds a marketplace over the catalog on the simulator's clock.
-// Call Start to arm the price ticker and orphan sweeper.
+// Call Start to arm the price ticker.
 func New(s *sim.Sim, _ Config, catalog []ProviderConfig) (*Market, error) {
 	if s == nil {
 		return nil, errors.New("market: nil sim")
@@ -231,7 +220,7 @@ func New(s *sim.Sim, _ Config, catalog []ProviderConfig) (*Market, error) {
 	return m, nil
 }
 
-// Start arms the price ticker and the orphan sweeper.
+// Start arms the price ticker.
 func (m *Market) Start() error {
 	if m.started {
 		return errors.New("market: already started")
@@ -242,21 +231,14 @@ func (m *Market) Start() error {
 		return fmt.Errorf("market: start price ticker: %w", err)
 	}
 	m.ticker = tk
-	sw, err := m.sim.Every(heartbeatInterval, m.sweepOrphans)
-	if err != nil {
-		return fmt.Errorf("market: start orphan sweeper: %w", err)
-	}
-	m.sweeper = sw
 	return nil
 }
 
-// Stop halts the tickers. Open leases stay billable until Released.
+// Stop halts the price ticker. Open leases stay billable until
+// Released.
 func (m *Market) Stop() {
 	if m.ticker != nil {
 		m.ticker.Stop()
-	}
-	if m.sweeper != nil {
-		m.sweeper.Stop()
 	}
 }
 
@@ -412,11 +394,6 @@ func (m *Market) ConsumerCosts() []ConsumerCost {
 	}
 	return out
 }
-
-// Stats returns marketplace activity counters.
-//
-//lint:ignore deadcode lease counters that TestTwoPhaseLifecycle and vm's TestMarketFleetRevokesAndReplaces check
-func (m *Market) Stats() Stats { return m.stats }
 
 // PriceStats is a provider's deterministic price-path summary.
 type PriceStats struct {

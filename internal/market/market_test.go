@@ -120,15 +120,6 @@ func TestLeaseBillingIsExactPiecewiseIntegral(t *testing.T) {
 			t.Errorf("Request: %v", err)
 		}
 	})
-	hb, err := s.Every(30, func() {
-		if l != nil {
-			m.Heartbeat(l)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Every: %v", err)
-	}
-	defer hb.Stop()
 	const end = 655.0
 	if err := s.RunUntil(end); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -178,11 +169,6 @@ func TestConsumerLedger(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Request b: %v", err)
 	}
-	hb, err := s.Every(30, func() { m.Heartbeat(la); m.Heartbeat(lb) })
-	if err != nil {
-		t.Fatalf("Every: %v", err)
-	}
-	defer hb.Stop()
 	if err := s.RunUntil(1800); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}

@@ -201,15 +201,6 @@ func TestPoliciesAreDeterministicOverLiveMarket(t *testing.T) {
 			}
 			leases = append(leases, l)
 		}
-		hb, err := s.Every(30, func() {
-			for _, l := range leases {
-				m.Heartbeat(l)
-			}
-		})
-		if err != nil {
-			t.Fatalf("Every: %v", err)
-		}
-		defer hb.Stop()
 		if err := s.RunUntil(900); err != nil {
 			t.Fatalf("RunUntil: %v", err)
 		}

@@ -247,7 +247,7 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			other.Add(next())
 		}
-		r.Merge(other, other.Strict())
+		r.Merge(other)
 		checkAgainstReference(t, name("after merge"), r)
 		for k, v := range views {
 			checkAgainstReference(t, name(k+" before add/merge"), v)
@@ -255,11 +255,6 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 		checkAgainstReference(t, name("strict after add/merge"), r.Strict())
 		checkAgainstReference(t, name("chained after add/merge"),
 			forTenant(r, "t2").Strict().Filter(func(s Sample) bool { return s.Completed < 50 }))
-
-		// Mutating a view materialises it; its index is rebuilt too.
-		strict.Add(next())
-		strict.Merge(other.BestEffort())
-		checkAgainstReference(t, name("materialised view"), strict)
 	}
 }
 
@@ -297,7 +292,7 @@ func TestMergeTiesKeepNodeOrder(t *testing.T) {
 
 // TestMergeVariadicMatchesSequential asserts one Merge(a, b, c) builds
 // exactly the recorder Merge(a); Merge(b); Merge(c) builds, name table
-// included, for views and nil arguments too.
+// included, for nil arguments too.
 func TestMergeVariadicMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	mk := func(n int) *Recorder {
@@ -308,7 +303,7 @@ func TestMergeVariadicMatchesSequential(t *testing.T) {
 		return r
 	}
 	a, b, c := mk(200), mk(300), mk(100)
-	args := []*Recorder{a, nil, b.Strict(), c}
+	args := []*Recorder{a, nil, b, c}
 	prefix := mk(50)
 
 	one := &Recorder{}
@@ -322,7 +317,7 @@ func TestMergeVariadicMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(one, seq) {
 		t.Fatalf("variadic merge differs from sequential merges")
 	}
-	if got, want := one.Requests(), prefix.Requests()+a.Requests()+b.Strict().Requests()+c.Requests(); got != want {
+	if got, want := one.Requests(), prefix.Requests()+a.Requests()+b.Requests()+c.Requests(); got != want {
 		t.Fatalf("merged requests %d, want %d", got, want)
 	}
 }
@@ -470,56 +465,6 @@ func TestMergeSelf(t *testing.T) {
 	checkAgainstReference(t, "self-merged then added", r)
 }
 
-// TestMergeViewSourceMatchesPlain asserts that merging a view, whose
-// rows are copied and re-interned, answers exactly as merging a plain
-// recorder holding the same samples, whose chunks are taken.
-func TestMergeViewSourceMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	id := 0
-	view := forTenant(randomRecorder(rng, &id, 2*chunkRows+9, nil).Strict(), "t1")
-	plain := &Recorder{}
-	for _, s := range samplesOf(view) {
-		plain.Add(s)
-	}
-	prefix := randomRecorder(rng, &id, 20, nil)
-	a, b := &Recorder{}, &Recorder{}
-	a.Merge(prefix, view)
-	b.Merge(prefix, plain)
-	sameAnswers(t, "view source", a, b)
-	sameAnswers(t, "view source, model b", a.ForModel("b"), b.ForModel("b"))
-	checkAgainstReference(t, "view source", a)
-}
-
-// TestViewAndParentAddsIsolated asserts a parent's Add is invisible
-// through an existing view and a view's Add is invisible through its
-// parent.
-func TestViewAndParentAddsIsolated(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	id := 0
-	r := randomRecorder(rng, &id, chunkRows+1, nil)
-	v := r.Strict()
-	rBefore, vBefore := samplesOf(r), samplesOf(v)
-	id++
-	x := randomSample(rng, id)
-	x.Strict = true
-	r.Add(x)
-	if !reflect.DeepEqual(samplesOf(v), vBefore) {
-		t.Fatalf("the parent's Add is visible through its view")
-	}
-	id++
-	y := randomSample(rng, id)
-	y.Strict = true
-	v.Add(y)
-	if !reflect.DeepEqual(samplesOf(r), append(rBefore, x)) {
-		t.Fatalf("the view's Add is visible through its parent")
-	}
-	if !reflect.DeepEqual(samplesOf(v), append(vBefore, y)) {
-		t.Fatalf("the view lost or gained samples")
-	}
-	checkAgainstReference(t, "parent", r)
-	checkAgainstReference(t, "view", v)
-}
-
 // TestParentAddAfterViewDoesNotCopy asserts that taking a view costs the
 // parent nothing later: its next Add allocates nothing while its tail
 // chunk has room.
@@ -542,6 +487,44 @@ func TestParentAddAfterViewDoesNotCopy(t *testing.T) {
 		if v.Len() != chunkRows+1+i {
 			t.Fatalf("view holds %d samples, want %d", v.Len(), chunkRows+1+i)
 		}
+	}
+}
+
+// TestViewsAndMixedModesRejectWrites asserts views are read-only in
+// both modes and Merge takes only whole recorders of the receiver's
+// mode: each write below panics.
+func TestViewsAndMixedModesRejectWrites(t *testing.T) {
+	s := Sample{Model: "m", Strict: true, Latency: 0.1, SLO: 0.2, Weight: 1}
+	exact, sketch := &Recorder{}, NewSketchRecorder()
+	exact.Add(s)
+	sketch.Add(s)
+	row := []BatchRow{{Latency: 0.1}}
+	for _, tc := range []struct {
+		name  string
+		write func()
+	}{
+		{"Add to an exact view", func() { exact.Strict().Add(s) }},
+		{"AddBatch to an exact view", func() { exact.Strict().AddBatch(s, row) }},
+		{"Merge into an exact view", func() { exact.Strict().Merge(&Recorder{}) }},
+		{"Add to a sketch view", func() { sketch.Strict().Add(s) }},
+		{"AddBatch to a sketch view", func() { sketch.Strict().AddBatch(s, row) }},
+		{"Merge into a sketch view", func() { sketch.Strict().Merge(NewSketchRecorder()) }},
+		{"Merge an exact view", func() { (&Recorder{}).Merge(exact.Strict()) }},
+		{"Merge a sketch view", func() { NewSketchRecorder().Merge(sketch.Strict()) }},
+		{"Merge a sketch recorder into an exact one", func() { (&Recorder{}).Merge(sketch) }},
+		{"Merge an exact recorder into a sketch one", func() { NewSketchRecorder().Merge(exact) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.write()
+		}()
+	}
+	if exact.Len() != 1 || sketch.Len() != 1 {
+		t.Fatalf("a rejected write changed a parent: exact %d, sketch %d samples", exact.Len(), sketch.Len())
 	}
 }
 

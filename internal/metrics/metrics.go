@@ -192,13 +192,15 @@ type latKey struct {
 // source and its destination) must not be used concurrently either.
 //
 // Filter and its derivatives (Strict, BestEffort, ForModel)
-// return view recorders: clipped references to the parent's chunks plus
-// one handle slice, never a sample copy. Views are snapshots. Rows are
-// never modified once written, and a view cannot reach past the lengths
-// its chunks had when it was taken, so samples the parent adds or merges
-// later stay invisible to it and cost the parent no copy. Adding to or
-// merging into a view first copies its visible rows into a store of its
-// own, so the parent is never perturbed.
+// return view recorders, which are read-only: Add, AddBatch and Merge on
+// a view panic, and so does merging a view into anything. An exact view
+// is clipped references to the parent's chunks plus one handle slice,
+// never a sample copy. Rows are never modified once written, and a view
+// cannot reach past the lengths its chunks had when it was taken, so it
+// is a snapshot: samples the parent adds or merges later stay invisible
+// to it and cost the parent no copy. A sketch view selects whole
+// aggregates of its parent, which keep changing as the parent records,
+// so take it after the parent's last write.
 type Recorder struct {
 	// chunks holds the rows in storage order. The recorder appends only
 	// to a tail chunk indexing its own name table; chunks taken from
@@ -212,7 +214,8 @@ type Recorder struct {
 	// view, when non-nil, restricts the recorder to these handles (a
 	// filtered view over a parent's chunks).
 	view []uint32
-	// weightSum is the total weighted request count of the visible rows.
+	// weightSum is the total weighted request count of the visible rows
+	// or aggregates.
 	weightSum int
 
 	// byLat (sorted by latency, then handle) and cum (cumulative
@@ -307,16 +310,15 @@ func NewSketchRecorder() *Recorder {
 	return &Recorder{sk: &sketchRec{aggs: make(map[sketchKey]*sketchAgg)}}
 }
 
-// materialize gives a view a store of its own (exact mode only),
-// copying and re-interning its visible rows, so a mutation never
-// touches the chunks it shares.
-func (r *Recorder) materialize() {
-	if r.view == nil {
-		return
+// isView reports whether r is a filtered view rather than a whole
+// recorder.
+func (r *Recorder) isView() bool { return r.view != nil || r.skSel != nil }
+
+// mustWrite panics unless r is a whole recorder that op may write to.
+func (r *Recorder) mustWrite(op string) {
+	if r.isView() {
+		panic("metrics: " + op + " on a view recorder")
 	}
-	v := *r
-	*r = Recorder{}
-	r.appendRows(&v)
 }
 
 // push appends one sample to r's own tail chunk, interning its names
@@ -374,14 +376,11 @@ func (r *Recorder) Add(s Sample) {
 	if s.Weight <= 0 {
 		s.Weight = 1
 	}
+	r.mustWrite("Add")
 	if r.sk != nil {
-		if r.skSel != nil {
-			panic("metrics: Add on a sketch-mode view recorder")
-		}
 		r.addSketch(s)
 		return
 	}
-	r.materialize()
 	r.push(s.Latency, s.Breakdown.Queue, groupOf(&s), s.Model, s.Tenant)
 }
 
@@ -433,16 +432,13 @@ func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
 	if shared.Weight <= 0 {
 		shared.Weight = 1
 	}
+	r.mustWrite("AddBatch")
 	if r.sk != nil {
-		if r.skSel != nil {
-			panic("metrics: Add on a sketch-mode view recorder")
-		}
 		for _, br := range rows {
 			r.addSketch(br.Sample(shared))
 		}
 		return
 	}
-	r.materialize()
 	if r.names == nil {
 		r.names = &nameTable{ids: make(map[string]uint32)}
 	}
@@ -485,36 +481,27 @@ func (r *Recorder) addSketch(s Sample) {
 	r.weightSum += s.Weight
 }
 
-// Merge folds other recorders' samples into r, in argument order; nil
-// recorders are skipped. An exact recorder that is not a view is merged
-// by taking clipped references to its chunks, with no row copy, so
-// merging whole recorders costs O(chunks); a view's visible rows are
-// copied. Merging a sketch-mode recorder into an exact one (or vice
-// versa) converts sample-by-sample where possible; sketch→exact is
-// impossible (the samples are gone) and panics.
+// Merge folds other whole recorders of r's mode into r, in argument
+// order; nil recorders are skipped. An exact source is merged by taking
+// clipped references to its chunks, with no row copy, so merging costs
+// O(chunks); a sketch source's aggregates are added key by key. A view
+// source, or a source of the other mode, panics.
 func (r *Recorder) Merge(others ...*Recorder) {
-	if r.sk != nil {
-		if r.skSel != nil {
-			panic("metrics: Merge on a sketch-mode view recorder")
-		}
-		for _, o := range others {
-			if o != nil {
-				r.mergeSketch(o)
-			}
-		}
-		return
-	}
-	for _, o := range others {
-		if o != nil && o.sk != nil {
-			panic("metrics: cannot merge a sketch-mode recorder into an exact recorder")
-		}
-	}
-	r.materialize()
+	r.mustWrite("Merge")
 	for _, o := range others {
 		switch {
 		case o == nil:
-		case o.view != nil:
-			r.appendRows(o)
+		case o.isView():
+			panic("metrics: cannot merge a view recorder")
+		case (o.sk == nil) != (r.sk == nil):
+			panic("metrics: cannot merge recorders of different modes")
+		}
+	}
+	for _, o := range others {
+		switch {
+		case o == nil:
+		case r.sk != nil:
+			r.mergeSketch(o)
 		default:
 			// The range reads o.chunks once, so r.Merge(r) takes r's
 			// chunks as they were before the call.
@@ -527,26 +514,11 @@ func (r *Recorder) Merge(others ...*Recorder) {
 	r.sortedOK = false
 }
 
-// appendRows copies o's visible rows onto r's own chunks, regrouping
-// them as push would have. Names are re-interned as rows reach them, so
-// r's table stays in first-seen order.
-func (r *Recorder) appendRows(o *Recorder) {
-	o.eachExact(func(_ uint32, s *row, g *group, t *nameTable) {
-		r.push(s.Latency, s.Queue, *g, t.names[g.model], t.names[s.tenant])
-	})
-}
-
-// mergeSketch folds one recorder into sketch-mode r.
+// mergeSketch folds a whole sketch-mode recorder into sketch-mode r.
 func (r *Recorder) mergeSketch(other *Recorder) {
-	if other.sk == nil {
-		other.eachExact(func(_ uint32, s *row, g *group, t *nameTable) { r.addSketch(t.sample(s, g)) })
-		return
-	}
 	for _, k := range other.sk.sortedKeys() {
-		if !other.selected(k) {
-			continue
-		}
 		oa := other.sk.aggs[k]
+		r.weightSum += oa.weight // before a.weight: r.Merge(r) has a == oa
 		a := r.sk.agg(k)
 		a.sk.Merge(&oa.sk)
 		a.n += oa.n
@@ -556,7 +528,6 @@ func (r *Recorder) mergeSketch(other *Recorder) {
 		a.attMet += oa.attMet
 		a.strictW += oa.strictW
 		a.strictMet += oa.strictMet
-		r.weightSum += oa.weight
 	}
 }
 
@@ -593,20 +564,6 @@ func (r *Recorder) eachExact(fn func(h uint32, s *row, g *group, t *nameTable)) 
 	}
 }
 
-// selected reports whether a sketch key is visible through this
-// recorder (views carry a key subset).
-func (r *Recorder) selected(k sketchKey) bool {
-	if r.skSel == nil {
-		return true
-	}
-	for _, s := range r.skSel {
-		if s == k {
-			return true
-		}
-	}
-	return false
-}
-
 // skKeys returns the sketch keys visible through this recorder, sorted.
 func (r *Recorder) skKeys() []sketchKey {
 	if r.skSel != nil {
@@ -628,16 +585,7 @@ func (r *Recorder) Len() int {
 }
 
 // Requests returns the total weighted request count.
-func (r *Recorder) Requests() int {
-	if r.sk != nil {
-		n := 0
-		for _, k := range r.skKeys() {
-			n += r.sk.aggs[k].weight
-		}
-		return n
-	}
-	return r.weightSum
-}
+func (r *Recorder) Requests() int { return r.weightSum }
 
 // representative builds the stand-in sample sketch-mode Filter
 // predicates evaluate: identity fields are populated, per-sample
@@ -656,13 +604,14 @@ func representative(k sketchKey, a *sketchAgg) Sample {
 // one representative sample each.
 func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
 	if r.sk != nil {
-		sel := make([]sketchKey, 0, len(r.skKeys()))
+		out := &Recorder{sk: r.sk, skSel: make([]sketchKey, 0, len(r.skKeys()))}
 		for _, k := range r.skKeys() {
-			if pred(representative(k, r.sk.aggs[k])) {
-				sel = append(sel, k)
+			if a := r.sk.aggs[k]; pred(representative(k, a)) {
+				out.skSel = append(out.skSel, k)
+				out.weightSum += a.weight
 			}
 		}
-		return &Recorder{sk: r.sk, skSel: sel}
+		return out
 	}
 	// A subset never outgrows r, so its handles are sized up front.
 	out := &Recorder{chunks: make([]chunk, len(r.chunks)), view: make([]uint32, 0, r.exactLen())}

@@ -125,10 +125,6 @@ const (
 	// KindLeaseBind is a consumer taking ownership of a ready lease
 	// (Node = provider index, Batch = lease id, Model = consumer).
 	KindLeaseBind
-	// KindLeaseOrphan is a lease reclaimed after a bind timeout or
-	// missed heartbeats (Node = provider index, Batch = lease id,
-	// Detail = reason, Model = consumer).
-	KindLeaseOrphan
 )
 
 // kindNames indexes Kind.String; order must match the constants.
@@ -161,7 +157,6 @@ var kindNames = [...]string{
 	KindPriceTick:     "price-tick",
 	KindLeaseRequest:  "lease-request",
 	KindLeaseBind:     "lease-bind",
-	KindLeaseOrphan:   "lease-orphan",
 }
 
 // String implements fmt.Stringer.

@@ -29,7 +29,7 @@ func (l *lifecycleLog) Enabled() bool { return true }
 func (l *lifecycleLog) Emit(ev obs.Event) {
 	switch ev.Kind {
 	case obs.KindVMLease, obs.KindVMNotice, obs.KindVMDown,
-		obs.KindLeaseRequest, obs.KindLeaseBind, obs.KindLeaseOrphan:
+		obs.KindLeaseRequest, obs.KindLeaseBind:
 		fmt.Fprintf(l.h, "%s %x n=%d b=%d m=%q v=%x d=%q\n", ev.Kind, math.Float64bits(ev.T),
 			ev.Node, ev.Batch, ev.Model, math.Float64bits(ev.Value), ev.Detail)
 	}

@@ -77,9 +77,6 @@ func TestMarketFleetRevokesAndReplaces(t *testing.T) {
 		t.Errorf("UpCount = %d, want ≥ 3", f.UpCount())
 	}
 	f.Stop()
-	if st := m.Stats(); st.Orphans != 0 {
-		t.Errorf("heartbeating fleet orphaned %d leases", st.Orphans)
-	}
 	// The meter must agree with the market ledger exactly.
 	if got, want := f.Cost(0).Dollars, m.TotalDollars(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("fleet cost %v != market ledger %v", got, want)

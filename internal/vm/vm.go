@@ -315,9 +315,8 @@ func (f *Fleet) Start() error {
 			f.retry(i)
 		}
 	}
-	// A market fleet always checks: besides revocation draws the tick
-	// renews every bound lease's heartbeat, keeping the market's orphan
-	// sweeper off a live fleet's back.
+	// A market fleet always checks: any procurement policy may lease
+	// spot, so it cannot rule out revocations up front.
 	if f.cfg.Market != nil || f.cfg.Mode != ModeOnDemandOnly && f.cfg.Availability.PRev > 0 {
 		tk, err := f.sim.Every(f.cfg.CheckInterval, f.checkRevocations)
 		if err != nil {
@@ -381,18 +380,13 @@ func (f *Fleet) detach(n *node) {
 }
 
 // checkRevocations is the fixed-interval revocation process of §5, each
-// lease drawing against its provider's P_rev. The same tick renews
-// marketplace heartbeats (the check interval is well inside the
-// market's heartbeat-miss window).
+// lease drawing against its provider's P_rev.
 func (f *Fleet) checkRevocations() {
 	if f.stopped {
 		return
 	}
 	for i := range f.nodes {
 		n := &f.nodes[i]
-		if n.lease != nil {
-			f.cfg.Market.Heartbeat(n.lease)
-		}
 		if n.kind != KindSpot || n.state != nodeUp || f.rng.Float64() >= f.providers[n.provider].PRev {
 			continue
 		}
