@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,23 +99,32 @@ const DefaultTraceStore = 16
 // Prometheus-style metrics registry, a bounded store of per-simulation
 // traces, and (lazily) the live multi-tenant serving plane.
 type Server struct {
-	reg       *obs.Registry
-	httpReqs  *obs.CounterVec
-	modelReqs *obs.CounterVec
-	sims      *obs.Counter
-	simP99    *obs.Histogram
-	lastSLO   *obs.Gauge
+	reg *obs.Registry
 
 	traceCap int
 	wallNow  func() float64
 
+	// mu guards the trace store and the server's own metric state,
+	// which collect reads at every scrape.
 	mu      sync.Mutex
 	traces  map[string]obs.Trace
 	order   []string // trace ids, least recently used first
 	nextTID int
 
+	httpReqs  map[httpKey]int // requests served
+	modelReqs map[string]int  // simulated requests per model, across /simulate runs
+	sims      int             // simulations completed
+	simP99    obs.Histogram   // strict P99 (s) of completed simulations
+	lastSLO   float64         // SLO compliance of the latest simulation that measured one
+
 	planeMu sync.Mutex
 	plane   *controlplane.Plane
+}
+
+// httpKey labels one proteand_http_requests_total series.
+type httpKey struct {
+	handler string
+	code    int
 }
 
 // Option customizes a Server.
@@ -139,27 +149,55 @@ func WithWallClock(fn func() float64) Option {
 
 // NewServer returns a control plane with fresh metrics and trace state.
 func NewServer(opts ...Option) *Server {
-	reg := obs.NewRegistry()
 	s := &Server{
-		reg: reg,
-		httpReqs: reg.CounterVec("proteand_http_requests_total",
-			"HTTP requests served, by handler and status code.", "handler", "code"),
-		modelReqs: reg.CounterVec("proteand_model_requests_total",
-			"Simulated requests served per model across /simulate runs.", "model"),
-		sims: reg.Counter("proteand_simulations_total",
-			"Simulations completed via POST /simulate."),
-		simP99: reg.Histogram("proteand_sim_strict_p99_seconds",
-			"Strict P99 latency of completed simulations.",
-			[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
-		lastSLO: reg.Gauge("proteand_sim_slo_compliance",
-			"SLO compliance of the most recent simulation."),
-		traces:   make(map[string]obs.Trace),
-		traceCap: DefaultTraceStore,
+		reg:       obs.NewRegistry(),
+		traces:    make(map[string]obs.Trace),
+		traceCap:  DefaultTraceStore,
+		httpReqs:  make(map[httpKey]int),
+		modelReqs: make(map[string]int),
+		simP99:    obs.Histogram{Bounds: []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}},
 	}
 	for _, o := range opts {
 		o(s)
 	}
+	s.reg.Collect("api", s.collect)
 	return s
+}
+
+// collect publishes the server's own series, read under s.mu. Map-held
+// series are emitted in sorted key order, so no emit follows map order
+// (the maporder lint rule).
+func (s *Server) collect(c *obs.Collection) {
+	httpReqs := c.Counter("proteand_http_requests_total",
+		"HTTP requests served, by handler and status code.", "handler", "code")
+	modelReqs := c.Counter("proteand_model_requests_total",
+		"Simulated requests served per model across /simulate runs.", "model")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]httpKey, 0, len(s.httpReqs))
+	for k := range s.httpReqs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].handler != keys[j].handler {
+			return keys[i].handler < keys[j].handler
+		}
+		return keys[i].code < keys[j].code
+	})
+	for _, k := range keys {
+		httpReqs(float64(s.httpReqs[k]), k.handler, strconv.Itoa(k.code))
+	}
+	models := make([]string, 0, len(s.modelReqs))
+	for m := range s.modelReqs {
+		models = append(models, m)
+	}
+	sort.Strings(models)
+	for _, m := range models {
+		modelReqs(float64(s.modelReqs[m]), m)
+	}
+	c.Counter("proteand_simulations_total", "Simulations completed via POST /simulate.")(float64(s.sims))
+	c.Histogram("proteand_sim_strict_p99_seconds", "Strict P99 latency of completed simulations.", s.simP99)
+	c.Gauge("proteand_sim_slo_compliance", "SLO compliance of the most recent simulation.")(s.lastSLO)
 }
 
 // Handler returns the REST control plane backed by this server's state.
@@ -209,7 +247,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// instrument counts every request by handler name and status code.
+// instrument counts every request by handler name and status code,
+// once its handler has returned: a scrape does not count itself.
 func (s *Server) instrument(name string, next http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
@@ -218,7 +257,9 @@ func (s *Server) instrument(name string, next http.HandlerFunc) http.Handler {
 		if code == 0 {
 			code = http.StatusOK
 		}
-		s.httpReqs.With(name, strconv.Itoa(code)).Inc()
+		s.mu.Lock()
+		s.httpReqs[httpKey{name, code}]++
+		s.mu.Unlock()
 	})
 }
 
@@ -461,7 +502,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // simulate runs one scenario via the public API and folds the outcome
-// into the server's metrics registry.
+// into the server's metrics.
 func (s *Server) simulate(req SimulateRequest) (*SimulateResponse, error) {
 	opts := []protean.Option{}
 	if req.Nodes > 0 {
@@ -527,19 +568,21 @@ func (s *Server) simulate(req SimulateRequest) (*SimulateResponse, error) {
 		GeometryTimeline:  res.GeometryTimeline,
 		Models:            res.Models,
 	}
-	s.sims.Inc()
+	s.mu.Lock()
+	s.sims++
 	// A run with no strict sample past warmup reports NaN compliance;
-	// keep it out of the response and the registry.
+	// keep it out of the response and the metrics.
 	if !math.IsNaN(res.SLOCompliance) {
 		out.SLOCompliance = res.SLOCompliance
-		s.lastSLO.Set(res.SLOCompliance)
+		s.lastSLO = res.SLOCompliance
 	}
 	if sec := res.StrictP99.Seconds(); !math.IsNaN(sec) {
 		s.simP99.Observe(sec)
 	}
 	for _, m := range res.Models {
-		s.modelReqs.With(m.Model).Add(float64(m.Requests))
+		s.modelReqs[m.Model] += m.Requests
 	}
+	s.mu.Unlock()
 	if col != nil {
 		out.TraceID = s.storeTrace(col.Trace())
 		out.TraceEvents = col.Len()

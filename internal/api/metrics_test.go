@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -133,6 +134,41 @@ func TestMetricsFollowPlaneReplacement(t *testing.T) {
 		`proteand_tenant_suspended{tenant="acme"} 0` + "\n",
 	} {
 		if !strings.Contains(text, want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestMetricsCountConcurrentRequests: goroutines serve requests while
+// others scrape, and the final scrape counts every request exactly, by
+// handler. Run under -race it also checks the collector's locking.
+func TestMetricsCountConcurrentRequests(t *testing.T) {
+	h := NewServer().Handler()
+	var wg sync.WaitGroup
+	serve := func(path string, n int) {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("GET %s = %d", path, rec.Code)
+			}
+		}
+	}
+	for g := 0; g < 3; g++ {
+		wg.Add(3)
+		go serve("/healthz", 50)
+		go serve("/schemes", 30)
+		go serve("/metrics", 10)
+	}
+	wg.Wait()
+	text := scrape(t, h)
+	for _, want := range []string{
+		`proteand_http_requests_total{handler="healthz",code="200"} 150`,
+		`proteand_http_requests_total{handler="metrics",code="200"} 30`,
+		`proteand_http_requests_total{handler="schemes",code="200"} 90`,
+	} {
+		if !strings.Contains(text, want+"\n") {
 			t.Errorf("/metrics lacks %q:\n%s", want, text)
 		}
 	}

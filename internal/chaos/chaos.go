@@ -6,11 +6,12 @@
 // Five fault kinds are injected, all drawn from dedicated child
 // streams derived (sim.Stream.Child) from the simulation's seeded
 // stream, so a chaos schedule is a pure function of the run's seed —
-// byte-identical across repeats and across any -parallel setting. The Poisson fault processes (slice failures, storms) and
-// the retry jitter draw from the injector's own schedule stream, which
-// only ever runs in root-simulation context; the per-decision queries
-// that execution can reach from a per-node lane (SampleReconfig,
-// Straggler, ColdStartFailure) draw from per-node child streams whose
+// byte-identical across repeats and across any -parallel setting. The
+// Poisson fault processes (slice failures, storms) draw from the
+// injector's own schedule stream, which only ever runs in
+// root-simulation context; the per-decision queries that execution can
+// reach from a per-node lane (SampleReconfig, Straggler,
+// ColdStartFailure, RetryDelay) draw from per-node child streams whose
 // draw order is serialised by that node's own event order:
 //
 //   - GPU slice failure (Xid-style): in-flight jobs on one MIG slice
@@ -202,12 +203,11 @@ type Targets interface {
 }
 
 // nodeChaos is the per-node fault-decision state: the stream the
-// node's queries draw from, the simulation those decisions are traced
-// on (the node's lane when the cluster binds one, the root otherwise),
-// and the counters that node accumulated. Each node's queries only
-// ever run in one of that node's lane events or in a root event, all
-// on one goroutine, so no lock is needed and the draw order is the
-// node's own event order.
+// node's queries draw from, the node's lane, which those decisions are
+// traced on, and the counters that node accumulated. Each node's
+// queries only ever run in one of that node's lane events or in a root
+// event, all on one goroutine, so no lock is needed and the draw order
+// is the node's own event order.
 type nodeChaos struct {
 	sim   *sim.Sim
 	rng   *sim.Stream
@@ -221,13 +221,10 @@ type nodeChaos struct {
 type Injector struct {
 	cfg Config
 	sim *sim.Sim
-	rng *sim.Stream // schedule stream: Poisson processes + retry jitter, root context only
+	rng *sim.Stream // schedule stream: Poisson processes, root context only
 
 	targets Targets
-	nodes   int
-
-	perNode  []*nodeChaos
-	fallback nodeChaos // serves queries for nodes Start never covered (tests, direct use)
+	perNode []*nodeChaos // one per lane Start was given
 
 	sliceTimer *sim.Timer
 	stormTimer *sim.Timer
@@ -251,59 +248,35 @@ func New(s *sim.Sim, cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := s.Rand().Child("chaos")
-	return &Injector{
-		cfg:      cfg,
-		sim:      s,
-		rng:      rng,
-		fallback: nodeChaos{sim: s, rng: rng.Child("node/unbound")},
-	}, nil
+	return &Injector{cfg: cfg, sim: s, rng: s.Rand().Child("chaos")}, nil
 }
 
-// Start arms the Poisson fault processes against t. nodes is the
-// worker count slice failures are spread across; each node gets its
-// own decision stream, derived by node id so the assignment does not
-// depend on construction order. Safe on nil.
-func (inj *Injector) Start(t Targets, nodes int) {
+// Start arms the Poisson fault processes against t. lanes holds one
+// sim per worker node — the node's lane in the cluster — and slice
+// failures are spread across them. Each node gets its own decision
+// stream, derived by node id so the assignment does not depend on
+// construction order, and its decisions are traced through its lane,
+// so a query made from one of that lane's events is stamped with the
+// lane's clock, not the root's, which lags it. The per-node queries
+// are valid only for nodes in lanes. Safe on nil.
+func (inj *Injector) Start(t Targets, lanes []*sim.Sim) {
 	if inj == nil || inj.stopped {
 		return
 	}
 	inj.targets = t
-	inj.nodes = nodes
-	inj.perNode = make([]*nodeChaos, nodes)
-	for i := range inj.perNode {
+	inj.perNode = make([]*nodeChaos, len(lanes))
+	for i, lane := range lanes {
 		inj.perNode[i] = &nodeChaos{
-			sim: inj.sim,
+			sim: lane,
 			rng: inj.rng.Child(fmt.Sprintf("node/%d", i)),
 		}
 	}
-	if inj.cfg.SliceFailRate > 0 && nodes > 0 {
+	if inj.cfg.SliceFailRate > 0 && len(lanes) > 0 {
 		inj.armSliceFault()
 	}
 	if inj.cfg.StormRate > 0 {
 		inj.armStorm()
 	}
-}
-
-// BindLane routes node's fault decisions (their trace events and
-// clock reads) through s — the node's lane in the cluster — so a
-// query made from one of that lane's events is stamped with the
-// lane's clock, not the root's, which lags it. Must be called after
-// Start. Safe on nil.
-func (inj *Injector) BindLane(node int, s *sim.Sim) {
-	if inj == nil || node < 0 || node >= len(inj.perNode) || s == nil {
-		return
-	}
-	inj.perNode[node].sim = s
-}
-
-// state returns the decision state for node, falling back to a shared
-// root-context state for nodes Start never covered.
-func (inj *Injector) state(node int) *nodeChaos {
-	if node >= 0 && node < len(inj.perNode) {
-		return inj.perNode[node]
-	}
-	return &inj.fallback
 }
 
 // Stop cancels pending fault timers and neutralizes every later query:
@@ -337,7 +310,6 @@ func (inj *Injector) Stats() Stats {
 	for _, ns := range inj.perNode {
 		st.add(ns.stats)
 	}
-	st.add(inj.fallback.stats)
 	return st
 }
 
@@ -354,13 +326,13 @@ func (st *Stats) add(o Stats) {
 // SliceFailRate per node, aggregated across nodes, with a uniform
 // victim node and slice pick drawn per event.
 func (inj *Injector) armSliceFault() {
-	rate := inj.cfg.SliceFailRate * float64(inj.nodes)
+	rate := inj.cfg.SliceFailRate * float64(len(inj.perNode))
 	delay := inj.rng.ExpFloat64() / rate
 	inj.sliceTimer = inj.sim.MustAfter(delay, func() {
 		if inj.stopped {
 			return
 		}
-		node := inj.rng.Intn(inj.nodes)
+		node := inj.rng.Intn(len(inj.perNode))
 		pick := inj.rng.Float64()
 		inj.stats.SliceFaults++
 		inj.targets.InjectSliceFault(node, pick, sliceRepair)
@@ -397,7 +369,7 @@ func (inj *Injector) SampleReconfig(node int) (stretch float64, abort bool) {
 	if inj == nil || inj.stopped {
 		return 1, false
 	}
-	ns := inj.state(node)
+	ns := inj.perNode[node]
 	stretch = 1
 	if ns.rng.Float64() < inj.cfg.ReconfigStuckProb {
 		stretch = reconfigStuckFactor
@@ -420,7 +392,7 @@ func (inj *Injector) Straggler(node int, batch uint64) float64 {
 	if inj == nil || inj.stopped {
 		return 1
 	}
-	ns := inj.state(node)
+	ns := inj.perNode[node]
 	if ns.rng.Float64() >= inj.cfg.StragglerProb {
 		return 1
 	}
@@ -435,7 +407,7 @@ func (inj *Injector) ColdStartFailure(node int, batch uint64) bool {
 	if inj == nil || inj.stopped {
 		return false
 	}
-	ns := inj.state(node)
+	ns := inj.perNode[node]
 	if ns.rng.Float64() >= inj.cfg.ColdStartFailProb {
 		return false
 	}
@@ -455,7 +427,7 @@ func (inj *Injector) RetryDelay(node, attempt int) (delay float64, ok bool) {
 	if inj == nil || attempt >= retryMaxAttempts {
 		return 0, false
 	}
-	ns := inj.state(node)
+	ns := inj.perNode[node]
 	d := retryBase * math.Pow(2, float64(attempt-1))
 	d *= 1 + retryJitter*(2*ns.rng.Float64()-1)
 	ns.stats.Retries++

@@ -34,6 +34,18 @@ func (f *fakeTargets) InjectStorm(domain int, frac float64) int {
 
 var _ Targets = (*fakeTargets)(nil)
 
+// startOn starts inj against fake targets with n node lanes, all of
+// them s itself.
+func startOn(inj *Injector, s *sim.Sim, n int) *fakeTargets {
+	tg := &fakeTargets{}
+	lanes := make([]*sim.Sim, n)
+	for i := range lanes {
+		lanes[i] = s
+	}
+	inj.Start(tg, lanes)
+	return tg
+}
+
 func TestDisabledInjectorIsNil(t *testing.T) {
 	s := sim.New(1)
 	before := s.Rand().Int63()
@@ -53,7 +65,7 @@ func TestDisabledInjectorIsNil(t *testing.T) {
 
 func TestNilInjectorMethodsAreNeutral(t *testing.T) {
 	var inj *Injector
-	inj.Start(&fakeTargets{}, 8)
+	startOn(inj, sim.New(1), 8)
 	inj.Stop()
 	if st, abort := inj.SampleReconfig(0); st != 1 || abort {
 		t.Errorf("nil SampleReconfig = (%v, %v), want (1, false)", st, abort)
@@ -84,8 +96,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		tg := &fakeTargets{}
-		inj.Start(tg, 8)
+		tg := startOn(inj, s, 8)
 		if err := s.RunUntil(120); err != nil {
 			t.Fatalf("RunUntil: %v", err)
 		}
@@ -117,8 +128,7 @@ func TestStopCancelsPendingFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tg := &fakeTargets{}
-	inj.Start(tg, 8)
+	tg := startOn(inj, s, 8)
 	if err := s.RunUntil(1); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -143,10 +153,12 @@ func TestStopCancelsPendingFaults(t *testing.T) {
 }
 
 func TestRetryDelayBackoffAndExhaustion(t *testing.T) {
-	inj, err := New(sim.New(1), DefaultConfig())
+	s := sim.New(1)
+	inj, err := New(s, DefaultConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	startOn(inj, s, 1)
 	wants := []struct {
 		attempt int
 		nominal float64 // 0: denied
@@ -176,10 +188,12 @@ func TestRetryDelayBackoffAndExhaustion(t *testing.T) {
 }
 
 func TestRetryDelayJitterBounded(t *testing.T) {
-	inj, err := New(sim.New(5), DefaultConfig())
+	s := sim.New(5)
+	inj, err := New(s, DefaultConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	startOn(inj, s, 1)
 	varied := false
 	for i := 0; i < 100; i++ {
 		d, ok := inj.RetryDelay(0, 1)
@@ -257,6 +271,7 @@ func TestStatsCounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	startOn(inj, s, 3)
 	if m := inj.Straggler(0, 1); m != stragglerFactor {
 		t.Errorf("Straggler at prob 1 = %v, want %v", m, stragglerFactor)
 	}

@@ -505,10 +505,11 @@ func (c *Cluster) runPump(next func() *trace.Request, duration float64) (*Result
 // path (Run) and the live serving path (StartLive). The creation order
 // is part of the model: timers created earlier win same-instant ties.
 func (c *Cluster) startControl() error {
-	c.chaos.Start(c, c.cfg.Nodes)
+	lanes := make([]*sim.Sim, len(c.nodes))
 	for i, n := range c.nodes {
-		c.chaos.BindLane(i, n.sim)
+		lanes[i] = n.sim
 	}
+	c.chaos.Start(c, lanes)
 	// The dispatch quantum is created before the monitor so that when
 	// both tickers land on the same instant (the monitor interval is a
 	// multiple of the quantum) sealed batches are routed before the
@@ -854,8 +855,7 @@ func (n *node) acquire(b *queue.Batch, attempt int) {
 // bounded exponential backoff, dropping once the budget is exhausted.
 func (n *node) coldStartFailed(b *queue.Batch, attempt int) {
 	if err := n.scaler.Abort(b.Model.Name()); err != nil {
-		// Defensive: indicates an accounting bug.
-		_ = err
+		panic(fmt.Sprintf("cluster: node %d: %v", n.id, err)) // a container accounting bug
 	}
 	delay, ok := n.cluster.chaos.RetryDelay(n.id, attempt)
 	if !ok {
@@ -884,8 +884,7 @@ func (n *node) leave(b *queue.Batch, holdsContainer bool) {
 	n.outstandingReqs -= b.Size()
 	if holdsContainer {
 		if err := n.scaler.Release(b.Model.Name()); err != nil {
-			// Defensive: indicates an accounting bug.
-			_ = err
+			panic(fmt.Sprintf("cluster: node %d: %v", n.id, err)) // a container accounting bug
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestSlowdownEmptySliceIsRDF(t *testing.T) {
 	m := model.MustByName("ShuffleNet V2") // FBR 0.15 → below the floor
 	for _, sl := range g.Slices() {
 		want := m.RDF(sl.Prof) // max(0.15, 1) = 1
-		if got := Slowdown(sl, m, TrueFBR, 0); math.Abs(got-want) > 1e-9 {
+		if got := Slowdown(sl, m, 0); math.Abs(got-want) > 1e-9 {
 			t.Errorf("slice %s: η = %v, want %v", sl.Prof.Name, got, want)
 		}
 	}
@@ -42,12 +42,12 @@ func TestSlowdownCountsResidentJobs(t *testing.T) {
 	incoming := model.MustByName("ResNet 50") // FBR 0.86, sensitivity 0.10
 	// VGG 19 pollutes at 0.95: contribution = 0.93×(1+4×0.95×0.10).
 	want := 0.86 + 0.93*(1+4*0.95*0.10)
-	if got := Slowdown(sl, incoming, TrueFBR, 0); math.Abs(got-want) > 1e-9 {
+	if got := Slowdown(sl, incoming, 0); math.Abs(got-want) > 1e-9 {
 		t.Errorf("η = %v, want %v", got, want)
 	}
 	// Tagged BE pressure is assumed fully polluting: +0.5×(1+4×0.10).
 	wantTag := want + 0.5*(1+4*0.10)
-	if got := Slowdown(sl, incoming, TrueFBR, 0.5); math.Abs(got-wantTag) > 1e-9 {
+	if got := Slowdown(sl, incoming, 0.5); math.Abs(got-wantTag) > 1e-9 {
 		t.Errorf("η with tag = %v, want %v", got, wantTag)
 	}
 }
@@ -81,7 +81,7 @@ func TestTagSlicesNoBEMem(t *testing.T) {
 
 func TestChooseStrictSliceAvoidsBESaturatedSlices(t *testing.T) {
 	_, g := newGPU(t, gpu.MustGeometry(gpu.Profile4g, gpu.Profile3g), gpu.ShareMPS)
-	d := Distributor{Est: TrueFBR}
+	d := Distributor{}
 	m := model.MustByName("ResNet 50")
 	// Tag the 3g slice fully with BE work; strict must go to 4g even
 	// though both are idle.
@@ -117,7 +117,7 @@ func TestChooseStrictSliceTradesOffInterferenceVsDeficiency(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	d := Distributor{Est: TrueFBR}
+	d := Distributor{}
 	m := model.MustByName("ResNet 50")
 	// η(4g) amplifies two polluting VGG co-runners far above
 	// η(3g) ≈ RDF(3g) on the idle slice.
@@ -132,7 +132,7 @@ func TestChooseStrictSliceTradesOffInterferenceVsDeficiency(t *testing.T) {
 
 func TestChooseStrictSliceFallsBackWhenAllTagged(t *testing.T) {
 	_, g := newGPU(t, gpu.MustGeometry(gpu.Profile4g, gpu.Profile3g), gpu.ShareMPS)
-	d := Distributor{Est: TrueFBR}
+	d := Distributor{}
 	m := model.MustByName("ResNet 50")
 	tags := map[*gpu.Slice]float64{}
 	for _, sl := range g.Slices() {
@@ -149,7 +149,7 @@ func TestChooseStrictSliceFallsBackWhenAllTagged(t *testing.T) {
 
 func TestChooseStrictSliceRespectsMemoryFit(t *testing.T) {
 	_, g := newGPU(t, gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
-	d := Distributor{Est: TrueFBR}
+	d := Distributor{}
 	dpn := model.MustByName("DPN 92") // ~12.3 GB on slices: only 4g fits
 	sl, err := d.ChooseStrictSlice(g, dpn, nil)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestChooseStrictSliceRespectsMemoryFit(t *testing.T) {
 
 func TestChooseBestEffortSlicePacksSmallestFirst(t *testing.T) {
 	_, g := newGPU(t, gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
-	d := Distributor{Est: TrueFBR}
+	d := Distributor{}
 	m := model.MustByName("ShuffleNet V2") // 1.8 GB on slices
 	sl, err := d.ChooseBestEffortSlice(g, m)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestChooseBestEffortSlicePacksSmallestFirst(t *testing.T) {
 func TestChooseBestEffortSliceSpillsWhenFull(t *testing.T) {
 	s, g := newGPU(t, gpu.MustGeometry(gpu.Profile4g, gpu.Profile2g, gpu.Profile1g), gpu.ShareMPS)
 	_ = s
-	d := Distributor{Est: TrueFBR}
+	d := Distributor{}
 	m := model.MustByName("ShuffleNet V2") // 1.8 GB
 	var sl1 *gpu.Slice
 	for _, sl := range g.Slices() {

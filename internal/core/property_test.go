@@ -104,18 +104,18 @@ func TestPropertyChooseStrictSliceMinimizesEta(t *testing.T) {
 				return false
 			}
 		}
-		d := Distributor{Est: TrueFBR}
+		d := Distributor{}
 		incoming := model.MustByName("ResNet 50")
 		chosen, err := d.ChooseStrictSlice(g, incoming, nil)
 		if err != nil {
 			return false
 		}
-		chosenEta := Slowdown(chosen, incoming, TrueFBR, 0)
+		chosenEta := Slowdown(chosen, incoming, 0)
 		for _, sl := range g.Slices() {
 			if incoming.MemGB(sl.Prof) > sl.Prof.MemGB {
 				continue
 			}
-			if Slowdown(sl, incoming, TrueFBR, 0) < chosenEta-1e-9 {
+			if Slowdown(sl, incoming, 0) < chosenEta-1e-9 {
 				return false
 			}
 		}
@@ -148,7 +148,7 @@ func TestPropertyBEPackingFewestSmallest(t *testing.T) {
 				return false
 			}
 		}
-		d := Distributor{Est: TrueFBR}
+		d := Distributor{}
 		chosen, err := d.ChooseBestEffortSlice(g, m)
 		if err != nil {
 			return false

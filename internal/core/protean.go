@@ -27,9 +27,6 @@ type Lookahead interface {
 
 // ProteanConfig tunes the PROTEAN policy.
 type ProteanConfig struct {
-	// Est estimates model FBRs; nil uses ground truth. Production
-	// deployments pass profiled estimates from model.Profiler.
-	Est FBREstimator
 	// Reconfig tunes Algorithm 2.
 	Reconfig reconfig.Config
 	// DisableDynamicReconfig pins the initial geometry (ablation).
@@ -68,13 +65,10 @@ var _ Policy = (*proteanPolicy)(nil)
 // sharing, Algorithm 1 job distribution, request reordering, and
 // Algorithm 2 dynamic reconfiguration.
 func NewProtean(cfg ProteanConfig) Factory {
-	if cfg.Est == nil {
-		cfg.Est = TrueFBR
-	}
 	return func() Policy {
 		return &proteanPolicy{
 			cfg:     cfg,
-			dist:    Distributor{Est: cfg.Est, BEFBRPerGB: beFBRPerGB},
+			dist:    Distributor{BEFBRPerGB: beFBRPerGB},
 			planner: reconfig.New(cfg.Reconfig),
 			name:    "PROTEAN",
 		}
@@ -130,12 +124,12 @@ var (
 	_ Lookahead         = (*oraclePolicy)(nil)
 )
 
-// NewOracle returns the Oracle: PROTEAN's policies with ground-truth
-// FBRs, perfect knowledge of upcoming BE load, no reconfiguration
-// hysteresis, and zero reconfiguration downtime (offline sweeps).
+// NewOracle returns the Oracle: PROTEAN's policies with perfect
+// knowledge of upcoming BE load, no reconfiguration hysteresis, and
+// zero reconfiguration downtime (offline sweeps).
 func NewOracle() Factory {
 	return func() Policy {
-		inner := NewProtean(ProteanConfig{Est: TrueFBR, Reconfig: reconfig.Config{WaitLimit: -1}})()
+		inner := NewProtean(ProteanConfig{Reconfig: reconfig.Config{WaitLimit: -1}})()
 		pp, ok := inner.(*proteanPolicy)
 		if !ok {
 			return inner

@@ -7,13 +7,6 @@ import (
 	"protean/internal/model"
 )
 
-// FBREstimator returns the scheduler's belief about a model's FBR.
-// PROTEAN uses profiled estimates (§3); the Oracle uses ground truth.
-type FBREstimator func(m *model.Model) float64
-
-// TrueFBR is the ground-truth estimator.
-func TrueFBR(m *model.Model) float64 { return m.FBR() }
-
 // Slowdown implements Eq. (2): the slowdown factor η an incoming job of
 // model m would suffer on slice sl, combining the Resource Deficiency
 // Factor with the projected contention — bandwidth (Eq. 1) and SM
@@ -22,14 +15,14 @@ func TrueFBR(m *model.Model) float64 { return m.FBR() }
 //
 // beTagFBR adds the contention expected from best-effort work assigned
 // to the slice via Algorithm 1's tag_values but not yet running.
-func Slowdown(sl *gpu.Slice, m *model.Model, est FBREstimator, beTagFBR float64) float64 {
+func Slowdown(sl *gpu.Slice, m *model.Model, beTagFBR float64) float64 {
 	rdf := m.RDF(sl.Prof)
 	amp := gpu.DefaultInterferenceAmp
 	if g := sl.GPU(); g != nil {
 		amp = g.InterferenceAmp
 	}
 	_, sens := m.Cache()
-	own := est(m)
+	own := m.FBR()
 	// Tagged-but-unscheduled BE work is assumed CNN-like (pollution 1).
 	others := beTagFBR * (1 + amp*sens)
 	sm := math.Min(m.ComputeDemand()/sl.Prof.ComputeFrac, 1)
@@ -40,7 +33,7 @@ func Slowdown(sl *gpu.Slice, m *model.Model, est FBREstimator, beTagFBR float64)
 	// then pending in queue order) matches the copying version exactly.
 	accumulate := func(j *gpu.Job) {
 		poll, _ := j.W.Cache()
-		others += jobFBR(j, est) * (1 + amp*poll*sens)
+		others += j.W.FBR() * (1 + amp*poll*sens)
 		sm += jobComputeDemand(j, sl.Prof)
 	}
 	sl.EachRunning(accumulate)
@@ -56,22 +49,10 @@ func jobComputeDemand(j *gpu.Job, p gpu.Profile) float64 {
 	return math.Min(j.W.ComputeDemand()/p.ComputeFrac, 1)
 }
 
-// jobFBR evaluates a queued/running job's FBR under the estimator when
-// its workload is a *model.Model, falling back to the workload's own
-// report otherwise.
-func jobFBR(j *gpu.Job, est FBREstimator) float64 {
-	if m, ok := j.W.(*model.Model); ok {
-		return est(m)
-	}
-	return j.W.FBR()
-}
-
 // Distributor implements Algorithm 1's helper methods: strict jobs go to
 // the non-BE-saturated slice with minimal slowdown factor η; best-effort
 // jobs are packed first-fit onto the fewest, smallest slices.
 type Distributor struct {
-	// Est estimates FBRs (profiled for PROTEAN, exact for Oracle).
-	Est FBREstimator
 	// BEFBR estimates the FBR of tagged-but-unscheduled BE work per GB
 	// of tagged memory; multiplied by tag_value × slice memory it
 	// approximates future BE contention. Zero disables tag awareness.
@@ -99,10 +80,6 @@ func TagSlices(g *gpu.GPU, beMem float64) map[*gpu.Slice]float64 {
 // among slices not fully claimed by BE work (tag < 1) that can fit the
 // model, pick the one with the least slowdown factor η.
 func (d *Distributor) ChooseStrictSlice(g *gpu.GPU, m *model.Model, tags map[*gpu.Slice]float64) (*gpu.Slice, error) {
-	est := d.Est
-	if est == nil {
-		est = TrueFBR
-	}
 	var best *gpu.Slice
 	bestEta := math.Inf(1)
 	for _, sl := range g.Slices() {
@@ -114,7 +91,7 @@ func (d *Distributor) ChooseStrictSlice(g *gpu.GPU, m *model.Model, tags map[*gp
 			continue
 		}
 		beTagFBR := d.BEFBRPerGB * tag * sl.Prof.MemGB
-		eta := Slowdown(sl, m, est, beTagFBR)
+		eta := Slowdown(sl, m, beTagFBR)
 		if eta < bestEta {
 			bestEta = eta
 			best = sl
@@ -127,7 +104,7 @@ func (d *Distributor) ChooseStrictSlice(g *gpu.GPU, m *model.Model, tags map[*gp
 			if !fits(sl, m) {
 				continue
 			}
-			eta := Slowdown(sl, m, est, 0)
+			eta := Slowdown(sl, m, 0)
 			if eta < bestEta {
 				bestEta = eta
 				best = sl

@@ -129,8 +129,8 @@ func TestRunMixRejectsOversizedMix(t *testing.T) {
 }
 
 func TestEstimatesFeedProteanEstimator(t *testing.T) {
-	// The estimates plug into core.FBREstimator-style lookups: missing
-	// models must be detectable.
+	// The estimates are looked up by model name: a missing model must
+	// be detectable.
 	p := &Profiler{Seed: 4}
 	est, err := p.EstimateFBRs(VisionHI())
 	if err != nil {

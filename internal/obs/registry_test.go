@@ -11,19 +11,20 @@ import (
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("jobs_total", "Jobs processed.")
-	c.Inc()
-	c.Add(2)
-	v := r.CounterVec("requests_total", "Requests by handler.", "handler", "code")
-	v.With("simulate", "200").Inc()
-	v.With("simulate", "400").Add(3)
-	v.With("healthz", "200").Inc()
-	g := r.Gauge("active", "Active runs.")
-	g.Set(1.5)
-	h := r.Histogram("latency_seconds", "Run latency.", []float64{0.1, 1})
+	h := Histogram{Bounds: []float64{0.1, 1}}
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
+	r.Collect("owner", func(c *Collection) {
+		c.Counter("jobs_total", "Jobs processed.")(3)
+		requests := c.Counter("requests_total", "Requests by handler.", "handler", "code")
+		requests(1, "simulate", "200")
+		requests(3, "simulate", "400")
+		requests(1, "healthz", "200")
+		c.Gauge("active", "Active runs.")(1.5)
+		c.Histogram("latency_seconds", "Run latency.", h)
+		c.Histogram("idle_seconds", "No observation yet.", Histogram{Bounds: []float64{1}})
+	})
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -32,6 +33,12 @@ func TestRegistryExposition(t *testing.T) {
 	want := `# HELP active Active runs.
 # TYPE active gauge
 active 1.5
+# HELP idle_seconds No observation yet.
+# TYPE idle_seconds histogram
+idle_seconds_bucket{le="1"} 0
+idle_seconds_bucket{le="+Inf"} 0
+idle_seconds_sum 0
+idle_seconds_count 0
 # HELP jobs_total Jobs processed.
 # TYPE jobs_total counter
 jobs_total 3
@@ -62,74 +69,61 @@ requests_total{handler="simulate",code="400"} 3
 	}
 }
 
-func TestRegistryReusesSeries(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "X.").Inc()
-	r.Counter("x_total", "X.").Inc() // same family, same series
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "x_total 2\n") {
-		t.Errorf("exposition:\n%s", buf.String())
-	}
-}
-
-func TestCounterRejectsDecrease(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative counter add did not panic")
-		}
-	}()
-	NewRegistry().Counter("x_total", "X.").Add(-1)
-}
-
-func TestRegistryRejectsTypeMismatch(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x", "X.")
-	defer func() {
-		if recover() == nil {
-			t.Error("re-registering as gauge did not panic")
-		}
-	}()
-	r.Gauge("x", "X.")
-}
-
+// TestCounterVecRejectsArityMismatch: an emit into a labeled counter
+// family with the wrong number of label values panics at render.
 func TestCounterVecRejectsArityMismatch(t *testing.T) {
-	v := NewRegistry().CounterVec("x_total", "X.", "a", "b")
+	r := NewRegistry()
+	r.Collect("a", func(c *Collection) { c.Counter("x_total", "X.", "a", "b")(1, "only-one") })
 	defer func() {
 		if recover() == nil {
 			t.Error("wrong label arity did not panic")
 		}
 	}()
-	v.With("only-one")
+	_ = r.WritePrometheus(io.Discard)
 }
 
+// TestRegistryConcurrentUse renders from several goroutines while
+// others replace collectors and the owners they read update their
+// state under their own lock.
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("ops_total", "Ops.", "worker")
-	h := r.Histogram("dur_seconds", "Durations.", []float64{1})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		// Re-register a collected family while other goroutines render.
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			v := float64(i)
-			r.Collect("owner", func(c *Collection) { c.Gauge("live", "Live.")(v) })
-			if err := r.WritePrometheus(io.Discard); err != nil {
-				t.Error(err)
-			}
+	var mu sync.Mutex
+	ops := make([]int, 8)
+	h := Histogram{Bounds: []float64{1}}
+	r.Collect("owner", func(c *Collection) {
+		emit := c.Counter("ops_total", "Ops.", "worker")
+		mu.Lock()
+		defer mu.Unlock()
+		for w, n := range ops {
+			emit(float64(n), strconv.Itoa(w))
 		}
-	}()
-	for w := 0; w < 8; w++ {
+		c.Histogram("dur_seconds", "Durations.", h)
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			// Replace a collector while other goroutines render.
+			defer wg.Done()
+			key := "live" + strconv.Itoa(g)
+			for i := 0; i < 100; i++ {
+				v := float64(i)
+				r.Collect(key, func(c *Collection) { c.Gauge(key, "Live.")(v) })
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	for w := range ops {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			label := strconv.Itoa(w)
 			for i := 0; i < 100; i++ {
-				v.With(label).Inc()
+				mu.Lock()
+				ops[w]++
 				h.Observe(float64(i % 3))
+				mu.Unlock()
 			}
 		}(w)
 	}
@@ -138,14 +132,16 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "dur_seconds_count 800\n") {
-		t.Errorf("exposition:\n%s", buf.String())
+	text := buf.String()
+	for _, want := range []string{"dur_seconds_count 800\n", `ops_total{worker="7"} 100` + "\n", "live3 99\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, text)
+		}
 	}
 }
 
 func TestCollectedFamilies(t *testing.T) {
 	r := NewRegistry()
-	renders := r.Counter("renders_total", "Renders.")
 	r.Collect("plane", func(c *Collection) {
 		requests := c.Counter("tenant_requests_total", "Requests by tenant.", "tenant", "decision")
 		c.Gauge("empty", "No series yet.")
@@ -156,7 +152,7 @@ func TestCollectedFamilies(t *testing.T) {
 	r.Collect("market", func(c *Collection) {
 		// A collector runs without the registry lock held, so it may
 		// touch the registry itself.
-		renders.Inc()
+		r.Collect("unused", nil)
 		c.Gauge("price", "Spot price.")(0.25)
 	})
 	r.Collect("gone", func(c *Collection) { c.Gauge("gone", "Removed below.")(1) })
@@ -171,9 +167,6 @@ func TestCollectedFamilies(t *testing.T) {
 # HELP price Spot price.
 # TYPE price gauge
 price 0.25
-# HELP renders_total Renders.
-# TYPE renders_total counter
-renders_total 1
 # HELP tenant_requests_total Requests by tenant.
 # TYPE tenant_requests_total counter
 tenant_requests_total{tenant="a",decision="admit"} 2
@@ -200,31 +193,20 @@ tenant_requests_total{tenant="b",decision="admit"} 3
 }
 
 func TestCollectedNameConflictsPanic(t *testing.T) {
-	for name, setup := range map[string]func(r *Registry){
-		"collected and pushed": func(r *Registry) {
-			r.Counter("x_total", "X.")
-			r.Collect("a", func(c *Collection) { c.Counter("x_total", "X.") })
-		},
-		"collected twice": func(r *Registry) {
-			r.Collect("a", func(c *Collection) { c.Gauge("y", "Y.") })
-			r.Collect("b", func(c *Collection) { c.Gauge("y", "Y.") })
-		},
-	} {
-		r := NewRegistry()
-		setup(r)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: render did not panic", name)
-				}
-			}()
-			_ = r.WritePrometheus(io.Discard)
+	r := NewRegistry()
+	r.Collect("a", func(c *Collection) { c.Gauge("y", "Y.") })
+	r.Collect("b", func(c *Collection) { c.Gauge("y", "Y.") })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a name collected twice did not panic")
+			}
 		}()
-		// The panic left the registry usable.
-		r.Collect("a", nil)
-		r.Collect("b", nil)
-		if err := r.WritePrometheus(io.Discard); err != nil {
-			t.Errorf("%s: render after panic: %v", name, err)
-		}
+		_ = r.WritePrometheus(io.Discard)
+	}()
+	// The panic left the registry usable.
+	r.Collect("b", nil)
+	if err := r.WritePrometheus(io.Discard); err != nil {
+		t.Errorf("render after panic: %v", err)
 	}
 }
