@@ -398,7 +398,7 @@ func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 		c.precomputeWindows(reqs, duration)
 	}
 
-	if !slices.IsSortedFunc(reqs, byArrival) {
+	if !arrivalsSorted(reqs) {
 		// Sort a copy: the caller's slice may be shared with other runs.
 		reqs = slices.Clone(reqs)
 		slices.SortStableFunc(reqs, byArrival)
@@ -425,6 +425,18 @@ func checkHorizon(duration float64) error {
 
 // byArrival orders requests by arrival time.
 func byArrival(a, b trace.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+
+// arrivalsSorted reports whether reqs are in byArrival order, a NaN
+// arrival before every number. It is slices.IsSortedFunc(reqs,
+// byArrival) without a comparator call per request.
+func arrivalsSorted(reqs []trace.Request) bool {
+	for i := 1; i < len(reqs); i++ {
+		if cmp.Less(reqs[i].Arrival, reqs[i-1].Arrival) {
+			return false
+		}
+	}
+	return true
+}
 
 // RunStream replays a pull-based arrival stream without ever
 // materialising it: peak memory is independent of the request count.
@@ -974,7 +986,7 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 		// container booted between dispatch and execution).
 		rows = append(rows, metrics.BatchRow{
 			Latency: finished - r.Arrival,
-			Queue:   math.Max(0, started-r.Arrival-j.ColdStart),
+			Queue:   max(0, started-r.Arrival-j.ColdStart),
 			Tenant:  r.Tenant,
 		})
 	}
@@ -988,7 +1000,7 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 		c.done = append(c.done, Completion{
 			Time:        finished,
 			Profile:     prof,
-			ExecSeconds: math.Max(0, finished-started),
+			ExecSeconds: max(0, finished-started),
 			Rows:        slices.Clone(rows),
 		})
 	} else {

@@ -341,6 +341,38 @@ func TestOracleAtLeastAsGoodAsProtean(t *testing.T) {
 	}
 }
 
+// TestArrivalsSortedMatchesIsSortedFunc asserts Run's sortedness check
+// sends exactly the traces slices.IsSortedFunc(reqs, byArrival) rejects
+// to the sort-a-copy path: an unsorted trace, and a NaN arrival after a
+// number, which cmp.Compare orders before every number.
+func TestArrivalsSortedMatchesIsSortedFunc(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		arrivals []float64
+		sorted   bool
+	}{
+		{nil, true},
+		{[]float64{1}, true},
+		{[]float64{0, 1, 1, 2}, true},
+		{[]float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}, true},
+		{[]float64{-inf, 0, inf}, true},
+		{[]float64{2, 1}, false},
+		{[]float64{0, 1, 3, 2, 4}, false},
+		{[]float64{nan, nan, 0, 1}, true},
+		{[]float64{1, nan}, false},
+		{[]float64{0, nan, 1}, false},
+		{[]float64{nan, 1, nan}, false},
+	} {
+		reqs := make([]trace.Request, len(tc.arrivals))
+		for i, a := range tc.arrivals {
+			reqs[i].Arrival = a
+		}
+		if got, ref := arrivalsSorted(reqs), slices.IsSortedFunc(reqs, byArrival); got != tc.sorted || ref != tc.sorted {
+			t.Errorf("arrivals %v: arrivalsSorted %v, IsSortedFunc %v, want %v", tc.arrivals, got, ref, tc.sorted)
+		}
+	}
+}
+
 // TestRunSortsUnsortedTraceInACopy feeds Run an unsorted trace with
 // tied arrivals. It must give the same Result as the same trace stably
 // sorted beforehand, and leave the caller's slice as it was: runs that
