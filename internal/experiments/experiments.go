@@ -285,7 +285,7 @@ func traceConfig(p Params, sc Scenario) trace.Config {
 		pool = model.OppositeClassPool(sc.Strict)
 	}
 	rate := sc.Rate
-	if rate == nil {
+	if rate.IsZero() {
 		rate = trace.Constant(VisionMeanRPS)
 	}
 	strictFrac := sc.StrictFrac

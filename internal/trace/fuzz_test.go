@@ -29,7 +29,7 @@ func FuzzGenerate(f *testing.F) {
 		// Piecewise rate with a deliberate dead window in the middle
 		// third: thinning must produce no arrivals there.
 		third := dur / 3
-		rate := func(x float64) float64 {
+		rateAt := func(x float64) float64 {
 			switch {
 			case x < third:
 				return r1
@@ -39,6 +39,7 @@ func FuzzGenerate(f *testing.F) {
 				return r2
 			}
 		}
+		rate := RateFn{at: rateAt, floor: math.NaN()}
 		strict := model.MustByName("ResNet 50")
 		pool := []*model.Model{model.MustByName("BERT"), model.MustByName("GPT-2")}
 		reqs, err := Generate(Config{
@@ -63,7 +64,7 @@ func FuzzGenerate(f *testing.F) {
 			if r.ID != uint64(i) {
 				t.Fatalf("request %d has ID %d, want sequential", i, r.ID)
 			}
-			if rate(r.Arrival) == 0 {
+			if rateAt(r.Arrival) == 0 {
 				t.Fatalf("request %d arrives at %v inside the zero-rate window", i, r.Arrival)
 			}
 			if r.Model == nil {
@@ -153,6 +154,59 @@ func FuzzGenerate(f *testing.F) {
 		}
 		if _, ok := st.Next(); ok {
 			t.Fatalf("stream yielded a request past the Generate horizon")
+		}
+	})
+}
+
+// FuzzRateFloor builds random compositions of the rate constructors and
+// checks the contract thinning's early accept relies on: no evaluation
+// falls below the floor, !(at(t) < floor), at the fuzzed instant and at
+// both diurnal extremes (the trough is at 3·period/4, or at period/4
+// when peakToMean < 1). Parameters may be negative, zero, huge, NaN or
+// infinite.
+//
+// Run with: go test -fuzz FuzzRateFloor ./internal/trace
+func FuzzRateFloor(f *testing.F) {
+	f.Add(uint8(1), 1.0, DefaultWikiPeakToMean, 10.0, int64(1), uint8(1), 9000.0, 7.5)
+	f.Add(uint8(1), 1.0, DefaultWikiPeakToMean, 86400.0, int64(1), uint8(14), 35.0, 21600.0)
+	f.Add(uint8(1), 300.0, 0.5, 60.0, int64(0), uint8(0), 0.0, 15.0)
+	f.Add(uint8(1), 1e300, 1e300, 86400.0, int64(0), uint8(1), 35.0, 64800.0)
+	f.Add(uint8(2), 1.0, DefaultTwitterPeakToMean, 300.0, int64(7), uint8(5), 9000.0, 42.0)
+	f.Add(uint8(2), 5.0, 0.5, 300.0, int64(3), uint8(0), 0.0, 100.0)
+	f.Add(uint8(0), 9000.0, 1.0, 60.0, int64(0), uint8(2), 0.0, 1.0)
+	f.Add(uint8(0), 9000.0, 1.0, 60.0, int64(0), uint8(1), -9000.0, 1.0)
+	f.Add(uint8(1), math.NaN(), math.Inf(1), math.Inf(-1), int64(0), uint8(2), math.NaN(), math.NaN())
+	f.Add(uint8(0), math.Inf(1), 1.0, 1.0, int64(0), uint8(1), math.Inf(-1), 0.0)
+	f.Fuzz(func(t *testing.T, shape uint8, mean, peakToMean, period float64, seed int64, scales uint8, target, at float64) {
+		probes := []float64{at}
+		var r RateFn
+		switch shape % 3 {
+		case 0:
+			r = Constant(mean)
+		case 1:
+			r = Diurnal(mean, peakToMean, period)
+			probes = append(probes, period/4, 3*period/4)
+		default:
+			// Erratic draws one spike per 30 s of horizon, so keep the
+			// horizon finite and small.
+			r = Erratic(mean, peakToMean, clampFinite(period, 1, 3600), seed)
+		}
+		// Bits 0-1 of scales count the rescalings (0 to 2); bits 2 and 3
+		// pick ScaleToPeak over ScaleToMean for each. The second target
+		// is the first negated, so a negative factor always appears in a
+		// two-step composition.
+		for i := 0; i < int(scales&3)%3; i++ {
+			if scales>>(2+i)&1 == 0 {
+				r = ScaleToMean(r, target, period)
+			} else {
+				r = ScaleToPeak(r, target, period)
+			}
+			target = -target
+		}
+		for _, x := range probes {
+			if v := r.at(x); v < r.floor {
+				t.Fatalf("rate(%v) = %v is below the floor %v", x, v, r.floor)
+			}
 		}
 	})
 }

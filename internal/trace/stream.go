@@ -35,7 +35,7 @@ type Stream struct {
 // validation and every up-front RNG draw mirror Generate exactly:
 // Generate(cfg) is equivalent to draining a fresh NewStream(cfg).
 func NewStream(cfg Config) (*Stream, error) {
-	if cfg.Rate == nil {
+	if cfg.Rate.IsZero() {
 		return nil, errors.New("trace: nil rate function")
 	}
 	if cfg.Duration <= 0 {
@@ -79,30 +79,47 @@ func NewStream(cfg Config) (*Stream, error) {
 // once the trace horizon is reached. Arrivals are strictly ascending
 // and IDs sequential from 0.
 func (s *Stream) Next() (Request, bool) {
-	if s.done {
+	t, m, strict, ok := s.next()
+	if !ok {
 		return Request{}, false
 	}
+	req := Request{ID: s.id, Model: m, Strict: strict, Arrival: t}
+	s.id++
+	return req, true
+}
+
+// next is the thinning loop Next and Generate share: it draws candidate
+// arrivals until one is accepted and returns its instant, model and
+// strictness, or ok=false once the horizon is reached.
+func (s *Stream) next() (t float64, m *model.Model, strict, ok bool) {
+	if s.done {
+		return 0, nil, false, false
+	}
+	rate := s.cfg.Rate
+	t = s.t
 	for {
 		// Thinning: candidate arrivals at the envelope rate.
-		s.t += s.rng.ExpFloat64() / s.rateMax
-		if s.t >= s.cfg.Duration {
+		t += s.rng.ExpFloat64() / s.rateMax
+		if t >= s.cfg.Duration {
 			s.done = true
-			return Request{}, false
+			return 0, nil, false, false
 		}
-		if s.rng.Float64()*s.rateMax > s.cfg.Rate(s.t) {
+		// Accept with probability rate(t)/rateMax. A draw at or below
+		// the floor is accepted without evaluating the rate, which is
+		// never below the floor and so would accept it too.
+		if x := s.rng.Float64() * s.rateMax; !(x <= rate.floor) && x > rate.at(t) {
 			continue
 		}
-		strict := s.rng.Float64() < s.cfg.Mix.StrictFrac
-		m := s.cfg.Mix.Strict
+		s.t = t
+		strict = s.rng.Float64() < s.cfg.Mix.StrictFrac
+		m = s.cfg.Mix.Strict
 		if !strict {
-			slot := int(s.t / s.rotate)
+			slot := int(t / s.rotate)
 			if slot >= len(s.beSchedule) {
 				slot = len(s.beSchedule) - 1
 			}
 			m = s.beSchedule[slot]
 		}
-		req := Request{ID: s.id, Model: m, Strict: strict, Arrival: s.t}
-		s.id++
-		return req, true
+		return t, m, strict, true
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"protean/internal/model"
@@ -32,22 +33,40 @@ type Request struct {
 	Arrival float64
 }
 
-// RateFn maps virtual time to an instantaneous request rate (rps).
-type RateFn func(t float64) float64
+// RateFn maps virtual time to an instantaneous request rate (rps). It
+// carries a floor that no evaluation falls below: !(at(t) < floor) for
+// every t. Thinning accepts a candidate whose draw is at or below the
+// floor without evaluating the rate, a decision the evaluation would
+// have made the same way. A NaN floor promises nothing and never skips
+// an evaluation. The zero RateFn has no rate; NewStream rejects it.
+type RateFn struct {
+	at    func(t float64) float64
+	floor float64
+}
+
+// IsZero reports whether r is the zero RateFn, which has no rate.
+func (r RateFn) IsZero() bool { return r.at == nil }
 
 // Constant returns a flat rate.
 func Constant(rps float64) RateFn {
-	return func(float64) float64 { return rps }
+	return RateFn{at: func(float64) float64 { return rps }, floor: rps}
 }
 
 // Diurnal returns a Wikipedia-like smooth diurnal rate: a sinusoid around
 // mean with the given peak-to-mean ratio over one period. The paper's
 // Wiki trace has peak:mean ≈ 316:303 ≈ 1.04.
+//
+// The floor is max(0, mean−|amp|): |sin| ≤ 1 and rounding is monotone,
+// so the rounded amp·sin is at least −|amp| and the rounded sum at least
+// the rounded mean−|amp|.
 func Diurnal(mean, peakToMean, period float64) RateFn {
 	amp := mean * (peakToMean - 1)
-	return func(t float64) float64 {
-		v := mean + amp*math.Sin(2*math.Pi*t/period)
-		return math.Max(0, v)
+	return RateFn{
+		at: func(t float64) float64 {
+			v := mean + float64(amp*math.Sin(2*math.Pi*t/period))
+			return math.Max(0, v)
+		},
+		floor: math.Max(0, mean-math.Abs(amp)),
 	}
 }
 
@@ -70,7 +89,8 @@ const DefaultTwitterPeakToMean = 4561.0 / 2969.0
 // The returned values are bitwise identical to the scan: within a
 // segment the rate is base × max(1, max active factor), and for a
 // positive base the product of the maximum equals the maximum of the
-// products.
+// products. The sweep folds only the spikes active at each edge, so
+// building the index costs O(edges × active spikes).
 func Erratic(mean, peakToMean, duration float64, seed int64) RateFn {
 	rng := rand.New(rand.NewSource(seed))
 	type spike struct{ start, dur, factor float64 }
@@ -81,15 +101,15 @@ func Erratic(mean, peakToMean, duration float64, seed int64) RateFn {
 	for i := 0; i < nSpikes; i++ {
 		spikes = append(spikes, spike{
 			start:  rng.Float64() * duration,
-			dur:    2 + rng.Float64()*6,
-			factor: 1 + (peakToMean-1)*(0.6+0.4*rng.Float64()),
+			dur:    2 + float64(rng.Float64()*6),
+			factor: 1 + float64((peakToMean-1)*(0.6+float64(0.4*rng.Float64()))),
 		})
 	}
 	spikeTime := 0.0
 	spikeWeight := 0.0
 	for _, sp := range spikes {
 		spikeTime += sp.dur
-		spikeWeight += sp.dur * sp.factor
+		spikeWeight += float64(sp.dur * sp.factor)
 	}
 	// base solves base*((duration - spikeTime) + spikeWeight) = mean*duration.
 	denom := (duration - spikeTime) + spikeWeight
@@ -115,15 +135,21 @@ func Erratic(mean, peakToMean, duration float64, seed int64) RateFn {
 	sort.Slice(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
 	segStart := []float64{math.Inf(-1)}
 	segRate := []float64{base}
-	active := make(map[int]bool, len(spikes))
+	// active holds the indices of the spikes covering the current
+	// segment, ascending, so each segment folds only those, in the
+	// order the scan visits them.
+	var active []int
 	for i := 0; i < len(edges); {
 		at := edges[i].at
 		//lint:ignore floateq grouping bitwise-equal boundaries; a near-tie split into two segments yields the same rate function
 		for i < len(edges) && edges[i].at == at {
-			if edges[i].open {
-				active[edges[i].spike] = true
-			} else {
-				delete(active, edges[i].spike)
+			e := edges[i]
+			k, found := slices.BinarySearch(active, e.spike)
+			switch {
+			case e.open && !found:
+				active = slices.Insert(active, k, e.spike)
+			case !e.open && found:
+				active = slices.Delete(active, k, k+1)
 			}
 			i++
 		}
@@ -131,21 +157,23 @@ func Erratic(mean, peakToMean, duration float64, seed int64) RateFn {
 		// identical accumulation the per-call scan performed, so the
 		// segment rate is bitwise what the scan would have produced.
 		v := base
-		for j := range spikes {
-			if active[j] {
-				v = math.Max(v, base*spikes[j].factor)
-			}
+		for _, j := range active {
+			v = math.Max(v, base*spikes[j].factor)
 		}
 		segStart = append(segStart, at)
 		segRate = append(segRate, v)
 	}
-	return func(t float64) float64 {
-		// Last segment starting at or before t.
-		i := sort.SearchFloat64s(segStart, t)
-		if i == len(segStart) || segStart[i] > t {
-			i--
-		}
-		return segRate[i]
+	return RateFn{
+		at: func(t float64) float64 {
+			// Last segment starting at or before t.
+			i := sort.SearchFloat64s(segStart, t)
+			if i == len(segStart) || segStart[i] > t {
+				i--
+			}
+			return segRate[i]
+		},
+		// Every segment rate folds math.Max over base, so none is below it.
+		floor: base,
 	}
 }
 
@@ -190,9 +218,10 @@ type Config struct {
 }
 
 // Generate samples the arrival process and returns requests sorted by
-// arrival time. It is a thin collect-all wrapper over Stream: draining
+// arrival time. It runs Stream's thinning loop to the horizon: draining
 // a fresh NewStream(cfg) yields the identical sequence one request at
-// a time without materialising the slice.
+// a time without materialising the slice. Each request is written once,
+// straight into the slice.
 //
 // The slice is allocated once, sized to the expected request count Λ
 // (the mean rate times the duration) plus six Poisson standard
@@ -204,11 +233,17 @@ func Generate(cfg Config) ([]Request, error) {
 	}
 	out := make([]Request, 0, expectedCap(cfg))
 	for {
-		req, ok := st.Next()
+		t, m, strict, ok := st.next()
 		if !ok {
 			return out, nil
 		}
-		out = append(out, req)
+		// Fill the zeroed slot field by field: building a Request and
+		// copying it in would move its pointers under a bulk write
+		// barrier whenever the collector runs.
+		n := len(out)
+		out = slices.Grow(out, 1)[:n+1]
+		r := &out[n]
+		r.ID, r.Model, r.Strict, r.Arrival = uint64(n), m, strict, t
 	}
 }
 
@@ -220,8 +255,8 @@ const maxReserve = 1 << 26
 // expectedCap returns Λ + 6√Λ + 16 requests for Λ = MeanRate · Duration,
 // or 0 when that is not finite or exceeds maxReserve.
 func expectedCap(cfg Config) int {
-	lambda := MeanRate(cfg.Rate, cfg.Duration) * cfg.Duration
-	n := lambda + 6*math.Sqrt(lambda) + 16
+	lambda := float64(MeanRate(cfg.Rate, cfg.Duration) * cfg.Duration)
+	n := lambda + float64(6*math.Sqrt(lambda)) + 16
 	if !(n >= 0 && n <= maxReserve) {
 		return 0
 	}
@@ -233,7 +268,7 @@ func peakRate(fn RateFn, duration float64) float64 {
 	const samples = 4096
 	maxV := 0.0
 	for i := 0; i <= samples; i++ {
-		v := fn(duration * float64(i) / samples)
+		v := fn.at(duration * float64(i) / samples)
 		maxV = math.Max(maxV, v)
 	}
 	// Small headroom so thinning stays valid between grid points.
@@ -245,7 +280,7 @@ func MeanRate(fn RateFn, duration float64) float64 {
 	const samples = 4096
 	sum := 0.0
 	for i := 0; i < samples; i++ {
-		sum += fn(duration * (float64(i) + 0.5) / samples)
+		sum += fn.at(duration * (float64(i) + 0.5) / samples)
 	}
 	return sum / samples
 }
@@ -257,8 +292,7 @@ func ScaleToMean(fn RateFn, target, duration float64) RateFn {
 	if mean <= 0 {
 		return fn
 	}
-	k := target / mean
-	return func(t float64) float64 { return k * fn(t) }
+	return scale(fn, target/mean)
 }
 
 // ScaleToPeak rescales fn so its maximum over [0, duration] equals
@@ -268,6 +302,16 @@ func ScaleToPeak(fn RateFn, target, duration float64) RateFn {
 	if peak <= 0 {
 		return fn
 	}
-	k := target / peak
-	return func(t float64) float64 { return k * fn(t) }
+	return scale(fn, target/peak)
+}
+
+// scale returns k·fn. Rounded multiplication by a k ≥ 0 is monotone, so
+// k·floor bounds every k·fn(t); a negative or NaN k gets no floor.
+func scale(fn RateFn, k float64) RateFn {
+	floor := math.Inf(-1)
+	if k >= 0 {
+		floor = k * fn.floor
+	}
+	at := fn.at
+	return RateFn{at: func(t float64) float64 { return k * at(t) }, floor: floor}
 }

@@ -127,7 +127,7 @@ func TestDiurnalRateShape(t *testing.T) {
 	}
 	peak := 0.0
 	for i := 0; i <= 1000; i++ {
-		peak = math.Max(peak, fn(120*float64(i)/1000))
+		peak = math.Max(peak, fn.at(120*float64(i)/1000))
 	}
 	wantPeak := 1000 * DefaultWikiPeakToMean
 	if math.Abs(peak-wantPeak)/wantPeak > 0.01 {
@@ -144,7 +144,7 @@ func TestErraticRateBurstyButMeanPreserving(t *testing.T) {
 	}
 	peak := 0.0
 	for i := 0; i <= 4096; i++ {
-		peak = math.Max(peak, fn(duration*float64(i)/4096))
+		peak = math.Max(peak, fn.at(duration*float64(i)/4096))
 	}
 	if peak/mean < 1.3 {
 		t.Errorf("peak:mean = %.2f, want bursty (> 1.3)", peak/mean)
@@ -161,7 +161,7 @@ func TestScaleToMeanAndPeak(t *testing.T) {
 	scaled2 := ScaleToPeak(fn2, 5000, 60)
 	peak := 0.0
 	for i := 0; i <= 4096; i++ {
-		peak = math.Max(peak, scaled2(60*float64(i)/4096))
+		peak = math.Max(peak, scaled2.at(60*float64(i)/4096))
 	}
 	if math.Abs(peak-5000)/5000 > 0.02 {
 		t.Errorf("scaled peak = %v, want 5000", peak)
