@@ -1,7 +1,6 @@
 package protean
 
 import (
-	"fmt"
 	"testing"
 
 	"protean/internal/experiments"
@@ -85,29 +84,6 @@ func benchWorkers(b *testing.B, parallel int) {
 func BenchmarkFig5WorkersSequential(b *testing.B) { benchWorkers(b, 1) }
 func BenchmarkFig5WorkersParallel(b *testing.B)   { benchWorkers(b, 0) }
 
-// Ablation benches for the design choices DESIGN.md calls out. Each
-// reports the compliance gap the feature buys as a custom metric.
-
-func benchAblation(b *testing.B, run func(experiments.Params) (experiments.AblationResult, error)) {
-	b.Helper()
-	params := benchParams()
-	b.ResetTimer()
-	var last experiments.AblationResult
-	for i := 0; i < b.N; i++ {
-		res, err := run(params)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric((last.With-last.Without)*100, "compliance-pp")
-	if testing.Verbose() {
-		fmt.Println(last)
-	}
-}
-
-func BenchmarkAblationReordering(b *testing.B) { benchAblation(b, experiments.AblationReordering) }
-func BenchmarkAblationReconfig(b *testing.B)   { benchAblation(b, experiments.AblationReconfig) }
-func BenchmarkAblationPlacement(b *testing.B)  { benchAblation(b, experiments.AblationPlacement) }
-func BenchmarkAblationKeepAlive(b *testing.B)  { benchAblation(b, experiments.AblationKeepAlive) }
-func BenchmarkAblationPredictor(b *testing.B)  { benchAblation(b, experiments.AblationPredictor) }
+// The with/without comparison of every design choice DESIGN.md calls
+// out, as one report.
+func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }

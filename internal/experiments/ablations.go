@@ -1,132 +1,76 @@
 package experiments
 
 import (
-	"fmt"
-
 	"protean/internal/autoscale"
 	"protean/internal/core"
 	"protean/internal/model"
 	"protean/internal/reconfig"
 )
 
-// AblationResult summarizes a with/without comparison of one PROTEAN
-// design choice.
-//
-//lint:ignore deadcode the result of the Ablation* entry points, which TestAblationsRun and the root bench_test.go benchmarks run
-type AblationResult struct {
-	// Name labels the design choice.
-	Name string
-	// With and Without are the SLO compliance values.
-	With, Without float64
-	// WithP99 and WithoutP99 are the strict P99 latencies in seconds.
-	WithP99, WithoutP99 float64
-}
-
-// String renders the comparison.
-func (r AblationResult) String() string {
-	return fmt.Sprintf("%s: with %.2f%% (P99 %s) / without %.2f%% (P99 %s)",
-		r.Name, r.With*100, ms(r.WithP99), r.Without*100, ms(r.WithoutP99))
-}
-
-// ablationKind selects the workload shape that exposes each design
-// choice.
-type ablationKind int
-
-const (
-	// ablationSteady: an HI strict model under the diurnal Wiki trace —
-	// placement and keep-alive dominate.
-	ablationSteady ablationKind = iota + 1
-	// ablationBursty: the erratic Twitter trace — queueing appears and
-	// request reordering pays off.
-	ablationBursty
-	// ablationShifting: rotating heavy BE models (the Figure 7
-	// scenario) — reconfiguration and prediction pay off.
-	ablationShifting
-)
-
-// runAblation runs the with/without pair on the workload that exposes
-// kind; with and without carry only the policy and scaler under test.
-//
-//lint:ignore deadcode the shared body of the Ablation* entry points, which TestAblationsRun and the root bench_test.go benchmarks run
-func runAblation(p Params, kind ablationKind, name string, with, without Scenario) (AblationResult, error) {
+// Ablations compares PROTEAN with and without each design choice
+// DESIGN.md calls out, each on the workload that exposes it, and
+// reports SLO compliance and strict P99 for both sides. The two sides
+// of a choice replay one trace and differ only in the policy or scaler
+// under test.
+func Ablations(p Params) (*Report, error) {
 	p = p.withDefaults()
-	rate := wikiRate(p.Duration)
-	if kind == ablationBursty {
-		rate = twitterRate(p.Duration, p.Seed)
+	vgg := model.MustByName("VGG 19")
+	// An HI strict model under the diurnal Wiki trace: placement and
+	// keep-alive dominate.
+	steady := Scenario{Strict: vgg, Rate: wikiRate(p.Duration)}
+	// The erratic Twitter trace: queueing appears and request
+	// reordering pays off.
+	bursty := Scenario{Strict: vgg, Rate: twitterRate(p.Duration, p.Seed)}
+	// Rotating heavy BE models (the Figure 7 scenario): reconfiguration
+	// and prediction pay off.
+	shifting := Scenario{Strict: model.MustByName("ShuffleNet V2"), BEPool: model.VisionHI(),
+		RotatePeriod: 10, Rate: wikiRate(p.Duration)}
+	const (
+		wiki     = "Wiki, VGG 19 strict"
+		twitter  = "Twitter, VGG 19 strict"
+		rotating = "rotating HI BE, ShuffleNet V2 strict"
+	)
+	choices := []struct {
+		name, workload string
+		tpl            Scenario
+		off            core.ProteanConfig // the policy without the choice
+		offScaler      autoscale.Config   // the scaler without the choice
+	}{
+		{"request reordering", twitter, bursty, core.ProteanConfig{DisableReorder: true}, autoscale.Config{}},
+		{"dynamic reconfiguration", rotating, shifting, core.ProteanConfig{DisableDynamicReconfig: true}, autoscale.Config{}},
+		{"slowdown-aware placement", wiki, steady, core.ProteanConfig{NaiveStrictPlacement: true}, autoscale.Config{}},
+		{"delayed termination", wiki, steady, core.ProteanConfig{}, autoscale.Config{Immediate: true}},
+		{"EWMA prediction", rotating, shifting, core.ProteanConfig{Reconfig: reconfig.Config{Alpha: 1}}, autoscale.Config{}},
 	}
-	scs := []Scenario{with, without}
-	for i, side := range []string{"with", "without"} {
-		sc := &scs[i]
-		sc.Label = "ablation " + name + " " + side
-		sc.Strict = model.MustByName("VGG 19")
-		sc.Rate = rate
-		if kind == ablationShifting {
-			sc.Strict = model.MustByName("ShuffleNet V2")
-			sc.BEPool = model.VisionHI()
-			sc.RotatePeriod = 10
-		}
+	var scs []Scenario
+	for _, c := range choices {
+		with, without := c.tpl, c.tpl
+		with.Label = "ablation " + c.name + " with"
+		with.Policy = core.NewProtean(core.ProteanConfig{})
+		without.Label = "ablation " + c.name + " without"
+		without.Policy = core.NewProtean(c.off)
+		without.Scaler = c.offScaler
+		pair := []Scenario{with, without}
+		shareTrace(pair)
+		scs = append(scs, pair...)
 	}
-	shareTrace(scs) // both sides replay one trace
 	results, err := RunScenarios(p, scs)
 	if err != nil {
-		return AblationResult{}, err
+		return nil, err
 	}
-	resWith, resWithout := results[0], results[1]
-	return AblationResult{
-		Name:       name,
-		With:       resWith.Recorder.SLOCompliance(),
-		Without:    resWithout.Recorder.SLOCompliance(),
-		WithP99:    resWith.Recorder.Strict().Percentile(99),
-		WithoutP99: resWithout.Recorder.Strict().Percentile(99),
-	}, nil
-}
-
-// AblationReordering compares PROTEAN with and without strict-first
-// request reordering (§4.1).
-//
-//lint:ignore deadcode reached from TestAblationsRun and BenchmarkAblationReordering in bench_test.go
-func AblationReordering(p Params) (AblationResult, error) {
-	return runAblation(p, ablationBursty, "request reordering",
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{DisableReorder: true})})
-}
-
-// AblationReconfig compares dynamic Algorithm 2 reconfiguration against
-// a pinned (4g, 3g) geometry.
-//
-//lint:ignore deadcode reached from TestAblationsRun and BenchmarkAblationReconfig in bench_test.go
-func AblationReconfig(p Params) (AblationResult, error) {
-	return runAblation(p, ablationShifting, "dynamic reconfiguration",
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{DisableDynamicReconfig: true})})
-}
-
-// AblationPlacement compares slowdown-factor (η) strict placement
-// against always-largest-slice placement.
-//
-//lint:ignore deadcode reached from TestAblationPlacementHelps and BenchmarkAblationPlacement in bench_test.go
-func AblationPlacement(p Params) (AblationResult, error) {
-	return runAblation(p, ablationSteady, "slowdown-aware placement",
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{NaiveStrictPlacement: true})})
-}
-
-// AblationKeepAlive compares delayed container termination (§4.2)
-// against immediate scale-down.
-//
-//lint:ignore deadcode reached from TestAblationKeepAliveHelps and BenchmarkAblationKeepAlive in bench_test.go
-func AblationKeepAlive(p Params) (AblationResult, error) {
-	return runAblation(p, ablationSteady, "delayed termination",
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{}), Scaler: autoscale.Config{Immediate: true}})
-}
-
-// AblationPredictor compares the EWMA BE-load predictor against a
-// last-value predictor (alpha = 1).
-//
-//lint:ignore deadcode reached from TestAblationsRun and BenchmarkAblationPredictor in bench_test.go
-func AblationPredictor(p Params) (AblationResult, error) {
-	return runAblation(p, ablationShifting, "EWMA prediction",
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{})},
-		Scenario{Policy: core.NewProtean(core.ProteanConfig{Reconfig: reconfig.Config{Alpha: 1}})})
+	t := &Table{
+		Title: "Ablations: PROTEAN with and without each design choice",
+		Headers: []string{"design choice", "workload", "SLO with", "SLO without",
+			"strict P99 with", "strict P99 without"},
+		Notes: []string{"'without' disables only the named choice; both sides replay one trace"},
+	}
+	for i, c := range choices {
+		with, without := results[2*i].Recorder, results[2*i+1].Recorder
+		t.Rows = append(t.Rows, []Cell{
+			text(c.name), text(c.workload),
+			pct(with.SLOCompliance()), pct(without.SLOCompliance()),
+			ms(with.Strict().Percentile(99)), ms(without.Strict().Percentile(99)),
+		})
+	}
+	return &Report{ID: "ablations", Tables: []*Table{t}}, nil
 }

@@ -102,17 +102,17 @@ func ChaosSweep(p Params) (*Report, error) {
 			sch.Name+" SLO", sch.Name+" avail", sch.Name+" goodput (rps)", sch.Name+" cost")
 	}
 	for si, scale := range scales {
-		row := []string{fmt.Sprintf("%gx", scale)}
+		row := []Cell{text(fmt.Sprintf("%gx", scale))}
 		for j := range schemes {
 			res := at(si, j)
-			cost := "n/a"
+			cost := text("n/a")
 			if res.Cost != nil {
-				cost = fmt.Sprintf("%.2f", res.Cost.Normalized)
+				cost = fixed(res.Cost.Normalized, 2)
 			}
 			row = append(row,
 				pct(res.Recorder.SLOCompliance()),
 				pct(res.Availability.Rate()),
-				fmt.Sprintf("%.0f", metrics.Goodput(res.Recorder, res.Duration)),
+				fixed(metrics.Goodput(res.Recorder, res.Duration), 0),
 				cost)
 		}
 		main.Rows = append(main.Rows, row)
@@ -132,7 +132,7 @@ func ChaosSweep(p Params) (*Report, error) {
 			if j > 0 {
 				note += ","
 			}
-			note += fmt.Sprintf(" %s %s", sch.Name, pct(retained))
+			note += fmt.Sprintf(" %s %s", sch.Name, pct(retained).String())
 		}
 		main.Notes = append(main.Notes, note)
 	}
@@ -153,17 +153,17 @@ func ChaosSweep(p Params) (*Report, error) {
 			if res.Chaos != nil {
 				st = *res.Chaos
 			}
-			detail.Rows = append(detail.Rows, []string{
-				fmt.Sprintf("%gx", scale), sch.Name,
-				fmt.Sprintf("%d", st.SliceFaults),
-				fmt.Sprintf("%d", st.Storms),
-				fmt.Sprintf("%d", st.StuckReconfigs),
-				fmt.Sprintf("%d", st.AbortedReconfigs),
-				fmt.Sprintf("%d", st.Stragglers),
-				fmt.Sprintf("%d", st.ColdStartFailures),
-				fmt.Sprintf("%d", st.Retries),
-				fmt.Sprintf("%d", res.Availability.Requeued),
-				fmt.Sprintf("%d", res.Availability.Dropped),
+			detail.Rows = append(detail.Rows, []Cell{
+				text(fmt.Sprintf("%gx", scale)), text(sch.Name),
+				count(st.SliceFaults),
+				count(st.Storms),
+				count(st.StuckReconfigs),
+				count(st.AbortedReconfigs),
+				count(st.Stragglers),
+				count(st.ColdStartFailures),
+				count(st.Retries),
+				count(res.Availability.Requeued),
+				count(res.Availability.Dropped),
 			})
 		}
 	}
@@ -182,12 +182,12 @@ func ChaosSweep(p Params) (*Report, error) {
 		if res.Chaos != nil {
 			st = *res.Chaos
 		}
-		cold.Rows = append(cold.Rows, []string{
-			sch.Name,
-			fmt.Sprintf("%d", res.ColdStarts),
-			fmt.Sprintf("%d", st.ColdStartFailures),
-			fmt.Sprintf("%d", st.Retries),
-			fmt.Sprintf("%d", res.Availability.Dropped),
+		cold.Rows = append(cold.Rows, []Cell{
+			text(sch.Name),
+			count(res.ColdStarts),
+			count(st.ColdStartFailures),
+			count(st.Retries),
+			count(res.Availability.Dropped),
 			pct(res.Recorder.SLOCompliance()),
 			pct(res.Availability.Rate()),
 		})

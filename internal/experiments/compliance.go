@@ -75,7 +75,7 @@ func complianceReport(p Params, id string, grids ...complianceGrid) (*Report, er
 			t.Headers = append(t.Headers, s.Name)
 		}
 		for _, label := range g.rows {
-			row := []string{label}
+			row := []Cell{text(label)}
 			for _, res := range results[:len(g.schemes)] {
 				row = append(row, pct(res.Recorder.SLOCompliance()))
 			}
@@ -158,7 +158,7 @@ func Table4AllStrict(p Params) (*Report, error) {
 		return nil, err
 	}
 	for j, sch := range schemes {
-		t.Rows = append(t.Rows, []string{sch.Name, pct(results[j].Recorder.SLOCompliance())})
+		t.Rows = append(t.Rows, []Cell{text(sch.Name), pct(results[j].Recorder.SLOCompliance())})
 	}
 	return &Report{ID: "table4", Tables: []*Table{t}}, nil
 }

@@ -386,7 +386,7 @@ type Table struct {
 	// Headers label the columns.
 	Headers []string `json:"headers"`
 	// Rows hold the cells.
-	Rows [][]string `json:"rows"`
+	Rows [][]Cell `json:"rows"`
 	// Notes carry caveats and calibration remarks.
 	Notes []string `json:"notes,omitempty"`
 }
@@ -401,7 +401,7 @@ func (t *Table) Render(w io.Writer) error {
 		return err
 	}
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(tw, strings.Join(row, "\t")); err != nil {
+		if _, err := fmt.Fprintln(tw, strings.Join(cellStrings(row), "\t")); err != nil {
 			return err
 		}
 	}
@@ -475,12 +475,14 @@ func Registry() []Experiment {
 
 // Extras lists experiments that are not part of the paper reproduction
 // and therefore excluded from `-run all` (keeping its output stable):
-// the chaos fault sweep and the million-user scale sweep.
+// the chaos fault sweep, the million-user scale sweep, the marketplace
+// cost frontier and the design-choice ablations.
 func Extras() []Experiment {
 	return []Experiment{
 		{ID: "chaos", Title: "Extra: availability and cost under injected faults (chaos sweep)", Run: ChaosSweep},
 		{ID: "scale", Title: "Extra: million-user scale sweep (streamed arrivals, sketched recorders)", Run: ScaleSweep},
 		{ID: "market", Title: "Extra: multi-provider marketplace cost frontier (procurement policies × volatility)", Run: MarketSweep},
+		{ID: "ablations", Title: "Extra: PROTEAN with and without each design choice (ablations)", Run: Ablations},
 	}
 }
 
@@ -500,10 +502,6 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // helpers ------------------------------------------------------------------
-
-func pct(x float64) string { return fmt.Sprintf("%.2f%%", x*100) }
-
-func ms(x float64) string { return fmt.Sprintf("%.1fms", x*1000) }
 
 // wikiRate is the diurnal Wiki-like trace scaled to the vision mean.
 func wikiRate(duration float64) trace.RateFn {

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -43,7 +43,7 @@ func TestTableRender(t *testing.T) {
 	tb := &Table{
 		Title:   "Example",
 		Headers: []string{"a", "b"},
-		Rows:    [][]string{{"1", "2"}, {"3", "4"}},
+		Rows:    [][]Cell{{text("1"), count(2)}, {text("3"), count(4)}},
 		Notes:   []string{"caveat"},
 	}
 	var sb strings.Builder
@@ -71,8 +71,8 @@ func TestTable3StaticRows(t *testing.T) {
 		t.Errorf("pricing rows = %d, want 3", len(static.Rows))
 	}
 	// AWS savings ≈ 70%.
-	if !strings.HasPrefix(static.Rows[0][3], "69.") && !strings.HasPrefix(static.Rows[0][3], "70.") {
-		t.Errorf("AWS savings = %s, want ≈70%%", static.Rows[0][3])
+	if s := static.Rows[0][3]; s.kind != kindPercent || s.v < 0.69 || s.v >= 0.71 {
+		t.Errorf("AWS savings = %s, want ≈70%%", s)
 	}
 }
 
@@ -85,9 +85,10 @@ func TestFig3QuickProducesNormalizedFBRs(t *testing.T) {
 	if len(rows) < 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Sorted ascending by normalized FBR; last row must be 1.000.
+	// Sorted ascending by normalized FBR; the last row is the maximum,
+	// which normalizes to 1.
 	last := rows[len(rows)-1]
-	if last[2] != "1.000" {
+	if last[2].kind != kindFixed || math.Abs(last[2].v-1) > 5e-4 {
 		t.Errorf("max normalized FBR = %s, want 1.000", last[2])
 	}
 }
@@ -137,53 +138,59 @@ func TestRunScenarioDefaultsPoolAndRate(t *testing.T) {
 	}
 }
 
+// ablationChoices names the ablations report's rows, in order.
+var ablationChoices = []string{"reordering", "reconfig", "placement", "keepalive", "predictor"}
+
+// ablationRows runs the ablations report and returns its rows.
+func ablationRows(t *testing.T, p Params) [][]Cell {
+	t.Helper()
+	report, err := Ablations(p)
+	if err != nil {
+		t.Fatalf("Ablations: %v", err)
+	}
+	rows := report.Tables[0].Rows
+	if len(rows) != len(ablationChoices) {
+		t.Fatalf("ablation rows = %d, want %d", len(rows), len(ablationChoices))
+	}
+	return rows
+}
+
 func TestAblationsRun(t *testing.T) {
-	p := quickParams()
-	for _, tc := range []struct {
-		name string
-		run  func(Params) (AblationResult, error)
-	}{
-		{"reordering", AblationReordering},
-		{"reconfig", AblationReconfig},
-		{"placement", AblationPlacement},
-		{"keepalive", AblationKeepAlive},
-		{"predictor", AblationPredictor},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.run(p)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+	rows := ablationRows(t, quickParams())
+	for i, name := range ablationChoices {
+		t.Run(name, func(t *testing.T) {
+			row := rows[i]
+			if row[0].kind != kindText || row[1].kind != kindText {
+				t.Errorf("row %v: design choice and workload must be text", row)
 			}
-			if res.With < 0 || res.With > 1 || res.Without < 0 || res.Without > 1 {
-				t.Errorf("compliance out of range: %+v", res)
+			for _, c := range row[2:4] {
+				if c.kind != kindPercent || c.v < 0 || c.v > 1 {
+					t.Errorf("compliance %s out of range in %v", c, row)
+				}
 			}
-			if res.String() == "" {
-				t.Error("empty ablation string")
+			for _, c := range row[4:] {
+				if c.kind != kindMillis || c.v <= 0 {
+					t.Errorf("strict P99 %s not a positive latency in %v", c, row)
+				}
 			}
 		})
 	}
 }
 
+// TestAblationPlacementHelps: the η placement model is a first-order
+// effect, so naive largest-slice-always placement must lose on an HI
+// workload; so must immediate scale-down (TestAblationKeepAliveHelps).
 func TestAblationPlacementHelps(t *testing.T) {
-	// The η placement model is a first-order effect: naive
-	// largest-slice-always placement must lose badly on an HI workload.
-	res, err := AblationPlacement(Params{Quick: true, Duration: 20, Warmup: 6})
-	if err != nil {
-		t.Fatalf("AblationPlacement: %v", err)
-	}
-	if res.With <= res.Without {
-		t.Errorf("placement ablation: with %.3f <= without %.3f", res.With, res.Without)
+	row := ablationRows(t, Params{Quick: true, Duration: 20, Warmup: 6})[2]
+	if with, without := row[2], row[3]; with.v <= without.v {
+		t.Errorf("placement ablation: with %s <= without %s", with, without)
 	}
 }
 
 func TestAblationKeepAliveHelps(t *testing.T) {
-	res, err := AblationKeepAlive(Params{Quick: true, Duration: 20, Warmup: 6})
-	if err != nil {
-		t.Fatalf("AblationKeepAlive: %v", err)
-	}
-	if res.With <= res.Without {
-		t.Errorf("keep-alive ablation: with %.3f <= without %.3f", res.With, res.Without)
+	row := ablationRows(t, Params{Quick: true, Duration: 20, Warmup: 6})[3]
+	if with, without := row[2], row[3]; with.v <= without.v {
+		t.Errorf("keep-alive ablation: with %s <= without %s", with, without)
 	}
 }
 
@@ -197,15 +204,12 @@ func TestColdStartsClaim(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Delayed termination must incur strictly fewer cold starts.
-	var delayed, immediate int
-	if _, err := fmt.Sscanf(rows[0][1], "%d", &delayed); err != nil {
-		t.Fatalf("parse: %v", err)
+	delayed, immediate := rows[0][1], rows[1][1]
+	if delayed.kind != kindCount || immediate.kind != kindCount {
+		t.Fatalf("cold-start cells %v, %v are not counts", delayed, immediate)
 	}
-	if _, err := fmt.Sscanf(rows[1][1], "%d", &immediate); err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if delayed >= immediate {
-		t.Errorf("delayed termination cold starts %d >= immediate %d", delayed, immediate)
+	if delayed.v >= immediate.v {
+		t.Errorf("delayed termination cold starts %s >= immediate %s", delayed, immediate)
 	}
 }
 

@@ -41,10 +41,10 @@ func ColdStarts(p Params) (*Report, error) {
 	t := &Table{
 		Title:   "Section 4.2 claim: delayed termination vs immediate scale-down",
 		Headers: []string{"policy", "cold starts", "SLO compliance", "strict P99"},
-		Rows: [][]string{
-			{"delayed termination (~10 min)", fmt.Sprintf("%d", delayed.ColdStarts),
+		Rows: [][]Cell{
+			{text("delayed termination (~10 min)"), count(delayed.ColdStarts),
 				pct(delayed.Recorder.SLOCompliance()), ms(delayed.Recorder.Strict().Percentile(99))},
-			{"immediate scale-down", fmt.Sprintf("%d", immediate.ColdStarts),
+			{text("immediate scale-down"), count(immediate.ColdStarts),
 				pct(immediate.Recorder.SLOCompliance()), ms(immediate.Recorder.Strict().Percentile(99))},
 		},
 		Notes: []string{
@@ -102,11 +102,11 @@ func Hopper(p Params) (*Report, error) {
 	for i, m := range models {
 		for ai, a := range archs {
 			res := results[i*len(archs)+ai]
-			t.Rows = append(t.Rows, []string{
-				m.Name(), a.name,
+			t.Rows = append(t.Rows, []Cell{
+				text(m.Name()), text(a.name),
 				pct(res.Recorder.SLOCompliance()),
 				ms(res.Recorder.Strict().Percentile(99)),
-				fmt.Sprintf("%d", res.Reconfigs),
+				count(res.Reconfigs),
 			})
 		}
 	}

@@ -89,8 +89,8 @@ func Fig2Motivation(p Params) (*Report, error) {
 			rec := results[i].Recorder.ForModel(w.Name())
 			sum := rec.Summarize()
 			b := sum.P99Breakdown
-			t.Rows = append(t.Rows, []string{
-				sch.Name, pct(sum.SLOCompliance), ms(sum.P99),
+			t.Rows = append(t.Rows, []Cell{
+				text(sch.Name), pct(sum.SLOCompliance), ms(sum.P99),
 				ms(b.MinPossible), ms(b.Deficiency), ms(b.Interference), ms(b.Queue + b.ColdStart),
 			})
 		}
@@ -125,11 +125,11 @@ func Fig3FBR(p Params) (*Report, error) {
 	copy(ordered, models)
 	sort.Slice(ordered, func(i, j int) bool { return norm[ordered[i].Name()] < norm[ordered[j].Name()] })
 	for _, m := range ordered {
-		t.Rows = append(t.Rows, []string{
-			m.Name(), m.Class().String(),
-			fmt.Sprintf("%.3f", norm[m.Name()]),
-			fmt.Sprintf("%.3f", est[m.Name()]),
-			fmt.Sprintf("%.3f", m.FBR()),
+		t.Rows = append(t.Rows, []Cell{
+			text(m.Name()), text(m.Class().String()),
+			fixed(norm[m.Name()], 3),
+			fixed(est[m.Name()], 3),
+			fixed(m.FBR(), 3),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -93,18 +93,18 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 
 		k := len(baselines)
 		for _, avail := range fig9Availabilities() {
-			t.Rows = append(t.Rows, []string{
-				avail.Name, "Others (on-demand)", "1.00", pct(baselineSLO),
+			t.Rows = append(t.Rows, []Cell{
+				text(avail.Name), text("Others (on-demand)"), fixed(1, 2), pct(baselineSLO),
 			})
 			for _, variant := range variants {
 				res := results[k]
 				k++
-				cost := "n/a"
+				cost := text("n/a")
 				if res.Cost != nil {
-					cost = fmt.Sprintf("%.2f", res.Cost.Normalized)
+					cost = fixed(res.Cost.Normalized, 2)
 				}
-				t.Rows = append(t.Rows, []string{
-					avail.Name, variant.name, cost, pct(res.Recorder.SLOCompliance()),
+				t.Rows = append(t.Rows, []Cell{
+					text(avail.Name), text(variant.name), cost, pct(res.Recorder.SLOCompliance()),
 				})
 			}
 		}
@@ -139,16 +139,16 @@ func Fig10ThroughputUtilization(p Params) (*Report, error) {
 	}
 	for j, sch := range schemes {
 		res := results[j]
-		thr.Rows = append(thr.Rows, []string{
-			sch.Name,
-			fmt.Sprintf("%.1f", res.Recorder.Throughput(effective, res.Nodes, p.Duration)),
-			fmt.Sprintf("%.1f", res.Recorder.TotalThroughput(effective, res.Nodes, p.Duration)),
+		thr.Rows = append(thr.Rows, []Cell{
+			text(sch.Name),
+			fixed(res.Recorder.Throughput(effective, res.Nodes, p.Duration), 1),
+			fixed(res.Recorder.TotalThroughput(effective, res.Nodes, p.Duration), 1),
 			pct(res.Recorder.SLOCompliance()),
 		})
 
 		res2 := results[len(schemes)+j]
-		util.Rows = append(util.Rows, []string{
-			sch.Name, pct(res2.BusyUtil), pct(res2.ComputeUtil), pct(res2.MemUtil),
+		util.Rows = append(util.Rows, []Cell{
+			text(sch.Name), pct(res2.BusyUtil), pct(res2.ComputeUtil), pct(res2.MemUtil),
 		})
 	}
 	thr.Notes = append(thr.Notes,
@@ -175,8 +175,8 @@ func Fig11ErraticTrace(p Params) (*Report, error) {
 	for j, sch := range schemes {
 		sum := results[j].Recorder.Summarize()
 		b := sum.P99Breakdown
-		t.Rows = append(t.Rows, []string{
-			sch.Name, pct(sum.SLOCompliance), ms(sum.P99),
+		t.Rows = append(t.Rows, []Cell{
+			text(sch.Name), pct(sum.SLOCompliance), ms(sum.P99),
 			ms(b.MinPossible), ms(b.Deficiency), ms(b.Interference), ms(b.Queue + b.ColdStart),
 		})
 	}

@@ -42,8 +42,8 @@ func Fig6TailBreakdown(p Params) (*Report, error) {
 		for j, sch := range schemes {
 			sum := results[i*len(schemes)+j].Recorder.Summarize()
 			b := sum.P99Breakdown
-			t.Rows = append(t.Rows, []string{
-				sch.Name, ms(sum.P99), ms(b.MinPossible), ms(b.Deficiency),
+			t.Rows = append(t.Rows, []Cell{
+				text(sch.Name), ms(sum.P99), ms(b.MinPossible), ms(b.Deficiency),
 				ms(b.Interference), ms(b.Queue + b.ColdStart), pct(sum.SLOCompliance),
 			})
 		}
@@ -74,18 +74,18 @@ func Fig7ReconfigTimeline(p Params) (*Report, error) {
 		Headers: []string{"time (s)", "node", "geometry"},
 	}
 	for _, ev := range res.Timeline {
-		timeline.Rows = append(timeline.Rows, []string{
-			fmt.Sprintf("%.1f", ev.Time), fmt.Sprintf("%d", ev.Node), ev.Geometry,
+		timeline.Rows = append(timeline.Rows, []Cell{
+			text(fmt.Sprintf("%.1f", ev.Time)), text(fmt.Sprintf("%d", ev.Node)), text(ev.Geometry),
 		})
 	}
 	sum := res.Recorder.Summarize()
 	summary := &Table{
 		Title:   "Figure 7: run summary",
 		Headers: []string{"metric", "value"},
-		Rows: [][]string{
-			{"SLO compliance", pct(sum.SLOCompliance)},
-			{"strict P99", ms(sum.P99)},
-			{"geometry changes", fmt.Sprintf("%d", res.Reconfigs)},
+		Rows: [][]Cell{
+			{text("SLO compliance"), pct(sum.SLOCompliance)},
+			{text("strict P99"), ms(sum.P99)},
+			{text("geometry changes"), count(res.Reconfigs)},
 		},
 		Notes: []string{"DPN 92 rotations exceed the small-slice capacity and trigger the (4g, 3g) switch"},
 	}
@@ -109,7 +109,7 @@ func Fig8LatencyCDF(p Params) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
-	cols := make([][]string, len(schemes))
+	cols := make([][]Cell, len(schemes))
 	for j, sch := range schemes {
 		strict := results[j].Recorder.Strict()
 		for _, q := range quantiles {
@@ -118,13 +118,13 @@ func Fig8LatencyCDF(p Params) (*Report, error) {
 		t.Headers = append(t.Headers, sch.Name)
 	}
 	for qi, q := range quantiles {
-		row := []string{fmt.Sprintf("P%.0f", q)}
+		row := []Cell{text(fmt.Sprintf("P%.0f", q))}
 		for j := range schemes {
 			row = append(row, cols[j][qi])
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("SLO target: %s", ms(m.SLO(model.DefaultSLOMultiplier))))
+	t.Notes = append(t.Notes, "SLO target: "+ms(m.SLO(model.DefaultSLOMultiplier)).String())
 	return &Report{ID: "fig8", Tables: []*Table{t}}, nil
 }
 
@@ -149,7 +149,7 @@ func Table5AllBE(p Params) (*Report, error) {
 	}
 	for j, sch := range schemes {
 		be := results[j].Recorder.BestEffort()
-		t.Rows = append(t.Rows, []string{sch.Name, ms(be.Percentile(50)), ms(be.Percentile(99))})
+		t.Rows = append(t.Rows, []Cell{text(sch.Name), ms(be.Percentile(50)), ms(be.Percentile(99))})
 	}
 	t.Notes = append(t.Notes,
 		"PROTEAN deprioritizes BE work (packing); the BE-fair variant implements the paper's",
@@ -190,8 +190,8 @@ func Fig17Oracle(p Params) (*Report, error) {
 		return nil, fmt.Errorf("fig17: %w", err)
 	}
 	for i, m := range models {
-		row := []string{m.Name()}
-		var slo, p99 []string
+		row := []Cell{text(m.Name())}
+		var slo, p99 []Cell
 		for j := range schemes {
 			res := results[i*len(schemes)+j]
 			slo = append(slo, pct(res.Recorder.SLOCompliance()))

@@ -157,19 +157,19 @@ func MarketSweep(p Params) (*Report, error) {
 			} else if cost1k < odCost1k && slo >= 0.95*odSLO {
 				dominating++
 			}
-			frontier.Rows = append(frontier.Rows, []string{
-				vol.Name, pol.Name,
-				fmt.Sprintf("$%.4f", cost1k),
-				fmt.Sprintf("$%.2f", res.Market.TotalDollars),
+			frontier.Rows = append(frontier.Rows, []Cell{
+				text(vol.Name), text(pol.Name),
+				dollars(cost1k, 4),
+				dollars(res.Market.TotalDollars, 2),
 				pct(slo),
-				fmt.Sprintf("%d", res.EvictionNotices),
-				fmt.Sprintf("%d", res.Market.Stats.Binds),
-				fmt.Sprintf("%d", res.Migrations),
+				count(res.EvictionNotices),
+				count(res.Market.Stats.Binds),
+				count(res.Migrations),
 			})
 		}
 		frontier.Notes = append(frontier.Notes, fmt.Sprintf(
 			"%s: %d policies dominate on-demand-only (cheaper per 1k requests at ≥95%% of its %s SLO attainment)",
-			vol.Name, dominating, pct(odSLO)))
+			vol.Name, dominating, pct(odSLO).String()))
 	}
 
 	prices := &Table{
@@ -183,12 +183,12 @@ func MarketSweep(p Params) (*Report, error) {
 		// The first policy's run stands in for the whole volatility row.
 		res := results[vi*len(pols)]
 		for _, ps := range res.Market.Prices {
-			prices.Rows = append(prices.Rows, []string{
-				vol.Name, ps.Provider,
-				fmt.Sprintf("$%.4f", ps.Min),
-				fmt.Sprintf("$%.4f", ps.Mean),
-				fmt.Sprintf("$%.4f", ps.Max),
-				fmt.Sprintf("%d", ps.Ticks),
+			prices.Rows = append(prices.Rows, []Cell{
+				text(vol.Name), text(ps.Provider),
+				dollars(ps.Min, 4),
+				dollars(ps.Mean, 4),
+				dollars(ps.Max, 4),
+				count(ps.Ticks),
 			})
 		}
 	}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"protean/internal/sim"
 	"protean/internal/vm"
 )
@@ -16,10 +14,10 @@ func Table3SpotPricing(p Params) (*Report, error) {
 		Headers: []string{"IaaS provider", "on-demand $/h", "spot $/h", "cost savings"},
 	}
 	for _, pr := range vm.Providers() {
-		static.Rows = append(static.Rows, []string{
-			pr.Provider,
-			fmt.Sprintf("%.4f", pr.OnDemandHourly),
-			fmt.Sprintf("%.4f", pr.SpotHourly),
+		static.Rows = append(static.Rows, []Cell{
+			text(pr.Provider),
+			fixed(pr.OnDemandHourly, 4),
+			fixed(pr.SpotHourly, 4),
 			pct(pr.Savings()),
 		})
 	}
@@ -49,11 +47,11 @@ func Table3SpotPricing(p Params) (*Report, error) {
 			return nil, err
 		}
 		report := fleet.Cost(0)
-		metered.Rows = append(metered.Rows, []string{
-			pr.Provider,
-			fmt.Sprintf("$%.2f", report.Dollars),
-			fmt.Sprintf("$%.2f", report.OnDemandBaseline),
-			fmt.Sprintf("%.3f", report.Normalized),
+		metered.Rows = append(metered.Rows, []Cell{
+			text(pr.Provider),
+			dollars(report.Dollars, 2),
+			dollars(report.OnDemandBaseline, 2),
+			fixed(report.Normalized, 3),
 		})
 	}
 	return &Report{ID: "table3", Tables: []*Table{static, metered}}, nil

@@ -9,7 +9,7 @@ func sampleTable() *Table {
 	return &Table{
 		Title:   "Sample",
 		Headers: []string{"scheme", "SLO | note"},
-		Rows:    [][]string{{"PROTEAN", "99.9%"}, {"INFless", "2.6%"}},
+		Rows:    [][]Cell{{text("PROTEAN"), pct(0.999)}, {text("INFless"), pct(0.026)}},
 		Notes:   []string{"a caveat"},
 	}
 }
@@ -20,7 +20,7 @@ func TestRenderMarkdown(t *testing.T) {
 		t.Fatalf("RenderMarkdown: %v", err)
 	}
 	out := sb.String()
-	for _, want := range []string{"### Sample", "| scheme |", "| --- |", "| PROTEAN | 99.9% |", "*a caveat*"} {
+	for _, want := range []string{"### Sample", "| scheme |", "| --- |", "| PROTEAN | 99.90% |", "*a caveat*"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
 		}

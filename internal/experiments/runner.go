@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 
 	"protean/internal/cluster"
@@ -198,9 +196,10 @@ func SubSeed(base int64, i int) int64 {
 }
 
 // RunReplicated runs the experiment seeds times — replication i under
-// SubSeed(p.Seed, i) — and merges the reports cell-wise: numeric cells
-// become "mean ± half" 95% confidence intervals via metrics.MeanCI95,
-// non-numeric cells keep replication 0's value. seeds <= 1 is a plain
+// SubSeed(p.Seed, i) — and merges the reports cell-wise: a numeric
+// cell becomes the mean ± half-width 95% confidence interval of its raw
+// values via metrics.MeanCI95, rendered at its kind's precision; text
+// and p-value cells keep replication 0's value. seeds <= 1 is a plain
 // run.
 func RunReplicated(e Experiment, p Params, seeds int) (*Report, error) {
 	if seeds <= 1 {
@@ -241,13 +240,13 @@ func aggregateReports(reports []*Report, baseSeed int64) (*Report, error) {
 			continue
 		}
 		for ri, brow := range bt.Rows {
-			row := make([]string, len(brow))
+			row := make([]Cell, len(brow))
 			for ci := range brow {
-				cells := make([]string, len(reports))
+				cells := make([]Cell, len(reports))
 				for k, r := range reports {
 					cells[k] = r.Tables[ti].Rows[ri][ci]
 				}
-				row[ci] = aggregateCell(cells)
+				row[ci] = aggregate(cells)
 			}
 			agg.Rows = append(agg.Rows, row)
 		}
@@ -275,67 +274,27 @@ func sameShape(reports []*Report, ti int) bool {
 	return true
 }
 
-// numCell is a parsed table cell: value with its formatting preserved
-// so the aggregate renders like the inputs ("93.21%" → "93.21% ± 0.35%").
-type numCell struct {
-	prefix, suffix string
-	decimals       int
-	value          float64
-}
-
-// parseCell recognizes the cell formats the harnesses emit: plain
-// floats and ints, "%"-suffixed percentages, "ms"-suffixed latencies,
-// "$"-prefixed costs, and an optional leading sign.
-func parseCell(s string) (numCell, bool) {
-	c := numCell{}
-	rest := s
-	if strings.HasPrefix(rest, "$") {
-		c.prefix = "$"
-		rest = rest[1:]
-	}
-	for _, suffix := range []string{"%", "ms"} {
-		if strings.HasSuffix(rest, suffix) {
-			c.suffix = suffix
-			rest = strings.TrimSuffix(rest, suffix)
-			break
-		}
-	}
-	if rest == "" || strings.ContainsAny(rest, "eE") {
-		// Scientific notation (p-values) is left alone: its magnitude
-		// varies too wildly across seeds for a linear mean to be honest.
-		return numCell{}, false
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		return numCell{}, false
-	}
-	if dot := strings.IndexByte(rest, '.'); dot >= 0 {
-		c.decimals = len(rest) - dot - 1
-	}
-	c.value = v
-	return c, true
-}
-
-// aggregateCell merges one cell position across replications. All cells
-// must parse with the same prefix/suffix to aggregate; otherwise the
-// first replication's value is kept as-is.
-func aggregateCell(cells []string) string {
-	first, ok := parseCell(cells[0])
-	if !ok {
-		return cells[0]
+// aggregate merges one cell position across replications: numeric
+// cells of one kind and precision become their mean ± 95% CI. Text
+// cells, positions whose format differs across replications, and
+// p-values, whose magnitude varies too wildly across seeds for a linear
+// mean to be honest, keep replication 0's cell.
+func aggregate(cells []Cell) Cell {
+	c := cells[0]
+	if c.kind == kindText || c.kind == kindP {
+		return c
 	}
 	vals := make([]float64, len(cells))
-	for i, s := range cells {
-		c, ok := parseCell(s)
-		if !ok || c.prefix != first.prefix || c.suffix != first.suffix {
-			return cells[0]
+	for i, x := range cells {
+		if x.kind != c.kind || x.prec != c.prec {
+			return c
 		}
-		vals[i] = c.value
+		vals[i] = x.v
 	}
 	mean, half, err := metrics.MeanCI95(vals)
 	if err != nil {
-		return cells[0]
+		return c
 	}
-	d := first.decimals
-	return fmt.Sprintf("%s%.*f%s ± %.*f%s", first.prefix, d, mean, first.suffix, d, half, first.suffix)
+	c.v, c.ci, c.reps = mean, half, len(cells)
+	return c
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/obs"
 )
@@ -198,54 +199,45 @@ func TestSubSeed(t *testing.T) {
 	}
 }
 
-func TestParseCell(t *testing.T) {
+// TestCellKinds pins each kind's rendering, alone and as a replicated
+// mean, and which cells keep replication 0's value.
+func TestCellKinds(t *testing.T) {
 	tests := []struct {
-		in       string
-		ok       bool
-		val      float64
-		prefix   string
-		suffix   string
-		decimals int
+		name   string
+		reps   []Cell // replication 0 first
+		single string // replication 0's cell
+		agg    string // the replicated cell
 	}{
-		{"93.21%", true, 93.21, "", "%", 2},
-		{"12.5ms", true, 12.5, "", "ms", 1},
-		{"$3.20", true, 3.20, "$", "", 2},
-		{"-0.75", true, -0.75, "", "", 2},
-		{"17", true, 17, "", "", 0},
-		{"3.10e-05", false, 0, "", "", 0}, // scientific: left alone
-		{"n/a", false, 0, "", "", 0},
-		{"", false, 0, "", "", 0},
-		{"ms", false, 0, "", "", 0},
+		{"percent", []Cell{pct(0.90), pct(0.92), pct(0.94)}, "90.00%", "92.00% ± 2.26%"},
+		{"millis", []Cell{ms(0.0125), ms(0.0135)}, "12.5ms", "13.0ms ± 1.0ms"},
+		{"dollars", []Cell{dollars(1, 2), dollars(3, 2)}, "$1.00", "$2.00 ± 1.96"},
+		{"fixed", []Cell{fixed(0.5, 3), fixed(0.75, 3)}, "0.500", "0.625 ± 0.245"},
+		{"signed", []Cell{signed(-0.75), signed(1.25)}, "-0.75", "+0.25 ± 1.96"},
+		{"count", []Cell{count(17), count(uint64(19))}, "17", "18 ± 2"},
+		{"p-value", []Cell{pvalue(3.1e-5), pvalue(0.2)}, "3.10e-05", "3.10e-05"},
+		{"p-value underflow", []Cell{pvalue(0), pvalue(1e-9)}, "<1e-300", "<1e-300"},
+		{"text", []Cell{text("PROTEAN"), text("GPUlet")}, "PROTEAN", "PROTEAN"},
+		{"mixed kinds", []Cell{ms(0.001), pct(0.02)}, "1.0ms", "1.0ms"},
+		{"mixed precision", []Cell{fixed(1, 2), fixed(1, 3)}, "1.00", "1.00"},
 	}
 	for _, tt := range tests {
-		c, ok := parseCell(tt.in)
-		if ok != tt.ok {
-			t.Errorf("parseCell(%q) ok = %v, want %v", tt.in, ok, tt.ok)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		if c.value != tt.val || c.prefix != tt.prefix || c.suffix != tt.suffix || c.decimals != tt.decimals {
-			t.Errorf("parseCell(%q) = %+v", tt.in, c)
-		}
-	}
-}
-
-func TestAggregateCell(t *testing.T) {
-	got := aggregateCell([]string{"90.00%", "92.00%", "94.00%"})
-	if !strings.HasPrefix(got, "92.00% ± ") || !strings.HasSuffix(got, "%") {
-		t.Errorf("aggregateCell percent = %q", got)
-	}
-	if got := aggregateCell([]string{"$1.00", "$3.00"}); !strings.HasPrefix(got, "$2.00 ± ") {
-		t.Errorf("aggregateCell dollars = %q", got)
-	}
-	// Non-numeric and mixed-format cells keep replication 0's value.
-	if got := aggregateCell([]string{"PROTEAN", "PROTEAN"}); got != "PROTEAN" {
-		t.Errorf("aggregateCell text = %q", got)
-	}
-	if got := aggregateCell([]string{"1.0ms", "2.0%"}); got != "1.0ms" {
-		t.Errorf("aggregateCell mixed = %q", got)
+		t.Run(tt.name, func(t *testing.T) {
+			if got := tt.reps[0].String(); got != tt.single {
+				t.Errorf("String() = %q, want %q", got, tt.single)
+			}
+			agg := aggregate(tt.reps)
+			if got := agg.String(); got != tt.agg {
+				t.Errorf("aggregate = %q, want %q", got, tt.agg)
+			}
+			// -json and the API encode a cell as its rendered string.
+			got, err := json.Marshal(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := json.Marshal(tt.agg); string(got) != string(want) {
+				t.Errorf("MarshalJSON = %s, want %s", got, want)
+			}
+		})
 	}
 }
 
@@ -262,8 +254,8 @@ func TestRunReplicatedAggregates(t *testing.T) {
 	found := false
 	for _, tb := range report.Tables {
 		for _, row := range tb.Rows {
-			for _, cell := range row {
-				if strings.Contains(cell, "±") {
+			for _, c := range row {
+				if c.reps == 3 {
 					found = true
 				}
 			}
@@ -274,6 +266,37 @@ func TestRunReplicatedAggregates(t *testing.T) {
 	}
 	if !found {
 		t.Error("no mean ± CI cell in aggregated report")
+	}
+
+	// A row key stays replication 0's text, and a replicated percent
+	// cell is the mean ± CI of the raw per-seed values.
+	knee, ok := ByID("knee")
+	if !ok {
+		t.Fatal("knee not registered")
+	}
+	report, err = RunReplicated(knee, p, 2)
+	if err != nil {
+		t.Fatalf("RunReplicated(knee): %v", err)
+	}
+	var runs [2]*Report
+	for i := range runs {
+		pi := p
+		pi.Seed = SubSeed(p.Seed, i)
+		if runs[i], err = knee.Run(pi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := report.Tables[0].Rows[0][0]
+	if key != runs[0].Tables[0].Rows[0][0] || key.String() != "7000" {
+		t.Errorf("knee rate key = %q, want replication 0's text 7000", key)
+	}
+	cell := report.Tables[0].Rows[1][2]
+	mean, half, err := metrics.MeanCI95([]float64{runs[0].Tables[0].Rows[1][2].v, runs[1].Tables[0].Rows[1][2].v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.kind != kindPercent || cell.v != mean || cell.ci != half || cell.reps != 2 {
+		t.Errorf("replicated cell = %+v, want percent mean %v ± %v over 2", cell, mean, half)
 	}
 }
 

@@ -117,16 +117,16 @@ func ScaleSweep(p Params) (*Report, error) {
 			return nil, err
 		}
 		res := cell.Result
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%gx", scale),
-			fmt.Sprintf("%.1f", ScaleBaseRPS*scale),
-			fmt.Sprintf("%d", res.Availability.Offered),
-			fmt.Sprintf("%d", res.Availability.Completed),
-			fmt.Sprintf("%d", res.Availability.Dropped),
+		t.Rows = append(t.Rows, []Cell{
+			text(fmt.Sprintf("%gx", scale)),
+			text(fmt.Sprintf("%.1f", ScaleBaseRPS*scale)),
+			count(res.Availability.Offered),
+			count(res.Availability.Completed),
+			count(res.Availability.Dropped),
 			pct(res.Recorder.SLOCompliance()),
 			ms(res.Recorder.Strict().Percentile(99)),
-			fmt.Sprintf("%d", cell.Events),
-			fmt.Sprintf("%d", res.Pool.Hits),
+			count(cell.Events),
+			count(res.Pool.Hits),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -78,14 +78,14 @@ func StatsSignificance(p Params) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, []string{
-				sch.Name,
-				fmt.Sprintf("%+.2f", (compliance["PROTEAN"]-compliance[sch.Name])*100),
-				fmt.Sprintf("%.1f", welch.T),
-				formatP(welch.P),
-				fmt.Sprintf("%.2f", d),
-				fmt.Sprintf("%s ± %s", ms(pm), ms(ph)),
-				fmt.Sprintf("%s ± %s", ms(bm), ms(bh)),
+			t.Rows = append(t.Rows, []Cell{
+				text(sch.Name),
+				signed((compliance["PROTEAN"] - compliance[sch.Name]) * 100),
+				fixed(welch.T, 1),
+				pvalue(welch.P),
+				fixed(d, 2),
+				text(ms(pm).String() + " ± " + ms(ph).String()),
+				text(ms(bm).String() + " ± " + ms(bh).String()),
 			})
 		}
 		t.Notes = append(t.Notes,
