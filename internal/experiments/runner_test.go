@@ -199,42 +199,72 @@ func TestSubSeed(t *testing.T) {
 	}
 }
 
-// TestCellKinds pins each kind's rendering, alone and as a replicated
-// mean, and which cells keep replication 0's value.
-func TestCellKinds(t *testing.T) {
+// TestParseCell pins the strings a report reader parses: each kind's
+// rendering of one run's value, built from the typed value rather than
+// read back from text.
+func TestParseCell(t *testing.T) {
 	tests := []struct {
-		name   string
-		reps   []Cell // replication 0 first
-		single string // replication 0's cell
-		agg    string // the replicated cell
+		name string
+		c    Cell
+		want string
 	}{
-		{"percent", []Cell{pct(0.90), pct(0.92), pct(0.94)}, "90.00%", "92.00% ± 2.26%"},
-		{"millis", []Cell{ms(0.0125), ms(0.0135)}, "12.5ms", "13.0ms ± 1.0ms"},
-		{"dollars", []Cell{dollars(1, 2), dollars(3, 2)}, "$1.00", "$2.00 ± 1.96"},
-		{"fixed", []Cell{fixed(0.5, 3), fixed(0.75, 3)}, "0.500", "0.625 ± 0.245"},
-		{"signed", []Cell{signed(-0.75), signed(1.25)}, "-0.75", "+0.25 ± 1.96"},
-		{"count", []Cell{count(17), count(uint64(19))}, "17", "18 ± 2"},
-		{"p-value", []Cell{pvalue(3.1e-5), pvalue(0.2)}, "3.10e-05", "3.10e-05"},
-		{"p-value underflow", []Cell{pvalue(0), pvalue(1e-9)}, "<1e-300", "<1e-300"},
-		{"text", []Cell{text("PROTEAN"), text("GPUlet")}, "PROTEAN", "PROTEAN"},
-		{"mixed kinds", []Cell{ms(0.001), pct(0.02)}, "1.0ms", "1.0ms"},
-		{"mixed precision", []Cell{fixed(1, 2), fixed(1, 3)}, "1.00", "1.00"},
+		{"percent", pct(0.9321), "93.21%"},
+		{"millis", ms(0.0125), "12.5ms"},
+		{"dollars", dollars(3.2, 2), "$3.20"},
+		{"fixed", fixed(0.5, 3), "0.500"},
+		{"signed", signed(-0.75), "-0.75"},
+		{"signed positive", signed(1.25), "+1.25"},
+		{"count", count(17), "17"},
+		{"count uint64", count(uint64(19)), "19"},
+		{"p-value", pvalue(3.1e-5), "3.10e-05"},
+		{"p-value underflow", pvalue(0), "<1e-300"},
+		{"text", text("n/a"), "n/a"},
+		{"empty text", text(""), ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.reps[0].String(); got != tt.single {
-				t.Errorf("String() = %q, want %q", got, tt.single)
+			if got := tt.c.String(); got != tt.want {
+				t.Errorf("String() = %q, want %q", got, tt.want)
 			}
+			if tt.c.reps != 0 {
+				t.Errorf("one run's cell has reps %d, want 0", tt.c.reps)
+			}
+		})
+	}
+}
+
+// TestAggregateCell pins each kind's replicated mean and which cells
+// keep replication 0's value.
+func TestAggregateCell(t *testing.T) {
+	tests := []struct {
+		name string
+		reps []Cell // replication 0 first
+		want string // the replicated cell
+	}{
+		{"percent", []Cell{pct(0.90), pct(0.92), pct(0.94)}, "92.00% ± 2.26%"},
+		{"millis", []Cell{ms(0.0125), ms(0.0135)}, "13.0ms ± 1.0ms"},
+		{"dollars", []Cell{dollars(1, 2), dollars(3, 2)}, "$2.00 ± 1.96"},
+		{"fixed", []Cell{fixed(0.5, 3), fixed(0.75, 3)}, "0.625 ± 0.245"},
+		{"signed", []Cell{signed(-0.75), signed(1.25)}, "+0.25 ± 1.96"},
+		{"count", []Cell{count(17), count(uint64(19))}, "18 ± 2"},
+		{"p-value", []Cell{pvalue(3.1e-5), pvalue(0.2)}, "3.10e-05"},
+		{"p-value underflow", []Cell{pvalue(0), pvalue(1e-9)}, "<1e-300"},
+		{"text", []Cell{text("PROTEAN"), text("GPUlet")}, "PROTEAN"},
+		{"mixed kinds", []Cell{ms(0.001), pct(0.02)}, "1.0ms"},
+		{"mixed precision", []Cell{fixed(1, 2), fixed(1, 3)}, "1.00"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
 			agg := aggregate(tt.reps)
-			if got := agg.String(); got != tt.agg {
-				t.Errorf("aggregate = %q, want %q", got, tt.agg)
+			if got := agg.String(); got != tt.want {
+				t.Errorf("aggregate = %q, want %q", got, tt.want)
 			}
 			// -json and the API encode a cell as its rendered string.
 			got, err := json.Marshal(agg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _ := json.Marshal(tt.agg); string(got) != string(want) {
+			if want, _ := json.Marshal(tt.want); string(got) != string(want) {
 				t.Errorf("MarshalJSON = %s, want %s", got, want)
 			}
 		})
