@@ -300,7 +300,6 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 			scaler.Prewarm(m.Name(), count)
 		}
 		c.nodes = append(c.nodes, n)
-		//lint:ignore hotcopy construction-time loop: one snapshot per node, each from a distinct GPU
 		c.timeline = append(c.timeline, GeometryEvent{Time: s.Now(), Node: i, Geometry: g.Geometry().String()})
 	}
 
@@ -759,7 +758,6 @@ func (c *Cluster) monitorTick() {
 		desired, doIt := n.policy.DesiredGeometry(n.gpu, view)
 		if doIt && !n.gpu.Reconfiguring() {
 			translated, err := n.gpu.Arch().Translate(desired)
-			//lint:ignore hotcopy one comparison per node per planning tick, each against a distinct GPU's geometry
 			if err == nil && !translated.Equal(n.gpu.Geometry()) && c.budget.TryAcquire() {
 				n.reconfigure(translated)
 			}

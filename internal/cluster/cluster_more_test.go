@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"protean/internal/chaos"
 	"protean/internal/core"
+	"protean/internal/gpu"
 	"protean/internal/model"
+	"protean/internal/reconfig"
 	"protean/internal/sim"
 	"protean/internal/trace"
 	"protean/internal/vm"
@@ -46,6 +49,75 @@ func TestDisplacedJobsSurviveReconfiguration(t *testing.T) {
 	}
 	if res.Dropped > 0 {
 		t.Errorf("dropped %d requests during reconfiguration", res.Dropped)
+	}
+}
+
+// TestSharedGeometriesSurviveRuns guards the rule that a gpu.Geometry is
+// never modified after construction: policies and planners hand the same
+// geometry values to every node, so an engine path that wrote into one
+// would change what the next factory call or planner returns. Chaos makes
+// some reconfigurations abort, which exercises the rollback path too.
+func TestSharedGeometriesSurviveRuns(t *testing.T) {
+	schemes := []struct {
+		name string
+		f    core.Factory
+	}{
+		{"PROTEAN", core.NewProtean(core.ProteanConfig{})},
+		{"Oracle", core.NewOracle()},
+		{"NaiveSlicing", core.NewNaiveSlicing(nil)},
+	}
+	// One input per planner geometry: the (4g, 3g) fallback (no BE
+	// load), the [1g, 2g] set and the [3g] set.
+	plans := make([]reconfig.PlanInput, 3)
+	for i, batches := range []float64{0, 3, 8} {
+		plans[i] = reconfig.PlanInput{
+			Current:       gpu.MustGeometry(gpu.Profile7g),
+			BEMemPerBatch: 2,
+			PredBEBatches: batches,
+		}
+	}
+	planned := func() []string {
+		p := reconfig.New(reconfig.Config{})
+		out := make([]string, len(plans))
+		for i, in := range plans {
+			out[i] = p.Plan(in).Desired.String()
+		}
+		return out
+	}
+	wantInitial := make([]string, len(schemes))
+	for i, sc := range schemes {
+		wantInitial[i] = sc.f().InitialGeometry().String()
+	}
+	wantPlanned := planned()
+
+	mix := trace.Mix{
+		StrictFrac:   0.5,
+		Strict:       model.MustByName("ShuffleNet V2"),
+		BEPool:       model.VisionHI(),
+		RotatePeriod: 8,
+	}
+	const duration = 45
+	reqs, err := trace.Generate(trace.Config{Rate: trace.Constant(1500), Mix: mix, Duration: duration, Seed: 23})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	aborts := 0
+	for _, sc := range schemes {
+		res := runCluster(t, Config{Nodes: 2, Policy: sc.f, Chaos: chaos.DefaultConfig().Scaled(3)}, reqs, duration, 23)
+		aborts += res.ReconfigAborts
+	}
+	if aborts == 0 {
+		t.Fatal("no reconfiguration aborted; scenario broken")
+	}
+	for i, sc := range schemes {
+		if got := sc.f().InitialGeometry().String(); got != wantInitial[i] {
+			t.Errorf("%s initial geometry = %s after the runs, want %s", sc.name, got, wantInitial[i])
+		}
+	}
+	for i, got := range planned() {
+		if got != wantPlanned[i] {
+			t.Errorf("planner geometry %d = %s after the runs, want %s", i, got, wantPlanned[i])
+		}
 	}
 }
 

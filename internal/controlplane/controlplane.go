@@ -48,15 +48,9 @@ type Options struct {
 	// Quantum is the wall→virtual quantization step in seconds (default
 	// 10 ms): arrivals land on the next quantum boundary.
 	Quantum float64
-	// SLOMultiplier scales model SLO targets (default 3).
-	SLOMultiplier float64
 	// KeepWarmDefault is the tenant idle window before scale-to-zero,
 	// in virtual seconds (default 10; tenants can override).
 	KeepWarmDefault float64
-	// KeepAlive is the container delayed-termination window (default
-	// 60 s live — much shorter than the batch default, since the tenant
-	// keep-warm layer above it owns long-horizon warmth).
-	KeepAlive float64
 	// WallNow supplies the wall clock in seconds for the paced bridge
 	// (injected by cmd/proteand; internal packages never read the wall
 	// clock themselves). nil runs the plane in manual mode: callers
@@ -77,6 +71,11 @@ type Options struct {
 	Registry *obs.Registry
 }
 
+// liveKeepAlive is the container delayed-termination window in seconds:
+// much shorter than the batch default, since the tenant keep-warm layer
+// above it owns long-horizon warmth.
+const liveKeepAlive = 60
+
 func (o *Options) applyDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -87,14 +86,8 @@ func (o *Options) applyDefaults() {
 	if o.Quantum <= 0 {
 		o.Quantum = 0.010
 	}
-	if o.SLOMultiplier <= 0 {
-		o.SLOMultiplier = model.DefaultSLOMultiplier
-	}
 	if o.KeepWarmDefault <= 0 {
 		o.KeepWarmDefault = 10
-	}
-	if o.KeepAlive <= 0 {
-		o.KeepAlive = 60
 	}
 }
 
@@ -162,9 +155,9 @@ func New(opts Options) (*Plane, error) {
 	c, err := cluster.New(s, cluster.Config{
 		Nodes:         opts.Nodes,
 		Policy:        core.NewProtean(core.ProteanConfig{}),
-		SLOMultiplier: opts.SLOMultiplier,
+		SLOMultiplier: model.DefaultSLOMultiplier,
 		Chaos:         chaosCfg,
-		Scaler:        autoscale.Config{KeepAlive: opts.KeepAlive},
+		Scaler:        autoscale.Config{KeepAlive: liveKeepAlive},
 		VM:            vmCfg,
 	})
 	if err != nil {

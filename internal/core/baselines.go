@@ -32,7 +32,7 @@ var _ Policy = (*staticPolicy)(nil)
 
 func (p *staticPolicy) Name() string                  { return p.name }
 func (p *staticPolicy) Sharing() gpu.SharingMode      { return p.mode }
-func (p *staticPolicy) InitialGeometry() gpu.Geometry { return p.geom.Clone() }
+func (p *staticPolicy) InitialGeometry() gpu.Geometry { return p.geom }
 func (p *staticPolicy) ReorderRequests() bool         { return p.reorder }
 
 func (p *staticPolicy) SMCap(strict bool) float64 {
@@ -174,7 +174,7 @@ func NewNaiveSlicing(geom gpu.Geometry) Factory {
 		return &staticPolicy{
 			name:  "Naive Slicing",
 			mode:  gpu.ShareMPS,
-			geom:  geom.Clone(),
+			geom:  geom,
 			place: placeByMemory,
 		}
 	}
@@ -190,7 +190,7 @@ func NewMIGOnly(geom gpu.Geometry) Factory {
 		return &staticPolicy{
 			name:  "MIG Only",
 			mode:  gpu.ShareTimeSlice,
-			geom:  geom.Clone(),
+			geom:  geom,
 			place: placeRoundRobin,
 		}
 	}
@@ -206,7 +206,7 @@ func NewMPSMIG(geom gpu.Geometry) Factory {
 		return &staticPolicy{
 			name:  "MPS+MIG",
 			mode:  gpu.ShareMPS,
-			geom:  geom.Clone(),
+			geom:  geom,
 			place: placeEvenLoad,
 		}
 	}
@@ -223,7 +223,7 @@ func NewSmartMPSMIG(geom gpu.Geometry) Factory {
 		return &staticPolicy{
 			name:  "'Smart' MPS+MIG",
 			mode:  gpu.ShareMPS,
-			geom:  geom.Clone(),
+			geom:  geom,
 			place: placeSmart,
 		}
 	}

@@ -77,7 +77,7 @@ func NewProtean(cfg ProteanConfig) Factory {
 
 func (p *proteanPolicy) Name() string                  { return p.name }
 func (p *proteanPolicy) Sharing() gpu.SharingMode      { return gpu.ShareMPS }
-func (p *proteanPolicy) InitialGeometry() gpu.Geometry { return initialGeometry.Clone() }
+func (p *proteanPolicy) InitialGeometry() gpu.Geometry { return initialGeometry }
 func (p *proteanPolicy) ReorderRequests() bool         { return !p.cfg.DisableReorder }
 func (p *proteanPolicy) SMCap(bool) float64            { return 0 }
 

@@ -24,16 +24,16 @@ func Slowdown(sl *gpu.Slice, m *model.Model, beTagFBR float64) float64 {
 	_, sens := m.Cache()
 	own := m.FBR()
 	// Tagged-but-unscheduled BE work is assumed CNN-like (pollution 1).
-	others := beTagFBR * (1 + amp*sens)
+	others := beTagFBR * (1 + float64(amp*sens))
 	sm := math.Min(m.ComputeDemand()/sl.Prof.ComputeFrac, 1)
 	ownSM := math.Max(sm, 1)
-	// Visit residents without the defensive copies Running()/Pending()
-	// make: this runs once per candidate slice on every strict
-	// placement, and the accumulation order (running in start order,
-	// then pending in queue order) matches the copying version exactly.
+	// The accumulation order is fixed: running jobs in start order, then
+	// pending ones in queue order. The float64 conversions here and above
+	// keep the compiler from fusing x*y + z, so every architecture rounds
+	// alike.
 	accumulate := func(j *gpu.Job) {
 		poll, _ := j.W.Cache()
-		others += j.W.FBR() * (1 + amp*poll*sens)
+		others += float64(j.W.FBR() * (1 + float64(amp*poll*sens)))
 		sm += jobComputeDemand(j, sl.Prof)
 	}
 	sl.EachRunning(accumulate)

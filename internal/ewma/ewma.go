@@ -45,7 +45,9 @@ func (e *EWMA) Observe(x float64) {
 		e.observed = true
 		return
 	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
+	// The conversions round each product, so no architecture fuses them
+	// into a multiply-add.
+	e.value = float64(e.alpha*x) + float64((1-e.alpha)*e.value)
 }
 
 // Predict returns the current smoothed estimate.

@@ -57,30 +57,8 @@ type Workload interface {
 	MemGB(p Profile) float64
 }
 
-// Breakdown decomposes a job's end-to-end latency into the components
-// plotted in Figures 2, 6 and 11 of the paper.
-type Breakdown struct {
-	// Queue is time spent waiting before execution started (dispatch
-	// queues, slice admission queues, reconfiguration downtime).
-	Queue float64
-	// ColdStart is container boot time attributed to the job.
-	ColdStart float64
-	// MinPossible is the batch execution time on an idle full GPU (7g).
-	MinPossible float64
-	// Deficiency is the extra execution time caused by running on a
-	// smaller slice (the resource deficiency effect).
-	Deficiency float64
-	// Interference is the extra execution time caused by MPS
-	// co-location (memory bandwidth contention).
-	Interference float64
-}
-
-// Total is the end-to-end latency represented by the breakdown.
-//
-//lint:ignore deadcode the latency identity TestMPSConservationManyJobs and cluster's TestBreakdownConsistency check
-func (b Breakdown) Total() float64 {
-	return b.Queue + b.ColdStart + b.MinPossible + b.Deficiency + b.Interference
-}
+// Breakdown decomposes a job's end-to-end latency; see obs.Phases.
+type Breakdown = obs.Phases
 
 // Job is one request batch executing (or waiting to execute) on a GPU
 // slice.
@@ -281,10 +259,10 @@ func (sl *Slice) Load() int { return len(sl.running) + len(sl.pending) }
 // slice reopens automatically once its repair window elapses.
 func (sl *Slice) Failed() bool { return sl.failed }
 
-// EachRunning calls fn for every running job in start order, without the
-// defensive copy Running() makes. Intended for hot paths (placement
-// scoring, admission scans) that visit resident jobs on every decision.
-// fn must not mutate the slice's job set.
+// EachRunning calls fn for every running job in start order, without
+// allocating. Intended for hot paths (placement scoring, admission scans)
+// that visit resident jobs on every decision. fn must not mutate the
+// slice's job set.
 //
 //protean:hotpath
 func (sl *Slice) EachRunning(fn func(*Job)) {
@@ -294,8 +272,7 @@ func (sl *Slice) EachRunning(fn func(*Job)) {
 }
 
 // EachPending calls fn for every admitted-but-not-started job in queue
-// order, without the defensive copy Pending() makes. fn must not mutate
-// the slice's job set.
+// order, without allocating. fn must not mutate the slice's job set.
 //
 //protean:hotpath
 func (sl *Slice) EachPending(fn func(*Job)) {
@@ -480,13 +457,7 @@ func (sl *Slice) emitJob(k obs.Kind, j *Job) {
 	ev.Requests = j.Requests
 	if k == obs.KindExecEnd {
 		bd := j.Breakdown()
-		ev.Phases = &obs.Phases{
-			Queue:        bd.Queue,
-			ColdStart:    bd.ColdStart,
-			MinPossible:  bd.MinPossible,
-			Deficiency:   bd.Deficiency,
-			Interference: bd.Interference,
-		}
+		ev.Phases = &bd
 	}
 	tr.Emit(ev)
 }
@@ -657,6 +628,8 @@ type GPU struct {
 	arch     Arch
 	geometry Geometry
 	slices   []*Slice
+	// ascending is slices reversed (smallest first), built with them.
+	ascending []*Slice
 
 	lastAnyAccount  float64
 	anyBusyIntegral float64
@@ -709,12 +682,15 @@ func NewGPU(s *sim.Sim, id int, arch Arch, geom Geometry, mode SharingMode) (*GP
 	return g, nil
 }
 
+// installGeometry makes geom live. Geometries are never modified after
+// construction, so the GPU keeps geom itself rather than a copy.
 func (g *GPU) installGeometry(geom Geometry) {
-	g.geometry = geom.Clone()
+	g.geometry = geom
 	g.slices = make([]*Slice, len(geom))
+	g.ascending = make([]*Slice, len(geom))
 	now := g.sim.Now()
 	for i, p := range geom {
-		g.slices[i] = &Slice{
+		sl := &Slice{
 			Prof:        p,
 			Mode:        g.Mode,
 			sim:         g.sim,
@@ -722,28 +698,32 @@ func (g *GPU) installGeometry(geom Geometry) {
 			index:       i,
 			lastAccount: now,
 		}
+		g.slices[i] = sl
+		g.ascending[len(geom)-1-i] = sl
 	}
 }
 
-// Geometry returns the currently installed geometry.
-func (g *GPU) Geometry() Geometry { return g.geometry.Clone() }
+// The three views below return the GPU's own storage, so they cost
+// nothing on the placement and planning paths. Callers must treat them
+// as read-only. A view taken before a reconfiguration keeps its old
+// contents: installing a geometry allocates fresh lists and never
+// reuses retired ones.
 
-// Slices returns the current slices, largest first.
-func (g *GPU) Slices() []*Slice {
-	out := make([]*Slice, len(g.slices))
-	copy(out, g.slices)
-	return out
-}
+// Geometry returns the currently installed geometry (read-only).
+//
+//protean:hotpath
+func (g *GPU) Geometry() Geometry { return g.geometry }
+
+// Slices returns the current slices, largest first (read-only).
+//
+//protean:hotpath
+func (g *GPU) Slices() []*Slice { return g.slices }
 
 // SlicesAscending returns the current slices ordered smallest first, as
-// iterated by Algorithm 1.
-func (g *GPU) SlicesAscending() []*Slice {
-	out := g.Slices()
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
+// iterated by Algorithm 1 (read-only): the exact reverse of Slices.
+//
+//protean:hotpath
+func (g *GPU) SlicesAscending() []*Slice { return g.ascending }
 
 // Reconfiguring reports whether a geometry change is in flight.
 func (g *GPU) Reconfiguring() bool { return g.reconfiguring }
@@ -772,7 +752,7 @@ func (g *GPU) Reconfigure(geom Geometry, onReady func(displaced []*Job)) error {
 		return err
 	}
 	g.reconfiguring = true
-	g.pendingGeom = geom.Clone()
+	g.pendingGeom = geom
 	g.onReady = onReady
 	g.displaced = nil
 	if tr := g.sim.Tracer(); tr.Enabled() {
@@ -815,7 +795,7 @@ func (g *GPU) maybeBeginDowntime() {
 		}
 		if abort {
 			g.pendingAbort = true
-			g.pendingGeom = g.geometry.Clone()
+			g.pendingGeom = g.geometry
 		}
 	}
 	g.retireSlices()
@@ -830,7 +810,7 @@ func (g *GPU) retireSlices() {
 		g.memBeforeGeom += sl.memIntegral
 		sl.closed = true
 	}
-	g.slices = nil
+	g.slices, g.ascending = nil, nil
 }
 
 func (g *GPU) finishReconfig() {

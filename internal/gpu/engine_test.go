@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"protean/internal/sim"
@@ -451,6 +452,81 @@ func TestSlicesAscending(t *testing.T) {
 	if asc[0].Prof.Name != "1g" || asc[2].Prof.Name != "4g" {
 		t.Errorf("ascending order = [%s %s %s]", asc[0].Prof.Name, asc[1].Prof.Name, asc[2].Prof.Name)
 	}
+}
+
+// viewSink keeps the view calls in TestViewsShareEngineStorage from
+// being optimised away.
+var viewSink struct {
+	slices, ascending []*Slice
+	geometry          Geometry
+}
+
+// TestViewsShareEngineStorage pins the view contract: Slices,
+// SlicesAscending and Geometry hand out the GPU's own storage without
+// allocating, the ascending list is the exact reverse of Slices through
+// every geometry change, and a view taken before a reconfiguration keeps
+// its contents.
+func TestViewsShareEngineStorage(t *testing.T) {
+	s := sim.New(1)
+	// Two 1g slices: equal slots must come back in exactly reversed order.
+	g := newTestGPU(t, s, MustGeometry(Profile3g, Profile2g, Profile1g, Profile1g), ShareMPS)
+	checkReversed := func(when string) {
+		t.Helper()
+		desc, asc := g.Slices(), g.SlicesAscending()
+		if len(desc) == 0 || len(asc) != len(desc) {
+			t.Fatalf("%s: %d slices, %d ascending", when, len(desc), len(asc))
+		}
+		for i, sl := range desc {
+			if asc[len(asc)-1-i] != sl {
+				t.Errorf("%s: SlicesAscending is not Slices reversed at %d", when, i)
+			}
+		}
+	}
+	checkReversed("after NewGPU")
+	if n := testing.AllocsPerRun(100, func() {
+		viewSink.slices = g.Slices()
+		viewSink.ascending = g.SlicesAscending()
+		viewSink.geometry = g.Geometry()
+	}); n != 0 {
+		t.Errorf("views allocate %v times per call set, want 0", n)
+	}
+
+	oldSlices, oldGeom := g.Slices(), g.Geometry()
+	wantSlices, wantGeom := slices.Clone(oldSlices), slices.Clone(oldGeom)
+	if err := g.Reconfigure(MustGeometry(Profile4g, Profile2g, Profile1g), nil); err != nil {
+		t.Fatalf("Reconfigure: %v", err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkReversed("after Reconfigure")
+	if !slices.Equal(oldSlices, wantSlices) || !slices.Equal(oldGeom, wantGeom) {
+		t.Errorf("views taken before Reconfigure changed: %v, %s", oldSlices, oldGeom)
+	}
+
+	g.Faults = &stuckFaults{stretch: 1, abort: true}
+	if err := g.Reconfigure(MustGeometry(Profile7g), nil); err != nil {
+		t.Fatalf("Reconfigure: %v", err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if g.ReconfigAborts() != 1 {
+		t.Fatalf("ReconfigAborts = %d, want 1", g.ReconfigAborts())
+	}
+	checkReversed("after an aborted Reconfigure")
+
+	g.FailSlice(0.5, 5)
+	checkReversed("after FailSlice")
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, sl := range g.Slices() {
+		if sl.Failed() {
+			t.Fatalf("slice %d still failed after repair", sl.index)
+		}
+	}
+	checkReversed("after repair")
 }
 
 func TestLatencyIncludesColdStartAndQueue(t *testing.T) {

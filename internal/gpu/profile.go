@@ -89,6 +89,8 @@ const TotalMemGB = 40.0
 
 // Geometry is a MIG partitioning of one GPU: the multiset of instantiated
 // slice profiles. Geometries are kept sorted in descending slot order.
+// A Geometry is a value: it is never modified after construction, so
+// the engine, the policies and the planner share one freely.
 type Geometry []Profile
 
 // ErrInvalidGeometry is wrapped by all geometry validation failures.
@@ -138,6 +140,8 @@ func ParseGeometry(spec string) (Geometry, error) {
 	return NewGeometry(profiles...)
 }
 
+// normalize sorts g in place. Only constructors call it, on slices they
+// have just allocated.
 func (g Geometry) normalize() {
 	sort.Slice(g, func(i, j int) bool { return g[i].Slots > g[j].Slots })
 }
@@ -206,13 +210,6 @@ func (g Geometry) String() string {
 		names[i] = p.Name
 	}
 	return "(" + strings.Join(names, ", ") + ")"
-}
-
-// Clone returns an independent copy of the geometry.
-func (g Geometry) Clone() Geometry {
-	out := make(Geometry, len(g))
-	copy(out, g)
-	return out
 }
 
 // ValidGeometries enumerates every valid A100 geometry (deduplicated by

@@ -184,7 +184,7 @@ func TestPropertyEqualMatchesMapReference(t *testing.T) {
 			t.Fatalf("translate %s to H100: %v", g, err)
 		}
 		for _, x := range []Geometry{g, h} {
-			rev := x.Clone()
+			rev := slices.Clone(x)
 			slices.Reverse(rev)
 			all = append(all, x, rev)
 		}
@@ -192,9 +192,9 @@ func TestPropertyEqualMatchesMapReference(t *testing.T) {
 	valid := len(all)
 	// Longer than any valid geometry, so Equal cannot use its buffer.
 	long := Geometry{Profile1g, Profile1g, Profile1g, Profile1g, Profile1g, Profile1g, Profile1g, Profile1g}
-	longer := append(long.Clone(), Profile2g)
-	mixed := append(long[1:].Clone(), Profile2g)
-	all = append(all, long, longer, mixed, append(mixed[1:].Clone(), Profile1g))
+	longer := append(slices.Clone(long), Profile2g)
+	mixed := append(slices.Clone(long[1:]), Profile2g)
+	all = append(all, long, longer, mixed, append(slices.Clone(mixed[1:]), Profile1g))
 	for _, a := range all {
 		for _, b := range all {
 			if got, want := a.Equal(b), mapEqual(a, b); got != want {

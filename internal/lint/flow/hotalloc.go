@@ -10,9 +10,10 @@ import (
 
 // hotallocAnalyzer flags heap-allocating constructs inside functions
 // marked //protean:hotpath and the module functions they statically
-// call. PR 4 made the rebalance and timer paths allocation-free so the
-// O(events) inner loop never touches the garbage collector; this rule
-// turns that property from a benchmark observation into a CI gate.
+// call. The rebalance and timer paths, and the GPU's read-only views,
+// are allocation-free so the O(events) inner loop never touches the
+// garbage collector; this rule turns that property from a benchmark
+// observation into a CI gate.
 //
 // Flagged: &T{...} and slice/map composite literals, make/new, append
 // (may grow), function literals (closure capture), string concatenation

@@ -6,8 +6,8 @@
 // decision. The analyzers in this package lock those invariants in.
 //
 // Two analyzer shapes exist. Per-package Analyzers walk one type-checked
-// package at a time (the PR 1 rules: walltime, globalrand, maporder,
-// floateq, errignore, hotcopy). ProgramAnalyzers see every package of
+// package at a time (walltime, globalrand, maporder, floateq,
+// errignore). ProgramAnalyzers see every package of
 // the module at once and reason over the callgraph — the six flow rules
 // cover RNG dataflow, float-reduction ordering, hot-path allocations,
 // shared mutable state, freelist ownership and dead code; they live in
@@ -107,7 +107,6 @@ func Analyzers() []*Analyzer {
 		MaporderAnalyzer(),
 		FloateqAnalyzer(),
 		ErrignoreAnalyzer(),
-		HotcopyAnalyzer(),
 	}
 }
 

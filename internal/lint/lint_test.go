@@ -144,22 +144,6 @@ func TestErrignoreFixture(t *testing.T) {
 	checkFixture(t, "errignore", "fixturemod/errignore", ErrignoreAnalyzer())
 }
 
-func TestHotcopyFixture(t *testing.T) {
-	checkFixture(t, "hotcopy", "fixturemod/internal/hotcopy", HotcopyAnalyzer())
-}
-
-func TestHotcopySkipsNonInternal(t *testing.T) {
-	// Defensive copies in cmd/ or examples/ are presentation-layer code;
-	// the rule only polices the simulation hot paths under internal/.
-	// The fixture's suppression surfaces as a stale "directive" finding
-	// here, so filter to the hotcopy rule itself.
-	for _, f := range runFixture(t, "hotcopy", "fixturemod/cmd/hotcopy", HotcopyAnalyzer()) {
-		if f.Rule == "hotcopy" {
-			t.Errorf("hotcopy fired outside internal/: %v", f)
-		}
-	}
-}
-
 func TestMalformedDirective(t *testing.T) {
 	// A directive with no reason must be reported, never silently
 	// honored: run with zero analyzers and expect exactly the

@@ -172,24 +172,27 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// Phases is the engine latency decomposition carried on KindExecEnd
-// events — a dependency-free mirror of gpu.Breakdown (obs sits below
-// gpu in the import graph).
+// Phases decomposes a job's end-to-end latency into the components
+// plotted in Figures 2, 6 and 11 of the paper. The engine's
+// gpu.Breakdown is this type; KindExecEnd events carry it.
 type Phases struct {
-	// Queue is time waiting in the slice admission queue.
+	// Queue is time spent waiting before execution started, from the
+	// job becoming ready on its node: the slice admission queue, and
+	// the reconfiguration downtime of a displaced job.
 	Queue float64 `json:"queueSeconds"`
 	// ColdStart is container boot time attributed to the job.
 	ColdStart float64 `json:"coldStartSeconds"`
-	// MinPossible is the batch execution time on an idle full GPU.
+	// MinPossible is the batch execution time on an idle full GPU (7g).
 	MinPossible float64 `json:"minPossibleSeconds"`
-	// Deficiency is extra execution time from running on a smaller
-	// slice.
+	// Deficiency is the extra execution time caused by running on a
+	// smaller slice (the resource deficiency effect).
 	Deficiency float64 `json:"deficiencySeconds"`
-	// Interference is extra execution time from MPS co-location.
+	// Interference is the extra execution time caused by MPS
+	// co-location (memory bandwidth contention).
 	Interference float64 `json:"interferenceSeconds"`
 }
 
-// Total is the latency the phases sum to.
+// Total is the end-to-end latency the phases sum to.
 func (p Phases) Total() float64 {
 	return p.Queue + p.ColdStart + p.MinPossible + p.Deficiency + p.Interference
 }

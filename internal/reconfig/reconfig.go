@@ -77,7 +77,7 @@ func newSliceSet(profiles ...gpu.Profile) sliceSet {
 }
 
 // Every geometry a planner can plan, built and validated once for the
-// process; Plan hands out clones, so planners share them read-only.
+// process and shared read-only by every planner.
 var (
 	// smallSliceSets is Algorithm 2's small_slice_set, in preference
 	// order.
@@ -134,11 +134,11 @@ type PlanInput struct {
 	BESolo func(gpu.Profile) float64
 }
 
-// Plan runs Algorithm 2 for one window. Decision.Desired is the
-// caller's own copy of one of the planner's fixed geometries.
+// Plan runs Algorithm 2 for one window. Decision.Desired is one of the
+// planner's fixed geometries, shared read-only.
 func (p *Planner) Plan(in PlanInput) Decision {
 	desired := p.choose(in)
-	d := Decision{Desired: desired.Clone()}
+	d := Decision{Desired: desired}
 	if desired.Equal(in.Current) {
 		p.waitCtr = 0
 		return d
@@ -155,7 +155,7 @@ func (p *Planner) Plan(in PlanInput) Decision {
 
 // choose returns the geometry Algorithm 2 computes for the window's
 // predicted load: the first viable small slice set plus 4g, or the
-// (4g, 3g) fallback. The result is shared; Plan clones it.
+// (4g, 3g) fallback.
 func (p *Planner) choose(in PlanInput) gpu.Geometry {
 	predBEBatches := in.PredBEBatches
 	if predBEBatches < 0 {

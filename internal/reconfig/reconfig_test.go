@@ -212,17 +212,18 @@ func TestPlanTimeOccupancyEscalates(t *testing.T) {
 	}
 }
 
-// TestPlanDesiredIsCallersCopy: Plan hands out a copy of the planner's
-// fixed geometry, so a caller that edits Decision.Desired cannot change
-// what later windows plan.
-func TestPlanDesiredIsCallersCopy(t *testing.T) {
-	p := New(Config{WaitLimit: -1})
+// TestPlanDesiredIsShared: Plan hands out the planner's fixed geometry
+// itself, read-only, so every planner returns the same value for the
+// same choice and a planning window allocates nothing.
+func TestPlanDesiredIsShared(t *testing.T) {
 	in := PlanInput{Current: geom("7g"), BEMemPerBatch: 4, PredBEBatches: 2}
-	d := p.Plan(in)
-	for i := range d.Desired {
-		d.Desired[i] = gpu.Profile1g
+	p := New(Config{WaitLimit: -1})
+	a := p.Plan(in).Desired
+	b := New(Config{WaitLimit: -1}).Plan(in).Desired
+	if a.String() != "(4g, 2g, 1g)" || &a[0] != &b[0] {
+		t.Errorf("plans = %s at %p and %s at %p, want one shared (4g, 2g, 1g)", a, &a[0], b, &b[0])
 	}
-	if again := p.Plan(in); again.Desired.String() != "(4g, 2g, 1g)" {
-		t.Fatalf("second plan = %s after the caller edited the first, want (4g, 2g, 1g)", again.Desired)
+	if n := testing.AllocsPerRun(100, func() { p.Plan(in) }); n != 0 {
+		t.Errorf("Plan allocates %v times per window, want 0", n)
 	}
 }
