@@ -76,10 +76,39 @@ func breakdownBits(b gpu.Breakdown) [5]uint64 {
 	}
 }
 
+// refSLOCompliance is the reference model of SLOCompliance: a scan of
+// the visible rows.
+func refSLOCompliance(r *Recorder) float64 {
+	total, met := 0, 0
+	r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
+		if g.Strict {
+			total += g.Weight
+			if s.Latency <= g.SLO {
+				met += g.Weight
+			}
+		}
+	})
+	if total == 0 {
+		return math.NaN()
+	}
+	return float64(met) / float64(total)
+}
+
 // checkAgainstReference asserts Percentile and BreakdownAtPercentile
-// pick bitwise the sample the reference model picks.
+// pick bitwise the sample the reference model picks, that SLOCompliance,
+// read from the counts kept at record time, equals a scan of the rows,
+// and that every visible row's order key lies within the recorder's key
+// bounds, which selection's first digit relies on.
 func checkAgainstReference(t *testing.T, what string, r *Recorder) {
 	t.Helper()
+	if got, want := r.SLOCompliance(), refSLOCompliance(r); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: SLO compliance %v, scan %v", what, got, want)
+	}
+	for _, h := range visibleHandles(r) {
+		if k := latOrder(latencyAt(r, h)); (k^r.ordBase)&^r.ordDiff != 0 {
+			t.Fatalf("%s: row %d has key %#x outside base %#x diff %#x", what, h, k, r.ordBase, r.ordDiff)
+		}
+	}
 	idx := refOrder(r)
 	for _, p := range []float64{0.1, 1, 50, 90, 99, 99.9, 100} {
 		h, ok := refSampleAt(r, idx, p)
@@ -189,10 +218,12 @@ func sameAnswers(t *testing.T, what string, got, want *Recorder) {
 	}
 }
 
-// TestQuantileIndexMatchesReference pins the sorted quantile index to
-// the stable-sort-and-scan reference, bitwise, on random recorders with
-// forced ties, on chained views, on views taken before and after Add
-// and Merge, and on recorders and merges sized around chunk boundaries.
+// TestQuantileIndexMatchesReference pins radix selection and the SLO
+// counts to the stable-sort-and-scan reference, bitwise, on random
+// recorders with forced ties, on chained views, on views taken before
+// and after Add and Merge, on self-merges, and on recorders and merges
+// sized around chunk boundaries. A sketch recorder fed the same samples
+// gives the same SLO compliance.
 func TestQuantileIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	id := 0
@@ -222,18 +253,31 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 		id++
 		dst.Add(randomSample(rng, id))
 		checkAgainstReference(t, name("merged then added"), dst)
+		dst.Merge(dst)
+		checkAgainstReference(t, name("self-merged"), dst)
+		checkAgainstReference(t, name("self-merged tenant"), forTenant(dst, "t1"))
 	}
 
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		id := 0
 		next := func() Sample { id++; return randomSample(rng, id) }
-		r := &Recorder{}
+		r, sk := &Recorder{}, NewSketchRecorder()
 		for i := 0; i < 1500; i++ {
-			r.Add(next())
+			s := next()
+			r.Add(s)
+			sk.Add(s)
 		}
 		name := func(s string) string { return fmt.Sprintf("seed %d %s", seed, s) }
 		checkAgainstReference(t, name("all"), r)
+		for _, v := range []struct {
+			name      string
+			sk, exact *Recorder
+		}{{"all", sk, r}, {"strict", sk.Strict(), r.Strict()}, {"tenant", forTenant(sk, "t2"), forTenant(r, "t2")}} {
+			if got, want := v.sk.SLOCompliance(), refSLOCompliance(v.exact); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: sketch SLO compliance %v, scan %v", name("sketch "+v.name), got, want)
+			}
+		}
 
 		strict := r.Strict()
 		chained := strict.ForModel("b").Filter(func(s Sample) bool { return s.Latency < 0.2 })
@@ -264,46 +308,70 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 	}
 }
 
-// checkIndex asserts r's quantile index equals, bit for bit, the index
-// slices.SortFunc builds with the (latency, handle) comparator the radix
-// sort replaced, NaN placed by latLess: the same handles and weights in
-// the same order, and the same cumulative weights.
-func checkIndex(t *testing.T, what string, r *Recorder) {
-	t.Helper()
-	type ref struct {
-		lat float64
-		pos uint32
-	}
-	var want []ref
-	for _, h := range visibleHandles(r) {
-		want = append(want, ref{latencyAt(r, h), h})
-	}
-	slices.SortFunc(want, func(a, b ref) int {
+// refSorted lists r's visible handles as slices.SortFunc orders them
+// with the (latency, handle) comparator, NaN placed by latLess.
+func refSorted(r *Recorder) []uint32 {
+	hs := visibleHandles(r)
+	slices.SortFunc(hs, func(a, b uint32) int {
+		la, lb := latencyAt(r, a), latencyAt(r, b)
 		switch {
-		case latLess(a.lat, b.lat):
+		case latLess(la, lb):
 			return -1
-		case latLess(b.lat, a.lat):
+		case latLess(lb, la):
 			return 1
 		}
-		return cmp.Compare(a.pos, b.pos)
+		return cmp.Compare(a, b)
 	})
-	keys, cum := r.quantileIndex()
-	if len(keys) != len(want) || len(cum) != len(want) {
-		t.Fatalf("%s: index holds %d keys and %d sums, want %d", what, len(keys), len(cum), len(want))
-	}
-	c := 0.0
-	for i, k := range keys {
-		w := weightAt(r, k.pos)
-		c += float64(w)
-		wantW := uint32(0)
-		if uint64(w) <= math.MaxUint32 {
-			wantW = uint32(w)
+	return hs
+}
+
+// checkIndex asserts selection ranks r's rows exactly as refSorted does,
+// bit for bit. Every weight is at least 1, so the row at which the
+// running weight first reaches any target from one above the weight
+// ordered before rank i up to the weight through rank i is the row at
+// rank i. It checks both ends at up to 64 spread ranks and the last,
+// and that a target past the total, or NaN, picks the last row; each
+// check is a pass over the rows, so checking every rank would make the
+// fuzz target quadratic.
+func checkIndex(t *testing.T, what string, r *Recorder) {
+	t.Helper()
+	want := refSorted(r)
+	step := max(1, len(want)/64)
+	before := 0
+	for i, h := range want {
+		w := weightAt(r, h)
+		if i%step == 0 || i == len(want)-1 {
+			for _, target := range []int{before + 1, before + w} {
+				if got := r.selectRow(float64(target)); got != h {
+					t.Fatalf("%s: target %d selects row %d (latency %v), reference rank %d is row %d (latency %v)",
+						what, target, got, latencyAt(r, got), i, h, latencyAt(r, h))
+				}
+			}
 		}
-		if k.pos != want[i].pos || k.w != wantW || math.Float64bits(cum[i]) != math.Float64bits(c) {
-			t.Fatalf("%s: key %d is {pos %d, w %d, cum %v}, want {pos %d (latency %v), w %d, cum %v}",
-				what, i, k.pos, k.w, cum[i], want[i].pos, want[i].lat, wantW, c)
+		before += w
+	}
+	if len(want) == 0 {
+		return
+	}
+	for _, target := range []float64{float64(before) + 1, math.Inf(1), math.NaN()} {
+		if got, last := r.selectRow(target), want[len(want)-1]; got != last {
+			t.Fatalf("%s: target %v selects row %d, want the last row %d", what, target, got, last)
 		}
 	}
+}
+
+// selectionOrder lists r's visible handles in the order selection ranks
+// them: the row selected at one above the weight of the rows ranked
+// before it.
+func selectionOrder(r *Recorder) []uint32 {
+	var order []uint32
+	before := 0
+	for range r.Len() {
+		h := r.selectRow(float64(before + 1))
+		order = append(order, h)
+		before += weightAt(r, h)
+	}
+	return order
 }
 
 // fuzzWeights are the weights a fuzzed row picks from; the last is too
@@ -352,9 +420,8 @@ var edgeLatencies = []float64{
 	math.Float64frombits(0x7ff0000000000001), 0.020000000000000004, 0.02,
 }
 
-// FuzzQuantileIndex checks the radix-sorted quantile index against the
-// slices.SortFunc reference bit for bit, on latencies from raw bit
-// patterns.
+// FuzzQuantileIndex checks radix selection against the slices.SortFunc
+// reference bit for bit, on latencies from raw bit patterns.
 func FuzzQuantileIndex(f *testing.F) {
 	edge := fuzzRecords(edgeLatencies...)
 	for _, n := range []uint16{0, 1, 2, 17, 3 * chunkRows} {
@@ -370,9 +437,10 @@ func FuzzQuantileIndex(f *testing.F) {
 	})
 }
 
-// TestQuantileIndexEdgeLatencies checks the index on the edge latencies,
-// once each and cycled into many ties, and pins NaN's place: after +Inf, in handle
-// order, so P100 is a NaN latency while lower quantiles stay numbers.
+// TestQuantileIndexEdgeLatencies checks selection on the edge latencies,
+// once each and cycled into many ties, and pins NaN's place in the order
+// selection ranks rows: after +Inf, in handle order, so P100 is a NaN
+// latency while lower quantiles stay numbers.
 func TestQuantileIndexEdgeLatencies(t *testing.T) {
 	for _, n := range []int{len(edgeLatencies), 21*len(edgeLatencies) + 5} {
 		r := fuzzRecorder(fuzzRecords(edgeLatencies...), n)
@@ -381,17 +449,17 @@ func TestQuantileIndexEdgeLatencies(t *testing.T) {
 		checkIndex(t, what+" strict", r.Strict())
 		checkAgainstReference(t, what, r)
 
-		keys, _ := r.quantileIndex()
-		firstNaN := slices.IndexFunc(keys, func(k latKey) bool { return math.IsNaN(latencyAt(r, k.pos)) })
-		for i, k := range keys {
-			if lat := latencyAt(r, k.pos); math.IsNaN(lat) != (i >= firstNaN) {
-				t.Fatalf("%s: key %d has latency %v, NaNs start at %d", what, i, lat, firstNaN)
+		order := selectionOrder(r)
+		firstNaN := slices.IndexFunc(order, func(h uint32) bool { return math.IsNaN(latencyAt(r, h)) })
+		for i, h := range order {
+			if lat := latencyAt(r, h); math.IsNaN(lat) != (i >= firstNaN) {
+				t.Fatalf("%s: rank %d has latency %v, NaNs start at %d", what, i, lat, firstNaN)
 			}
-			if i > firstNaN && k.pos < keys[i-1].pos {
-				t.Fatalf("%s: NaN keys %d and %d out of handle order", what, i-1, i)
+			if i > firstNaN && h < order[i-1] {
+				t.Fatalf("%s: NaN ranks %d and %d out of handle order", what, i-1, i)
 			}
 		}
-		if got := latencyAt(r, keys[firstNaN-1].pos); !math.IsInf(got, 1) {
+		if got := latencyAt(r, order[firstNaN-1]); !math.IsInf(got, 1) {
 			t.Fatalf("%s: the key before the NaNs has latency %v, want +Inf", what, got)
 		}
 		if got := r.Percentile(100); !math.IsNaN(got) {
@@ -635,6 +703,21 @@ func TestParentAddAfterViewDoesNotCopy(t *testing.T) {
 	}
 }
 
+// TestClassViewsReserveTheirWeight asserts Strict and BestEffort reserve
+// handles for their class's weight, a bound on their rows, rather than
+// for the whole parent: with weight-1 rows the reservation is exact.
+func TestClassViewsReserveTheirWeight(t *testing.T) {
+	r := &Recorder{}
+	for i := 0; i < 3*chunkRows; i++ {
+		r.Add(Sample{Model: "m", Strict: i%3 == 0, Latency: float64(i), SLO: 1, Weight: 1})
+	}
+	for _, v := range []*Recorder{r.Strict(), r.BestEffort()} {
+		if len(v.view) != cap(v.view) || len(v.view) != v.Requests() {
+			t.Fatalf("view holds %d handles in %d reserved, weighing %d", len(v.view), cap(v.view), v.Requests())
+		}
+	}
+}
+
 // TestViewsAndMixedModesRejectWrites asserts views are read-only in
 // both modes and Merge takes only whole recorders of the receiver's
 // mode: each write below panics.
@@ -673,38 +756,142 @@ func TestViewsAndMixedModesRejectWrites(t *testing.T) {
 	}
 }
 
-// BenchmarkDrainReport measures a cluster drain's metrics work: eight
-// node recorders of 50k samples merged in one call, then the report's
-// SLO compliance and first strict P99.
-func BenchmarkDrainReport(b *testing.B) {
+// TestSelectionWorstCases runs selection where its digits narrow
+// least: every row one latency, so no digit splits the rows, and two
+// latencies, so a bucket holds a third or more of them. Each spans at
+// least three chunks, is recorded by Add and by AddBatch, and is checked
+// whole, through views and merged.
+func TestSelectionWorstCases(t *testing.T) {
+	const n = 3*chunkRows + 100
+	for _, tc := range []struct {
+		name string
+		lat  func(i int) float64
+	}{
+		{"one latency", func(int) float64 { return 0.05 }},
+		{"one latency, -0 and 0", func(i int) float64 { return []float64{0, math.Copysign(0, -1)}[i%2] }},
+		{"two latencies", func(i int) float64 { return []float64{0.05, 0.5}[i%3/2] }},
+		{"two latencies, far apart", func(i int) float64 { return []float64{-math.MaxFloat64, math.Inf(1)}[i*7%5/4] }},
+	} {
+		added, batched := &Recorder{}, &Recorder{}
+		for i := 0; i < n; i += 32 {
+			shared := Sample{Model: "m", Strict: i/32%2 == 0, SLO: 0.1, Weight: 1 + i/32%3}
+			rows := make([]BatchRow, min(32, n-i))
+			for k := range rows {
+				rows[k] = BatchRow{Latency: tc.lat(i + k), Queue: float64(i + k), Tenant: []string{"a", "b"}[k%2]}
+				added.Add(rows[k].Sample(shared))
+			}
+			batched.AddBatch(shared, rows)
+		}
+		merged := &Recorder{}
+		merged.Merge(added, batched, added)
+		for _, r := range []struct {
+			name string
+			r    *Recorder
+		}{
+			{"added", added}, {"batched", batched}, {"strict", batched.Strict()},
+			{"tenant", forTenant(added, "b")}, {"merged", merged}, {"merged best effort", merged.BestEffort()},
+		} {
+			what := tc.name + " " + r.name
+			checkAgainstReference(t, what, r.r)
+			checkIndex(t, what, r.r)
+		}
+	}
+}
+
+// TestSelectionWeightBound pins the bound selection's exactness needs:
+// it sums weights as integers and compares each prefix, as a float64,
+// with the target, while the reference sums float64 weights one at a
+// time. The two agree while every prefix is exact in a float64, that is
+// while Requests() is at most 2^53. These recorders weigh exactly 2^53.
+func TestSelectionWeightBound(t *testing.T) {
+	const total = 1 << 53
+	for _, heavyAt := range []int{0, 3, 9} {
+		r := &Recorder{}
+		for i := 0; i < 10; i++ {
+			w := 1
+			if i == heavyAt {
+				w = total - 9
+			}
+			r.Add(Sample{Latency: float64(i%4) / 8, Strict: i%2 == 0, SLO: 0.2, Weight: w, Breakdown: gpu.Breakdown{Queue: float64(i)}})
+		}
+		if r.Requests() != total {
+			t.Fatalf("recorder weighs %d, want 2^53", r.Requests())
+		}
+		what := fmt.Sprintf("heavy row %d", heavyAt)
+		checkAgainstReference(t, what, r)
+		checkIndex(t, what, r)
+	}
+}
+
+// drainNodes builds the eight node recorders BenchmarkDrainReport
+// merges, each of 50k samples recorded as node(i) records them.
+func drainNodes(node func(r *Recorder, rng *rand.Rand)) []*Recorder {
 	rng := rand.New(rand.NewSource(1))
 	nodes := make([]*Recorder, 8)
 	for i := range nodes {
 		nodes[i] = &Recorder{}
-		for k := 0; k < 50000; k++ {
-			nodes[i].Add(Sample{
-				Model:     "ResNet 50",
-				Strict:    rng.Intn(2) == 0,
-				SLO:       0.3,
-				Latency:   rng.ExpFloat64() * 0.1,
-				Completed: float64(k) / 1000,
-				Weight:    1,
-			})
+		node(nodes[i], rng)
+	}
+	return nodes
+}
+
+// batch32 records 50k requests as cluster.complete does: AddBatch calls
+// of 32 rows that share one class, alternating, and one completion
+// time. lat draws each row's latency.
+func batch32(lat func(rng *rand.Rand) float64) func(r *Recorder, rng *rand.Rand) {
+	return func(r *Recorder, rng *rand.Rand) {
+		rows := make([]BatchRow, 32)
+		for k := 0; k < 50000; k += len(rows) {
+			for j := range rows {
+				rows[j] = BatchRow{Latency: lat(rng), Queue: float64(j) * 0.001}
+			}
+			r.AddBatch(Sample{Model: "ResNet 50", Strict: k/32%2 == 0, SLO: 0.3, Completed: float64(k) / 1000, Weight: 1}, rows)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		merged := &Recorder{}
-		merged.Merge(nodes...)
-		drainSLO = merged.SLOCompliance()
-		drainP99 = merged.Strict().Percentile(99)
+}
+
+// BenchmarkDrainReport measures a cluster drain's metrics work: eight
+// node recorders merged in one call, then the report's SLO compliance
+// and first strict P99. "add" records each node's 50k samples one Add at
+// a time, "batch32" as the cluster does, and "ties" is batch32 with
+// every latency equal, selection's worst case.
+func BenchmarkDrainReport(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		node func(r *Recorder, rng *rand.Rand)
+	}{
+		{"add", func(r *Recorder, rng *rand.Rand) {
+			for k := 0; k < 50000; k++ {
+				r.Add(Sample{
+					Model:     "ResNet 50",
+					Strict:    rng.Intn(2) == 0,
+					SLO:       0.3,
+					Latency:   rng.ExpFloat64() * 0.1,
+					Completed: float64(k) / 1000,
+					Weight:    1,
+				})
+			}
+		}},
+		{"batch32", batch32(func(rng *rand.Rand) float64 { return rng.ExpFloat64() * 0.1 })},
+		{"ties", batch32(func(*rand.Rand) float64 { return 0.05 })},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			nodes := drainNodes(shape.node)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				merged := &Recorder{}
+				merged.Merge(nodes...)
+				drainSLO = merged.SLOCompliance()
+				drainP99 = merged.Strict().Percentile(99)
+			}
+		})
 	}
 }
 
 var drainSLO, drainP99 float64
 
-// BenchmarkQuantileIndex measures building the quantile index over 200k
+// BenchmarkQuantileIndex measures one P99 selection over 200k
 // cluster-shaped rows (clusterSample).
 func BenchmarkQuantileIndex(b *testing.B) {
 	r := &Recorder{}
@@ -714,7 +901,7 @@ func BenchmarkQuantileIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.sortedOK = false
-		r.quantileIndex()
+		r.memoOK = false
+		drainP99 = r.Percentile(99)
 	}
 }

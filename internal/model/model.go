@@ -196,8 +196,8 @@ func (m *Model) RDF(p gpu.Profile) float64 {
 		computeDef = m.compute/p.ComputeFrac - 1
 	}
 	cacheDef := 1/p.CacheFrac - 1
-	raw := rdfComputeWeight*computeDef + rdfCacheWeight*cacheDef
-	return 1 + m.rdfSens*raw
+	raw := float64(rdfComputeWeight*computeDef) + float64(rdfCacheWeight*cacheDef)
+	return 1 + float64(m.rdfSens*raw)
 }
 
 // SoloTime is the isolated batch execution time on profile p.
