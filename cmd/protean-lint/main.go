@@ -12,9 +12,8 @@
 //	protean-lint -baseline old.json ./...  # ignore findings recorded in old.json
 //
 // The per-package rules walk one package at a time; the flow rules
-// (rngflow, floatsum, hotalloc, sharedstate, poolflow, deadcode) build a
-// callgraph over every loaded package and always see the full
-// pattern-selected set. deadcode needs a main or the module's root
+// (rngflow, hotalloc, poolflow, deadcode) build a callgraph over every
+// loaded package and always see the full pattern-selected set. deadcode needs a main or the module's root
 // package among them for its roots and skips a subtree such as
 // ./internal/...; it is exact only on ./..., where every caller is
 // loaded.

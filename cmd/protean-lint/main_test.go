@@ -178,10 +178,10 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// writeFlowModule lays out a module with one hotalloc and one
-// sharedstate violation, a test-only package, and a cgo-gated file —
-// exercising the whole-program rules and the loader diagnostics
-// end-to-end through the CLI.
+// writeFlowModule lays out a module with one hotalloc and one rngflow
+// violation, a looped goroutine spawn, a test-only package, and a
+// cgo-gated file — exercising the whole-program rules and the loader
+// diagnostics end-to-end through the CLI.
 func writeFlowModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -189,9 +189,21 @@ func writeFlowModule(t *testing.T) string {
 		"go.mod": "module example.com/tmp\n\ngo 1.22\n",
 		"internal/eng/eng.go": `package eng
 
+import "math/rand"
+
 //protean:hotpath
 func Hot(n int) []int {
 	return make([]int, n)
+}
+
+var rng = rand.New(rand.NewSource(1))
+
+func Draw(m map[string]int) int {
+	t := 0
+	for range m {
+		t += rng.Intn(2)
+	}
+	return t
 }
 
 var count int
@@ -237,7 +249,7 @@ func TestFlowRulesRunByDefault(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; output:\n%s", code, out)
 	}
-	for _, want := range []string{"hotalloc", "sharedstate"} {
+	for _, want := range []string{"hotalloc", "rngflow"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q finding:\n%s", want, out)
 		}
@@ -260,7 +272,7 @@ func TestEnableFlowRuleSubset(t *testing.T) {
 	if !strings.Contains(out, "hotalloc") {
 		t.Errorf("enabled flow rule did not run:\n%s", out)
 	}
-	if strings.Contains(out, "sharedstate") {
+	if strings.Contains(out, "rngflow") {
 		t.Errorf("disabled flow rule still ran:\n%s", out)
 	}
 }
@@ -316,6 +328,43 @@ func TestListIncludesFlowRules(t *testing.T) {
 	for _, name := range lint.FlowRules() {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list missing flow rule %s", name)
+		}
+	}
+}
+
+// TestDocsNameRegisteredRules keeps README.md's and DESIGN.md's rule
+// catalogues in step with the registries: every registered rule appears
+// backticked in both, and no rule listed in testdata/retired_rules.txt
+// is named in either.
+func TestDocsNameRegisteredRules(t *testing.T) {
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired, err := os.ReadFile(filepath.Join("testdata", "retired_rules.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rules []string
+	for _, a := range lint.Analyzers() {
+		rules = append(rules, a.Name)
+	}
+	rules = append(rules, lint.FlowRules()...)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, name := range rules {
+			if !strings.Contains(text, "`"+name+"`") {
+				t.Errorf("%s does not name rule `%s`", doc, name)
+			}
+		}
+		for _, name := range strings.Fields(string(retired)) {
+			if strings.Contains(text, name) {
+				t.Errorf("%s still names retired rule %s", doc, name)
+			}
 		}
 	}
 }

@@ -68,7 +68,6 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					//lint:ignore sharedstate workers write disjoint indices handed out by the idx channel, and wg.Wait establishes the happens-before edge for the readers
 					results[i], errs[i] = runScenario(p, scs[i], tracers[i])
 				}
 			}()

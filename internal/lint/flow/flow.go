@@ -2,23 +2,19 @@
 // analyzers. Where the per-package rules in internal/lint catch
 // syntactic nondeterminism (a literal time.Now, a raw map range), the
 // flow suite proves semantic properties that byte-identical output
-// across repeats and -parallel depends on: no RNG draw, float
-// reduction, or shared mutable write may cross a goroutine boundary
-// unordered.
+// across repeats and -parallel depends on: no RNG draw may cross a
+// goroutine boundary unordered, hot paths stay allocation-free, and
+// freelist objects are not touched after they are recycled. Unordered
+// shared writes are data races, which go test -race catches.
 //
 // The suite builds one type-directed callgraph over every loaded
-// package (BuildProgram), then runs six analyzers on it:
+// package (BuildProgram), then runs four analyzers on it:
 //
 //   - rngflow: seeded *rand.Rand streams drawn from goroutine-reachable
 //     code, drawn in map-iteration order, or aliased across packages
 //     reachable from multiple spawn sites.
-//   - floatsum: order-sensitive float accumulation (+= in map ranges,
-//     reductions over concurrently produced results).
 //   - hotalloc: heap-allocating constructs inside //protean:hotpath
 //     functions and their callees.
-//   - sharedstate: package-level vars and receiver fields written from
-//     functions reachable from more than one goroutine spawn site
-//     without synchronization.
 //   - poolflow: pool.Free objects used after Put or still retained in
 //     longer-lived state when Put runs.
 //   - deadcode: functions, methods, types and whole packages that no
@@ -140,7 +136,7 @@ type Program struct {
 func (p *Program) FuncNode(obj *types.Func) *Node { return p.funcs[obj] }
 
 // BuildProgram constructs the callgraph over the loaded packages. It is
-// built once per lint run and shared by all six flow analyzers.
+// built once per lint run and shared by all the flow analyzers.
 func BuildProgram(pkgs []*lint.Package) *Program {
 	p := &Program{
 		Pkgs:          pkgs,
@@ -472,7 +468,7 @@ func hasHotpathDirective(doc *ast.CommentGroup) bool {
 }
 
 // Analyzers returns the flow suite as lint.ProgramAnalyzers. The
-// callgraph is built once on first use and shared by all six — the
+// callgraph is built once on first use and shared by all four — the
 // returned analyzers are therefore for a single RunProgram call, which
 // is how cmd/protean-lint uses them. The analyzer names must match
 // lint.FlowRules(); a test pins the two lists together.
@@ -486,10 +482,8 @@ func Analyzers() []*lint.ProgramAnalyzer {
 	}
 	return []*lint.ProgramAnalyzer{
 		deadcodeAnalyzer(get),
-		floatsumAnalyzer(get),
 		hotallocAnalyzer(get),
 		poolflowAnalyzer(get),
 		rngflowAnalyzer(get),
-		sharedstateAnalyzer(get),
 	}
 }

@@ -191,7 +191,7 @@ func loadRepo(t *testing.T) []*lint.Package {
 }
 
 // TestRepoIsFlowClean is the acceptance gate for this suite: the whole
-// module, under all per-package rules plus all six callgraph analyzers,
+// module, under all per-package rules plus all four callgraph analyzers,
 // reports nothing — every live finding is either fixed or carries a
 // reasoned suppression, and no suppression is stale.
 func TestRepoIsFlowClean(t *testing.T) {

@@ -16,31 +16,9 @@ func Draw(m map[string]int) int {
 	return t
 }
 
-// Add trips floatsum: rounding error accretes in map order.
-func Add(m map[string]float64) float64 {
-	s := 0.0
-	for _, v := range m {
-		s += v
-	}
-	return s
-}
-
 // Hot trips hotalloc: a hot function calling make.
 //
 //protean:hotpath
 func Hot(n int) []int {
 	return make([]int, n)
-}
-
-var count int
-
-func bump() {
-	count++
-}
-
-// Spawn trips sharedstate: bump runs on looped goroutines.
-func Spawn() {
-	for i := 0; i < 2; i++ {
-		go bump()
-	}
 }

@@ -7,12 +7,11 @@
 //
 // Two analyzer shapes exist. Per-package Analyzers walk one type-checked
 // package at a time (walltime, globalrand, maporder, floateq,
-// errignore). ProgramAnalyzers see every package of
-// the module at once and reason over the callgraph — the six flow rules
-// cover RNG dataflow, float-reduction ordering, hot-path allocations,
-// shared mutable state, freelist ownership and dead code; they live in
-// the lint/flow subpackage and are wired in by cmd/protean-lint via
-// RunProgram.
+// errignore). ProgramAnalyzers see every package of the module at once
+// and reason over the callgraph — the four flow rules cover RNG
+// dataflow, hot-path allocations, freelist ownership and dead code; they
+// live in the lint/flow subpackage and are wired in by cmd/protean-lint
+// via RunProgram.
 //
 // The framework is stdlib-only (go/ast, go/parser, go/types, go/token):
 // packages are parsed and type-checked from source, analyzers walk the
@@ -116,7 +115,7 @@ func Analyzers() []*Analyzer {
 // that load only the per-package analyzers (lint cannot import flow:
 // flow imports lint). flow's tests assert the two lists stay in sync.
 func FlowRules() []string {
-	return []string{"deadcode", "floatsum", "hotalloc", "poolflow", "rngflow", "sharedstate"}
+	return []string{"deadcode", "hotalloc", "poolflow", "rngflow"}
 }
 
 // pseudoRules are rule names the framework itself reports under; they

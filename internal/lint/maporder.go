@@ -15,11 +15,15 @@ import (
 //     slices.* call on that slice follows the loop in the same block),
 //   - passes the iteration key or value to a call for its side effects
 //     (an expression statement), so effects happen in map order,
-//   - breaks out of the loop, selecting an arbitrary element, or
-//   - returns the iteration key or value.
+//   - breaks out of the loop, selecting an arbitrary element,
+//   - returns the iteration key or value, or
+//   - accumulates a term that uses the key or value into a float
+//     declared outside the loop (x += e, x -= e, x = x + e, x = x - e):
+//     float addition is not associative, so the low bits depend on the
+//     order.
 //
-// Order-independent bodies — writes into another map, compound
-// accumulation (+=), delete — are not flagged.
+// Order-independent bodies — writes into another map, integer
+// accumulation, delete — are not flagged.
 func MaporderAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "maporder",
@@ -78,6 +82,10 @@ func checkMapRange(pkg *Package, rs *ast.RangeStmt, tail []ast.Stmt, report func
 		case *ast.FuncLit:
 			return false
 		case *ast.AssignStmt:
+			if tgt, term := floatAccumulation(pkg.Info, s); term != nil && usesAny(pkg.Info, term, iterObjs) && !declaredWithin(pkg.Info, tgt, rs) {
+				report(s.Pos(), "float accumulation into %s in map-iteration order; float addition is not associative — sum over sorted keys",
+					types.ExprString(tgt))
+			}
 			for i, rhs := range s.Rhs {
 				if i >= len(s.Lhs) || !isAppendCall(pkg.Info, rhs) {
 					continue
@@ -110,6 +118,32 @@ func checkMapRange(pkg *Package, rs *ast.RangeStmt, tail []ast.Stmt, report func
 	})
 
 	reportLoopBreaks(rs.Body, report)
+}
+
+// floatAccumulation matches x += e, x -= e, x = x + e, x = e + x and
+// x = x - e where x has float type, returning the accumulator x and the
+// added term e; term is nil for any other statement.
+func floatAccumulation(info *types.Info, as *ast.AssignStmt) (tgt, term ast.Expr) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 || !isFloat(info, as.Lhs[0]) {
+		return nil, nil
+	}
+	lhs, rhs := as.Lhs[0], as.Rhs[0]
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN:
+		return lhs, rhs
+	case token.ASSIGN:
+		bin, ok := ast.Unparen(rhs).(*ast.BinaryExpr)
+		if !ok || (bin.Op != token.ADD && bin.Op != token.SUB) {
+			return nil, nil
+		}
+		if types.ExprString(bin.X) == types.ExprString(lhs) {
+			return lhs, bin.Y
+		}
+		if bin.Op == token.ADD && types.ExprString(bin.Y) == types.ExprString(lhs) {
+			return lhs, bin.X
+		}
+	}
+	return nil, nil
 }
 
 // rangeVarObjects returns the objects bound to the key and value

@@ -60,12 +60,68 @@ func badReturn(m map[string]int) int {
 	return 0
 }
 
-func goodAccumulate(m map[string]int) int {
-	n := 0
+// MapSum accretes rounding error in randomized map order.
+func MapSum(m map[string]float64) float64 {
+	sum := 0.0
 	for _, v := range m {
-		n += v // ok: commutative accumulation
+		sum += v // want:maporder
 	}
-	return n
+	return sum
+}
+
+// MapSub is the subtractive twin.
+func MapSub(m map[string]float64) float64 {
+	left := 100.0
+	for _, v := range m {
+		left = left - v // want:maporder
+	}
+	return left
+}
+
+// MapSumSorted is the required shape: collect, sort, then reduce in a
+// fixed order.
+func MapSumSorted(m map[string]float64) float64 {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	sum := 0.0
+	for _, k := range keys {
+		sum += m[k] // ok: slice iteration in sorted key order
+	}
+	return sum
+}
+
+// IntSum is exact regardless of order.
+func IntSum(m map[string]int) int {
+	t := 0
+	for _, v := range m {
+		t += v // ok: integer addition is associative
+	}
+	return t
+}
+
+// InvariantAdd adds the same term per entry; order cannot matter.
+func InvariantAdd(m map[string]int) float64 {
+	x := 0.0
+	for range m {
+		x += 0.5 // ok: loop-invariant term
+	}
+	return x
+}
+
+// PerIteration resets the accumulator every pass.
+func PerIteration(m map[string]float64) float64 {
+	worst := 0.0
+	for _, v := range m {
+		d := 0.0
+		d += v // ok: declared inside the loop
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
 }
 
 func goodMapWrite(m map[string]int) map[string]int {

@@ -2,8 +2,8 @@ package sim
 
 // Tests of lanes and the event loop around them: the RunUntil clock
 // clamp, Reschedule of a cancelled timer, Ticker.Stop teardown, lane
-// ordering and lazy lane clocks, and the Child stream-derivation
-// contract lanes are built on.
+// ordering and lazy lane clocks, the shared random stream, and the
+// Child stream-derivation contract.
 
 import (
 	"fmt"
@@ -160,9 +160,9 @@ func TestTickerStopRacesPendingFireAtSameInstant(t *testing.T) {
 }
 
 // TestChildStreamsStableAndIndependent pins the derivation contract
-// lanes and subsystems rely on: a child's sequence depends only on
-// (parent seed, label) — not on parent draws, sibling derivations, or
-// how many lanes exist — and distinct labels yield distinct streams.
+// subsystems rely on: a child's sequence depends only on (parent seed,
+// label) — not on parent draws or sibling derivations — and distinct
+// labels yield distinct streams.
 func TestChildStreamsStableAndIndependent(t *testing.T) {
 	draw := func(st *Stream) [4]float64 {
 		var v [4]float64
@@ -182,19 +182,6 @@ func TestChildStreamsStableAndIndependent(t *testing.T) {
 		t.Fatalf("child sequence shifted by parent activity: %v != %v", got, pristine)
 	}
 
-	// Lane creation (itself a Child derivation) must not shift it either
-	// — this is what keeps draws independent of how many lanes a run
-	// builds.
-	for _, lanes := range []int{1, 4} {
-		s := New(7)
-		for i := 0; i < lanes; i++ {
-			s.Lane(fmt.Sprintf("node/%d", i))
-		}
-		if got := draw(s.Rand().Child("vm/fleet")); got != pristine {
-			t.Fatalf("child sequence shifted by %d lane derivations: %v != %v", lanes, got, pristine)
-		}
-	}
-
 	if draw(New(7).Rand().Child("chaos")) == pristine {
 		t.Fatal("distinct labels produced identical streams")
 	}
@@ -212,6 +199,17 @@ type collectTracer struct{ events []obs.Event }
 func (c *collectTracer) Enabled() bool     { return true }
 func (c *collectTracer) Emit(ev obs.Event) { c.events = append(c.events, ev) }
 
+// TestLaneSharesRootStream pins that a lane derives no stream of its
+// own: Rand on a lane is the root's stream, so every subsystem's draws
+// come from named children of the root however many lanes a run builds.
+func TestLaneSharesRootStream(t *testing.T) {
+	s := New(7)
+	ln := s.Lane("node/0")
+	if ln.Rand() != s.Rand() {
+		t.Fatal("lane has its own random stream; want the root's")
+	}
+}
+
 // TestLaneTraceRepeatableAndTimeOrdered runs the same lane workload
 // twice and asserts identical traces, executed-event counts and clocks,
 // and that the trace reads in time order. Lane events emit through the
@@ -225,7 +223,7 @@ func TestLaneTraceRepeatableAndTimeOrdered(t *testing.T) {
 		for i := range lanes {
 			ln := s.Lane(fmt.Sprintf("node/%d", i))
 			lanes[i] = ln
-			// Self-rescheduling lane work with lane-local jitter, plus a
+			// Self-rescheduling lane work with jitter from the shared stream, plus a
 			// trace event per firing.
 			var step func()
 			at := 0.1 * float64(i+1)

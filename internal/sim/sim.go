@@ -60,10 +60,9 @@ func newStream(seed uint64) *Stream {
 // hash of the label, so derivation consumes nothing from the parent
 // stream: a child's values depend only on (root seed, derivation
 // labels), never on how many draws the parent made or in what order
-// sibling subsystems (lanes included) were built. This
-// is the blessed pattern for giving a subsystem its own stream —
-// derive once at construction, store the child, and never touch the
-// shared parent again.
+// sibling subsystems were built. This is the blessed pattern for giving
+// a subsystem its own stream — derive once at construction, store the
+// child, and never touch the shared parent again.
 func (st *Stream) Child(label string) *Stream {
 	return newStream(splitmix64(st.seed ^ fnv64(label)))
 }
@@ -195,12 +194,12 @@ const rootRank = math.MaxInt
 // Sim is a discrete-event simulator. The zero value is not usable; use New.
 type Sim struct {
 	now     float64
-	rng     *Stream
 	pending int  // this sim's timers in the queue
 	rank    int  // lane index, or rootRank
 	root    *Sim // the sim whose queue holds this sim's timers; a root's is itself
 
 	// Used on a root only.
+	rng      *Stream
 	seq      uint64
 	queue    timerHeap
 	executed uint64 // events run, lanes' included
@@ -250,11 +249,12 @@ func (s *Sim) Now() float64 {
 	return s.now
 }
 
-// Rand returns the simulation's deterministic random stream. Subsystems
-// must not draw from it directly once the run starts — derive a child
-// with Rand().Child(label) at construction instead, so draw order stays
-// confined to one owner and lanes cannot reorder it.
-func (s *Sim) Rand() *Stream { return s.rng }
+// Rand returns the simulation's deterministic random stream; a lane
+// returns its root's, so a lane and its root share one stream.
+// Subsystems must not draw from it directly once the run starts —
+// derive a child with Rand().Child(label) at construction instead, so
+// draw order stays confined to one owner and lanes cannot reorder it.
+func (s *Sim) Rand() *Stream { return s.root.rng }
 
 // Executed returns the number of events the root's loop has executed
 // so far, including every lane's events; a lane reports its root's
@@ -262,15 +262,15 @@ func (s *Sim) Rand() *Stream { return s.rng }
 func (s *Sim) Executed() uint64 { return s.root.executed }
 
 // Lane creates a child simulation on the root s: a label for a group
-// of timers, with its own clock, Pending count and a random stream
-// derived as Rand().Child("lane/"+label). Its timers share the root's
-// queue and rank by the lane's creation index (see the package doc).
-// Lanes cannot be nested.
+// of timers, with its own clock and Pending count. It has no random
+// stream of its own: Rand returns the root's. Its timers share the
+// root's queue and rank by the lane's creation index (see the package
+// doc). Lanes cannot be nested.
 func (s *Sim) Lane(label string) *Sim {
 	if s.isLane() {
 		panic("sim: lanes cannot be nested")
 	}
-	ln := &Sim{rng: s.rng.Child("lane/" + label), rank: s.lanes, root: s}
+	ln := &Sim{rank: s.lanes, root: s}
 	s.lanes++
 	return ln
 }
