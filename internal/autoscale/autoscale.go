@@ -60,11 +60,11 @@ type Scaler struct {
 	spawned    int
 }
 
-// NewScaler returns a scaler bound to the node's virtual clock. In the
-// cluster s is the node's lane: the scaler reads Now and
-// emits trace events but schedules no timers of its own (keep-alive
-// expiry is evaluated lazily on access), so it inherits the lane's
-// timer affinity for free.
+// NewScaler returns a scaler bound to the simulation's virtual clock.
+// In the cluster s is the node's lane: the scaler reads Now and emits
+// trace events but schedules no timers of its own (keep-alive expiry
+// is evaluated lazily on access), so it inherits the lane's timer
+// affinity for free.
 func NewScaler(s *sim.Sim, cfg Config) (*Scaler, error) {
 	if s == nil {
 		return nil, errors.New("autoscale: nil sim")

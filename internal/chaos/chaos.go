@@ -203,13 +203,11 @@ type Targets interface {
 }
 
 // nodeChaos is the per-node fault-decision state: the stream the
-// node's queries draw from, the node's lane, which those decisions are
-// traced on, and the counters that node accumulated. Each node's
-// queries only ever run in one of that node's lane events or in a root
-// event, all on one goroutine, so no lock is needed and the draw order
-// is the node's own event order.
+// node's queries draw from and the counters that node accumulated.
+// Each node's queries only ever run in one of that node's lane events
+// or in a root event, all on one goroutine, so no lock is needed and
+// the draw order is the node's own event order.
 type nodeChaos struct {
-	sim   *sim.Sim
 	rng   *sim.Stream
 	stats Stats
 }
@@ -224,7 +222,7 @@ type Injector struct {
 	rng *sim.Stream // schedule stream: Poisson processes, root context only
 
 	targets Targets
-	perNode []*nodeChaos // one per lane Start was given
+	perNode []*nodeChaos // one per node Start was given
 
 	sliceTimer *sim.Timer
 	stormTimer *sim.Timer
@@ -251,27 +249,21 @@ func New(s *sim.Sim, cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, sim: s, rng: s.Rand().Child("chaos")}, nil
 }
 
-// Start arms the Poisson fault processes against t. lanes holds one
-// sim per worker node — the node's lane in the cluster — and slice
-// failures are spread across them. Each node gets its own decision
-// stream, derived by node id so the assignment does not depend on
-// construction order, and its decisions are traced through its lane,
-// so a query made from one of that lane's events is stamped with the
-// lane's clock, not the root's, which lags it. The per-node queries
-// are valid only for nodes in lanes. Safe on nil.
-func (inj *Injector) Start(t Targets, lanes []*sim.Sim) {
+// Start arms the Poisson fault processes against t, whose worker
+// nodes are 0 to nodes-1; slice failures are spread across them. Each
+// node gets its own decision stream, derived by node id so the
+// assignment does not depend on construction order. The per-node
+// queries are valid only for those nodes. Safe on nil.
+func (inj *Injector) Start(t Targets, nodes int) {
 	if inj == nil || inj.stopped {
 		return
 	}
 	inj.targets = t
-	inj.perNode = make([]*nodeChaos, len(lanes))
-	for i, lane := range lanes {
-		inj.perNode[i] = &nodeChaos{
-			sim: lane,
-			rng: inj.rng.Child(fmt.Sprintf("node/%d", i)),
-		}
+	inj.perNode = make([]*nodeChaos, nodes)
+	for i := range inj.perNode {
+		inj.perNode[i] = &nodeChaos{rng: inj.rng.Child(fmt.Sprintf("node/%d", i))}
 	}
-	if inj.cfg.SliceFailRate > 0 && len(lanes) > 0 {
+	if inj.cfg.SliceFailRate > 0 && nodes > 0 {
 		inj.armSliceFault()
 	}
 	if inj.cfg.StormRate > 0 {
@@ -364,7 +356,7 @@ func (inj *Injector) armStorm() {
 // whether the geometry change aborts and rolls back. Implements the
 // gpu engine's ReconfigFaults hook; may run on the node's lane (a
 // drain can complete in a lane event), so it draws from the node's
-// stream and traces through the node's sim. Safe on nil.
+// stream. Safe on nil.
 func (inj *Injector) SampleReconfig(node int) (stretch float64, abort bool) {
 	if inj == nil || inj.stopped {
 		return 1, false
@@ -374,12 +366,12 @@ func (inj *Injector) SampleReconfig(node int) (stretch float64, abort bool) {
 	if ns.rng.Float64() < inj.cfg.ReconfigStuckProb {
 		stretch = reconfigStuckFactor
 		ns.stats.StuckReconfigs++
-		inj.emitOn(ns.sim, obs.KindFaultInject, node, 0, "reconfig-stuck", stretch)
+		inj.emit(obs.KindFaultInject, node, 0, "reconfig-stuck", stretch)
 	}
 	if ns.rng.Float64() < inj.cfg.ReconfigAbortProb {
 		abort = true
 		ns.stats.AbortedReconfigs++
-		inj.emitOn(ns.sim, obs.KindFaultInject, node, 0, "reconfig-abort", 0)
+		inj.emit(obs.KindFaultInject, node, 0, "reconfig-abort", 0)
 	}
 	return stretch, abort
 }
@@ -397,7 +389,7 @@ func (inj *Injector) Straggler(node int, batch uint64) float64 {
 		return 1
 	}
 	ns.stats.Stragglers++
-	inj.emitOn(ns.sim, obs.KindFaultInject, node, batch, "straggler", stragglerFactor)
+	inj.emit(obs.KindFaultInject, node, batch, "straggler", stragglerFactor)
 	return stragglerFactor
 }
 
@@ -412,7 +404,7 @@ func (inj *Injector) ColdStartFailure(node int, batch uint64) bool {
 		return false
 	}
 	ns.stats.ColdStartFailures++
-	inj.emitOn(ns.sim, obs.KindFaultInject, node, batch, "cold-start-failure", 0)
+	inj.emit(obs.KindFaultInject, node, batch, "cold-start-failure", 0)
 	return true
 }
 
@@ -434,21 +426,13 @@ func (inj *Injector) RetryDelay(node, attempt int) (delay float64, ok bool) {
 	return d, true
 }
 
-// emit traces one chaos event on the root simulation (schedule-stream
-// faults only fire in root context).
+// emit traces one chaos event at the simulation's current time.
 func (inj *Injector) emit(kind obs.Kind, node int, batch uint64, detail string, value float64) {
-	inj.emitOn(inj.sim, kind, node, batch, detail, value)
-}
-
-// emitOn traces one chaos event through s — the sim whose context the
-// decision ran in, so a decision made in a lane event is stamped with
-// that lane's clock.
-func (inj *Injector) emitOn(s *sim.Sim, kind obs.Kind, node int, batch uint64, detail string, value float64) {
-	tr := s.Tracer()
+	tr := inj.sim.Tracer()
 	if !tr.Enabled() {
 		return
 	}
-	ev := obs.At(s.Now(), kind)
+	ev := obs.At(inj.sim.Now(), kind)
 	ev.Node = node
 	ev.Batch = batch
 	ev.Detail = detail

@@ -34,15 +34,10 @@ func (f *fakeTargets) InjectStorm(domain int, frac float64) int {
 
 var _ Targets = (*fakeTargets)(nil)
 
-// startOn starts inj against fake targets with n node lanes, all of
-// them s itself.
-func startOn(inj *Injector, s *sim.Sim, n int) *fakeTargets {
+// startOn starts inj against fake targets with n nodes.
+func startOn(inj *Injector, n int) *fakeTargets {
 	tg := &fakeTargets{}
-	lanes := make([]*sim.Sim, n)
-	for i := range lanes {
-		lanes[i] = s
-	}
-	inj.Start(tg, lanes)
+	inj.Start(tg, n)
 	return tg
 }
 
@@ -65,7 +60,7 @@ func TestDisabledInjectorIsNil(t *testing.T) {
 
 func TestNilInjectorMethodsAreNeutral(t *testing.T) {
 	var inj *Injector
-	startOn(inj, sim.New(1), 8)
+	startOn(inj, 8)
 	inj.Stop()
 	if st, abort := inj.SampleReconfig(0); st != 1 || abort {
 		t.Errorf("nil SampleReconfig = (%v, %v), want (1, false)", st, abort)
@@ -96,7 +91,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		tg := startOn(inj, s, 8)
+		tg := startOn(inj, 8)
 		if err := s.RunUntil(120); err != nil {
 			t.Fatalf("RunUntil: %v", err)
 		}
@@ -128,7 +123,7 @@ func TestStopCancelsPendingFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	tg := startOn(inj, s, 8)
+	tg := startOn(inj, 8)
 	if err := s.RunUntil(1); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -158,7 +153,7 @@ func TestRetryDelayBackoffAndExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	startOn(inj, s, 1)
+	startOn(inj, 1)
 	wants := []struct {
 		attempt int
 		nominal float64 // 0: denied
@@ -193,7 +188,7 @@ func TestRetryDelayJitterBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	startOn(inj, s, 1)
+	startOn(inj, 1)
 	varied := false
 	for i := 0; i < 100; i++ {
 		d, ok := inj.RetryDelay(0, 1)
@@ -271,7 +266,7 @@ func TestStatsCounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	startOn(inj, s, 3)
+	startOn(inj, 3)
 	if m := inj.Straggler(0, 1); m != stragglerFactor {
 		t.Errorf("Straggler at prob 1 = %v, want %v", m, stragglerFactor)
 	}

@@ -250,8 +250,8 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: node %d geometry: %w", i, err)
 		}
 		// Everything node-local — GPU timers, scaler clock reads, jitter
-		// draws — lives on the node's lane, with its own clock and its
-		// place in the queue's tie order.
+		// draws — lives on the node's lane, which gives it its place in
+		// the queue's tie order.
 		ns := s.Lane(fmt.Sprintf("node/%d", i))
 		g, err := gpu.NewGPU(ns, i, arch, geom, pol.Sharing())
 		if err != nil {
@@ -348,10 +348,12 @@ type Result struct {
 	// Nodes is the worker count.
 	Nodes int
 	// ComputeUtil and MemUtil average GPU utilization across nodes
-	// (ComputeUtil is slot-weighted busy time).
+	// (ComputeUtil is slot-weighted busy time). Each GPU's window runs
+	// from its creation to its last activity (gpu.GPU.LastActive).
 	ComputeUtil, MemUtil float64
 	// BusyUtil is the average fraction of non-idle GPU time — "GPU
-	// utilization" as the paper (and nvidia-smi) reports it.
+	// utilization" as the paper (and nvidia-smi) reports it — over the
+	// same windows.
 	BusyUtil float64
 	// Cost reports VM spending (nil without a fleet).
 	Cost *vm.CostReport
@@ -516,11 +518,7 @@ func (c *Cluster) runPump(next func() *trace.Request, duration float64) (*Result
 // path (Run) and the live serving path (StartLive). The creation order
 // is part of the model: timers created earlier win same-instant ties.
 func (c *Cluster) startControl() error {
-	lanes := make([]*sim.Sim, len(c.nodes))
-	for i, n := range c.nodes {
-		lanes[i] = n.sim
-	}
-	c.chaos.Start(c, lanes)
+	c.chaos.Start(c, len(c.nodes))
 	// The dispatch quantum is created before the monitor so that when
 	// both tickers land on the same instant (the monitor interval is a
 	// multiple of the quantum) sealed batches are routed before the
@@ -586,10 +584,11 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	coldStarts, reconfigs, aborts := 0, 0, 0
 	nodeRecs := make([]*metrics.Recorder, len(c.nodes))
 	for i, n := range c.nodes {
-		cu, mu := n.gpu.Utilization()
+		end := n.gpu.LastActive()
+		cu, mu := n.gpu.Utilization(end)
 		computeSum += cu
 		memSum += mu
-		busySum += n.gpu.BusyFraction()
+		busySum += n.gpu.BusyFraction(end)
 		coldStarts += n.scaler.ColdStarts()
 		reconfigs += n.gpu.ReconfigCount()
 		aborts += n.gpu.ReconfigAborts()

@@ -82,8 +82,7 @@ func (c *Cluster) Ingest(req trace.Request) error {
 }
 
 // AdvanceTo runs the simulation to virtual time t (a no-op when t is
-// not ahead of the clock). Every lane reads t as its clock on return
-// (see sim.Sim.Now).
+// not ahead of the clock). The clock reads t on return.
 func (c *Cluster) AdvanceTo(t float64) error {
 	if !c.live {
 		return errors.New("cluster: AdvanceTo before StartLive")

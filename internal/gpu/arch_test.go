@@ -109,7 +109,7 @@ func TestNewGPUWithArchH100(t *testing.T) {
 	if err := s.RunUntil(2); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	_, mem := g.Utilization()
+	_, mem := g.Utilization(s.Now())
 	want := (30.0 * 1.0) / (80.0 * 2.0) // 30 GB for 1 s over 80 GB × 2 s
 	if diff := mem - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("memory utilization = %v, want %v", mem, want)

@@ -199,8 +199,8 @@ func (j *Job) Breakdown() Breakdown {
 	if !j.done {
 		return Breakdown{}
 	}
-	minPossible := j.W.SoloTime(Profile7g) * j.scale() * j.jitter()
-	soloOnSlice := j.W.SoloTime(j.effProfile(j.slice.Prof)) * j.scale() * j.jitter()
+	minPossible := float64(j.W.SoloTime(Profile7g) * j.scale() * j.jitter())
+	soloOnSlice := float64(j.W.SoloTime(j.effProfile(j.slice.Prof)) * j.scale() * j.jitter())
 	return Breakdown{
 		Queue:        math.Max(0, j.started-j.Enqueued),
 		ColdStart:    j.ColdStart,
@@ -341,7 +341,7 @@ func (sl *Slice) slowdownFor(j *Job) float64 {
 			demand += ownDemand
 			continue
 		}
-		others += r.invFBR * (1 + amp*r.invPoll*sens)
+		others += float64(r.invFBR * (1 + float64(amp*r.invPoll*sens)))
 		demand += r.invDemand
 	}
 	bw := math.Max(own+others, 1) / math.Max(own, 1)
@@ -483,7 +483,7 @@ func (sl *Slice) rebalance(now float64) {
 		if j.slow > worst {
 			worst = j.slow
 		}
-		if j.timer != nil && j.timer.Reschedule(now+j.remaining*j.slow) == nil {
+		if j.timer != nil && j.timer.Reschedule(now+float64(j.remaining*j.slow)) == nil {
 			continue
 		}
 		j := j
@@ -543,7 +543,7 @@ func (sl *Slice) account(now float64) {
 	if len(sl.running) > 0 {
 		sl.busyIntegral += dt
 	}
-	sl.memIntegral += sl.usedMem * dt
+	sl.memIntegral += float64(sl.usedMem * dt)
 	sl.lastAccount = now
 }
 
@@ -569,18 +569,25 @@ func (g *GPU) accountAnyBusy(now float64) {
 	g.lastAnyAccount = now
 }
 
-// BusyFraction is the fraction of time since creation the GPU was
-// non-idle (at least one batch executing on any slice) — "GPU
-// utilization" as nvidia-smi and the paper report it.
-func (g *GPU) BusyFraction() float64 {
-	now := g.sim.Now()
-	g.accountAnyBusy(now)
-	elapsed := now - g.createdAt
+// BusyFraction is the fraction of the window from creation to end the
+// GPU was non-idle (at least one batch executing on any slice) — "GPU
+// utilization" as nvidia-smi and the paper report it. end must not
+// precede LastActive.
+func (g *GPU) BusyFraction(end float64) float64 {
+	g.accountAnyBusy(end)
+	elapsed := end - g.createdAt
 	if elapsed <= 0 {
 		return 0
 	}
 	return g.anyBusyIntegral / elapsed
 }
+
+// LastActive returns the time of the GPU's last activity: the last
+// moment any of its slices accounted busy time or memory. Utilization
+// and BusyFraction account up to their end, so they move it too. A
+// cluster ends a GPU's utilization window here, not at the end of the
+// run.
+func (g *GPU) LastActive() float64 { return g.lastAnyAccount }
 
 // drain closes the slice and returns its pending (not yet started) jobs.
 func (sl *Slice) drain() []*Job {
@@ -806,7 +813,7 @@ func (g *GPU) retireSlices() {
 	now := g.sim.Now()
 	for _, sl := range g.slices {
 		sl.account(now)
-		g.busyBeforeGeom += sl.busyIntegral * float64(sl.Prof.Slots)
+		g.busyBeforeGeom += float64(sl.busyIntegral * float64(sl.Prof.Slots))
 		g.memBeforeGeom += sl.memIntegral
 		sl.closed = true
 	}
@@ -840,18 +847,18 @@ func (g *GPU) finishReconfig() {
 
 // Utilization returns the GPU's compute utilization (slot-weighted busy
 // fraction) and memory utilization (fraction of 40 GB occupied on
-// average) since creation.
-func (g *GPU) Utilization() (compute, mem float64) {
-	now := g.sim.Now()
-	elapsed := now - g.createdAt
+// average) over the window from creation to end. end must not precede
+// LastActive.
+func (g *GPU) Utilization(end float64) (compute, mem float64) {
+	elapsed := end - g.createdAt
 	if elapsed <= 0 {
 		return 0, 0
 	}
 	busy := g.busyBeforeGeom
 	memInt := g.memBeforeGeom
 	for _, sl := range g.slices {
-		sl.account(now)
-		busy += sl.busyIntegral * float64(sl.Prof.Slots)
+		sl.account(end)
+		busy += float64(sl.busyIntegral * float64(sl.Prof.Slots))
 		memInt += sl.memIntegral
 	}
 	return busy / (float64(g.arch.TotalSlots) * elapsed), memInt / (g.arch.TotalMemGB * elapsed)

@@ -419,7 +419,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	if err := s.RunUntil(2); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	compute, mem := g.Utilization()
+	compute, mem := g.Utilization(s.Now())
 	if !almostEqual(compute, 0.5) {
 		t.Errorf("compute utilization = %v, want 0.5", compute)
 	}
@@ -439,9 +439,34 @@ func TestUtilizationSlotWeightedAcrossSlices(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	compute, _ := g.Utilization()
+	compute, _ := g.Utilization(s.Now())
 	if !almostEqual(compute, 4.0/7.0) {
 		t.Errorf("compute utilization = %v, want 4/7", compute)
+	}
+}
+
+// TestUtilizationWindowEndsAtLastActive: a 7g job runs from 0 to 1 and
+// the clock then idles to 2. The window that ends at the GPU's last
+// activity is all busy; the one that ends at the clock is half busy.
+// Reading to the clock accounts the idle second, so it comes second.
+func TestUtilizationWindowEndsAtLastActive(t *testing.T) {
+	s := sim.New(1)
+	g := newTestGPU(t, s, MustGeometry(Profile7g), ShareMPS)
+	w := &stubWorkload{name: "w", solo7g: 1.0, fbr: 0.1, mem: 20}
+	if err := g.Slices()[0].Submit(&Job{W: w}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := s.RunUntil(2); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if got := g.LastActive(); got != 1 {
+		t.Fatalf("LastActive = %v, want 1", got)
+	}
+	if compute, _ := g.Utilization(g.LastActive()); !almostEqual(compute, 1) {
+		t.Errorf("Utilization(LastActive) = %v, want 1", compute)
+	}
+	if compute, _ := g.Utilization(s.Now()); !almostEqual(compute, 0.5) {
+		t.Errorf("Utilization(Now) = %v, want 0.5", compute)
 	}
 }
 
@@ -835,11 +860,11 @@ func TestBusyFractionNonIdleTime(t *testing.T) {
 	if err := s.RunUntil(4); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
-	if got := g.BusyFraction(); !almostEqual(got, 0.5) {
+	if got := g.BusyFraction(s.Now()); !almostEqual(got, 0.5) {
 		t.Errorf("BusyFraction = %v, want 0.5", got)
 	}
 	// Slot-weighted utilization differs: (4/7 + 3/7)/4 = 0.25.
-	compute, _ := g.Utilization()
+	compute, _ := g.Utilization(s.Now())
 	if !almostEqual(compute, 0.25) {
 		t.Errorf("slot-weighted utilization = %v, want 0.25", compute)
 	}

@@ -359,7 +359,7 @@ func (m *Market) TotalDollars() float64 {
 	now := m.sim.Now()
 	for _, l := range m.leases {
 		if l.billing() {
-			total += (now - l.since) / 3600 * m.rate(l)
+			total += float64((now - l.since) / 3600 * m.rate(l))
 		}
 	}
 	return total

@@ -16,11 +16,11 @@
 // instant lane timers fire before root timers, and lower lanes before
 // higher ones; the sequence number, one counter for the whole queue,
 // orders one owner's timers at an instant by when they were armed.
-// Lanes have their own clocks: running an event moves only its owner's
-// clock, and a lane reads max(own clock, root clock) (see Now). Lane
-// tracers are the root's, so trace events come out in (time, lane,
-// emission) order. The event order, and with it the trace, is a pure
-// function of the event timestamps.
+// There is one clock, the root's: running an event moves it to the
+// event's time, and every lane reads it. Lane tracers are the root's,
+// so trace events come out in (time, lane, emission) order. The event
+// order, and with it the trace, is a pure function of the event
+// timestamps.
 //
 // The one exception is a skipped idle tick (see Ticker.SkipWhile): when
 // a root ticker's next ticks have no other event, lane or root, before
@@ -154,7 +154,7 @@ func (t *Timer) Reschedule(at float64) error {
 // event to run. That is so while RunUntil runs, at is at or before its
 // horizon, and at sorts before the queue's head by (time, rank); a
 // fresh sequence number would lose a tie of the same rank. Then
-// Continue queues nothing: it moves the owner's clock to at, counts the
+// Continue queues nothing: it moves the clock to at, counts the
 // firing in Executed and returns true, and the callback runs the
 // firing's work itself, in a loop. Otherwise it calls Reschedule and
 // returns false. Either way events run in the order Reschedule alone
@@ -164,12 +164,11 @@ func (t *Timer) Reschedule(at float64) error {
 //protean:hotpath
 func (t *Timer) Continue(at float64) (bool, error) {
 	if t != nil && t.sim != nil && t.fn != nil && t.index < 0 {
-		s := t.sim
-		r := s.root
-		if at >= s.Now() && at <= r.horizon && at < math.Inf(1) &&
+		r := t.sim.root
+		if at >= r.now && at <= r.horizon && at < math.Inf(1) &&
 			(len(r.queue) == 0 || precedes(at, t.rank, r.queue[0])) {
 			t.at = at
-			s.now = at
+			r.now = at
 			r.executed++
 			return true, nil
 		}
@@ -193,12 +192,12 @@ const rootRank = math.MaxInt
 
 // Sim is a discrete-event simulator. The zero value is not usable; use New.
 type Sim struct {
-	now     float64
 	pending int  // this sim's timers in the queue
 	rank    int  // lane index, or rootRank
 	root    *Sim // the sim whose queue holds this sim's timers; a root's is itself
 
 	// Used on a root only.
+	now      float64
 	rng      *Stream
 	seq      uint64
 	queue    timerHeap
@@ -237,17 +236,9 @@ func (s *Sim) Tracer() obs.Tracer {
 	return obs.Nop()
 }
 
-// Now returns the current virtual time in seconds. A lane's own clock
-// only moves when it runs an event, so a lane that has been idle reads
-// the root's clock: its time is max(lane clock, root clock). While a
-// lane event runs, the lane's clock is at or after the root's, so the
-// rule holds there too.
-func (s *Sim) Now() float64 {
-	if r := s.root.now; r > s.now {
-		return r
-	}
-	return s.now
-}
+// Now returns the current virtual time in seconds. A lane reads its
+// root's clock.
+func (s *Sim) Now() float64 { return s.root.now }
 
 // Rand returns the simulation's deterministic random stream; a lane
 // returns its root's, so a lane and its root share one stream.
@@ -261,9 +252,9 @@ func (s *Sim) Rand() *Stream { return s.root.rng }
 // count. This is the numerator of the events/sec benchmark metric.
 func (s *Sim) Executed() uint64 { return s.root.executed }
 
-// Lane creates a child simulation on the root s: a label for a group
-// of timers, with its own clock and Pending count. It has no random
-// stream of its own: Rand returns the root's. Its timers share the
+// Lane creates a child simulation on the root s: a group of timers
+// with its own heap rank and Pending count. It has no clock or random
+// stream of its own: Now and Rand return the root's. Its timers share the
 // root's queue and rank by the lane's creation index (see the package
 // doc). Lanes cannot be nested.
 func (s *Sim) Lane(label string) *Sim {
@@ -333,12 +324,11 @@ func (s *Sim) Pending() int { return s.pending }
 func (s *Sim) Run() error { return s.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with timestamps <= horizon in (time, rank,
-// sequence) order, lanes' and root's alike, moving each event's owner's
-// clock to its time as it goes. When it returns the root's clock is at
-// min(horizon, last root event time) unless the queue drained earlier;
-// the clock never moves backwards, so a horizon already in the past
-// leaves it untouched. A lane's clock stays at its own last event and
-// reads the root's when that is later (see Now).
+// sequence) order, lanes' and root's alike, moving the clock to each
+// event's time as it goes. When it returns the clock is at horizon, or
+// at the last event's time when the horizon is infinite; it never
+// moves backwards, so a horizon already in the past leaves it
+// untouched.
 func (s *Sim) RunUntil(horizon float64) error {
 	if s.isLane() {
 		return errors.New("sim: lanes are driven by their root simulation")
@@ -353,7 +343,7 @@ func (s *Sim) RunUntil(horizon float64) error {
 			continue
 		}
 		s.queue.remove(0)
-		next.sim.now = next.at
+		s.now = next.at
 		s.executed++
 		next.fn()
 	}
