@@ -421,7 +421,7 @@ func (inj *Injector) RetryDelay(node, attempt int) (delay float64, ok bool) {
 	}
 	ns := inj.perNode[node]
 	d := retryBase * math.Pow(2, float64(attempt-1))
-	d *= 1 + retryJitter*(2*ns.rng.Float64()-1)
+	d *= 1 + float64(retryJitter*(2*float64(ns.rng.Float64())-1))
 	ns.stats.Retries++
 	return d, true
 }

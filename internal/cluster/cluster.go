@@ -905,7 +905,7 @@ func (n *node) leave(b *queue.Batch, holdsContainer bool) {
 func (n *node) abandon(b *queue.Batch, holdsContainer bool) {
 	n.leave(b, holdsContainer)
 	n.drop(b.ID, b.Size())
-	n.bufferDrop(b.Requests)
+	n.bufferDrop(b)
 	n.cluster.spent = append(n.cluster.spent, b)
 }
 
@@ -973,18 +973,17 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 	n.leave(b, true)
 	c.completed += b.Size()
 	finished, started, warmup := j.Finished(), j.Started(), c.cfg.Warmup
-	rows := slices.Grow(c.rows[:0], len(b.Requests))
-	for i := range b.Requests {
-		r := &b.Requests[i]
-		if r.Arrival < warmup {
+	rows := slices.Grow(c.rows[:0], b.Size())
+	for i, arrival := range b.Arrivals {
+		if arrival < warmup {
 			continue
 		}
 		// Arrival→finish wall time already spans the cold start (the
 		// container booted between dispatch and execution).
 		rows = append(rows, metrics.BatchRow{
-			Latency: finished - r.Arrival,
-			Queue:   max(0, started-r.Arrival-j.ColdStart),
-			Tenant:  r.Tenant,
+			Latency: finished - arrival,
+			Queue:   max(0, started-arrival-j.ColdStart),
+			Tenant:  b.Tenant(i),
 		})
 	}
 	c.rows = rows
@@ -1178,7 +1177,7 @@ func (n *node) serviceJitter() float64 {
 	const cv = serviceJitterCV
 	sigma2 := math.Log(1 + cv*cv)
 	sigma := math.Sqrt(sigma2)
-	return math.Exp(n.rng.NormFloat64()*sigma - sigma2/2)
+	return math.Exp(float64(n.rng.NormFloat64()*sigma) - float64(sigma2/2))
 }
 
 // batchScale converts batch fill into a work/bandwidth scale: GPU batch
@@ -1191,5 +1190,5 @@ func batchScale(b *queue.Batch) float64 {
 	if fill > 1 {
 		fill = 1
 	}
-	return 0.25 + 0.75*fill
+	return 0.25 + float64(0.75*fill)
 }

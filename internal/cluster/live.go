@@ -11,6 +11,7 @@ import (
 	"errors"
 
 	"protean/internal/metrics"
+	"protean/internal/queue"
 	"protean/internal/trace"
 )
 
@@ -182,16 +183,16 @@ func (c *Cluster) CollectLive() ([]Completion, []DropRecord) {
 // bufferDrop records a dropped batch against its member tenants, one
 // DropRecord per tenant run in arrival order (batches are single-model
 // but may mix tenants).
-func (n *node) bufferDrop(reqs []trace.Request) {
+func (n *node) bufferDrop(b *queue.Batch) {
 	c := n.cluster
-	if !c.live || len(reqs) == 0 {
+	if !c.live || b.Size() == 0 {
 		return
 	}
-	cur := DropRecord{Time: n.sim.Now(), Node: n.id, Tenant: reqs[0].Tenant}
-	for _, r := range reqs {
-		if r.Tenant != cur.Tenant {
+	cur := DropRecord{Time: n.sim.Now(), Node: n.id, Tenant: b.Tenant(0)}
+	for i := range b.Size() {
+		if tenant := b.Tenant(i); tenant != cur.Tenant {
 			c.drops = append(c.drops, cur)
-			cur = DropRecord{Time: cur.Time, Node: n.id, Tenant: r.Tenant}
+			cur = DropRecord{Time: cur.Time, Node: n.id, Tenant: tenant}
 		}
 		cur.Requests++
 	}

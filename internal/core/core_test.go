@@ -79,6 +79,15 @@ func TestTagSlicesNoBEMem(t *testing.T) {
 	}
 }
 
+// TestTagSlicesNoBEMemAllocatesNothing: most placements find no BE
+// memory queued, and tagging them must not build a map.
+func TestTagSlicesNoBEMemAllocatesNothing(t *testing.T) {
+	_, g := newGPU(t, gpu.MustGeometry(gpu.Profile4g, gpu.Profile3g), gpu.ShareMPS)
+	if n := testing.AllocsPerRun(100, func() { TagSlices(g, 0) }); n != 0 {
+		t.Errorf("TagSlices(g, 0) allocates %v times, want 0", n)
+	}
+}
+
 func TestChooseStrictSliceAvoidsBESaturatedSlices(t *testing.T) {
 	_, g := newGPU(t, gpu.MustGeometry(gpu.Profile4g, gpu.Profile3g), gpu.ShareMPS)
 	d := Distributor{}

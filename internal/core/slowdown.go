@@ -61,8 +61,12 @@ type Distributor struct {
 
 // TagSlices implements lines 1–8 of Algorithm 1: walk slices in
 // ascending resource order, marking the fraction of each slice's
-// available memory that queued BE work will occupy.
+// available memory that queued BE work will occupy. With no BE memory
+// queued it returns nil, which reads 0 for every slice.
 func TagSlices(g *gpu.GPU, beMem float64) map[*gpu.Slice]float64 {
+	if beMem <= 0 {
+		return nil
+	}
 	tags := make(map[*gpu.Slice]float64)
 	for _, sl := range g.SlicesAscending() {
 		if beMem <= 0 {

@@ -54,7 +54,7 @@ func Ablations(p Params) (*Report, error) {
 		shareTrace(pair)
 		scs = append(scs, pair...)
 	}
-	results, err := RunScenarios(p, scs)
+	runs, err := RunScenarios(p, scs, sloAndP99)
 	if err != nil {
 		return nil, err
 	}
@@ -65,11 +65,9 @@ func Ablations(p Params) (*Report, error) {
 		Notes: []string{"'without' disables only the named choice; both sides replay one trace"},
 	}
 	for i, c := range choices {
-		with, without := results[2*i].Recorder, results[2*i+1].Recorder
+		with, without := runs[2*i], runs[2*i+1]
 		t.Rows = append(t.Rows, []Cell{
-			text(c.name), text(c.workload),
-			pct(with.SLOCompliance()), pct(without.SLOCompliance()),
-			ms(with.Strict().Percentile(99)), ms(without.Strict().Percentile(99)),
+			text(c.name), text(c.workload), with[0], without[0], with[1], without[1],
 		})
 	}
 	return &Report{ID: "ablations", Tables: []*Table{t}}, nil

@@ -87,11 +87,30 @@ func ChaosSweep(p Params) (*Report, error) {
 		})
 	}
 	shareTrace(scs)
-	results, err := RunScenarios(p, scs)
+	type run struct {
+		slo, goodput float64
+		cost         Cell
+		avail        metrics.Availability
+		faults       chaos.Stats
+		coldStarts   int
+	}
+	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+		r := run{
+			slo:        res.Recorder.SLOCompliance(),
+			goodput:    metrics.Goodput(res.Recorder, res.Duration),
+			cost:       normalizedCost(res),
+			avail:      res.Availability,
+			coldStarts: res.ColdStarts,
+		}
+		if res.Chaos != nil {
+			r.faults = *res.Chaos
+		}
+		return r
+	})
 	if err != nil {
 		return nil, err
 	}
-	at := func(si, j int) *cluster.Result { return results[si*len(schemes)+j] }
+	at := func(si, j int) run { return runs[si*len(schemes)+j] }
 
 	main := &Table{
 		Title:   "Chaos sweep: SLO attainment, availability, and cost vs fault rate",
@@ -104,16 +123,8 @@ func ChaosSweep(p Params) (*Report, error) {
 	for si, scale := range scales {
 		row := []Cell{text(fmt.Sprintf("%gx", scale))}
 		for j := range schemes {
-			res := at(si, j)
-			cost := text("n/a")
-			if res.Cost != nil {
-				cost = fixed(res.Cost.Normalized, 2)
-			}
-			row = append(row,
-				pct(res.Recorder.SLOCompliance()),
-				pct(res.Availability.Rate()),
-				fixed(metrics.Goodput(res.Recorder, res.Duration), 0),
-				cost)
+			r := at(si, j)
+			row = append(row, pct(r.slo), pct(r.avail.Rate()), fixed(r.goodput, 0), r.cost)
 		}
 		main.Rows = append(main.Rows, row)
 	}
@@ -123,8 +134,8 @@ func ChaosSweep(p Params) (*Report, error) {
 	if last > 0 {
 		note := fmt.Sprintf("SLO retained at %gx vs 0x:", scales[last])
 		for j, sch := range schemes {
-			base := at(0, j).Recorder.SLOCompliance()
-			harsh := at(last, j).Recorder.SLOCompliance()
+			base := at(0, j).slo
+			harsh := at(last, j).slo
 			retained := 0.0
 			if base > 0 {
 				retained = harsh / base
@@ -148,11 +159,8 @@ func ChaosSweep(p Params) (*Report, error) {
 	}
 	for si, scale := range scales {
 		for j, sch := range schemes {
-			res := at(si, j)
-			st := chaos.Stats{}
-			if res.Chaos != nil {
-				st = *res.Chaos
-			}
+			r := at(si, j)
+			st := r.faults
 			detail.Rows = append(detail.Rows, []Cell{
 				text(fmt.Sprintf("%gx", scale)), text(sch.Name),
 				count(st.SliceFaults),
@@ -162,8 +170,8 @@ func ChaosSweep(p Params) (*Report, error) {
 				count(st.Stragglers),
 				count(st.ColdStartFailures),
 				count(st.Retries),
-				count(res.Availability.Requeued),
-				count(res.Availability.Dropped),
+				count(r.avail.Requeued),
+				count(r.avail.Dropped),
 			})
 		}
 	}
@@ -177,19 +185,15 @@ func ChaosSweep(p Params) (*Report, error) {
 			"dropped", "SLO", "avail"},
 	}
 	for j, sch := range schemes {
-		res := results[coldBase+j]
-		st := chaos.Stats{}
-		if res.Chaos != nil {
-			st = *res.Chaos
-		}
+		r := runs[coldBase+j]
 		cold.Rows = append(cold.Rows, []Cell{
 			text(sch.Name),
-			count(res.ColdStarts),
-			count(st.ColdStartFailures),
-			count(st.Retries),
-			count(res.Availability.Dropped),
-			pct(res.Recorder.SLOCompliance()),
-			pct(res.Availability.Rate()),
+			count(r.coldStarts),
+			count(r.faults.ColdStartFailures),
+			count(r.faults.Retries),
+			count(r.avail.Dropped),
+			pct(r.slo),
+			pct(r.avail.Rate()),
 		})
 	}
 	cold.Notes = append(cold.Notes,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/model"
 	"protean/internal/trace"
@@ -57,6 +58,9 @@ func modelGrid(title string, models []*model.Model, schemes []NamedFactory, buil
 	return g
 }
 
+// slo reads a run's strict SLO compliance as a percent cell.
+func slo(res *cluster.Result) Cell { return pct(res.Recorder.SLOCompliance()) }
+
 // complianceReport runs every grid's cells as one batch and renders one
 // table per grid: a row per row label, a column per scheme.
 func complianceReport(p Params, id string, grids ...complianceGrid) (*Report, error) {
@@ -64,7 +68,7 @@ func complianceReport(p Params, id string, grids ...complianceGrid) (*Report, er
 	for _, g := range grids {
 		scs = append(scs, g.scs...)
 	}
-	results, err := RunScenarios(p, scs)
+	cells, err := RunScenarios(p, scs, slo)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
@@ -75,11 +79,8 @@ func complianceReport(p Params, id string, grids ...complianceGrid) (*Report, er
 			t.Headers = append(t.Headers, s.Name)
 		}
 		for _, label := range g.rows {
-			row := []Cell{text(label)}
-			for _, res := range results[:len(g.schemes)] {
-				row = append(row, pct(res.Recorder.SLOCompliance()))
-			}
-			results = results[len(g.schemes):]
+			row := append([]Cell{text(label)}, cells[:len(g.schemes)]...)
+			cells = cells[len(g.schemes):]
 			t.Rows = append(t.Rows, row)
 		}
 		r.Tables = append(r.Tables, t)
@@ -149,16 +150,16 @@ func Table4AllStrict(p Params) (*Report, error) {
 		Headers: []string{"scheme", "SLO compliance"},
 	}
 	schemes := PrimarySchemes()
-	results, err := RunScenarios(p, schemeRow(Scenario{
+	cells, err := RunScenarios(p, schemeRow(Scenario{
 		Strict:     model.MustByName("ResNet 50"),
 		StrictFrac: 1.0,
 		Rate:       wikiRate(p.Duration),
-	}, schemes, func(scheme string) string { return "table4 " + scheme }))
+	}, schemes, func(scheme string) string { return "table4 " + scheme }), slo)
 	if err != nil {
 		return nil, err
 	}
 	for j, sch := range schemes {
-		t.Rows = append(t.Rows, []Cell{text(sch.Name), pct(results[j].Recorder.SLOCompliance())})
+		t.Rows = append(t.Rows, []Cell{text(sch.Name), cells[j]})
 	}
 	return &Report{ID: "table4", Tables: []*Table{t}}, nil
 }

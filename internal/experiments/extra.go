@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"protean/internal/autoscale"
+	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/gpu"
 	"protean/internal/model"
@@ -28,24 +29,28 @@ func ColdStarts(p Params) (*Report, error) {
 	}
 	scs[1].Scaler = autoscale.Config{Immediate: true}
 	shareTrace(scs) // the scaling policy is the only difference
-	results, err := RunScenarios(p, scs)
+	type run struct {
+		coldStarts int
+		sloP99     [2]Cell
+	}
+	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+		return run{coldStarts: res.ColdStarts, sloP99: sloAndP99(res)}
+	})
 	if err != nil {
 		return nil, err
 	}
-	delayed, immediate := results[0], results[1]
+	delayed, immediate := runs[0], runs[1]
 
 	reduction := 0.0
-	if immediate.ColdStarts > 0 {
-		reduction = 1 - float64(delayed.ColdStarts)/float64(immediate.ColdStarts)
+	if immediate.coldStarts > 0 {
+		reduction = 1 - float64(delayed.coldStarts)/float64(immediate.coldStarts)
 	}
 	t := &Table{
 		Title:   "Section 4.2 claim: delayed termination vs immediate scale-down",
 		Headers: []string{"policy", "cold starts", "SLO compliance", "strict P99"},
 		Rows: [][]Cell{
-			{text("delayed termination (~10 min)"), count(delayed.ColdStarts),
-				pct(delayed.Recorder.SLOCompliance()), ms(delayed.Recorder.Strict().Percentile(99))},
-			{text("immediate scale-down"), count(immediate.ColdStarts),
-				pct(immediate.Recorder.SLOCompliance()), ms(immediate.Recorder.Strict().Percentile(99))},
+			{text("delayed termination (~10 min)"), count(delayed.coldStarts), delayed.sloP99[0], delayed.sloP99[1]},
+			{text("immediate scale-down"), count(immediate.coldStarts), immediate.sloP99[0], immediate.sloP99[1]},
 		},
 		Notes: []string{
 			fmt.Sprintf("cold-start reduction: %.1f%% (paper: up to 98%%)", reduction*100),
@@ -95,19 +100,16 @@ func Hopper(p Params) (*Report, error) {
 		shareTrace(row)
 		scs = append(scs, row...)
 	}
-	results, err := RunScenarios(p, scs)
+	runs, err := RunScenarios(p, scs, func(res *cluster.Result) []Cell {
+		c := sloAndP99(res)
+		return []Cell{c[0], c[1], count(res.Reconfigs)}
+	})
 	if err != nil {
 		return nil, err
 	}
 	for i, m := range models {
 		for ai, a := range archs {
-			res := results[i*len(archs)+ai]
-			t.Rows = append(t.Rows, []Cell{
-				text(m.Name()), text(a.name),
-				pct(res.Recorder.SLOCompliance()),
-				ms(res.Recorder.Strict().Percentile(99)),
-				count(res.Reconfigs),
-			})
+			t.Rows = append(t.Rows, append([]Cell{text(m.Name()), text(a.name)}, runs[i*len(archs)+ai]...))
 		}
 	}
 	t.Notes = append(t.Notes,

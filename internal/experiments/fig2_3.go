@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/gpu"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/trace"
 )
@@ -75,19 +77,25 @@ func Fig2Motivation(p Params) (*Report, error) {
 		scs[i] = Scenario{Label: "fig2 " + sch.Name, Trace: reqs, BEPool: workloads, Policy: sch.Factory}
 	}
 	p.Nodes = 1 // §2.2 shares one A100 between both workloads
-	results, err := RunScenarios(p, scs)
+	// Each run's strict summary per workload, indexed like workloads.
+	sums, err := RunScenarios(p, scs, func(res *cluster.Result) []metrics.Summary {
+		out := make([]metrics.Summary, len(workloads))
+		for wi, w := range workloads {
+			out[wi] = res.Recorder.ForModel(w.Name()).Summarize()
+		}
+		return out
+	})
 	if err != nil {
 		return nil, err
 	}
 	tables := make([]*Table, 0, len(workloads))
-	for _, w := range workloads {
+	for wi, w := range workloads {
 		t := &Table{
 			Title:   fmt.Sprintf("Figure 2: %s — P99 breakdown and SLO compliance (single GPU)", w.Name()),
 			Headers: []string{"scheme", "SLO", "P99", "min", "deficiency", "interference", "queue"},
 		}
 		for i, sch := range schemes {
-			rec := results[i].Recorder.ForModel(w.Name())
-			sum := rec.Summarize()
+			sum := sums[i][wi]
 			b := sum.P99Breakdown
 			t.Rows = append(t.Rows, []Cell{
 				text(sch.Name), pct(sum.SLOCompliance), ms(sum.P99),

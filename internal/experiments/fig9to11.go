@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/model"
 	"protean/internal/vm"
@@ -11,6 +12,15 @@ import (
 // fig9Availabilities are the spot-market scenarios of §5.
 func fig9Availabilities() []vm.Availability {
 	return []vm.Availability{vm.AvailabilityHigh, vm.AvailabilityModerate, vm.AvailabilityLow}
+}
+
+// normalizedCost reads a run's fleet cost normalized to an all-on-demand
+// fleet, or "n/a" for a run without a fleet.
+func normalizedCost(res *cluster.Result) Cell {
+	if res.Cost == nil {
+		return text("n/a")
+	}
+	return fixed(res.Cost.Normalized, 2)
 }
 
 // Fig9CostVsSLO reproduces Figure 9: normalized dollar cost and SLO
@@ -43,6 +53,13 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 	}
 	// One batch per model: the availability-independent on-demand
 	// baselines first, then availability×variant spot runs.
+	type run struct {
+		slo  float64
+		cost Cell
+	}
+	read := func(res *cluster.Result) run {
+		return run{slo: res.Recorder.SLOCompliance(), cost: normalizedCost(res)}
+	}
 	var tables []*Table
 	for _, m := range models {
 		var scs []Scenario
@@ -74,7 +91,7 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 		// Every run of a model replays its one Wiki trace: only the
 		// policy and the fleet differ.
 		shareTrace(scs)
-		results, err := RunScenarios(p, scs)
+		runs, err := RunScenarios(p, scs, read)
 		if err != nil {
 			return nil, err
 		}
@@ -86,8 +103,8 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 		// On-demand baselines: availability-independent (run once,
 		// averaged across the baseline schemes as the paper plots).
 		baselineSLO := 0.0
-		for i := range baselines {
-			baselineSLO += results[i].Recorder.SLOCompliance()
+		for _, r := range runs[:len(baselines)] {
+			baselineSLO += r.slo
 		}
 		baselineSLO /= float64(len(baselines))
 
@@ -97,14 +114,10 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 				text(avail.Name), text("Others (on-demand)"), fixed(1, 2), pct(baselineSLO),
 			})
 			for _, variant := range variants {
-				res := results[k]
+				r := runs[k]
 				k++
-				cost := text("n/a")
-				if res.Cost != nil {
-					cost = fixed(res.Cost.Normalized, 2)
-				}
 				t.Rows = append(t.Rows, []Cell{
-					text(avail.Name), text(variant.name), cost, pct(res.Recorder.SLOCompliance()),
+					text(avail.Name), text(variant.name), r.cost, pct(r.slo),
 				})
 			}
 		}
@@ -131,25 +144,24 @@ func Fig10ThroughputUtilization(p Params) (*Report, error) {
 	eff := model.MustByName("EfficientNet-B0")
 	effective := p.Duration - p.Warmup
 	schemes := PrimarySchemes()
-	results, err := RunScenarios(p, gridScenarios([]*model.Model{dense, eff}, schemes, func(sc *Scenario) {
+	// Each run yields both tables' cells; the DenseNet runs fill the
+	// throughput table and the EfficientNet runs the utilization table.
+	runs, err := RunScenarios(p, gridScenarios([]*model.Model{dense, eff}, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}))
+	}), func(res *cluster.Result) [6]Cell {
+		return [6]Cell{
+			fixed(res.Recorder.Throughput(effective, res.Nodes, p.Duration), 1),
+			fixed(res.Recorder.TotalThroughput(effective, res.Nodes, p.Duration), 1),
+			slo(res),
+			pct(res.BusyUtil), pct(res.ComputeUtil), pct(res.MemUtil),
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
 	for j, sch := range schemes {
-		res := results[j]
-		thr.Rows = append(thr.Rows, []Cell{
-			text(sch.Name),
-			fixed(res.Recorder.Throughput(effective, res.Nodes, p.Duration), 1),
-			fixed(res.Recorder.TotalThroughput(effective, res.Nodes, p.Duration), 1),
-			pct(res.Recorder.SLOCompliance()),
-		})
-
-		res2 := results[len(schemes)+j]
-		util.Rows = append(util.Rows, []Cell{
-			text(sch.Name), pct(res2.BusyUtil), pct(res2.ComputeUtil), pct(res2.MemUtil),
-		})
+		thr.Rows = append(thr.Rows, append([]Cell{text(sch.Name)}, runs[j][:3]...))
+		util.Rows = append(util.Rows, append([]Cell{text(sch.Name)}, runs[len(schemes)+j][3:]...))
 	}
 	thr.Notes = append(thr.Notes,
 		"throughput counts requests completed within the trace window (backlog excluded)")
@@ -166,14 +178,14 @@ func Fig11ErraticTrace(p Params) (*Report, error) {
 		Headers: []string{"scheme", "SLO", "P99", "min", "deficiency", "interference", "queue+cold"},
 	}
 	schemes := PrimarySchemes()
-	results, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario) {
+	sums, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario) {
 		sc.Rate = twitterRate(p.Duration, p.Seed)
-	}))
+	}), summarize)
 	if err != nil {
 		return nil, fmt.Errorf("fig11: %w", err)
 	}
 	for j, sch := range schemes {
-		sum := results[j].Recorder.Summarize()
+		sum := sums[j]
 		b := sum.P99Breakdown
 		t.Rows = append(t.Rows, []Cell{
 			text(sch.Name), pct(sum.SLOCompliance), ms(sum.P99),

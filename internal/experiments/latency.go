@@ -3,10 +3,20 @@ package experiments
 import (
 	"fmt"
 
+	"protean/internal/cluster"
 	"protean/internal/core"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/trace"
 )
+
+// summarize reads a run's strict-request summary.
+func summarize(res *cluster.Result) metrics.Summary { return res.Recorder.Summarize() }
+
+// sloAndP99 reads a run's strict SLO compliance and strict P99 cells.
+func sloAndP99(res *cluster.Result) [2]Cell {
+	return [2]Cell{slo(res), ms(res.Recorder.Strict().Percentile(99))}
+}
 
 // fig6Models is the vision subset Figure 6 plots.
 func fig6Models(p Params) []*model.Model {
@@ -27,9 +37,9 @@ func Fig6TailBreakdown(p Params) (*Report, error) {
 	p = p.withDefaults()
 	models := fig6Models(p)
 	schemes := PrimarySchemes()
-	results, err := RunScenarios(p, gridScenarios(models, schemes, func(sc *Scenario) {
+	sums, err := RunScenarios(p, gridScenarios(models, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}))
+	}), summarize)
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}
@@ -40,7 +50,7 @@ func Fig6TailBreakdown(p Params) (*Report, error) {
 			Headers: []string{"scheme", "P99", "min", "deficiency", "interference", "queue+cold", "SLO"},
 		}
 		for j, sch := range schemes {
-			sum := results[i*len(schemes)+j].Recorder.Summarize()
+			sum := sums[i*len(schemes)+j]
 			b := sum.P99Breakdown
 			t.Rows = append(t.Rows, []Cell{
 				text(sch.Name), ms(sum.P99), ms(b.MinPossible), ms(b.Deficiency),
@@ -57,39 +67,40 @@ func Fig6TailBreakdown(p Params) (*Report, error) {
 // DPN 92 that forces the (4g, 3g) switch).
 func Fig7ReconfigTimeline(p Params) (*Report, error) {
 	p = p.withDefaults()
-	results, err := RunScenarios(p, []Scenario{{
+	tables, err := RunScenarios(p, []Scenario{{
 		Label:        "fig7 timeline",
 		Strict:       model.MustByName("ShuffleNet V2"),
 		BEPool:       model.VisionHI(),
 		RotatePeriod: 15,
 		Rate:         wikiRate(p.Duration),
 		Policy:       core.NewProtean(core.ProteanConfig{}),
-	}})
+	}}, func(res *cluster.Result) []*Table {
+		timeline := &Table{
+			Title:   "Figure 7: PROTEAN geometry timeline (ShuffleNet V2 strict, rotating HI BE models)",
+			Headers: []string{"time (s)", "node", "geometry"},
+		}
+		for _, ev := range res.Timeline {
+			timeline.Rows = append(timeline.Rows, []Cell{
+				text(fmt.Sprintf("%.1f", ev.Time)), text(fmt.Sprintf("%d", ev.Node)), text(ev.Geometry),
+			})
+		}
+		sum := res.Recorder.Summarize()
+		summary := &Table{
+			Title:   "Figure 7: run summary",
+			Headers: []string{"metric", "value"},
+			Rows: [][]Cell{
+				{text("SLO compliance"), pct(sum.SLOCompliance)},
+				{text("strict P99"), ms(sum.P99)},
+				{text("geometry changes"), count(res.Reconfigs)},
+			},
+			Notes: []string{"DPN 92 rotations exceed the small-slice capacity and trigger the (4g, 3g) switch"},
+		}
+		return []*Table{timeline, summary}
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := results[0]
-	timeline := &Table{
-		Title:   "Figure 7: PROTEAN geometry timeline (ShuffleNet V2 strict, rotating HI BE models)",
-		Headers: []string{"time (s)", "node", "geometry"},
-	}
-	for _, ev := range res.Timeline {
-		timeline.Rows = append(timeline.Rows, []Cell{
-			text(fmt.Sprintf("%.1f", ev.Time)), text(fmt.Sprintf("%d", ev.Node)), text(ev.Geometry),
-		})
-	}
-	sum := res.Recorder.Summarize()
-	summary := &Table{
-		Title:   "Figure 7: run summary",
-		Headers: []string{"metric", "value"},
-		Rows: [][]Cell{
-			{text("SLO compliance"), pct(sum.SLOCompliance)},
-			{text("strict P99"), ms(sum.P99)},
-			{text("geometry changes"), count(res.Reconfigs)},
-		},
-		Notes: []string{"DPN 92 rotations exceed the small-slice capacity and trigger the (4g, 3g) switch"},
-	}
-	return &Report{ID: "fig7", Tables: []*Table{timeline, summary}}, nil
+	return &Report{ID: "fig7", Tables: tables[0]}, nil
 }
 
 // Fig8LatencyCDF reproduces Figure 8: the end-to-end latency CDF per
@@ -103,18 +114,21 @@ func Fig8LatencyCDF(p Params) (*Report, error) {
 		Headers: []string{"percentile"},
 	}
 	schemes := PrimarySchemes()
-	results, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario) {
+	// One column of strict percentiles per scheme.
+	cols, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}))
+	}), func(res *cluster.Result) []Cell {
+		strict := res.Recorder.Strict()
+		col := make([]Cell, len(quantiles))
+		for i, q := range quantiles {
+			col[i] = ms(strict.Percentile(q))
+		}
+		return col
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
-	cols := make([][]Cell, len(schemes))
-	for j, sch := range schemes {
-		strict := results[j].Recorder.Strict()
-		for _, q := range quantiles {
-			cols[j] = append(cols[j], ms(strict.Percentile(q)))
-		}
+	for _, sch := range schemes {
 		t.Headers = append(t.Headers, sch.Name)
 	}
 	for qi, q := range quantiles {
@@ -140,16 +154,18 @@ func Table5AllBE(p Params) (*Report, error) {
 		Name:    "PROTEAN (BE-fair)",
 		Factory: core.NewProtean(core.ProteanConfig{BEFairPlacement: true}),
 	})
-	results, err := RunScenarios(p, schemeRow(Scenario{
+	cells, err := RunScenarios(p, schemeRow(Scenario{
 		BEPool: model.VisionHI(),
 		Rate:   trace.Constant(AllBEMeanRPS),
-	}, schemes, func(scheme string) string { return "table5 " + scheme }))
+	}, schemes, func(scheme string) string { return "table5 " + scheme }), func(res *cluster.Result) []Cell {
+		be := res.Recorder.BestEffort()
+		return []Cell{ms(be.Percentile(50)), ms(be.Percentile(99))}
+	})
 	if err != nil {
 		return nil, err
 	}
 	for j, sch := range schemes {
-		be := results[j].Recorder.BestEffort()
-		t.Rows = append(t.Rows, []Cell{text(sch.Name), ms(be.Percentile(50)), ms(be.Percentile(99))})
+		t.Rows = append(t.Rows, append([]Cell{text(sch.Name)}, cells[j]...))
 	}
 	t.Notes = append(t.Notes,
 		"PROTEAN deprioritizes BE work (packing); the BE-fair variant implements the paper's",
@@ -183,22 +199,19 @@ func Fig17Oracle(p Params) (*Report, error) {
 		Headers: []string{"strict model", "PROTEAN SLO", "Oracle SLO", "PROTEAN P99", "Oracle P99"},
 	}
 	models := fig17Models(p)
-	results, err := RunScenarios(p, gridScenarios(models, schemes, func(sc *Scenario) {
+	runs, err := RunScenarios(p, gridScenarios(models, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}))
+	}), sloAndP99)
 	if err != nil {
 		return nil, fmt.Errorf("fig17: %w", err)
 	}
 	for i, m := range models {
 		row := []Cell{text(m.Name())}
-		var slo, p99 []Cell
-		for j := range schemes {
-			res := results[i*len(schemes)+j]
-			slo = append(slo, pct(res.Recorder.SLOCompliance()))
-			p99 = append(p99, ms(res.Recorder.Strict().Percentile(99)))
+		for c := range 2 { // the SLO columns, then the P99 columns
+			for j := range schemes {
+				row = append(row, runs[i*len(schemes)+j][c])
+			}
 		}
-		row = append(row, slo...)
-		row = append(row, p99...)
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,

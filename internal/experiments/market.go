@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/market"
 	"protean/internal/metrics"
@@ -128,7 +129,21 @@ func MarketSweep(p Params) (*Report, error) {
 		}
 	}
 	shareTrace(scs)
-	results, err := RunScenarios(p, scs)
+	type run struct {
+		market              *market.Summary
+		completed           int
+		slo                 float64
+		notices, migrations int
+	}
+	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+		return run{
+			market:     res.Market,
+			completed:  res.Availability.Completed,
+			slo:        res.Recorder.SLOCompliance(),
+			notices:    res.EvictionNotices,
+			migrations: res.Migrations,
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -145,26 +160,25 @@ func MarketSweep(p Params) (*Report, error) {
 		var odCost1k, odSLO float64
 		dominating := 0
 		for _, pol := range pols {
-			res := results[k]
+			r := runs[k]
 			k++
-			if res.Market == nil {
+			if r.market == nil {
 				return nil, fmt.Errorf("experiments: %s/%s ran without a market", vol.Name, pol.Name)
 			}
-			cost1k := metrics.DollarsPer1k(res.Market.TotalDollars, res.Availability.Completed)
-			slo := res.Recorder.SLOCompliance()
+			cost1k := metrics.DollarsPer1k(r.market.TotalDollars, r.completed)
 			if pol.Name == "on-demand-only" {
-				odCost1k, odSLO = cost1k, slo
-			} else if cost1k < odCost1k && slo >= 0.95*odSLO {
+				odCost1k, odSLO = cost1k, r.slo
+			} else if cost1k < odCost1k && r.slo >= 0.95*odSLO {
 				dominating++
 			}
 			frontier.Rows = append(frontier.Rows, []Cell{
 				text(vol.Name), text(pol.Name),
 				dollars(cost1k, 4),
-				dollars(res.Market.TotalDollars, 2),
-				pct(slo),
-				count(res.EvictionNotices),
-				count(res.Market.Stats.Binds),
-				count(res.Migrations),
+				dollars(r.market.TotalDollars, 2),
+				pct(r.slo),
+				count(r.notices),
+				count(r.market.Stats.Binds),
+				count(r.migrations),
 			})
 		}
 		frontier.Notes = append(frontier.Notes, fmt.Sprintf(
@@ -181,8 +195,7 @@ func MarketSweep(p Params) (*Report, error) {
 	}
 	for vi, vol := range vols {
 		// The first policy's run stands in for the whole volatility row.
-		res := results[vi*len(pols)]
-		for _, ps := range res.Market.Prices {
+		for _, ps := range runs[vi*len(pols)].market.Prices {
 			prices.Rows = append(prices.Rows, []Cell{
 				text(vol.Name), text(ps.Provider),
 				dollars(ps.Min, 4),

@@ -26,22 +26,30 @@ func (p Params) workers() int {
 	}
 }
 
-// RunScenarios executes every scenario and returns results indexed like
-// scs. Each scenario owns its sim.Sim and cluster, so they fan out
-// across a pool of Params.Parallel worker goroutines; results are
-// collected by index and the first error (in index order, not
-// completion order) wins, which makes the outcome byte-identical to a
-// sequential run regardless of scheduling. Scenarios that compare
-// schemes on one workload (made by schemeRow or shareTrace) share its
-// generated trace: the first member to start generates it, the others
-// replay the same read-only slice, and it is released when the group's
-// last run ends. Every experiment harness that sweeps a scheme×model
-// grid goes through here, with p already resolved by withDefaults.
-func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
+// RunScenarios executes every scenario and returns read's digest of
+// each result, indexed like scs. Each scenario owns its sim.Sim and
+// cluster, so they fan out across a pool of Params.Parallel worker
+// goroutines; digests are collected by index and the first error (in
+// index order, not completion order) wins, which makes the outcome
+// byte-identical to a sequential run regardless of scheduling.
+// Scenarios that compare schemes on one workload (made by schemeRow or
+// shareTrace) share its generated trace: the first member to start
+// generates it, the others replay the same read-only slice, and it is
+// released when the group's last run ends. Every experiment harness
+// that sweeps a scheme×model grid goes through here, with p already
+// resolved by withDefaults.
+//
+// read is called once per successful run, on the worker that ran it,
+// as soon as the run ends and before that worker starts another; a
+// failed run is not read. Only read's return value is kept, so the
+// result's recorder becomes garbage once read returns and a batch holds
+// at most one run's rows per worker. read may touch only the result it
+// is given.
+func RunScenarios[T any](p Params, scs []Scenario, read func(*cluster.Result) T) ([]T, error) {
 	if err := armShared(p, scs); err != nil {
 		return nil, err
 	}
-	results := make([]*cluster.Result, len(scs))
+	out := make([]T, len(scs))
 	errs := make([]error, len(scs))
 	// Register trace collectors sequentially, by scenario index, before
 	// any run starts: each run then writes its own collector, and the
@@ -52,13 +60,21 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 			tracers[i] = p.Trace.NewCollector(sc.Label)
 		}
 	}
+	run := func(i int) {
+		res, err := runScenario(p, scs[i], tracers[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		out[i] = read(res)
+	}
 	workers := p.workers()
 	if workers > len(scs) {
 		workers = len(scs)
 	}
 	if workers <= 1 {
-		for i, sc := range scs {
-			results[i], errs[i] = runScenario(p, sc, tracers[i])
+		for i := range scs {
+			run(i)
 		}
 	} else {
 		idx := make(chan int)
@@ -68,7 +84,7 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					results[i], errs[i] = runScenario(p, scs[i], tracers[i])
+					run(i)
 				}
 			}()
 		}
@@ -87,7 +103,7 @@ func RunScenarios(p Params, scs []Scenario) ([]*cluster.Result, error) {
 		}
 		return nil, fmt.Errorf("scenario %d: %w", i, err)
 	}
-	return results, nil
+	return out, nil
 }
 
 // arrivals is the generated trace a group of scenarios replays: the

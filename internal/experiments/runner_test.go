@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"protean/internal/cluster"
 	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/obs"
 )
+
+// whole is the identity reader: it keeps a run's entire result.
+func whole(res *cluster.Result) *cluster.Result { return res }
 
 func TestWorkersResolution(t *testing.T) {
 	if w := (Params{Parallel: 1}).workers(); w != 1 {
@@ -41,12 +47,12 @@ func TestRunScenariosParallelMatchesSequential(t *testing.T) {
 	}
 	p := quickParams()
 	p.Parallel = 1
-	seq, err := RunScenarios(p, mk())
+	seq, err := RunScenarios(p, mk(), whole)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	p.Parallel = 6
-	par, err := RunScenarios(p, mk())
+	par, err := RunScenarios(p, mk(), whole)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -64,6 +70,63 @@ func TestRunScenariosParallelMatchesSequential(t *testing.T) {
 		}
 		if string(a) != string(b) {
 			t.Errorf("scenario %d diverged:\n seq: %s\n par: %s", i, a, b)
+		}
+	}
+}
+
+// TestRunScenariosReadsEachRunOnce: read sees every successful run
+// exactly once, its digests come back indexed like scs whatever the
+// worker count, and a run that fails is never read.
+func TestRunScenariosReadsEachRunOnce(t *testing.T) {
+	models := []string{"ResNet 50", "ShuffleNet V2", "VGG 19", "ALBERT"}
+	mk := func() []Scenario {
+		scs := make([]Scenario, len(models))
+		for i, m := range models {
+			scs[i] = Scenario{Label: m, Strict: model.MustByName(m), Policy: PrimarySchemes()[0].Factory}
+		}
+		return scs
+	}
+	for _, parallel := range []int{1, 4} {
+		var mu sync.Mutex
+		var read []string
+		// strictModel names the run's strict model, the only model its
+		// recorder holds strict samples of.
+		strictModel := func(res *cluster.Result) string {
+			name := ""
+			for _, st := range res.Recorder.Snapshot() {
+				if st.StrictRequests > 0 {
+					name = st.Model
+				}
+			}
+			mu.Lock()
+			read = append(read, name)
+			mu.Unlock()
+			return name
+		}
+		p := quickParams()
+		p.Parallel = parallel
+		got, err := RunScenarios(p, mk(), strictModel)
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", parallel, err)
+		}
+		if !slices.Equal(got, models) {
+			t.Errorf("parallel=%d: digests %q, want %q", parallel, got, models)
+		}
+		want := slices.Clone(models)
+		slices.Sort(want)
+		slices.Sort(read)
+		if !slices.Equal(read, want) {
+			t.Errorf("parallel=%d: read %q, want each of %q once", parallel, read, want)
+		}
+
+		read = nil
+		scs := mk()
+		scs[1].Policy = nil
+		if _, err := RunScenarios(p, scs, strictModel); err == nil || !strings.Contains(err.Error(), models[1]) {
+			t.Fatalf("parallel=%d: error %v does not name the failing %s", parallel, err, models[1])
+		}
+		if len(read) != len(models)-1 || slices.Contains(read, models[1]) {
+			t.Errorf("parallel=%d: with %s failing, read %q", parallel, models[1], read)
 		}
 	}
 }
@@ -99,7 +162,7 @@ func TestRunScenariosTraceByteIdentical(t *testing.T) {
 		p := quickParams()
 		p.Parallel = parallel
 		p.Trace = obs.NewTraceSet()
-		if _, err := RunScenarios(p, mk()); err != nil {
+		if _, err := RunScenarios(p, mk(), slo); err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		if traceEvents(p.Trace) == 0 {
@@ -165,7 +228,7 @@ func TestRunScenariosErrorUsesLabelAndIndexOrder(t *testing.T) {
 	}
 	p := quickParams()
 	p.Parallel = 4
-	_, err := RunScenarios(p, scs)
+	_, err := RunScenarios(p, scs, slo)
 	if err == nil {
 		t.Fatal("scenario without policy accepted")
 	}
@@ -173,7 +236,7 @@ func TestRunScenariosErrorUsesLabelAndIndexOrder(t *testing.T) {
 		t.Errorf("error %q does not name the first failing scenario", err)
 	}
 	// Unlabelled failures fall back to the index.
-	_, err = RunScenarios(p, []Scenario{{Strict: model.MustByName("ResNet 50")}})
+	_, err = RunScenarios(p, []Scenario{{Strict: model.MustByName("ResNet 50")}}, slo)
 	if err == nil || !strings.Contains(err.Error(), "scenario 0") {
 		t.Errorf("error %q does not fall back to the scenario index", err)
 	}

@@ -76,7 +76,7 @@ func TestRunScenariosSharedRowsMatchUnshared(t *testing.T) {
 	summaries := func(parallel int, scs []Scenario) []string {
 		t.Helper()
 		p.Parallel = parallel
-		results, err := RunScenarios(p, scs)
+		sums, err := RunScenarios(p, scs, summarize)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -85,9 +85,9 @@ func TestRunScenariosSharedRowsMatchUnshared(t *testing.T) {
 				t.Errorf("parallel=%d: group kept %d requests with %d members left", parallel, len(a.reqs), a.left)
 			}
 		}
-		out := make([]string, len(results))
-		for i, res := range results {
-			b, err := json.Marshal(res.Recorder.Summarize())
+		out := make([]string, len(sums))
+		for i, sum := range sums {
+			b, err := json.Marshal(sum)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestSharedTraceMismatchIsAnError(t *testing.T) {
 	} {
 		scs := sharedGrid(p, "ResNet 50")
 		tt.change(&scs[2])
-		_, err := RunScenarios(p, scs)
+		_, err := RunScenarios(p, scs, slo)
 		if err == nil {
 			t.Errorf("%s: a group whose members differ ran", tt.field)
 			continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"protean/internal/cluster"
 	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/trace"
@@ -33,7 +34,13 @@ func StatsSignificance(p Params) (*Report, error) {
 		scs = append(scs, schemeRow(Scenario{Strict: tc.strict, Rate: trace.Constant(tc.rate)}, schemes,
 			func(scheme string) string { return "stats " + tc.label + "/" + scheme })...)
 	}
-	results, err := RunScenarios(p, scs)
+	type run struct {
+		latencies []float64 // strict
+		slo       float64
+	}
+	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+		return run{latencies: res.Recorder.Strict().Latencies(), slo: res.Recorder.SLOCompliance()}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -44,9 +51,9 @@ func StatsSignificance(p Params) (*Report, error) {
 		latencies := make(map[string][]float64)
 		compliance := make(map[string]float64)
 		for j, sch := range schemes {
-			res := results[ci*len(schemes)+j]
-			latencies[sch.Name] = res.Recorder.Strict().Latencies()
-			compliance[sch.Name] = res.Recorder.SLOCompliance()
+			r := runs[ci*len(schemes)+j]
+			latencies[sch.Name] = r.latencies
+			compliance[sch.Name] = r.slo
 		}
 
 		t := &Table{

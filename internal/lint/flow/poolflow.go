@@ -23,7 +23,7 @@ import (
 //     state — a field, an element of a container reached through a
 //     selector/index, or a package-level variable — earlier in the body
 //     and is still held there when Put runs. Detaching a sub-object
-//     first (batch.Requests = nil; free.Put(batch)) is fine: only a
+//     first (batch.Arrivals = nil; free.Put(batch)) is fine: only a
 //     store of the identifier itself counts as retention.
 //
 // A freelist is recognized structurally: a Get/Put method call whose
@@ -212,7 +212,7 @@ func forEachBareVar(info *types.Info, e ast.Expr, fn func(*types.Var, token.Pos)
 		switch s := x.(type) {
 		case *ast.SelectorExpr:
 			// x.Field retains the field's referent, not x itself: walking
-			// into the selector would misread batch.Requests as batch.
+			// into the selector would misread batch.Arrivals as batch.
 			return false
 		case *ast.Ident:
 			if v := varOf(info, s); v != nil && !v.IsField() {

@@ -80,7 +80,7 @@ func (e *Engine) ReuseAfterReget() {
 }
 
 // DetachThenPut retains a sub-object, not the pooled pointer itself —
-// the queue.Release shape: moving batch.Requests out before recycling
+// the queue.Release shape: moving batch.Arrivals out before recycling
 // the batch shell is fine.
 func (e *Engine) DetachThenPut(bufs *[][]byte) {
 	j := e.jobs.Get()

@@ -19,7 +19,8 @@ import (
 )
 
 // Batch is a group of same-model, same-strictness requests served by one
-// container invocation.
+// container invocation. It keeps of each member only what serving and
+// accounting read: the arrival time and, for live traffic, the tenant.
 type Batch struct {
 	// ID is the batch's trace-correlation id, unique per Batcher and
 	// starting at 1 (0 means "untracked", e.g. hand-built test batches).
@@ -28,21 +29,34 @@ type Batch struct {
 	Model *model.Model
 	// Strict marks batches of strict-SLO requests.
 	Strict bool
-	// Requests are the member requests in arrival order.
-	Requests []trace.Request
+	// Arrivals are the members' virtual arrival times, in arrival
+	// order: one entry per member request.
+	Arrivals []float64
+	// Tenants are the members' tenant ids, index-aligned with
+	// Arrivals. It is nil unless some member has a tenant; members
+	// that arrived before the first tenant read "".
+	Tenants []string
 	// Sealed is the virtual time the batch stopped accepting requests.
 	Sealed float64
 }
 
 // Size returns the number of requests in the batch.
-func (b *Batch) Size() int { return len(b.Requests) }
+func (b *Batch) Size() int { return len(b.Arrivals) }
+
+// Tenant returns member i's tenant id ("" when it has none).
+func (b *Batch) Tenant(i int) string {
+	if b.Tenants == nil {
+		return ""
+	}
+	return b.Tenants[i]
+}
 
 // FirstArrival returns the arrival time of the oldest member request.
 func (b *Batch) FirstArrival() float64 {
-	if len(b.Requests) == 0 {
+	if len(b.Arrivals) == 0 {
 		return b.Sealed
 	}
-	return b.Requests[0].Arrival
+	return b.Arrivals[0]
 }
 
 // String implements fmt.Stringer.
@@ -58,7 +72,7 @@ func (b *Batch) String() string {
 // sealing a partial batch when the batching window expires so requests
 // never wait unboundedly.
 //
-// Sealed batches, partial-batch shells, and request buffers are
+// Sealed batches, partial-batch shells, and member buffers are
 // recycled through deterministic freelists: callers hand finished
 // batches back via Release, and steady-state batching allocates
 // nothing per batch. All Batcher methods — including Release — must run
@@ -76,9 +90,10 @@ type Batcher struct {
 
 	batchFree pool.Free[Batch]
 	pbFree    pool.Free[partialBatch]
-	// reqFree recycles request-buffer capacity from released batches
-	// into new partial batches.
-	reqFree [][]trace.Request
+	// arrFree and tenFree recycle member-buffer capacity from
+	// released batches into new partial batches.
+	arrFree [][]float64
+	tenFree [][]string
 }
 
 // partialBatch is an unsealed batch. Its seal timer outlives the batch:
@@ -88,7 +103,8 @@ type partialBatch struct {
 	id       uint64
 	model    *model.Model
 	strict   bool
-	requests []trace.Request
+	arrivals []float64
+	tenants  []string
 	timer    *sim.Timer
 }
 
@@ -118,18 +134,36 @@ func NewBatcher(s *sim.Sim, window float64, emit func(*Batch)) (*Batcher, error)
 }
 
 // Release returns a finished batch to the freelist. The caller must be
-// completely done with the batch AND its Requests slice: both may be
-// handed to an unrelated batch on the next seal. Call only from events
-// of the batcher's lane or of the root.
+// completely done with the batch AND its Arrivals and Tenants slices:
+// all three may be handed to an unrelated batch on the next seal. Call
+// only from events of the batcher's lane or of the root.
 func (b *Batcher) Release(batch *Batch) {
 	if batch == nil {
 		return
 	}
-	if cap(batch.Requests) > 0 {
-		b.reqFree = append(b.reqFree, batch.Requests[:0])
-		batch.Requests = nil
+	if cap(batch.Arrivals) > 0 {
+		b.arrFree = append(b.arrFree, batch.Arrivals[:0])
+		batch.Arrivals = nil
+	}
+	if cap(batch.Tenants) > 0 {
+		clear(batch.Tenants) // drop the tenant strings, keep the capacity
+		b.tenFree = append(b.tenFree, batch.Tenants[:0])
+		batch.Tenants = nil
 	}
 	b.batchFree.Put(batch)
+}
+
+// reuse pops a recycled buffer off free, or returns nil when there is
+// none.
+func reuse[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	buf := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return buf
 }
 
 // PoolStats aggregates the batcher's freelist counters (batch and
@@ -152,11 +186,7 @@ func (b *Batcher) Add(req trace.Request) error {
 		pb.id = b.nextID
 		pb.model = req.Model
 		pb.strict = req.Strict
-		if n := len(b.reqFree); n > 0 && pb.requests == nil {
-			pb.requests = b.reqFree[n-1]
-			b.reqFree[n-1] = nil
-			b.reqFree = b.reqFree[:n-1]
-		}
+		pb.arrivals = reuse(&b.arrFree)
 		b.pending = append(b.pending, pb)
 		if pb.timer == nil {
 			// The one closure per shell seals the shell's current batch.
@@ -165,7 +195,18 @@ func (b *Batcher) Add(req trace.Request) error {
 			panic(err) // as MustAfter would: now+window is finite and not in the past
 		}
 	}
-	pb.requests = append(pb.requests, req)
+	pb.arrivals = append(pb.arrivals, req.Arrival)
+	if req.Tenant != "" || len(pb.tenants) > 0 {
+		if len(pb.tenants) == 0 {
+			// The first tenant of the batch: the members before it
+			// had none.
+			pb.tenants = reuse(&b.tenFree)
+			for range len(pb.arrivals) - 1 {
+				pb.tenants = append(pb.tenants, "")
+			}
+		}
+		pb.tenants = append(pb.tenants, req.Tenant)
+	}
 	if tr := b.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(b.sim.Now(), obs.KindArrival)
 		ev.Batch = pb.id
@@ -174,7 +215,7 @@ func (b *Batcher) Add(req trace.Request) error {
 		ev.Requests = 1
 		tr.Emit(ev)
 	}
-	if len(pb.requests) >= req.Model.BatchSize() {
+	if len(pb.arrivals) >= req.Model.BatchSize() {
 		b.seal(pb)
 	}
 	return nil
@@ -196,7 +237,7 @@ func (b *Batcher) find(m *model.Model, strict bool) *partialBatch {
 func (b *Batcher) Pending() int {
 	n := 0
 	for _, pb := range b.pending {
-		n += len(pb.requests)
+		n += len(pb.arrivals)
 	}
 	return n
 }
@@ -220,7 +261,7 @@ func (b *Batcher) Flush() {
 
 // seal emits pb's requests as a batch and takes pb off the pending list.
 func (b *Batcher) seal(pb *partialBatch) {
-	if len(pb.requests) == 0 {
+	if len(pb.arrivals) == 0 {
 		return
 	}
 	i := slices.Index(b.pending, pb)
@@ -230,10 +271,11 @@ func (b *Batcher) seal(pb *partialBatch) {
 	batch.ID = pb.id
 	batch.Model = pb.model
 	batch.Strict = pb.strict
-	batch.Requests = pb.requests
+	batch.Arrivals = pb.arrivals
+	batch.Tenants = pb.tenants
 	batch.Sealed = b.sim.Now()
-	// The request buffer moved into the batch; recycle the shell.
-	pb.requests = nil
+	// The member buffers moved into the batch; recycle the shell.
+	pb.arrivals, pb.tenants = nil, nil
 	b.pbFree.Put(pb)
 	if tr := b.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(batch.Sealed, obs.KindBatchSeal)

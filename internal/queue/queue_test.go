@@ -68,7 +68,7 @@ func TestBatcherSeparatesStrictAndBE(t *testing.T) {
 	var got []*Batch
 	b, _ := NewBatcher(s, 0.05, func(batch *Batch) { got = append(got, batch) })
 	for i := 0; i < 4; i++ {
-		if err := b.Add(req(m, i%2 == 0, 0, uint64(i))); err != nil {
+		if err := b.Add(req(m, i%2 == 0, float64(i), uint64(i))); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
@@ -78,11 +78,76 @@ func TestBatcherSeparatesStrictAndBE(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("batches = %d, want 2 (strict and BE separately)", len(got))
 	}
+	// Strict requests arrived at 0 and 2, best-effort ones at 1 and 3.
 	for _, batch := range got {
-		for _, r := range batch.Requests {
-			if r.Strict != batch.Strict {
-				t.Errorf("mixed strictness inside %v", batch)
+		want := []float64{1, 3}
+		if batch.Strict {
+			want = []float64{0, 2}
+		}
+		if fmt.Sprint(batch.Arrivals) != fmt.Sprint(want) {
+			t.Errorf("%v holds arrivals %v, want %v", batch, batch.Arrivals, want)
+		}
+	}
+}
+
+// TestBatchTenants: tenant-less traffic keeps no tenant slice, and a
+// tenant that first appears mid-batch backfills the earlier members
+// with "".
+func TestBatchTenants(t *testing.T) {
+	s := sim.New(1)
+	m := model.MustByName("ALBERT") // batch size 4
+	var got []*Batch
+	b, _ := NewBatcher(s, 1, func(batch *Batch) { got = append(got, batch) })
+	add := func(tenant string, at float64) {
+		t.Helper()
+		r := req(m, true, at, 0)
+		r.Tenant = tenant
+		if err := b.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 4 {
+		add("", float64(i))
+	}
+	add("", 4)
+	add("acme", 5)
+	add("", 6)
+	add("zeta", 7)
+	if len(got) != 2 {
+		t.Fatalf("batches = %d, want 2", len(got))
+	}
+	if got[0].Tenants != nil || got[0].Tenant(3) != "" {
+		t.Errorf("tenant-less batch carries tenants %q", got[0].Tenants)
+	}
+	want := []string{"", "acme", "", "zeta"}
+	if fmt.Sprintf("%q", got[1].Tenants) != fmt.Sprintf("%q", want) {
+		t.Errorf("tenants = %q, want %q", got[1].Tenants, want)
+	}
+	if got[1].Tenant(1) != "acme" || got[1].Arrivals[1] != 5 {
+		t.Errorf("member 1 = (%q, %v), want (acme, 5)", got[1].Tenant(1), got[1].Arrivals[1])
+	}
+}
+
+// TestSteadyBatchingAllocatesNothing: once the freelists are warm, a
+// full batch that is added, sealed and released allocates nothing, with
+// tenants or without.
+func TestSteadyBatchingAllocatesNothing(t *testing.T) {
+	for _, tenant := range []string{"", "acme"} {
+		s := sim.New(1)
+		m := model.MustByName("ALBERT") // batch size 4
+		var b *Batcher
+		b, _ = NewBatcher(s, 1, func(batch *Batch) { b.Release(batch) })
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := range 4 {
+				r := req(m, true, float64(i), 0)
+				r.Tenant = tenant
+				if err := b.Add(r); err != nil {
+					t.Fatal(err)
+				}
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("tenant %q: a full batch allocates %v times, want 0", tenant, allocs)
 		}
 	}
 }
@@ -152,7 +217,7 @@ func TestBatcherValidation(t *testing.T) {
 
 func TestBatchFirstArrival(t *testing.T) {
 	m := model.MustByName("ResNet 50")
-	b := &Batch{Model: m, Requests: []trace.Request{{Arrival: 1.5}, {Arrival: 2.0}}, Sealed: 2.5}
+	b := &Batch{Model: m, Arrivals: []float64{1.5, 2.0}, Sealed: 2.5}
 	if got := b.FirstArrival(); got != 1.5 {
 		t.Errorf("FirstArrival = %v, want 1.5", got)
 	}

@@ -402,7 +402,7 @@ func (f *Fleet) notice(i int) {
 	f.notices++
 	n.gen++
 	gen := n.gen
-	lead := noticeMin + f.rng.Float64()*(noticeMax-noticeMin)
+	lead := noticeMin + float64(f.rng.Float64()*(noticeMax-noticeMin))
 	deadline := f.sim.Now() + lead
 	n.state = nodeDraining
 	if tr := f.sim.Tracer(); tr.Enabled() {
@@ -494,7 +494,7 @@ func (t *tariff) release(f *Fleet, n *node) { t.accrued += t.bill(f, n) }
 
 // bill is the cost of n's lease from its attach to now.
 func (t *tariff) bill(f *Fleet, n *node) float64 {
-	return (f.sim.Now() - n.acquired) / 3600 * f.cfg.Pricing.Hourly(n.kind)
+	return float64((f.sim.Now() - n.acquired) / 3600 * f.cfg.Pricing.Hourly(n.kind))
 }
 
 func (t *tariff) cost(f *Fleet) (float64, float64) {
