@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seeds    = fs.Int("seeds", 1, "replications under derived sub-seeds; >1 reports mean ± 95% CI")
 		parallel = fs.Int("parallel", 0, "scenario worker goroutines (0 = all CPUs, 1 = sequential)")
 		quick    = fs.Bool("quick", false, "smaller model sweeps and durations")
-		sketch   = fs.Bool("sketch", false, "O(1)-memory quantile sketches instead of exact sample buffers (1% relative error; -run scale always sketches)")
 		asJSON   = fs.Bool("json", false, "emit JSON instead of text tables")
 		format   = fs.String("format", "text", "table format: text, markdown, csv")
 		traceOut = fs.String("trace", "", "write a merged lifecycle trace to `file` (.jsonl = event log, else Chrome trace JSON)")
@@ -64,13 +63,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	params := experiments.Params{
-		Nodes:           *nodes,
-		Duration:        *duration,
-		Warmup:          *warmup,
-		Seed:            *seed,
-		Parallel:        *parallel,
-		Quick:           *quick,
-		SketchQuantiles: *sketch,
+		Nodes:    *nodes,
+		Duration: *duration,
+		Warmup:   *warmup,
+		Seed:     *seed,
+		Parallel: *parallel,
+		Quick:    *quick,
 	}
 	// Reject bad flags before any experiment runs: a bad format would
 	// only fail at the first render, and an empty metric window would

@@ -63,9 +63,10 @@ type Config struct {
 	Arch *gpu.Arch
 	// SketchQuantiles switches every recorder — per-node accumulators
 	// and the merged result — into O(1)-memory sketch mode (see
-	// metrics.NewSketchRecorder). Default off: exact sample buffering,
-	// byte-identical to prior releases. Scale runs opt in so peak memory
-	// stays flat in the request count.
+	// metrics.NewSketchRecorder): one quantile sketch per class plus
+	// the exact counts, and no rows. Default off: exact sample
+	// buffering. Scale runs opt in so peak memory stays flat in the
+	// request count.
 	SketchQuantiles bool
 }
 

@@ -183,7 +183,7 @@ func (t *tenant) refill(now float64) {
 	}
 	dt := now - t.lastRefill
 	if dt > 0 {
-		t.tokens = math.Min(t.burst, t.tokens+dt*t.class.RatePerSec)
+		t.tokens = math.Min(t.burst, t.tokens+float64(dt*t.class.RatePerSec))
 	}
 	t.lastRefill = now
 }

@@ -156,7 +156,7 @@ func (p *Plane) usageLocked(t *tenant) Usage {
 		} else {
 			u.GPUSeconds += s
 		}
-		cost += s * sliceSecondRate(prof)
+		cost += float64(s * sliceSecondRate(prof))
 	}
 	u.CostDollars = cost
 	n := t.windowCount

@@ -58,7 +58,7 @@ func BenchmarkScenario(b *testing.B) {
 		b.Run(sc.Label, func(b *testing.B) {
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				tc, s, c, err := buildScenario(p, sc, nil)
+				tc, s, c, err := buildScenario(p, sc, nil, false)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -84,14 +84,6 @@ type Params struct {
 	// (zero value: disabled — runs are byte-identical to a build
 	// without the chaos subsystem). Scenario.Chaos overrides it.
 	Chaos chaos.Config
-	// SketchQuantiles runs every recorder in O(1)-memory sketch mode
-	// (metrics.NewSketchRecorder): percentiles become sketch estimates
-	// within metrics.SketchAlpha relative error, per-sample surfaces
-	// (latency breakdowns, raw latency lists for the Welch tests) are
-	// unavailable, and peak memory stays flat in the request count.
-	// Default off — the exact path keeps goldens, grid cells, and
-	// statistical tests byte-identical. The scale sweep forces it on.
-	SketchQuantiles bool
 }
 
 // tracer registers a collector for a one-off (non-batch) scenario run;
@@ -257,7 +249,7 @@ func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) 
 	if sc.Trace == nil && sc.shared != nil {
 		defer sc.shared.release()
 	}
-	tc, _, c, err := buildScenario(p, sc, tr)
+	tc, _, c, err := buildScenario(p, sc, tr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -310,9 +302,9 @@ func traceConfig(p Params, sc Scenario) trace.Config {
 // the scenario's trace config, the simulator (exposed so the events/sec
 // counters can read Executed()), and the cluster wired onto it. p must
 // be resolved. Callers choose how arrivals reach the cluster:
-// RunScenario materialises them, ScaleCell streams them from
-// trace.NewStream.
-func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
+// RunScenario materialises them into exact recorders, ScaleCell streams
+// them from trace.NewStream into sketch recorders (sketch set).
+func buildScenario(p Params, sc Scenario, tr obs.Tracer, sketch bool) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
 	if sc.Policy == nil {
 		return trace.Config{}, nil, nil, errors.New("experiments: scenario without policy")
 	}
@@ -371,7 +363,7 @@ func buildScenario(p Params, sc Scenario, tr obs.Tracer) (trace.Config, *sim.Sim
 		VM:              vmCfg,
 		Arch:            sc.Arch,
 		Chaos:           chaosCfg,
-		SketchQuantiles: p.SketchQuantiles,
+		SketchQuantiles: sketch,
 	})
 	if err != nil {
 		return trace.Config{}, nil, nil, err

@@ -41,6 +41,24 @@ func TestFig2QuickGoldenHash(t *testing.T) {
 	}
 }
 
+// scaleQuickGolden pins the SHA-256 of `protean-bench -run scale -quick
+// -seed 1`: the rendered report plus the blank line the CLI prints after
+// it, the bytes CI's scale smoke pins. It is the one pinned report whose
+// recorders run in sketch mode.
+const scaleQuickGolden = "32db85e39c55cb719f3a5624c389dc09b0bae473fd004bb78ec7fe8416ec8326"
+
+func TestScaleQuickGoldenHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick scale sweep; skipped in -short")
+	}
+	sum := sha256.Sum256([]byte(renderText(t, "scale", Params{Quick: true, Seed: 1, Parallel: 1}) + "\n"))
+	if got := hex.EncodeToString(sum[:]); got != scaleQuickGolden {
+		t.Errorf("scale quick report hash = %s, want %s\n"+
+			"The report bytes changed. If this is intentional, re-pin the"+
+			" golden hash here and in CI in the same commit and explain the semantic change.", got, scaleQuickGolden)
+	}
+}
+
 // traceGoldens pins the SHA-256 of the Chrome and JSONL trace exports
 // of real quick-mode runs at seed 1. Unlike internal/obs's hand-built
 // fixture, these run the simulator, so they pin the engine's event

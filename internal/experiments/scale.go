@@ -64,7 +64,6 @@ type ScaleCellResult struct {
 // shrink it).
 func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 	p = p.withDefaults()
-	p.SketchQuantiles = true
 	label := fmt.Sprintf("scale %gx", scale)
 	sc := Scenario{
 		Label:  label,
@@ -72,7 +71,7 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 		Rate:   scaleRate(scale, p.Duration),
 		Policy: core.NewProtean(core.ProteanConfig{}),
 	}
-	tc, s, c, err := buildScenario(p, sc, p.tracer(label))
+	tc, s, c, err := buildScenario(p, sc, p.tracer(label), true)
 	if err != nil {
 		return nil, err
 	}

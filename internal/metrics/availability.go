@@ -43,26 +43,12 @@ func DollarsPer1k(dollars float64, completed int) float64 {
 
 // Goodput is the rate of SLO-compliant useful work: completed strict
 // requests that met their deadline plus all completed best-effort
-// requests (BE has no deadline to miss), per second of trace time.
+// requests (BE has no deadline to miss), per second of trace time. It
+// reads the counts SLOCompliance reads, so a strict request whose
+// latency is NaN counts as a miss there too.
 func Goodput(r *Recorder, duration float64) float64 {
 	if r == nil || duration <= 0 {
 		return 0
 	}
-	good := 0
-	if r.sk != nil {
-		// All completed weight minus the strict requests that missed:
-		// the streaming counters hold exactly those two terms.
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			good += a.weight - (a.strictW - a.strictMet)
-		}
-	} else {
-		r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
-			if g.Strict && s.Latency > g.SLO {
-				return
-			}
-			good += g.Weight
-		})
-	}
-	return float64(good) / duration
+	return float64(r.weightSum-(r.strictW-r.strictMet)) / duration
 }

@@ -40,8 +40,6 @@ func batchStream(rng *rand.Rand, n int) []recordedBatch {
 					ColdStart: pick(), MinPossible: pick(), Deficiency: pick(), Interference: pick(),
 				},
 				Weight: []int{-3, 0, 1, 1, 2}[rng.Intn(5)],
-				// Shared tenants are overridden by a row's too.
-				Tenant: "ignored",
 			}
 		}
 		k := []int{0, 1, 5, 32, 128}[rng.Intn(5)]
@@ -53,7 +51,6 @@ func batchStream(rng *rand.Rand, n int) []recordedBatch {
 			rows[j] = BatchRow{
 				Latency: rng.ExpFloat64() * 0.1,
 				Queue:   []float64{math.Copysign(0, -1), 0, rng.Float64()}[rng.Intn(3)],
-				Tenant:  []string{"", "", "t1", "t2"}[rng.Intn(4)],
 			}
 			if rng.Intn(8) == 0 {
 				rows[j].Latency = []float64{math.Copysign(0, -1), 0, 0.25}[rng.Intn(3)]
@@ -66,50 +63,56 @@ func batchStream(rng *rand.Rand, n int) []recordedBatch {
 
 // layout describes an exact recorder's storage: its weight sum, name
 // table and whether it is a view, then per chunk its row count, row
-// capacity and group count and every row's group and tenant ids.
-// Recording the same samples the same way gives the same layout.
+// capacity and group count and every row's group id. Recording the same
+// samples the same way gives the same layout.
 func layout(r *Recorder) []any {
 	out := []any{r.weightSum, r.view != nil}
 	if r.names != nil {
 		out = append(out, r.names.names)
 	}
 	for _, c := range r.chunks {
-		ids := make([]uint32, 0, 2*len(c.rows))
+		ids := make([]uint32, 0, len(c.rows))
 		for _, s := range c.rows {
-			ids = append(ids, s.group, s.tenant)
+			ids = append(ids, s.group)
 		}
 		out = append(out, [3]int{len(c.rows), cap(c.rows), len(c.groups)}, ids)
 	}
 	return out
 }
 
-// sameRecorded asserts got and want hold bitwise the same samples and
-// give bitwise the same answers.
+// sameRecorded asserts got and want hold bitwise the same samples, or
+// in sketch mode the same class sketches, and give bitwise the same
+// answers.
 func sameRecorded(t *testing.T, what string, got, want *Recorder) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Requests() != want.Requests() {
 		t.Fatalf("%s: %d requests in %d samples, want %d in %d", what, got.Requests(), got.Len(), want.Requests(), want.Len())
 	}
-	if want.sk == nil {
-		sameBits(t, what, exactSamples(got), exactSamples(want))
-		if g, w := layout(got), layout(want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: layout\n%v\nwant\n%v", what, g, w)
-		}
-	} else if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
-		t.Fatalf("%s: snapshot %+v, want %+v", what, got.Snapshot(), want.Snapshot())
+	if g, w := got.SLOCompliance(), want.SLOCompliance(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("%s: SLO compliance %v, want %v", what, g, w)
 	}
 	for _, p := range []float64{1, 50, 90, 99, 100} {
 		if g, w := got.Percentile(p), want.Percentile(p); math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s: P%v = %v, want %v", what, p, g, w)
 		}
+	}
+	if want.sketches != nil {
+		if !reflect.DeepEqual(got.sketches, want.sketches) {
+			t.Fatalf("%s: class sketches differ", what)
+		}
+		return
+	}
+	sameBits(t, what, exactSamples(got), exactSamples(want))
+	if g, w := layout(got), layout(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: layout\n%v\nwant\n%v", what, g, w)
+	}
+	for _, p := range []float64{1, 50, 90, 99, 100} {
 		if g, w := got.BreakdownAtPercentile(p), want.BreakdownAtPercentile(p); breakdownBits(g) != breakdownBits(w) {
 			t.Fatalf("%s: P%v breakdown %+v, want %+v", what, p, g, w)
 		}
 	}
-	for _, f := range []func(*Recorder) float64{(*Recorder).SLOCompliance, (*Recorder).Mean} {
-		if g, w := f(got), f(want); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("%s: aggregate %v, want %v", what, g, w)
-		}
+	if g, w := got.Mean(), want.Mean(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("%s: mean %v, want %v", what, g, w)
 	}
 }
 
@@ -157,7 +160,7 @@ func TestAddBatchMatchesPerRowAdd(t *testing.T) {
 				if i%8 == 7 || len(b.rows) > chunkRows {
 					what := fmt.Sprintf("%s after batch %d (%d rows)", what, i, len(b.rows))
 					sameRecorded(t, what, got, want)
-					if got.sk == nil {
+					if got.sketches == nil {
 						sameBits(t, what+" read back", exactSamples(got), in)
 					}
 				}

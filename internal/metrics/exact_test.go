@@ -94,15 +94,31 @@ func refSLOCompliance(r *Recorder) float64 {
 	return float64(met) / float64(total)
 }
 
+// refGoodput is the reference model of Goodput: a walk of the visible
+// rows that counts every request but the strict ones not meeting their
+// SLO, a NaN latency among them.
+func refGoodput(r *Recorder, duration float64) float64 {
+	good := 0
+	r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
+		if !g.Strict || s.Latency <= g.SLO {
+			good += g.Weight
+		}
+	})
+	return float64(good) / duration
+}
+
 // checkAgainstReference asserts Percentile and BreakdownAtPercentile
-// pick bitwise the sample the reference model picks, that SLOCompliance,
-// read from the counts kept at record time, equals a scan of the rows,
-// and that every visible row's order key lies within the recorder's key
-// bounds, which selection's first digit relies on.
+// pick bitwise the sample the reference model picks, that SLOCompliance
+// and Goodput, read from the counts kept at record time, equal a scan of
+// the rows, and that every visible row's order key lies within the
+// recorder's key bounds, which selection's first digit relies on.
 func checkAgainstReference(t *testing.T, what string, r *Recorder) {
 	t.Helper()
 	if got, want := r.SLOCompliance(), refSLOCompliance(r); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: SLO compliance %v, scan %v", what, got, want)
+	}
+	if got, want := Goodput(r, 7), refGoodput(r, 7); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: goodput %v, row walk %v", what, got, want)
 	}
 	for _, h := range visibleHandles(r) {
 		if k := latOrder(latencyAt(r, h)); (k^r.ordBase)&^r.ordDiff != 0 {
@@ -139,10 +155,12 @@ func checkAgainstReference(t *testing.T, what string, r *Recorder) {
 	}
 }
 
-// forTenant is the per-tenant view the live control plane's samples
-// support.
-func forTenant(r *Recorder, id string) *Recorder {
-	return r.Filter(func(s Sample) bool { return s.Tenant == id })
+// oddRows is the view of the rows whose queueing delay is an odd whole
+// number. Every stream here gives a row a queueing delay of its own, so
+// the predicate reads a row field and cuts through groups as no group
+// view does.
+func oddRows(r *Recorder) *Recorder {
+	return r.Filter(func(s Sample) bool { return math.Mod(s.Breakdown.Queue, 2) == 1 })
 }
 
 // randomSample draws a sample whose latency often ties with others —
@@ -156,7 +174,6 @@ func randomSample(rng *rand.Rand, id int) Sample {
 	}
 	return Sample{
 		Model:     []string{"a", "b", "c"}[rng.Intn(3)],
-		Tenant:    []string{"", "t1", "t2"}[rng.Intn(3)],
 		Strict:    rng.Intn(2) == 0,
 		Latency:   lat,
 		SLO:       0.2,
@@ -255,7 +272,7 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 		checkAgainstReference(t, name("merged then added"), dst)
 		dst.Merge(dst)
 		checkAgainstReference(t, name("self-merged"), dst)
-		checkAgainstReference(t, name("self-merged tenant"), forTenant(dst, "t1"))
+		checkAgainstReference(t, name("self-merged odd rows"), oddRows(dst))
 	}
 
 	for seed := int64(1); seed <= 5; seed++ {
@@ -273,7 +290,7 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 		for _, v := range []struct {
 			name      string
 			sk, exact *Recorder
-		}{{"all", sk, r}, {"strict", sk.Strict(), r.Strict()}, {"tenant", forTenant(sk, "t2"), forTenant(r, "t2")}} {
+		}{{"all", sk, r}, {"strict", sk.Strict(), r.Strict()}, {"best effort", sk.BestEffort(), r.BestEffort()}} {
 			if got, want := v.sk.SLOCompliance(), refSLOCompliance(v.exact); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: sketch SLO compliance %v, scan %v", name("sketch "+v.name), got, want)
 			}
@@ -281,8 +298,8 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 
 		strict := r.Strict()
 		chained := strict.ForModel("b").Filter(func(s Sample) bool { return s.Latency < 0.2 })
-		tenant := forTenant(r.BestEffort(), "t1")
-		views := map[string]*Recorder{"strict": strict, "chained": chained, "tenant": tenant}
+		odd := oddRows(r.BestEffort())
+		views := map[string]*Recorder{"strict": strict, "chained": chained, "odd best effort": odd}
 		for k, v := range views {
 			checkAgainstReference(t, name(k), v)
 		}
@@ -304,7 +321,7 @@ func TestQuantileIndexMatchesReference(t *testing.T) {
 		}
 		checkAgainstReference(t, name("strict after add/merge"), r.Strict())
 		checkAgainstReference(t, name("chained after add/merge"),
-			forTenant(r, "t2").Strict().Filter(func(s Sample) bool { return s.Completed < 50 }))
+			oddRows(r).Strict().Filter(func(s Sample) bool { return s.Completed < 50 }))
 	}
 }
 
@@ -535,46 +552,41 @@ func TestMergeVariadicMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMergeRemapsNameTables merges recorders whose model and tenant
-// names were interned in different orders and checks the by-name views
-// against a recorder that saw every sample directly.
+// TestMergeRemapsNameTables merges recorders whose model names were
+// interned in different orders and checks the by-name views against a
+// recorder that saw every sample directly.
 func TestMergeRemapsNameTables(t *testing.T) {
 	a, b, direct := &Recorder{}, &Recorder{}, &Recorder{}
 	add := func(r *Recorder, s Sample) {
 		r.Add(s)
 		direct.Add(s)
 	}
-	add(a, Sample{Model: "A", Tenant: "x", Strict: true, Latency: 0.1, SLO: 0.2, Weight: 2})
-	add(a, Sample{Model: "B", Tenant: "y", Strict: false, Latency: 0.3, Weight: 1})
-	add(a, Sample{Model: "A", Tenant: "y", Strict: true, Latency: 0.4, SLO: 0.2, Weight: 1})
-	add(b, Sample{Model: "y", Tenant: "B", Strict: true, Latency: 0.05, SLO: 0.2, Weight: 3})
-	add(b, Sample{Model: "B", Tenant: "x", Strict: true, Latency: 0.5, SLO: 0.2, Weight: 1})
-	add(b, Sample{Model: "A", Tenant: "", Strict: false, Latency: 0.2, Weight: 4})
+	add(a, Sample{Model: "A", Strict: true, Latency: 0.1, SLO: 0.2, Weight: 2})
+	add(a, Sample{Model: "B", Strict: false, Latency: 0.3, Weight: 1})
+	add(a, Sample{Model: "A", Strict: true, Latency: 0.4, SLO: 0.2, Weight: 1})
+	add(b, Sample{Model: "y", Strict: true, Latency: 0.05, SLO: 0.2, Weight: 3})
+	add(b, Sample{Model: "B", Strict: true, Latency: 0.5, SLO: 0.2, Weight: 1})
+	add(b, Sample{Model: "A", Strict: false, Latency: 0.2, Weight: 4})
 
 	merged := &Recorder{}
 	merged.Merge(a, b)
 	if !reflect.DeepEqual(merged.Snapshot(), direct.Snapshot()) {
 		t.Fatalf("snapshot %+v, want %+v", merged.Snapshot(), direct.Snapshot())
 	}
-	for _, name := range []string{"A", "B", "y", "x", "", "missing"} {
-		for _, pair := range [][2]*Recorder{
-			{merged.ForModel(name), direct.ForModel(name)},
-			{forTenant(merged, name), forTenant(direct, name)},
-		} {
-			got, want := pair[0], pair[1]
-			if got.Requests() != want.Requests() || got.Len() != want.Len() {
-				t.Fatalf("%q: %d requests in %d samples, want %d in %d",
-					name, got.Requests(), got.Len(), want.Requests(), want.Len())
-			}
-			if g, w := got.Percentile(99), want.Percentile(99); math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("%q: P99 %v, want %v", name, g, w)
-			}
+	for _, name := range []string{"A", "B", "y", "", "missing"} {
+		got, want := merged.ForModel(name), direct.ForModel(name)
+		if got.Requests() != want.Requests() || got.Len() != want.Len() {
+			t.Fatalf("%q: %d requests in %d samples, want %d in %d",
+				name, got.Requests(), got.Len(), want.Requests(), want.Len())
+		}
+		if g, w := got.Percentile(99), want.Percentile(99); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%q: P99 %v, want %v", name, g, w)
 		}
 	}
 	// Filter predicates see the original names.
 	var seen []string
-	merged.Filter(func(s Sample) bool { seen = append(seen, s.Model+"/"+s.Tenant); return true })
-	want := []string{"A/x", "B/y", "A/y", "y/B", "B/x", "A/"}
+	merged.Filter(func(s Sample) bool { seen = append(seen, s.Model); return true })
+	want := []string{"A", "B", "A", "y", "B", "A"}
 	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("filter saw %v, want %v", seen, want)
 	}
@@ -683,7 +695,7 @@ func TestMergeSelf(t *testing.T) {
 // chunk has room.
 func TestParentAddAfterViewDoesNotCopy(t *testing.T) {
 	r := &Recorder{}
-	s := Sample{Model: "m", Tenant: "t", Strict: true, Latency: 0.1, SLO: 0.2, Weight: 1}
+	s := Sample{Model: "m", Strict: true, Latency: 0.1, SLO: 0.2, Weight: 1}
 	for i := 0; i < chunkRows+1; i++ {
 		r.Add(s)
 	}
@@ -777,7 +789,7 @@ func TestSelectionWorstCases(t *testing.T) {
 			shared := Sample{Model: "m", Strict: i/32%2 == 0, SLO: 0.1, Weight: 1 + i/32%3}
 			rows := make([]BatchRow, min(32, n-i))
 			for k := range rows {
-				rows[k] = BatchRow{Latency: tc.lat(i + k), Queue: float64(i + k), Tenant: []string{"a", "b"}[k%2]}
+				rows[k] = BatchRow{Latency: tc.lat(i + k), Queue: float64(i + k)}
 				added.Add(rows[k].Sample(shared))
 			}
 			batched.AddBatch(shared, rows)
@@ -789,7 +801,7 @@ func TestSelectionWorstCases(t *testing.T) {
 			r    *Recorder
 		}{
 			{"added", added}, {"batched", batched}, {"strict", batched.Strict()},
-			{"tenant", forTenant(added, "b")}, {"merged", merged}, {"merged best effort", merged.BestEffort()},
+			{"odd rows", oddRows(added)}, {"merged", merged}, {"merged best effort", merged.BestEffort()},
 		} {
 			what := tc.name + " " + r.name
 			checkAgainstReference(t, what, r.r)

@@ -15,7 +15,7 @@ import (
 // sampleBits is a Sample with every float replaced by its bits, so ==
 // tells -0.0 from 0.0 and matches a NaN with itself.
 type sampleBits struct {
-	model, tenant           string
+	model                   string
 	strict                  bool
 	latency, slo, completed uint64
 	breakdown               [5]uint64
@@ -24,13 +24,43 @@ type sampleBits struct {
 
 func bitsOf(s Sample) sampleBits {
 	return sampleBits{
-		model: s.Model, tenant: s.Tenant, strict: s.Strict,
+		model: s.Model, strict: s.Strict,
 		latency:   math.Float64bits(s.Latency),
 		slo:       math.Float64bits(s.SLO),
 		completed: math.Float64bits(s.Completed),
 		breakdown: breakdownBits(s.Breakdown),
 		weight:    s.Weight,
 	}
+}
+
+// sample rebuilds the public form of a row and its group, whose model id
+// indexes t.
+func (t *nameTable) sample(s *row, g *group) Sample {
+	return Sample{
+		Model:     t.names[g.model],
+		Strict:    g.Strict,
+		Latency:   s.Latency,
+		SLO:       g.SLO,
+		Breakdown: g.breakdown(s.Queue),
+		Completed: g.Completed,
+		Weight:    g.Weight,
+	}
+}
+
+// Filter returns the exact view of the visible samples matching pred,
+// over clipped references to r's chunks. It builds a Sample per row: it
+// is the reference the group views, which never build one, must match
+// (TestGroupViewsMatchFilter), and the way tests select rows by a
+// row's own fields.
+func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
+	r.mustRows("Filter")
+	out := r.emptyView(r.exactLen())
+	r.eachExact(func(h uint32, s *row, g *group, t *nameTable) {
+		if pred(t.sample(s, g)) {
+			out.appendRow(h, s, g)
+		}
+	})
+	return out
 }
 
 // exactSamples reads a recorder's visible samples straight off eachExact.
@@ -54,8 +84,8 @@ func sameBits(t *testing.T, what string, got, want []Sample) {
 }
 
 // groupedStream draws n samples in runs that share every group field,
-// the shape a cluster node records a batch in. Each run's tenants,
-// latencies and queueing delays vary per sample. A new run either
+// the shape a cluster node records a batch in. Each run's latencies and
+// queueing delays vary per sample. A new run either
 // perturbs exactly one group field of the last (flipping 0.0 to -0.0,
 // swapping in a NaN of another payload, or stepping one ulp) or draws a
 // fresh group. Every float field, per-sample ones included, draws from
@@ -114,7 +144,6 @@ func groupedStream(rng *rand.Rand, n int) []Sample {
 		}
 		for i := 0; i < k && len(out) < n; i++ {
 			s := base
-			s.Tenant = []string{"", "t1", "t2"}[rng.Intn(3)]
 			s.Latency = rng.ExpFloat64() * 0.1
 			if rng.Intn(4) == 0 {
 				s.Latency = []float64{math.Copysign(0, -1), 0, 0.25}[rng.Intn(3)]
@@ -131,7 +160,7 @@ func groupedStream(rng *rand.Rand, n int) []Sample {
 
 // sameGroupFields reports whether two samples would share a group.
 func sameGroupFields(a, b Sample) bool {
-	a.Tenant, a.Latency, a.Breakdown.Queue = b.Tenant, b.Latency, b.Breakdown.Queue
+	a.Latency, a.Breakdown.Queue = b.Latency, b.Breakdown.Queue
 	return bitsOf(a) == bitsOf(b)
 }
 
@@ -177,7 +206,7 @@ func TestGroupedRoundTrip(t *testing.T) {
 
 		sameBits(t, name("eachExact"), exactSamples(r), in)
 		sameBits(t, name("filter all"), samplesOf(r), in)
-		pred := func(s Sample) bool { return s.Tenant != "t1" }
+		pred := func(s Sample) bool { return s.Latency < 0.05 }
 		var filtered []Sample
 		for _, s := range in {
 			if pred(s) {
@@ -216,7 +245,7 @@ func TestGroupedQuantileIndexMatchesReference(t *testing.T) {
 		}
 		checkAgainstReference(t, name("all"), r)
 		checkAgainstReference(t, name("strict"), r.Strict())
-		checkAgainstReference(t, name("tenant"), forTenant(r, "t2"))
+		checkAgainstReference(t, name("odd rows"), oddRows(r))
 		dst := &Recorder{}
 		for _, s := range groupedStream(rng, 50) {
 			dst.Add(s)
@@ -295,7 +324,7 @@ func TestGroupViewsMatchFilter(t *testing.T) {
 		for _, v := range groupViews[:3] {
 			check(v.name+" view", v.view(r))
 		}
-		check("tenant view", forTenant(r, "t1"))
+		check("odd rows view", oddRows(r))
 
 		merged := record(40)
 		merged.Merge(r, record(chunkRows+3), merged)
@@ -318,18 +347,6 @@ func TestGroupViewsMatchFilter(t *testing.T) {
 		}
 		sameBits(t, name("strict snapshot"), exactSamples(before["strict"].got), strictBefore)
 		check("after add and merge", merged)
-
-		sk := NewSketchRecorder()
-		for _, s := range groupedStream(rng, 500) {
-			sk.Add(s)
-		}
-		for _, v := range groupViews {
-			got, want := v.view(sk), sk.Filter(v.pred)
-			if !slices.Equal(got.skSel, want.skSel) || got.weightSum != want.weightSum {
-				t.Fatalf("%s: selects %v weighing %d, Filter %v weighing %d",
-					name("sketch "+v.name), got.skSel, got.weightSum, want.skSel, want.weightSum)
-			}
-		}
 	}
 }
 

@@ -10,10 +10,11 @@
 // and keeps the fields a run of consecutive samples shares (a cluster
 // batch's model, class, SLO, weight, completion time and most of its
 // breakdown) once per run; see DESIGN.md, "Exact-mode layout". Sketch
-// mode (NewSketchRecorder) replaces the sample buffer with O(1)-memory
-// per-(model, tenant, class) aggregates — streaming counters plus a
-// deterministic quantile Sketch — for runs whose request volume would
-// not fit in memory; see DESIGN.md, "Memory model at scale".
+// mode (NewSketchRecorder) keeps one deterministic quantile Sketch per
+// request class instead, for runs whose request volume would not fit in
+// memory: it answers request counts, SLO compliance, goodput and
+// per-class percentiles, and every query that needs rows panics; see
+// DESIGN.md, "Memory model at scale".
 package metrics
 
 import (
@@ -31,9 +32,6 @@ import (
 type Sample struct {
 	// Model is the invoked model's name.
 	Model string
-	// Tenant is the owning tenant id for live control-plane traffic
-	// (empty for batch experiment runs).
-	Tenant string
 	// Strict marks samples from strict-SLO requests.
 	Strict bool
 	// Latency is the end-to-end request latency in seconds.
@@ -51,18 +49,18 @@ type Sample struct {
 }
 
 // row is one exact-mode sample's per-request fields: its latency, its
-// queueing delay, and ids for its group and tenant. A sample's other
-// fields live in the group record the row indexes, which a run of
-// consecutive rows shares. A row holds no pointers, so the garbage
-// collector never scans a sample buffer.
+// queueing delay, and the id of its group. A sample's other fields live
+// in the group record the row indexes, which a run of consecutive rows
+// shares. A row holds no pointers, so the garbage collector never scans
+// a sample buffer.
 type row struct {
-	Latency       float64
-	Queue         float64
-	group, tenant uint32
+	Latency float64
+	Queue   float64
+	group   uint32
 }
 
 // group holds the fields a run of consecutive rows in one chunk shares:
-// every Sample field but Latency, Tenant and Breakdown.Queue, with Model
+// every Sample field but Latency and Breakdown.Queue, with Model
 // interned to an id. A cluster node records all the requests of a batch
 // with one group.
 type group struct {
@@ -111,17 +109,17 @@ const (
 	maxChunks = 1 << (32 - chunkShift)
 )
 
-// nameTable holds the model and tenant names rows and groups refer to
-// by id, in first-seen order; ids maps each name back. It is
+// nameTable holds the model names groups refer to by id, in first-seen
+// order; ids maps each name back. It is
 // append-only, so an id, once handed out, names the same string forever.
 type nameTable struct {
 	names []string
 	ids   map[string]uint32
 }
 
-// intern returns name's id, adding it if new. *last is the id this
-// field interned last, and is checked before the map: consecutive
-// samples mostly share their names.
+// intern returns name's id, adding it if new. *last is the id interned
+// last, and is checked before the map: consecutive samples mostly share
+// their model.
 func (t *nameTable) intern(name string, last *uint32) uint32 {
 	if *last < uint32(len(t.names)) && t.names[*last] == name {
 		return *last
@@ -134,21 +132,6 @@ func (t *nameTable) intern(name string, last *uint32) uint32 {
 	}
 	*last = id
 	return id
-}
-
-// sample rebuilds the public form of a row and its group, whose ids
-// index t.
-func (t *nameTable) sample(s *row, g *group) Sample {
-	return Sample{
-		Model:     t.names[g.model],
-		Tenant:    t.names[s.tenant],
-		Strict:    g.Strict,
-		Latency:   s.Latency,
-		SLO:       g.SLO,
-		Breakdown: g.breakdown(s.Queue),
-		Completed: g.Completed,
-		Weight:    g.Weight,
-	}
 }
 
 // chunk is a run of at most chunkRows rows, the groups they index and
@@ -373,15 +356,15 @@ func (r *Recorder) selectRow(target float64) uint32 {
 // and recorders that share chunks (a parent and its views, a merge
 // source and its destination) must not be used concurrently either.
 //
-// Filter and its derivatives (Strict, BestEffort, ForModel)
-// return view recorders, which are read-only: Add, AddBatch and Merge on
-// a view panic, and so does merging a view into anything. An exact view
-// is clipped references to the parent's chunks plus one handle slice,
-// never a sample copy. Rows are never modified once written, and a view
-// cannot reach past the lengths its chunks had when it was taken, so it
-// is a snapshot: samples the parent adds or merges later stay invisible
-// to it and cost the parent no copy. A sketch view selects whole
-// aggregates of its parent, which keep changing as the parent records,
+// Strict, BestEffort and ForModel return view recorders, which are
+// read-only: Add, AddBatch and Merge on a view panic, and so does
+// merging a view into anything. An exact view is clipped references to
+// the parent's chunks plus one handle slice, never a sample copy. Rows
+// are never modified once written, and a view cannot reach past the
+// lengths its chunks had when it was taken, so it is a snapshot:
+// samples the parent adds or merges later stay invisible to it and cost
+// the parent no copy. A sketch recorder's class view shares its
+// parent's class sketches, which keep changing as the parent records,
 // so take it after the parent's last write.
 type Recorder struct {
 	// chunks holds the rows in storage order. The recorder appends only
@@ -389,19 +372,19 @@ type Recorder struct {
 	// other recorders by Merge are clipped and read-only.
 	chunks []chunk
 	// names is the table this recorder interns into (nil until it
-	// records a row of its own). lastModel and lastTenant are the ids
-	// AddBatch interned last, which it tries before the table's map.
-	names                 *nameTable
-	lastModel, lastTenant uint32
+	// records a row of its own). lastModel is the id AddBatch interned
+	// last, which it tries before the table's map.
+	names     *nameTable
+	lastModel uint32
 	// view, when non-nil, restricts the recorder to these handles (a
 	// filtered view over a parent's chunks).
 	view []uint32
-	// weightSum is the total weighted request count of the visible rows
-	// or aggregates.
+	// weightSum is the total weighted request count of the visible
+	// samples.
 	weightSum int
-	// strictW and strictMet count the visible rows' weighted strict
-	// requests and those with Latency <= SLO (exact mode), as sketchAgg
-	// does per aggregate. Every write path and view keeps them.
+	// strictW and strictMet count the visible samples' weighted strict
+	// requests and those with Latency <= SLO, in both modes. Every write
+	// path and view keeps them.
 	strictW, strictMet int
 	// ordBase is the order key (latOrder) of the first row recorded or
 	// merged, and ordDiff ORs every row's key XOR ordBase, so all keys
@@ -414,98 +397,56 @@ type Recorder struct {
 	memoH  uint32
 	memoOK bool
 
-	// sk switches the recorder into sketch mode (non-nil). skSel, when
-	// additionally non-nil, restricts a sketch-mode view to a key
-	// subset.
-	sk    *sketchRec
-	skSel []sketchKey
+	// sketches, when non-nil, switches the recorder into sketch mode: it
+	// holds one classSketch per class, indexed by classOf. A class view
+	// shares its parent's and hides the classes hidden marks.
+	sketches *[2]classSketch
+	hidden   [2]bool
 }
 
-// sketchKey identifies one sketch-mode aggregate.
-type sketchKey struct {
-	model  string
-	tenant string
-	strict bool
-}
-
-// sketchAgg is the O(1)-memory replacement for one key's samples.
-type sketchAgg struct {
+// classSketch is one request class's latencies in sketch mode: their
+// quantile sketch and the number of samples it holds.
+type classSketch struct {
 	sk Sketch
-	// n and weight count samples and weighted requests.
-	n, weight int
-	// latSum accumulates Latency·Weight for the mean.
-	latSum float64
-	// attTotal/attMet count weighted samples with a latency target
-	// (SLO > 0) and those meeting it.
-	attTotal, attMet int
-	// strictW/strictMet count weighted strict samples and those with
-	// Latency <= SLO.
-	strictW, strictMet int
+	n  int
 }
 
-// sketchRec is the shared state of a sketch-mode recorder and its views.
-type sketchRec struct {
-	aggs  map[sketchKey]*sketchAgg
-	keys  []sketchKey // sorted key cache
-	dirty bool
-}
-
-func (s *sketchRec) agg(k sketchKey) *sketchAgg {
-	a, ok := s.aggs[k]
-	if !ok {
-		a = &sketchAgg{}
-		s.aggs[k] = a
-		s.dirty = true
+// classOf indexes a class in Recorder.sketches: best effort, then
+// strict.
+func classOf(strict bool) int {
+	if strict {
+		return 1
 	}
-	return a
+	return 0
 }
 
-// sortedKeys returns every aggregate key in a fixed (model, tenant,
-// strict) order, so iteration — including float summation — is
-// deterministic.
-func (s *sketchRec) sortedKeys() []sketchKey {
-	if s.dirty || s.keys == nil {
-		s.keys = s.keys[:0]
-		for k := range s.aggs {
-			s.keys = append(s.keys, k)
-		}
-		sort.Slice(s.keys, func(i, j int) bool {
-			a, b := s.keys[i], s.keys[j]
-			if a.model != b.model {
-				return a.model < b.model
-			}
-			if a.tenant != b.tenant {
-				return a.tenant < b.tenant
-			}
-			return a.strict && !b.strict
-		})
-		s.dirty = false
-	}
-	return s.keys
-}
-
-// NewSketchRecorder returns a recorder in sketch mode: per-(model,
-// tenant, class) streaming aggregates instead of a sample buffer.
-// Quantiles come from a deterministic Sketch with relative error at
-// most SketchAlpha; means, SLO compliance, attainment and request
-// counts are exact. Per-sample state is not retained, so
-// BreakdownAtPercentile returns a zero breakdown, Latencies returns
-// nil, and Filter predicates see one representative sample per
-// aggregate (Model, Tenant, Strict and SLO populated — enough for
-// every class/model/tenant filter; Completed-based horizon filters
-// keep everything).
+// NewSketchRecorder returns a recorder in sketch mode: one quantile
+// Sketch per class instead of a sample buffer. Quantiles are within
+// SketchAlpha relative error; Len, Requests, SLOCompliance and Goodput
+// are exact, on the recorder and on its Strict and BestEffort views.
+// No row is kept, so every query that needs rows (ForModel, Mean,
+// Latencies, BreakdownAtPercentile, Summarize, Snapshot, and Throughput
+// with a horizon) panics.
 func NewSketchRecorder() *Recorder {
-	return &Recorder{sk: &sketchRec{aggs: make(map[sketchKey]*sketchAgg)}}
+	return &Recorder{sketches: &[2]classSketch{}}
 }
 
 // isView reports whether r is a filtered view rather than a whole
 // recorder.
-func (r *Recorder) isView() bool { return r.view != nil || r.skSel != nil }
+func (r *Recorder) isView() bool { return r.view != nil || r.hidden != [2]bool{} }
 
 // mustWrite panics unless r is a whole recorder that op may write to.
 func (r *Recorder) mustWrite(op string) {
 	if r.isView() {
 		panic("metrics: " + op + " on a view recorder")
+	}
+}
+
+// mustRows panics unless r keeps the rows op reads: a sketch recorder
+// keeps only its class sketches and counts.
+func (r *Recorder) mustRows(op string) {
+	if r.sketches != nil {
+		panic("metrics: " + op + " on a sketch recorder")
 	}
 }
 
@@ -544,7 +485,7 @@ func (r *Recorder) at(h uint32) (*row, *group) {
 // AddBatch of one row.
 func (r *Recorder) Add(s Sample) {
 	r.mustWrite("Add")
-	r.AddBatch(s, []BatchRow{{Latency: s.Latency, Queue: s.Breakdown.Queue, Tenant: s.Tenant}})
+	r.AddBatch(s, []BatchRow{{Latency: s.Latency, Queue: s.Breakdown.Queue}})
 }
 
 // groupOf returns the group fields of s, all but the model id.
@@ -569,7 +510,9 @@ type BatchRow struct {
 	Latency float64
 	// Queue is the request's Breakdown.Queue.
 	Queue float64
-	// Tenant is the request's owning tenant id.
+	// Tenant is the request's owning tenant id, by which a live
+	// cluster's completions are routed to their tenant. Recorders do not
+	// store it.
 	Tenant string
 }
 
@@ -578,7 +521,6 @@ type BatchRow struct {
 func (br BatchRow) Sample(shared Sample) Sample {
 	shared.Latency = br.Latency
 	shared.Breakdown.Queue = br.Queue
-	shared.Tenant = br.Tenant
 	return shared
 }
 
@@ -586,8 +528,9 @@ func (br BatchRow) Sample(shared Sample) Sample {
 // stores exactly what one call per row would: a cluster node records
 // each completed batch with one call. An exact recorder interns the
 // model once and compares the shared fields with the tail group once
-// per chunk the rows reach, not once per row; a sketch-mode one adds
-// row by row.
+// per chunk the rows reach, not once per row; a sketch recorder adds
+// each latency to its class's sketch. Both count the rows meeting the
+// SLO the same way.
 func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
 	if len(rows) == 0 {
 		return
@@ -596,28 +539,41 @@ func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
 		shared.Weight = 1
 	}
 	r.mustWrite("AddBatch")
-	if r.sk != nil {
+	var met int
+	if r.sketches != nil {
+		cs := &r.sketches[classOf(shared.Strict)]
+		cs.n += len(rows)
 		for _, br := range rows {
-			r.addSketch(br.Sample(shared))
+			cs.sk.Add(br.Latency, shared.Weight)
+			if br.Latency <= shared.SLO {
+				met++
+			}
 		}
-		return
+	} else {
+		met = r.appendRows(&shared, rows)
 	}
+	n := shared.Weight * len(rows)
+	r.weightSum += n
+	if shared.Strict {
+		r.strictW += n
+		r.strictMet += shared.Weight * met
+	}
+}
+
+// appendRows stores rows as exact-mode rows of one group and returns how
+// many meet the shared SLO. It runs before AddBatch counts the rows.
+func (r *Recorder) appendRows(shared *Sample, rows []BatchRow) (met int) {
 	if r.names == nil {
 		r.names = &nameTable{ids: make(map[string]uint32)}
 	}
-	g := groupOf(&shared)
+	g := groupOf(shared)
 	g.model = r.names.intern(shared.Model, &r.lastModel)
 	// The rows share one class, SLO and weight, so the row loop only ORs
-	// in key bits and counts the rows meeting the SLO; what count does
-	// per row is done once for the batch.
+	// in key bits and counts the rows meeting the SLO.
 	if r.weightSum == 0 {
 		r.ordBase = latOrder(rows[0].Latency)
 	}
-	base, diff, met := r.ordBase, r.ordDiff, 0
-	r.weightSum += g.Weight * len(rows)
-	if g.Strict {
-		r.strictW += g.Weight * len(rows)
-	}
+	base, diff := r.ordBase, r.ordDiff
 	r.memoOK = false
 	for len(rows) > 0 {
 		c := r.tail()
@@ -627,7 +583,7 @@ func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
 		id := uint32(len(c.groups) - 1)
 		k := min(len(rows), cap(c.rows)-len(c.rows))
 		for _, br := range rows[:k] {
-			c.rows = append(c.rows, row{Latency: br.Latency, Queue: br.Queue, group: id, tenant: r.names.intern(br.Tenant, &r.lastTenant)})
+			c.rows = append(c.rows, row{Latency: br.Latency, Queue: br.Queue, group: id})
 			diff |= latOrder(br.Latency) ^ base
 			if br.Latency <= g.SLO {
 				met++
@@ -636,37 +592,15 @@ func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
 		rows = rows[k:]
 	}
 	r.ordDiff = diff
-	if g.Strict {
-		r.strictMet += g.Weight * met
-	}
-}
-
-func (r *Recorder) addSketch(s Sample) {
-	a := r.sk.agg(sketchKey{model: s.Model, tenant: s.Tenant, strict: s.Strict})
-	a.sk.Add(s.Latency, s.Weight)
-	a.n++
-	a.weight += s.Weight
-	a.latSum += float64(s.Latency * float64(s.Weight))
-	if s.SLO > 0 {
-		a.attTotal += s.Weight
-		if s.Latency <= s.SLO {
-			a.attMet += s.Weight
-		}
-	}
-	if s.Strict {
-		a.strictW += s.Weight
-		if s.Latency <= s.SLO {
-			a.strictMet += s.Weight
-		}
-	}
-	r.weightSum += s.Weight
+	return met
 }
 
 // Merge folds other whole recorders of r's mode into r, in argument
 // order; nil recorders are skipped. An exact source is merged by taking
 // clipped references to its chunks, with no row copy, so merging costs
-// O(chunks); a sketch source's aggregates are added key by key. A view
-// source, or a source of the other mode, panics.
+// O(chunks); a sketch source's class sketches are added bucket-wise.
+// Both add the source's counts. A view source, or a source of the other
+// mode, panics.
 func (r *Recorder) Merge(others ...*Recorder) {
 	r.mustWrite("Merge")
 	for _, o := range others {
@@ -674,52 +608,38 @@ func (r *Recorder) Merge(others ...*Recorder) {
 		case o == nil:
 		case o.isView():
 			panic("metrics: cannot merge a view recorder")
-		case (o.sk == nil) != (r.sk == nil):
+		case (o.sketches == nil) != (r.sketches == nil):
 			panic("metrics: cannot merge recorders of different modes")
 		}
 	}
 	for _, o := range others {
-		switch {
-		case o == nil:
-		case r.sk != nil:
-			r.mergeSketch(o)
-		default:
-			// The range reads o.chunks once, and each count below reads
-			// o's before writing r's, so r.Merge(r) takes r's rows and
-			// counts as they were before that source.
+		if o == nil {
+			continue
+		}
+		// Each step reads o's state before writing r's, so r.Merge(r) takes
+		// r's rows, sketches and counts as they were before that source:
+		// Sketch.Merge of a sketch into itself doubles every bucket.
+		if r.sketches != nil {
+			for c := range r.sketches {
+				r.sketches[c].sk.Merge(&o.sketches[c].sk)
+				r.sketches[c].n += o.sketches[c].n
+			}
+		} else {
 			for _, c := range o.chunks {
 				r.chunks = appendChunk(r.chunks, c.clip())
 			}
-			if o.weightSum == 0 {
-				continue
+			if o.weightSum > 0 {
+				if r.weightSum == 0 {
+					r.ordBase = o.ordBase
+				}
+				r.ordDiff |= o.ordDiff | (o.ordBase ^ r.ordBase)
 			}
-			if r.weightSum == 0 {
-				r.ordBase = o.ordBase
-			}
-			r.ordDiff |= o.ordDiff | (o.ordBase ^ r.ordBase)
-			r.weightSum += o.weightSum
-			r.strictW += o.strictW
-			r.strictMet += o.strictMet
 		}
+		r.weightSum += o.weightSum
+		r.strictW += o.strictW
+		r.strictMet += o.strictMet
 	}
 	r.memoOK = false
-}
-
-// mergeSketch folds a whole sketch-mode recorder into sketch-mode r.
-func (r *Recorder) mergeSketch(other *Recorder) {
-	for _, k := range other.sk.sortedKeys() {
-		oa := other.sk.aggs[k]
-		r.weightSum += oa.weight // before a.weight: r.Merge(r) has a == oa
-		a := r.sk.agg(k)
-		a.sk.Merge(&oa.sk)
-		a.n += oa.n
-		a.weight += oa.weight
-		a.latSum += oa.latSum
-		a.attTotal += oa.attTotal
-		a.attMet += oa.attMet
-		a.strictW += oa.strictW
-		a.strictMet += oa.strictMet
-	}
 }
 
 // exactLen is the number of samples visible through this recorder.
@@ -755,20 +675,14 @@ func (r *Recorder) eachExact(fn func(h uint32, s *row, g *group, t *nameTable)) 
 	}
 }
 
-// skKeys returns the sketch keys visible through this recorder, sorted.
-func (r *Recorder) skKeys() []sketchKey {
-	if r.skSel != nil {
-		return r.skSel
-	}
-	return r.sk.sortedKeys()
-}
-
 // Len returns the number of samples (not weighted).
 func (r *Recorder) Len() int {
-	if r.sk != nil {
+	if r.sketches != nil {
 		n := 0
-		for _, k := range r.skKeys() {
-			n += r.sk.aggs[k].n
+		for c, cs := range r.sketches {
+			if !r.hidden[c] {
+				n += cs.n
+			}
 		}
 		return n
 	}
@@ -777,17 +691,6 @@ func (r *Recorder) Len() int {
 
 // Requests returns the total weighted request count.
 func (r *Recorder) Requests() int { return r.weightSum }
-
-// representative builds the stand-in sample sketch-mode Filter
-// predicates evaluate: identity fields are populated, per-sample
-// measurements are zero.
-func representative(k sketchKey, a *sketchAgg) Sample {
-	s := Sample{Model: k.model, Tenant: k.tenant, Strict: k.strict, Weight: a.weight}
-	if a.attTotal > 0 {
-		s.SLO = 1 // flag "has a latency target" for SLO > 0 predicates
-	}
-	return s
-}
 
 // emptyView returns an exact view over clipped references to r's chunks
 // that selects no row yet and keeps r's key bounds. It reserves handles
@@ -812,42 +715,11 @@ func (v *Recorder) appendRow(h uint32, s *row, g *group) {
 	}
 }
 
-// Filter returns a recorder holding samples matching pred. In exact
-// mode this is a view over clipped references to r's chunks (no sample
-// copies); in sketch mode the predicate selects whole aggregates via
-// one representative sample each.
-func (r *Recorder) Filter(pred func(Sample) bool) *Recorder {
-	if r.sk != nil {
-		out := &Recorder{sk: r.sk, skSel: make([]sketchKey, 0, len(r.skKeys()))}
-		for _, k := range r.skKeys() {
-			if a := r.sk.aggs[k]; pred(representative(k, a)) {
-				out.skSel = append(out.skSel, k)
-				out.weightSum += a.weight
-			}
-		}
-		return out
-	}
-	out := r.emptyView(r.exactLen())
-	r.eachExact(func(h uint32, s *row, g *group, t *nameTable) {
-		if pred(t.sample(s, g)) {
-			out.appendRow(h, s, g)
-		}
-	})
-	return out
-}
-
-// filterGroups is Filter for a predicate on a row's group and model
-// name, the fields the class, model and horizon views read. In exact
-// mode it walks the visible rows and asks keep once per run of rows that
-// share a group, never building a Sample, and gives the view Filter
-// would give for the same predicate; rows bounds the rows it keeps. In
-// sketch mode keep sees each aggregate's representative sample.
+// filterGroups returns the exact view of the visible rows whose group
+// and model name keep accepts: the fields the class, model and horizon
+// views read. It asks keep once per run of rows that share a group,
+// never building a Sample; rows bounds the rows it keeps.
 func (r *Recorder) filterGroups(keep func(g *group, model string) bool, rows int) *Recorder {
-	if r.sk != nil {
-		return r.Filter(func(s Sample) bool {
-			return keep(&group{Strict: s.Strict, Completed: s.Completed}, s.Model)
-		})
-	}
 	out := r.emptyView(min(rows, r.exactLen()))
 	// A group's rows are consecutive in its chunk, so keep is asked again
 	// only when the row's chunk or group changes.
@@ -879,6 +751,9 @@ func (r *Recorder) filterGroups(keep func(g *group, model string) bool, rows int
 
 // Strict returns the strict-sample subset.
 func (r *Recorder) Strict() *Recorder {
+	if r.sketches != nil {
+		return r.classView(true)
+	}
 	// Every row weighs at least 1, so the strict rows number at most the
 	// strict weight.
 	return r.filterGroups(func(g *group, _ string) bool { return g.Strict }, r.strictW)
@@ -886,68 +761,54 @@ func (r *Recorder) Strict() *Recorder {
 
 // BestEffort returns the best-effort subset.
 func (r *Recorder) BestEffort() *Recorder {
+	if r.sketches != nil {
+		return r.classView(false)
+	}
 	return r.filterGroups(func(g *group, _ string) bool { return !g.Strict }, r.weightSum-r.strictW)
+}
+
+// classView returns the view of sketch recorder r that shows only the
+// class strict names: it shares r's class sketches, hides the other
+// class, and keeps the class's share of r's counts.
+func (r *Recorder) classView(strict bool) *Recorder {
+	v := &Recorder{sketches: r.sketches, hidden: r.hidden}
+	v.hidden[classOf(!strict)] = true
+	if strict {
+		v.weightSum, v.strictW, v.strictMet = r.strictW, r.strictW, r.strictMet
+	} else {
+		v.weightSum = r.weightSum - r.strictW
+	}
+	return v
 }
 
 // ForModel returns samples of one model.
 func (r *Recorder) ForModel(name string) *Recorder {
+	r.mustRows("ForModel")
 	return r.filterGroups(func(_ *group, model string) bool { return model == name }, r.weightSum)
 }
 
 // SLOCompliance returns the weighted fraction of strict samples meeting
-// their SLO. It returns NaN when there are no strict samples. An exact
-// recorder reads the counts it keeps as it records.
+// their SLO, read from the counts kept as the recorder records. It
+// returns NaN when there are no strict samples.
 func (r *Recorder) SLOCompliance() float64 {
-	total, met := r.strictW, r.strictMet
-	if r.sk != nil {
-		total, met = 0, 0
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			total += a.strictW
-			met += a.strictMet
-		}
-	}
-	if total == 0 {
+	if r.strictW == 0 {
 		return math.NaN()
 	}
-	return float64(met) / float64(total)
+	return float64(r.strictMet) / float64(r.strictW)
 }
 
-// Mean returns the weighted mean latency (NaN when empty). In sketch
-// mode the mean is exact: per-aggregate sums accumulate in arrival
-// order and merge in the fixed sorted key order.
+// Mean returns the weighted mean latency (NaN when empty).
 func (r *Recorder) Mean() float64 {
+	r.mustRows("Mean")
 	sum, n := 0.0, 0
-	if r.sk != nil {
-		for _, k := range r.skKeys() {
-			a := r.sk.aggs[k]
-			sum += a.latSum
-			n += a.weight
-		}
-	} else {
-		r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
-			sum += float64(s.Latency * float64(g.Weight))
-			n += g.Weight
-		})
-	}
+	r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) {
+		sum += float64(s.Latency * float64(g.Weight))
+		n += g.Weight
+	})
 	if n == 0 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// mergedSketch folds the visible aggregates' sketches into one (sketch
-// mode). Bucket counts are integers, so the merge order cannot matter.
-func (r *Recorder) mergedSketch() *Sketch {
-	keys := r.skKeys()
-	if len(keys) == 1 {
-		return &r.sk.aggs[keys[0]].sk
-	}
-	merged := &Sketch{}
-	for _, k := range keys {
-		merged.Merge(&r.sk.aggs[k].sk)
-	}
-	return merged
 }
 
 // sampleAtPercentile returns the weighted p-th percentile sample's row
@@ -967,11 +828,18 @@ func (r *Recorder) sampleAtPercentile(p float64) (*row, *group) {
 
 // Percentile returns the weighted p-th percentile latency (NaN when
 // empty). P99 tail latency is Percentile(99). In sketch mode the value
-// is the deterministic sketch estimate, within SketchAlpha relative
-// error of the exact weighted percentile.
+// is the deterministic estimate of the visible class sketches merged,
+// within SketchAlpha relative error of the exact weighted percentile.
+// Bucket counts are integers, so the merge order cannot matter.
 func (r *Recorder) Percentile(p float64) float64 {
-	if r.sk != nil {
-		return r.mergedSketch().Quantile(p)
+	if r.sketches != nil {
+		var merged Sketch
+		for c := range r.sketches {
+			if !r.hidden[c] {
+				merged.Merge(&r.sketches[c].sk)
+			}
+		}
+		return merged.Quantile(p)
 	}
 	s, _ := r.sampleAtPercentile(p)
 	if s == nil {
@@ -982,12 +850,9 @@ func (r *Recorder) Percentile(p float64) float64 {
 
 // BreakdownAtPercentile returns the latency decomposition of the sample
 // sitting at the weighted p-th percentile — how the paper plots "P99
-// latency breakdown". Sketch-mode recorders retain no per-sample
-// breakdowns and return the zero decomposition.
+// latency breakdown".
 func (r *Recorder) BreakdownAtPercentile(p float64) gpu.Breakdown {
-	if r.sk != nil {
-		return gpu.Breakdown{}
-	}
+	r.mustRows("BreakdownAtPercentile")
 	s, g := r.sampleAtPercentile(p)
 	if s == nil {
 		return gpu.Breakdown{}
@@ -996,25 +861,22 @@ func (r *Recorder) BreakdownAtPercentile(p float64) gpu.Breakdown {
 }
 
 // Latencies returns the raw latency list, one value per sample. Used by
-// the statistical tests. Sketch-mode recorders retain no raw values and
-// return nil.
+// the statistical tests.
 func (r *Recorder) Latencies() []float64 {
-	if r.sk != nil {
-		return nil
-	}
+	r.mustRows("Latencies")
 	out := make([]float64, 0, r.exactLen())
 	r.eachExact(func(_ uint32, s *row, _ *group, _ *nameTable) { out = append(out, s.Latency) })
 	return out
 }
 
 // completedWithin restricts to requests that finished by the horizon
-// (excluding the post-trace drain). A zero horizon keeps everything.
-// Sketch-mode recorders retain no completion times; the view keeps
-// every aggregate (throughput then includes drain-completed work).
+// (excluding the post-trace drain). A zero horizon keeps everything;
+// any other needs rows.
 func (r *Recorder) completedWithin(horizon float64) *Recorder {
 	if horizon <= 0 {
 		return r
 	}
+	r.mustRows("a throughput horizon")
 	return r.filterGroups(func(g *group, _ string) bool { return g.Completed <= horizon }, r.weightSum)
 }
 
@@ -1050,6 +912,7 @@ type Summary struct {
 // Summarize computes the standard summary over the recorder's strict
 // samples (the paper's headline metrics are strict-only).
 func (r *Recorder) Summarize() Summary {
+	r.mustRows("Summarize")
 	strict := r.Strict()
 	return Summary{
 		SLOCompliance: r.SLOCompliance(),
@@ -1092,14 +955,9 @@ type ModelStats struct {
 // operational view of everything served, not the paper's strict-only
 // headline.
 func (r *Recorder) Snapshot() []ModelStats {
+	r.mustRows("Snapshot")
 	names := make(map[string]bool)
-	if r.sk != nil {
-		for _, k := range r.skKeys() {
-			names[k.model] = true
-		}
-	} else {
-		r.eachExact(func(_ uint32, _ *row, g *group, t *nameTable) { names[t.names[g.model]] = true })
-	}
+	r.eachExact(func(_ uint32, _ *row, g *group, t *nameTable) { names[t.names[g.model]] = true })
 	sorted := make([]string, 0, len(names))
 	for name := range names {
 		sorted = append(sorted, name)

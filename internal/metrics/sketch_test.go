@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,9 +9,9 @@ import (
 )
 
 // TestSketchQuantileWithinAlpha pins the sketch-mode recorder's P50 and
-// P99 within the documented SketchAlpha relative error of the exact
-// path, over five seeds of heavy-tailed latencies with mixed weights
-// and models.
+// P99, whole and per class, within the documented SketchAlpha relative
+// error of the exact path, over five seeds of heavy-tailed latencies
+// with mixed weights and models.
 func TestSketchQuantileWithinAlpha(t *testing.T) {
 	models := []string{"BERT", "GPT-2", "ResNet 50"}
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
@@ -30,15 +31,20 @@ func TestSketchQuantileWithinAlpha(t *testing.T) {
 			exact.Add(s)
 			sketch.Add(s)
 		}
-		for _, p := range []float64{50, 99} {
-			want := exact.Percentile(p)
-			got := sketch.Percentile(p)
-			if rel := math.Abs(got-want) / want; rel > SketchAlpha {
-				t.Fatalf("seed %d: sketch P%v = %v, exact %v (relative error %.4f > %v)",
-					seed, p, got, want, rel, SketchAlpha)
+		for _, v := range []struct {
+			name      string
+			sk, exact *Recorder
+		}{{"all", sketch, exact}, {"strict", sketch.Strict(), exact.Strict()}, {"best effort", sketch.BestEffort(), exact.BestEffort()}} {
+			for _, p := range []float64{50, 99} {
+				want := v.exact.Percentile(p)
+				got := v.sk.Percentile(p)
+				if rel := math.Abs(got-want) / want; rel > SketchAlpha {
+					t.Fatalf("seed %d %s: sketch P%v = %v, exact %v (relative error %.4f > %v)",
+						seed, v.name, p, got, want, rel, SketchAlpha)
+				}
 			}
 		}
-		// The streaming aggregates are exact, not approximations.
+		// The counts are exact, not approximations.
 		if g, w := sketch.SLOCompliance(), exact.SLOCompliance(); g != w {
 			t.Fatalf("seed %d: sketch SLO compliance %v, exact %v", seed, g, w)
 		}
@@ -48,23 +54,16 @@ func TestSketchQuantileWithinAlpha(t *testing.T) {
 		if g, w := Goodput(sketch, 60), Goodput(exact, 60); g != w {
 			t.Fatalf("seed %d: sketch goodput %v, exact %v", seed, g, w)
 		}
-		// Class and model filters must agree too (whole-aggregate selection).
 		if g, w := sketch.Strict().Requests(), exact.Strict().Requests(); g != w {
 			t.Fatalf("seed %d: strict view requests %d, exact %d", seed, g, w)
-		}
-		for _, m := range models {
-			g := sketch.ForModel(m).Percentile(99)
-			w := exact.ForModel(m).Percentile(99)
-			if rel := math.Abs(g-w) / w; rel > SketchAlpha {
-				t.Fatalf("seed %d model %s: sketch P99 %v, exact %v", seed, m, g, w)
-			}
 		}
 	}
 }
 
 // TestSketchMergeOrderIndependent asserts a sketch assembled by any
-// insertion order, or by merging shards in any order, serialises to
-// identical bytes — the property the sharded event loop relies on.
+// insertion order, or by merging parts in any order, is deeply equal to
+// one built in order: the property that makes a sketch cluster's
+// node-order merge, and a class sketch's merge with another, exact.
 func TestSketchMergeOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]float64, 5000)
@@ -178,9 +177,9 @@ func TestSortCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestSketchMergeCountsRequests asserts a sketch recorder's request
-// count follows Merge, a self-merge included, and that a sketch view
-// counts only the aggregates it selects.
+// TestSketchMergeCountsRequests asserts a sketch recorder's request and
+// sample counts follow Merge, a self-merge included, and that a class
+// view counts only its class.
 func TestSketchMergeCountsRequests(t *testing.T) {
 	r, o := NewSketchRecorder(), NewSketchRecorder()
 	r.Add(Sample{Model: "BERT", Strict: true, SLO: 0.2, Latency: 0.1, Weight: 3})
@@ -194,11 +193,162 @@ func TestSketchMergeCountsRequests(t *testing.T) {
 	if got := r.Requests(); got != 18 {
 		t.Fatalf("requests after self-merge = %d, want 18", got)
 	}
+	if got := r.Len(); got != 6 {
+		t.Fatalf("samples after self-merge = %d, want 6", got)
+	}
 	if got := r.Strict().Requests(); got != 14 {
 		t.Fatalf("strict view requests = %d, want 14", got)
 	}
-	if got := r.ForModel("BERT").BestEffort().Requests(); got != 4 {
-		t.Fatalf("chained view requests = %d, want 4", got)
+	if got, n := r.BestEffort().Requests(), r.BestEffort().Len(); got != 4 || n != 2 {
+		t.Fatalf("best-effort view holds %d requests in %d samples, want 4 in 2", got, n)
+	}
+}
+
+// TestSketchClasses checks the class sketches against references built
+// from the same samples, over merged node recorders and a self-merge:
+// each class's percentiles equal, bit for bit, those of a Sketch merged
+// from per-model sketches, since bucket counts are integer sums however
+// the samples are split; Len, Requests, SLOCompliance and Goodput equal
+// the exact recorder's, whole and per class; and views of views show
+// the intersection of their classes.
+func TestSketchClasses(t *testing.T) {
+	models := []string{"BERT", "GPT-2", "ResNet 50"}
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		exact, merged := &Recorder{}, NewSketchRecorder()
+		nodes := []*Recorder{NewSketchRecorder(), NewSketchRecorder(), NewSketchRecorder()}
+		// perModel[strict][model] is the reference: one Sketch per
+		// (class, model).
+		perModel := [2]map[string]*Sketch{{}, {}}
+		for i := 0; i < 6000; i++ {
+			s := Sample{
+				Model:   models[rng.Intn(len(models))],
+				Strict:  rng.Intn(2) == 0,
+				Latency: math.Exp(rng.NormFloat64()*1.5 - 3),
+				SLO:     0.05,
+				Weight:  1 + rng.Intn(4),
+			}
+			switch rng.Intn(20) {
+			case 0:
+				s.Latency = 0
+			case 1:
+				s.Latency = math.NaN()
+			}
+			exact.Add(s)
+			nodes[rng.Intn(len(nodes))].Add(s)
+			c := classOf(s.Strict)
+			if perModel[c][s.Model] == nil {
+				perModel[c][s.Model] = &Sketch{}
+			}
+			perModel[c][s.Model].Add(s.Latency, s.Weight)
+		}
+		merged.Merge(nodes...)
+		exact.Merge(exact)
+		merged.Merge(merged)
+		// The self-merges doubled every sample, so the reference merges
+		// each per-model sketch twice.
+		ref := func(classes ...int) *Sketch {
+			out := &Sketch{}
+			for _, c := range classes {
+				for _, m := range models {
+					out.Merge(perModel[c][m])
+					out.Merge(perModel[c][m])
+				}
+			}
+			return out
+		}
+		for _, v := range []struct {
+			name      string
+			sk, exact *Recorder
+			ref       *Sketch
+		}{
+			{"all", merged, exact, ref(0, 1)},
+			{"strict", merged.Strict(), exact.Strict(), ref(1)},
+			{"best effort", merged.BestEffort(), exact.BestEffort(), ref(0)},
+			{"strict of strict", merged.Strict().Strict(), exact.Strict().Strict(), ref(1)},
+			{"best effort of strict", merged.Strict().BestEffort(), exact.Strict().BestEffort(), ref()},
+			{"strict of best effort", merged.BestEffort().Strict(), exact.BestEffort().Strict(), ref()},
+		} {
+			what := fmt.Sprintf("seed %d %s", seed, v.name)
+			for _, p := range []float64{1, 50, 99, 99.9, 100} {
+				if g, w := v.sk.Percentile(p), v.ref.Quantile(p); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: P%v = %v, per-model merge %v", what, p, g, w)
+				}
+			}
+			if g, w := v.sk.Len(), v.exact.Len(); g != w {
+				t.Fatalf("%s: Len %d, exact %d", what, g, w)
+			}
+			if g, w := v.sk.Requests(), v.exact.Requests(); g != w {
+				t.Fatalf("%s: Requests %d, exact %d", what, g, w)
+			}
+			if g, w := v.sk.SLOCompliance(), v.exact.SLOCompliance(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: SLO compliance %v, exact %v", what, g, w)
+			}
+			if g, w := Goodput(v.sk, 60), Goodput(v.exact, 60); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: goodput %v, exact %v", what, g, w)
+			}
+		}
+		if empty := merged.Strict().BestEffort(); empty.Len() != 0 || !math.IsNaN(empty.Percentile(50)) {
+			t.Fatalf("seed %d: a view of both classes' complements holds %d samples", seed, empty.Len())
+		}
+	}
+}
+
+// TestGoodputCountsNaNAsMiss pins Goodput's count-based reading on a
+// hand-built recorder: a strict request whose latency is NaN is a miss,
+// as SLOCompliance counts it, and best-effort requests always count.
+func TestGoodputCountsNaNAsMiss(t *testing.T) {
+	for _, r := range []*Recorder{{}, NewSketchRecorder()} {
+		r.Add(Sample{Strict: true, Latency: 0.1, SLO: 0.2, Weight: 2})
+		r.Add(Sample{Strict: true, Latency: 0.3, SLO: 0.2, Weight: 3})
+		r.Add(Sample{Strict: true, Latency: math.NaN(), SLO: 0.2, Weight: 5})
+		r.Add(Sample{Latency: math.NaN(), Weight: 7})
+		if got := Goodput(r, 2); got != 4.5 {
+			t.Fatalf("goodput %v, want (2 + 7) / 2", got)
+		}
+		if got := r.SLOCompliance(); got != 0.2 {
+			t.Fatalf("SLO compliance %v, want 2/10", got)
+		}
+	}
+}
+
+// TestSketchRejectsRowQueries asserts every query that needs rows panics
+// on a sketch recorder and on its class views, while the queries a
+// sketch answers do not.
+func TestSketchRejectsRowQueries(t *testing.T) {
+	sk := NewSketchRecorder()
+	sk.Add(Sample{Model: "m", Strict: true, Latency: 0.1, SLO: 0.2, Weight: 1, Completed: 1})
+	sk.Add(Sample{Model: "m", Latency: 0.2, Weight: 1, Completed: 2})
+	for _, r := range []*Recorder{sk, sk.Strict(), sk.BestEffort()} {
+		for _, q := range []struct {
+			name  string
+			query func()
+		}{
+			{"ForModel", func() { r.ForModel("m") }},
+			{"Filter", func() { r.Filter(func(Sample) bool { return true }) }},
+			{"Throughput with a horizon", func() { r.Throughput(10, 1, 5) }},
+			{"TotalThroughput with a horizon", func() { r.TotalThroughput(10, 1, 5) }},
+			{"Mean", func() { r.Mean() }},
+			{"Latencies", func() { r.Latencies() }},
+			{"BreakdownAtPercentile", func() { r.BreakdownAtPercentile(99) }},
+			{"Summarize", func() { r.Summarize() }},
+			{"Snapshot", func() { r.Snapshot() }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on a sketch recorder did not panic", q.name)
+					}
+				}()
+				q.query()
+			}()
+		}
+	}
+	if got := sk.Throughput(10, 1, 0); got != 0.1 {
+		t.Fatalf("horizon-free throughput %v, want 1 strict request / 10 s", got)
+	}
+	if got := sk.TotalThroughput(10, 1, 0); got != 0.2 {
+		t.Fatalf("horizon-free total throughput %v, want 2 requests / 10 s", got)
 	}
 }
 

@@ -25,7 +25,7 @@ func meanVar(xs []float64) (mean, variance float64) {
 	mean /= n
 	for _, x := range xs {
 		d := x - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	if len(xs) > 1 {
 		variance /= n - 1
@@ -80,7 +80,7 @@ func CohenD(a, b []float64) (float64, error) {
 	ma, va := meanVar(a)
 	mb, vb := meanVar(b)
 	na, nb := float64(len(a)), float64(len(b))
-	pooled := ((na-1)*va + (nb-1)*vb) / (na + nb - 2)
+	pooled := (float64((na-1)*va) + float64((nb-1)*vb)) / (na + nb - 2)
 	if pooled == 0 {
 		//lint:ignore floateq zero pooled variance means both samples are exact constants; equality here is exact by construction
 		if ma == mb {
