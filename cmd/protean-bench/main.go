@@ -14,8 +14,10 @@
 // -trace records every simulation's lifecycle events and writes the
 // merged trace to FILE: Chrome trace-event JSON (open in Perfetto or
 // chrome://tracing) by default, or a JSONL event log when FILE ends in
-// .jsonl. The trace is deterministic: same seed, same bytes, at any
-// -parallel setting.
+// .jsonl. Only the JSONL log holds per-request arrival events; the
+// Chrome export renders none, so its runs do not collect them. The
+// trace is deterministic: same seed, same bytes, at any -parallel
+// setting.
 package main
 
 import (
@@ -142,7 +144,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *traceOut != "" {
-		params.Trace = obs.NewTraceSet()
+		// The Chrome export renders no per-request arrival (each batch
+		// seal carries its first member's), so the runs do not collect
+		// them; the JSONL log keeps every event.
+		var omit []obs.Kind
+		if !strings.HasSuffix(*traceOut, ".jsonl") {
+			omit = append(omit, obs.KindArrival)
+		}
+		params.Trace = obs.NewTraceSet(omit...)
 	}
 	for _, e := range selected {
 		started := time.Now()
@@ -193,11 +202,15 @@ func writeTrace(path string, ts *obs.TraceSet, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var all []obs.Event
+	counts := make(map[string]int)
+	events := 0
 	for _, tr := range traces {
-		all = append(all, tr.Events...)
+		for kind, n := range obs.KindCounts(tr.Events) {
+			counts[kind] += n
+		}
+		events += len(tr.Events)
 	}
 	fmt.Fprintf(stderr, "[trace: %d runs, %d events (%s) -> %s]\n",
-		len(traces), len(all), obs.FormatKindCounts(obs.KindCounts(all)), path)
+		len(traces), events, obs.FormatKindCounts(counts), path)
 	return nil
 }

@@ -158,22 +158,29 @@ func TestTraceRepeatable(t *testing.T) {
 }
 
 // TestTraceSummaryOnStderr: the trace report goes to stderr so stdout
-// stays byte-identical with and without -trace.
+// stays byte-identical with and without -trace. Only a JSONL trace
+// collects per-request arrivals; the Chrome export renders none.
 func TestTraceSummaryOnStderr(t *testing.T) {
 	dir := t.TempDir()
-	var plain, traced, errs bytes.Buffer
+	var plain bytes.Buffer
 	if err := run([]string{"-run", "table4", "-quick"}, &plain, io.Discard); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	path := filepath.Join(dir, "t.json")
-	if err := run([]string{"-run", "table4", "-quick", "-trace", path}, &traced, &errs); err != nil {
-		t.Fatalf("traced run: %v", err)
-	}
-	if plain.String() != traced.String() {
-		t.Error("-trace changed stdout")
-	}
-	if !strings.Contains(errs.String(), "[trace: ") {
-		t.Errorf("trace summary missing from stderr: %q", errs.String())
+	for ext, arrivals := range map[string]bool{".json": false, ".jsonl": true} {
+		var traced, errs bytes.Buffer
+		path := filepath.Join(dir, "t"+ext)
+		if err := run([]string{"-run", "table4", "-quick", "-trace", path}, &traced, &errs); err != nil {
+			t.Fatalf("%s traced run: %v", ext, err)
+		}
+		if plain.String() != traced.String() {
+			t.Errorf("-trace t%s changed stdout", ext)
+		}
+		if !strings.Contains(errs.String(), "[trace: ") {
+			t.Errorf("%s trace summary missing from stderr: %q", ext, errs.String())
+		}
+		if got := strings.Contains(errs.String(), "arrival="); got != arrivals {
+			t.Errorf("%s trace collected arrivals = %v, want %v: %q", ext, got, arrivals, errs.String())
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"protean/internal/autoscale"
 	"protean/internal/chaos"
@@ -149,8 +148,8 @@ type GeometryEvent struct {
 
 // Cluster is the running platform. The root simulation hosts the
 // coordinator (dispatch, monitor, VM market, chaos schedule); the
-// gateway (arrivals and batching) and every node run on lanes of that
-// root. Sealed batches cross from the gateway lane to the
+// gateway (a batch run's replayed plan, or the live batcher) and every
+// node run on lanes of that root. Sealed batches cross from the gateway lane to the
 // coordinator through the sealed mailbox, drained in seal order at
 // each dispatch-quantum barrier.
 type Cluster struct {
@@ -193,8 +192,18 @@ type Cluster struct {
 	done  []Completion
 	drops []DropRecord
 
-	// Oracle support: per-window upcoming BE load, precomputed from the
-	// full trace only when lookahead is set, i.e. the node policy reads
+	// A planned gateway's replay (Run, RunStream, RunPlan): the steps
+	// still to re-enact, the next one, the timer that fires at each step
+	// instant and how often it fired, and, once the replay ends, the
+	// planner's partial-batch shell traffic.
+	steps       *queue.Planner
+	step        *queue.Step
+	replayTimer *sim.Timer
+	replayed    int
+	shells      pool.Stats
+
+	// Oracle support: per-window upcoming BE load, derived from the
+	// whole plan only when lookahead is set, i.e. the node policy reads
 	// the next-window view (core.Lookahead).
 	lookahead       bool
 	windowBEBatches []int
@@ -306,6 +315,8 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 
 	// The batcher lives on the gateway lane; sealed batches land in the
 	// mailbox and cross to the coordinator at the next dispatch quantum.
+	// A live cluster batches through it; a batch run's replay takes the
+	// shells of its planned batches from it.
 	batcher, err := queue.NewBatcher(c.gateway, queue.DefaultWindow, c.enqueueSealed)
 	if err != nil {
 		return nil, err
@@ -334,6 +345,7 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 // counts are deterministic for a seed. Call from root context only.
 func (c *Cluster) PoolStats() pool.Stats {
 	st := c.batcher.PoolStats()
+	st.Add(c.shells)
 	for _, n := range c.nodes {
 		st.Add(n.jobFree.Stats())
 	}
@@ -387,33 +399,33 @@ type Result struct {
 }
 
 // Run replays a materialised request trace and drains the system.
-// duration is the trace horizon; requests beyond it are ignored. The
-// slice is adapted into the same pull-based pump RunStream uses, so
-// both paths schedule byte-identically. Run only reads reqs: an
-// unsorted trace is stably sorted in a copy, so one slice may be
-// replayed by many runs, concurrently too.
+// duration is the trace horizon; requests beyond it are ignored. Run
+// only reads reqs: an unsorted trace is stably sorted in a copy, so one
+// slice may be replayed by many runs, concurrently too. The gateway
+// plans its batches over the trace as the run goes (queue.Planner); a
+// policy that reads the window view gets the whole plan first.
 func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 	if err := checkHorizon(duration); err != nil {
 		return nil, err
 	}
-	if c.lookahead {
-		c.precomputeWindows(reqs, duration)
-	}
-
 	if !arrivalsSorted(reqs) {
 		// Sort a copy: the caller's slice may be shared with other runs.
 		reqs = slices.Clone(reqs)
 		slices.SortStableFunc(reqs, byArrival)
 	}
-	n := sort.Search(len(reqs), func(i int) bool { return reqs[i].Arrival >= duration })
-	idx := 0
-	return c.runPump(func() *trace.Request {
-		if idx >= n {
-			return nil
+	next := trace.SliceSource(reqs)
+	if c.lookahead {
+		plan, err := queue.Build(duration, next, c.logsArrivals())
+		if err != nil {
+			return nil, err
 		}
-		idx++
-		return &reqs[idx-1]
-	}, duration)
+		return c.RunPlan(plan)
+	}
+	pl, err := queue.NewPlanner(duration, next, c.logsArrivals(), c.batcher)
+	if err != nil {
+		return nil, err
+	}
+	return c.replay(pl, duration)
 }
 
 // checkHorizon rejects a run horizon that is not a positive, finite
@@ -441,9 +453,10 @@ func arrivalsSorted(reqs []trace.Request) bool {
 }
 
 // RunStream replays a pull-based arrival stream without ever
-// materialising it: peak memory is independent of the request count.
-// Arrivals at or past the horizon end the pump. A streamed run gives
-// the Oracle no window view; every other policy ignores it.
+// materialising it: the gateway plans batches as the run pulls them,
+// so peak memory is independent of the request count. Arrivals at or
+// past the horizon end the stream. A streamed run gives the Oracle no
+// window view; every other policy ignores it.
 func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error) {
 	if err := checkHorizon(duration); err != nil {
 		return nil, err
@@ -451,67 +464,133 @@ func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error)
 	if st == nil {
 		return nil, errors.New("cluster: nil stream")
 	}
-	// One buffer holds the current arrival; the batcher copies it before
-	// the pump pulls the next.
-	var cur trace.Request
-	return c.runPump(func() *trace.Request {
-		var ok bool
-		if cur, ok = st.Next(); !ok || cur.Arrival >= duration {
-			return nil
-		}
-		return &cur
-	}, duration)
+	pl, err := queue.NewPlanner(duration, st.Source(), c.logsArrivals(), c.batcher)
+	if err != nil {
+		return nil, err
+	}
+	return c.replay(pl, duration)
 }
 
-// runPump starts the arrival pump over a pull-based request source and
-// runs the simulation to the horizon. One self-re-arming timer pulls
-// the next arrival after pumping the current one, so the queue holds
-// one arrival timer and allocates nothing per request no matter how
-// large the trace is, while each arrival still executes as its own
-// event at its own timestamp. While the next arrival is also the next
-// event, the callback pumps it in a loop (sim.Timer.Continue) instead
-// of returning to the event loop. next returns the next arrival, or nil
-// at the end; the request it points to must stay unchanged until the
-// following call.
-func (c *Cluster) runPump(next func() *trace.Request, duration float64) (*Result, error) {
+// RunPlan replays a plan of the gateway's sealed batches (queue.Build)
+// and drains the system; the plan's horizon is the run's. Runs only
+// read a plan, so any number of them may replay one, concurrently too.
+// A run whose tracer records arrivals needs a plan built with its
+// arrival log (obs.Records).
+func (c *Cluster) RunPlan(plan *queue.Plan) (*Result, error) {
+	if err := checkHorizon(plan.Horizon); err != nil {
+		return nil, err
+	}
+	if c.logsArrivals() && !plan.Logged {
+		return nil, errors.New("cluster: a run that traces arrivals needs a plan built with its arrival log")
+	}
+	if c.lookahead {
+		c.windowView(plan)
+	}
+	return c.replay(plan.Replay(), plan.Horizon)
+}
+
+// logsArrivals reports whether the run's tracer records arrival
+// events, which a replay emits only from a plan's arrival log.
+func (c *Cluster) logsArrivals() bool { return obs.Records(c.sim.Tracer(), obs.KindArrival) }
+
+// replay runs the simulation to the horizon with the gateway's planned
+// steps re-enacted at their instants, then drains it. One gateway-lane
+// timer fires at each step instant and re-enacts every step there: a
+// seal puts its batch in the mailbox, and a traced run emits the step's
+// event. Gateway-lane timers run before node and root timers at one
+// instant, so each batch reaches the mailbox, and each event the trace,
+// where a batcher on the simulation's own clock would put it. The
+// plan's flush steps wait for drainAll.
+func (c *Cluster) replay(steps *queue.Planner, duration float64) (*Result, error) {
 	if c.fleet != nil {
 		if err := c.fleet.Start(); err != nil {
 			return nil, err
 		}
 	}
-	if cur := next(); cur != nil {
-		var pump *sim.Timer
-		var err error
-		pump, err = c.gateway.At(cur.Arrival, func() {
-			for {
-				c.offered++
-				if err := c.batcher.Add(*cur); err != nil {
-					c.dropped++
-				}
-				if cur = next(); cur == nil {
-					return
-				}
-				more, err := pump.Continue(cur.Arrival)
-				if err != nil {
-					panic(err) // unreachable: arrivals are sorted, so never in the past
-				}
-				if !more {
-					return
-				}
-			}
-		})
+	c.steps = steps
+	if c.pullStep() {
+		tm, err := c.gateway.At(c.step.T, c.replayInstant)
 		if err != nil {
 			return nil, err
 		}
+		c.replayTimer = tm
 	}
 	if err := c.startControl(); err != nil {
 		return nil, err
 	}
-
 	if err := c.sim.RunUntil(duration); err != nil {
 		return nil, err
 	}
 	return c.drainAll(duration)
+}
+
+// pullStep loads the next step into c.step and reports whether the
+// replay timer re-enacts it: false at the end and at the first flush
+// step.
+func (c *Cluster) pullStep() bool {
+	c.step = c.steps.Next()
+	return c.step != nil && c.step.Kind != queue.StepFlush
+}
+
+// replayInstant is the replay timer's callback: it re-enacts every step
+// at the current instant and re-arms at the next one. While that next
+// instant is also the next event, it goes on in a loop
+// (sim.Timer.Continue) instead of returning to the event loop; each
+// instant counts as one firing either way.
+func (c *Cluster) replayInstant() {
+	tr := c.gateway.Tracer()
+	for {
+		c.replayed++
+		now := c.gateway.Now()
+		for {
+			c.enact(c.step, tr)
+			if !c.pullStep() {
+				return
+			}
+			if c.step.T > now {
+				break
+			}
+		}
+		more, err := c.replayTimer.Continue(c.step.T)
+		if err != nil {
+			panic(err) // unreachable: a plan's steps are in time order
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// enact re-enacts one planned step: it emits the step's trace event
+// and puts a sealed batch in the mailbox, in a shell from the batcher's
+// freelist.
+func (c *Cluster) enact(st *queue.Step, tr obs.Tracer) {
+	if tr.Enabled() {
+		tr.Emit(st.Event())
+	}
+	if st.Kind != queue.StepArrival {
+		c.enqueueSealed(c.batcher.Replay(&st.Batch))
+	}
+}
+
+// flushPlanned ends a replay at the horizon: it re-enacts the plan's
+// flush steps in Flush order and books the gateway's counts. The
+// planner ran each arrival and window seal as an event on its own
+// clock; Executed counts those events and not the replay's firings.
+func (c *Cluster) flushPlanned() {
+	if c.steps == nil {
+		return
+	}
+	tr := c.sim.Tracer()
+	for ; c.step != nil; c.step = c.steps.Next() {
+		c.enact(c.step, tr)
+	}
+	tally := c.steps.Tally()
+	c.offered += tally.Offered
+	c.dropped += tally.Dropped
+	c.shells = tally.Shells
+	c.sim.AdjustExecuted(int64(tally.Events) - int64(c.replayed))
+	c.steps = nil
 }
 
 // startControl starts the chaos schedule and the dispatch/monitor
@@ -569,6 +648,7 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	}
 	c.stopped = true
 	c.batcher.Flush()
+	c.flushPlanned()
 	c.drainSealed()
 	// The quantum ticker must stop before the drain or its re-arming
 	// would keep the root queue alive forever.
@@ -639,28 +719,38 @@ func (c *Cluster) drainAll(duration float64) (*Result, error) {
 	}, nil
 }
 
-// precomputeWindows derives per-monitor-window upcoming BE load for the
-// Oracle's perfect predictions from a materialised trace: BE arrivals
-// are binned into monitor windows, then each window's request count
-// becomes a per-node batch count.
-func (c *Cluster) precomputeWindows(reqs []trace.Request, duration float64) {
+// windowView derives the Oracle's per-monitor-window view of upcoming
+// BE load from a plan's best-effort batches: BE arrivals are binned
+// into monitor windows, a window's batch size is the model's of its
+// first BE arrival and its memory the model's of its last (arrivals at
+// one instant in different batches go by seal order), and each
+// window's request count becomes a per-node batch count.
+func (c *Cluster) windowView(plan *queue.Plan) {
 	w := monitorInterval
-	n := int(duration/w) + 2
+	n := int(plan.Horizon/w) + 2
 	c.windowBEBatches = make([]int, n)
 	c.windowBEMem = make([]float64, n)
 	beReqs := make([]int, n)
-	for _, r := range reqs {
-		if r.Strict || r.Arrival >= duration {
+	first, last := make([]float64, n), make([]float64, n)
+	for i := range plan.Steps {
+		b := &plan.Steps[i].Batch
+		if plan.Steps[i].Kind == queue.StepArrival || b.Strict {
 			continue
 		}
-		idx := int(r.Arrival / w)
-		if idx >= n {
-			continue
-		}
-		beReqs[idx]++
-		c.windowBEMem[idx] = r.Model.MemGB(gpu.Profile3g)
-		if c.windowBEBatches[idx] == 0 {
-			c.windowBEBatches[idx] = r.Model.BatchSize()
+		for _, a := range b.Arrivals {
+			idx := int(a / w)
+			if idx >= n {
+				continue
+			}
+			if beReqs[idx] == 0 || a < first[idx] {
+				first[idx] = a
+				c.windowBEBatches[idx] = b.Model.BatchSize()
+			}
+			if beReqs[idx] == 0 || a >= last[idx] {
+				last[idx] = a
+				c.windowBEMem[idx] = b.Model.MemGB(gpu.Profile3g)
+			}
+			beReqs[idx]++
 		}
 	}
 	for i := range beReqs {
@@ -674,8 +764,8 @@ func (c *Cluster) precomputeWindows(reqs []trace.Request, duration float64) {
 
 // enqueueSealed is the batcher's emit hook: it appends the sealed
 // batch to the gateway→coordinator mailbox. It runs in gateway-lane
-// context (window timers, seal-on-full) or in root context (the
-// teardown Flush); only the root calls drainSealed.
+// context (window timers, seal-on-full, a replayed seal) or in root
+// context (the teardown flush); only the root calls drainSealed.
 func (c *Cluster) enqueueSealed(b *queue.Batch) {
 	c.sealed = append(c.sealed, b)
 }

@@ -1,0 +1,181 @@
+package cluster
+
+import (
+	"reflect"
+	"testing"
+
+	"protean/internal/chaos"
+	"protean/internal/core"
+	"protean/internal/market"
+	"protean/internal/model"
+	"protean/internal/obs"
+	"protean/internal/pool"
+	"protean/internal/queue"
+	"protean/internal/sim"
+	"protean/internal/trace"
+	"protean/internal/vm"
+)
+
+// outcome is everything a batch run reports: its Result, the events the
+// simulation executed, the freelist traffic and, when traced, the
+// events it emitted.
+type outcome struct {
+	res    *Result
+	events uint64
+	pool   pool.Stats
+	trace  []obs.Event
+}
+
+// TestEntryPointsReplayOneGateway: Run over a generated trace,
+// RunStream over the same arrival stream and RunPlan over a plan built
+// from it replay one gateway, so they give identical Results, Executed
+// counts and pool stats, and a traced run gives the untraced run's
+// outcome and the same events from every entry point. The cells cover
+// PROTEAN, the Oracle (whose window view a streamed run lacks, so it
+// skips RunStream), faults and a market-backed fleet.
+func TestEntryPointsReplayOneGateway(t *testing.T) {
+	strict := model.MustByName("ResNet 50")
+	tc := trace.Config{
+		Rate:     trace.Constant(900),
+		Mix:      trace.Mix{StrictFrac: 0.5, Strict: strict, BEPool: model.OppositeClassPool(strict)},
+		Duration: 16,
+		Seed:     5,
+	}
+	reqs, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := map[bool]*queue.Plan{}
+	for _, log := range []bool{false, true} {
+		st, err := trace.NewStream(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plans[log], err = queue.Build(tc.Duration, st.Source(), log); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells := []struct {
+		name   string
+		policy core.Factory
+		chaos  chaos.Config
+		market bool
+		stream bool
+	}{
+		{"protean", core.NewProtean(core.ProteanConfig{}), chaos.Config{}, false, true},
+		{"oracle", core.NewOracle(), chaos.Config{}, false, false},
+		{"chaos", core.NewProtean(core.ProteanConfig{}), chaos.DefaultConfig().Scaled(2), false, true},
+		{"market", core.NewProtean(core.ProteanConfig{}), chaos.Config{}, true, true},
+	}
+	for _, cell := range cells {
+		run := func(entry string, traced bool) outcome {
+			t.Helper()
+			s := sim.New(9)
+			var col *obs.Collector
+			if traced {
+				col = obs.NewCollector(cell.name)
+				s.SetTracer(col)
+			}
+			var vmCfg *vm.Config
+			if cell.market {
+				mk, err := market.New(s, market.Config{}, vm.DefaultMarketCatalog())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := mk.Start(); err != nil {
+					t.Fatal(err)
+				}
+				vmCfg = &vm.Config{Market: mk, Procurement: market.CheapestSpot()}
+			}
+			c, err := New(s, Config{Nodes: 3, Policy: cell.policy, Chaos: cell.chaos, VM: vmCfg, Warmup: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res *Result
+			switch entry {
+			case "Run":
+				res, err = c.Run(reqs, tc.Duration)
+			case "RunStream":
+				st, serr := trace.NewStream(tc)
+				if serr != nil {
+					t.Fatal(serr)
+				}
+				res, err = c.RunStream(st, tc.Duration)
+			case "RunPlan":
+				res, err = c.RunPlan(plans[traced])
+			}
+			if err != nil {
+				t.Fatalf("%s %s (traced %v): %v", cell.name, entry, traced, err)
+			}
+			out := outcome{res: res, events: s.Executed(), pool: c.PoolStats()}
+			if col != nil {
+				out.trace = col.Trace().Events
+			}
+			return out
+		}
+		want := run("Run", false)
+		if want.res.Availability.Offered != len(reqs) || want.res.Recorder.Requests() == 0 {
+			t.Fatalf("%s: offered %d of %d requests, recorded %d", cell.name,
+				want.res.Availability.Offered, len(reqs), want.res.Recorder.Requests())
+		}
+		entries := []string{"Run", "RunPlan"}
+		if cell.stream {
+			entries = append(entries, "RunStream")
+		}
+		var wantTrace []obs.Event
+		for _, entry := range entries {
+			for _, traced := range []bool{false, true} {
+				got := run(entry, traced)
+				if !reflect.DeepEqual(got.res, want.res) || got.events != want.events || got.pool != want.pool {
+					t.Errorf("%s %s (traced %v): %d events, pool %+v, summary %+v; Run: %d events, pool %+v, summary %+v",
+						cell.name, entry, traced, got.events, got.pool, got.res.Recorder.Summarize(),
+						want.events, want.pool, want.res.Recorder.Summarize())
+				}
+				if !traced {
+					continue
+				}
+				if wantTrace == nil {
+					wantTrace = got.trace
+				} else if !reflect.DeepEqual(got.trace, wantTrace) {
+					t.Errorf("%s %s: the trace differs from traced Run's", cell.name, entry)
+				}
+			}
+		}
+	}
+}
+
+// TestRunPlanRejectsMismatchedPlans: a plan replays only over a
+// positive horizon, and a run that traces arrivals needs a plan that
+// logged them.
+func TestRunPlanRejectsMismatchedPlans(t *testing.T) {
+	reqs := genTrace(t, 100, 5, 0.5, "ResNet 50", nil, 3)
+	build := func(log bool) *queue.Plan {
+		plan, err := queue.Build(5, trace.SliceSource(reqs), log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	zeroHorizon := build(false)
+	zeroHorizon.Horizon = 0
+	for _, tc := range []struct {
+		name   string
+		plan   *queue.Plan
+		traced bool
+	}{
+		{"zero horizon", zeroHorizon, false},
+		{"traced, no arrival log", build(false), true},
+	} {
+		s := sim.New(1)
+		if tc.traced {
+			s.SetTracer(obs.NewCollector(tc.name))
+		}
+		c, err := New(s, Config{Nodes: 1, Policy: core.NewProtean(core.ProteanConfig{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := c.RunPlan(tc.plan); err == nil || res != nil {
+			t.Errorf("%s: got (%v, %v), want an error", tc.name, res, err)
+		}
+	}
+}

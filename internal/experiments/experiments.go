@@ -26,6 +26,7 @@ import (
 	"protean/internal/market"
 	"protean/internal/model"
 	"protean/internal/obs"
+	"protean/internal/queue"
 	"protean/internal/sim"
 	"protean/internal/trace"
 	"protean/internal/vm"
@@ -207,16 +208,16 @@ type Scenario struct {
 	// Trace, when non-nil, is replayed instead of a trace generated from
 	// Rate and the model mix; Strict and BEPool then only name the
 	// pre-warmed models. Runs only read it, so scenarios may share one.
-	// The harnesses share generated traces the same way: the scenarios
-	// of one workload, stamped out by schemeRow or shareTrace, replay
-	// one trace that RunScenarios generates once per batch.
+	// The harnesses share generated arrivals as a plan: the scenarios of
+	// one workload, stamped out by schemeRow or shareTrace, replay the
+	// gateway's batches that RunScenarios plans once per batch.
 	Trace []trace.Request
 	// Scaler tunes container autoscaling (zero value: delayed
 	// termination, §4.2).
 	Scaler autoscale.Config
 
-	// shared, when non-nil, is the trace group this scenario replays
-	// in a RunScenarios batch (nil: it generates its own trace).
+	// shared, when non-nil, is the trace group whose plan this scenario
+	// replays in a RunScenarios batch (nil: it plans its own).
 	shared *arrivals
 }
 
@@ -229,22 +230,23 @@ type MarketSpec struct {
 	Policy func() market.Policy
 }
 
-// RunScenario materialises the scenario's arrivals (sc.Trace, or a
-// generated trace) and executes one cluster run. tr, when non-nil,
-// receives the run's lifecycle events. p is used as given: an entry
-// point resolves its defaults once (the harnesses call withDefaults,
-// and protean.Platform.Run fills every field it needs itself, so its
-// zero warmup stays zero). A scenario run on its own generates its own
-// trace; only a RunScenarios batch shares one between scenarios.
+// RunScenario executes one cluster run of the scenario: it replays
+// sc.Trace, or else plans the gateway's batches over the scenario's
+// arrival stream and replays the plan. tr, when non-nil, receives the
+// run's lifecycle events. p is used as given: an entry point resolves
+// its defaults once (the harnesses call withDefaults, and
+// protean.Platform.Run fills every field it needs itself, so its zero
+// warmup stays zero). A scenario run on its own is a trace group of
+// one; only a RunScenarios batch shares a plan between scenarios.
 func RunScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
 	sc.shared = nil
 	return runScenario(p, sc, tr)
 }
 
 // runScenario is RunScenario for a member of a batch whose trace groups
-// RunScenarios has armed: a grouped scenario takes its group's trace,
-// generating it if it is the first member to ask, and releases the
-// group when its run ends.
+// RunScenarios has armed: a grouped scenario takes its group's plan,
+// building it if it is the first member to ask, and releases the group
+// when its run ends.
 func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
 	if sc.Trace == nil && sc.shared != nil {
 		defer sc.shared.release()
@@ -253,18 +255,33 @@ func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	reqs := sc.Trace
-	if reqs == nil {
-		if sc.shared != nil {
-			reqs, err = sc.shared.get(tc)
-		} else {
-			reqs, err = trace.Generate(tc)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("experiments: generate trace: %w", err)
-		}
+	if sc.Trace != nil {
+		return c.Run(sc.Trace, p.Duration)
 	}
-	return c.Run(reqs, p.Duration)
+	// A batch's collectors come from one TraceSet, so every member of a
+	// group records arrivals or none does.
+	log := tr != nil && obs.Records(tr, obs.KindArrival)
+	var plan *queue.Plan
+	if sc.shared != nil {
+		plan, err = sc.shared.get(tc, log)
+	} else {
+		plan, err = planTrace(tc, log)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: plan trace: %w", err)
+	}
+	return c.RunPlan(plan)
+}
+
+// planTrace plans the gateway's batches over the arrivals tc generates,
+// pulled from trace.NewStream, so no request is materialised. log
+// records the arrival steps a traced replay emits.
+func planTrace(tc trace.Config, log bool) (*queue.Plan, error) {
+	st, err := trace.NewStream(tc)
+	if err != nil {
+		return nil, err
+	}
+	return queue.Build(tc.Duration, st.Source(), log)
 }
 
 // traceConfig is the trace a scenario generates when it carries none:
@@ -302,8 +319,8 @@ func traceConfig(p Params, sc Scenario) trace.Config {
 // the scenario's trace config, the simulator (exposed so the events/sec
 // counters can read Executed()), and the cluster wired onto it. p must
 // be resolved. Callers choose how arrivals reach the cluster:
-// RunScenario materialises them into exact recorders, ScaleCell streams
-// them from trace.NewStream into sketch recorders (sketch set).
+// RunScenario replays a plan built from trace.NewStream into exact
+// recorders, ScaleCell streams them into sketch recorders (sketch set).
 func buildScenario(p Params, sc Scenario, tr obs.Tracer, sketch bool) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
 	if sc.Policy == nil {
 		return trace.Config{}, nil, nil, errors.New("experiments: scenario without policy")

@@ -9,6 +9,7 @@ import (
 	"protean/internal/cluster"
 	"protean/internal/metrics"
 	"protean/internal/obs"
+	"protean/internal/queue"
 	"protean/internal/trace"
 )
 
@@ -33,9 +34,10 @@ func (p Params) workers() int {
 // index order, not completion order) wins, which makes the outcome
 // byte-identical to a sequential run regardless of scheduling.
 // Scenarios that compare schemes on one workload (made by schemeRow or
-// shareTrace) share its generated trace: the first member to start
-// generates it, the others replay the same read-only slice, and it is
-// released when the group's last run ends. Every experiment harness
+// shareTrace) share one plan of its gateway batches: the first member
+// to start plans the workload's arrival stream, the others replay the
+// same read-only plan, and it is released when the group's last run
+// ends. Every experiment harness
 // that sweeps a scheme×model grid goes through here, with p already
 // resolved by withDefaults.
 //
@@ -106,15 +108,16 @@ func RunScenarios[T any](p Params, scs []Scenario, read func(*cluster.Result) T)
 	return out, nil
 }
 
-// arrivals is the generated trace a group of scenarios replays: the
-// schemes compared on one workload. The first member to start generates
-// it through once; the others wait for it and read the same slice. The
-// bytes are those each member would generate alone, because
-// trace.Generate is a pure function of its config, runs only read the
-// slice, and armShared rejects a group whose members' configs differ.
+// arrivals is the plan a group of scenarios replays: the schemes
+// compared on one workload. The first member to start plans the
+// group's arrival stream once; the others wait for it and replay the
+// same read-only plan. The bytes are those each member would get
+// alone, because a plan is a pure function of its trace config, runs
+// only read it, and armShared rejects a group whose members' configs
+// differ.
 type arrivals struct {
 	once sync.Once
-	reqs []trace.Request
+	plan *queue.Plan
 	err  error
 
 	mu   sync.Mutex
@@ -130,19 +133,21 @@ func shareTrace(scs []Scenario) {
 	}
 }
 
-// get returns the group's trace, generating it from tc on first use.
-func (a *arrivals) get(tc trace.Config) ([]trace.Request, error) {
-	a.once.Do(func() { a.reqs, a.err = trace.Generate(tc) })
-	return a.reqs, a.err
+// get returns the group's plan, building it from tc on first use. log
+// is whether the batch's tracers record arrivals, which holds for every
+// member alike.
+func (a *arrivals) get(tc trace.Config, log bool) (*queue.Plan, error) {
+	a.once.Do(func() { a.plan, a.err = planTrace(tc, log) })
+	return a.plan, a.err
 }
 
-// release marks one member's run finished and drops the trace after the
-// last, so a sequential batch holds at most one group's trace at once.
+// release marks one member's run finished and drops the plan after the
+// last, so a sequential batch holds at most one group's plan at once.
 func (a *arrivals) release() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.left--; a.left == 0 {
-		a.reqs = nil
+		a.plan = nil
 	}
 }
 

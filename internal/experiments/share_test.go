@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"protean/internal/model"
+	"protean/internal/queue"
 	"protean/internal/trace"
 )
 
@@ -45,22 +46,32 @@ func TestGridRowsShareOneTrace(t *testing.T) {
 			t.Errorf("%s does not share %s's trace", sc.Label, row.Label)
 		}
 	}
-	// Each member's own trace is byte-for-byte the one its row shares.
+	// Each member's own plan is the one its row shares, and both are the
+	// plan of the generated trace.
 	if err := armShared(p, scs); err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range scs {
 		tc := traceConfig(p, sc)
-		shared, err := sc.shared.get(tc)
+		shared, err := sc.shared.get(tc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, err := trace.Generate(tc)
+		own, err := planTrace(tc, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(own) == 0 || !reflect.DeepEqual(own, shared) {
-			t.Errorf("%s: its own trace (%d requests) differs from the shared one (%d)", sc.Label, len(own), len(shared))
+		reqs, err := trace.Generate(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		generated, err := queue.Build(tc.Duration, trace.SliceSource(reqs), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(own.Steps) == 0 || !reflect.DeepEqual(own, shared) || !reflect.DeepEqual(own, generated) {
+			t.Errorf("%s: its own plan (%d steps), the shared one (%d) and the generated trace's (%d) differ",
+				sc.Label, len(own.Steps), len(shared.Steps), len(generated.Steps))
 		}
 	}
 }
@@ -81,8 +92,8 @@ func TestRunScenariosSharedRowsMatchUnshared(t *testing.T) {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		for _, a := range groups(scs) {
-			if a.reqs != nil || a.left != 0 {
-				t.Errorf("parallel=%d: group kept %d requests with %d members left", parallel, len(a.reqs), a.left)
+			if a.plan != nil || a.left != 0 {
+				t.Errorf("parallel=%d: group kept its plan with %d members left", parallel, a.left)
 			}
 		}
 		out := make([]string, len(sums))

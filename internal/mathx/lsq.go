@@ -42,9 +42,9 @@ func SolveLeastSquares(a [][]float64, b []float64) ([]float64, error) {
 	atb := make([]float64, cols)
 	for r := 0; r < rows; r++ {
 		for i := 0; i < cols; i++ {
-			atb[i] += a[r][i] * b[r]
+			atb[i] += float64(a[r][i] * b[r])
 			for j := 0; j < cols; j++ {
-				ata[i][j] += a[r][i] * a[r][j]
+				ata[i][j] += float64(a[r][i] * a[r][j])
 			}
 		}
 	}
@@ -87,16 +87,16 @@ func SolveLinear(m [][]float64, v []float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for j := i + 1; j < n; j++ {
-			sum -= a[i][j] * x[j]
+			sum -= float64(a[i][j] * x[j])
 		}
 		x[i] = sum / a[i][i]
 	}

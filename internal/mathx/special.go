@@ -18,7 +18,7 @@ func RegIncBeta(a, b, x float64) float64 {
 	case x >= 1:
 		return 1
 	}
-	ln := lnGamma(a+b) - lnGamma(a) - lnGamma(b) + a*math.Log(x) + b*math.Log(1-x)
+	ln := lnGamma(a+b) - lnGamma(a) - lnGamma(b) + float64(a*math.Log(x)) + float64(b*math.Log(1-x))
 	front := math.Exp(ln)
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(a, b, x) / a
@@ -48,7 +48,7 @@ func betaCF(a, b, x float64) float64 {
 		fm := float64(m)
 		m2 := 2 * fm
 		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -59,7 +59,7 @@ func betaCF(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -68,7 +68,7 @@ func betaCF(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break
@@ -105,8 +105,8 @@ func StudentTSF(t, nu float64) float64 {
 	if nu <= 0 {
 		return math.NaN()
 	}
-	x := nu / (nu + t*t)
-	tail := 0.5 * RegIncBeta(nu/2, 0.5, x) // P(T > |t|) by symmetry
+	x := nu / (nu + float64(t*t))
+	tail := float64(0.5 * RegIncBeta(nu/2, 0.5, x)) // P(T > |t|) by symmetry
 	if t >= 0 {
 		return tail
 	}

@@ -245,6 +245,16 @@ type Tracer interface {
 	Emit(ev Event)
 }
 
+// Records reports whether tr records events of kind k: false when tr
+// is disabled or is a Collector that omits the kind (see NewTraceSet).
+// A producer may skip the work of an event nothing records.
+func Records(tr Tracer, k Kind) bool {
+	if c, ok := tr.(*Collector); ok {
+		return c.omit&(1<<(k&63)) == 0
+	}
+	return tr.Enabled()
+}
+
 // nop is the disabled tracer.
 type nop struct{}
 
@@ -270,6 +280,7 @@ type Trace struct {
 type Collector struct {
 	label  string
 	events []Event
+	omit   uint64 // bit k set: events of Kind k are not recorded
 }
 
 // NewCollector returns an enabled collector labeled label.
@@ -281,7 +292,12 @@ func NewCollector(label string) *Collector {
 func (c *Collector) Enabled() bool { return true }
 
 // Emit implements Tracer.
-func (c *Collector) Emit(ev Event) { c.events = append(c.events, ev) }
+func (c *Collector) Emit(ev Event) {
+	if c.omit&(1<<(ev.Kind&63)) != 0 {
+		return
+	}
+	c.events = append(c.events, ev)
+}
 
 // Len returns the number of recorded events.
 func (c *Collector) Len() int { return len(c.events) }
@@ -298,10 +314,19 @@ func (c *Collector) Trace() Trace { return Trace{Label: c.label, Events: c.event
 type TraceSet struct {
 	mu   sync.Mutex
 	cols []*Collector
+	omit uint64
 }
 
-// NewTraceSet returns an empty set.
-func NewTraceSet() *TraceSet { return &TraceSet{} }
+// NewTraceSet returns an empty set whose collectors record every event
+// except those of the omitted kinds. An export that renders no event of
+// a kind omits it, so a run does not hold events nothing reads.
+func NewTraceSet(omit ...Kind) *TraceSet {
+	ts := &TraceSet{}
+	for _, k := range omit {
+		ts.omit |= 1 << (k & 63)
+	}
+	return ts
+}
 
 // NewCollector registers and returns the next run's collector. The
 // label is prefixed with the registration index so merged traces stay
@@ -313,6 +338,7 @@ func (ts *TraceSet) NewCollector(label string) *Collector {
 		label = "run"
 	}
 	c := NewCollector(fmt.Sprintf("%03d %s", len(ts.cols), label))
+	c.omit = ts.omit
 	ts.cols = append(ts.cols, c)
 	return c
 }

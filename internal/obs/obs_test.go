@@ -191,3 +191,29 @@ func TestFormatKindCountsSorted(t *testing.T) {
 		t.Errorf("format = %q", got)
 	}
 }
+
+// TestTraceSetOmitsKinds: a set's collectors drop the kinds it omits
+// and keep every other, and Records reports what a tracer keeps.
+func TestTraceSetOmitsKinds(t *testing.T) {
+	c := NewTraceSet(KindArrival).NewCollector("coarse")
+	c.Emit(At(1, KindArrival))
+	c.Emit(At(2, KindBatchSeal))
+	if evs := c.Trace().Events; len(evs) != 1 || evs[0].Kind != KindBatchSeal {
+		t.Errorf("collected %v, want the seal only", evs)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   Tracer
+		k    Kind
+		want bool
+	}{
+		{"coarse arrival", c, KindArrival, false},
+		{"coarse seal", c, KindBatchSeal, true},
+		{"full arrival", NewTraceSet().NewCollector("full"), KindArrival, true},
+		{"nop", Nop(), KindBatchSeal, false},
+	} {
+		if got := Records(tc.tr, tc.k); got != tc.want {
+			t.Errorf("%s: Records = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 // Package queue implements PROTEAN's request batching and reordering
 // (§4.1): incoming requests are grouped into per-model batches
-// (strict and best-effort requests batch separately). Strict-first
-// ordering of sealed batches happens in each GPU's pending queues
+// (strict and best-effort requests batch separately). A Batcher batches
+// live requests on the simulation's clock; a Planner runs one ahead of
+// a batch run, and the run replays its Plan. Strict-first ordering of
+// sealed batches happens in each GPU's pending queues
 // (gpu.GPU.ReorderPending).
 package queue
 
@@ -38,6 +40,10 @@ type Batch struct {
 	Tenants []string
 	// Sealed is the virtual time the batch stopped accepting requests.
 	Sealed float64
+
+	// shared marks a batch whose member buffers belong to a Plan:
+	// Release recycles its shell but not its buffers.
+	shared bool
 }
 
 // Size returns the number of requests in the batch.
@@ -141,6 +147,9 @@ func (b *Batcher) Release(batch *Batch) {
 	if batch == nil {
 		return
 	}
+	if batch.shared {
+		batch.Arrivals, batch.Tenants = nil, nil
+	}
 	if cap(batch.Arrivals) > 0 {
 		b.arrFree = append(b.arrFree, batch.Arrivals[:0])
 		batch.Arrivals = nil
@@ -151,6 +160,18 @@ func (b *Batcher) Release(batch *Batch) {
 		batch.Tenants = nil
 	}
 	b.batchFree.Put(batch)
+}
+
+// Replay hands out a shell from the freelist holding a planned batch
+// (see Planner): the same ID, model, class, members and seal time,
+// sharing the planned batch's member buffers. Release takes the shell
+// back like any other; it leaves a Plan's buffers to the plan and keeps
+// a once-replayed batch's for its planner to reuse. Call only from
+// events of the batcher's lane or of the root.
+func (b *Batcher) Replay(planned *Batch) *Batch {
+	batch := b.batchFree.Get()
+	*batch = *planned
+	return batch
 }
 
 // reuse pops a recycled buffer off free, or returns nil when there is
@@ -208,12 +229,7 @@ func (b *Batcher) Add(req trace.Request) error {
 		pb.tenants = append(pb.tenants, req.Tenant)
 	}
 	if tr := b.sim.Tracer(); tr.Enabled() {
-		ev := obs.At(b.sim.Now(), obs.KindArrival)
-		ev.Batch = pb.id
-		ev.Model = req.Model.Name()
-		ev.Strict = req.Strict
-		ev.Requests = 1
-		tr.Emit(ev)
+		tr.Emit(arrivalEvent(b.sim.Now(), pb.id, req.Model.Name(), req.Strict))
 	}
 	if len(pb.arrivals) >= req.Model.BatchSize() {
 		b.seal(pb)
@@ -278,15 +294,30 @@ func (b *Batcher) seal(pb *partialBatch) {
 	pb.arrivals, pb.tenants = nil, nil
 	b.pbFree.Put(pb)
 	if tr := b.sim.Tracer(); tr.Enabled() {
-		ev := obs.At(batch.Sealed, obs.KindBatchSeal)
-		ev.Batch = batch.ID
-		ev.Model = batch.Model.Name()
-		ev.Strict = batch.Strict
-		ev.Requests = batch.Size()
-		// Carry the oldest member's arrival so span assembly works on
-		// traces whose per-request arrival events were filtered out.
-		ev.Value = batch.FirstArrival()
-		tr.Emit(ev)
+		tr.Emit(sealEvent(batch))
 	}
 	b.emit(batch)
+}
+
+// arrivalEvent is the trace event of one request joining batch id.
+func arrivalEvent(at float64, id uint64, model string, strict bool) obs.Event {
+	ev := obs.At(at, obs.KindArrival)
+	ev.Batch = id
+	ev.Model = model
+	ev.Strict = strict
+	ev.Requests = 1
+	return ev
+}
+
+// sealEvent is the trace event of batch sealing.
+func sealEvent(batch *Batch) obs.Event {
+	ev := obs.At(batch.Sealed, obs.KindBatchSeal)
+	ev.Batch = batch.ID
+	ev.Model = batch.Model.Name()
+	ev.Strict = batch.Strict
+	ev.Requests = batch.Size()
+	// Carry the oldest member's arrival so span assembly works on
+	// traces whose per-request arrival events were filtered out.
+	ev.Value = batch.FirstArrival()
+	return ev
 }

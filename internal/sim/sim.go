@@ -158,8 +158,8 @@ func (t *Timer) Reschedule(at float64) error {
 // firing in Executed and returns true, and the callback runs the
 // firing's work itself, in a loop. Otherwise it calls Reschedule and
 // returns false. Either way events run in the order Reschedule alone
-// gives them; a timer that fires in bursts (the arrival pump) just
-// saves a heap round trip per firing.
+// gives them; a timer that fires in bursts (the cluster's gateway
+// replay) just saves a heap round trip per firing.
 //
 //protean:hotpath
 func (t *Timer) Continue(at float64) (bool, error) {
@@ -251,6 +251,16 @@ func (s *Sim) Rand() *Stream { return s.root.rng }
 // so far, including every lane's events; a lane reports its root's
 // count. This is the numerator of the events/sec benchmark metric.
 func (s *Sim) Executed() uint64 { return s.root.executed }
+
+// AdjustExecuted adds delta to the root's executed count. It is for a
+// component that stands in for events the loop did not run: the
+// cluster's planned gateway runs arrivals and window seals on a private
+// clock and replays only the seals, so it books the events it stands
+// for and takes back its own replay firings, and Executed counts the
+// events of the model either way.
+func (s *Sim) AdjustExecuted(delta int64) {
+	s.root.executed = uint64(int64(s.root.executed) + delta)
+}
 
 // Lane creates a child simulation on the root s: a group of timers
 // with its own heap rank and Pending count. It has no clock or random

@@ -88,6 +88,34 @@ func (s *Stream) Next() (Request, bool) {
 	return req, true
 }
 
+// Source returns the stream as a pull function: each call returns the
+// next request, or nil once the stream ends. The request lives in one
+// buffer that the following call overwrites.
+func (s *Stream) Source() func() *Request {
+	var cur Request
+	return func() *Request {
+		var ok bool
+		if cur, ok = s.Next(); !ok {
+			return nil
+		}
+		return &cur
+	}
+}
+
+// SliceSource returns reqs as a pull function: each call returns a
+// pointer to the next request of the slice, or nil after the last. It
+// only reads reqs.
+func SliceSource(reqs []Request) func() *Request {
+	i := 0
+	return func() *Request {
+		if i == len(reqs) {
+			return nil
+		}
+		i++
+		return &reqs[i-1]
+	}
+}
+
 // next is the thinning loop Next and Generate share: it draws candidate
 // arrivals until one is accepted and returns its instant, model and
 // strictness, or ok=false once the horizon is reached.
