@@ -60,12 +60,15 @@ type Config struct {
 	// Policies keep planning in A100 profile names; geometries are
 	// translated by slot prefix, so an H100 fleet gets 80 GB slices.
 	Arch *gpu.Arch
-	// SketchQuantiles switches every recorder — per-node accumulators
-	// and the merged result — into O(1)-memory sketch mode (see
-	// metrics.NewSketchRecorder): one quantile sketch per class plus
-	// the exact counts, and no rows. Default off: exact sample
-	// buffering. Scale runs opt in so peak memory stays flat in the
-	// request count.
+	// Level is what every recorder keeps — per-node accumulators and
+	// the merged result (see metrics.Level). The zero value keeps every
+	// row. A run whose reader reads only counts records at
+	// metrics.Counts and builds no rows; scale runs record at
+	// metrics.Sketches, so peak memory stays flat in the request count.
+	Level metrics.Level
+	// SketchQuantiles is perfbench's spelling of Level
+	// metrics.Sketches; nothing else sets it. New rejects it together
+	// with another level.
 	SketchQuantiles bool
 }
 
@@ -226,12 +229,18 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	if cfg.Policy == nil {
 		return nil, errors.New("cluster: nil policy factory")
 	}
+	if cfg.SketchQuantiles {
+		if cfg.Level != metrics.Rows && cfg.Level != metrics.Sketches {
+			return nil, errors.New("cluster: SketchQuantiles set with another recorder level")
+		}
+		cfg.Level = metrics.Sketches
+	}
+	if !cfg.Level.Valid() {
+		return nil, fmt.Errorf("cluster: invalid recorder level %d", cfg.Level)
+	}
 	cfg.applyDefaults()
 
-	c := &Cluster{cfg: cfg, sim: s, recorder: &metrics.Recorder{}}
-	if cfg.SketchQuantiles {
-		c.recorder = metrics.NewSketchRecorder()
-	}
+	c := &Cluster{cfg: cfg, sim: s, recorder: metrics.NewRecorder(cfg.Level)}
 	// The gateway lane is created first so its trace events sort ahead
 	// of node-lane events at equal timestamps (arrival before service).
 	c.gateway = s.Lane("gateway")
@@ -294,11 +303,9 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 			scaler:  scaler,
 			up:      true,
 		}
-		if cfg.SketchQuantiles {
-			// Node recorders sketch too, or per-node sample buffers would
-			// still grow with the request count.
-			n.recorder = *metrics.NewSketchRecorder()
-		}
+		// Node recorders keep the run's level too: rows kept per node
+		// would still grow with the request count.
+		n.recorder = *metrics.NewRecorder(cfg.Level)
 		n.jobFree.Reset = (*gpu.Job).Reset
 		n.onDone = func(j *gpu.Job) { n.complete(j.Ctx.(*queue.Batch), j) }
 		n.onFail = func(j *gpu.Job) { n.jobFailed(j.Ctx.(*queue.Batch), j) }
@@ -1058,12 +1065,30 @@ func (n *node) place(b *queue.Batch, cold float64) error {
 // complete records metrics for every request in the batch and frees the
 // container. The batch's requests share every sample field but their
 // latency, queueing delay and tenant, so they are recorded in one call;
-// a live cluster hands them to the control plane instead.
+// a count-level run records only how many met the SLO, and a live
+// cluster hands the requests to the control plane instead.
 func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 	c := n.cluster
 	n.leave(b, true)
 	c.completed += b.Size()
 	finished, started, warmup := j.Finished(), j.Started(), c.cfg.Warmup
+	if !c.live && c.cfg.Level == metrics.Counts {
+		slo := b.Model.SLO(c.cfg.SLOMultiplier)
+		count, met := 0, 0
+		for _, arrival := range b.Arrivals {
+			if arrival < warmup {
+				continue
+			}
+			count++
+			// The latency AddBatch would compare: finished - arrival.
+			if finished-arrival <= slo {
+				met++
+			}
+		}
+		n.recorder.AddCounts(metrics.Sample{Strict: b.Strict, SLO: slo, Weight: 1}, count, met)
+		n.recycle(b, j)
+		return
+	}
 	rows := slices.Grow(c.rows[:0], b.Size())
 	for i, arrival := range b.Arrivals {
 		if arrival < warmup {
@@ -1100,11 +1125,15 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 			Weight:    1,
 		}, rows)
 	}
-	// The engine detached the job before OnDone and the rows above
-	// copied what they needed, so both hot objects recycle here: the job
-	// immediately (pumpHeld may place with it), the batch at the next
-	// dispatch barrier.
-	c.spent = append(c.spent, b)
+	n.recycle(b, j)
+}
+
+// recycle hands a completed batch and its job back once complete has
+// read what it records. The engine detached the job before OnDone, so
+// both hot objects recycle here: the job immediately (pumpHeld may
+// place with it), the batch at the next dispatch barrier.
+func (n *node) recycle(b *queue.Batch, j *gpu.Job) {
+	n.cluster.spent = append(n.cluster.spent, b)
 	n.jobFree.Put(j)
 	n.pumpHeld()
 }

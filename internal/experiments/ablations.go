@@ -3,6 +3,7 @@ package experiments
 import (
 	"protean/internal/autoscale"
 	"protean/internal/core"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/reconfig"
 )
@@ -54,7 +55,7 @@ func Ablations(p Params) (*Report, error) {
 		shareTrace(pair)
 		scs = append(scs, pair...)
 	}
-	runs, err := RunScenarios(p, scs, sloAndP99)
+	runs, err := RunScenarios(p, scs, metrics.Rows, sloAndP99)
 	if err != nil {
 		return nil, err
 	}

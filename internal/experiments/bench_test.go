@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"protean/internal/core"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/trace"
 )
@@ -58,7 +59,7 @@ func BenchmarkScenario(b *testing.B) {
 		b.Run(sc.Label, func(b *testing.B) {
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				tc, s, c, err := buildScenario(p, sc, nil, false)
+				tc, s, c, err := buildScenario(p, sc, nil, metrics.Rows)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -94,7 +94,7 @@ func ChaosSweep(p Params) (*Report, error) {
 		faults       chaos.Stats
 		coldStarts   int
 	}
-	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+	runs, err := RunScenarios(p, scs, metrics.Counts, func(res *cluster.Result) run {
 		r := run{
 			slo:        res.Recorder.SLOCompliance(),
 			goodput:    metrics.Goodput(res.Recorder, res.Duration),

@@ -5,6 +5,7 @@ import (
 
 	"protean/internal/cluster"
 	"protean/internal/core"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/trace"
 )
@@ -68,7 +69,7 @@ func complianceReport(p Params, id string, grids ...complianceGrid) (*Report, er
 	for _, g := range grids {
 		scs = append(scs, g.scs...)
 	}
-	cells, err := RunScenarios(p, scs, slo)
+	cells, err := RunScenarios(p, scs, metrics.Counts, slo)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
@@ -154,7 +155,7 @@ func Table4AllStrict(p Params) (*Report, error) {
 		Strict:     model.MustByName("ResNet 50"),
 		StrictFrac: 1.0,
 		Rate:       wikiRate(p.Duration),
-	}, schemes, func(scheme string) string { return "table4 " + scheme }), slo)
+	}, schemes, func(scheme string) string { return "table4 " + scheme }), metrics.Counts, slo)
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ import (
 	"protean/internal/core"
 	"protean/internal/gpu"
 	"protean/internal/market"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/obs"
 	"protean/internal/queue"
@@ -240,18 +241,18 @@ type MarketSpec struct {
 // one; only a RunScenarios batch shares a plan between scenarios.
 func RunScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
 	sc.shared = nil
-	return runScenario(p, sc, tr)
+	return runScenario(p, sc, tr, metrics.Rows)
 }
 
 // runScenario is RunScenario for a member of a batch whose trace groups
-// RunScenarios has armed: a grouped scenario takes its group's plan,
-// building it if it is the first member to ask, and releases the group
-// when its run ends.
-func runScenario(p Params, sc Scenario, tr obs.Tracer) (*cluster.Result, error) {
+// RunScenarios has armed, recording at level keep: a grouped scenario
+// takes its group's plan, building it if it is the first member to ask,
+// and releases the group when its run ends.
+func runScenario(p Params, sc Scenario, tr obs.Tracer, keep metrics.Level) (*cluster.Result, error) {
 	if sc.Trace == nil && sc.shared != nil {
 		defer sc.shared.release()
 	}
-	tc, _, c, err := buildScenario(p, sc, tr, false)
+	tc, _, c, err := buildScenario(p, sc, tr, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -318,10 +319,11 @@ func traceConfig(p Params, sc Scenario) trace.Config {
 // constructed, for the experiments and the public API alike: it returns
 // the scenario's trace config, the simulator (exposed so the events/sec
 // counters can read Executed()), and the cluster wired onto it. p must
-// be resolved. Callers choose how arrivals reach the cluster:
-// RunScenario replays a plan built from trace.NewStream into exact
-// recorders, ScaleCell streams them into sketch recorders (sketch set).
-func buildScenario(p Params, sc Scenario, tr obs.Tracer, sketch bool) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
+// be resolved. Callers choose how arrivals reach the cluster and what
+// its recorders keep: RunScenarios replays a plan built from
+// trace.NewStream at its reader's level, ScaleCell streams them into
+// sketch recorders.
+func buildScenario(p Params, sc Scenario, tr obs.Tracer, keep metrics.Level) (trace.Config, *sim.Sim, *cluster.Cluster, error) {
 	if sc.Policy == nil {
 		return trace.Config{}, nil, nil, errors.New("experiments: scenario without policy")
 	}
@@ -370,17 +372,17 @@ func buildScenario(p Params, sc Scenario, tr obs.Tracer, sketch bool) (trace.Con
 		vmCfg.Procurement = sc.Market.Policy()
 	}
 	c, err := cluster.New(s, cluster.Config{
-		Nodes:           p.Nodes,
-		Policy:          sc.Policy,
-		SLOMultiplier:   sc.SLOMultiplier,
-		Warmup:          p.Warmup,
-		PreWarm:         prewarm,
-		PreWarmCount:    4,
-		Scaler:          sc.Scaler,
-		VM:              vmCfg,
-		Arch:            sc.Arch,
-		Chaos:           chaosCfg,
-		SketchQuantiles: sketch,
+		Nodes:         p.Nodes,
+		Policy:        sc.Policy,
+		SLOMultiplier: sc.SLOMultiplier,
+		Warmup:        p.Warmup,
+		PreWarm:       prewarm,
+		PreWarmCount:  4,
+		Scaler:        sc.Scaler,
+		VM:            vmCfg,
+		Arch:          sc.Arch,
+		Chaos:         chaosCfg,
+		Level:         keep,
 	})
 	if err != nil {
 		return trace.Config{}, nil, nil, err

@@ -7,6 +7,7 @@ import (
 	"protean/internal/cluster"
 	"protean/internal/core"
 	"protean/internal/gpu"
+	"protean/internal/metrics"
 	"protean/internal/model"
 )
 
@@ -33,7 +34,7 @@ func ColdStarts(p Params) (*Report, error) {
 		coldStarts int
 		sloP99     [2]Cell
 	}
-	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+	runs, err := RunScenarios(p, scs, metrics.Rows, func(res *cluster.Result) run {
 		return run{coldStarts: res.ColdStarts, sloP99: sloAndP99(res)}
 	})
 	if err != nil {
@@ -100,7 +101,7 @@ func Hopper(p Params) (*Report, error) {
 		shareTrace(row)
 		scs = append(scs, row...)
 	}
-	runs, err := RunScenarios(p, scs, func(res *cluster.Result) []Cell {
+	runs, err := RunScenarios(p, scs, metrics.Rows, func(res *cluster.Result) []Cell {
 		c := sloAndP99(res)
 		return []Cell{c[0], c[1], count(res.Reconfigs)}
 	})

@@ -78,7 +78,7 @@ func Fig2Motivation(p Params) (*Report, error) {
 	}
 	p.Nodes = 1 // §2.2 shares one A100 between both workloads
 	// Each run's strict summary per workload, indexed like workloads.
-	sums, err := RunScenarios(p, scs, func(res *cluster.Result) []metrics.Summary {
+	sums, err := RunScenarios(p, scs, metrics.Rows, func(res *cluster.Result) []metrics.Summary {
 		out := make([]metrics.Summary, len(workloads))
 		for wi, w := range workloads {
 			out[wi] = res.Recorder.ForModel(w.Name()).Summarize()

@@ -5,6 +5,7 @@ import (
 
 	"protean/internal/cluster"
 	"protean/internal/core"
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/vm"
 )
@@ -91,7 +92,7 @@ func Fig9CostVsSLO(p Params) (*Report, error) {
 		// Every run of a model replays its one Wiki trace: only the
 		// policy and the fleet differ.
 		shareTrace(scs)
-		runs, err := RunScenarios(p, scs, read)
+		runs, err := RunScenarios(p, scs, metrics.Counts, read)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +149,7 @@ func Fig10ThroughputUtilization(p Params) (*Report, error) {
 	// throughput table and the EfficientNet runs the utilization table.
 	runs, err := RunScenarios(p, gridScenarios([]*model.Model{dense, eff}, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}), func(res *cluster.Result) [6]Cell {
+	}), metrics.Rows, func(res *cluster.Result) [6]Cell {
 		return [6]Cell{
 			fixed(res.Recorder.Throughput(effective, res.Nodes, p.Duration), 1),
 			fixed(res.Recorder.TotalThroughput(effective, res.Nodes, p.Duration), 1),
@@ -180,7 +181,7 @@ func Fig11ErraticTrace(p Params) (*Report, error) {
 	schemes := PrimarySchemes()
 	sums, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario) {
 		sc.Rate = twitterRate(p.Duration, p.Seed)
-	}), summarize)
+	}), metrics.Rows, summarize)
 	if err != nil {
 		return nil, fmt.Errorf("fig11: %w", err)
 	}

@@ -59,6 +59,30 @@ func TestScaleQuickGoldenHash(t *testing.T) {
 	}
 }
 
+// quickGridGolden pins the SHA-256 of `protean-bench -run all -quick
+// -seed 1`: every experiment's text report at the CLI's default 8
+// nodes, 60 s and 15 s warmup, each followed by the blank line the CLI
+// prints after it. perfbench's paper-scale smoke pins the same bytes. The fig2 and scale pins above cover two reports; this
+// one covers every reader, whatever level its runs record at.
+const quickGridGolden = "6ff46c4eed7ef16dca169b7aef5d27dcce1df135675cb8eaeb2c65593d59f6a4"
+
+func TestQuickGridGoldenHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick-mode experiment; skipped in -short")
+	}
+	var sb strings.Builder
+	for _, e := range Registry() {
+		sb.WriteString(renderText(t, e.ID, Params{Nodes: 8, Duration: 60, Warmup: 15, Quick: true, Seed: 1, Parallel: 1}))
+		sb.WriteByte('\n')
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	if got := hex.EncodeToString(sum[:]); got != quickGridGolden {
+		t.Errorf("quick grid hash = %s, want %s\n"+
+			"The report bytes changed. If this is intentional, re-pin the"+
+			" golden hash here, in CI and in perfbench in the same commit and explain the semantic change.", got, quickGridGolden)
+	}
+}
+
 // traceGoldens pins the SHA-256 of the Chrome and JSONL trace exports
 // of real quick-mode runs at seed 1. Unlike internal/obs's hand-built
 // fixture, these run the simulator, so they pin the engine's event

@@ -39,7 +39,7 @@ func Fig6TailBreakdown(p Params) (*Report, error) {
 	schemes := PrimarySchemes()
 	sums, err := RunScenarios(p, gridScenarios(models, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}), summarize)
+	}), metrics.Rows, summarize)
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}
@@ -74,7 +74,7 @@ func Fig7ReconfigTimeline(p Params) (*Report, error) {
 		RotatePeriod: 15,
 		Rate:         wikiRate(p.Duration),
 		Policy:       core.NewProtean(core.ProteanConfig{}),
-	}}, func(res *cluster.Result) []*Table {
+	}}, metrics.Rows, func(res *cluster.Result) []*Table {
 		timeline := &Table{
 			Title:   "Figure 7: PROTEAN geometry timeline (ShuffleNet V2 strict, rotating HI BE models)",
 			Headers: []string{"time (s)", "node", "geometry"},
@@ -117,7 +117,7 @@ func Fig8LatencyCDF(p Params) (*Report, error) {
 	// One column of strict percentiles per scheme.
 	cols, err := RunScenarios(p, gridScenarios([]*model.Model{m}, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}), func(res *cluster.Result) []Cell {
+	}), metrics.Rows, func(res *cluster.Result) []Cell {
 		strict := res.Recorder.Strict()
 		col := make([]Cell, len(quantiles))
 		for i, q := range quantiles {
@@ -157,7 +157,7 @@ func Table5AllBE(p Params) (*Report, error) {
 	cells, err := RunScenarios(p, schemeRow(Scenario{
 		BEPool: model.VisionHI(),
 		Rate:   trace.Constant(AllBEMeanRPS),
-	}, schemes, func(scheme string) string { return "table5 " + scheme }), func(res *cluster.Result) []Cell {
+	}, schemes, func(scheme string) string { return "table5 " + scheme }), metrics.Rows, func(res *cluster.Result) []Cell {
 		be := res.Recorder.BestEffort()
 		return []Cell{ms(be.Percentile(50)), ms(be.Percentile(99))}
 	})
@@ -201,7 +201,7 @@ func Fig17Oracle(p Params) (*Report, error) {
 	models := fig17Models(p)
 	runs, err := RunScenarios(p, gridScenarios(models, schemes, func(sc *Scenario) {
 		sc.Rate = wikiRate(p.Duration)
-	}), sloAndP99)
+	}), metrics.Rows, sloAndP99)
 	if err != nil {
 		return nil, fmt.Errorf("fig17: %w", err)
 	}

@@ -135,7 +135,7 @@ func MarketSweep(p Params) (*Report, error) {
 		slo                 float64
 		notices, migrations int
 	}
-	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+	runs, err := RunScenarios(p, scs, metrics.Counts, func(res *cluster.Result) run {
 		return run{
 			market:     res.Market,
 			completed:  res.Availability.Completed,

@@ -47,9 +47,18 @@ func (p Params) workers() int {
 // result's recorder becomes garbage once read returns and a batch holds
 // at most one run's rows per worker. read may touch only the result it
 // is given.
-func RunScenarios[T any](p Params, scs []Scenario, read func(*cluster.Result) T) ([]T, error) {
+//
+// keep declares what read reads of the recorder, and every run records
+// at that level: metrics.Counts for a reader of counts alone (request
+// counts, SLO compliance, goodput), which then builds no rows at all,
+// and metrics.Rows for one that reads latencies. A query above the
+// level panics, so a reader cannot under-declare silently.
+func RunScenarios[T any](p Params, scs []Scenario, keep metrics.Level, read func(*cluster.Result) T) ([]T, error) {
 	if err := armShared(p, scs); err != nil {
 		return nil, err
+	}
+	if recordRows {
+		keep = metrics.Rows
 	}
 	out := make([]T, len(scs))
 	errs := make([]error, len(scs))
@@ -63,7 +72,7 @@ func RunScenarios[T any](p Params, scs []Scenario, read func(*cluster.Result) T)
 		}
 	}
 	run := func(i int) {
-		res, err := runScenario(p, scs[i], tracers[i])
+		res, err := runScenario(p, scs[i], tracers[i], keep)
 		if err != nil {
 			errs[i] = err
 			return
@@ -107,6 +116,11 @@ func RunScenarios[T any](p Params, scs []Scenario, read func(*cluster.Result) T)
 	}
 	return out, nil
 }
+
+// recordRows, when set, records every RunScenarios run at metrics.Rows
+// whatever its reader declares. Only the level guard test sets it, to
+// check that each count reader's cells are those its runs' rows give.
+var recordRows bool
 
 // arrivals is the plan a group of scenarios replays: the schemes
 // compared on one workload. The first member to start plans the

@@ -47,12 +47,12 @@ func TestRunScenariosParallelMatchesSequential(t *testing.T) {
 	}
 	p := quickParams()
 	p.Parallel = 1
-	seq, err := RunScenarios(p, mk(), whole)
+	seq, err := RunScenarios(p, mk(), metrics.Rows, whole)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	p.Parallel = 6
-	par, err := RunScenarios(p, mk(), whole)
+	par, err := RunScenarios(p, mk(), metrics.Rows, whole)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestRunScenariosReadsEachRunOnce(t *testing.T) {
 		}
 		p := quickParams()
 		p.Parallel = parallel
-		got, err := RunScenarios(p, mk(), strictModel)
+		got, err := RunScenarios(p, mk(), metrics.Rows, strictModel)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -122,7 +122,7 @@ func TestRunScenariosReadsEachRunOnce(t *testing.T) {
 		read = nil
 		scs := mk()
 		scs[1].Policy = nil
-		if _, err := RunScenarios(p, scs, strictModel); err == nil || !strings.Contains(err.Error(), models[1]) {
+		if _, err := RunScenarios(p, scs, metrics.Rows, strictModel); err == nil || !strings.Contains(err.Error(), models[1]) {
 			t.Fatalf("parallel=%d: error %v does not name the failing %s", parallel, err, models[1])
 		}
 		if len(read) != len(models)-1 || slices.Contains(read, models[1]) {
@@ -162,7 +162,7 @@ func TestRunScenariosTraceByteIdentical(t *testing.T) {
 		p := quickParams()
 		p.Parallel = parallel
 		p.Trace = obs.NewTraceSet()
-		if _, err := RunScenarios(p, mk(), slo); err != nil {
+		if _, err := RunScenarios(p, mk(), metrics.Counts, slo); err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		if traceEvents(p.Trace) == 0 {
@@ -228,7 +228,7 @@ func TestRunScenariosErrorUsesLabelAndIndexOrder(t *testing.T) {
 	}
 	p := quickParams()
 	p.Parallel = 4
-	_, err := RunScenarios(p, scs, slo)
+	_, err := RunScenarios(p, scs, metrics.Counts, slo)
 	if err == nil {
 		t.Fatal("scenario without policy accepted")
 	}
@@ -236,7 +236,7 @@ func TestRunScenariosErrorUsesLabelAndIndexOrder(t *testing.T) {
 		t.Errorf("error %q does not name the first failing scenario", err)
 	}
 	// Unlabelled failures fall back to the index.
-	_, err = RunScenarios(p, []Scenario{{Strict: model.MustByName("ResNet 50")}}, slo)
+	_, err = RunScenarios(p, []Scenario{{Strict: model.MustByName("ResNet 50")}}, metrics.Counts, slo)
 	if err == nil || !strings.Contains(err.Error(), "scenario 0") {
 		t.Errorf("error %q does not fall back to the scenario index", err)
 	}
@@ -428,5 +428,30 @@ func TestRunReplicatedWrapsReplicationError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "replication 1") {
 		t.Errorf("err %q does not name the failing replication", err)
+	}
+}
+
+// countHarnesses are the experiments whose readers declare
+// metrics.Counts: their runs record counts and never a row.
+var countHarnesses = []string{"fig5", "fig12", "fig13", "fig14", "fig15", "fig16", "table4", "knee", "fig9", "chaos", "market"}
+
+// TestCountReadersMatchRows is the level guard: each count-level
+// harness renders the same cells at its declared level as when every
+// run records rows. Run at counts, a reader that reads a row panics, so
+// this also proves no count reader under-declares.
+func TestCountReadersMatchRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eleven harnesses twice; skipped in -short")
+	}
+	p := quickParams()
+	t.Cleanup(func() { recordRows = false })
+	for _, id := range countHarnesses {
+		counts := renderText(t, id, p)
+		recordRows = true
+		rows := renderText(t, id, p)
+		recordRows = false
+		if counts != rows {
+			t.Errorf("%s: cells at the counts level differ from rows:\n%s\nwant\n%s", id, counts, rows)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func ScaleCell(p Params, scale float64) (*ScaleCellResult, error) {
 		Rate:   scaleRate(scale, p.Duration),
 		Policy: core.NewProtean(core.ProteanConfig{}),
 	}
-	tc, s, c, err := buildScenario(p, sc, p.tracer(label), true)
+	tc, s, c, err := buildScenario(p, sc, p.tracer(label), metrics.Sketches)
 	if err != nil {
 		return nil, err
 	}

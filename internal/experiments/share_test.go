@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"protean/internal/metrics"
 	"protean/internal/model"
 	"protean/internal/queue"
 	"protean/internal/trace"
@@ -87,7 +88,7 @@ func TestRunScenariosSharedRowsMatchUnshared(t *testing.T) {
 	summaries := func(parallel int, scs []Scenario) []string {
 		t.Helper()
 		p.Parallel = parallel
-		sums, err := RunScenarios(p, scs, summarize)
+		sums, err := RunScenarios(p, scs, metrics.Rows, summarize)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -132,7 +133,7 @@ func TestSharedTraceMismatchIsAnError(t *testing.T) {
 	} {
 		scs := sharedGrid(p, "ResNet 50")
 		tt.change(&scs[2])
-		_, err := RunScenarios(p, scs, slo)
+		_, err := RunScenarios(p, scs, metrics.Counts, slo)
 		if err == nil {
 			t.Errorf("%s: a group whose members differ ran", tt.field)
 			continue

@@ -38,7 +38,7 @@ func StatsSignificance(p Params) (*Report, error) {
 		latencies []float64 // strict
 		slo       float64
 	}
-	runs, err := RunScenarios(p, scs, func(res *cluster.Result) run {
+	runs, err := RunScenarios(p, scs, metrics.Rows, func(res *cluster.Result) run {
 		return run{latencies: res.Recorder.Strict().Latencies(), slo: res.Recorder.SLOCompliance()}
 	})
 	if err != nil {

@@ -4,17 +4,23 @@
 // 11), throughput, and the statistical significance measures of §7
 // (Welch's t-test, Cohen's d, confidence intervals).
 //
-// A Recorder runs in one of two modes. The default exact mode buffers
-// every sample, which keeps goldens, grid cells, and statistical-test
-// inputs byte-identical run to run. It stores a 24-byte row per sample
-// and keeps the fields a run of consecutive samples shares (a cluster
-// batch's model, class, SLO, weight, completion time and most of its
-// breakdown) once per run; see DESIGN.md, "Exact-mode layout". Sketch
-// mode (NewSketchRecorder) keeps one deterministic quantile Sketch per
-// request class instead, for runs whose request volume would not fit in
-// memory: it answers request counts, SLO compliance, goodput and
-// per-class percentiles, and every query that needs rows panics; see
-// DESIGN.md, "Memory model at scale".
+// A Recorder keeps its samples at one of three levels (Level). Every
+// level keeps the counts: samples, weighted requests, and weighted
+// strict requests and those meeting their SLO, so request counts, SLO
+// compliance and goodput are answered alike at each. The default Rows
+// level is the exact recorder: it also buffers every sample, which keeps
+// goldens, grid cells, and statistical-test inputs byte-identical run to
+// run. It stores a 24-byte row per sample and keeps the fields a run of
+// consecutive samples shares (a cluster batch's model, class, SLO,
+// weight, completion time and most of its breakdown) once per run; see
+// DESIGN.md, "Exact-mode layout". The Counts level is the exact recorder
+// without its rows, for readers that need nothing else. The Sketches
+// level keeps one deterministic quantile Sketch per request class on top
+// of the counts, for runs whose request volume would not fit in memory:
+// it answers per-class percentiles too. At either level below Rows every
+// query that needs rows panics, and a count recorder's Percentile too,
+// so a reader cannot ask more than its runs kept; see DESIGN.md, "Memory
+// model at scale".
 package metrics
 
 import (
@@ -351,22 +357,57 @@ func (r *Recorder) selectRow(target float64) uint32 {
 	return s.pos
 }
 
-// Recorder accumulates samples. The zero value is an exact-mode
+// Level is how much of each sample a Recorder keeps.
+type Level uint8
+
+const (
+	// Rows keeps every sample: the exact recorder, and the zero Level.
+	Rows Level = iota
+	// Counts keeps only the counts every level keeps.
+	Counts
+	// Sketches keeps the counts and one quantile Sketch per class.
+	Sketches
+)
+
+// levelNames name each level's recorder in panic messages.
+var levelNames = [...]string{Rows: "exact", Counts: "count", Sketches: "sketch"}
+
+// Valid reports whether l is one of the three levels.
+func (l Level) Valid() bool { return int(l) < len(levelNames) }
+
+// NewRecorder returns an empty recorder that keeps level l. It panics
+// on an invalid level.
+func NewRecorder(l Level) *Recorder {
+	switch l {
+	case Rows:
+		return &Recorder{}
+	case Counts:
+		return &Recorder{level: Counts}
+	case Sketches:
+		return &Recorder{level: Sketches, sketches: &[2]Sketch{}}
+	}
+	panic(fmt.Sprintf("metrics: invalid level %d", l))
+}
+
+// Recorder accumulates samples. The zero value is an exact (Rows)
 // recorder, ready to use. A Recorder is not safe for concurrent use,
 // and recorders that share chunks (a parent and its views, a merge
 // source and its destination) must not be used concurrently either.
 //
 // Strict, BestEffort and ForModel return view recorders, which are
-// read-only: Add, AddBatch and Merge on a view panic, and so does
-// merging a view into anything. An exact view is clipped references to
+// read-only: Add, AddBatch, AddCounts and Merge on a view panic, and so
+// does merging a view into anything. An exact view is clipped references to
 // the parent's chunks plus one handle slice, never a sample copy. Rows
 // are never modified once written, and a view cannot reach past the
 // lengths its chunks had when it was taken, so it is a snapshot:
 // samples the parent adds or merges later stay invisible to it and cost
-// the parent no copy. A sketch recorder's class view shares its
-// parent's class sketches, which keep changing as the parent records,
-// so take it after the parent's last write.
+// the parent no copy. A count or sketch recorder's class view copies
+// its class's share of the parent's counts, and a sketch recorder's
+// shares its parent's class sketches, which keep changing as the parent
+// records, so take it after the parent's last write.
 type Recorder struct {
+	// level is what the recorder keeps; a view keeps its parent's.
+	level Level
 	// chunks holds the rows in storage order. The recorder appends only
 	// to a tail chunk indexing its own name table; chunks taken from
 	// other recorders by Merge are clipped and read-only.
@@ -383,9 +424,13 @@ type Recorder struct {
 	// samples.
 	weightSum int
 	// strictW and strictMet count the visible samples' weighted strict
-	// requests and those with Latency <= SLO, in both modes. Every write
+	// requests and those with Latency <= SLO, at every level. Every write
 	// path and view keeps them.
 	strictW, strictMet int
+	// samples and strictSamples count the visible samples and the strict
+	// ones. A recorder that keeps no rows reads Len from them; an exact
+	// recorder counts its rows instead, so its views leave them zero.
+	samples, strictSamples int
 	// ordBase is the order key (latOrder) of the first row recorded or
 	// merged, and ordDiff ORs every row's key XOR ordBase, so all keys
 	// share the bits above ordDiff's highest set bit and selection
@@ -397,18 +442,12 @@ type Recorder struct {
 	memoH  uint32
 	memoOK bool
 
-	// sketches, when non-nil, switches the recorder into sketch mode: it
-	// holds one classSketch per class, indexed by classOf. A class view
-	// shares its parent's and hides the classes hidden marks.
-	sketches *[2]classSketch
+	// sketches holds a sketch recorder's latencies: one quantile sketch
+	// per class, indexed by classOf. hidden marks the classes a class
+	// view of a count or sketch recorder hides; a sketch view shares its
+	// parent's sketches.
+	sketches *[2]Sketch
 	hidden   [2]bool
-}
-
-// classSketch is one request class's latencies in sketch mode: their
-// quantile sketch and the number of samples it holds.
-type classSketch struct {
-	sk Sketch
-	n  int
 }
 
 // classOf indexes a class in Recorder.sketches: best effort, then
@@ -420,16 +459,14 @@ func classOf(strict bool) int {
 	return 0
 }
 
-// NewSketchRecorder returns a recorder in sketch mode: one quantile
-// Sketch per class instead of a sample buffer. Quantiles are within
-// SketchAlpha relative error; Len, Requests, SLOCompliance and Goodput
-// are exact, on the recorder and on its Strict and BestEffort views.
-// No row is kept, so every query that needs rows (ForModel, Mean,
-// Latencies, BreakdownAtPercentile, Summarize, Snapshot, and Throughput
-// with a horizon) panics.
-func NewSketchRecorder() *Recorder {
-	return &Recorder{sketches: &[2]classSketch{}}
-}
+// NewSketchRecorder returns a recorder at the Sketches level: one
+// quantile Sketch per class instead of a sample buffer. Quantiles are
+// within SketchAlpha relative error; Len, Requests, SLOCompliance and
+// Goodput are exact, on the recorder and on its Strict and BestEffort
+// views. No row is kept, so every query that needs rows (ForModel,
+// Mean, Latencies, BreakdownAtPercentile, Summarize, Snapshot, and
+// Throughput with a horizon) panics.
+func NewSketchRecorder() *Recorder { return NewRecorder(Sketches) }
 
 // isView reports whether r is a filtered view rather than a whole
 // recorder.
@@ -442,11 +479,12 @@ func (r *Recorder) mustWrite(op string) {
 	}
 }
 
-// mustRows panics unless r keeps the rows op reads: a sketch recorder
-// keeps only its class sketches and counts.
+// mustRows panics unless r keeps the rows op reads: a count recorder
+// keeps only its counts, a sketch recorder its counts and class
+// sketches.
 func (r *Recorder) mustRows(op string) {
-	if r.sketches != nil {
-		panic("metrics: " + op + " on a sketch recorder")
+	if r.level != Rows {
+		panic("metrics: " + op + " on a " + levelNames[r.level] + " recorder")
 	}
 }
 
@@ -529,8 +567,8 @@ func (br BatchRow) Sample(shared Sample) Sample {
 // each completed batch with one call. An exact recorder interns the
 // model once and compares the shared fields with the tail group once
 // per chunk the rows reach, not once per row; a sketch recorder adds
-// each latency to its class's sketch. Both count the rows meeting the
-// SLO the same way.
+// each latency to its class's sketch, and a count recorder keeps only
+// the counts. Each counts the rows meeting the SLO the same way.
 func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
 	if len(rows) == 0 {
 		return
@@ -540,23 +578,52 @@ func (r *Recorder) AddBatch(shared Sample, rows []BatchRow) {
 	}
 	r.mustWrite("AddBatch")
 	var met int
-	if r.sketches != nil {
-		cs := &r.sketches[classOf(shared.Strict)]
-		cs.n += len(rows)
+	if r.level == Rows {
+		met = r.appendRows(&shared, rows)
+	} else {
+		var sk *Sketch
+		if r.level == Sketches {
+			sk = &r.sketches[classOf(shared.Strict)]
+		}
 		for _, br := range rows {
-			cs.sk.Add(br.Latency, shared.Weight)
+			if sk != nil {
+				sk.Add(br.Latency, shared.Weight)
+			}
 			if br.Latency <= shared.SLO {
 				met++
 			}
 		}
-	} else {
-		met = r.appendRows(&shared, rows)
 	}
-	n := shared.Weight * len(rows)
-	r.weightSum += n
+	r.count(&shared, len(rows), met)
+}
+
+// AddCounts records n samples that share every field of shared but
+// their latency, met of which have a latency at or below shared.SLO: a
+// cluster node at the Counts level records each completed batch with
+// one call and builds no rows. Zero weights are normalized to 1. Only a
+// count recorder takes it; the other levels keep what the latencies
+// give (AddBatch).
+func (r *Recorder) AddCounts(shared Sample, n, met int) {
+	if n == 0 {
+		return
+	}
+	r.mustWrite("AddCounts")
+	if r.level != Counts {
+		panic("metrics: AddCounts on a " + levelNames[r.level] + " recorder")
+	}
+	r.count(&shared, n, met)
+}
+
+// count adds n samples of shared's class and weight, met of which meet
+// the SLO, to r's counts: the one place a write turns into counts.
+func (r *Recorder) count(shared *Sample, n, met int) {
+	w := max(shared.Weight, 1)
+	r.samples += n
+	r.weightSum += w * n
 	if shared.Strict {
-		r.strictW += n
-		r.strictMet += shared.Weight * met
+		r.strictSamples += n
+		r.strictW += w * n
+		r.strictMet += w * met
 	}
 }
 
@@ -595,12 +662,12 @@ func (r *Recorder) appendRows(shared *Sample, rows []BatchRow) (met int) {
 	return met
 }
 
-// Merge folds other whole recorders of r's mode into r, in argument
+// Merge folds other whole recorders of r's level into r, in argument
 // order; nil recorders are skipped. An exact source is merged by taking
 // clipped references to its chunks, with no row copy, so merging costs
 // O(chunks); a sketch source's class sketches are added bucket-wise.
-// Both add the source's counts. A view source, or a source of the other
-// mode, panics.
+// Every level adds the source's counts. A view source, or a source of
+// another level, panics.
 func (r *Recorder) Merge(others ...*Recorder) {
 	r.mustWrite("Merge")
 	for _, o := range others {
@@ -608,8 +675,8 @@ func (r *Recorder) Merge(others ...*Recorder) {
 		case o == nil:
 		case o.isView():
 			panic("metrics: cannot merge a view recorder")
-		case (o.sketches == nil) != (r.sketches == nil):
-			panic("metrics: cannot merge recorders of different modes")
+		case o.level != r.level:
+			panic("metrics: cannot merge a " + levelNames[o.level] + " recorder into a " + levelNames[r.level] + " one")
 		}
 	}
 	for _, o := range others {
@@ -619,12 +686,12 @@ func (r *Recorder) Merge(others ...*Recorder) {
 		// Each step reads o's state before writing r's, so r.Merge(r) takes
 		// r's rows, sketches and counts as they were before that source:
 		// Sketch.Merge of a sketch into itself doubles every bucket.
-		if r.sketches != nil {
+		switch r.level {
+		case Sketches:
 			for c := range r.sketches {
-				r.sketches[c].sk.Merge(&o.sketches[c].sk)
-				r.sketches[c].n += o.sketches[c].n
+				r.sketches[c].Merge(&o.sketches[c])
 			}
-		} else {
+		case Rows:
 			for _, c := range o.chunks {
 				r.chunks = appendChunk(r.chunks, c.clip())
 			}
@@ -635,6 +702,8 @@ func (r *Recorder) Merge(others ...*Recorder) {
 				r.ordDiff |= o.ordDiff | (o.ordBase ^ r.ordBase)
 			}
 		}
+		r.samples += o.samples
+		r.strictSamples += o.strictSamples
 		r.weightSum += o.weightSum
 		r.strictW += o.strictW
 		r.strictMet += o.strictMet
@@ -677,14 +746,8 @@ func (r *Recorder) eachExact(fn func(h uint32, s *row, g *group, t *nameTable)) 
 
 // Len returns the number of samples (not weighted).
 func (r *Recorder) Len() int {
-	if r.sketches != nil {
-		n := 0
-		for c, cs := range r.sketches {
-			if !r.hidden[c] {
-				n += cs.n
-			}
-		}
-		return n
+	if r.level != Rows {
+		return r.samples
 	}
 	return r.exactLen()
 }
@@ -751,7 +814,7 @@ func (r *Recorder) filterGroups(keep func(g *group, model string) bool, rows int
 
 // Strict returns the strict-sample subset.
 func (r *Recorder) Strict() *Recorder {
-	if r.sketches != nil {
+	if r.level != Rows {
 		return r.classView(true)
 	}
 	// Every row weighs at least 1, so the strict rows number at most the
@@ -761,21 +824,23 @@ func (r *Recorder) Strict() *Recorder {
 
 // BestEffort returns the best-effort subset.
 func (r *Recorder) BestEffort() *Recorder {
-	if r.sketches != nil {
+	if r.level != Rows {
 		return r.classView(false)
 	}
 	return r.filterGroups(func(g *group, _ string) bool { return !g.Strict }, r.weightSum-r.strictW)
 }
 
-// classView returns the view of sketch recorder r that shows only the
-// class strict names: it shares r's class sketches, hides the other
-// class, and keeps the class's share of r's counts.
+// classView returns the view of count or sketch recorder r that shows
+// only the class strict names: it hides the other class, keeps the
+// class's share of r's counts and shares r's class sketches.
 func (r *Recorder) classView(strict bool) *Recorder {
-	v := &Recorder{sketches: r.sketches, hidden: r.hidden}
+	v := &Recorder{level: r.level, sketches: r.sketches, hidden: r.hidden}
 	v.hidden[classOf(!strict)] = true
 	if strict {
+		v.samples, v.strictSamples = r.strictSamples, r.strictSamples
 		v.weightSum, v.strictW, v.strictMet = r.strictW, r.strictW, r.strictMet
 	} else {
+		v.samples = r.samples - r.strictSamples
 		v.weightSum = r.weightSum - r.strictW
 	}
 	return v
@@ -827,20 +892,22 @@ func (r *Recorder) sampleAtPercentile(p float64) (*row, *group) {
 }
 
 // Percentile returns the weighted p-th percentile latency (NaN when
-// empty). P99 tail latency is Percentile(99). In sketch mode the value
-// is the deterministic estimate of the visible class sketches merged,
-// within SketchAlpha relative error of the exact weighted percentile.
-// Bucket counts are integers, so the merge order cannot matter.
+// empty). P99 tail latency is Percentile(99). On a sketch recorder the
+// value is the deterministic estimate of the visible class sketches
+// merged, within SketchAlpha relative error of the exact weighted
+// percentile. Bucket counts are integers, so the merge order cannot
+// matter. A count recorder keeps no latency, and panics.
 func (r *Recorder) Percentile(p float64) float64 {
-	if r.sketches != nil {
+	if r.level == Sketches {
 		var merged Sketch
 		for c := range r.sketches {
 			if !r.hidden[c] {
-				merged.Merge(&r.sketches[c].sk)
+				merged.Merge(&r.sketches[c])
 			}
 		}
 		return merged.Quantile(p)
 	}
+	r.mustRows("Percentile")
 	s, _ := r.sampleAtPercentile(p)
 	if s == nil {
 		return math.NaN()

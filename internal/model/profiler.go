@@ -99,7 +99,7 @@ func (p *Profiler) EstimateFBRs(models []*Model) (map[string]float64, error) {
 				return nil, fmt.Errorf("profile %s×%d: %w", m.name, k, err)
 			}
 			poll, sens := m.Cache()
-			ceiling := 1 + float64(k-1)*(1+amp*poll*sens)
+			ceiling := 1 + float64(float64(k-1)*(1+float64(amp*poll*sens)))
 			if math.Abs(o.slowdown-ceiling) > satEps {
 				allAtCeiling = false
 			}
@@ -184,13 +184,13 @@ func (p *Profiler) EstimateFBRs(models []*Model) (map[string]float64, error) {
 		fp := est[probe.name]
 		pollM, sensM := m.Cache()
 		pollP, sensP := probe.Cache()
-		mOnProbe := 1 + amp*pollM*sensP // m's amplified impact per unit FBR on the probe
-		probeOnProbe := 1 + amp*pollP*sensP
-		probeOnM := 1 + amp*pollP*sensM
+		mOnProbe := 1 + float64(amp*pollM*sensP) // m's amplified impact per unit FBR on the probe
+		probeOnProbe := 1 + float64(amp*pollP*sensP)
+		probeOnM := 1 + float64(amp*pollP*sensM)
 		var fbr float64
 		if probeFirst {
 			// slow = fbr_p + (k−1)·fbr_p·probeOnProbe + fbr_m·mOnProbe.
-			fbr = (slow - fp - float64(probeCopies-1)*fp*probeOnProbe) / mOnProbe
+			fbr = (slow - fp - float64(float64(probeCopies-1)*fp*probeOnProbe)) / mOnProbe
 		} else if slow > 1.0001 {
 			// slow = (fbr_m + k·fbr_p·probeOnM)/fbr_m.
 			fbr = float64(probeCopies) * fp * probeOnM / (slow - 1)
@@ -264,11 +264,11 @@ func solveFBR(models []*Model, obs []observation) (map[string]float64, error) {
 				break
 			}
 			poll, _ := byName[name].Cache()
-			onFirst := 1 + amp*poll*sensF
+			onFirst := 1 + float64(amp*poll*sensF)
 			coeff := float64(n) * onFirst
 			if name == o.first {
 				// The first finisher's own demand is unamplified.
-				coeff = 1 + float64(n-1)*onFirst
+				coeff = 1 + float64(float64(n-1)*onFirst)
 			}
 			row[i] = coeff
 		}
@@ -363,7 +363,7 @@ func (p *Profiler) runMix(mix map[*Model]int) ([]profJob, error) {
 	var jobs []profJob
 	memTotal := 0.0
 	for _, e := range entries {
-		memTotal += float64(e.n) * e.m.MemGB(gpu.Profile7g)
+		memTotal += float64(float64(e.n) * e.m.MemGB(gpu.Profile7g))
 		for i := 0; i < e.n; i++ {
 			jobs = append(jobs, profJob{model: e.m, job: &gpu.Job{W: e.m}})
 		}

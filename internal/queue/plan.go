@@ -217,7 +217,7 @@ func (p *Planner) step() {
 	p.run(at)
 	p.tally.Offered++
 	sealed := len(p.steps)
-	if err := p.batcher.Add(*req); err != nil {
+	if err := p.batcher.add(req); err != nil {
 		p.tally.Dropped++
 	} else if p.log {
 		p.logArrival(req, sealed)

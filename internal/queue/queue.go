@@ -196,7 +196,10 @@ func (b *Batcher) PoolStats() pool.Stats {
 }
 
 // Add folds one request into its batch, sealing the batch when full.
-func (b *Batcher) Add(req trace.Request) error {
+func (b *Batcher) Add(req trace.Request) error { return b.add(&req) }
+
+// add is Add reading the request in place; it keeps no reference to it.
+func (b *Batcher) add(req *trace.Request) error {
 	if req.Model == nil {
 		return errors.New("queue: request without model")
 	}

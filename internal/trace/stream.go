@@ -90,15 +90,18 @@ func (s *Stream) Next() (Request, bool) {
 
 // Source returns the stream as a pull function: each call returns the
 // next request, or nil once the stream ends. The request lives in one
-// buffer that the following call overwrites.
+// buffer that the following call overwrites, field by field, straight
+// from the thinning loop: no Request is built and copied per arrival.
 func (s *Stream) Source() func() *Request {
-	var cur Request
+	cur := new(Request)
 	return func() *Request {
-		var ok bool
-		if cur, ok = s.Next(); !ok {
+		t, m, strict, ok := s.next()
+		if !ok {
 			return nil
 		}
-		return &cur
+		cur.ID, cur.Model, cur.Strict, cur.Arrival = s.id, m, strict, t
+		s.id++
+		return cur
 	}
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -315,5 +316,100 @@ func BenchmarkStreamNext(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSourceNextGenerateAgree asserts the three ways to draw a trace
+// yield the same requests: Source, Next and Generate give identical IDs,
+// models, classes and arrivals over Constant, Diurnal and Erratic rates,
+// strict fractions 0, 0.5 and 1, and an empty best-effort pool, also
+// when a Source is abandoned mid-way and a fresh one restarts. It also
+// pins Source's contract that its request is overwritten by the next
+// call.
+func TestSourceNextGenerateAgree(t *testing.T) {
+	strict := model.MustByName("ResNet 50")
+	pool := model.OppositeClassPool(strict)
+	rates := []struct {
+		name string
+		rate RateFn
+	}{
+		{"constant", Constant(700)},
+		{"diurnal", Diurnal(700, 1.3, 20)},
+		{"erratic", ScaleToPeak(Erratic(1, DefaultTwitterPeakToMean, 20, 4), 900, 20)},
+	}
+	mixes := []struct {
+		name string
+		mix  Mix
+	}{
+		{"all best effort", Mix{StrictFrac: 0, Strict: strict, BEPool: pool}},
+		{"half strict", Mix{StrictFrac: 0.5, Strict: strict, BEPool: pool}},
+		{"all strict", Mix{StrictFrac: 1, Strict: strict, BEPool: pool}},
+		{"empty BE pool", Mix{StrictFrac: 0.5, Strict: strict}},
+	}
+	for _, r := range rates {
+		for _, m := range mixes {
+			for _, seed := range []int64{1, 7} {
+				name := fmt.Sprintf("%s/%s/seed %d", r.name, m.name, seed)
+				cfg := Config{Rate: r.rate, Mix: m.mix, Duration: 20, Seed: seed}
+				want, err := Generate(cfg)
+				if err != nil {
+					t.Fatalf("%s: Generate: %v", name, err)
+				}
+				if len(want) < 100 {
+					t.Fatalf("%s: only %d requests", name, len(want))
+				}
+				same := func(how string, i int, got Request) {
+					t.Helper()
+					if got != want[i] {
+						t.Fatalf("%s: %s request %d = %+v, Generate %+v", name, how, i, got, want[i])
+					}
+				}
+				st, err := NewStream(cfg)
+				if err != nil {
+					t.Fatalf("%s: NewStream: %v", name, err)
+				}
+				for i := range want {
+					got, ok := st.Next()
+					if !ok {
+						t.Fatalf("%s: Next ended at %d of %d", name, i, len(want))
+					}
+					same("Next", i, got)
+				}
+				if _, ok := st.Next(); ok {
+					t.Fatalf("%s: Next yielded past the horizon", name)
+				}
+
+				// Abandon a Source a third of the way in; a fresh one
+				// restarts from the first request.
+				st, _ = NewStream(cfg)
+				src := st.Source()
+				first := src()
+				for i := 1; i < len(want)/3; i++ {
+					src()
+				}
+				st, _ = NewStream(cfg)
+				src = st.Source()
+				var prev *Request
+				for i := range want {
+					got := src()
+					if got == nil {
+						t.Fatalf("%s: Source ended at %d of %d", name, i, len(want))
+					}
+					same("Source", i, *got)
+					if prev != nil && prev != got {
+						t.Fatalf("%s: Source returned a new buffer at request %d", name, i)
+					}
+					prev = got
+				}
+				if src() != nil {
+					t.Fatalf("%s: Source yielded past the horizon", name)
+				}
+				// The abandoned source's buffer holds its own last pull,
+				// not the first request it returned.
+				if first.ID == 0 {
+					t.Fatalf("%s: an abandoned Source's request was not overwritten by its next call", name)
+				}
+			}
+		}
 	}
 }
