@@ -14,10 +14,9 @@
 // -trace records every simulation's lifecycle events and writes the
 // merged trace to FILE: Chrome trace-event JSON (open in Perfetto or
 // chrome://tracing) by default, or a JSONL event log when FILE ends in
-// .jsonl. Only the JSONL log holds per-request arrival events; the
-// Chrome export renders none, so its runs do not collect them. The
-// trace is deterministic: same seed, same bytes, at any -parallel
-// setting.
+// .jsonl. Both collect the same events, one per batch or decision and
+// none per request. The trace is deterministic: same seed, same bytes,
+// at any -parallel setting.
 package main
 
 import (
@@ -144,14 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *traceOut != "" {
-		// The Chrome export renders no per-request arrival (each batch
-		// seal carries its first member's), so the runs do not collect
-		// them; the JSONL log keeps every event.
-		var omit []obs.Kind
-		if !strings.HasSuffix(*traceOut, ".jsonl") {
-			omit = append(omit, obs.KindArrival)
-		}
-		params.Trace = obs.NewTraceSet(omit...)
+		params.Trace = obs.NewTraceSet()
 	}
 	for _, e := range selected {
 		started := time.Now()

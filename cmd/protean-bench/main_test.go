@@ -158,15 +158,16 @@ func TestTraceRepeatable(t *testing.T) {
 }
 
 // TestTraceSummaryOnStderr: the trace report goes to stderr so stdout
-// stays byte-identical with and without -trace. Only a JSONL trace
-// collects per-request arrivals; the Chrome export renders none.
+// stays byte-identical with and without -trace. The JSONL and Chrome
+// exports collect the same events, none of them per request.
 func TestTraceSummaryOnStderr(t *testing.T) {
 	dir := t.TempDir()
 	var plain bytes.Buffer
 	if err := run([]string{"-run", "table4", "-quick"}, &plain, io.Discard); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	for ext, arrivals := range map[string]bool{".json": false, ".jsonl": true} {
+	summaries := map[string]string{}
+	for _, ext := range []string{".json", ".jsonl"} {
 		var traced, errs bytes.Buffer
 		path := filepath.Join(dir, "t"+ext)
 		if err := run([]string{"-run", "table4", "-quick", "-trace", path}, &traced, &errs); err != nil {
@@ -175,12 +176,15 @@ func TestTraceSummaryOnStderr(t *testing.T) {
 		if plain.String() != traced.String() {
 			t.Errorf("-trace t%s changed stdout", ext)
 		}
-		if !strings.Contains(errs.String(), "[trace: ") {
-			t.Errorf("%s trace summary missing from stderr: %q", ext, errs.String())
+		_, after, found := strings.Cut(errs.String(), "[trace: ")
+		summary, _, ok := strings.Cut(after, " -> ")
+		if !found || !ok {
+			t.Fatalf("%s trace summary missing from stderr: %q", ext, errs.String())
 		}
-		if got := strings.Contains(errs.String(), "arrival="); got != arrivals {
-			t.Errorf("%s trace collected arrivals = %v, want %v: %q", ext, got, arrivals, errs.String())
-		}
+		summaries[ext] = summary
+	}
+	if summaries[".json"] != summaries[".jsonl"] {
+		t.Errorf("the exports collected different events: %q and %q", summaries[".json"], summaries[".jsonl"])
 	}
 }
 

@@ -241,6 +241,10 @@ func TestSimulateTraceRoundtrip(t *testing.T) {
 	if out.TraceID == "" || out.TraceEvents == 0 {
 		t.Fatalf("traced run returned traceId=%q events=%d", out.TraceID, out.TraceEvents)
 	}
+	// Events are per batch or decision, never per request.
+	if out.TraceEvents >= out.Requests {
+		t.Errorf("traced run emitted %d events for %d requests", out.TraceEvents, out.Requests)
+	}
 
 	chrome, err := http.Get(srv.URL + "/traces/" + out.TraceID)
 	if err != nil {

@@ -422,13 +422,13 @@ func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 	}
 	next := trace.SliceSource(reqs)
 	if c.lookahead {
-		plan, err := queue.Build(duration, next, c.logsArrivals())
+		plan, err := queue.Build(duration, next)
 		if err != nil {
 			return nil, err
 		}
 		return c.RunPlan(plan)
 	}
-	pl, err := queue.NewPlanner(duration, next, c.logsArrivals(), c.batcher)
+	pl, err := queue.NewPlanner(duration, next, c.batcher)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +471,7 @@ func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error)
 	if st == nil {
 		return nil, errors.New("cluster: nil stream")
 	}
-	pl, err := queue.NewPlanner(duration, st.Source(), c.logsArrivals(), c.batcher)
+	pl, err := queue.NewPlanner(duration, st.Source(), c.batcher)
 	if err != nil {
 		return nil, err
 	}
@@ -480,25 +480,17 @@ func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error)
 
 // RunPlan replays a plan of the gateway's sealed batches (queue.Build)
 // and drains the system; the plan's horizon is the run's. Runs only
-// read a plan, so any number of them may replay one, concurrently too.
-// A run whose tracer records arrivals needs a plan built with its
-// arrival log (obs.Records).
+// read a plan, so any number of them may replay one, concurrently too,
+// traced or not.
 func (c *Cluster) RunPlan(plan *queue.Plan) (*Result, error) {
 	if err := checkHorizon(plan.Horizon); err != nil {
 		return nil, err
-	}
-	if c.logsArrivals() && !plan.Logged {
-		return nil, errors.New("cluster: a run that traces arrivals needs a plan built with its arrival log")
 	}
 	if c.lookahead {
 		c.windowView(plan)
 	}
 	return c.replay(plan.Replay(), plan.Horizon)
 }
-
-// logsArrivals reports whether the run's tracer records arrival
-// events, which a replay emits only from a plan's arrival log.
-func (c *Cluster) logsArrivals() bool { return obs.Records(c.sim.Tracer(), obs.KindArrival) }
 
 // replay runs the simulation to the horizon with the gateway's planned
 // steps re-enacted at their instants, then drains it. One gateway-lane
@@ -516,7 +508,7 @@ func (c *Cluster) replay(steps *queue.Planner, duration float64) (*Result, error
 	}
 	c.steps = steps
 	if c.pullStep() {
-		tm, err := c.gateway.At(c.step.T, c.replayInstant)
+		tm, err := c.gateway.At(c.step.Batch.Sealed, c.replayInstant)
 		if err != nil {
 			return nil, err
 		}
@@ -554,11 +546,11 @@ func (c *Cluster) replayInstant() {
 			if !c.pullStep() {
 				return
 			}
-			if c.step.T > now {
+			if c.step.Batch.Sealed > now {
 				break
 			}
 		}
-		more, err := c.replayTimer.Continue(c.step.T)
+		more, err := c.replayTimer.Continue(c.step.Batch.Sealed)
 		if err != nil {
 			panic(err) // unreachable: a plan's steps are in time order
 		}
@@ -575,9 +567,7 @@ func (c *Cluster) enact(st *queue.Step, tr obs.Tracer) {
 	if tr.Enabled() {
 		tr.Emit(st.Event())
 	}
-	if st.Kind != queue.StepArrival {
-		c.enqueueSealed(c.batcher.Replay(&st.Batch))
-	}
+	c.enqueueSealed(c.batcher.Replay(&st.Batch))
 }
 
 // flushPlanned ends a replay at the horizon: it re-enacts the plan's
@@ -741,7 +731,7 @@ func (c *Cluster) windowView(plan *queue.Plan) {
 	first, last := make([]float64, n), make([]float64, n)
 	for i := range plan.Steps {
 		b := &plan.Steps[i].Batch
-		if plan.Steps[i].Kind == queue.StepArrival || b.Strict {
+		if b.Strict {
 			continue
 		}
 		for _, a := range b.Arrivals {

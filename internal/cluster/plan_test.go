@@ -30,7 +30,8 @@ type outcome struct {
 // RunStream over the same arrival stream and RunPlan over a plan built
 // from it replay one gateway, so they give identical Results, Executed
 // counts and pool stats, and a traced run gives the untraced run's
-// outcome and the same events from every entry point. The cells cover
+// outcome and the same events from every entry point, fewer than the
+// requests it offered: no event is emitted per request. The cells cover
 // PROTEAN, the Oracle (whose window view a streamed run lacks, so it
 // skips RunStream), faults and a market-backed fleet.
 func TestEntryPointsReplayOneGateway(t *testing.T) {
@@ -45,15 +46,13 @@ func TestEntryPointsReplayOneGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := map[bool]*queue.Plan{}
-	for _, log := range []bool{false, true} {
-		st, err := trace.NewStream(tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plans[log], err = queue.Build(tc.Duration, st.Source(), log); err != nil {
-			t.Fatal(err)
-		}
+	st, err := trace.NewStream(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := queue.Build(tc.Duration, st.Source())
+	if err != nil {
+		t.Fatal(err)
 	}
 	cells := []struct {
 		name   string
@@ -102,7 +101,7 @@ func TestEntryPointsReplayOneGateway(t *testing.T) {
 				}
 				res, err = c.RunStream(st, tc.Duration)
 			case "RunPlan":
-				res, err = c.RunPlan(plans[traced])
+				res, err = c.RunPlan(plan)
 			}
 			if err != nil {
 				t.Fatalf("%s %s (traced %v): %v", cell.name, entry, traced, err)
@@ -134,6 +133,9 @@ func TestEntryPointsReplayOneGateway(t *testing.T) {
 				if !traced {
 					continue
 				}
+				if offered := got.res.Availability.Offered; len(got.trace) >= offered {
+					t.Errorf("%s %s: %d events for %d offered requests", cell.name, entry, len(got.trace), offered)
+				}
 				if wantTrace == nil {
 					wantTrace = got.trace
 				} else if !reflect.DeepEqual(got.trace, wantTrace) {
@@ -145,37 +147,19 @@ func TestEntryPointsReplayOneGateway(t *testing.T) {
 }
 
 // TestRunPlanRejectsMismatchedPlans: a plan replays only over a
-// positive horizon, and a run that traces arrivals needs a plan that
-// logged them.
+// positive horizon.
 func TestRunPlanRejectsMismatchedPlans(t *testing.T) {
 	reqs := genTrace(t, 100, 5, 0.5, "ResNet 50", nil, 3)
-	build := func(log bool) *queue.Plan {
-		plan, err := queue.Build(5, trace.SliceSource(reqs), log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plan
+	plan, err := queue.Build(5, trace.SliceSource(reqs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	zeroHorizon := build(false)
-	zeroHorizon.Horizon = 0
-	for _, tc := range []struct {
-		name   string
-		plan   *queue.Plan
-		traced bool
-	}{
-		{"zero horizon", zeroHorizon, false},
-		{"traced, no arrival log", build(false), true},
-	} {
-		s := sim.New(1)
-		if tc.traced {
-			s.SetTracer(obs.NewCollector(tc.name))
-		}
-		c, err := New(s, Config{Nodes: 1, Policy: core.NewProtean(core.ProteanConfig{})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res, err := c.RunPlan(tc.plan); err == nil || res != nil {
-			t.Errorf("%s: got (%v, %v), want an error", tc.name, res, err)
-		}
+	plan.Horizon = 0
+	c, err := New(sim.New(1), Config{Nodes: 1, Policy: core.NewProtean(core.ProteanConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.RunPlan(plan); err == nil || res != nil {
+		t.Errorf("zero horizon: got (%v, %v), want an error", res, err)
 	}
 }

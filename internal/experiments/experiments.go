@@ -259,14 +259,11 @@ func runScenario(p Params, sc Scenario, tr obs.Tracer, keep metrics.Level) (*clu
 	if sc.Trace != nil {
 		return c.Run(sc.Trace, p.Duration)
 	}
-	// A batch's collectors come from one TraceSet, so every member of a
-	// group records arrivals or none does.
-	log := tr != nil && obs.Records(tr, obs.KindArrival)
 	var plan *queue.Plan
 	if sc.shared != nil {
-		plan, err = sc.shared.get(tc, log)
+		plan, err = sc.shared.get(tc)
 	} else {
-		plan, err = planTrace(tc, log)
+		plan, err = planTrace(tc)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: plan trace: %w", err)
@@ -275,14 +272,13 @@ func runScenario(p Params, sc Scenario, tr obs.Tracer, keep metrics.Level) (*clu
 }
 
 // planTrace plans the gateway's batches over the arrivals tc generates,
-// pulled from trace.NewStream, so no request is materialised. log
-// records the arrival steps a traced replay emits.
-func planTrace(tc trace.Config, log bool) (*queue.Plan, error) {
+// pulled from trace.NewStream, so no request is materialised.
+func planTrace(tc trace.Config) (*queue.Plan, error) {
 	st, err := trace.NewStream(tc)
 	if err != nil {
 		return nil, err
 	}
-	return queue.Build(tc.Duration, st.Source(), log)
+	return queue.Build(tc.Duration, st.Source())
 }
 
 // traceConfig is the trace a scenario generates when it carries none:

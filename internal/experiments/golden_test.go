@@ -88,23 +88,23 @@ func TestQuickGridGoldenHash(t *testing.T) {
 // fixture, these run the simulator, so they pin the engine's event
 // order: which events fire, at what time, and in what order events of
 // one instant reach the tracer. The chaos run adds fault, retry and
-// repair events on node lanes to fig2's arrival, batch and dispatch
-// events. fig9 pins the VM lease and notice events of the Table 3
-// tariff fleet, and market those of the marketplace-backed fleet with
-// its lease requests and binds.
+// repair events on node lanes to fig2's batch and dispatch events. fig9
+// pins the VM lease and notice events of the Table 3 tariff fleet, and
+// market those of the marketplace-backed fleet with its lease requests
+// and binds.
 var traceGoldens = []struct{ id, chrome, jsonl string }{
 	{"fig2",
 		"15243650ba709d15d0ae47cf67217e3def5665ac679119fd1695ff65b0e19b30",
-		"8611142e22b3ed553f74dd471d6bed71849f920ed202c62a9d8aada7418da632"},
+		"247d4f6f268d10b118a22e77ece208702baf7dcfaa3a9750917a0053152206b0"},
 	{"chaos",
 		"73cffe39060327d68f8ee4b18ea1259364fd4130a345cae80fcc45662db75d49",
-		"d301f2217c85aeda4801484f9e53b9fec48f4c46571ff5b1fefc6077221c4097"},
+		"46898c2e6ec6cf2c55dbc2a9e68364ebb4ae4d17cdccfe3dc4214f99fbd95382"},
 	{"fig9",
 		"0c40b215bed3aba4d9f94802ec5555b1d130c828ea4357015ae32dafc9cdeace",
-		"dea3d2c207df2dbc63da4aea98be44aa3803f9f2691b4b9cc386a85b10f1273f"},
+		"1c812c7984e122e42df2bb5dfc337e7f1d0f6ddbb21dbcc4e160d6247b7032ae"},
 	{"market",
 		"dca115df222e1f262d7d9a6be0b67850179ed607736f8351fa4ab1a02ca45dcd",
-		"8ea71d554d1d964cc863ced670de3d33ffe50d347ffe4a30eb35a0d9b6f04067"},
+		"266dc36824c1eb5e99d053feeb38805cedf543351d7983631a3fa9c769c6a58b"},
 }
 
 func TestTraceGoldenHashes(t *testing.T) {

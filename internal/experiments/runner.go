@@ -147,11 +147,9 @@ func shareTrace(scs []Scenario) {
 	}
 }
 
-// get returns the group's plan, building it from tc on first use. log
-// is whether the batch's tracers record arrivals, which holds for every
-// member alike.
-func (a *arrivals) get(tc trace.Config, log bool) (*queue.Plan, error) {
-	a.once.Do(func() { a.plan, a.err = planTrace(tc, log) })
+// get returns the group's plan, building it from tc on first use.
+func (a *arrivals) get(tc trace.Config) (*queue.Plan, error) {
+	a.once.Do(func() { a.plan, a.err = planTrace(tc) })
 	return a.plan, a.err
 }
 

@@ -54,11 +54,11 @@ func TestGridRowsShareOneTrace(t *testing.T) {
 	}
 	for _, sc := range scs {
 		tc := traceConfig(p, sc)
-		shared, err := sc.shared.get(tc, false)
+		shared, err := sc.shared.get(tc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, err := planTrace(tc, false)
+		own, err := planTrace(tc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestGridRowsShareOneTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		generated, err := queue.Build(tc.Duration, trace.SliceSource(reqs), false)
+		generated, err := queue.Build(tc.Duration, trace.SliceSource(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}

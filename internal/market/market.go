@@ -262,16 +262,16 @@ func (m *Market) tick() {
 		p.regimeLeft -= tickInterval
 		if p.regimeLeft <= 0 {
 			if p.rng.Float64() < c.RegimeProb {
-				p.anchor = c.SpotBaseHourly * (regimeLow + p.rng.Float64()*(regimeHigh-regimeLow))
+				p.anchor = c.SpotBaseHourly * (regimeLow + float64(p.rng.Float64()*(regimeHigh-regimeLow)))
 			} else {
 				p.anchor = c.SpotBaseHourly
 			}
-			p.regimeLeft = regimeMeanDuration * (0.5 + p.rng.Float64())
+			p.regimeLeft = regimeMeanDuration * (0.5 + float64(p.rng.Float64()))
 		}
 		// Mean-reverting multiplicative walk around the regime anchor.
 		next := p.spot +
-			reversion*(p.anchor-p.spot)*dt +
-			c.Volatility*p.spot*math.Sqrt(dt)*p.rng.NormFloat64()
+			float64(reversion*(p.anchor-p.spot)*dt) +
+			float64(c.Volatility*p.spot*math.Sqrt(dt)*p.rng.NormFloat64())
 		// Spot never exceeds on-demand (nobody would buy) and never
 		// collapses below 5% of base (providers floor their auctions).
 		if next > c.OnDemandHourly {
@@ -283,7 +283,7 @@ func (m *Market) tick() {
 		// Settle every active lease segment at the outgoing price.
 		m.checkpointProvider(i, now)
 		p.spot = next
-		p.ewma += ewmaAlpha * (p.spot - p.ewma)
+		p.ewma += float64(ewmaAlpha * (p.spot - p.ewma))
 		p.ticks++
 		p.sumSpot += p.spot
 		if p.spot < p.minSpot {
@@ -325,7 +325,7 @@ func (m *Market) rate(l *Lease) float64 {
 // settle closes the lease's open billing segment: dollars accrue to
 // the lease, the consumer's ledger, and the market total.
 func (m *Market) settle(l *Lease, now float64) {
-	d := (now - l.since) / 3600 * m.rate(l)
+	d := float64((now - l.since) / 3600 * m.rate(l))
 	l.since = now
 	if d <= 0 {
 		return

@@ -397,7 +397,7 @@ func solveKnapsack(opts []knapOption, n int, hourly float64) []int {
 					if !prev.ok {
 						continue
 					}
-					cand := cell{util: prev.util + float64(c)*o.util, cost: prev.cost + float64(c)*o.rate, ok: true}
+					cand := cell{util: prev.util + float64(float64(c)*o.util), cost: prev.cost + float64(float64(c)*o.rate), ok: true}
 					if bestC == unset || cand.util > best.util ||
 						(cand.util >= best.util && cand.cost < best.cost) {
 						best, bestC = cand, int16(c)

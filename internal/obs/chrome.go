@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"bytes"
+	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -20,27 +20,23 @@ import (
 // The output is assembled with fixed field order and fixed-precision
 // timestamps from virtual-time values only, so for a given seed the
 // bytes written are identical run to run — the export inherits the
-// simulator's determinism. Per-request arrival events are deliberately
-// not rendered (batch seals carry the aggregate); the JSONL exporter
-// keeps the full stream.
+// simulator's determinism. Events stream to w through a buffer flushed
+// at the end.
 func WriteChrome(w io.Writer, traces []Trace) error {
-	var buf bytes.Buffer
-	buf.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	n := 0
+	// bw keeps its first write error, and Flush returns it.
+	bw := bufio.NewWriter(w)
+	_, _ = bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	sep := "\n"
 	emit := func(format string, args ...any) {
-		if n > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('\n')
-		fmt.Fprintf(&buf, format, args...)
-		n++
+		_, _ = bw.WriteString(sep)
+		sep = ",\n"
+		fmt.Fprintf(bw, format, args...)
 	}
 	for pid, tr := range traces {
 		writeChromeTrace(emit, pid, tr)
 	}
-	buf.WriteString("\n]}\n")
-	_, err := w.Write(buf.Bytes())
-	return err
+	_, _ = bw.WriteString("\n]}\n")
+	return bw.Flush()
 }
 
 // us renders a virtual-time value (seconds) as fixed-precision

@@ -33,8 +33,6 @@ func fixtureTrace() Trace {
 	return Trace{Label: "fixture run", Events: []Event{
 		{T: 0.000, Kind: KindAutoscale, Node: 0, Slice: -1, Model: "ResNet 50", Detail: "prewarm", Value: 4},
 		{T: 0.000, Kind: KindVMLease, Node: 1, Slice: -1, Detail: "spot"},
-		{T: 0.010, Kind: KindArrival, Node: -1, Slice: -1, Batch: 1, Model: "ResNet 50", Strict: true, Requests: 1},
-		{T: 0.020, Kind: KindArrival, Node: -1, Slice: -1, Batch: 1, Model: "ResNet 50", Strict: true, Requests: 1},
 		{T: 0.060, Kind: KindBatchSeal, Node: -1, Slice: -1, Batch: 1, Model: "ResNet 50", Strict: true, Requests: 2, Value: 0.010},
 		{T: 0.060, Kind: KindDispatch, Node: 0, Slice: -1, Batch: 1, Model: "ResNet 50", Strict: true, Requests: 2},
 		{T: 0.060, Kind: KindColdStart, Node: 0, Slice: -1, Batch: 1, Value: 0.5},

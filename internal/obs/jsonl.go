@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,26 +11,24 @@ import (
 // per run (`{"run":label,"events":n}`) followed by one line per event,
 // in emission order. encoding/json field order follows the Event struct
 // declaration, so for a given seed the bytes written are identical run
-// to run.
+// to run. The lines stream to w through a buffer flushed at the end.
 //
-// Unlike the Chrome exporter, the JSONL log keeps the full stream —
-// including per-request arrival events — and is meant for programmatic
-// triage (jq, regression diffing) rather than visualization.
+// Unlike the Chrome exporter, the JSONL log keeps every event field
+// and every kind, and is meant for programmatic triage (jq, regression
+// diffing) rather than visualization.
 func WriteJSONL(w io.Writer, traces []Trace) error {
-	var buf bytes.Buffer
+	bw := bufio.NewWriter(w)
+	// Encode writes json.Marshal's bytes and a newline.
+	enc := json.NewEncoder(bw)
 	for _, tr := range traces {
-		fmt.Fprintf(&buf, `{"run":%s,"events":%d}`+"\n", mustJSON(tr.Label), len(tr.Events))
+		fmt.Fprintf(bw, `{"run":%s,"events":%d}`+"\n", mustJSON(tr.Label), len(tr.Events))
 		for _, ev := range tr.Events {
-			line, err := json.Marshal(ev)
-			if err != nil {
-				return fmt.Errorf("obs: marshal event: %w", err)
+			if err := enc.Encode(ev); err != nil {
+				return fmt.Errorf("obs: encode event: %w", err)
 			}
-			buf.Write(line)
-			buf.WriteByte('\n')
 		}
 	}
-	_, err := w.Write(buf.Bytes())
-	return err
+	return bw.Flush()
 }
 
 // mustJSON marshals a plain string; it cannot fail.

@@ -2,17 +2,17 @@
 // deterministic tracing plus a metrics registry.
 //
 // The tracing half is a Tracer interface receiving typed,
-// virtual-time-stamped lifecycle events — request arrival, batch seal,
-// dispatch, slice admission, execution start/end, slowdown
-// recomputation, MIG reconfiguration, VM lease churn, autoscaler
-// decisions. Producers across the runtime (sim, gpu, queue, cluster,
-// core, vm, autoscale) guard every emission behind Tracer.Enabled, and
-// the default tracer is a no-op, so untraced runs pay nothing beyond
-// one predictable branch per event site. Events carry only virtual-time
-// timestamps (seconds on the sim.Sim clock — never the wall clock), so
-// a trace of a seeded run is itself deterministic: exporting the same
-// run twice yields byte-identical files, which makes a trace a
-// byte-exact witness of a simulation.
+// virtual-time-stamped lifecycle events — batch seal, dispatch, slice
+// admission, execution start/end, slowdown recomputation, MIG
+// reconfiguration, VM lease churn, autoscaler decisions — one per batch
+// or per decision, never per request. Producers across the runtime
+// (sim, gpu, queue, cluster, core, vm, autoscale) guard every emission
+// behind Tracer.Enabled, and the default tracer is a no-op, so untraced
+// runs pay nothing beyond one predictable branch per event site. Events
+// carry only virtual-time timestamps (seconds on the sim.Sim clock —
+// never the wall clock), so a trace of a seeded run is itself
+// deterministic: exporting the same run twice yields byte-identical
+// files, which makes a trace a byte-exact witness of a simulation.
 //
 // The metrics half (registry.go) is a counters/gauges/histograms
 // registry rendered as Prometheus text exposition, used by proteand's
@@ -35,14 +35,11 @@ type Kind uint8
 // The event taxonomy. See DESIGN.md ("Observability subsystem") for
 // which component emits each kind and with which fields populated.
 const (
-	// KindArrival is one request arriving at the gateway batcher. The
-	// repro has no network hop, so arrival and enqueue-into-a-partial-
-	// batch are the same instant; one event represents both.
-	KindArrival Kind = iota + 1
 	// KindBatchSeal is a batch closing to new requests (full batch or
-	// batching-window expiry). Carries the batch id, model, class and
-	// member count.
-	KindBatchSeal
+	// batching-window expiry). Carries the batch id, model, class,
+	// member count (Requests) and oldest member's arrival (Value). No
+	// event is emitted per request: the batch is the unit of tracing.
+	KindBatchSeal Kind = iota + 1
 	// KindDispatch is a sealed batch routed to a worker node.
 	KindDispatch
 	// KindColdStart is a batch paying a container cold start
@@ -129,7 +126,6 @@ const (
 
 // kindNames indexes Kind.String; order must match the constants.
 var kindNames = [...]string{
-	KindArrival:       "arrival",
 	KindBatchSeal:     "batch-seal",
 	KindDispatch:      "dispatch",
 	KindColdStart:     "cold-start",
@@ -219,8 +215,9 @@ type Event struct {
 	Strict bool `json:"strict,omitempty"`
 	// Requests is the request count the event represents.
 	Requests int `json:"requests,omitempty"`
-	// Value is a kind-specific scalar (cold-start seconds, slowdown
-	// multiplier, eviction deadline, expired-container count).
+	// Value is a kind-specific scalar (oldest member's arrival,
+	// cold-start seconds, slowdown multiplier, eviction deadline,
+	// expired-container count).
 	Value float64 `json:"value,omitempty"`
 	// Detail is a kind-specific label (geometry string, VM kind,
 	// autoscale verb).
@@ -243,16 +240,6 @@ type Tracer interface {
 	Enabled() bool
 	// Emit records one event.
 	Emit(ev Event)
-}
-
-// Records reports whether tr records events of kind k: false when tr
-// is disabled or is a Collector that omits the kind (see NewTraceSet).
-// A producer may skip the work of an event nothing records.
-func Records(tr Tracer, k Kind) bool {
-	if c, ok := tr.(*Collector); ok {
-		return c.omit&(1<<(k&63)) == 0
-	}
-	return tr.Enabled()
 }
 
 // nop is the disabled tracer.
@@ -280,7 +267,6 @@ type Trace struct {
 type Collector struct {
 	label  string
 	events []Event
-	omit   uint64 // bit k set: events of Kind k are not recorded
 }
 
 // NewCollector returns an enabled collector labeled label.
@@ -292,12 +278,7 @@ func NewCollector(label string) *Collector {
 func (c *Collector) Enabled() bool { return true }
 
 // Emit implements Tracer.
-func (c *Collector) Emit(ev Event) {
-	if c.omit&(1<<(ev.Kind&63)) != 0 {
-		return
-	}
-	c.events = append(c.events, ev)
-}
+func (c *Collector) Emit(ev Event) { c.events = append(c.events, ev) }
 
 // Len returns the number of recorded events.
 func (c *Collector) Len() int { return len(c.events) }
@@ -314,19 +295,10 @@ func (c *Collector) Trace() Trace { return Trace{Label: c.label, Events: c.event
 type TraceSet struct {
 	mu   sync.Mutex
 	cols []*Collector
-	omit uint64
 }
 
-// NewTraceSet returns an empty set whose collectors record every event
-// except those of the omitted kinds. An export that renders no event of
-// a kind omits it, so a run does not hold events nothing reads.
-func NewTraceSet(omit ...Kind) *TraceSet {
-	ts := &TraceSet{}
-	for _, k := range omit {
-		ts.omit |= 1 << (k & 63)
-	}
-	return ts
-}
+// NewTraceSet returns an empty set.
+func NewTraceSet() *TraceSet { return &TraceSet{} }
 
 // NewCollector registers and returns the next run's collector. The
 // label is prefixed with the registration index so merged traces stay
@@ -338,7 +310,6 @@ func (ts *TraceSet) NewCollector(label string) *Collector {
 		label = "run"
 	}
 	c := NewCollector(fmt.Sprintf("%03d %s", len(ts.cols), label))
-	c.omit = ts.omit
 	ts.cols = append(ts.cols, c)
 	return c
 }
@@ -366,7 +337,7 @@ func KindCounts(events []Event) map[string]int {
 }
 
 // FormatKindCounts renders KindCounts in sorted order ("admit=3
-// arrival=12 ...") for deterministic logging.
+// batch-seal=3 ...") for deterministic logging.
 func FormatKindCounts(counts map[string]int) string {
 	names := make([]string, 0, len(counts))
 	for name := range counts {

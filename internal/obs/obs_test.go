@@ -7,8 +7,8 @@ import (
 )
 
 func TestKindString(t *testing.T) {
-	if got := KindArrival.String(); got != "arrival" {
-		t.Errorf("KindArrival = %q", got)
+	if got := KindBatchSeal.String(); got != "batch-seal" {
+		t.Errorf("KindBatchSeal = %q", got)
 	}
 	if got := KindDrop.String(); got != "drop" {
 		t.Errorf("KindDrop = %q", got)
@@ -49,7 +49,7 @@ func TestNopTracer(t *testing.T) {
 	if tr.Enabled() {
 		t.Error("nop tracer is enabled")
 	}
-	tr.Emit(At(1, KindArrival)) // must not panic
+	tr.Emit(At(1, KindBatchSeal)) // must not panic
 }
 
 func TestCollector(t *testing.T) {
@@ -57,13 +57,13 @@ func TestCollector(t *testing.T) {
 	if !c.Enabled() {
 		t.Fatal("collector not enabled")
 	}
-	c.Emit(At(1, KindArrival))
-	c.Emit(At(2, KindBatchSeal))
+	c.Emit(At(1, KindBatchSeal))
+	c.Emit(At(2, KindDispatch))
 	if c.Len() != 2 {
 		t.Errorf("Len = %d", c.Len())
 	}
 	tr := c.Trace()
-	if tr.Label != "run-a" || len(tr.Events) != 2 || tr.Events[1].Kind != KindBatchSeal {
+	if tr.Label != "run-a" || len(tr.Events) != 2 || tr.Events[1].Kind != KindDispatch {
 		t.Errorf("trace = %+v", tr)
 	}
 }
@@ -73,8 +73,8 @@ func TestTraceSetOrderAndLabels(t *testing.T) {
 	a := ts.NewCollector("alpha")
 	b := ts.NewCollector("alpha") // duplicate label must stay unambiguous
 	c := ts.NewCollector("")
-	a.Emit(At(1, KindArrival))
-	b.Emit(At(2, KindArrival))
+	a.Emit(At(1, KindBatchSeal))
+	b.Emit(At(2, KindBatchSeal))
 	b.Emit(At(3, KindDrop))
 	traces := ts.Traces()
 	if len(traces) != 3 {
@@ -100,16 +100,14 @@ func TestTraceSetOrderAndLabels(t *testing.T) {
 func TestAssemble(t *testing.T) {
 	p := &Phases{Queue: 0.001, MinPossible: 0.004, Deficiency: 0.002, Interference: 0.0005}
 	events := []Event{
-		// batch 1: full lifecycle with explicit arrivals.
-		{T: 0.010, Kind: KindArrival, Node: -1, Slice: -1, Batch: 1},
-		{T: 0.020, Kind: KindArrival, Node: -1, Slice: -1, Batch: 1},
+		// batch 1: full lifecycle.
 		{T: 0.060, Kind: KindBatchSeal, Node: -1, Slice: -1, Batch: 1, Model: "ResNet 50", Strict: true, Requests: 2, Value: 0.010},
 		{T: 0.060, Kind: KindDispatch, Node: 0, Slice: -1, Batch: 1},
 		{T: 0.060, Kind: KindColdStart, Node: 0, Slice: -1, Batch: 1, Value: 0.5},
 		{T: 0.600, Kind: KindAdmit, Node: 0, Slice: 1, Batch: 1},
 		{T: 0.601, Kind: KindExecStart, Node: 0, Slice: 1, Batch: 1},
 		{T: 0.608, Kind: KindExecEnd, Node: 0, Slice: 1, Batch: 1, Phases: p},
-		// batch 2: coarse trace (no arrivals) that never executed.
+		// batch 2: sealed and never executed.
 		{T: 0.100, Kind: KindBatchSeal, Node: -1, Slice: -1, Batch: 2, Model: "VGG 19", Requests: 4, Value: 0.080},
 		// batch-less event is ignored.
 		{T: 0.200, Kind: KindSlowdown, Node: 0, Slice: 1, Value: 1.3},
@@ -146,7 +144,7 @@ func TestAssemble(t *testing.T) {
 	if sp2.Batch != 2 || sp2.Completed() || sp2.Node != -1 {
 		t.Errorf("span 2 = %+v", sp2)
 	}
-	// Without arrival events the seal's Value stands in for FirstArrival.
+	// The seal's Value is the oldest member's arrival.
 	if sp2.FirstArrival != 0.080 {
 		t.Errorf("span 2 FirstArrival = %v", sp2.FirstArrival)
 	}
@@ -171,13 +169,13 @@ func TestPhasesTotal(t *testing.T) {
 
 func TestKindCounts(t *testing.T) {
 	events := []Event{
-		At(1, KindArrival), At(2, KindArrival), At(3, KindBatchSeal),
+		At(1, KindDispatch), At(2, KindDispatch), At(3, KindBatchSeal),
 	}
 	counts := KindCounts(events)
-	if counts["arrival"] != 2 || counts["batch-seal"] != 1 {
+	if counts["dispatch"] != 2 || counts["batch-seal"] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
-	if got := FormatKindCounts(counts); got != "arrival=2 batch-seal=1" {
+	if got := FormatKindCounts(counts); got != "batch-seal=1 dispatch=2" {
 		t.Errorf("format = %q", got)
 	}
 	if got := FormatKindCounts(nil); got != "" {
@@ -189,31 +187,5 @@ func TestFormatKindCountsSorted(t *testing.T) {
 	got := FormatKindCounts(map[string]int{"drop": 1, "admit": 2, "vm-down": 3})
 	if !strings.HasPrefix(got, "admit=2 ") || !strings.HasSuffix(got, " vm-down=3") {
 		t.Errorf("format = %q", got)
-	}
-}
-
-// TestTraceSetOmitsKinds: a set's collectors drop the kinds it omits
-// and keep every other, and Records reports what a tracer keeps.
-func TestTraceSetOmitsKinds(t *testing.T) {
-	c := NewTraceSet(KindArrival).NewCollector("coarse")
-	c.Emit(At(1, KindArrival))
-	c.Emit(At(2, KindBatchSeal))
-	if evs := c.Trace().Events; len(evs) != 1 || evs[0].Kind != KindBatchSeal {
-		t.Errorf("collected %v, want the seal only", evs)
-	}
-	for _, tc := range []struct {
-		name string
-		tr   Tracer
-		k    Kind
-		want bool
-	}{
-		{"coarse arrival", c, KindArrival, false},
-		{"coarse seal", c, KindBatchSeal, true},
-		{"full arrival", NewTraceSet().NewCollector("full"), KindArrival, true},
-		{"nop", Nop(), KindBatchSeal, false},
-	} {
-		if got := Records(tc.tr, tc.k); got != tc.want {
-			t.Errorf("%s: Records = %v, want %v", tc.name, got, tc.want)
-		}
 	}
 }

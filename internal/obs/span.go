@@ -41,8 +41,6 @@ type Span struct {
 	ColdStart float64 `json:"coldStart"`
 	// Phases is the engine's latency breakdown (valid once Ended > 0).
 	Phases Phases `json:"phases"`
-
-	arrived bool
 }
 
 // Completed reports whether the batch finished executing.
@@ -92,22 +90,12 @@ func Assemble(events []Event) []*Span {
 		}
 		sp := get(ev.Batch)
 		switch ev.Kind {
-		case KindArrival:
-			if !sp.arrived || ev.T < sp.FirstArrival {
-				sp.FirstArrival = ev.T
-				sp.arrived = true
-			}
 		case KindBatchSeal:
 			sp.Sealed = ev.T
 			sp.Model = ev.Model
 			sp.Strict = ev.Strict
 			sp.Requests = ev.Requests
-			if !sp.arrived {
-				// Coarse traces skip per-request arrivals; the seal
-				// event carries the oldest member's arrival in Value.
-				sp.FirstArrival = ev.Value
-				sp.arrived = true
-			}
+			sp.FirstArrival = ev.Value
 		case KindDispatch:
 			sp.Node = ev.Node
 		case KindColdStart:

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"protean/internal/obs"
 	"protean/internal/pool"
@@ -29,32 +28,19 @@ const (
 	// StepFlush is a batch Flush sealed at the horizon. Flushed steps
 	// come last, in Flush order.
 	StepFlush
-	// StepArrival is one request joining a batch. Only a traced plan
-	// records arrivals.
-	StepArrival
 )
 
-// Step is one gateway event of a plan, in the order the gateway ran it.
+// Step is one sealed batch of a plan, in the order the gateway sealed
+// it; Batch.Sealed is its instant.
 type Step struct {
-	// T is the event's virtual time: the seal time of a seal (equal to
-	// Batch.Sealed), the arrival time of an arrival.
-	T    float64
-	Kind StepKind
-	// Batch is the sealed batch of a seal or flush step. Of an arrival
-	// step it holds only the ID, Model and Strict of the batch the
-	// request joined.
+	Kind  StepKind
 	Batch Batch
 }
 
 // Event returns the trace event the gateway emitted for the step: the
 // same event, at the same time, that a Batcher on the simulation's own
 // clock emits.
-func (s *Step) Event() obs.Event {
-	if s.Kind == StepArrival {
-		return arrivalEvent(s.T, s.Batch.ID, s.Batch.Model.Name(), s.Batch.Strict)
-	}
-	return sealEvent(&s.Batch)
-}
+func (s *Step) Event() obs.Event { return sealEvent(&s.Batch) }
 
 // Tally counts what a planned gateway did besides sealing batches.
 type Tally struct {
@@ -79,10 +65,8 @@ type Plan struct {
 	// Horizon is the end of the arrival sequence: arrivals at or after
 	// it were not offered.
 	Horizon float64
-	// Steps are the gateway's events in order: the seals and, when
-	// Logged, each arrival too.
-	Steps  []Step
-	Logged bool
+	// Steps are the gateway's seals in order.
+	Steps []Step
 	Tally
 }
 
@@ -103,8 +87,6 @@ type Planner struct {
 	batcher *Batcher
 	next    func() *trace.Request
 	horizon float64
-	// log records an arrival step per offered request.
-	log bool
 	// cur is the next arrival.
 	cur *trace.Request
 
@@ -130,20 +112,18 @@ const arenaChunk = 4096
 // NewPlanner returns a Planner over next, which returns the arrivals in
 // ascending time order and nil after the last; the request it returns
 // must stay unchanged until the following call. Arrivals at or after
-// horizon end the sequence. With log set the planner also records an
-// arrival step per request the batcher takes, which a traced replay
-// emits. The first arrival is read here and must be a time on the
-// clock (finite and not negative).
+// horizon end the sequence. The first arrival is read here and must be
+// a time on the clock (finite and not negative).
 //
 // A run replays the planner's batches once, through r: each takes a
 // shell from r (Batcher.Replay) and keeps the batch's member buffers,
 // and once r releases it the planner reuses them, so a long run
 // allocates no member buffer per batch.
-func NewPlanner(horizon float64, next func() *trace.Request, log bool, r *Batcher) (*Planner, error) {
+func NewPlanner(horizon float64, next func() *trace.Request, r *Batcher) (*Planner, error) {
 	if r == nil {
 		return nil, errors.New("queue: nil replaying batcher")
 	}
-	p, err := newPlanner(horizon, next, log)
+	p, err := newPlanner(horizon, next)
 	if err != nil {
 		return nil, err
 	}
@@ -151,14 +131,14 @@ func NewPlanner(horizon float64, next func() *trace.Request, log bool, r *Batche
 	return p, nil
 }
 
-func newPlanner(horizon float64, next func() *trace.Request, log bool) (*Planner, error) {
+func newPlanner(horizon float64, next func() *trace.Request) (*Planner, error) {
 	if !(horizon > 0) || math.IsInf(horizon, 1) {
 		return nil, fmt.Errorf("queue: horizon %v must be positive and finite", horizon)
 	}
 	if next == nil {
 		return nil, errors.New("queue: nil arrival source")
 	}
-	p := &Planner{clock: sim.New(0), next: next, horizon: horizon, log: log}
+	p := &Planner{clock: sim.New(0), next: next, horizon: horizon}
 	b, err := NewBatcher(p.clock, DefaultWindow, p.keep)
 	if err != nil {
 		return nil, err
@@ -175,15 +155,15 @@ func newPlanner(horizon float64, next func() *trace.Request, log bool) (*Planner
 // Build runs a Planner over next to the end and returns its plan, with
 // the arguments NewPlanner takes but a replaying batcher: a plan's
 // member buffers are its own.
-func Build(horizon float64, next func() *trace.Request, log bool) (*Plan, error) {
-	p, err := newPlanner(horizon, next, log)
+func Build(horizon float64, next func() *trace.Request) (*Plan, error) {
+	p, err := newPlanner(horizon, next)
 	if err != nil {
 		return nil, err
 	}
 	for !p.ended {
 		p.step()
 	}
-	return &Plan{Horizon: horizon, Steps: p.steps, Logged: log, Tally: p.tally}, nil
+	return &Plan{Horizon: horizon, Steps: p.steps, Tally: p.tally}, nil
 }
 
 // Next returns the next step, or nil after the last. Flush steps come
@@ -216,11 +196,8 @@ func (p *Planner) step() {
 	at := req.Arrival
 	p.run(at)
 	p.tally.Offered++
-	sealed := len(p.steps)
 	if err := p.batcher.add(req); err != nil {
 		p.tally.Dropped++
-	} else if p.log {
-		p.logArrival(req, sealed)
 	}
 	p.cur = p.next()
 	if p.cur != nil && !(p.cur.Arrival >= at) {
@@ -257,7 +234,7 @@ func (p *Planner) finish() {
 // buffers, and the batcher gets back one that the replaying batcher
 // released.
 func (p *Planner) keep(b *Batch) {
-	st := Step{T: b.Sealed, Kind: StepSeal, Batch: *b}
+	st := Step{Kind: StepSeal, Batch: *b}
 	b.Tenants = nil // the step owns them now
 	if r := p.recycle; r != nil {
 		b.Arrivals = nil
@@ -279,19 +256,4 @@ func (p *Planner) keep(b *Batch) {
 	}
 	p.steps = append(p.steps, st)
 	p.batcher.Release(b)
-}
-
-// logArrival records req's arrival step. The batcher emits an arrival
-// event before it seals the batch full, so the step goes in ahead of a
-// seal step that Add appended at index at; the batch is that seal's or
-// else the open one the request joined.
-func (p *Planner) logArrival(req *trace.Request, at int) {
-	var id uint64
-	if at < len(p.steps) {
-		id = p.steps[at].Batch.ID
-	} else {
-		id = p.batcher.find(req.Model, req.Strict).id
-	}
-	p.steps = slices.Insert(p.steps, at, Step{T: req.Arrival, Kind: StepArrival,
-		Batch: Batch{ID: id, Model: req.Model, Strict: req.Strict}})
 }

@@ -112,9 +112,6 @@ func planGateway(t *testing.T, p *Planner, r *Batcher) gateway {
 	}
 	for st := p.Next(); st != nil; st = p.Next() {
 		g.trace = append(g.trace, st.Event())
-		if st.Kind == StepArrival {
-			continue
-		}
 		b := r.Replay(&st.Batch)
 		cp := *b
 		cp.Arrivals, cp.Tenants = slices.Clone(b.Arrivals), slices.Clone(b.Tenants)
@@ -205,12 +202,12 @@ func TestPlannerMatchesPump(t *testing.T) {
 			reqs = nil
 		}
 		want := pumpGateway(t, reqs, horizon)
-		plan, err := Build(horizon, trace.SliceSource(reqs), true)
+		plan, err := Build(horizon, trace.SliceSource(reqs))
 		if err != nil {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
 		r := replayer(t)
-		lazy, err := NewPlanner(horizon, trace.SliceSource(reqs), true, r)
+		lazy, err := NewPlanner(horizon, trace.SliceSource(reqs), r)
 		if err != nil {
 			t.Fatalf("seed %d: NewPlanner: %v", seed, err)
 		}
@@ -221,21 +218,6 @@ func TestPlannerMatchesPump(t *testing.T) {
 			if err := sameGateway(got, want); err != nil {
 				t.Fatalf("seed %d, %s plan: %v", seed, name, err)
 			}
-		}
-		// An untraced plan holds the same seals and counts, without the
-		// arrival steps.
-		quiet, err := Build(horizon, trace.SliceSource(reqs), false)
-		if err != nil {
-			t.Fatalf("seed %d: Build: %v", seed, err)
-		}
-		var seals []Step
-		for _, st := range plan.Steps {
-			if st.Kind != StepArrival {
-				seals = append(seals, st)
-			}
-		}
-		if !reflect.DeepEqual(quiet.Steps, seals) || quiet.Tally != plan.Tally {
-			t.Fatalf("seed %d: the untraced plan's seals or counts differ from the traced plan's", seed)
 		}
 	}
 }
@@ -285,19 +267,19 @@ func TestPlannerRejectsBadInput(t *testing.T) {
 		return trace.SliceSource([]trace.Request{{Model: m, Arrival: at}})
 	}
 	for _, h := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := Build(h, one(0), false); err == nil {
+		if _, err := Build(h, one(0)); err == nil {
 			t.Errorf("horizon %v accepted", h)
 		}
 	}
 	for _, at := range []float64{-1, -math.Inf(1), math.NaN()} {
-		if _, err := Build(1, one(at), false); err == nil {
+		if _, err := Build(1, one(at)); err == nil {
 			t.Errorf("first arrival %v accepted", at)
 		}
 	}
-	if _, err := Build(1, nil, false); err == nil {
+	if _, err := Build(1, nil); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := NewPlanner(1, one(0), false, nil); err == nil {
+	if _, err := NewPlanner(1, one(0), nil); err == nil {
 		t.Error("nil replaying batcher accepted")
 	}
 	reqs := []trace.Request{{Model: m, Arrival: 0.5}, {Model: m, Arrival: 0.25}}
@@ -306,5 +288,5 @@ func TestPlannerRejectsBadInput(t *testing.T) {
 			t.Error("an arrival before the previous one did not panic")
 		}
 	}()
-	_, _ = Build(1, trace.SliceSource(reqs), false)
+	_, _ = Build(1, trace.SliceSource(reqs))
 }

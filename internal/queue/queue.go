@@ -231,9 +231,6 @@ func (b *Batcher) add(req *trace.Request) error {
 		}
 		pb.tenants = append(pb.tenants, req.Tenant)
 	}
-	if tr := b.sim.Tracer(); tr.Enabled() {
-		tr.Emit(arrivalEvent(b.sim.Now(), pb.id, req.Model.Name(), req.Strict))
-	}
 	if len(pb.arrivals) >= req.Model.BatchSize() {
 		b.seal(pb)
 	}
@@ -302,16 +299,6 @@ func (b *Batcher) seal(pb *partialBatch) {
 	b.emit(batch)
 }
 
-// arrivalEvent is the trace event of one request joining batch id.
-func arrivalEvent(at float64, id uint64, model string, strict bool) obs.Event {
-	ev := obs.At(at, obs.KindArrival)
-	ev.Batch = id
-	ev.Model = model
-	ev.Strict = strict
-	ev.Requests = 1
-	return ev
-}
-
 // sealEvent is the trace event of batch sealing.
 func sealEvent(batch *Batch) obs.Event {
 	ev := obs.At(batch.Sealed, obs.KindBatchSeal)
@@ -319,8 +306,7 @@ func sealEvent(batch *Batch) obs.Event {
 	ev.Model = batch.Model.Name()
 	ev.Strict = batch.Strict
 	ev.Requests = batch.Size()
-	// Carry the oldest member's arrival so span assembly works on
-	// traces whose per-request arrival events were filtered out.
+	// The oldest member's arrival: no event is emitted per request.
 	ev.Value = batch.FirstArrival()
 	return ev
 }
