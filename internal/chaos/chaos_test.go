@@ -43,7 +43,7 @@ func startOn(inj *Injector, n int) *fakeTargets {
 
 func TestDisabledInjectorIsNil(t *testing.T) {
 	s := sim.New(1)
-	before := s.Rand().Int63()
+	before := s.Rand().Intn(math.MaxInt)
 	s2 := sim.New(1)
 	inj, err := New(s2, Config{})
 	if err != nil {
@@ -53,7 +53,7 @@ func TestDisabledInjectorIsNil(t *testing.T) {
 		t.Fatal("disabled config must yield a nil injector")
 	}
 	// A disabled New must not touch the sim's RNG stream.
-	if after := s2.Rand().Int63(); after != before {
+	if after := s2.Rand().Intn(math.MaxInt); after != before {
 		t.Errorf("disabled New consumed sim randomness: %d != %d", after, before)
 	}
 }

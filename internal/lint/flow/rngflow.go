@@ -9,10 +9,12 @@ import (
 	"protean/internal/lint"
 )
 
-// rngflowAnalyzer tracks seeded *math/rand.Rand streams through the
-// callgraph. A deterministic run consumes every stream in one total
-// order; three patterns break that once code runs on more than one
-// goroutine:
+// rngflowAnalyzer tracks seeded random streams through the callgraph:
+// *math/rand.Rand, and the engine's own generator, a type Rand declared
+// in a package named sim (internal/sim's port and test fixtures alike),
+// whose draws *sim.Stream promotes. A deterministic run consumes every
+// stream in one total order; three patterns break that once code runs
+// on more than one goroutine:
 //
 //  1. A draw lexically inside a goroutine body (or a function spawned
 //     as one) on a stream the goroutine did not create: the draw
@@ -30,14 +32,14 @@ import (
 func rngflowAnalyzer(get func([]*lint.Package) *Program) *lint.ProgramAnalyzer {
 	return &lint.ProgramAnalyzer{
 		Name: "rngflow",
-		Doc:  "track seeded rand.Rand streams across the callgraph; flag goroutine, map-order, and multi-spawn-aliased draws",
+		Doc:  "track seeded rand.Rand and sim.Rand streams across the callgraph; flag goroutine, map-order, and multi-spawn-aliased draws",
 		Run: func(pkgs []*lint.Package, report func(pos token.Pos, format string, args ...any)) {
 			runRngflow(get(pkgs), report)
 		},
 	}
 }
 
-// rngDraw is one method call on a *rand.Rand receiver.
+// rngDraw is one call of a generator's method.
 type rngDraw struct {
 	call *ast.CallExpr
 	node *Node
@@ -63,8 +65,8 @@ func runRngflow(p *Program, report func(pos token.Pos, format string, args ...an
 
 	// Rule 1: draws inside goroutine bodies on streams the goroutine did
 	// not create. Spawn roots and the closures they create are goroutine
-	// bodies; a locally created stream (rand.New inside the body) is the
-	// per-goroutine idiom and stays legal.
+	// bodies; a locally created stream (sim.NewRand or rand.New inside
+	// the body) is the per-goroutine idiom and stays legal.
 	var roots []*Node
 	for _, sp := range p.Spawns {
 		roots = append(roots, sp.Roots...)
@@ -72,7 +74,7 @@ func runRngflow(p *Program, report func(pos token.Pos, format string, args ...an
 	inGoroutine := p.ReachableFrom(roots, Closure)
 	for _, d := range draws {
 		if inGoroutine[d.node] && !d.local {
-			report(d.call.Pos(), "rand draw inside a goroutine body on a stream the goroutine did not create; derive a per-goroutine stream with rand.New")
+			report(d.call.Pos(), "rand draw inside a goroutine body on a stream the goroutine did not create; derive a per-goroutine stream with sim.NewRand or Stream.Child")
 		}
 	}
 
@@ -120,9 +122,9 @@ func runRngflow(p *Program, report func(pos token.Pos, format string, args ...an
 	}
 }
 
-// collectDraws finds every method call whose receiver is *math/rand.Rand
-// and classifies the stream it draws from, chasing the receiver
-// expression through selectors and accessor calls.
+// collectDraws finds every call of a generator's method, promoted ones
+// included, and classifies the stream it draws from, chasing the
+// receiver expression through selectors and accessor calls.
 func collectDraws(p *Program) []rngDraw {
 	var draws []rngDraw
 	for _, n := range p.Nodes {
@@ -139,11 +141,7 @@ func collectDraws(p *Program) []rngDraw {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			recvT := node.Pkg.Info.TypeOf(sel.X)
-			if !isRandRand(recvT) {
+			if !ok || !isDraw(node.Pkg.Info, sel) {
 				return true
 			}
 			d := rngDraw{call: call, node: node}
@@ -158,24 +156,23 @@ func collectDraws(p *Program) []rngDraw {
 
 // streamSource resolves the receiver expression of a draw to the object
 // identifying the stream: an accessor method (sim.Rand()), a struct
-// field or package-level var of type *rand.Rand, or — for identifiers
+// field or package-level var holding a stream, or — for identifiers
 // declared inside the drawing function — a local stream.
 func streamSource(n *Node, recv ast.Expr) (types.Object, bool) {
 	switch e := ast.Unparen(recv).(type) {
 	case *ast.CallExpr:
-		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-			if fn, ok := n.Pkg.Info.Uses[sel.Sel].(*types.Func); ok {
-				return fn, false
-			}
+		var id *ast.Ident
+		switch f := ast.Unparen(e.Fun).(type) {
+		case *ast.Ident:
+			id = f
+		case *ast.SelectorExpr:
+			id = f.Sel
 		}
-		if id, ok := e.Fun.(*ast.Ident); ok {
-			if fn, ok := n.Pkg.Info.Uses[id].(*types.Func); ok {
-				// rand.New(...) inline: a fresh stream, not an alias.
-				if fn.Pkg() != nil && fn.Pkg().Path() == "math/rand" && fn.Name() == "New" {
-					return nil, true
-				}
-				return fn, false
+		if fn, ok := n.Pkg.Info.Uses[id].(*types.Func); ok {
+			if isConstructor(fn) {
+				return nil, true // rand.New(...).Float64(): a fresh stream, not an alias
 			}
+			return fn, false
 		}
 	case *ast.SelectorExpr:
 		if v, ok := n.Pkg.Info.Uses[e.Sel].(*types.Var); ok {
@@ -236,16 +233,30 @@ func enclosingMapRange(n *Node, pos token.Pos) *ast.RangeStmt {
 	return found
 }
 
-// isRandRand reports whether t is *math/rand.Rand.
-func isRandRand(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
+// isDraw reports whether sel selects a method declared on a generator,
+// *math/rand.Rand or *sim.Rand, directly or promoted through an
+// embedding struct such as *sim.Stream.
+func isDraw(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
 		return false
 	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
+	t := s.Obj().(*types.Func).Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Name() != "Rand" {
 		return false
 	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "math/rand" && obj.Name() == "Rand"
+	pkg := named.Obj().Pkg()
+	return pkg != nil && (pkg.Path() == "math/rand" || pkg.Name() == "sim")
+}
+
+// isConstructor reports whether fn builds a fresh generator: rand.New
+// or sim.NewRand.
+func isConstructor(fn *types.Func) bool {
+	pkg := fn.Pkg()
+	return pkg != nil && (pkg.Path() == "math/rand" && fn.Name() == "New" ||
+		pkg.Name() == "sim" && fn.Name() == "NewRand")
 }

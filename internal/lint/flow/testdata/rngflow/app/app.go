@@ -1,11 +1,12 @@
 // Package app exercises the three rngflow rules against the stream
-// owned by the core package.
+// owned by the core package and against sim's streams.
 package app
 
 import (
 	"math/rand"
 
 	"fixturemod/core"
+	"fixturemod/sim"
 )
 
 var eng = core.NewEngine()
@@ -55,4 +56,29 @@ func producer() float64 {
 
 func consumer() float64 {
 	return eng.Rand().NormFloat64() // want:rngflow
+}
+
+// StreamSpawn draws from a *sim.Stream it did not create inside a
+// goroutine: the draw is promoted from the embedded sim.Rand, and the
+// rule tracks it all the same. The other goroutines build their own.
+func StreamSpawn(st *sim.Stream, out, out2, out3 chan float64) {
+	go func() {
+		out <- st.Float64() // want:rngflow
+	}()
+	go func() {
+		local := sim.NewRand(1)
+		out2 <- local.Float64() // ok: stream created inside the goroutine
+	}()
+	go func() {
+		out3 <- sim.NewRand(2).Float64() // ok: a fresh stream, drawn inline
+	}()
+}
+
+// StreamMapDraw consumes a sim.Stream in map-iteration order.
+func StreamMapDraw(m map[string]int, st *sim.Stream) int {
+	t := 0
+	for range m {
+		t += st.Intn(3) // want:rngflow
+	}
+	return t
 }

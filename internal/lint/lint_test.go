@@ -97,7 +97,25 @@ func TestWalltimeSkipsNonInternal(t *testing.T) {
 }
 
 func TestGlobalrandFixture(t *testing.T) {
-	checkFixture(t, "globalrand", "fixturemod/globalrand", GlobalrandAnalyzer())
+	checkFixture(t, "globalrand", "fixturemod/internal/globalrand", GlobalrandAnalyzer())
+}
+
+// TestGlobalrandConstructorsOutsideInternal: outside internal/ the rule
+// still flags the global draws but lets clients build math/rand
+// generators.
+func TestGlobalrandConstructorsOutsideInternal(t *testing.T) {
+	draws := 0
+	for _, f := range runFixture(t, "globalrand", "fixturemod/cmd/globalrand", GlobalrandAnalyzer()) {
+		if strings.Contains(f.Msg, "builds a math/rand generator") {
+			t.Errorf("globalrand flagged a constructor outside internal/: %v", f)
+		}
+		if strings.Contains(f.Msg, "global math/rand source") {
+			draws++
+		}
+	}
+	if draws == 0 {
+		t.Error("globalrand flagged no global draw outside internal/")
+	}
 }
 
 func TestMaporderFixture(t *testing.T) {

@@ -16,8 +16,10 @@ func goodInjected(r *rand.Rand) float64 {
 	return r.Float64() + float64(r.Intn(10)) // ok: seeded, injected source
 }
 
-func goodConstructor(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed)) // ok: constructors build seeded sources
+// constructor builds a seeded generator: fine in a client, flagged
+// under internal/, where the engine seeds sim.NewRand instead.
+func constructor(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed)) // want:globalrand
 }
 
 func ignored() float64 {

@@ -71,7 +71,7 @@ func TestMarketConstructionConsumesNoParentRandomness(t *testing.T) {
 	if _, err := New(s2, Config{}, testCatalog()); err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if a, b := s1.Rand().Int63(), s2.Rand().Int63(); a != b {
+	if a, b := s1.Rand().Intn(math.MaxInt), s2.Rand().Intn(math.MaxInt); a != b {
 		t.Errorf("building a market consumed parent randomness: %d != %d", a, b)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -90,3 +91,65 @@ func BenchmarkIdleBarrier(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkNewRand measures building one generator, as every stream
+// (each node's, each trace's) pays once, beside math/rand's building of
+// the same state. The reseed cases seed an existing generator, which
+// leaves out the allocation and the garbage collection both sides pay.
+func BenchmarkNewRand(b *testing.B) {
+	b.Run("sim", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			randSink = NewRand(int64(i))
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mathRandSink = rand.New(rand.NewSource(int64(i)))
+		}
+	})
+	b.Run("sim-reseed", func(b *testing.B) {
+		r := NewRand(0)
+		for i := 0; i < b.N; i++ {
+			r.setSeed(int64(i))
+		}
+		randSink = r
+	})
+	b.Run("math-rand-reseed", func(b *testing.B) {
+		src := rand.NewSource(0)
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+		}
+		mathRandSink = rand.New(src)
+	})
+}
+
+// BenchmarkThinningDraws measures one candidate of trace.Stream's
+// thinning loop: an exponential gap and two uniforms, beside the same
+// draws through math/rand's Source interface.
+func BenchmarkThinningDraws(b *testing.B) {
+	const rate = 3000.0
+	b.Run("sim", func(b *testing.B) {
+		r := NewRand(1)
+		t := 0.0
+		for i := 0; i < b.N; i++ {
+			t += r.ExpFloat64()/rate + r.Float64() + r.Float64()
+		}
+		floatSink = t
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		t := 0.0
+		for i := 0; i < b.N; i++ {
+			t += r.ExpFloat64()/rate + r.Float64() + r.Float64()
+		}
+		floatSink = t
+	})
+}
+
+var (
+	randSink     *Rand
+	mathRandSink *rand.Rand
+	floatSink    float64
+)

@@ -36,23 +36,25 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"protean/internal/obs"
 )
 
 // Stream is the simulation's deterministic random source: a seeded
-// *rand.Rand that remembers the seed it was built from, which is what
-// makes stable child-stream derivation possible. Draw methods
-// (Float64, Int63, NormFloat64, ...) come from the embedded *rand.Rand.
+// Rand that remembers the seed it was built from, which is what makes
+// stable child-stream derivation possible. Its draws (Float64, Intn,
+// ExpFloat64, NormFloat64) come from the embedded Rand, which is held
+// by value, so a stream is one allocation.
 type Stream struct {
-	*rand.Rand
+	Rand
 	seed uint64
 }
 
 func newStream(seed uint64) *Stream {
-	return &Stream{Rand: rand.New(rand.NewSource(int64(seed))), seed: seed}
+	st := &Stream{seed: seed}
+	st.setSeed(int64(seed))
+	return st
 }
 
 // Child derives the independent stream identified by label. The child

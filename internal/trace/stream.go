@@ -3,9 +3,9 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"protean/internal/model"
+	"protean/internal/sim"
 )
 
 // Stream is a pull-based arrival generator: it produces exactly the
@@ -22,7 +22,7 @@ import (
 type Stream struct {
 	cfg        Config
 	rotate     float64
-	rng        *rand.Rand
+	rng        *sim.Rand
 	beSchedule []*model.Model
 	rateMax    float64
 
@@ -49,7 +49,7 @@ func NewStream(cfg Config) (*Stream, error) {
 		rotate = 20
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := sim.NewRand(cfg.Seed)
 	// Pre-draw the BE rotation schedule so model choice does not perturb
 	// arrival sampling.
 	nSlots := int(cfg.Duration/rotate) + 1

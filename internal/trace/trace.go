@@ -10,11 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 
 	"protean/internal/model"
+	"protean/internal/sim"
 )
 
 // Request is one user invocation arriving at the gateway.
@@ -92,7 +92,7 @@ const DefaultTwitterPeakToMean = 4561.0 / 2969.0
 // products. The sweep folds only the spikes active at each edge, so
 // building the index costs O(edges × active spikes).
 func Erratic(mean, peakToMean, duration float64, seed int64) RateFn {
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	type spike struct{ start, dur, factor float64 }
 	// Roughly 20% of the time is spent in surges; the base rate is set
 	// so the average stays ≈ mean.
