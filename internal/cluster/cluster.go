@@ -409,8 +409,10 @@ type Result struct {
 // duration is the trace horizon; requests beyond it are ignored. Run
 // only reads reqs: an unsorted trace is stably sorted in a copy, so one
 // slice may be replayed by many runs, concurrently too. The gateway
-// plans its batches over the trace as the run goes (queue.Planner); a
-// policy that reads the window view gets the whole plan first.
+// plans its batches over the trace as the run goes (queue.Planner), on
+// a goroutine of its own when there is a second P, and no goroutine
+// reads reqs once Run returns; a policy that reads the window view gets
+// the whole plan first.
 func (c *Cluster) Run(reqs []trace.Request, duration float64) (*Result, error) {
 	if err := checkHorizon(duration); err != nil {
 		return nil, err
@@ -461,7 +463,8 @@ func arrivalsSorted(reqs []trace.Request) bool {
 
 // RunStream replays a pull-based arrival stream without ever
 // materialising it: the gateway plans batches as the run pulls them,
-// so peak memory is independent of the request count. Arrivals at or
+// so peak memory is independent of the request count. The planner is
+// the stream's only reader until RunStream returns. Arrivals at or
 // past the horizon end the stream. A streamed run gives the Oracle no
 // window view; every other policy ignores it.
 func (c *Cluster) RunStream(st *trace.Stream, duration float64) (*Result, error) {
@@ -501,6 +504,9 @@ func (c *Cluster) RunPlan(plan *queue.Plan) (*Result, error) {
 // where a batcher on the simulation's own clock would put it. The
 // plan's flush steps wait for drainAll.
 func (c *Cluster) replay(steps *queue.Planner, duration float64) (*Result, error) {
+	// A pulled planner's producer goroutine reads the caller's trace: it
+	// must be gone when the run returns, on every path.
+	defer steps.Stop()
 	if c.fleet != nil {
 		if err := c.fleet.Start(); err != nil {
 			return nil, err

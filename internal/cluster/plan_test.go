@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"protean/internal/chaos"
 	"protean/internal/core"
@@ -162,4 +165,70 @@ func TestRunPlanRejectsMismatchedPlans(t *testing.T) {
 	if res, err := c.RunPlan(plan); err == nil || res != nil {
 		t.Errorf("zero horizon: got (%v, %v), want an error", res, err)
 	}
+}
+
+// TestRunJoinsPlanner: with a second P, Run and RunStream plan on a
+// producer goroutine, and it is gone once they return, from a run that
+// ends and from one that fails (a fleet started twice) with blocks
+// still to plan. The collector is off, so no finalizer ends a producer
+// the run left behind.
+func TestRunJoinsPlanner(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	strict := model.MustByName("ResNet 50")
+	tc := trace.Config{
+		Rate:     trace.Constant(3000),
+		Mix:      trace.Mix{StrictFrac: 0.5, Strict: strict, BEPool: model.OppositeClassPool(strict)},
+		Duration: 8,
+		Seed:     5,
+	}
+	reqs, err := trace.Generate(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	joined := func(what string) {
+		t.Helper()
+		for range 1000 {
+			if runtime.NumGoroutine() <= base {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+	}
+	s := sim.New(9)
+	mk, err := market.New(s, market.Config{}, vm.DefaultMarketCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mk.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(s, Config{Nodes: 2, Policy: core.NewProtean(core.ProteanConfig{}),
+		VM: &vm.Config{Market: mk, Procurement: market.CheapestSpot()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(reqs, tc.Duration); err != nil {
+		t.Fatal(err)
+	}
+	joined("Run")
+	if _, err := c.Run(reqs, tc.Duration); err == nil {
+		t.Fatal("a second Run started the fleet again")
+	}
+	joined("a failed Run")
+
+	c, err = New(sim.New(9), Config{Nodes: 2, Policy: core.NewProtean(core.ProteanConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := trace.NewStream(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunStream(st, tc.Duration); err != nil {
+		t.Fatal(err)
+	}
+	joined("RunStream")
 }
