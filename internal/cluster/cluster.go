@@ -129,6 +129,9 @@ type node struct {
 
 	beBatchesWindow int
 	lastBEModel     *model.Model
+	// beSolo is lastBEModel.SoloTime, bound when lastBEModel changes so
+	// the monitor tick hands it to the policy without allocating.
+	beSolo func(gpu.Profile) float64
 
 	// recorder stays per node: merging in node order after the run fixes
 	// the sample storage order, which the pinned reports read.
@@ -837,11 +840,8 @@ func (c *Cluster) monitorTick() {
 		view := core.QueueView{
 			BEBatchesLastWindow: n.beBatchesWindow,
 			BEMemPerBatch:       n.beMemPerBatch(),
+			BESolo:              n.beSolo,
 			WindowSeconds:       monitorInterval,
-		}
-		if n.lastBEModel != nil {
-			m := n.lastBEModel
-			view.BESolo = m.SoloTime
 		}
 		if widx+1 < len(c.windowBEBatches) {
 			view.NextWindowBEBatches = c.windowBEBatches[widx+1]
@@ -908,7 +908,10 @@ func (n *node) accept(b *queue.Batch) {
 	n.outstandingReqs += b.Size()
 	if !b.Strict {
 		n.beBatchesWindow++
-		n.lastBEModel = b.Model
+		if b.Model != n.lastBEModel {
+			n.lastBEModel = b.Model
+			n.beSolo = b.Model.SoloTime
+		}
 	}
 	if tr := n.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(n.sim.Now(), obs.KindDispatch)

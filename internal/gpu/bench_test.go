@@ -1,9 +1,11 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"protean/internal/pool"
 	"protean/internal/sim"
 )
 
@@ -79,28 +81,41 @@ func BenchmarkSlowdownFor(b *testing.B) {
 	}
 }
 
+// submitComplete runs one pooled job through a full lifecycle on sl:
+// take it from free, submit, start (one rebalance), run to completion
+// (another rebalance) and put it back, as a cluster node does with
+// every batch.
+func submitComplete(s *sim.Sim, sl *Slice, free *pool.Free[Job], w Workload) error {
+	j := free.Get()
+	j.W, j.Enqueued = w, s.Now()
+	if err := sl.Submit(j); err != nil {
+		return err
+	}
+	if err := s.RunUntil(j.timer.At()); err != nil {
+		return err
+	}
+	if !j.done {
+		return errors.New("short job did not complete")
+	}
+	free.Put(j)
+	return nil
+}
+
 // BenchmarkSubmitCompleteCycle measures a full job lifecycle against a
-// background of co-resident long-running jobs: submit, start (one
-// rebalance), run to completion (another rebalance) — the engine work
-// per batch during a saturated run.
+// background of co-resident long-running jobs — the engine work per
+// batch during a saturated run. One pooled Job is reused through Reset.
 func BenchmarkSubmitCompleteCycle(b *testing.B) {
 	short := &stubWorkload{name: "short", solo7g: 1e-6, fbr: 0.3, mem: 1, sm: 0.2}
 	s, sl := benchSlice(7)
+	free := pool.Free[Job]{Reset: (*Job).Reset}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%1024 == 1023 {
 			s, sl = benchSlice(7)
 		}
-		j := &Job{W: short, Enqueued: s.Now()}
-		if err := sl.Submit(j); err != nil {
+		if err := submitComplete(s, sl, &free, short); err != nil {
 			b.Fatal(err)
-		}
-		if err := s.RunUntil(j.timer.At()); err != nil {
-			b.Fatal(err)
-		}
-		if !j.done {
-			b.Fatal("short job did not complete")
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"protean/internal/obs"
 	"protean/internal/sim"
@@ -108,9 +109,18 @@ type Job struct {
 	remaining   float64 // solo-on-slice seconds of work left
 	slow        float64 // current slowdown multiplier (>= 1)
 	lastAdvance float64
-	timer       *sim.Timer
 	running     bool
 	done        bool
+
+	// timer is the job's completion timer and fire its callback. Both
+	// outlive a run and Reset: fire is bound once per Job object (in
+	// Submit), the timer is created at the object's first start and
+	// re-armed with Reschedule at every later one, so a pooled job's
+	// start-to-completion path allocates nothing. A kept timer is reused
+	// only on the sim it was created on (see start) and is never queued
+	// while the job is idle.
+	timer *sim.Timer
+	fire  func()
 
 	// Residency invariants, cached once at start(). Each is constant for
 	// as long as the job occupies its slice (the workload, scale, SM cap
@@ -126,12 +136,19 @@ type Job struct {
 	invCached bool
 }
 
-// Reset clears a finished job for freelist reuse, dropping every
-// pointer (slice, timer, callbacks) so nothing is retained through the
-// pool. Only safe once the engine has fully detached the job: after
-// OnDone has returned (completion detaches before the callback), or
-// after the owner is done rerouting a failed job.
-func (j *Job) Reset() { *j = Job{} }
+// Reset clears a finished job for freelist reuse. It drops every
+// pointer the owner set (workload, callbacks, context) and the slice,
+// and keeps only the job's own completion timer and its bound callback,
+// which the next start re-arms in place. Only safe once the engine has
+// fully detached the job: after OnDone has returned (completion
+// detaches before the callback), or after the owner is done rerouting
+// a failed job. Resetting a job whose timer is still queued panics.
+func (j *Job) Reset() {
+	if j.timer.Cancel() {
+		panic("gpu: Reset of a job whose completion timer is queued")
+	}
+	*j = Job{timer: j.timer, fire: j.fire}
+}
 
 // cacheInvariants snapshots the residency-invariant quantities for a job
 // starting on a slice with profile p. The cached values are bitwise
@@ -366,6 +383,13 @@ func (sl *Slice) Submit(j *Job) error {
 		j.Enqueued = sl.sim.Now()
 	}
 	j.slice = sl
+	// Reserve the job's place in running now, so start never grows it.
+	if n := len(sl.running) + len(sl.pending) + 1; n > cap(sl.running) {
+		sl.running = slices.Grow(sl.running, n-len(sl.running))
+	}
+	if j.fire == nil {
+		j.fire = func() { j.slice.complete(j) }
+	}
 	sl.emitJob(obs.KindAdmit, j)
 	if sl.gpu.ReorderPending && j.Strict {
 		// Insert after the last pending strict job, ahead of BE jobs.
@@ -422,13 +446,21 @@ func (sl *Slice) tryStart() {
 				return
 			}
 			j := sl.pending[pick]
-			sl.pending = append(sl.pending[:pick], sl.pending[pick+1:]...)
+			sl.pending = slices.Delete(sl.pending, pick, pick+1)
 			sl.start(j)
 		}
 	}
 }
 
+// start runs a pending job. A timer the job kept from an earlier run
+// on another sim carries that sim's lane rank, so it is dropped and
+// rebalance creates one here.
+//
+//protean:hotpath
 func (sl *Slice) start(j *Job) {
+	if j.timer != nil && j.timer.Sim() != sl.sim {
+		j.timer = nil
+	}
 	now := sl.sim.Now()
 	sl.account(now)
 	j.started = now
@@ -437,7 +469,9 @@ func (sl *Slice) start(j *Job) {
 	j.remaining = j.W.SoloTime(j.effProfile(sl.Prof)) * j.scale() * j.jitter()
 	j.cacheInvariants(sl.Prof)
 	sl.usedMem += j.invMemGB
-	sl.running = append(sl.running, j)
+	n := len(sl.running)
+	sl.running = sl.running[:n+1] // Submit reserved the slot
+	sl.running[n] = j
 	sl.emitJob(obs.KindExecStart, j)
 	sl.rebalance(now)
 }
@@ -466,9 +500,10 @@ func (sl *Slice) emitJob(k obs.Kind, j *Job) {
 // completions under the new slowdown. It must be called whenever slice
 // occupancy changes. Completion timers are rescheduled in place
 // (sim.Timer.Reschedule) rather than cancelled and reallocated, so the
-// hot path allocates nothing and leaves no dead timers in the event
-// heap; a job that has no timer yet (it is the one being started) gets
-// a fresh one.
+// hot path leaves no dead timers in the event heap. The job being
+// started re-arms the timer it kept from its last run, which takes a
+// fresh sequence number just as a new timer would; only a Job object's
+// first start creates one.
 //
 //protean:hotpath
 func (sl *Slice) rebalance(now float64) {
@@ -486,9 +521,7 @@ func (sl *Slice) rebalance(now float64) {
 		if j.timer != nil && j.timer.Reschedule(now+float64(j.remaining*j.slow)) == nil {
 			continue
 		}
-		j := j
-		//lint:ignore hotalloc one closure per newly started job, not per rebalance: every later pass reuses the timer in place via Reschedule above
-		j.timer = sl.sim.MustAfter(j.remaining*j.slow, func() { sl.complete(j) })
+		j.timer = sl.sim.MustAfter(j.remaining*j.slow, j.fire)
 	}
 	if tr := sl.sim.Tracer(); tr.Enabled() {
 		ev := obs.At(now, obs.KindSlowdown)
@@ -502,6 +535,10 @@ func (sl *Slice) rebalance(now float64) {
 	}
 }
 
+// complete finishes a job when its timer fires. The fired timer stays
+// with the job for its next start.
+//
+//protean:hotpath
 func (sl *Slice) complete(j *Job) {
 	now := sl.sim.Now()
 	sl.account(now)
@@ -509,13 +546,9 @@ func (sl *Slice) complete(j *Job) {
 	j.running = false
 	j.done = true
 	j.finished = now
-	j.timer = nil
 	sl.emitJob(obs.KindExecEnd, j)
-	for i, r := range sl.running {
-		if r == j {
-			sl.running = append(sl.running[:i], sl.running[i+1:]...)
-			break
-		}
+	if i := slices.Index(sl.running, j); i >= 0 {
+		sl.running = slices.Delete(sl.running, i, i+1)
 	}
 	// Subtract the exact value start() added: invMemGB is the cached
 	// result of the same pure W.MemGB(sl.Prof) call.

@@ -35,10 +35,9 @@ func (g *GPU) FailSlice(pick, repair float64) (killed, displaced []*Job) {
 	sl.account(now)
 	killed = append(killed, sl.running...)
 	for _, j := range sl.running {
-		if j.timer != nil {
-			j.timer.Cancel()
-			j.timer = nil
-		}
+		// The cancelled timer stays with the job, unqueued, so an owner
+		// that pools the job can Reset and reuse it.
+		j.timer.Cancel()
 		j.running = false
 		j.slice = nil
 	}

@@ -66,13 +66,15 @@ func ProfileByName(name string) (Profile, bool) { return a100.ProfileByName(name
 // percentage limits (used to model GPUlet's strategic MPS partitions).
 // Memory capacity and cache are unchanged: MPS caps only restrict SMs —
 // cache and bandwidth stay shared (§2.2), which is exactly why GPUlet
-// still suffers interference.
+// still suffers interference. The capped profile keeps p's name: it is
+// the same MIG instance, and the engine builds one on every capped
+// job's start, which must not allocate.
 func Scaled(p Profile, frac float64) Profile {
 	if frac <= 0 || frac >= 1 {
 		return p
 	}
 	return Profile{
-		Name:        fmt.Sprintf("%s@%.0f%%", p.Name, frac*100),
+		Name:        p.Name,
 		Slots:       p.Slots,
 		ComputeFrac: p.ComputeFrac * frac,
 		MemGB:       p.MemGB,

@@ -205,10 +205,10 @@ func TestRepoIsFlowClean(t *testing.T) {
 }
 
 // TestHotpathAnnotationsPinned keeps the //protean:hotpath markers on
-// the engine's measured inner loops: the gpu rebalance/slowdown path,
-// the GPU's read-only views and the sim timer path. Dropping an
-// annotation would silently shrink hotalloc's audited set, so the exact
-// node set is pinned here.
+// the engine's measured inner loops: the gpu job lifecycle (start,
+// rebalance, complete) and slowdown path, the GPU's read-only views and
+// the sim timer path. Dropping an annotation would silently shrink
+// hotalloc's audited set, so the exact node set is pinned here.
 func TestHotpathAnnotationsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -221,7 +221,9 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
+		"protean/internal/gpu.(*Slice).start",
 		"protean/internal/gpu.(*Slice).rebalance",
+		"protean/internal/gpu.(*Slice).complete",
 		"protean/internal/gpu.(*Slice).slowdownFor",
 		"protean/internal/gpu.(*Slice).Slowdown",
 		"protean/internal/gpu.(*GPU).Slices",

@@ -106,6 +106,11 @@ type Timer struct {
 //lint:ignore deadcode gpu's BenchmarkSubmitCompleteCycle runs to it; TestRescheduleEarlierAndLater reads it
 func (t *Timer) At() float64 { return t.at }
 
+// Sim returns the simulation, root or lane, the timer was created on.
+// The timer keeps that sim's rank for life, so an owner that re-arms a
+// kept timer checks it is still on the same sim.
+func (t *Timer) Sim() *Sim { return t.sim }
+
 // Cancel prevents the timer from firing and removes it from the queue
 // at once. It reports whether the timer was still pending. Cancelling an
 // already-fired or already-cancelled timer is a no-op.
@@ -297,7 +302,7 @@ func (s *Sim) At(t float64, fn func()) (*Timer, error) {
 		return nil, errors.New("sim: schedule nil func")
 	}
 	r := s.root
-	//lint:ignore hotalloc the Timer is the event being created; hot callers (gpu rebalance) reuse timers via Reschedule and only reach this for newly started jobs
+	//lint:ignore hotalloc the Timer is the event being created; hot callers keep their timers and re-arm them with Reschedule, so gpu rebalance reaches this only at a pooled Job object's first start
 	tm := &Timer{at: t, rank: s.rank, seq: r.seq, fn: fn, index: -1, sim: s}
 	r.seq++
 	r.queue.push(tm)
