@@ -53,9 +53,15 @@ type Scaler struct {
 	cfg Config
 	sim *sim.Sim
 
-	// pools holds one pool per model in ascending name order: lookups
-	// binary-search it and Sweep walks it without sorting.
-	pools      []*pool
+	// pools holds one pool per model in ascending name order: a lookup
+	// the cache misses binary-searches it, and Sweep walks it without
+	// sorting.
+	pools []*pool
+	// recent caches the two pools looked up last, the latest first. A
+	// node mostly serves one strict model and one best-effort model at a
+	// time, so nearly every Acquire and Release hits it. Pools are never
+	// removed, so a cached pointer stays valid across inserts.
+	recent     [2]*pool
 	coldStarts int
 	spawned    int
 }
@@ -164,8 +170,11 @@ func (s *Scaler) search(modelName string) (int, bool) {
 
 // find returns the model's pool, or nil when it has none.
 func (s *Scaler) find(modelName string) *pool {
+	if p := s.cached(modelName); p != nil {
+		return p
+	}
 	if i, ok := s.search(modelName); ok {
-		return s.pools[i]
+		return s.remember(s.pools[i])
 	}
 	return nil
 }
@@ -173,11 +182,32 @@ func (s *Scaler) find(modelName string) *pool {
 // pool returns the model's pool, creating it in name order on first
 // use.
 func (s *Scaler) pool(modelName string) *pool {
+	if p := s.cached(modelName); p != nil {
+		return p
+	}
 	i, ok := s.search(modelName)
 	if !ok {
 		s.pools = slices.Insert(s.pools, i, &pool{name: modelName})
 	}
-	return s.pools[i]
+	return s.remember(s.pools[i])
+}
+
+// cached returns the model's pool if the cache holds it, moving it to
+// the front, or nil.
+func (s *Scaler) cached(modelName string) *pool {
+	if p := s.recent[0]; p != nil && p.name == modelName {
+		return p
+	}
+	if p := s.recent[1]; p != nil && p.name == modelName {
+		return s.remember(p)
+	}
+	return nil
+}
+
+// remember puts p at the front of the cache, evicting the older entry.
+func (s *Scaler) remember(p *pool) *pool {
+	s.recent[0], s.recent[1] = p, s.recent[0]
+	return p
 }
 
 // Sweep expires idle containers across all pools (called on monitor

@@ -1,7 +1,10 @@
 package autoscale
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"protean/internal/obs"
@@ -246,5 +249,132 @@ func TestSweepExpiresInNameOrder(t *testing.T) {
 	want := []string{"alexnet", "bart", "bert", "dpn", "resnet", "vgg"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("expire order = %v, want %v", got, want)
+	}
+}
+
+// scalerOp is one step of a lookup-reference sequence: at virtual time
+// at, op runs against model with argument n.
+type scalerOp struct {
+	at    float64
+	op    int
+	model string
+	n     int
+}
+
+// poolLookupOps draws a seeded sequence of scaler operations. Models
+// come into play in descending name order, so each new pool is
+// inserted ahead of the pools already cached, and most operations fall
+// on the two models introduced last, as a node's strict model and its
+// current best-effort model do.
+func poolLookupOps(rng *rand.Rand) []scalerOp {
+	names := []string{"vgg", "shufflenet", "resnet", "gpt", "dpn", "bert", "alexnet"}
+	live := 1
+	var ops []scalerOp
+	at := 0.0
+	for range 400 {
+		at += float64(rng.Intn(4))
+		if live < len(names) && rng.Intn(25) == 0 {
+			live++
+		}
+		m := names[live-1-rng.Intn(min(live, 2))]
+		if rng.Intn(5) == 0 {
+			m = names[rng.Intn(live)]
+		}
+		ops = append(ops, scalerOp{at: at, op: rng.Intn(7), model: m, n: rng.Intn(3)})
+	}
+	return ops
+}
+
+// runScalerOps applies ops to a fresh scaler and returns the log of
+// every result, the final pools and counters, and the traced autoscale
+// events. A search-only scaler empties its lookup cache before each
+// operation, so every lookup binary-searches.
+func runScalerOps(t *testing.T, cfg Config, ops []scalerOp, searchOnly bool) string {
+	t.Helper()
+	s := sim.New(1)
+	col := obs.NewCollector("autoscale")
+	s.SetTracer(col)
+	sc := newScaler(t, s, cfg)
+	var log strings.Builder
+	for _, op := range ops {
+		s.MustAfter(op.at, func() {
+			if searchOnly {
+				sc.recent = [2]*pool{}
+			}
+			switch op.op {
+			case 0, 1:
+				d, err := sc.Acquire(op.model)
+				fmt.Fprintf(&log, "acquire %s %v %v\n", op.model, d, err)
+			case 2, 3:
+				fmt.Fprintf(&log, "release %s %v\n", op.model, sc.Release(op.model))
+			case 4:
+				fmt.Fprintf(&log, "abort %s %v\n", op.model, sc.Abort(op.model))
+			case 5:
+				sc.Prewarm(op.model, op.n)
+				fmt.Fprintf(&log, "prewarm %s %d warm %d\n", op.model, op.n, sc.Warm(op.model))
+			case 6:
+				sc.Sweep()
+				fmt.Fprintf(&log, "sweep drain %s %d\n", op.model, sc.Drain(op.model))
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range sc.pools {
+		fmt.Fprintf(&log, "pool %s busy %d idle since %v\n", p.name, p.busy, p.idleSince)
+	}
+	fmt.Fprintf(&log, "cold starts %d spawned %d\n", sc.coldStarts, sc.spawned)
+	for _, ev := range col.Trace().Events {
+		fmt.Fprintf(&log, "%+v\n", ev)
+	}
+	return log.String()
+}
+
+// TestPoolLookupMatchesSearch runs seeded sequences of every pool
+// operation on a scaler whose lookups go through its cache and on one
+// whose lookups always binary-search, and requires the same results,
+// pools, cold starts, spawned counts, expiry times and trace events.
+func TestPoolLookupMatchesSearch(t *testing.T) {
+	for seed := range int64(40) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{KeepAlive: float64(5 + rng.Intn(40)), Immediate: rng.Intn(4) == 0}
+		ops := poolLookupOps(rng)
+		got := runScalerOps(t, cfg, ops, false)
+		if want := runScalerOps(t, cfg, ops, true); got != want {
+			t.Fatalf("seed %d: cached lookups diverge from search:\n got:\n%s\n want:\n%s", seed, got, want)
+		}
+	}
+}
+
+// BenchmarkScalerAcquireRelease acquires and releases containers for a
+// strict model and a best-effort model in turn over six pools, the
+// best-effort model rotating among the other five: a node's per-batch
+// scaler traffic.
+func BenchmarkScalerAcquireRelease(b *testing.B) {
+	sc, err := NewScaler(sim.New(1), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := []string{"bert", "dpn", "gpt", "resnet", "shufflenet", "vgg"}
+	for _, m := range names {
+		sc.Prewarm(m, 2)
+	}
+	strict, be := names[0], names[1:]
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		m := be[i/64%len(be)]
+		if _, err := sc.Acquire(strict); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sc.Acquire(m); err != nil {
+			b.Fatal(err)
+		}
+		if err := sc.Release(strict); err != nil {
+			b.Fatal(err)
+		}
+		if err := sc.Release(m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -91,6 +91,13 @@ const (
 	serviceJitterCV float64 = 0.2
 )
 
+// The service jitter's lognormal parameters depend on serviceJitterCV
+// alone, so they are computed once: σ² = ln(1 + cv²) and σ.
+var (
+	jitterSigma2 = math.Log(1 + serviceJitterCV*serviceJitterCV)
+	jitterSigma  = math.Sqrt(jitterSigma2)
+)
+
 func (c *Config) applyDefaults() {
 	if c.SLOMultiplier <= 0 {
 		c.SLOMultiplier = model.DefaultSLOMultiplier
@@ -1063,15 +1070,30 @@ func (n *node) place(b *queue.Batch, cold float64) error {
 
 // complete records metrics for every request in the batch and frees the
 // container. The batch's requests share every sample field but their
-// latency, queueing delay and tenant, so they are recorded in one call;
-// a count-level run records only how many met the SLO, and a live
-// cluster hands the requests to the control plane instead.
+// latency, queueing delay and tenant, so they are recorded in one call
+// that computes only what the recorder's level reads: a count-level run
+// records how many met the SLO, a sketch-level run each latency, and a
+// row-level run the full sample with the batch's latency breakdown. A
+// live cluster hands the requests to the control plane instead.
 func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 	c := n.cluster
 	n.leave(b, true)
 	c.completed += b.Size()
-	finished, started, warmup := j.Finished(), j.Started(), c.cfg.Warmup
-	if !c.live && c.cfg.Level == metrics.Counts {
+	finished, warmup := j.Finished(), c.cfg.Warmup
+	switch {
+	case c.live:
+		prof := ""
+		if sl := j.Slice(); sl != nil {
+			prof = sl.Prof.Name
+		}
+		// The completion outlives the scratch buffer, so it keeps a copy.
+		c.done = append(c.done, Completion{
+			Time:        finished,
+			Profile:     prof,
+			ExecSeconds: max(0, finished-j.Started()),
+			Rows:        slices.Clone(n.fullRows(b, j)),
+		})
+	case c.cfg.Level == metrics.Counts:
 		slo := b.Model.SLO(c.cfg.SLOMultiplier)
 		count, met := 0, 0
 		for _, arrival := range b.Arrivals {
@@ -1085,12 +1107,38 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 			}
 		}
 		n.recorder.AddCounts(metrics.Sample{Strict: b.Strict, SLO: slo, Weight: 1}, count, met)
-		n.recycle(b, j)
-		return
+	case c.cfg.Level == metrics.Sketches:
+		// A sketch recorder reads the class, SLO and weight of the
+		// sample and each row's latency, nothing else.
+		rows := slices.Grow(c.rows[:0], b.Size())
+		for _, arrival := range b.Arrivals {
+			if arrival >= warmup {
+				rows = append(rows, metrics.BatchRow{Latency: finished - arrival})
+			}
+		}
+		c.rows = rows
+		n.recorder.AddBatch(metrics.Sample{Strict: b.Strict, SLO: b.Model.SLO(c.cfg.SLOMultiplier), Weight: 1}, rows)
+	default:
+		n.recorder.AddBatch(metrics.Sample{
+			Model:     b.Model.Name(),
+			Strict:    b.Strict,
+			SLO:       b.Model.SLO(c.cfg.SLOMultiplier),
+			Breakdown: j.Breakdown(),
+			Completed: finished,
+			Weight:    1,
+		}, n.fullRows(b, j))
 	}
+	n.recycle(b, j)
+}
+
+// fullRows fills the cluster's scratch buffer with one full row per
+// request of a completed batch that arrived after the warmup.
+func (n *node) fullRows(b *queue.Batch, j *gpu.Job) []metrics.BatchRow {
+	c := n.cluster
+	finished, started := j.Finished(), j.Started()
 	rows := slices.Grow(c.rows[:0], b.Size())
 	for i, arrival := range b.Arrivals {
-		if arrival < warmup {
+		if arrival < c.cfg.Warmup {
 			continue
 		}
 		// Arrival→finish wall time already spans the cold start (the
@@ -1102,29 +1150,7 @@ func (n *node) complete(b *queue.Batch, j *gpu.Job) {
 		})
 	}
 	c.rows = rows
-	if c.live {
-		prof := ""
-		if sl := j.Slice(); sl != nil {
-			prof = sl.Prof.Name
-		}
-		// The completion outlives the scratch buffer, so it keeps a copy.
-		c.done = append(c.done, Completion{
-			Time:        finished,
-			Profile:     prof,
-			ExecSeconds: max(0, finished-started),
-			Rows:        slices.Clone(rows),
-		})
-	} else {
-		n.recorder.AddBatch(metrics.Sample{
-			Model:     b.Model.Name(),
-			Strict:    b.Strict,
-			SLO:       b.Model.SLO(c.cfg.SLOMultiplier),
-			Breakdown: j.Breakdown(),
-			Completed: finished,
-			Weight:    1,
-		}, rows)
-	}
-	n.recycle(b, j)
+	return rows
 }
 
 // recycle hands a completed batch and its job back once complete has
@@ -1293,10 +1319,7 @@ func (n *node) resubmit(j *gpu.Job) {
 //
 //protean:hotpath
 func (n *node) serviceJitter() float64 {
-	const cv = serviceJitterCV
-	sigma2 := math.Log(1 + cv*cv)
-	sigma := math.Sqrt(sigma2)
-	return math.Exp(float64(n.rng.NormFloat64()*sigma) - float64(sigma2/2))
+	return math.Exp(float64(n.rng.NormFloat64()*jitterSigma) - float64(jitterSigma2/2))
 }
 
 // batchScale converts batch fill into a work/bandwidth scale: GPU batch

@@ -899,13 +899,7 @@ func (r *Recorder) sampleAtPercentile(p float64) (*row, *group) {
 // matter. A count recorder keeps no latency, and panics.
 func (r *Recorder) Percentile(p float64) float64 {
 	if r.level == Sketches {
-		var merged Sketch
-		for c := range r.sketches {
-			if !r.hidden[c] {
-				merged.Merge(&r.sketches[c])
-			}
-		}
-		return merged.Quantile(p)
+		return r.Sketch().Quantile(p)
 	}
 	r.mustRows("Percentile")
 	s, _ := r.sampleAtPercentile(p)
@@ -913,6 +907,22 @@ func (r *Recorder) Percentile(p float64) float64 {
 		return math.NaN()
 	}
 	return s.Latency
+}
+
+// Sketch returns a new sketch of a sketch recorder's visible latencies:
+// its visible class sketches merged, which Percentile reads. It panics
+// on another level.
+func (r *Recorder) Sketch() *Sketch {
+	if r.level != Sketches {
+		panic("metrics: Sketch on a " + levelNames[r.level] + " recorder")
+	}
+	var merged Sketch
+	for c := range r.sketches {
+		if !r.hidden[c] {
+			merged.Merge(&r.sketches[c])
+		}
+	}
+	return &merged
 }
 
 // BreakdownAtPercentile returns the latency decomposition of the sample

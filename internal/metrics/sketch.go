@@ -24,9 +24,12 @@ var (
 // values (a DDSketch-style fixed-compression log-bucket histogram).
 // Weighted values land in integer-count buckets, so Add order never
 // matters and Merge is commutative and associative: equal inputs give
-// equal sketches however they were assembled. Latencies span microseconds to hours in ~2300 buckets at
-// 1% relative accuracy, so memory is effectively constant while the
-// exact path's sample buffer grows with the request count.
+// equal sketches however they were assembled. Latencies from a
+// microsecond to an hour span about 1,100 buckets at 1% relative
+// accuracy, so memory is effectively constant while the exact path's
+// sample buffer grows with the request count. Values at or below 0 rank
+// first, with estimate 0; NaN and +Inf rank last, in one bucket whose
+// estimate is +Inf, as the exact recorder ranks them.
 //
 // The zero value is ready to use.
 type Sketch struct {
@@ -37,14 +40,27 @@ type Sketch struct {
 	total int64
 }
 
-// bucketOf returns the bucket index of a positive value.
+// infBucket holds NaN and +Inf. Every finite positive value's bucket
+// lies within ±40,000, far below it.
+const infBucket int32 = math.MaxInt32
+
+// bucketOf returns the bucket index of a positive value or NaN. A NaN
+// or +Inf would convert to an int32 the Go spec leaves to the
+// implementation, so both go to infBucket.
 func bucketOf(v float64) int32 {
+	if !(v <= math.MaxFloat64) {
+		return infBucket
+	}
 	return int32(math.Ceil(math.Log(v) * sketchInvLogGamma))
 }
 
 // bucketValue is the midpoint estimate of bucket i, with relative
-// error at most SketchAlpha for any value in the bucket.
+// error at most SketchAlpha for any value in the bucket; infBucket's is
+// +Inf.
 func bucketValue(i int32) float64 {
+	if i == infBucket {
+		return math.Inf(1)
+	}
 	return 2 * math.Pow(sketchGamma, float64(i)) / (sketchGamma + 1)
 }
 
@@ -102,20 +118,31 @@ func (sk *Sketch) Quantile(p float64) float64 {
 	if sk.total == 0 {
 		return math.NaN()
 	}
+	if i, zero := sk.quantileBucket(p); !zero {
+		return bucketValue(i)
+	}
+	return 0
+}
+
+// quantileBucket returns the bucket of a non-empty sketch holding the
+// weighted p-th percentile, or zero true when the values at or below 0
+// hold it: the first in ascending order at which the cumulative weight
+// reaches p/100·total, or the last occupied one when none does.
+func (sk *Sketch) quantileBucket(p float64) (i int32, zero bool) {
 	target := p / 100 * float64(sk.total)
 	cum := float64(sk.zeros)
 	if cum >= target && sk.zeros > 0 {
-		return 0
+		return 0, true
 	}
 	idx := sk.sortedBuckets()
 	for _, i := range idx {
 		cum += float64(sk.counts[i])
 		if cum >= target {
-			return bucketValue(i)
+			return i, false
 		}
 	}
 	if len(idx) == 0 {
-		return 0
+		return 0, true
 	}
-	return bucketValue(idx[len(idx)-1])
+	return idx[len(idx)-1], false
 }

@@ -397,3 +397,80 @@ func benchmarkAdd(b *testing.B, r *Recorder) {
 		r.Add(Sample{Model: "BERT", Strict: true, SLO: 0.1, Latency: vals[i%len(vals)], Weight: 1})
 	}
 }
+
+// sketchSlot is where a sketch ranks v: with the values at or below 0
+// (zero true), or in v's bucket, NaN and +Inf in infBucket.
+func sketchSlot(v float64) (int32, bool) {
+	if v <= 0 {
+		return 0, true
+	}
+	return bucketOf(v), false
+}
+
+// FuzzSketchOrder feeds the same weighted latencies, from raw bit
+// patterns, to a Sketch and to an exact recorder, and requires that at
+// every percentile checked the sketch picks the bucket of the exact
+// percentile: the sketch ranks values as the exact recorder does, those
+// at or below 0 first and NaN and +Inf last, above every finite bucket.
+func FuzzSketchOrder(f *testing.F) {
+	edge := fuzzRecords(edgeLatencies...)
+	for _, n := range []uint16{1, 2, uint16(len(edgeLatencies)), 300} {
+		f.Add(edge, n, 50.0)
+	}
+	f.Add(fuzzRecords(1e308, math.Inf(1), 5e-324, -3), uint16(9), 99.0)
+	f.Add(fuzzRecords(math.NaN(), 0.02, 0), uint16(40), 70.0)
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, p float64) {
+		r := fuzzRecorder(data, int(n)%(4*chunkRows))
+		if r.Requests() == 0 {
+			return
+		}
+		var sk Sketch
+		r.eachExact(func(_ uint32, s *row, g *group, _ *nameTable) { sk.Add(s.Latency, g.Weight) })
+		ps := []float64{1, 10, 25, 50, 75, 90, 99, 99.9, 100}
+		if p > 0 && p <= 100 {
+			ps = append(ps, p)
+		}
+		for _, p := range ps {
+			exact := r.Percentile(p)
+			i, zero := sk.quantileBucket(p)
+			wi, wzero := sketchSlot(exact)
+			if i != wi || zero != wzero {
+				t.Fatalf("P%v: sketch picks bucket %d (zero %v), the exact percentile %v is in %d (zero %v)",
+					p, i, zero, exact, wi, wzero)
+			}
+			if nonFinite := math.IsNaN(exact) || math.IsInf(exact, 1); nonFinite != (i == infBucket) {
+				t.Fatalf("P%v: exact percentile %v in bucket %d, the non-finite bucket is %d", p, exact, i, infBucket)
+			}
+			if i == infBucket && sk.Quantile(p) != math.Inf(1) {
+				t.Fatalf("P%v: sketch estimate %v for NaN or +Inf, want +Inf", p, sk.Quantile(p))
+			}
+		}
+	})
+}
+
+// TestSketchNonFiniteRankLast pins where a sketch puts NaN and +Inf:
+// both in one bucket above every finite one, whose estimate is +Inf,
+// whatever int32 conversion the host would give them.
+func TestSketchNonFiniteRankLast(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Float64frombits(0x7ff0000000000001)} {
+		if got := bucketOf(v); got != infBucket {
+			t.Errorf("bucketOf(%v) = %d, want %d", v, got, infBucket)
+		}
+	}
+	if top := bucketOf(math.MaxFloat64); top >= infBucket || top > 40000 {
+		t.Errorf("bucketOf(MaxFloat64) = %d, not below the non-finite bucket", top)
+	}
+	if low := bucketOf(math.SmallestNonzeroFloat64); low < -40000 {
+		t.Errorf("bucketOf(SmallestNonzeroFloat64) = %d, below -40000", low)
+	}
+	var sk Sketch
+	sk.Add(math.NaN(), 1)
+	sk.Add(math.Inf(1), 1)
+	sk.Add(1, 2)
+	if got := sk.Quantile(50); got != bucketValue(bucketOf(1)) {
+		t.Errorf("P50 = %v, want the bucket of 1", got)
+	}
+	if got := sk.Quantile(100); !math.IsInf(got, 1) {
+		t.Errorf("P100 = %v, want +Inf", got)
+	}
+}
