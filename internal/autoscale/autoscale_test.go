@@ -362,7 +362,8 @@ func BenchmarkScalerAcquireRelease(b *testing.B) {
 	}
 	strict, be := names[0], names[1:]
 	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		m := be[i/64%len(be)]
 		if _, err := sc.Acquire(strict); err != nil {
 			b.Fatal(err)
